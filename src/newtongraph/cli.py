@@ -98,7 +98,8 @@ def _load_dynamics(path: str) -> GraphDynamics:
 
 
 def _dump_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    # no indent: json's C encoder only runs without one
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 def _fmt_complex(z: complex) -> str:

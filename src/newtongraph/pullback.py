@@ -12,8 +12,9 @@ tower stops one pullback after every critical point has become a vertex.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .combinatorial import (
     KIND_INFINITY,
@@ -36,22 +37,22 @@ from .errors import (
 )
 from .poly import NewtonMap, roots_of
 from .rays import (
+    _TAU,
     GeoEdge,
     GeoGraph,
+    _circular_gap,
+    _mod_tau,
     channel_diagram,
     continue_inverse_branch,
+    converged,
+    frozen_polyline,
     geograph_to_json,
+    on_branch,
+    residual_ok,
     solve_preimage_near,
 )
 from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
-
-_TAU = 2 * math.pi
-
-
-def _mod_tau(x: float) -> float:
-    r = math.fmod(x, _TAU)
-    return r + _TAU if r < 0 else r
 
 
 @dataclass(frozen=True)
@@ -220,14 +221,31 @@ def _match_endpoint(
     return candidates[best_i][0]
 
 
+def _first_step(
+    f: NewtonMap,
+    w0: complex,
+    w1: complex,
+    x0: complex,
+    direction: float | None,
+    tol: Tolerances,
+) -> complex:
+    """The first step of a lift from x0 over the target segment w0 -> w1; at
+    a critical start, direction selects the branch the lift leaves along."""
+    if direction is None:
+        return continue_inverse_branch(f, w0, w1, x0, tol)
+    order = f.local_degree(x0)
+    coeff = _leading_coefficient(f, x0, order, w0)
+    return _branched_first_step(f, w0, w1, x0, order, coeff, direction, tol)
+
+
 def lift_edge(
     f: NewtonMap,
-    edge_points: tuple[SpherePoint, ...],
+    edge_points: np.ndarray,
     start: SpherePoint | complex,
     branch_direction: float | None = None,
     head_candidates: tuple[tuple[SpherePoint, int], ...] | None = None,
     tol: Tolerances | None = None,
-) -> tuple[SpherePoint, ...]:
+) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
     Continuation is predictor-corrector over the interior samples; the final
@@ -235,16 +253,19 @@ def lift_edge(
     infinity) but matched against the fiber over the source head. At a start
     of local degree m >= 2 the m lifts are distinguished by branch_direction,
     the initial tangent of the desired lift; None selects the unique branch
-    of a non-critical start.
+    of a non-critical start. The lift is a read-only complex array, inf at an
+    end at infinity. This is the one-edge form of the level lift that
+    pullback_level runs over all newest edges at once.
     """
     tol = tol or DEFAULT_TOL
+    points = frozen_polyline(edge_points)
     start_pt = start if isinstance(start, SpherePoint) else SpherePoint.of(start)
-    if len(edge_points) < 3:
+    if len(points) < 3:
         raise ValueError("polyline needs interior samples to continue along")
-    tail, head = edge_points[0], edge_points[-1]
+    tail, head = SpherePoint.of(points[0]), SpherePoint.of(points[-1])
     if not tail.finite or not start_pt.finite:
         raise ValueError("edge tails and lift starts must be finite points")
-    if any(p.is_infinity for p in edge_points[1:-1]):
+    if not np.isfinite(points[1:-1]).all():
         raise ValueError("interior samples must be finite")
     if chordal_distance(f.evaluate(start_pt), tail) > tol.match_tol:
         raise ValueError(f"start {start_pt} is not a preimage of the tail {tail}")
@@ -258,32 +279,194 @@ def lift_edge(
 
     w_prev = tail.value
     x = start_pt.value
-    out = [SpherePoint.of(x)]
-    for i, p in enumerate(edge_points[1:-1]):
-        w = p.value
+    out = [x]
+    for i, w in enumerate(points[1:-1].tolist()):
         if w == w_prev:
             continue
-        if i == 0 and branch_direction is not None:
-            coeff = _leading_coefficient(f, x, order, w_prev)
-            x = _branched_first_step(
-                f, w_prev, w, x, order, coeff, branch_direction, tol
-            )
+        if i == 0:
+            x = _first_step(f, w_prev, w, x, branch_direction, tol)
         else:
             x = continue_inverse_branch(f, w_prev, w, x, tol)
-        out.append(SpherePoint.of(x))
+        out.append(x)
         w_prev = w
 
     cands = head_candidates if head_candidates is not None else lift_point(f, head, tol)
-    out.append(_match_endpoint(out[-1], cands, tol))
-    return tuple(out)
+    out.append(complex(_match_endpoint(SpherePoint.of(x), cands, tol)))
+    return frozen_polyline(out)
+
+
+# --- lockstep lifting -------------------------------------------------------
+
+
+def _lift_targets(points: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The samples a lift continues over, the tail first: every interior
+    sample that differs from the one before it. Also whether the first
+    interior sample is kept, since a critical start branches on that step."""
+    interior = points[1:-1]
+    kept = interior != points[:-2]
+    return np.concatenate((points[:1], interior[kept])), bool(kept[0])
+
+
+# Rows N, D, N', D' become D, N, D', N' in the w = 1/z chart, where the
+# equation solved is D/N = 1/w.
+_INVERTED_ROWS = [1, 0, 3, 2]
+
+
+def _lane_coefficients(f: NewtonMap, inverted: np.ndarray) -> np.ndarray:
+    """Coefficients of N, D, N', D', highest degree first, laid out for
+    _fused_horner: shape (degree + 1, 4 * lanes), the four rows one after
+    another, each lane's in the order of its chart."""
+    polys = (
+        f.numerator,
+        f.denominator,
+        f.numerator_derivative,
+        f.denominator_derivative,
+    )
+    m = max(len(p.coeffs) for p in polys)
+    rows = np.zeros((m, 4, 1), dtype=complex)
+    for r, p in enumerate(polys):
+        rows[m - len(p.coeffs):, r, 0] = p.coeffs[::-1]
+    rows = np.where(inverted, rows[:, _INVERTED_ROWS], rows)
+    return rows.reshape(m, 4 * len(inverted))
+
+
+def _fused_horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The four polynomials at every lane's x in one Horner pass, as one
+    array: num, den, num', den' of the lanes one after another. Every
+    operand has the same flat shape, which keeps numpy on its fast path."""
+    xs = np.concatenate((x, x, x, x))
+    acc = coeffs[0] * xs + coeffs[1]
+    for c in coeffs[2:]:
+        acc = acc * xs + c
+    return acc
+
+
+def _newton_round(
+    coeffs: np.ndarray,
+    values: np.ndarray,
+    x0: np.ndarray,
+    target: np.ndarray,
+    active: np.ndarray,
+    tol: Tolerances,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One continuation step on every active lane: the Newton iteration of
+    solve_preimage_near from x0 toward num/den = target, with its gates and
+    those of continue_inverse_branch. values holds _fused_horner at x0.
+    Returns the new points (x0 on inactive lanes), _fused_horner there, and
+    which active lanes passed every gate."""
+    n = len(x0)
+    x = x0
+    done = ~active
+    for _ in range(50):
+        num, den = values[:n], values[n : 2 * n]
+        dnum, dden = values[2 * n : 3 * n], values[3 * n :]
+        step = (num - target * den) * den / (dnum * den - num * dden)
+        x_new = x - step
+        np.copyto(x_new, x, where=done)
+        done |= converged(step, x_new, tol)
+        x = x_new
+        values = _fused_horner(coeffs, x)
+        if np.count_nonzero(done) == n:
+            break
+    res = np.abs(values[:n] / values[n : 2 * n] - target)
+    ok = done & active & residual_ok(res, target, tol) & on_branch(x, x0)
+    return x, values, ok
+
+
+def _lift_lanes(
+    f: NewtonMap,
+    sources: dict[int, tuple[np.ndarray, tuple[tuple[SpherePoint, int], ...]]],
+    lanes: list[tuple[int, SpherePoint, float | None]],
+    tol: Tolerances,
+) -> list[tuple[SpherePoint, np.ndarray]]:
+    """Every lane's lift at once, each as lift_edge would give it.
+
+    sources maps an edge to its polyline and the fiber over its head; a lane
+    (edge, start, branch direction) lifts that edge from one preimage of its
+    tail. The lanes advance in lockstep, one target sample per round, padded
+    to the longest. A lane that fails a gate in a round, and the branched
+    first step off a critical start, take the scalar continuation for that
+    round. Returns (matched head, lifted polyline) per lane, or raises the
+    error of the first lane that failed, which is the error a lift of the
+    lanes one after another raises.
+    """
+    targets = {j: _lift_targets(points) for j, (points, _) in sources.items()}
+    n_lanes = len(lanes)
+    steps = np.array([len(targets[j][0]) - 1 for j, _, _ in lanes], dtype=np.int64)
+    n_rounds = int(steps.max()) if n_lanes else 0
+    w = np.empty((n_rounds + 1, n_lanes), dtype=complex)
+    for lane, (j, _, _) in enumerate(lanes):
+        seq = targets[j][0]
+        w[: len(seq), lane] = seq
+        w[len(seq):, lane] = seq[-1]
+    alive = np.arange(n_rounds + 1)[:, None] <= steps
+    branched = np.array(
+        [direction is not None and targets[j][1] for j, _, direction in lanes],
+        dtype=bool,
+    )
+    x = np.empty_like(w)
+    x[0] = [start.value for _, start, _ in lanes]
+    failed = np.zeros(n_lanes, dtype=bool)
+    errors: dict[int, BranchJump] = {}
+
+    def scalar_step(lane: int, k: int) -> None:
+        w0, w1 = complex(w[k - 1, lane]), complex(w[k, lane])
+        x0 = complex(x[k - 1, lane])
+        try:
+            if k == 1 and branched[lane]:
+                x[k, lane] = _first_step(f, w0, w1, x0, lanes[lane][2], tol)
+            else:
+                x[k, lane] = continue_inverse_branch(f, w0, w1, x0, tol)
+        except BranchJump as exc:
+            errors[lane] = exc
+            failed[lane] = True
+
+    with np.errstate(all="ignore"):
+        # each lane solves in the chart of its target sample; the values and
+        # coefficients are arranged for the chart of the current round
+        inverted = np.abs(w) > tol.chart_radius
+        target = np.where(inverted, 1 / w, w)
+        chart = inverted[min(1, n_rounds)]
+        flips = set(
+            (np.flatnonzero((inverted[2:] != inverted[1:-1]).any(axis=1)) + 2).tolist()
+        )
+        coeffs = _lane_coefficients(f, chart)
+        values = _fused_horner(coeffs, x[0])
+        for k in range(1, n_rounds + 1):
+            if k in flips:
+                flip = inverted[k] != chart
+                by_row = values.reshape(4, n_lanes)
+                values = np.where(flip, by_row[_INVERTED_ROWS], by_row).reshape(-1)
+                chart = inverted[k]
+                coeffs = _lane_coefficients(f, chart)
+            active = alive[k] & ~failed if errors else alive[k]
+            if k == 1:
+                active = active & ~branched
+            x[k], values, ok = _newton_round(
+                coeffs, values, x[k - 1], target[k], active, tol
+            )
+            scalar = active & ~ok
+            if k == 1:
+                scalar |= branched
+            if np.count_nonzero(scalar):
+                for lane in np.flatnonzero(scalar).tolist():
+                    scalar_step(lane, k)
+                values = _fused_horner(coeffs, x[k])
+
+    out = []
+    for lane, (j, _, _) in enumerate(lanes):
+        if lane in errors:
+            raise errors[lane]
+        n = int(steps[lane])
+        head = _match_endpoint(SpherePoint.of(complex(x[n, lane])), sources[j][1], tol)
+        path = np.empty(n + 2, dtype=complex)
+        path[: n + 1] = x[: n + 1, lane]
+        path[-1] = complex(head)
+        out.append((head, frozen_polyline(path)))
+    return out
 
 
 # --- one pullback pass ----------------------------------------------------
-
-
-def _circular_gap(a: float, b: float) -> float:
-    d = abs(_mod_tau(a) - _mod_tau(b))
-    return min(d, _TAU - d)
 
 
 def pullback_level(
@@ -295,6 +478,7 @@ def pullback_level(
     Lifts of older edges are already present (a level-n edge maps onto a
     level-(n-1) edge), so only the top level is lifted; on the first pass the
     branch retracing a fixed edge is recognized by its direction and skipped.
+    All lifts of the level run together, in lockstep.
     """
     tol = tol or DEFAULT_TOL
     geo = current.geo
@@ -305,12 +489,13 @@ def pullback_level(
             fibers[vertex] = lift_point(f, geo.vertices[vertex], tol)
         return fibers[vertex]
 
-    records = []  # (tail point, head point, polyline, source edge)
+    sources = {}
+    lanes = []  # (source edge, start, branch direction)
     for j in current.edges_at_level(current.level):
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
-        psi = cmath.phase(e.points[1].value - tail_pt.value)
-        head_fiber = fiber(e.head)
+        psi = cmath.phase(complex(e.points[1]) - tail_pt.value)
+        sources[j] = (e.points, fiber(e.head))
         for x, order in fiber(e.tail):
             if order == 1:
                 directions: list[float | None] = [None]
@@ -327,11 +512,8 @@ def pullback_level(
                         range(order), key=lambda t: _circular_gap(directions[t], psi)
                     )
                     directions.pop(self_branch)
-            for direction in directions:
-                pts = lift_edge(
-                    f, e.points, x, direction, head_candidates=head_fiber, tol=tol
-                )
-                records.append((pts[0], pts[-1], pts, j))
+            lanes.extend((j, x, direction) for direction in directions)
+    lifted = _lift_lanes(f, sources, lanes, tol)
 
     # merge endpoints into the vertex list, newest last
     verts = list(geo.vertices)
@@ -355,7 +537,7 @@ def pullback_level(
     edges = list(geo.edges)
     emap = list(current.edge_map)
     elevel = list(current.edge_level)
-    for tail_p, head_p, pts, source in records:
+    for (source, tail_p, _), (head_p, pts) in zip(lanes, lifted):
         ti = locate_or_add(tail_p, geo.edges[source].tail)
         hi = locate_or_add(head_p, geo.edges[source].head)
         edges.append(GeoEdge(tail=ti, head=hi, points=pts))
@@ -420,27 +602,6 @@ def vertex_kinds_for(
     return tuple(kinds)
 
 
-def _sorted_star(
-    geo: GeoGraph, vertex: int
-) -> tuple[tuple[float, int], ...]:
-    """(angle, dart) pairs at a vertex, counterclockwise; rejects ties."""
-    ends = []
-    for j, e in enumerate(geo.edges):
-        if e.tail == vertex:
-            ends.append((geo.direction_at(j, "tail"), 2 * j))
-        if e.head == vertex:
-            ends.append((geo.direction_at(j, "head"), 2 * j + 1))
-    ends.sort()
-    for t in range(len(ends)):
-        gap = _circular_gap(ends[t][0], ends[(t + 1) % len(ends)][0])
-        if len(ends) > 1 and gap < 1e-9:
-            raise NonPlanarIncidence(
-                f"edge ends {ends[t][1]} and {ends[(t + 1) % len(ends)][1]} at "
-                f"vertex {vertex} are angularly indistinguishable"
-            )
-    return tuple(ends)
-
-
 def extract_combinatorial(
     f: NewtonMap, dg: DynamicGraph, tol: Tolerances | None = None
 ) -> GraphDynamics:
@@ -454,7 +615,7 @@ def extract_combinatorial(
     geo = dg.geo
     kinds = vertex_kinds_for(f, geo, tol)
     rotations = [
-        [d for _, d in _sorted_star(geo, v)] for v in range(len(geo.vertices))
+        [d for _, d in geo.vertex_star(v)] for v in range(len(geo.vertices))
     ]
     graph = embedded_from_geo(geo, rotations, kinds)
     dart_map = tuple(2 * dg.edge_map[d >> 1] + (d & 1) for d in range(2 * len(geo.edges)))
@@ -551,13 +712,13 @@ def _cross(a: complex, b: complex) -> float:
     return (a.conjugate() * b).imag
 
 
-def _chart_values(points: list[SpherePoint]) -> list[complex] | None:
-    """All points in one common chart: the plane if every point is finite,
-    else the 1/z chart if every point admits it."""
-    if all(p.finite for p in points):
-        return [p.value for p in points]
-    if all(p.is_infinity or p.value != 0 for p in points):
-        return [0j if p.is_infinity else 1 / p.value for p in points]
+def _chart_values(points: list[complex]) -> list[complex] | None:
+    """All points (inf for infinity) in one common chart: the plane if every
+    point is finite, else the 1/z chart if every point admits it."""
+    if all(cmath.isfinite(p) for p in points):
+        return points
+    if all(p != 0 for p in points):
+        return [1 / p if cmath.isfinite(p) else 0j for p in points]
     return None
 
 
@@ -584,8 +745,8 @@ def locate_face(
         return None
 
     pts = geo.edges[ei].points
-    p0, p1 = pts[si], pts[si + 1]
-    chart = _chart_values([p0, p1, pt])
+    q = complex(pt)
+    chart = _chart_values(pts[si : si + 2].tolist() + [q])
     if chart is None:
         raise ValueError(f"no common chart for segment {si} of edge {ei}")
     c0, c1, cq = chart
@@ -601,7 +762,7 @@ def locate_face(
         vertex = geo.edges[ei].tail if corner == 0 else geo.edges[ei].head
         return _face_at_vertex(geo, embedded, vertex, pt)
 
-    trio = _chart_values([pts[corner - 1], pts[corner], pts[corner + 1], pt])
+    trio = _chart_values(pts[corner - 1 : corner + 2].tolist() + [q])
     if trio is None:
         raise ValueError(f"no common chart at corner {corner} of edge {ei}")
     a, b, c, qq = trio
@@ -617,7 +778,7 @@ def locate_face(
 def _face_at_vertex(
     geo: GeoGraph, embedded: EmbeddedGraph, vertex: int, pt: SpherePoint
 ) -> int:
-    star = _sorted_star(geo, vertex)
+    star = geo.vertex_star(vertex)
     v = geo.vertices[vertex]
     if v.is_infinity:
         alpha = _mod_tau(cmath.phase(1 / pt.value))
@@ -651,7 +812,7 @@ def verify_face_counts(
     level1 = result.graphs[1]
     kinds0 = vertex_kinds_for(f, base.geo, tol)
     rotations0 = [
-        [d for _, d in _sorted_star(base.geo, v)]
+        [d for _, d in base.geo.vertex_star(v)]
         for v in range(len(base.geo.vertices))
     ]
     emb0 = embedded_from_geo(base.geo, rotations0, kinds0)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchJump, NoEscape, NotARoot, RayCollision
+from .errors import (
+    BranchJump,
+    NoEscape,
+    NonPlanarIncidence,
+    NotARoot,
+    RayCollision,
+)
 from .poly import NewtonMap
 from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -29,6 +35,28 @@ _TAU = 2 * math.pi
 def _mod_tau(x: float) -> float:
     r = math.fmod(x, _TAU)
     return r + _TAU if r < 0 else r
+
+
+def _circular_gap(a: float, b: float) -> float:
+    d = abs(_mod_tau(a) - _mod_tau(b))
+    return min(d, _TAU - d)
+
+
+def frozen_polyline(points) -> np.ndarray:
+    """A polyline as a read-only 1-d complex array; inf marks a vertex end at
+    infinity, every other sample is finite."""
+    if (
+        isinstance(points, np.ndarray)
+        and points.dtype == complex
+        and points.ndim == 1
+        and not points.flags.writeable
+    ):
+        return points
+    pts = np.array(points, dtype=complex)
+    if pts.ndim != 1:
+        raise ValueError("a polyline is a 1-d sequence of complex samples")
+    pts.flags.writeable = False
+    return pts
 
 
 @dataclass(frozen=True)
@@ -68,12 +96,27 @@ def bottcher_local(
     return BottcherLocal(root_index, xi, k, a, tuple(dirs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayPath:
     root_index: int
     direction: float
-    points: tuple[SpherePoint, ...]  # root first, infinity last
+    points: np.ndarray  # complex polyline, root first, inf last
     infinity_angle: float  # tangent angle at infinity in the w = 1/z chart
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", frozen_polyline(self.points))
+
+    def __eq__(self, other):
+        if not isinstance(other, RayPath):
+            return NotImplemented
+        return (
+            (self.root_index, self.direction, self.infinity_angle)
+            == (other.root_index, other.direction, other.infinity_angle)
+            and np.array_equal(self.points, other.points)
+        )
+
+    def __hash__(self):
+        return hash((self.root_index, self.direction, len(self.points)))
 
 
 def _horner(coeffs: tuple[complex, ...], x: complex) -> complex:
@@ -81,6 +124,28 @@ def _horner(coeffs: tuple[complex, ...], x: complex) -> complex:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+# --- the corrector's gates, shared by the scalar solve and the lockstep lift --
+# Each takes Python complex numbers or numpy arrays alike.
+
+
+def converged(step, x, tol: Tolerances):
+    """A Newton step below lift_tol, relative to 1 + |x|, ends the iteration."""
+    return abs(step) <= tol.lift_tol * (1 + abs(x))
+
+
+def residual_ok(res, target, tol: Tolerances):
+    """The post-step residual |g| in the working chart is small; the scale
+    matches the chordal metric since |g| ~ chordal(f(x), w) (1 + |target|^2)
+    / 2."""
+    return res <= 1e3 * tol.lift_tol * (1 + abs(target) ** 2)
+
+
+def on_branch(x, x0):
+    """A continuation step that moves farther than 0.5 (1 + |x0|) has jumped
+    to another inverse branch."""
+    return abs(x - x0) <= 0.5 * (1 + abs(x0))
 
 
 def solve_preimage_near(
@@ -94,7 +159,6 @@ def solve_preimage_near(
     inverted = abs(w) > tol.chart_radius
     target = 1 / w if inverted else w
     x = x0
-    converged = False
     for _ in range(50):
         nv, dv = _horner(nc, x), _horner(dc, x)
         if inverted:
@@ -115,19 +179,16 @@ def solve_preimage_near(
             continue
         step = g / gp
         x = x - step
-        if abs(step) <= tol.lift_tol * (1 + abs(x)):
-            converged = True
+        if converged(step, x, tol):
             break
-    if not converged:
+    else:
         return None
-    # post-step residual in the working chart; scale matches the chordal
-    # metric since |g| ~ chordal(f(x), w) * (1 + |target|^2) / 2
     nv, dv = _horner(nc, x), _horner(dc, x)
     if inverted:
         res = abs(dv / nv - target) if nv != 0 else math.inf
     else:
         res = abs(nv / dv - target) if dv != 0 else math.inf
-    if res > 1e3 * tol.lift_tol * (1 + abs(target) ** 2):
+    if not residual_ok(res, target, tol):
         return None
     return x
 
@@ -142,7 +203,7 @@ def continue_inverse_branch(
 ) -> complex:
     """Continue the branch of f^{-1} from x0 (a preimage of w_from) to w_to."""
     x = solve_preimage_near(f, w_to, x0, tol)
-    if x is not None and abs(x - x0) <= 0.5 * (1 + abs(x0)):
+    if x is not None and on_branch(x, x0):
         return x
     if depth >= 24:
         raise BranchJump(
@@ -209,13 +270,10 @@ def trace_fixed_ray(
     # truncate at the first escaped sample, then close with infinity
     cut = next(i for i, z in enumerate(points) if abs(z) >= tol.escape_radius)
     kept = points[: cut + 1]
-    sphere_pts = (
-        (SpherePoint.of(xi),) + tuple(SpherePoint.of(z) for z in kept) + (INF,)
-    )
     return RayPath(
         root_index=local.root_index,
         direction=theta,
-        points=sphere_pts,
+        points=[xi] + kept + [complex(INF)],
         infinity_angle=_mod_tau(-cmath.phase(kept[-1])),
     )
 
@@ -223,13 +281,26 @@ def trace_fixed_ray(
 # --- geometric embedded graphs ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeoEdge:
     """Polyline edge; points[0] and points[-1] are the vertex locations."""
 
     tail: int
     head: int
-    points: tuple[SpherePoint, ...]
+    points: np.ndarray  # complex polyline, inf only at an end at infinity
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", frozen_polyline(self.points))
+
+    def __eq__(self, other):
+        if not isinstance(other, GeoEdge):
+            return NotImplemented
+        return (self.tail, self.head) == (other.tail, other.head) and np.array_equal(
+            self.points, other.points
+        )
+
+    def __hash__(self):
+        return hash((self.tail, self.head, len(self.points)))
 
 
 @dataclass(frozen=True)
@@ -255,62 +326,42 @@ class GeoGraph:
         Finite vertices use the plane chart, infinity uses w = 1/z. The angle
         orders edge ends counterclockwise around the vertex.
         """
-        e = self.edges[edge_index]
-        pts = e.points if end == "tail" else tuple(reversed(e.points))
-        v = pts[0]
-        if v.is_infinity:
-            for p in pts[1:]:
-                if not p.is_infinity and p.value != 0:
-                    return _mod_tau(cmath.phase(1 / p.value))
-            raise ValueError("degenerate edge at infinity")
-        for p in pts[1:]:
-            if p.is_infinity:
+        pts = self.edges[edge_index].points
+        if end != "tail":
+            pts = pts[::-1]
+        v = complex(pts[0])
+        at_infinity = not cmath.isfinite(v)
+        for k in range(1, len(pts)):
+            p = complex(pts[k])
+            if not cmath.isfinite(p):
                 continue
-            if p.value != v.value:
-                return _mod_tau(cmath.phase(p.value - v.value))
+            if at_infinity and p != 0:
+                return _mod_tau(cmath.phase(1 / p))
+            if not at_infinity and p != v:
+                return _mod_tau(cmath.phase(p - v))
+        if at_infinity:
+            raise ValueError("degenerate edge at infinity")
         raise ValueError("degenerate edge: no distinct neighbor point")
 
-    def vertex_star(self, vertex: int) -> tuple[tuple[int, str], ...]:
-        """Edge ends at a vertex in counterclockwise order of initial angle."""
+    def vertex_star(self, vertex: int) -> tuple[tuple[float, int], ...]:
+        """(angle, dart) pairs of the edge ends at a vertex, counterclockwise
+        by initial angle; dart 2j is the tail of edge j, 2j + 1 its head.
+        Two ends closer than 1e-9 in angle cannot be ordered and raise."""
         ends = []
-        for i, e in enumerate(self.edges):
+        for j, e in enumerate(self.edges):
             if e.tail == vertex:
-                ends.append((self.direction_at(i, "tail"), i, "tail"))
+                ends.append((self.direction_at(j, "tail"), 2 * j))
             if e.head == vertex:
-                ends.append((self.direction_at(i, "head"), i, "head"))
+                ends.append((self.direction_at(j, "head"), 2 * j + 1))
         ends.sort()
-        return tuple((i, side) for _, i, side in ends)
-
-
-def _project_segment(q: complex, p0: complex, p1: complex) -> complex:
-    d = p1 - p0
-    if d == 0:
-        return p0
-    t = ((q - p0) * d.conjugate()).real / (abs(d) ** 2)
-    t = min(1.0, max(0.0, t))
-    return p0 + t * d
-
-
-def _as_w(p: SpherePoint) -> complex | None:
-    if p.is_infinity:
-        return 0j
-    if p.value == 0:
-        return None
-    return 1 / p.value
-
-
-def segment_distance(q: SpherePoint, p0: SpherePoint, p1: SpherePoint) -> float:
-    """Chordal distance from q to a chord, drawn in whichever charts apply."""
-    best = min(chordal_distance(q, p0), chordal_distance(q, p1))
-    if not (q.is_infinity or p0.is_infinity or p1.is_infinity):
-        s = _project_segment(q.value, p0.value, p1.value)
-        best = min(best, chordal_distance(q, s))
-    w0, w1, wq = _as_w(p0), _as_w(p1), _as_w(q)
-    if w0 is not None and w1 is not None and wq is not None:
-        s = _project_segment(wq, w0, w1)
-        sp = INF if s == 0 else SpherePoint.of(1 / s)
-        best = min(best, chordal_distance(q, sp))
-    return best
+        for t in range(len(ends)):
+            gap = _circular_gap(ends[t][0], ends[(t + 1) % len(ends)][0])
+            if len(ends) > 1 and gap < 1e-9:
+                raise NonPlanarIncidence(
+                    f"edge ends {ends[t][1]} and {ends[(t + 1) % len(ends)][1]} at "
+                    f"vertex {vertex} are angularly indistinguishable"
+                )
+        return tuple(ends)
 
 
 class _Geometry:
@@ -323,45 +374,31 @@ class _Geometry:
     """
 
     def __init__(self, graph: GeoGraph):
-        zp0, zp1, ze, zs = [], [], [], []
-        wp0, wp1, we, ws = [], [], [], []
-        pts, pe, ps = [], [], []
-        self.inf_refs: list[tuple[int, int]] = []
-        for ei, e in enumerate(graph.edges):
-            last_seg = len(e.points) - 2
-            for i, p in enumerate(e.points):
-                si = min(i, last_seg)
-                if p.is_infinity:
-                    self.inf_refs.append((ei, si))
-                else:
-                    pts.append(p.value)
-                    pe.append(ei)
-                    ps.append(si)
-                if i == len(e.points) - 1:
-                    break
-                a, b = p, e.points[i + 1]
-                if not a.is_infinity and not b.is_infinity:
-                    zp0.append(a.value)
-                    zp1.append(b.value)
-                    ze.append(ei)
-                    zs.append(i)
-                wa, wb = _as_w(a), _as_w(b)
-                if wa is not None and wb is not None:
-                    wp0.append(wa)
-                    wp1.append(wb)
-                    we.append(ei)
-                    ws.append(i)
-        self.zp0 = np.array(zp0, dtype=complex)
-        self.zp1 = np.array(zp1, dtype=complex)
-        self.ze = np.array(ze, dtype=np.int64)
-        self.zs = np.array(zs, dtype=np.int64)
-        self.wp0 = np.array(wp0, dtype=complex)
-        self.wp1 = np.array(wp1, dtype=complex)
-        self.we = np.array(we, dtype=np.int64)
-        self.ws = np.array(ws, dtype=np.int64)
-        self.pts = np.array(pts, dtype=complex)
-        self.pe = np.array(pe, dtype=np.int64)
-        self.ps = np.array(ps, dtype=np.int64)
+        lengths = np.array([len(e.points) for e in graph.edges], dtype=np.int64)
+        pts = np.concatenate([e.points for e in graph.edges] or [np.zeros(0, complex)])
+        edge = np.repeat(np.arange(len(lengths)), lengths)
+        first = np.cumsum(lengths) - lengths
+        index = np.arange(len(pts)) - first[edge]
+        last_seg = lengths[edge] - 2
+        seg = np.minimum(index, last_seg)
+
+        finite = np.isfinite(pts)
+        self.pts, self.pe, self.ps = pts[finite], edge[finite], seg[finite]
+        self.inf_refs = list(zip(edge[~finite].tolist(), seg[~finite].tolist()))
+
+        # segment s runs from point s to point s + 1 of the same edge
+        starts = np.flatnonzero(index <= last_seg)
+        ends = starts + 1
+        plane = finite[starts] & finite[ends]
+        self.zp0, self.zp1 = pts[starts[plane]], pts[ends[plane]]
+        self.ze, self.zs = edge[starts[plane]], index[starts[plane]]
+
+        admits_w = ~finite | (pts != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(finite, 1 / np.where(admits_w, pts, 1), 0j)
+        inverted = admits_w[starts] & admits_w[ends]
+        self.wp0, self.wp1 = w[starts[inverted]], w[ends[inverted]]
+        self.we, self.ws = edge[starts[inverted]], index[starts[inverted]]
 
 
 def _graph_geometry(graph: GeoGraph) -> _Geometry:
@@ -441,6 +478,15 @@ def _pos_json(p: SpherePoint):
     return [p.value.real, p.value.imag]
 
 
+def _samples_json(points: np.ndarray) -> list:
+    """[re, im] pairs straight from the array; "inf" at an end at infinity."""
+    out = np.stack((points.real, points.imag), axis=1).tolist()
+    for k in (0, -1):
+        if np.isinf(points[k]):
+            out[k] = "inf"
+    return out
+
+
 def geograph_to_json(
     graph: GeoGraph,
     kinds: tuple[str, ...] | None = None,
@@ -472,12 +518,12 @@ def geograph_to_json(
             "to": e.head,
             "level": edge_levels[j],
             "maps_to": edge_maps[j],
-            "samples": [_pos_json(p) for p in e.points],
+            "samples": _samples_json(e.points),
         }
         for j, e in enumerate(graph.edges)
     ]
     orders = {
-        str(v): [2 * j + (0 if side == "tail" else 1) for j, side in graph.vertex_star(v)]
+        str(v): [dart for _, dart in graph.vertex_star(v)]
         for v in range(len(graph.vertices))
     }
     return {"vertices": vertices, "edges": edges, "cyclic_orders": orders}

@@ -8,6 +8,7 @@ one metric that treats infinity like any other point.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 
@@ -39,10 +40,9 @@ class SpherePoint:
     def finite(self) -> bool:
         return not self.is_infinity
 
-    def as_complex(self) -> complex:
-        if self.is_infinity:
-            raise ValueError("point at infinity has no complex value")
-        return self.value
+    def __complex__(self) -> complex:
+        """The value as a complex number; infinity becomes complex("inf")."""
+        return complex(math.inf, 0.0) if self.is_infinity else self.value
 
     def __repr__(self):
         return "∞" if self.is_infinity else f"{self.value!r}"
@@ -69,8 +69,13 @@ def chordal_distance(a: SpherePoint | complex, b: SpherePoint | complex) -> floa
     za, zb = pa.value, pb.value
     aa, ab = abs(za), abs(zb)
     if aa > 1e150 or ab > 1e150:
-        # Avoid overflow in the product of norms; route through 1/z.
-        ia = 0j if aa > 1e150 else 1 / za if za else 0j
-        ib = 0j if ab > 1e150 else 1 / zb if zb else 0j
-        return chordal_distance(SpherePoint.of(ia), SpherePoint.of(ib))
+        # Avoid overflow in the product of norms; route through 1/z, where
+        # the finite point 0 goes to infinity.
+        return chordal_distance(_inverted(za, aa), _inverted(zb, ab))
     return 2.0 * abs(za - zb) / ((1.0 + aa * aa) * (1.0 + ab * ab)) ** 0.5
+
+
+def _inverted(z: complex, az: float) -> SpherePoint:
+    if z == 0:
+        return INF
+    return SpherePoint.of(0j if az > 1e150 else 1 / z)

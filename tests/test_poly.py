@@ -48,6 +48,16 @@ class TestChordal:
         assert chordal_distance(1e200, INF) < 1e-150
         assert 0 <= chordal_distance(1e200, -1e200) <= 2.0
 
+    def test_zero_against_huge_value(self):
+        # 1e200 sits next to infinity, 0 is its antipode
+        assert chordal_distance(0, 1e200) == pytest.approx(2.0)
+        assert chordal_distance(1e200j, 0) == pytest.approx(2.0)
+        assert chordal_distance(1, 1e200) == pytest.approx(chordal_distance(1, INF))
+
+    def test_complex_conversion_round_trips(self):
+        assert complex(SpherePoint.of(2 - 1j)) == 2 - 1j
+        assert SpherePoint.of(complex(INF)) == INF
+
 
 class TestPolynomial:
     def test_normalization_strips_leading_zeros(self):

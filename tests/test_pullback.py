@@ -6,6 +6,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from newtongraph import (
@@ -19,6 +20,7 @@ from newtongraph import (
     base_dynamic_graph,
     chordal_distance,
     compute_newton_graph,
+    continue_inverse_branch,
     extract_combinatorial,
     geograph_to_dot,
     graph_distance,
@@ -31,9 +33,13 @@ from newtongraph import (
     make_newton_map,
     newton_graph_to_json,
     regular_extension_check,
+    solve_preimage_near,
     validate_newton_graph,
     verify_face_counts,
 )
+from newtongraph import pullback
+from newtongraph.rays import on_branch
+from newtongraph.tolerances import DEFAULT_TOL
 
 CONDITION_NAMES = [
     "channel_core",
@@ -112,7 +118,7 @@ class TestLiftEdge:
         ray = delta0_unity.edges[2]
         assert chordal_distance(delta0_unity.vertices[ray.tail], 1 + 0j) < 1e-9
         lifted = lift_edge(cubic_unity, ray.points, -0.5 + 0j)
-        assert lifted[-1].finite
+        assert np.isfinite(lifted[-1])
         assert chordal_distance(lifted[-1], 0j) < 1e-9
 
     def test_lift_forward_invariance(self, cubic_unity, delta0_unity):
@@ -130,7 +136,7 @@ class TestLiftEdge:
         lifted = lift_edge(
             cubic_unity, ray.points, 1 + 0j, branch_direction=direction
         )
-        assert lifted[-1].is_infinity
+        assert np.isinf(lifted[-1])
         source = single_edge_graph(
             delta0_unity.vertices[ray.tail], SpherePoint.infinity(), ray.points
         )
@@ -144,6 +150,64 @@ class TestLiftEdge:
     def test_critical_start_needs_branch_direction(self, cubic_unity, delta0_unity):
         with pytest.raises(ValueError):
             lift_edge(cubic_unity, delta0_unity.edges[2].points, 1 + 0j)
+
+
+class TestLockstepLift:
+    """The level lift runs every lift of a pullback pass at once; lift_edge,
+    which lifts one edge sample by sample, is its reference."""
+
+    @staticmethod
+    def assert_same_lift(lane, reference):
+        assert len(lane) == len(reference)
+        assert np.array_equal(np.isinf(lane), np.isinf(reference))
+        a, b = lane[np.isfinite(lane)], reference[np.isfinite(reference)]
+        chordal = 2 * np.abs(a - b) / np.sqrt((1 + np.abs(a) ** 2) * (1 + np.abs(b) ** 2))
+        assert chordal.max() < 1e-12
+
+    def test_level_lift_matches_lift_edge(
+        self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic,
+        monkeypatch,
+    ):
+        levels = []
+        lift_lanes = pullback._lift_lanes
+
+        def recording(f, sources, lanes, tol):
+            lifted = lift_lanes(f, sources, lanes, tol)
+            levels.append((f, sources, lanes, lifted))
+            return lifted
+
+        monkeypatch.setattr(pullback, "_lift_lanes", recording)
+        for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
+            compute_newton_graph(f)
+        assert len(levels) == 7  # one per pass; the towers are 2, 1, 1, 2, 1 high
+        for f, sources, lanes, lifted in levels:
+            assert len(lifted) == len(lanes)
+            for (edge, start, direction), (head, lane) in zip(lanes, lifted):
+                points, head_fiber = sources[edge]
+                reference = lift_edge(
+                    f, points, start, direction, head_candidates=head_fiber
+                )
+                self.assert_same_lift(lane, reference)
+                assert head == SpherePoint.of(reference[-1])
+
+    def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
+        # the ray of root 1 with one long jump after its fifth sample: the
+        # lift from -1/2 strays there and is bisected like the scalar path
+        f, tol = cubic_unity, DEFAULT_TOL
+        ray = delta0_unity.edges[2].points
+        jump = 5
+        source = np.concatenate((ray[:jump], ray[jump + 150 :]))
+        head_fiber = lift_point(f, INF)
+        start = SpherePoint.of(-0.5)
+        [(_, lane)] = pullback._lift_lanes(
+            f, {0: (source, head_fiber)}, [(0, start, None)], tol
+        )
+        x0, w0, w1 = complex(lane[jump - 1]), complex(source[jump - 1]), complex(source[jump])
+        direct = solve_preimage_near(f, w1, x0, tol)
+        assert direct is None or not on_branch(direct, x0)
+        assert lane[jump] == continue_inverse_branch(f, w0, w1, x0, tol)
+        reference = lift_edge(f, source, start, head_candidates=head_fiber)
+        self.assert_same_lift(lane, reference)
 
 
 class TestPullbackLevel:

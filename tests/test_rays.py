@@ -18,9 +18,11 @@ giving exact geometric oracles for the traced rays.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from newtongraph import (
+    GeoEdge,
     NotARoot,
     bottcher_local,
     channel_diagram,
@@ -80,8 +82,8 @@ class TestTraceFixedRay:
         loc = bottcher_local(cubic_pm, _root_index(cubic_pm, 0))
         up = trace_fixed_ray(cubic_pm, loc, 0)
         assert up.direction == pytest.approx(math.pi / 2)
-        finite = [p.value for p in up.points[:-1]]
-        assert up.points[-1].is_infinity
+        finite = list(up.points[:-1])
+        assert np.isinf(up.points[-1])
         assert all(abs(z.real) < 1e-9 for z in finite)
         imags = [z.imag for z in finite]
         assert all(b > a - 1e-15 for a, b in zip(imags, imags[1:]))
@@ -91,7 +93,7 @@ class TestTraceFixedRay:
     def test_positive_real_ray(self, cubic_unity):
         loc = bottcher_local(cubic_unity, _root_index(cubic_unity, 1))
         ray = trace_fixed_ray(cubic_unity, loc, 0)
-        finite = [p.value for p in ray.points[:-1]]
+        finite = list(ray.points[:-1])
         assert all(abs(z.imag) < 1e-9 for z in finite)
         reals = [z.real for z in finite]
         assert reals[0] == pytest.approx(1)
@@ -103,10 +105,10 @@ class TestTraceFixedRay:
         checked = 0
         for e in graph.edges:
             for p in e.points[1:-1]:
-                img = cubic_pm.evaluate(p.value)
+                img = cubic_pm.evaluate(p)
                 d = graph_distance(graph, img)
                 assert d < 1e-4
-                if min(abs(p.value - r) for r in cubic_pm.roots) > 0.05:
+                if min(abs(p - r) for r in cubic_pm.roots) > 0.05:
                     assert d < 1e-7
                 checked += 1
         assert checked > 50
@@ -144,9 +146,10 @@ class TestChannelDiagram:
         g = delta0_unity
         star = g.vertex_star(3)
         assert len(star) == 3
-        assert all(side == "head" for _, side in star)
-        angles = [g.direction_at(i, "head") for i, _ in star]
+        assert all(dart % 2 == 1 for _, dart in star)
+        angles = [g.direction_at(dart // 2, "head") for _, dart in star]
         assert angles == sorted(angles)
+        assert angles == [angle for angle, _ in star]
 
     def test_graph_distance_separates_faces(self, delta0_pm):
         g = delta0_pm
@@ -158,3 +161,10 @@ class TestChannelDiagram:
         a = channel_diagram(cubic_unity)
         b = channel_diagram(cubic_unity)
         assert a == b
+
+    def test_edges_compare_and_freeze_their_polylines(self, delta0_unity):
+        e = delta0_unity.edges[0]
+        assert e == GeoEdge(e.tail, e.head, list(e.points))
+        assert e != GeoEdge(e.tail, e.head, e.points[::-1])
+        with pytest.raises(ValueError):
+            e.points[1] = 0j
