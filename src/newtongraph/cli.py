@@ -28,7 +28,7 @@ from .dynamics import RasterSpec, render_basins
 from .errors import NewtonGraphError, UnresolvedOrbit
 from .poly import Polynomial, make_newton_map
 from .pullback import compute_newton_graph, newton_graph_to_json
-from .thurston import is_irreducible_obstruction, multicurve_from_json, transition_matrix
+from .thurston import multicurve_from_json, transition_matrix
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -204,14 +204,7 @@ def cmd_graph(args) -> int:
 def cmd_validate(args) -> int:
     report = validate_newton_graph(_load_dynamics(args.graph))
     if args.json:
-        payload = {
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in report.checks
-            ],
-        }
-        sys.stdout.write(_dump_json(payload))
+        sys.stdout.write(_dump_json(report.to_json_dict()))
         return EXIT_OK if report.passed else EXIT_FAIL
     for c in report.checks:
         line = f"{c.name}: {'pass' if c.passed else 'FAIL'}"
@@ -253,7 +246,7 @@ def cmd_thurston(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.spec}: not a valid multicurve spec: {exc}") from exc
     matrix = transition_matrix(spec)
-    obstruction = is_irreducible_obstruction(spec)
+    obstruction = matrix.obstruction
     if args.json:
         payload = {
             "classes": spec.classes,

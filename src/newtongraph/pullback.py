@@ -617,7 +617,9 @@ def extract_combinatorial(
     rotations = [
         [d for _, d in geo.vertex_star(v)] for v in range(len(geo.vertices))
     ]
-    graph = embedded_from_geo(geo, rotations, kinds)
+    graph = embedded_graph_from_rotations(
+        [(e.tail, e.head) for e in geo.edges], rotations, kinds
+    )
     dart_map = tuple(2 * dg.edge_map[d >> 1] + (d & 1) for d in range(2 * len(geo.edges)))
     local_degree = tuple(f.local_degree(v) for v in geo.vertices)
     return GraphDynamics(
@@ -629,13 +631,6 @@ def extract_combinatorial(
         channel_edges=frozenset(j for j, l in enumerate(dg.edge_level) if l == 0),
         level=dg.level,
     )
-
-
-def embedded_from_geo(
-    geo: GeoGraph, rotations: list[list[int]], kinds: tuple[str, ...]
-) -> EmbeddedGraph:
-    endpoints = [(e.tail, e.head) for e in geo.edges]
-    return embedded_graph_from_rotations(endpoints, rotations, kinds)
 
 
 @dataclass(frozen=True)
@@ -815,7 +810,9 @@ def verify_face_counts(
         [d for _, d in base.geo.vertex_star(v)]
         for v in range(len(base.geo.vertices))
     ]
-    emb0 = embedded_from_geo(base.geo, rotations0, kinds0)
+    emb0 = embedded_graph_from_rotations(
+        [(e.tail, e.head) for e in base.geo.edges], rotations0, kinds0
+    )
 
     boundary_roots: dict[int, set[int]] = {i: set() for i in range(emb0.n_faces)}
     for dart in range(emb0.n_darts):

@@ -214,6 +214,23 @@ def continue_inverse_branch(
     return continue_inverse_branch(f, mid, w_to, xm, tol, depth + 1)
 
 
+def _thinned(seg: list[complex], center: complex, ratio: float) -> list[complex]:
+    """Greedy thinning in log-polar distance about center.
+
+    An interior sample b is dropped when the last kept sample a and the
+    sample c after b satisfy |log((c - center) / (a - center))| <=
+    log(ratio): the real part of that logarithm is the radial ratio, the
+    imaginary part the turn. Both ends are kept.
+    """
+    limit = math.log(ratio)
+    kept = [seg[0]]
+    for j in range(1, len(seg) - 1):
+        if abs(cmath.log((seg[j + 1] - center) / (kept[-1] - center))) > limit:
+            kept.append(seg[j])
+    kept.append(seg[-1])
+    return kept
+
+
 def trace_fixed_ray(
     f: NewtonMap,
     local: BottcherLocal,
@@ -223,8 +240,13 @@ def trace_fixed_ray(
 ) -> RayPath:
     """Trace one invariant ray from the root out to infinity.
 
-    The assembled polyline satisfies f(points[j of segment n+1]) = points[j of
-    segment n] to solver accuracy, so forward invariance is structural.
+    The ray starts with a fundamental segment spaced at sample_ratio; each
+    further segment is the inverse lift of the previous one, thinned
+    greedily (_thinned) so that its samples lie about sample_ratio apart in
+    log-polar distance about the root. Every sample of lift n+1 maps onto a
+    sample of lift n, f(points[j of segment n+1]) = points[i(j) of segment n]
+    to solver accuracy, so forward invariance is structural, and the next
+    lift continues over the thinned segment.
     """
     tol = tol or DEFAULT_TOL
     theta = local.fixed_directions[direction_index]
@@ -257,8 +279,8 @@ def trace_fixed_ray(
                 if abs(x - c) <= 1e-12 * (1 + abs(c)) and abs(c - xi) > 1e-9:
                     raise RayCollision(f"ray lift landed on critical point {c}")
             new.append(x)
-        points.extend(new[1:])
-        cur = new
+        cur = _thinned(new, xi, tol.sample_ratio)
+        points.extend(cur[1:])
         if abs(cur[-1]) >= tol.escape_radius:
             escaped = True
             break

@@ -4,7 +4,9 @@ A multicurve spec records, for each curve class, how its preimage components
 distribute over the classes and with what mapping degrees. The induced linear
 map has matrix entry A[i][j] = sum of 1/degree over lifts of class j landing
 in class i; lifts landing outside the system contribute nothing. The decision
-of interest is whether the matrix is irreducible with leading eigenvalue >= 1.
+of interest is whether the matrix is irreducible with leading eigenvalue >= 1;
+it is made exactly on the rational entries, while the floating-point leading
+eigenvalue is only reported.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoConvergence
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,6 @@ def multicurve_from_json(data) -> MulticurveSpec:
     return MulticurveSpec(classes, tuple(rows))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
-    leading: float
-    irreducible: bool
-
-
 def _validated(matrix) -> list[list[float]]:
     rows = [list(map(float, row)) for row in matrix]
     m = len(rows)
@@ -86,66 +81,50 @@ def _validated(matrix) -> list[list[float]]:
     return rows
 
 
-def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    m = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _spectral_radius(b: list[list[float]], tol: float) -> float:
-    """Power iteration by repeated squaring, all-ones start.
-
-    Two estimators run side by side: the enclosure min/max of (B w)_i / w_i
-    for w = B^(2^k) 1 (exact when it closes, e.g. periodic irreducible
-    matrices finish immediately), and the norm growth exp(log||B^n 1|| / n),
-    which converges for every non-negative matrix, including reducible and
-    defective ones where the enclosure never closes.
-    """
-    m = len(b)
-    if m == 1:
-        return b[0][0]
-    c = [row[:] for row in b]
-    log_scale = 0.0
-    prev = None
-    for k in range(1, 61):
-        w = [math.fsum(row) for row in c]
-        if all(x > 0 for x in w):
-            bw = [math.fsum(b[i][j] * w[j] for j in range(m)) for i in range(m)]
-            ratios = [bw[i] / w[i] for i in range(m)]
-            low, high = min(ratios), max(ratios)
-            if high - low <= tol * max(1.0, high):
-                return (low + high) / 2
-        c = _matmul(c, c)
-        top = max(max(row) for row in c)
-        if top == 0:
-            return 0.0
-        c = [[x / top for x in row] for row in c]
-        log_scale = 2 * log_scale + math.log(top)
-        total = math.fsum(math.fsum(row) for row in c)
-        est = math.exp((log_scale + math.log(total)) / 2.0 ** k)
-        if prev is not None and abs(est - prev) <= 0.25 * tol * max(1.0, est):
-            return est
-        prev = est
-    raise NoConvergence("spectral radius estimate did not stabilize")
-
-
-def leading_eigenvalue(matrix, tol: float = 1e-10) -> float:
-    """Spectral radius of a non-negative square matrix.
-
-    Falls back to the radius of A + eps*I minus eps (eps = 1e-3) if the
-    direct iteration fails to stabilize; the shift leaves eigenvectors alone
-    and moves every eigenvalue by eps, so the radius shifts by exactly eps.
-    """
+def leading_eigenvalue(matrix) -> float:
+    """Spectral radius of a non-negative square matrix, in floating point."""
     rows = _validated(matrix)
-    try:
-        return _spectral_radius(rows, tol)
-    except NoConvergence:
-        eps = 1e-3
-        shifted = [
-            [x + (eps if i == j else 0.0) for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-        return _spectral_radius(shifted, tol) - eps
+    return float(np.abs(np.linalg.eigvals(np.array(rows))).max())
+
+
+def _spectral_radius_below_one(entries) -> bool:
+    """Exact test of rho(A) < 1 for a non-negative rational matrix A.
+
+    I - A is a Z-matrix, so rho(A) < 1 exactly when I - A is a nonsingular
+    M-matrix, which holds exactly when every leading principal minor of
+    I - A is positive. Fraction-free (Bareiss) elimination on L (I - A), L
+    the common denominator of the entries, leaves the k-th leading minor
+    times L^k as the k-th pivot.
+    """
+    entries = [[Fraction(x) for x in row] for row in entries]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    b = [
+        [(scale if i == j else 0) - int(x * scale) for j, x in enumerate(row)]
+        for i, row in enumerate(entries)
+    ]
+    m, prev = len(b), 1
+    for k in range(m):
+        pivot = b[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                b[i][j] = (b[i][j] * pivot - b[i][k] * b[k][j]) // prev
+        prev = pivot
+    return True
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    entries: tuple[tuple[Fraction, ...], ...]
+    leading: float  # floating-point spectral radius, for display
+    irreducible: bool
+
+    @property
+    def obstruction(self) -> bool:
+        """Irreducible with leading eigenvalue at least 1, decided exactly on
+        the rational entries."""
+        return self.irreducible and not _spectral_radius_below_one(self.entries)
 
 
 def is_irreducible(matrix) -> bool:
@@ -187,8 +166,7 @@ def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
     )
 
 
-def is_irreducible_obstruction(spec: MulticurveSpec, tol: float = 1e-10) -> bool:
+def is_irreducible_obstruction(spec: MulticurveSpec) -> bool:
     """True iff the transition matrix is irreducible with leading eigenvalue
-    at least 1 (up to tol)."""
-    tm = transition_matrix(spec)
-    return tm.irreducible and tm.leading >= 1 - tol
+    at least 1, decided exactly."""
+    return transition_matrix(spec).obstruction

@@ -39,7 +39,7 @@ from newtongraph import (
 )
 from newtongraph import pullback
 from newtongraph.rays import on_branch
-from newtongraph.tolerances import DEFAULT_TOL
+from newtongraph.tolerances import DEFAULT_TOL, Tolerances
 
 CONDITION_NAMES = [
     "channel_core",
@@ -191,12 +191,15 @@ class TestLockstepLift:
                 assert head == SpherePoint.of(reference[-1])
 
     def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
-        # the ray of root 1 with one long jump after its fifth sample: the
-        # lift from -1/2 strays there and is bisected like the scalar path
+        # the ray of root 1 with one long jump after its fifth sample, out to
+        # the first sample 12 or more from the root (whatever the sampling
+        # density): the lift from -1/2 strays there and is bisected like the
+        # scalar path
         f, tol = cubic_unity, DEFAULT_TOL
         ray = delta0_unity.edges[2].points
         jump = 5
-        source = np.concatenate((ray[:jump], ray[jump + 150 :]))
+        far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
+        source = np.concatenate((ray[:jump], ray[far:]))
         head_fiber = lift_point(f, INF)
         start = SpherePoint.of(-0.5)
         [(_, lane)] = pullback._lift_lanes(
@@ -276,6 +279,31 @@ class TestPullbackLevel:
             owner = top.root_owner(j)
             assert top.vertex_level[owner] == 0
             assert top.vertex_map[owner] == owner
+
+
+class TestSamplingInvariance:
+    """The graph depends on the isotopy class of the rays, not on how densely
+    they are sampled: a spacing four times finer gives the same graph."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(-1, 0, 0, 1), (0, -1, 0, 1), (0, -1, 0, 0, 1), (-1, 0, 0, 0, 0, 1),
+         (-1, 0, 0, 0, 0, 0, 1)],
+        ids=["z3-1", "z3-z", "z4-z", "z5-1", "z6-1"],
+    )
+    def test_finer_sampling_gives_equivalent_graph(self, coeffs):
+        f = make_newton_map(Polynomial(coeffs))
+        default = compute_newton_graph(f)
+        finer = compute_newton_graph(f, tol=Tolerances(sample_ratio=1.25**0.25))
+        for result in (default, finer):
+            assert validate_newton_graph(result.dynamics).passed
+        assert (finer.minimal_level, finer.pole_cover_level) == (
+            default.minimal_level, default.pole_cover_level,
+        )
+        assert graphs_equivalent(default.dynamics, finer.dynamics) is not None
+        finer_samples = sum(len(e.points) for e in finer.graphs[0].geo.edges)
+        default_samples = sum(len(e.points) for e in default.graphs[0].geo.edges)
+        assert finer_samples > 2 * default_samples
 
 
 class TestComputeNewtonGraph:

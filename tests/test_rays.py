@@ -26,9 +26,11 @@ from newtongraph import (
     NotARoot,
     bottcher_local,
     channel_diagram,
+    chordal_distance,
     graph_distance,
     trace_fixed_ray,
 )
+from newtongraph import rays
 from newtongraph.tolerances import DEFAULT_TOL
 
 TAU = 2 * math.pi
@@ -112,6 +114,58 @@ class TestTraceFixedRay:
                     assert d < 1e-7
                 checked += 1
         assert checked > 50
+
+    def test_lifts_are_thinned_to_the_sample_ratio(
+        self, cubic_pm, quartic_monic, monkeypatch
+    ):
+        # each lift keeps both ends of its segment, keeps no interior sample
+        # that could have been dropped (the thinning is greedy-maximal),
+        # leaves gaps of at most log(sample_ratio) in log-polar distance
+        # where it dropped samples, and every kept sample maps onto the
+        # sample of the previous kept segment it was lifted from
+        lifts = []
+        thinned = rays._thinned
+
+        def recording(seg, center, ratio):
+            kept = thinned(seg, center, ratio)
+            lifts.append((list(seg), kept))
+            return kept
+
+        monkeypatch.setattr(rays, "_thinned", recording)
+        limit = math.log(DEFAULT_TOL.sample_ratio)
+        checked = 0
+        for f in (cubic_pm, quartic_monic):
+            for i in range(len(f.roots)):
+                loc = bottcher_local(f, i)
+                for j in range(len(loc.fixed_directions)):
+                    lifts.clear()
+                    ray = trace_fixed_ray(f, loc, j)
+                    xi = loc.root
+
+                    def spread(a, c):
+                        return abs(cmath.log((c - xi) / (a - xi)))
+
+                    # the ray is the root, the fundamental segment, then the
+                    # kept lifts, cut at the first escaped sample
+                    m = len(lifts[0][0])
+                    previous = list(ray.points[1 : m + 1])
+                    kept_tail = np.concatenate([kept[1:] for _, kept in lifts])
+                    n = len(ray.points) - m - 2
+                    assert np.array_equal(ray.points[m + 1 : -1], kept_tail[:n])
+                    for seg, kept in lifts:
+                        assert kept[0] == seg[0] and kept[-1] == seg[-1]
+                        index = [seg.index(x) for x in kept]
+                        assert index == sorted(set(index))
+                        for t in range(1, len(kept) - 1):
+                            assert spread(kept[t - 1], kept[t + 1]) > limit
+                        for t in range(1, len(kept)):
+                            if index[t] > index[t - 1] + 1:
+                                assert spread(kept[t - 1], kept[t]) <= limit
+                            image = f.evaluate(kept[t])
+                            assert chordal_distance(image, previous[index[t]]) < 1e-9
+                            checked += 1
+                        previous = kept
+        assert checked > 100
 
 
 class TestChannelDiagram:

@@ -215,3 +215,32 @@ class TestObstruction:
     def test_growing_cycle_is_obstruction(self):
         spec = spec_of(2, [[(1, 1), (1, 2)], [(0, 1)]])
         assert is_irreducible_obstruction(spec) is True
+
+    def test_sylvester_sum_just_below_one_is_not_obstruction(self):
+        # 1/2 + 1/3 + 1/7 + 1/43 + 1/1807 + 1/3263443 = 1 - 1/10650056950806,
+        # which rounds to within 1e-13 of 1 in floating point
+        spec = spec_of(1, [[(0, d) for d in (2, 3, 7, 43, 1807, 3263443)]])
+        tm = transition_matrix(spec)
+        assert tm.entries == ((1 - Fraction(1, 10650056950806),),)
+        assert tm.irreducible is True
+        assert tm.obstruction is False
+        assert is_irreducible_obstruction(spec) is False
+
+    def test_exact_verdict_against_char_poly(self):
+        rng = random.Random(14142135)
+        decided = 0
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            table = [
+                [(rng.choice([None] + list(range(m))), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 3))]
+                for _ in range(m)
+            ]
+            spec = spec_of(m, table)
+            tm = transition_matrix(spec)
+            radius = char_poly_radius(tm.entries)
+            if abs(radius - 1) < 1e-6:
+                continue
+            assert tm.obstruction == (tm.irreducible and radius > 1), table
+            decided += 1
+        assert decided > 100
