@@ -18,13 +18,15 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .combinatorial import (
     GraphDynamics,
     graph_from_json,
     graphs_equivalent,
     validate_newton_graph,
 )
-from .dynamics import RasterSpec, render_basins
+from .dynamics import MAX_RASTER_ITER, RasterSpec, render_basins
 from .errors import NewtonGraphError, UnresolvedOrbit
 from .poly import Polynomial, make_newton_map
 from .pullback import compute_newton_graph, newton_graph_to_json
@@ -152,6 +154,8 @@ def cmd_render(args) -> int:
         raise InputError("raster dimensions must be >= 1")
     if args.half_width <= 0:
         raise InputError("--half-width must be > 0")
+    if not 0 <= args.max_iter <= MAX_RASTER_ITER:
+        raise InputError(f"--max-iter must be in 0..{MAX_RASTER_ITER}")
     f = make_newton_map(load_polynomial(args.polynomial))
     spec = RasterSpec(
         width=args.width,
@@ -161,8 +165,9 @@ def cmd_render(args) -> int:
     )
     raster = render_basins(f, spec, max_iter=args.max_iter)
     _write_file(args.out, raster.to_ppm())
-    counts = [int((raster.basin_id == i).sum()) for i in range(len(f.roots))]
-    unresolved = int((raster.basin_id < 0).sum())
+    # bin 0 holds the unresolved pixels (basin id -1)
+    bins = np.bincount(raster.basin_id.ravel() + 1, minlength=len(f.roots) + 1)
+    unresolved, counts = int(bins[0]), bins[1:].tolist()
     if args.json:
         payload = {
             "path": args.out,

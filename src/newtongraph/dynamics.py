@@ -20,6 +20,8 @@ from .sphere import INF, SpherePoint
 from .tolerances import DEFAULT_TOL, Tolerances
 
 STAY_ITERATES = 5
+# steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
+MAX_RASTER_ITER = int(np.iinfo(np.int16).max) - STAY_ITERATES
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,9 @@ class Raster:
     def to_ppm(self) -> bytes:
         """Binary P6 image; palette indexed by root order, black unresolved."""
         h, w = self.basin_id.shape
-        rgb = np.zeros((h, w, 3), dtype=np.uint8)
-        for i in range(int(self.basin_id.max()) + 1 if self.basin_id.size else 0):
-            color = _PALETTE[i % len(_PALETTE)]
-            rgb[self.basin_id == i] = color
+        colors = np.array(_PALETTE + ((0, 0, 0),), dtype=np.uint8)
+        ids = self.basin_id
+        rgb = colors[np.where(ids < 0, len(_PALETTE), ids % len(_PALETTE))]
         header = f"P6\n{w} {h}\n255\n".encode()
         return header + rgb.tobytes()
 
@@ -162,72 +163,72 @@ def render_basins(
     max_iter: int = 256,
     tol: Tolerances | None = None,
 ) -> Raster:
-    """Classify every cell center; deterministic for fixed inputs."""
+    """Classify every cell center; deterministic for fixed inputs.
+
+    A pixel's basin and entry step are those classify_point gives its cell
+    center: they depend on its own orbit alone, never on its neighbours, so
+    the order in which pixels retire cannot change the image. The loop keeps
+    one entry per still-active pixel (pixel index, z, candidate root and the
+    step the candidate was entered); a pixel that dies (non-finite, or within
+    pole snap) or finishes is written once and dropped from that working set.
+    A lane so far out that the chordal denominator overflows is near no
+    root, as on the sphere.
+    """
+    if not 0 <= max_iter <= MAX_RASTER_ITER:
+        raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
     tol = tol or DEFAULT_TOL
     z = spec.grid().ravel().astype(complex)
     n = z.size
-    roots = np.array(f.roots)
     basin = np.full(n, -1, dtype=np.int16)
     entry = np.full(n, -1, dtype=np.int16)
-    cand = np.full(n, -1, dtype=np.int16)
-    cand_step = np.full(n, -1, dtype=np.int16)
-    stay = np.zeros(n, dtype=np.int16)
-    active = np.ones(n, dtype=bool)
-    if f.poles:
-        pole_locs = np.array([q for q, _ in f.poles])
-        pole_snap = tol.pole_snap * (1 + np.abs(pole_locs))
-    else:
-        pole_locs = None
+    roots = np.array(f.roots)
+    rr = 1 + np.abs(roots) ** 2
+    rr_max = rr.max()
+    pole_locs = np.array([q for q, _ in f.poles])
+    poles = list(zip(pole_locs, tol.pole_snap * (1 + np.abs(pole_locs))))
+    # working set: one lane per still-active pixel
+    idx = np.arange(n, dtype=np.int32)
+    cand = np.full(n, -1, dtype=np.int16)  # candidate root, -1 for none
+    cand_step = np.zeros(n, dtype=np.int16)  # step the candidate was entered
 
     for s in range(max_iter + STAY_ITERATES + 1):
-        idxa = np.flatnonzero(active)
-        if idxa.size == 0:
-            break
-        za = z[idxa]
-        dead = ~np.isfinite(za)
-        if pole_locs is not None:
-            near_pole = np.any(
-                np.abs(za[:, None] - pole_locs[None, :]) <= pole_snap[None, :],
-                axis=1,
-            )
-            dead |= near_pole
-        if np.any(dead):
-            active[idxa[dead]] = False
-            idxa = idxa[~dead]
-            za = z[idxa]
-            if idxa.size == 0:
+        if s:
+            z = f.evaluate_array(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            az = np.abs(z)
+            live = np.isfinite(az)
+            for q, snap in poles:
+                live &= np.abs(z - q) > snap
+            zz = 1 + az * az
+            # chordal distance to each root; nearest < k before root k, so
+            # the maximum keeps argmin's rule that the first of equals wins
+            nearest = np.zeros(z.size, dtype=np.int16)
+            for k, (r, rk) in enumerate(zip(roots, rr)):
+                d = np.abs(z - r)
+                d *= 2
+                den = zz * rk
+                np.sqrt(den, out=den)
+                d /= den
+                if k == 0:
+                    best = d
+                else:
+                    np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
+                    np.minimum(best, d, out=best)
+            # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
+            near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live
+        # a lane stays while it is near its candidate; stay = s - cand_step
+        keep = near & (nearest == cand)
+        cand_step = np.where(keep, cand_step, s).astype(np.int16, copy=False)
+        cand = np.where(near, nearest, -1).astype(np.int16, copy=False)
+        done = keep & (s - cand_step >= STAY_ITERATES)
+        if done.any():
+            basin[idx[done]] = cand[done]
+            entry[idx[done]] = cand_step[done]
+            live &= ~done
+        if not live.all():
+            idx, z, cand, cand_step = idx[live], z[live], cand[live], cand_step[live]
+            if idx.size == 0:
                 break
-        d = np.abs(za[:, None] - roots[None, :])
-        # chordal correction keeps huge |z| away from every root disk
-        d = 2 * d / np.sqrt(
-            (1 + np.abs(za[:, None]) ** 2) * (1 + np.abs(roots[None, :]) ** 2)
-        )
-        nearest = np.argmin(d, axis=1).astype(np.int16)
-        near = d[np.arange(idxa.size), nearest] <= tol.basin_tol
-
-        c = cand[idxa]
-        have = c >= 0
-        keep = have & near & (nearest == c)
-        stay[idxa[keep]] += 1
-        done = keep & (stay[idxa] >= STAY_ITERATES)
-        if np.any(done):
-            di = idxa[done]
-            basin[di] = cand[di]
-            entry[di] = cand_step[di]
-            active[di] = False
-        lost = have & ~keep
-        cand[idxa[lost]] = -1
-        cand_step[idxa[lost]] = -1
-        stay[idxa[lost]] = 0
-        fresh = (cand[idxa] < 0) & near & ~done
-        cand[idxa[fresh]] = nearest[fresh]
-        cand_step[idxa[fresh]] = s
-        stay[idxa[fresh]] = 0
-
-        idxa = np.flatnonzero(active)
-        if idxa.size == 0:
-            break
-        z[idxa] = f.evaluate_array(z[idxa])
 
     shape = (spec.height, spec.width)
     return Raster(spec, basin.reshape(shape), entry.reshape(shape))

@@ -67,7 +67,8 @@ class Polynomial:
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(z, dtype=complex)
         for c in reversed(self.coeffs):
-            acc = acc * z + c
+            acc *= z
+            acc += c
         return acc
 
     def eval_scale(self, z: complex) -> float:
@@ -366,14 +367,15 @@ class NewtonMap:
 
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on finite points; poles/overflow come back as inf."""
-        out = np.empty_like(z, dtype=complex)
         far = np.abs(z) > self.tol.chart_radius
-        if np.any(~far):
+        if not far.any():  # the usual case: no point needs the 1/z chart
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = self.numerator.eval_array(z) / self.denominator.eval_array(z)
+        else:
+            out = np.empty_like(z, dtype=complex)
             zz = z[~far]
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = self.numerator.eval_array(zz) / self.denominator.eval_array(zz)
-            out[~far] = val
-        if np.any(far):
+                out[~far] = self.numerator.eval_array(zz) / self.denominator.eval_array(zz)
             w = 1 / z[far]
             num = np.zeros_like(w)
             for a in self.numerator.reversed_coeffs(self.degree):
@@ -385,8 +387,7 @@ class NewtonMap:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out[far] = num / den
         # NaN can only arise from 0/0 overflow artifacts; push to infinity.
-        bad = ~np.isfinite(out)
-        out[bad] = np.inf
+        out[~np.isfinite(out)] = np.inf
         return out
 
     @property

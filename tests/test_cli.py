@@ -133,6 +133,32 @@ class TestRender:
         assert len(data["basin_pixels"]) == 3
         assert sum(data["basin_pixels"]) + data["unresolved_pixels"] == 64
 
+    @pytest.mark.parametrize("value", ["-10", "-1", "32763"])
+    def test_max_iter_out_of_range_exits_2(self, tmp_path, capsys, value):
+        poly = write_json(tmp_path, "p.json", UNITY)
+        out = tmp_path / "x.ppm"
+        code, _, err = run(
+            capsys,
+            ["render", poly, str(out), "--width", "8", "--height", "8",
+             "--max-iter", value],
+        )
+        assert code == 2
+        assert "--max-iter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "32762"])
+    def test_max_iter_range_ends_accepted(self, tmp_path, capsys, value):
+        poly = write_json(tmp_path, "p.json", UNITY)
+        out = tmp_path / "x.ppm"
+        code, text, _ = run(
+            capsys,
+            ["render", poly, str(out), "--width", "8", "--height", "8",
+             "--max-iter", value, "--json"],
+        )
+        assert code == 0
+        data = json.loads(text)
+        assert sum(data["basin_pixels"]) + data["unresolved_pixels"] == 64
+
 
 class TestGraph:
     def test_pm_prints_levels_and_writes_file(self, tmp_path, capsys):

@@ -12,16 +12,25 @@ Expected values:
 - threefold symmetry: f(w z) = w f(z) for w = exp(2 pi i / 3) when p = z^3 - 1,
   so rotating a sample lattice by w permutes basin labels cyclically and the
   three basin counts on any rotation-invariant lattice are exactly equal.
+- a raster pixel is classify_point of its cell center, whatever step its
+  neighbours finish at, so the scalar classifier is the per-pixel oracle.
+- |z| = 1e160 overflows 1 + |z|^2 and is chordally about sqrt(2) from every
+  root of z^3 - 1; f(z) ~ 2z/3 needs about 900 steps to come back, so every
+  such pixel is unresolved. With roots -100, 1, 100, |z| = 5e153 keeps
+  1 + |z|^2 finite but overflows its product with 1 + 100^2, and is about
+  0.02 chordal from the nearest root, so it is unresolved too.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from newtongraph import (
     Polynomial,
+    Raster,
     RasterSpec,
     UnresolvedOrbit,
     classify_point,
@@ -31,6 +40,7 @@ from newtongraph import (
     render_basins,
     require_postcritically_fixed,
 )
+from newtongraph.dynamics import _PALETTE, MAX_RASTER_ITER
 from newtongraph.sphere import INF
 
 
@@ -192,3 +202,80 @@ class TestRenderBasins:
                 assert ras.basin_id[i, j] == want
                 if res.kind == "basin":
                     assert ras.steps[i, j] == res.entry_step
+
+    @pytest.mark.parametrize("max_iter", [256, 3])
+    @pytest.mark.parametrize(
+        "coeffs, center, half_width",
+        [
+            # zoom onto the order-4 pole of z^5 - 1 at 0: the pixels retire
+            # at steps spread from about 40 to 130
+            ((-1, 0, 0, 0, 0, 1), 0.011 - 0.007j, 0.07),
+            ((0, -1, 0, 0, 1), 0j, 2.0),  # z^4 - z, full window
+        ],
+        ids=["z5-1-pole-zoom", "z4-z-full"],
+    )
+    def test_every_pixel_matches_classify_point(self, coeffs, center, half_width, max_iter):
+        f = make_newton_map(Polynomial(coeffs))
+        spec = RasterSpec(24, 24, center, half_width)
+        ras = render_basins(f, spec, max_iter=max_iter)
+        grid = spec.grid()
+        for i in range(24):
+            for j in range(24):
+                res = classify_point(f, grid[i, j], max_iter=max_iter)
+                if res.kind == "basin":
+                    want = (res.root_index, res.entry_step)
+                else:
+                    want = (-1, -1)
+                assert (ras.basin_id[i, j], ras.steps[i, j]) == want, (i, j)
+        if max_iter == 3:
+            assert (ras.basin_id < 0).any()
+        else:
+            assert len(set(ras.steps.ravel().tolist())) > 10
+
+    @pytest.mark.parametrize(
+        "coeffs, modulus",
+        [((-1, 0, 0, 1), 1e160),
+         ((-1, 0, 0, 1), 1e200),
+         ((1e4, -1e4, -1, 1), 5e153)],  # roots -100, 1, 100
+        ids=["z3-1-1e160", "z3-1-1e200", "roots-100-1-100-5e153"],
+    )
+    def test_huge_center_is_unresolved_without_warnings(self, coeffs, modulus):
+        f = make_newton_map(Polynomial(coeffs))
+        spec = RasterSpec(2, 2, complex(modulus), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ras = render_basins(f, spec)
+        for z in spec.grid().ravel():
+            assert classify_point(f, z).kind == "unresolved"
+        assert (ras.basin_id == -1).all()
+        assert (ras.steps == -1).all()
+
+    def test_pixel_within_pole_snap_is_unresolved(self, cubic_unity):
+        # the center cell lies 1e-10 from the pole at 0; unsnapped, its orbit
+        # would come back from about 3e19 and converge within 256 steps
+        spec = RasterSpec(3, 3, 1e-10 + 0j, 1.5)
+        ras = render_basins(cubic_unity, spec)
+        grid = spec.grid()
+        assert classify_point(cubic_unity, grid[1, 1]).hit_prepole
+        assert ras.basin_id[1, 1] == -1
+        for i in range(3):
+            for j in range(3):
+                res = classify_point(cubic_unity, grid[i, j])
+                want = res.root_index if res.kind == "basin" else -1
+                assert ras.basin_id[i, j] == want
+
+    @pytest.mark.parametrize("max_iter", [-1, MAX_RASTER_ITER + 1])
+    def test_max_iter_out_of_range_rejected(self, cubic_unity, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            render_basins(cubic_unity, RasterSpec(2, 2), max_iter=max_iter)
+
+    def test_ppm_palette_wraps_and_unresolved_is_black(self):
+        ids = np.array([[-1, 0, 1, 2, 3], [4, 5, 6, 7, 8], [9, 10, 11, 12, -1]],
+                       dtype=np.int16)
+        ras = Raster(RasterSpec(5, 3), ids, np.zeros_like(ids))
+        want = b"P6\n5 3\n255\n" + b"".join(
+            bytes((0, 0, 0) if i < 0 else _PALETTE[i % len(_PALETTE)])
+            for i in ids.ravel().tolist()
+        )
+        assert ras.to_ppm() == want
+        assert _PALETTE[12 % len(_PALETTE)] == _PALETTE[0]
