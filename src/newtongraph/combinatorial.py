@@ -203,6 +203,46 @@ def embedded_graph_from_rotations(edge_endpoints, rotations, vertex_kinds) -> Em
     return EmbeddedGraph(tuple(sigma), tuple(vertex_of), tuple(vertex_kinds))
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1, with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(a)] = self.find(b)
+
+    def classes(self) -> list[list[int]]:
+        """Every set in increasing order, the sets ordered by least member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
+def _depths(image: tuple[int, ...], core) -> tuple[int | None, ...]:
+    """Least number of steps of the self-map i -> image[i] taking each item
+    into core, None for an item that never gets there."""
+    n = len(image)
+    depth = [0 if i in core else None for i in range(n)]
+    for _ in range(n):
+        changed = False
+        for i in range(n):
+            if depth[i] is None and depth[image[i]] is not None:
+                depth[i] = depth[image[i]] + 1
+                changed = True
+        if not changed:
+            break
+    return tuple(depth)
+
+
 @dataclass(frozen=True)
 class GraphDynamics:
     """A graph self-map: where vertices, edges and darts go, and how many
@@ -279,17 +319,7 @@ class GraphDynamics:
         """Least number of edge_map steps taking each edge into the channel core."""
         cached = self.__dict__.get("_edge_depths")
         if cached is None:
-            n = self.graph.n_edges
-            depth = [0 if e in self.channel_edges else None for e in range(n)]
-            for _ in range(n):
-                changed = False
-                for e in range(n):
-                    if depth[e] is None and depth[self.edge_map[e]] is not None:
-                        depth[e] = depth[self.edge_map[e]] + 1
-                        changed = True
-                if not changed:
-                    break
-            cached = tuple(depth)
+            cached = _depths(self.edge_map, self.channel_edges)
             object.__setattr__(self, "_edge_depths", cached)
         return cached
 
@@ -298,18 +328,7 @@ class GraphDynamics:
         """Least number of vertex_map steps taking each vertex into the channel core."""
         cached = self.__dict__.get("_vertex_depths")
         if cached is None:
-            n = self.graph.n_vertices
-            members = self.channel_vertices
-            depth = [0 if v in members else None for v in range(n)]
-            for _ in range(n):
-                changed = False
-                for v in range(n):
-                    if depth[v] is None and depth[self.vertex_map[v]] is not None:
-                        depth[v] = depth[self.vertex_map[v]] + 1
-                        changed = True
-                if not changed:
-                    break
-            cached = tuple(depth)
+            cached = _depths(self.vertex_map, self.channel_vertices)
             object.__setattr__(self, "_vertex_depths", cached)
         return cached
 
@@ -356,26 +375,15 @@ def _bigon_sides(graph: EmbeddedGraph, first_edge: int, second_edge: int):
     Returns a list of face-index sets (expected length 2) or None when the
     pair fails to separate (degenerate input).
     """
-    parent = list(range(graph.n_faces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    faces = UnionFind(graph.n_faces)
     for e in range(graph.n_edges):
         if e == first_edge or e == second_edge:
             continue
-        a, b = find(graph.face_of[2 * e]), find(graph.face_of[2 * e + 1])
-        if a != b:
-            parent[a] = b
-    sides = {}
-    for f in range(graph.n_faces):
-        sides.setdefault(find(f), set()).add(f)
+        faces.union(graph.face_of[2 * e], graph.face_of[2 * e + 1])
+    sides = faces.classes()
     if len(sides) != 2:
         return None
-    return list(sides.values())
+    return [set(side) for side in sides]
 
 
 def validate_channel_diagram(graph: EmbeddedGraph, channel_edges=None, center=None,
@@ -612,25 +620,14 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
         for e in non_channel:
             for v in graph.endpoints(e):
                 index.setdefault(v, len(index))
-        parent = list(range(len(index)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parts = UnionFind(len(index))
         for e in non_channel:
             a, b = graph.endpoints(e)
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                parent[ra] = rb
-        roots_seen = {find(i) for i in parent}
-        if len(roots_seen) > 1:
-            groups = {}
-            for v, i in index.items():
-                groups.setdefault(find(i), v)
-            reps = sorted(groups.values())[:2]
+            parts.union(index[a], index[b])
+        groups = parts.classes()
+        if len(groups) > 1:
+            vertices = list(index)
+            reps = sorted(vertices[group[0]] for group in groups)[:2]
             witness = f"non-channel part splits, e.g. vertices {reps[0]} and {reps[1]}"
     checks.append(ConditionCheck("complement_connected", witness is None, witness))
 

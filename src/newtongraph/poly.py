@@ -1,9 +1,18 @@
 """Polynomials, root solving, and Newton maps as rational maps on the sphere.
 
-Coefficients are stored lowest-order first. The root solver is a simultaneous
-Aberth–Ehrlich iteration with exact deflation of zero roots and stall-aware
-clustering for multiplicities; companion-matrix eigenvalues are used only as an
-independent oracle in the tests, never here.
+Coefficients are stored lowest-order first. Every polynomial evaluation, of a
+number or of an array, runs through one Horner loop, `horner`. The root solver
+is a simultaneous Aberth–Ehrlich iteration with exact deflation of zero roots
+and stall-aware clustering for multiplicities; companion-matrix eigenvalues are
+used only as an independent oracle in the tests, never here.
+
+The chart rule: beyond `Tolerances.chart_radius` the Newton map f = N/D of
+degree d is handled in the w = 1/z chart. To evaluate f at such a z, the
+numerator and denominator are w^d N(1/w) and w^d D(1/w): the lowest-first
+coefficients read front to back, zero-padded to order d for N and to order
+d - 1 for D, whose value is then multiplied by w once more. To solve f(x) = w
+for such a w, the corrector solves D/N = 1/w instead, so a pole of f is a
+regular point; that swaps N, D, N', D' to D, N, D', N' (`CHART_SWAP`).
 """
 
 from __future__ import annotations
@@ -13,11 +22,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combinatorial import UnionFind
 from .errors import DegreeTooLow, MultipleRoot, NoConvergence
 from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = 2.220446049250313e-16
+
+# Rows N, D, N', D' become D, N, D', N' when the corrector solves D/N = 1/w.
+CHART_SWAP = (1, 0, 3, 2)
+
+
+def horner(coeffs, x):
+    """The polynomial with the given coefficients, highest power first, at x.
+
+    x is a number, or an array that is evaluated in place in one accumulator.
+    Both start from zero and do the same operations in the same order. For
+    an array of two or more points, each value depends on its own point
+    alone, bit for bit. A number, or a one-element array, can differ in the
+    last bit, where numpy's complex multiply rounds otherwise than Python's.
+    """
+    if isinstance(x, np.ndarray):
+        # fill writes the zeros; np.zeros would hand a large array fresh
+        # pages that fault in the first multiply (half again as many page
+        # faults in a 512x512 render)
+        acc = np.empty(x.shape, dtype=complex)
+        acc.fill(0)
+        for c in coeffs:
+            acc *= x
+            acc += c
+        return acc
+    acc = 0j
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -58,18 +96,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(z, dtype=complex)
-        for c in reversed(self.coeffs):
-            acc *= z
-            acc += c
-        return acc
+    def __call__(self, z):
+        """The value at a number, or elementwise at an array."""
+        return horner(reversed(self.coeffs), z)
 
     def eval_scale(self, z: complex) -> float:
         """Sum |c_i| |z|^i — the natural backward-error scale at z."""
@@ -115,16 +144,6 @@ class Polynomial:
         """Multiply by z."""
         return Polynomial((0j,) + self.coeffs)
 
-    def reversed_coeffs(self, order: int) -> tuple[complex, ...]:
-        """Coefficients of w^order * self(1/w), highest power of w first.
-
-        The lowest-first input read front to back IS that sequence, so this is
-        ready to feed a Horner loop. Requires order >= degree.
-        """
-        if order < self.degree:
-            raise ValueError("order below degree")
-        return self.coeffs + (0j,) * (order + 1 - len(self.coeffs))
-
 
 def _deflate(coeffs: list[complex], root: complex) -> list[complex]:
     """Synthetic division by (z - root); drops the remainder."""
@@ -147,12 +166,8 @@ def _aberth_once(c: np.ndarray, z0: np.ndarray, iters: int):
     dr = (c[1:] * np.arange(1, n + 1))[::-1]
     scale_abs = np.abs(c[::-1])
     for _ in range(iters):
-        q = np.zeros_like(z)
-        for a in cr:
-            q = q * z + a
-        dq = np.zeros_like(z)
-        for a in dr:
-            dq = dq * z + a
+        q = horner(cr, z)
+        dq = horner(dr, z)
         # Backward-error scale of each evaluation.
         es = np.zeros(n)
         az = np.abs(z)
@@ -260,13 +275,7 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
 
     m = len(pts)
     mhat = [_mult_estimate(z) for z in pts]
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    near = UnionFind(m)
 
     def _radius(i):
         base = 1e3 * _EPS if mhat[i] == 1 else 30 * _EPS ** (1.0 / mhat[i])
@@ -275,12 +284,10 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
     for i in range(m):
         for j in range(i + 1, m):
             if abs(pts[i] - pts[j]) < max(_radius(i), _radius(j)):
-                parent[find(i)] = find(j)
+                near.union(i, j)
 
-    clusters: dict[int, list[complex]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(pts[i])
-    for members in clusters.values():
+    for cluster in near.classes():
+        members = [pts[i] for i in cluster]
         mult = len(members)
         center = sum(members) / mult
         if mult == 1:
@@ -335,32 +342,49 @@ class NewtonMap:
     poles: tuple[tuple[complex, int], ...]
     critical_points: tuple[tuple[complex, int], ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    numerator_derivative: Polynomial = field(init=False, repr=False, compare=False)
+    denominator_derivative: Polynomial = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dnum, dden = self.numerator.derivative(), self.denominator.derivative()
+        object.__setattr__(self, "numerator_derivative", dnum)
+        object.__setattr__(self, "denominator_derivative", dden)
+        # Coefficient tuples, highest power first, so that hot loops fetch
+        # them once: the corrector's rows in either chart, and the numerator
+        # and denominator of f in the w = 1/z chart.
+        rows = tuple(p.coeffs[::-1] for p in (self.numerator, self.denominator, dnum, dden))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_swapped_rows", tuple(rows[i] for i in CHART_SWAP))
+        n, d = self.numerator.coeffs, self.denominator.coeffs
+        chart = (n + (0j,) * (self.degree + 1 - len(n)), d + (0j,) * (self.degree - len(d)))
+        object.__setattr__(self, "_chart", chart)
 
     # --- evaluation ---------------------------------------------------------
+
+    def corrector_rows(self, inverted: bool) -> tuple[tuple[complex, ...], ...]:
+        """Coefficients, highest power first, of a, b, a', b' for a corrector
+        that solves a/b = target: N, D, N', D' for f = w, or, inverted for a
+        target beyond the chart radius, D, N, D', N' for 1/f = 1/w."""
+        return self._swapped_rows if inverted else self._rows
+
+    def _fraction(self, z, far: bool):
+        """(num, den) with num / den = f(z), at a number or elementwise at an
+        array: N and D in the plane, or, far out, N and D in the w = 1/z chart
+        (see the module docstring)."""
+        if not far:
+            return horner(self._rows[0], z), horner(self._rows[1], z)
+        w = 1 / z
+        return horner(self._chart[0], w), horner(self._chart[1], w) * w
 
     def evaluate(self, z: SpherePoint | complex) -> SpherePoint:
         """Total evaluation on the sphere; exact pole hits map to infinity."""
         pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
         if pt.is_infinity:
             return INF
-        zv = pt.value
-        if abs(zv) > self.tol.chart_radius:
-            w = 1 / zv
-            num = 0j
-            for a in self.numerator.reversed_coeffs(self.degree):
-                num = num * w + a
-            den = 0j
-            for a in self.denominator.reversed_coeffs(self.degree - 1):
-                den = den * w + a
-            den = den * w
-            if den == 0:
-                return INF
-            val = num / den
-        else:
-            den = self.denominator(zv)
-            if den == 0:
-                return INF
-            val = self.numerator(zv) / den
+        num, den = self._fraction(pt.value, abs(pt.value) > self.tol.chart_radius)
+        if den == 0:
+            return INF
+        val = num / den
         if not (cmath.isfinite(val)):
             return INF
         return SpherePoint.of(val)
@@ -368,43 +392,17 @@ class NewtonMap:
     def evaluate_array(self, z: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on finite points; poles/overflow come back as inf."""
         far = np.abs(z) > self.tol.chart_radius
-        if not far.any():  # the usual case: no point needs the 1/z chart
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = self.numerator.eval_array(z) / self.denominator.eval_array(z)
-        else:
-            out = np.empty_like(z, dtype=complex)
-            zz = z[~far]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[~far] = self.numerator.eval_array(zz) / self.denominator.eval_array(zz)
-            w = 1 / z[far]
-            num = np.zeros_like(w)
-            for a in self.numerator.reversed_coeffs(self.degree):
-                num = num * w + a
-            den = np.zeros_like(w)
-            for a in self.denominator.reversed_coeffs(self.degree - 1):
-                den = den * w + a
-            den = den * w
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[far] = num / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not far.any():  # the usual case: no point needs the 1/z chart
+                num, den = self._fraction(z, False)
+                out = np.divide(num, den, out=num)  # no third large array
+            else:
+                out = np.empty_like(z, dtype=complex)
+                for mask, chart in ((~far, False), (far, True)):
+                    out[mask] = np.divide(*self._fraction(z[mask], chart))
         # NaN can only arise from 0/0 overflow artifacts; push to infinity.
         out[~np.isfinite(out)] = np.inf
         return out
-
-    @property
-    def numerator_derivative(self) -> Polynomial:
-        cached = self.__dict__.get("_dnum")
-        if cached is None:
-            cached = self.numerator.derivative()
-            object.__setattr__(self, "_dnum", cached)
-        return cached
-
-    @property
-    def denominator_derivative(self) -> Polynomial:
-        cached = self.__dict__.get("_dden")
-        if cached is None:
-            cached = self.denominator.derivative()
-            object.__setattr__(self, "_dden", cached)
-        return cached
 
     def map_derivative(self, z: complex) -> complex:
         """f'(z) at a finite non-pole point."""
@@ -413,6 +411,17 @@ class NewtonMap:
             self.numerator_derivative(z) * dv
             - self.numerator(z) * self.denominator_derivative(z)
         ) / (dv * dv)
+
+    def leading_coefficient(self, x: complex, order: int, w0: complex) -> complex:
+        """b with f(x + u) = w0 + b u^order + O(u^(order+1)), where f - w0
+        vanishes to exactly that order at x: the order-th Taylor coefficient
+        of N - w0 D at x over D(x)."""
+        deriv = self.numerator - self.denominator * w0
+        fact = 1
+        for i in range(1, order + 1):
+            deriv = deriv.derivative()
+            fact *= i
+        return deriv(x) / (fact * self.denominator(x))
 
     # --- marked-point lookups ----------------------------------------------
 

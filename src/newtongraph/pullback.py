@@ -35,7 +35,7 @@ from .errors import (
     LevelCapExceeded,
     NonPlanarIncidence,
 )
-from .poly import NewtonMap, roots_of
+from .poly import CHART_SWAP, NewtonMap, horner, roots_of
 from .rays import (
     _TAU,
     GeoEdge,
@@ -148,18 +148,6 @@ def lift_point(
     return tuple(out)
 
 
-def _leading_coefficient(f: NewtonMap, x: complex, order: int, w0: complex) -> complex:
-    """b with f(x + u) = w0 + b u^order + O(u^(order+1)) at a critical
-    preimage x of the finite value w0."""
-    shifted = f.numerator - f.denominator * w0
-    deriv = shifted
-    fact = 1
-    for i in range(1, order + 1):
-        deriv = deriv.derivative()
-        fact *= i
-    return deriv(x) / (fact * f.denominator(x))
-
-
 def _branched_first_step(
     f: NewtonMap,
     w0: complex,
@@ -234,7 +222,7 @@ def _first_step(
     if direction is None:
         return continue_inverse_branch(f, w0, w1, x0, tol)
     order = f.local_degree(x0)
-    coeff = _leading_coefficient(f, x0, order, w0)
+    coeff = f.leading_coefficient(x0, order, w0)
     return _branched_first_step(f, w0, w1, x0, order, coeff, direction, tol)
 
 
@@ -307,38 +295,19 @@ def _lift_targets(points: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.concatenate((points[:1], interior[kept])), bool(kept[0])
 
 
-# Rows N, D, N', D' become D, N, D', N' in the w = 1/z chart, where the
-# equation solved is D/N = 1/w.
-_INVERTED_ROWS = [1, 0, 3, 2]
-
-
 def _lane_coefficients(f: NewtonMap, inverted: np.ndarray) -> np.ndarray:
-    """Coefficients of N, D, N', D', highest degree first, laid out for
-    _fused_horner: shape (degree + 1, 4 * lanes), the four rows one after
-    another, each lane's in the order of its chart."""
-    polys = (
-        f.numerator,
-        f.denominator,
-        f.numerator_derivative,
-        f.denominator_derivative,
-    )
-    m = max(len(p.coeffs) for p in polys)
-    rows = np.zeros((m, 4, 1), dtype=complex)
-    for r, p in enumerate(polys):
-        rows[m - len(p.coeffs):, r, 0] = p.coeffs[::-1]
-    rows = np.where(inverted, rows[:, _INVERTED_ROWS], rows)
-    return rows.reshape(m, 4 * len(inverted))
-
-
-def _fused_horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The four polynomials at every lane's x in one Horner pass, as one
-    array: num, den, num', den' of the lanes one after another. Every
-    operand has the same flat shape, which keeps numpy on its fast path."""
-    xs = np.concatenate((x, x, x, x))
-    acc = coeffs[0] * xs + coeffs[1]
-    for c in coeffs[2:]:
-        acc = acc * xs + c
-    return acc
+    """The rows of f.corrector_rows in each lane's chart, laid out for one
+    Horner pass over all four at the lanes' x repeated four times: shape
+    (m, 4 * lanes), m the longest row, zero-padded at the top, the four rows
+    one after another. Every operand then has the same flat shape, which
+    keeps numpy on its fast path."""
+    rows = f.corrector_rows(False)
+    m = max(len(c) for c in rows)
+    table = np.zeros((m, 4, 1), dtype=complex)
+    for r, c in enumerate(rows):
+        table[m - len(c):, r, 0] = c
+    table = np.where(inverted, table[:, CHART_SWAP], table)
+    return table.reshape(m, 4 * len(inverted))
 
 
 def _newton_round(
@@ -351,9 +320,9 @@ def _newton_round(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step on every active lane: the Newton iteration of
     solve_preimage_near from x0 toward num/den = target, with its gates and
-    those of continue_inverse_branch. values holds _fused_horner at x0.
-    Returns the new points (x0 on inactive lanes), _fused_horner there, and
-    which active lanes passed every gate."""
+    those of continue_inverse_branch. values holds the four rows of coeffs
+    at x0. Returns the new points (x0 on inactive lanes), the rows there,
+    and which active lanes passed every gate."""
     n = len(x0)
     x = x0
     done = ~active
@@ -365,7 +334,7 @@ def _newton_round(
         np.copyto(x_new, x, where=done)
         done |= converged(step, x_new, tol)
         x = x_new
-        values = _fused_horner(coeffs, x)
+        values = horner(coeffs, np.concatenate((x,) * 4))
         if np.count_nonzero(done) == n:
             break
     res = np.abs(values[:n] / values[n : 2 * n] - target)
@@ -431,12 +400,12 @@ def _lift_lanes(
             (np.flatnonzero((inverted[2:] != inverted[1:-1]).any(axis=1)) + 2).tolist()
         )
         coeffs = _lane_coefficients(f, chart)
-        values = _fused_horner(coeffs, x[0])
+        values = horner(coeffs, np.concatenate((x[0],) * 4))
         for k in range(1, n_rounds + 1):
             if k in flips:
                 flip = inverted[k] != chart
                 by_row = values.reshape(4, n_lanes)
-                values = np.where(flip, by_row[_INVERTED_ROWS], by_row).reshape(-1)
+                values = np.where(flip, by_row[CHART_SWAP, :], by_row).reshape(-1)
                 chart = inverted[k]
                 coeffs = _lane_coefficients(f, chart)
             active = alive[k] & ~failed if errors else alive[k]
@@ -451,7 +420,7 @@ def _lift_lanes(
             if np.count_nonzero(scalar):
                 for lane in np.flatnonzero(scalar).tolist():
                     scalar_step(lane, k)
-                values = _fused_horner(coeffs, x[k])
+                values = horner(coeffs, np.concatenate((x[k],) * 4))
 
     out = []
     for lane, (j, _, _) in enumerate(lanes):
@@ -500,7 +469,7 @@ def pullback_level(
             if order == 1:
                 directions: list[float | None] = [None]
             else:
-                coeff = _leading_coefficient(f, x.value, order, tail_pt.value)
+                coeff = f.leading_coefficient(x.value, order, tail_pt.value)
                 base = (psi - cmath.phase(coeff)) / order
                 directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
                 if (

@@ -25,7 +25,7 @@ from .errors import (
     NotARoot,
     RayCollision,
 )
-from .poly import NewtonMap
+from .poly import NewtonMap, horner
 from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -81,15 +81,7 @@ def bottcher_local(
     k = f.local_degree(xi)
     if k < 2:
         raise NotARoot(f"point {xi} is not superattracting")
-    # T = N - xi*D vanishes to order exactly k at xi; its k-th Taylor
-    # coefficient over D(xi) is the leading local coefficient.
-    t = f.numerator + f.denominator * (-xi)
-    deriv = t
-    fact = 1
-    for i in range(1, k + 1):
-        deriv = deriv.derivative()
-        fact *= i
-    a = deriv(xi) / (fact * f.denominator(xi))
+    a = f.leading_coefficient(xi, k, xi)
     dirs = sorted(
         _mod_tau((-cmath.phase(a) + _TAU * j) / (k - 1)) for j in range(k - 1)
     )
@@ -119,13 +111,6 @@ class RayPath:
         return hash((self.root_index, self.direction, len(self.points)))
 
 
-def _horner(coeffs: tuple[complex, ...], x: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # --- the corrector's gates, shared by the scalar solve and the lockstep lift --
 # Each takes Python complex numbers or numpy arrays alike.
 
@@ -151,29 +136,23 @@ def on_branch(x, x0):
 def solve_preimage_near(
     f: NewtonMap, w: complex, x0: complex, tol: Tolerances
 ) -> complex | None:
-    """One preimage of w under f near x0, or None if the iteration strays."""
-    nc = f.numerator.coeffs
-    dc = f.denominator.coeffs
-    nd = f.numerator_derivative.coeffs
-    dd = f.denominator_derivative.coeffs
+    """One preimage of w under f near x0, or None if the iteration strays.
+
+    Newton's method on a/b = target with the rows of f.corrector_rows: f = w
+    in the plane, or 1/f = 1/w for a target beyond the chart radius, where a
+    pole of f is a regular point of 1/f.
+    """
     inverted = abs(w) > tol.chart_radius
     target = 1 / w if inverted else w
+    a, b, da, db = f.corrector_rows(inverted)
     x = x0
     for _ in range(50):
-        nv, dv = _horner(nc, x), _horner(dc, x)
-        if inverted:
-            # solve D/N = 1/w; the pole of f is a regular point of 1/f
-            if nv == 0:
-                x += 1e-12 * (1 + abs(x))
-                continue
-            g = dv / nv - target
-            gp = (_horner(dd, x) * nv - dv * _horner(nd, x)) / (nv * nv)
-        else:
-            if dv == 0:
-                x += 1e-12 * (1 + abs(x))
-                continue
-            g = nv / dv - target
-            gp = (_horner(nd, x) * dv - nv * _horner(dd, x)) / (dv * dv)
+        av, bv = horner(a, x), horner(b, x)
+        if bv == 0:
+            x += 1e-12 * (1 + abs(x))
+            continue
+        g = av / bv - target
+        gp = (horner(da, x) * bv - av * horner(db, x)) / (bv * bv)
         if gp == 0:
             x += 1e-12 * (1 + abs(x))
             continue
@@ -183,11 +162,8 @@ def solve_preimage_near(
             break
     else:
         return None
-    nv, dv = _horner(nc, x), _horner(dc, x)
-    if inverted:
-        res = abs(dv / nv - target) if nv != 0 else math.inf
-    else:
-        res = abs(nv / dv - target) if dv != 0 else math.inf
+    bv = horner(b, x)
+    res = abs(horner(a, x) / bv - target) if bv != 0 else math.inf
     if not residual_ok(res, target, tol):
         return None
     return x

@@ -40,6 +40,10 @@ class Tolerances:
             raise ValueError("match_tol out of range")
         if self.escape_radius < 1e3:
             raise ValueError("escape_radius too small")
+        if not self.sample_ratio > 1:
+            raise ValueError("sample_ratio must be > 1")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
 
     @property
     def chart_radius(self) -> float:

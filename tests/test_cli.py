@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output shapes, file formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -313,3 +314,35 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "degree 3" in proc.stdout
+
+
+class TestGoldenDigests:
+    """SHA-256 of three exports, pinned so that a refactor that moves any
+    float fails here. The exports run numpy's complex multiply, whose
+    last-bit rounding depends on the CPU's vector instructions; these digests
+    were taken on x86-64 with AVX-512 and numpy 2.4, and need recording
+    afresh on another platform."""
+
+    ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
+
+    @pytest.mark.parametrize(
+        "name, poly, digest",
+        [
+            ("z3-1", UNITY, "f20196c6b6c7e73e29a7156cad44733068782f1baac46a50506cf460fb966755"),
+            ("z4-z", ZMZ4, "fce15d35c8c78c78a3cb56df0a21034c8b4b745ba9d60490e35ca81a476b2211"),
+        ],
+    )
+    def test_graph_export(self, tmp_path, capsys, name, poly, digest):
+        out = tmp_path / f"{name}.json"
+        code, _, _ = run(capsys, ["graph", write_json(tmp_path, "p.json", poly), "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_render_ppm(self, tmp_path, capsys):
+        out = tmp_path / "z3-1.ppm"
+        poly = write_json(tmp_path, "p.json", UNITY)
+        code, _, _ = run(capsys, ["render", poly, str(out), "--width", "64", "--height", "64"])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8bcb933f1c81209e9d32d72f11bd6592f336894bcf95a7fd2245e85c3c8a80a0"
+        )

@@ -203,6 +203,16 @@ class TestNewtonGraphValidator:
         report = validate_newton_graph(HandBuiltModel.assemble(parts))
         assert not report.check("channel_core").passed
 
+    def test_split_complement_mutation(self, handbuilt_pm_level1):
+        # with the four lifts at root 0 marked as channel, the remaining
+        # lifts form two pieces: {+1, pole+, +1/2} and {-1, pole-, -1/2}
+        parts = handbuilt_pm_level1.parts()
+        parts["channel"] |= {4, 5, 6, 7}
+        check = validate_newton_graph(HandBuiltModel.assemble(parts)).check(
+            "complement_connected")
+        assert not check.passed
+        assert check.witness == "non-channel part splits, e.g. vertices 1 and 2"
+
     def test_missing_lift_fails_saturation_only_there(self, handbuilt_pm_level1):
         # drop the two far lifts (edges 10, 11) and their leaf vertices:
         # the poles lose one germ each, so saturation at the poles breaks

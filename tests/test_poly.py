@@ -10,12 +10,13 @@ from newtongraph.errors import DegreeTooLow, MultipleRoot
 from newtongraph.poly import (
     NewtonMap,
     Polynomial,
+    horner,
     make_newton_map,
     roots_of,
     verify_newton_conditions,
 )
 from newtongraph.sphere import INF, SpherePoint, chordal_distance
-from newtongraph.tolerances import DEFAULT_TOL
+from newtongraph.tolerances import DEFAULT_TOL, Tolerances
 
 
 def P(*coeffs):
@@ -83,14 +84,30 @@ class TestPolynomial:
             assert abs(q(r)) < 1e-12
         assert q.coeffs[-1] == 2 + 0j
 
-    def test_reversed_coeffs_identity(self):
-        q = P(1, 0, 0, 2)  # 2z^3 + 1
-        rev = q.reversed_coeffs(3)
-        # w^3 * q(1/w) = w^3 + 2 evaluated at w = 0.5 -> 2.125
-        acc = 0j
-        for a in rev:
-            acc = acc * 0.5 + a
-        assert acc == pytest.approx(2.125)
+    def test_array_horner_is_elementwise_bit_for_bit(self):
+        # Each value of an array evaluation is what its point gives in any
+        # other array of two or more points, so compacting an array (as
+        # render_basins does) changes no value. A Python number agrees to
+        # rounding only: numpy's complex multiply may round otherwise than
+        # Python's in the last bit, and so may its in-place multiply on a
+        # one-element array.
+        rng = np.random.default_rng(17)
+        for deg in (0, 1, 4, 9):
+            coeffs = tuple(complex(c) for c in rng.normal(size=(deg + 1, 2)) @ (1, 1j))
+            z = (rng.normal(size=200) + 1j * rng.normal(size=200)) * 10.0 ** rng.uniform(
+                -3, 3, size=200
+            )
+            z[:3] = (0j, -2.5 + 0j, 1e-300j)
+            arr = horner(coeffs, z)
+            pairs = np.concatenate([horner(coeffs, z[i : i + 2]) for i in range(0, 200, 2)])
+            assert arr.tobytes() == pairs.tobytes()
+            pick = rng.permutation(len(z))[:37]
+            assert horner(coeffs, z[pick]).tobytes() == arr[pick].tobytes()
+            q = Polynomial(coeffs[::-1])
+            assert q(z).tobytes() == arr.tobytes()
+            for x, value in zip(z.tolist(), arr.tolist()):
+                scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(coeffs[::-1]))
+                assert abs(horner(coeffs, x) - value) <= 8 * (deg + 1) * 2.3e-16 * scale
 
 
 class TestRootsOf:
@@ -250,6 +267,56 @@ class TestEvaluate:
                 assert not np.isfinite(ai)
             else:
                 assert abs(ai - sp.value) < 1e-9 * (1 + abs(sp.value))
+
+    def test_w_chart_identity(self):
+        # N = 2z^3 + 1, D = 1 + z at z = 2, w = 0.5: w^3 N(1/w) = w^3 + 2 =
+        # 2.125 and w^3 D(1/w) = w^3 + w^2 = 0.375; deg D < degree - 1, so the
+        # chart pads D with a zero coefficient.
+        f = NewtonMap(
+            p=P(1, 0, 0, 2),
+            numerator=P(1, 0, 0, 2),
+            denominator=P(1, 1),
+            degree=3,
+            roots=(),
+            poles=(),
+            critical_points=(),
+        )
+        num, den = f._fraction(2.0, True)
+        assert num == pytest.approx(2.125)
+        assert den == pytest.approx(0.375)
+
+    def test_low_degree_denominator_agrees_across_chart_radius(self):
+        # f = (z^3 + 2) / (z - 1): deg D = 1 < degree - 1 = 2, so the w = 1/z
+        # chart needs D padded to order 2 before the last factor of w.
+        f = NewtonMap(
+            p=P(2, 0, 0, 1),
+            numerator=P(2, 0, 0, 1),
+            denominator=P(-1, 1),
+            degree=3,
+            roots=(),
+            poles=(),
+            critical_points=(),
+        )
+        r = DEFAULT_TOL.chart_radius
+        for phase in (0.0, 1.0, 2.5):
+            inside = cmath.rect(r * (1 - 1e-12), phase)
+            outside = cmath.rect(r * (1 + 1e-12), phase)
+            a, b = f.evaluate(inside).value, f.evaluate(outside).value
+            assert abs(b / a - 1) < 1e-9
+            arr = f.evaluate_array(np.array([inside, outside]))
+            assert abs(arr[1] / arr[0] - 1) < 1e-9
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("ratio", [1.0, 0.9, -2.0, float("nan")])
+    def test_sample_ratio_must_exceed_one(self, ratio):
+        with pytest.raises(ValueError, match="sample_ratio"):
+            Tolerances(sample_ratio=ratio)
+
+    def test_max_steps_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            Tolerances(max_steps=-1)
+        assert Tolerances(max_steps=0).max_steps == 0
 
 
 class TestVerifyNewtonConditions:
