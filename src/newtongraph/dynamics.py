@@ -17,7 +17,7 @@ import numpy as np
 from .errors import UnresolvedOrbit
 from .poly import NewtonMap
 from .sphere import INF, SpherePoint
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import Tolerances
 
 STAY_ITERATES = 5
 # steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
@@ -46,7 +46,6 @@ def classify_point(
     f: NewtonMap,
     z: SpherePoint | complex,
     max_iter: int = 256,
-    tol: Tolerances | None = None,
     keep_trace: bool = False,
 ) -> OrbitResult:
     """Classify the forward orbit of z: which root's basin it belongs to.
@@ -55,7 +54,7 @@ def classify_point(
     through infinity and reported unresolved with the prepole flag — infinity
     repels, so no open set converges there.
     """
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
     trace = [pt] if keep_trace else None
     if pt.is_infinity:
@@ -157,17 +156,15 @@ class Raster:
         return header + rgb.tobytes()
 
 
-def render_basins(
-    f: NewtonMap,
-    spec: RasterSpec,
-    max_iter: int = 256,
-    tol: Tolerances | None = None,
-) -> Raster:
+def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster:
     """Classify every cell center; deterministic for fixed inputs.
 
     A pixel's basin and entry step are those classify_point gives its cell
-    center: they depend on its own orbit alone, never on its neighbours, so
-    the order in which pixels retire cannot change the image. The loop keeps
+    center, computed from its own orbit by elementwise array arithmetic. Up
+    to last-bit rounding the order in which pixels retire cannot change the
+    image: numpy may round a one-element array's complex products like
+    Python scalars and longer arrays otherwise, so the last pixel left in
+    the working set can be evaluated with different rounding. The loop keeps
     one entry per still-active pixel (pixel index, z, candidate root and the
     step the candidate was entered); a pixel that dies (non-finite, or within
     pole snap) or finishes is written once and dropped from that working set.
@@ -176,7 +173,7 @@ def render_basins(
     """
     if not 0 <= max_iter <= MAX_RASTER_ITER:
         raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     z = spec.grid().ravel().astype(complex)
     n = z.size
     basin = np.full(n, -1, dtype=np.int16)
@@ -263,24 +260,22 @@ class CriticalOrbitTable:
         return max((e.landing_time for e in self.entries), default=0)
 
 
-def critical_orbits(
-    f: NewtonMap, tol: Tolerances | None = None, max_steps: int | None = None
-) -> CriticalOrbitTable:
+def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
     """Forward orbit of every critical point until it provably lands or the cap.
 
     Root landings are exact hits only: the orbit must arrive within land_tol
     from at least jump_guard away (one application of f collapses a genuine
     preimage onto the root; an asymptotic approach shrinks gradually and is
     not a landing). Orbits touching a pole are routed exactly through infinity.
+    The cap is f.tol.max_steps.
     """
-    tol = tol or DEFAULT_TOL
-    cap = tol.max_steps if max_steps is None else max_steps
+    tol = f.tol
     entries = []
     for c, mult in f.critical_points:
         orbit: list[SpherePoint] = [SpherePoint.of(c)]
         landing, root_index, time, prepole = "unresolved", None, None, False
         prev_dist = None  # distance from previous point to the root it may hit
-        for s in range(cap + 1):
+        for s in range(tol.max_steps + 1):
             cur = orbit[-1]
             if cur.is_infinity:
                 landing, time = "infinity", s

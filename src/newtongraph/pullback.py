@@ -24,6 +24,7 @@ from .combinatorial import (
     ConditionCheck,
     EmbeddedGraph,
     GraphDynamics,
+    UnionFind,
     ValidationReport,
     embedded_graph_from_rotations,
     graph_to_json,
@@ -83,9 +84,9 @@ class DynamicGraph:
         return tuple(j for j, l in enumerate(self.edge_level) if l == level)
 
 
-def base_dynamic_graph(f: NewtonMap, tol: Tolerances | None = None) -> DynamicGraph:
+def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
     """The channel diagram as a level-0 tower: every vertex and edge fixed."""
-    geo = channel_diagram(f, tol)
+    geo = channel_diagram(f)
     n_v, n_e = len(geo.vertices), len(geo.edges)
     return DynamicGraph(
         geo=geo,
@@ -100,21 +101,16 @@ def base_dynamic_graph(f: NewtonMap, tol: Tolerances | None = None) -> DynamicGr
 # --- preimages ----------------------------------------------------------
 
 
-def _snap_marked(f: NewtonMap, z: complex, tol: Tolerances) -> complex:
-    for a in f.roots:
-        if chordal_distance(z, a) <= tol.match_tol:
-            return a
-    for a, _ in f.poles:
-        if chordal_distance(z, a) <= tol.match_tol:
-            return a
-    for a, _ in f.critical_points:
-        if chordal_distance(z, a) <= tol.match_tol:
+def _snap_marked(f: NewtonMap, z: complex) -> complex:
+    """The first root, pole or critical point within match_tol of z, else z."""
+    for a in (*f.roots, *(q for q, _ in f.poles), *(c for c, _ in f.critical_points)):
+        if chordal_distance(z, a) <= f.tol.match_tol:
             return a
     return z
 
 
 def lift_point(
-    f: NewtonMap, w: SpherePoint | complex, tol: Tolerances | None = None
+    f: NewtonMap, w: SpherePoint | complex
 ) -> tuple[tuple[SpherePoint, int], ...]:
     """All preimages of w under f with their local degrees, summing to deg f.
 
@@ -123,14 +119,14 @@ def lift_point(
     map's marked points, and two fiber points closer than match_tol abort
     rather than silently merging.
     """
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     pt = w if isinstance(w, SpherePoint) else SpherePoint.of(w)
     if pt.is_infinity:
         out = [(SpherePoint.of(q), m) for q, m in f.poles] + [(INF, 1)]
     else:
         shifted = f.numerator - f.denominator * pt.value
         out = [
-            (SpherePoint.of(_snap_marked(f, z, tol)), m)
+            (SpherePoint.of(_snap_marked(f, z)), m)
             for z, m in roots_of(shifted, tol.root_tol)
         ]
     total = sum(m for _, m in out)
@@ -156,7 +152,6 @@ def _branched_first_step(
     order: int,
     coeff: complex,
     direction: float,
-    tol: Tolerances,
     depth: int = 0,
 ) -> complex:
     """First continuation step away from a critical start point, selecting the
@@ -169,7 +164,7 @@ def _branched_first_step(
     """
     rho = (abs(w1 - w0) / abs(coeff)) ** (1.0 / order)
     seed = x0 + rho * cmath.exp(1j * direction)
-    x = solve_preimage_near(f, w1, seed, tol)
+    x = solve_preimage_near(f, w1, seed)
     if x is not None and abs(x - seed) <= 0.6 * rho:
         return x
     if depth >= 24:
@@ -178,16 +173,12 @@ def _branched_first_step(
             f"critical point {x0}"
         )
     mid = (w0 + w1) / 2
-    xm = _branched_first_step(
-        f, w0, mid, x0, order, coeff, direction, tol, depth + 1
-    )
-    return continue_inverse_branch(f, mid, w1, xm, tol)
+    xm = _branched_first_step(f, w0, mid, x0, order, coeff, direction, depth + 1)
+    return continue_inverse_branch(f, mid, w1, xm)
 
 
 def _match_endpoint(
-    last: SpherePoint,
-    candidates: tuple[tuple[SpherePoint, int], ...],
-    tol: Tolerances,
+    last: SpherePoint, candidates: tuple[tuple[SpherePoint, int], ...]
 ) -> SpherePoint:
     """Pick the fiber point the lift ran into. The polyline stops one sample
     short of the vertex, so the gate is a separation margin (factor 5 against
@@ -215,15 +206,14 @@ def _first_step(
     w1: complex,
     x0: complex,
     direction: float | None,
-    tol: Tolerances,
 ) -> complex:
     """The first step of a lift from x0 over the target segment w0 -> w1; at
     a critical start, direction selects the branch the lift leaves along."""
     if direction is None:
-        return continue_inverse_branch(f, w0, w1, x0, tol)
+        return continue_inverse_branch(f, w0, w1, x0)
     order = f.local_degree(x0)
     coeff = f.leading_coefficient(x0, order, w0)
-    return _branched_first_step(f, w0, w1, x0, order, coeff, direction, tol)
+    return _branched_first_step(f, w0, w1, x0, order, coeff, direction)
 
 
 def lift_edge(
@@ -232,7 +222,6 @@ def lift_edge(
     start: SpherePoint | complex,
     branch_direction: float | None = None,
     head_candidates: tuple[tuple[SpherePoint, int], ...] | None = None,
-    tol: Tolerances | None = None,
 ) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
@@ -245,7 +234,6 @@ def lift_edge(
     end at infinity. This is the one-edge form of the level lift that
     pullback_level runs over all newest edges at once.
     """
-    tol = tol or DEFAULT_TOL
     points = frozen_polyline(edge_points)
     start_pt = start if isinstance(start, SpherePoint) else SpherePoint.of(start)
     if len(points) < 3:
@@ -255,7 +243,7 @@ def lift_edge(
         raise ValueError("edge tails and lift starts must be finite points")
     if not np.isfinite(points[1:-1]).all():
         raise ValueError("interior samples must be finite")
-    if chordal_distance(f.evaluate(start_pt), tail) > tol.match_tol:
+    if chordal_distance(f.evaluate(start_pt), tail) > f.tol.match_tol:
         raise ValueError(f"start {start_pt} is not a preimage of the tail {tail}")
 
     order = f.local_degree(start_pt)
@@ -272,14 +260,14 @@ def lift_edge(
         if w == w_prev:
             continue
         if i == 0:
-            x = _first_step(f, w_prev, w, x, branch_direction, tol)
+            x = _first_step(f, w_prev, w, x, branch_direction)
         else:
-            x = continue_inverse_branch(f, w_prev, w, x, tol)
+            x = continue_inverse_branch(f, w_prev, w, x)
         out.append(x)
         w_prev = w
 
-    cands = head_candidates if head_candidates is not None else lift_point(f, head, tol)
-    out.append(complex(_match_endpoint(SpherePoint.of(x), cands, tol)))
+    cands = head_candidates if head_candidates is not None else lift_point(f, head)
+    out.append(complex(_match_endpoint(SpherePoint.of(x), cands)))
     return frozen_polyline(out)
 
 
@@ -346,7 +334,6 @@ def _lift_lanes(
     f: NewtonMap,
     sources: dict[int, tuple[np.ndarray, tuple[tuple[SpherePoint, int], ...]]],
     lanes: list[tuple[int, SpherePoint, float | None]],
-    tol: Tolerances,
 ) -> list[tuple[SpherePoint, np.ndarray]]:
     """Every lane's lift at once, each as lift_edge would give it.
 
@@ -359,6 +346,7 @@ def _lift_lanes(
     error of the first lane that failed, which is the error a lift of the
     lanes one after another raises.
     """
+    tol = f.tol
     targets = {j: _lift_targets(points) for j, (points, _) in sources.items()}
     n_lanes = len(lanes)
     steps = np.array([len(targets[j][0]) - 1 for j, _, _ in lanes], dtype=np.int64)
@@ -383,9 +371,9 @@ def _lift_lanes(
         x0 = complex(x[k - 1, lane])
         try:
             if k == 1 and branched[lane]:
-                x[k, lane] = _first_step(f, w0, w1, x0, lanes[lane][2], tol)
+                x[k, lane] = _first_step(f, w0, w1, x0, lanes[lane][2])
             else:
-                x[k, lane] = continue_inverse_branch(f, w0, w1, x0, tol)
+                x[k, lane] = continue_inverse_branch(f, w0, w1, x0)
         except BranchJump as exc:
             errors[lane] = exc
             failed[lane] = True
@@ -427,7 +415,7 @@ def _lift_lanes(
         if lane in errors:
             raise errors[lane]
         n = int(steps[lane])
-        head = _match_endpoint(SpherePoint.of(complex(x[n, lane])), sources[j][1], tol)
+        head = _match_endpoint(SpherePoint.of(complex(x[n, lane])), sources[j][1])
         path = np.empty(n + 2, dtype=complex)
         path[: n + 1] = x[: n + 1, lane]
         path[-1] = complex(head)
@@ -438,9 +426,7 @@ def _lift_lanes(
 # --- one pullback pass ----------------------------------------------------
 
 
-def pullback_level(
-    f: NewtonMap, current: DynamicGraph, tol: Tolerances | None = None
-) -> DynamicGraph:
+def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     """One pullback pass: lift every newest edge from every preimage of its
     tail, merge endpoints, and keep the connected component of the core.
 
@@ -449,13 +435,13 @@ def pullback_level(
     branch retracing a fixed edge is recognized by its direction and skipped.
     All lifts of the level run together, in lockstep.
     """
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     geo = current.geo
     fibers: dict[int, tuple[tuple[SpherePoint, int], ...]] = {}
 
     def fiber(vertex: int) -> tuple[tuple[SpherePoint, int], ...]:
         if vertex not in fibers:
-            fibers[vertex] = lift_point(f, geo.vertices[vertex], tol)
+            fibers[vertex] = lift_point(f, geo.vertices[vertex])
         return fibers[vertex]
 
     sources = {}
@@ -482,7 +468,7 @@ def pullback_level(
                     )
                     directions.pop(self_branch)
             lanes.extend((j, x, direction) for direction in directions)
-    lifted = _lift_lanes(f, sources, lanes, tol)
+    lifted = _lift_lanes(f, sources, lanes)
 
     # merge endpoints into the vertex list, newest last
     verts = list(geo.vertices)
@@ -514,22 +500,13 @@ def pullback_level(
         elevel.append(current.level + 1)
 
     # keep the connected component containing the core (vertex 0 is a root)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(verts))}
+    components = UnionFind(len(verts))
     for e in edges:
-        adjacency[e.tail].add(e.head)
-        adjacency[e.head].add(e.tail)
-    seen = {0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != len(verts):
-        vkeep = sorted(seen)
+        components.union(e.tail, e.head)
+    vkeep = components.classes()[0]
+    if len(vkeep) != len(verts):
         vindex = {old: new for new, old in enumerate(vkeep)}
-        ekeep = [j for j, e in enumerate(edges) if e.tail in seen]
+        ekeep = [j for j, e in enumerate(edges) if e.tail in vindex]
         eindex = {old: new for new, old in enumerate(ekeep)}
         verts = [verts[i] for i in vkeep]
         vmap = [vindex[vmap[i]] for i in vkeep]
@@ -554,10 +531,8 @@ def pullback_level(
 # --- the full tower -------------------------------------------------------
 
 
-def vertex_kinds_for(
-    f: NewtonMap, geo: GeoGraph, tol: Tolerances | None = None
-) -> tuple[str, ...]:
-    tol = tol or DEFAULT_TOL
+def vertex_kinds_for(f: NewtonMap, geo: GeoGraph) -> tuple[str, ...]:
+    tol = f.tol
     kinds = []
     for v in geo.vertices:
         if v.is_infinity:
@@ -571,18 +546,15 @@ def vertex_kinds_for(
     return tuple(kinds)
 
 
-def extract_combinatorial(
-    f: NewtonMap, dg: DynamicGraph, tol: Tolerances | None = None
-) -> GraphDynamics:
+def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
     """Rotation system and self-map data of a pullback level.
 
     Cyclic orders come from edge-end tangent angles (the 1/z chart at
     infinity); the dart map aligns tails with tails since lifts inherit
     orientation from their sources.
     """
-    tol = tol or DEFAULT_TOL
     geo = dg.geo
-    kinds = vertex_kinds_for(f, geo, tol)
+    kinds = vertex_kinds_for(f, geo)
     rotations = [
         [d for _, d in geo.vertex_star(v)] for v in range(len(geo.vertices))
     ]
@@ -628,21 +600,20 @@ def _marked_covered(
     return all(geo.find_vertex(c, tol) is not None for c in points)
 
 
-def compute_newton_graph(
-    f: NewtonMap, max_level: int = 8, tol: Tolerances | None = None
-) -> NewtonGraphResult:
+def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     """Pull the channel diagram back until the graph certifies itself.
 
     Requires a postcritically fixed map. Levels are added until every
     critical point is a vertex, plus one more pass; LevelCapExceeded carries
-    the partial tower when max_level is hit first.
+    the partial tower when max_level is hit first. Every stage reads its
+    numeric policy from f.tol.
     """
-    tol = tol or DEFAULT_TOL
-    require_postcritically_fixed(critical_orbits(f, tol))
+    tol = f.tol
+    require_postcritically_fixed(critical_orbits(f))
 
     crit_pts = [c for c, _ in f.critical_points]
     pole_pts = [q for q, _ in f.poles]
-    cur = base_dynamic_graph(f, tol)
+    cur = base_dynamic_graph(f)
     tower = [cur]
     crit_level = 0 if _marked_covered(cur.geo, crit_pts, tol) else None
     pole_level = 0 if _marked_covered(cur.geo, pole_pts, tol) else None
@@ -654,7 +625,7 @@ def compute_newton_graph(
                 f"cap {max_level}",
                 partial=tuple(tower),
             )
-        cur = pullback_level(f, cur, tol)
+        cur = pullback_level(f, cur)
         tower.append(cur)
         if crit_level is None and _marked_covered(cur.geo, crit_pts, tol):
             crit_level = cur.level
@@ -665,7 +636,7 @@ def compute_newton_graph(
         graphs=tuple(tower),
         minimal_level=crit_level + 1,
         pole_cover_level=pole_level,
-        dynamics=extract_combinatorial(f, cur, tol),
+        dynamics=extract_combinatorial(f, cur),
     )
 
 
@@ -757,9 +728,7 @@ def _face_at_vertex(
     return embedded.face_of_corner(chosen)
 
 
-def verify_face_counts(
-    result: NewtonGraphResult, f: NewtonMap, tol: Tolerances | None = None
-) -> ValidationReport:
+def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationReport:
     """Face bookkeeping of the basin structure.
 
     - boundary_fixed_points: each face of the level-0 diagram has one more
@@ -771,17 +740,11 @@ def verify_face_counts(
       most two roots; at level 1 an incident edge lies in an immediate basin
       exactly when its tail is the owning root itself.
     """
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     base = result.graphs[0]
     level1 = result.graphs[1]
-    kinds0 = vertex_kinds_for(f, base.geo, tol)
-    rotations0 = [
-        [d for _, d in base.geo.vertex_star(v)]
-        for v in range(len(base.geo.vertices))
-    ]
-    emb0 = embedded_graph_from_rotations(
-        [(e.tail, e.head) for e in base.geo.edges], rotations0, kinds0
-    )
+    emb0 = extract_combinatorial(f, base).graph
+    kinds0 = emb0.vertex_kinds
 
     boundary_roots: dict[int, set[int]] = {i: set() for i in range(emb0.n_faces)}
     for dart in range(emb0.n_darts):
@@ -815,7 +778,7 @@ def verify_face_counts(
 
     # owners of level-1 edges at each pole vertex
     geo1 = level1.geo
-    kinds1 = vertex_kinds_for(f, geo1, tol)
+    kinds1 = vertex_kinds_for(f, geo1)
     pole_owner_sets: dict[int, set[int]] = {}
     pole_immediate_sets: dict[int, set[int]] = {}
     for j, e in enumerate(geo1.edges):
@@ -871,14 +834,11 @@ def verify_face_counts(
 # --- export -----------------------------------------------------------------
 
 
-def newton_graph_to_json(
-    result: NewtonGraphResult, f: NewtonMap, tol: Tolerances | None = None
-) -> dict:
+def newton_graph_to_json(result: NewtonGraphResult, f: NewtonMap) -> dict:
     """Plain-data export of the top level: the geometric graph with per-edge
     levels and source edges, the map data, and the combinatorial extraction."""
-    tol = tol or DEFAULT_TOL
     top = result.graphs[-1]
-    kinds = vertex_kinds_for(f, top.geo, tol)
+    kinds = vertex_kinds_for(f, top.geo)
     labels = []
     counters = {KIND_ROOT: 0, KIND_POLE: 0, KIND_PLAIN: 0}
     for i, kind in enumerate(kinds):

@@ -30,6 +30,8 @@ from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAU = 2 * math.pi
+# Inverse lifts a fixed ray may take before it must have escaped.
+MAX_RAY_LIFTS = 512
 
 
 def _mod_tau(x: float) -> float:
@@ -70,11 +72,8 @@ class BottcherLocal:
     fixed_directions: tuple[float, ...]  # angles in [0, 2pi), sorted
 
 
-def bottcher_local(
-    f: NewtonMap, root_index: int, tol: Tolerances | None = None
-) -> BottcherLocal:
+def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
     """Leading local coefficient and the k-1 invariant ray directions."""
-    tol = tol or DEFAULT_TOL
     if not 0 <= root_index < len(f.roots):
         raise NotARoot(f"no root with index {root_index}")
     xi = f.roots[root_index]
@@ -133,15 +132,14 @@ def on_branch(x, x0):
     return abs(x - x0) <= 0.5 * (1 + abs(x0))
 
 
-def solve_preimage_near(
-    f: NewtonMap, w: complex, x0: complex, tol: Tolerances
-) -> complex | None:
+def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None:
     """One preimage of w under f near x0, or None if the iteration strays.
 
     Newton's method on a/b = target with the rows of f.corrector_rows: f = w
     in the plane, or 1/f = 1/w for a target beyond the chart radius, where a
     pole of f is a regular point of 1/f.
     """
+    tol = f.tol
     inverted = abs(w) > tol.chart_radius
     target = 1 / w if inverted else w
     a, b, da, db = f.corrector_rows(inverted)
@@ -174,11 +172,10 @@ def continue_inverse_branch(
     w_from: complex,
     w_to: complex,
     x0: complex,
-    tol: Tolerances,
     depth: int = 0,
 ) -> complex:
     """Continue the branch of f^{-1} from x0 (a preimage of w_from) to w_to."""
-    x = solve_preimage_near(f, w_to, x0, tol)
+    x = solve_preimage_near(f, w_to, x0)
     if x is not None and on_branch(x, x0):
         return x
     if depth >= 24:
@@ -186,8 +183,9 @@ def continue_inverse_branch(
             f"inverse branch lost between targets {w_from} and {w_to}"
         )
     mid = (w_from + w_to) / 2
-    xm = continue_inverse_branch(f, w_from, mid, x0, tol, depth + 1)
-    return continue_inverse_branch(f, mid, w_to, xm, tol, depth + 1)
+    # depth by keyword: perfbench's bisection counter reads it from kwargs
+    xm = continue_inverse_branch(f, w_from, mid, x0, depth=depth + 1)
+    return continue_inverse_branch(f, mid, w_to, xm, depth=depth + 1)
 
 
 def _thinned(seg: list[complex], center: complex, ratio: float) -> list[complex]:
@@ -207,13 +205,7 @@ def _thinned(seg: list[complex], center: complex, ratio: float) -> list[complex]
     return kept
 
 
-def trace_fixed_ray(
-    f: NewtonMap,
-    local: BottcherLocal,
-    direction_index: int,
-    tol: Tolerances | None = None,
-    max_lifts: int = 512,
-) -> RayPath:
+def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) -> RayPath:
     """Trace one invariant ray from the root out to infinity.
 
     The ray starts with a fundamental segment spaced at sample_ratio; each
@@ -224,7 +216,7 @@ def trace_fixed_ray(
     to solver accuracy, so forward invariance is structural, and the next
     lift continues over the thinned segment.
     """
-    tol = tol or DEFAULT_TOL
+    tol = f.tol
     theta = local.fixed_directions[direction_index]
     xi, k, a = local.root, local.local_degree, local.coefficient
 
@@ -247,10 +239,10 @@ def trace_fixed_ray(
     points: list[complex] = list(seg)
     cur = seg
     escaped = False
-    for _ in range(max_lifts):
+    for _ in range(MAX_RAY_LIFTS):
         new = [cur[-1]]
         for j in range(1, len(cur)):
-            x = continue_inverse_branch(f, cur[j - 1], cur[j], new[-1], tol)
+            x = continue_inverse_branch(f, cur[j - 1], cur[j], new[-1])
             for c in crit_hot:
                 if abs(x - c) <= 1e-12 * (1 + abs(c)) and abs(c - xi) > 1e-9:
                     raise RayCollision(f"ray lift landed on critical point {c}")
@@ -263,7 +255,7 @@ def trace_fixed_ray(
     if not escaped:
         raise NoEscape(
             f"ray from root {xi} direction {theta:.6f} did not reach "
-            f"radius {tol.escape_radius:g} within {max_lifts} lifts"
+            f"radius {tol.escape_radius:g} within {MAX_RAY_LIFTS} lifts"
         )
     # truncate at the first escaped sample, then close with infinity
     cut = next(i for i, z in enumerate(points) if abs(z) >= tol.escape_radius)
@@ -547,19 +539,18 @@ def geograph_to_dot(
     return "\n".join(lines) + "\n"
 
 
-def channel_diagram(f: NewtonMap, tol: Tolerances | None = None) -> GeoGraph:
+def channel_diagram(f: NewtonMap) -> GeoGraph:
     """The invariant graph of all fixed rays: roots joined to infinity.
 
     Vertices are the roots in order followed by infinity; edges are grouped by
     root and sorted by ray direction, so the construction is deterministic.
     """
-    tol = tol or DEFAULT_TOL
     verts = tuple(SpherePoint.of(r) for r in f.roots) + (INF,)
     inf_index = len(f.roots)
     edges = []
     for i in range(len(f.roots)):
-        loc = bottcher_local(f, i, tol)
+        loc = bottcher_local(f, i)
         for j in range(len(loc.fixed_directions)):
-            ray = trace_fixed_ray(f, loc, j, tol)
+            ray = trace_fixed_ray(f, loc, j)
             edges.append(GeoEdge(tail=i, head=inf_index, points=ray.points))
     return GeoGraph(verts, tuple(edges))

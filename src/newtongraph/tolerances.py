@@ -1,4 +1,6 @@
-"""Numerical policy knobs, threaded through the whole pipeline as one object."""
+"""Numerical policy knobs as one object. It rides on the Newton map:
+make_newton_map fixes it as f.tol, and every stage that takes the map reads
+it from there."""
 
 from __future__ import annotations
 

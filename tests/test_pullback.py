@@ -39,7 +39,7 @@ from newtongraph import (
 )
 from newtongraph import pullback
 from newtongraph.rays import on_branch
-from newtongraph.tolerances import DEFAULT_TOL, Tolerances
+from newtongraph.tolerances import Tolerances
 
 CONDITION_NAMES = [
     "channel_core",
@@ -171,8 +171,8 @@ class TestLockstepLift:
         levels = []
         lift_lanes = pullback._lift_lanes
 
-        def recording(f, sources, lanes, tol):
-            lifted = lift_lanes(f, sources, lanes, tol)
+        def recording(f, sources, lanes):
+            lifted = lift_lanes(f, sources, lanes)
             levels.append((f, sources, lanes, lifted))
             return lifted
 
@@ -195,7 +195,7 @@ class TestLockstepLift:
         # the first sample 12 or more from the root (whatever the sampling
         # density): the lift from -1/2 strays there and is bisected like the
         # scalar path
-        f, tol = cubic_unity, DEFAULT_TOL
+        f = cubic_unity
         ray = delta0_unity.edges[2].points
         jump = 5
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
@@ -203,12 +203,12 @@ class TestLockstepLift:
         head_fiber = lift_point(f, INF)
         start = SpherePoint.of(-0.5)
         [(_, lane)] = pullback._lift_lanes(
-            f, {0: (source, head_fiber)}, [(0, start, None)], tol
+            f, {0: (source, head_fiber)}, [(0, start, None)]
         )
         x0, w0, w1 = complex(lane[jump - 1]), complex(source[jump - 1]), complex(source[jump])
-        direct = solve_preimage_near(f, w1, x0, tol)
+        direct = solve_preimage_near(f, w1, x0)
         assert direct is None or not on_branch(direct, x0)
-        assert lane[jump] == continue_inverse_branch(f, w0, w1, x0, tol)
+        assert lane[jump] == continue_inverse_branch(f, w0, w1, x0)
         reference = lift_edge(f, source, start, head_candidates=head_fiber)
         self.assert_same_lift(lane, reference)
 
@@ -283,7 +283,9 @@ class TestPullbackLevel:
 
 class TestSamplingInvariance:
     """The graph depends on the isotopy class of the rays, not on how densely
-    they are sampled: a spacing four times finer gives the same graph."""
+    they are sampled: a spacing four times finer gives the same graph. The
+    finer spacing is set on the map alone, so the sample count also shows
+    that the map's policy reaches the ray tracer."""
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -292,9 +294,10 @@ class TestSamplingInvariance:
         ids=["z3-1", "z3-z", "z4-z", "z5-1", "z6-1"],
     )
     def test_finer_sampling_gives_equivalent_graph(self, coeffs):
-        f = make_newton_map(Polynomial(coeffs))
-        default = compute_newton_graph(f)
-        finer = compute_newton_graph(f, tol=Tolerances(sample_ratio=1.25**0.25))
+        default = compute_newton_graph(make_newton_map(Polynomial(coeffs)))
+        finer = compute_newton_graph(
+            make_newton_map(Polynomial(coeffs), Tolerances(sample_ratio=1.25**0.25))
+        )
         for result in (default, finer):
             assert validate_newton_graph(result.dynamics).passed
         assert (finer.minimal_level, finer.pole_cover_level) == (

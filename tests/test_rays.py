@@ -172,12 +172,12 @@ class TestSolvePreimageNear:
     def test_target_beyond_chart_radius(self, cubic_pm):
         # |w| > chart_radius: the corrector solves D/N = 1/w, where each
         # simple pole of f is a regular point, and near infinity f ~ 2z/3.
-        f, tol = cubic_pm, DEFAULT_TOL
+        f, tol = cubic_pm, cubic_pm.tol
         for w in (2e3, 1e5 * cmath.exp(0.7j), -3e8j):
             assert abs(w) > tol.chart_radius
             starts = [q + 1e-3 * (1 + 1j) * math.sqrt(1e5 / abs(w)) for q, _ in f.poles]
             for x0, near in zip(starts + [1.4 * w], [q for q, _ in f.poles] + [1.5 * w]):
-                x = rays.solve_preimage_near(f, w, x0, tol)
+                x = rays.solve_preimage_near(f, w, x0)
                 assert x is not None
                 assert abs(x - near) < 0.01 * (1 + abs(near))
                 assert chordal_distance(f.evaluate(x), w) <= tol.lift_tol
