@@ -1,37 +1,16 @@
 """Newton maps of polynomials: basins, channel diagrams, Newton graphs,
-combinatorial validation, equivalence, and transition-matrix analysis."""
+combinatorial validation, equivalence, and transition-matrix analysis.
 
-from .cli import main
+The package root holds the documented API (see the README's Library section)
+and the error classes; everything else is imported from its own module."""
+
 from .combinatorial import (
-    KIND_INFINITY,
-    KIND_PLAIN,
-    KIND_POLE,
-    KIND_ROOT,
-    ConditionCheck,
-    EmbeddedGraph,
-    GraphDynamics,
-    Isomorphism,
-    ValidationReport,
-    embedded_graph_from_rotations,
     graph_from_json,
     graph_to_json,
     graphs_equivalent,
-    regular_extension_check,
-    validate_channel_diagram,
     validate_newton_graph,
 )
-from .dynamics import (
-    CriticalOrbit,
-    CriticalOrbitTable,
-    OrbitResult,
-    Raster,
-    RasterSpec,
-    classify_point,
-    critical_orbits,
-    is_postcritically_fixed,
-    render_basins,
-    require_postcritically_fixed,
-)
+from .dynamics import classify_point
 from .errors import (
     BranchJump,
     DegreeTooLow,
@@ -47,135 +26,48 @@ from .errors import (
     RayCollision,
     UnresolvedOrbit,
 )
+from .poly import Polynomial, make_newton_map
 from .pullback import (
-    DynamicGraph,
-    NewtonGraphResult,
-    base_dynamic_graph,
     compute_newton_graph,
-    extract_combinatorial,
     lift_edge,
     lift_point,
     locate_face,
     newton_graph_to_json,
-    pullback_level,
-    verify_face_counts,
-    vertex_kinds_for,
 )
-from .rays import (
-    BottcherLocal,
-    GeoEdge,
-    GeoGraph,
-    RayPath,
-    bottcher_local,
-    channel_diagram,
-    continue_inverse_branch,
-    geograph_to_dot,
-    geograph_to_json,
-    graph_distance,
-    nearest_edge_point,
-    solve_preimage_near,
-    trace_fixed_ray,
-)
-from .poly import (
-    NewtonMap,
-    Polynomial,
-    make_newton_map,
-    roots_of,
-    verify_newton_conditions,
-)
-from .sphere import INF, SpherePoint, chordal_distance
-from .thurston import (
-    MulticurveSpec,
-    TransitionMatrix,
-    is_irreducible,
-    is_irreducible_obstruction,
-    leading_eigenvalue,
-    multicurve_from_json,
-    transition_matrix,
-)
-from .tolerances import DEFAULT_TOL, Tolerances
+from .rays import channel_diagram
+from .sphere import SpherePoint
+from .thurston import is_irreducible_obstruction, transition_matrix
+from .tolerances import Tolerances
 
 __all__ = [
-    "main",
-    "base_dynamic_graph",
-    "bottcher_local",
-    "BottcherLocal",
     "BranchJump",
     "channel_diagram",
-    "chordal_distance",
     "classify_point",
     "compute_newton_graph",
-    "ConditionCheck",
-    "continue_inverse_branch",
-    "critical_orbits",
-    "CriticalOrbit",
-    "CriticalOrbitTable",
-    "DEFAULT_TOL",
     "DegreeTooLow",
-    "DynamicGraph",
-    "embedded_graph_from_rotations",
-    "EmbeddedGraph",
     "EndpointUnmatched",
-    "extract_combinatorial",
-    "GeoEdge",
-    "GeoGraph",
-    "geograph_to_dot",
-    "geograph_to_json",
-    "graph_distance",
     "graph_from_json",
     "graph_to_json",
-    "GraphDynamics",
     "graphs_equivalent",
-    "INF",
     "InvalidGraph",
-    "is_irreducible",
     "is_irreducible_obstruction",
-    "is_postcritically_fixed",
-    "Isomorphism",
-    "KIND_INFINITY",
-    "KIND_PLAIN",
-    "KIND_POLE",
-    "KIND_ROOT",
-    "leading_eigenvalue",
     "LevelCapExceeded",
     "lift_edge",
     "lift_point",
     "locate_face",
     "make_newton_map",
-    "multicurve_from_json",
-    "MulticurveSpec",
     "MultipleRoot",
-    "nearest_edge_point",
     "newton_graph_to_json",
     "NewtonGraphError",
-    "NewtonGraphResult",
-    "NewtonMap",
     "NoConvergence",
     "NoEscape",
     "NonPlanarIncidence",
     "NotARoot",
-    "OrbitResult",
     "Polynomial",
-    "pullback_level",
-    "Raster",
-    "RasterSpec",
     "RayCollision",
-    "RayPath",
-    "regular_extension_check",
-    "render_basins",
-    "require_postcritically_fixed",
-    "roots_of",
-    "solve_preimage_near",
     "SpherePoint",
     "Tolerances",
-    "trace_fixed_ray",
     "transition_matrix",
-    "TransitionMatrix",
     "UnresolvedOrbit",
-    "validate_channel_diagram",
     "validate_newton_graph",
-    "ValidationReport",
-    "verify_face_counts",
-    "verify_newton_conditions",
-    "vertex_kinds_for",
 ]

@@ -152,8 +152,10 @@ def cmd_roots(args) -> int:
 def cmd_render(args) -> int:
     if args.width < 1 or args.height < 1:
         raise InputError("raster dimensions must be >= 1")
-    if args.half_width <= 0:
-        raise InputError("--half-width must be > 0")
+    if not 0 < args.half_width < np.inf:
+        raise InputError("--half-width must be finite and > 0")
+    if not np.isfinite([args.center_re, args.center_im]).all():
+        raise InputError("--center-re and --center-im must be finite")
     if not 0 <= args.max_iter <= MAX_RASTER_ITER:
         raise InputError(f"--max-iter must be in 0..{MAX_RASTER_ITER}")
     f = make_newton_map(load_polynomial(args.polynomial))
@@ -191,7 +193,7 @@ def cmd_graph(args) -> int:
         raise InputError("--max-level must be >= 1")
     f = make_newton_map(load_polynomial(args.polynomial))
     result = compute_newton_graph(f, max_level=args.max_level)
-    text = _dump_json(newton_graph_to_json(result, f))
+    text = _dump_json(newton_graph_to_json(result))
     if args.out:
         _write_file(args.out, text.encode("utf-8"))
     if args.json:

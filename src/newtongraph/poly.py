@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorial import UnionFind
+from .combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT, UnionFind
 from .errors import DegreeTooLow, MultipleRoot, NoConvergence
 from .sphere import INF, SpherePoint, chordal_distance
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -324,6 +325,19 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
     return tuple(sorted(found, key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12))))
 
 
+class MarkedPoint(NamedTuple):
+    """What a Newton map marks at a point of the sphere: its exact location
+    (complex("inf") for infinity), the vertex kind a graph vertex there has,
+    and the local degree of the map there."""
+
+    value: complex
+    kind: str
+    local_degree: int
+
+
+_INFINITY = MarkedPoint(complex("inf"), KIND_INFINITY, 1)
+
+
 @dataclass(frozen=True)
 class NewtonMap:
     """The rational map z - p/p' with its marked-point bookkeeping.
@@ -344,6 +358,7 @@ class NewtonMap:
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
     numerator_derivative: Polynomial = field(init=False, repr=False, compare=False)
     denominator_derivative: Polynomial = field(init=False, repr=False, compare=False)
+    marked_points: tuple[MarkedPoint, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dnum, dden = self.numerator.derivative(), self.denominator.derivative()
@@ -358,6 +373,14 @@ class NewtonMap:
         n, d = self.numerator.coeffs, self.denominator.coeffs
         chart = (n + (0j,) * (self.degree + 1 - len(n)), d + (0j,) * (self.degree - len(d)))
         object.__setattr__(self, "_chart", chart)
+        # The roots, then the poles, then the free critical points, each once.
+        # make_newton_map puts a critical point that coincides with a root or
+        # a pole exactly there, so branching indices are taken by value.
+        index = dict(self.critical_points)
+        marked = [MarkedPoint(r, KIND_ROOT, 1 + index.pop(r, 0)) for r in self.roots]
+        marked += [MarkedPoint(q, KIND_POLE, 1 + index.pop(q, 0)) for q, _ in self.poles]
+        marked += [MarkedPoint(c, KIND_PLAIN, 1 + m) for c, m in index.items()]
+        object.__setattr__(self, "marked_points", tuple(marked))
 
     # --- evaluation ---------------------------------------------------------
 
@@ -433,23 +456,22 @@ class NewtonMap:
                 best, bd = i, d
         return best, bd
 
-    def nearest_pole(self, z: complex) -> tuple[int, float]:
-        best, bd = -1, float("inf")
-        for i, (q, _) in enumerate(self.poles):
-            d = chordal_distance(z, q)
-            if d < bd:
-                best, bd = i, d
-        return best, bd
+    def marked_point(self, z: SpherePoint | complex) -> MarkedPoint:
+        """The first of marked_points within match_tol (chordal) of z, the
+        point at infinity itself, or else z as an unmarked plain point of
+        local degree 1. This is the one place that decides whether a point
+        is marked: fiber snapping, vertex kinds and local degrees read it."""
+        pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
+        if pt.is_infinity:
+            return _INFINITY
+        for mark in self.marked_points:
+            if chordal_distance(pt, mark.value) <= self.tol.match_tol:
+                return mark
+        return MarkedPoint(pt.value, KIND_PLAIN, 1)
 
     def local_degree(self, z: SpherePoint | complex) -> int:
         """Local mapping degree at z; 1 except at critical points."""
-        pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
-        if pt.is_infinity:
-            return 1
-        for c, mult in self.critical_points:
-            if chordal_distance(pt.value, c) <= self.tol.match_tol:
-                return 1 + mult
-        return 1
+        return self.marked_point(z).local_degree
 
 
 def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:

@@ -101,32 +101,26 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
 # --- preimages ----------------------------------------------------------
 
 
-def _snap_marked(f: NewtonMap, z: complex) -> complex:
-    """The first root, pole or critical point within match_tol of z, else z."""
-    for a in (*f.roots, *(q for q, _ in f.poles), *(c for c, _ in f.critical_points)):
-        if chordal_distance(z, a) <= f.tol.match_tol:
-            return a
-    return z
-
-
 def lift_point(
     f: NewtonMap, w: SpherePoint | complex
 ) -> tuple[tuple[SpherePoint, int], ...]:
     """All preimages of w under f with their local degrees, summing to deg f.
 
     Finite fibers solve numerator - w * denominator = 0; the fiber over
-    infinity is the poles plus infinity itself. Preimages are snapped to the
-    map's marked points, and two fiber points closer than match_tol abort
+    infinity is the poles plus infinity itself. A target within match_tol of
+    a marked point is solved over that point's exact value, so a multiple
+    preimage there is one point of its full degree. Preimages are snapped to
+    the map's marked points, and two fiber points closer than match_tol abort
     rather than silently merging.
     """
     tol = f.tol
-    pt = w if isinstance(w, SpherePoint) else SpherePoint.of(w)
+    pt = SpherePoint.of(f.marked_point(w).value)
     if pt.is_infinity:
         out = [(SpherePoint.of(q), m) for q, m in f.poles] + [(INF, 1)]
     else:
         shifted = f.numerator - f.denominator * pt.value
         out = [
-            (SpherePoint.of(_snap_marked(f, z)), m)
+            (SpherePoint.of(f.marked_point(z).value), m)
             for z, m in roots_of(shifted, tol.root_tol)
         ]
     total = sum(m for _, m in out)
@@ -531,21 +525,6 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
 # --- the full tower -------------------------------------------------------
 
 
-def vertex_kinds_for(f: NewtonMap, geo: GeoGraph) -> tuple[str, ...]:
-    tol = f.tol
-    kinds = []
-    for v in geo.vertices:
-        if v.is_infinity:
-            kinds.append(KIND_INFINITY)
-        elif any(chordal_distance(v, r) <= tol.match_tol for r in f.roots):
-            kinds.append(KIND_ROOT)
-        elif any(chordal_distance(v, q) <= tol.match_tol for q, _ in f.poles):
-            kinds.append(KIND_POLE)
-        else:
-            kinds.append(KIND_PLAIN)
-    return tuple(kinds)
-
-
 def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
     """Rotation system and self-map data of a pullback level.
 
@@ -554,7 +533,8 @@ def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
     orientation from their sources.
     """
     geo = dg.geo
-    kinds = vertex_kinds_for(f, geo)
+    marks = [f.marked_point(v) for v in geo.vertices]
+    kinds = tuple(m.kind for m in marks)
     rotations = [
         [d for _, d in geo.vertex_star(v)] for v in range(len(geo.vertices))
     ]
@@ -562,13 +542,12 @@ def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
         [(e.tail, e.head) for e in geo.edges], rotations, kinds
     )
     dart_map = tuple(2 * dg.edge_map[d >> 1] + (d & 1) for d in range(2 * len(geo.edges)))
-    local_degree = tuple(f.local_degree(v) for v in geo.vertices)
     return GraphDynamics(
         graph=graph,
         vertex_map=tuple(dg.vertex_map),
         edge_map=tuple(dg.edge_map),
         dart_map=dart_map,
-        local_degree=local_degree,
+        local_degree=tuple(m.local_degree for m in marks),
         channel_edges=frozenset(j for j, l in enumerate(dg.edge_level) if l == 0),
         level=dg.level,
     )
@@ -778,13 +757,13 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
 
     # owners of level-1 edges at each pole vertex
     geo1 = level1.geo
-    kinds1 = vertex_kinds_for(f, geo1)
+    marks1 = [f.marked_point(v) for v in geo1.vertices]
     pole_owner_sets: dict[int, set[int]] = {}
     pole_immediate_sets: dict[int, set[int]] = {}
     for j, e in enumerate(geo1.edges):
         owner = level1.root_owner(j)
         for v in (e.tail, e.head):
-            if kinds1[v] != KIND_POLE:
+            if marks1[v].kind != KIND_POLE:
                 continue
             pole_owner_sets.setdefault(v, set()).add(owner)
             if e.tail == owner:
@@ -810,11 +789,8 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     )
 
     crowded = []
-    for v, kind in enumerate(kinds1):
-        if kind != KIND_POLE:
-            continue
-        pole_index, _ = f.nearest_pole(geo1.vertices[v].value)
-        if f.poles[pole_index][1] != 1:
+    for v, mark in enumerate(marks1):
+        if mark.kind != KIND_POLE or mark.local_degree != 1:  # simple poles only
             continue
         owners = pole_immediate_sets.get(v, set())
         if len(owners) > 2:
@@ -834,11 +810,12 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
 # --- export -----------------------------------------------------------------
 
 
-def newton_graph_to_json(result: NewtonGraphResult, f: NewtonMap) -> dict:
+def newton_graph_to_json(result: NewtonGraphResult) -> dict:
     """Plain-data export of the top level: the geometric graph with per-edge
-    levels and source edges, the map data, and the combinatorial extraction."""
+    levels and source edges, the map data, and the combinatorial extraction,
+    whose vertex kinds and local degrees it reuses."""
     top = result.graphs[-1]
-    kinds = vertex_kinds_for(f, top.geo)
+    kinds = result.dynamics.graph.vertex_kinds
     labels = []
     counters = {KIND_ROOT: 0, KIND_POLE: 0, KIND_PLAIN: 0}
     for i, kind in enumerate(kinds):
@@ -853,7 +830,7 @@ def newton_graph_to_json(result: NewtonGraphResult, f: NewtonMap) -> dict:
     data["vertex_map"] = {str(i): m for i, m in enumerate(top.vertex_map)}
     data["edge_map"] = {str(j): m for j, m in enumerate(top.edge_map)}
     data["local_degrees"] = {
-        str(i): f.local_degree(v) for i, v in enumerate(top.geo.vertices)
+        str(i): m for i, m in enumerate(result.dynamics.local_degree)
     }
     data["N"] = result.minimal_level
     data["pole_cover_level"] = result.pole_cover_level

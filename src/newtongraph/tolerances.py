@@ -4,7 +4,8 @@ it from there."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,15 @@ class Tolerances:
             raise ValueError("sample_ratio must be > 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if not self.lift_tol > 0:
+            raise ValueError("lift_tol must be > 0")
+        for name in ("basin_tol", "pole_snap", "land_tol", "jump_guard"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
 
     @property
     def chart_radius(self) -> float:

@@ -3,16 +3,18 @@
 import pytest
 
 from newtongraph import (
+    Polynomial,
+    channel_diagram,
+    compute_newton_graph,
+    make_newton_map,
+)
+from newtongraph.combinatorial import (
+    GraphDynamics,
     KIND_INFINITY,
     KIND_PLAIN,
     KIND_POLE,
     KIND_ROOT,
-    GraphDynamics,
-    Polynomial,
-    channel_diagram,
-    compute_newton_graph,
     embedded_graph_from_rotations,
-    make_newton_map,
 )
 
 

@@ -17,31 +17,28 @@ import numpy as np
 import pytest
 
 from newtongraph import (
-    GeoEdge,
-    GeoGraph,
-    GraphDynamics,
-    MulticurveSpec,
     Polynomial,
     SpherePoint,
-    base_dynamic_graph,
     channel_diagram,
-    chordal_distance,
     classify_point,
     compute_newton_graph,
-    critical_orbits,
-    embedded_graph_from_rotations,
-    extract_combinatorial,
-    graph_distance,
     graphs_equivalent,
-    is_irreducible,
     is_irreducible_obstruction,
-    is_postcritically_fixed,
     lift_point,
     make_newton_map,
     transition_matrix,
     validate_newton_graph,
+)
+from newtongraph.combinatorial import GraphDynamics, embedded_graph_from_rotations
+from newtongraph.dynamics import critical_orbits, is_postcritically_fixed
+from newtongraph.pullback import (
+    base_dynamic_graph,
+    extract_combinatorial,
     verify_face_counts,
 )
+from newtongraph.rays import GeoEdge, GeoGraph, graph_distance
+from newtongraph.sphere import chordal_distance
+from newtongraph.thurston import MulticurveSpec, is_irreducible
 from newtongraph.cli import main
 from newtongraph.errors import InvalidGraph
 

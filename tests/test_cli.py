@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import newtongraph
 from newtongraph.cli import main
 
 UNITY = {"coeffs": [[-1, 0], [0, 0], [0, 0], [1, 0]]}
@@ -160,6 +162,23 @@ class TestRender:
         data = json.loads(text)
         assert sum(data["basin_pixels"]) + data["unresolved_pixels"] == 64
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--half-width", "nan"), ("--half-width", "inf"),
+         ("--center-re", "nan"), ("--center-im", "inf")],
+    )
+    def test_non_finite_window_exits_2(self, tmp_path, capsys, option, value):
+        poly = write_json(tmp_path, "p.json", UNITY)
+        out = tmp_path / "x.ppm"
+        code, _, err = run(
+            capsys,
+            ["render", poly, str(out), "--width", "8", "--height", "8",
+             option, value],
+        )
+        assert code == 2
+        assert option in err
+        assert not out.exists()
+
 
 class TestGraph:
     def test_pm_prints_levels_and_writes_file(self, tmp_path, capsys):
@@ -307,13 +326,18 @@ class TestDeterminism:
 
     def test_console_entry_point(self, tmp_path):
         poly = write_json(tmp_path, "pm.json", PM)
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(newtongraph.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "newtongraph.cli", "roots", poly],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "degree 3" in proc.stdout
+        assert proc.stderr == ""
 
 
 class TestGoldenDigests:

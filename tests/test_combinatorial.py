@@ -11,20 +11,22 @@ import time
 import pytest
 
 from newtongraph import (
+    InvalidGraph,
+    graph_from_json,
+    graph_to_json,
+    graphs_equivalent,
+    validate_newton_graph,
+)
+from newtongraph.combinatorial import (
+    EmbeddedGraph,
+    GraphDynamics,
     KIND_INFINITY,
     KIND_PLAIN,
     KIND_POLE,
     KIND_ROOT,
-    EmbeddedGraph,
-    GraphDynamics,
-    InvalidGraph,
     embedded_graph_from_rotations,
-    graph_from_json,
-    graph_to_json,
-    graphs_equivalent,
     regular_extension_check,
     validate_channel_diagram,
-    validate_newton_graph,
 )
 from conftest import HandBuiltModel, aligned_dart_map
 

@@ -30,17 +30,20 @@ import pytest
 
 from newtongraph import (
     Polynomial,
-    Raster,
-    RasterSpec,
     UnresolvedOrbit,
     classify_point,
+    make_newton_map,
+)
+from newtongraph.dynamics import (
+    MAX_RASTER_ITER,
+    Raster,
+    RasterSpec,
+    _PALETTE,
     critical_orbits,
     is_postcritically_fixed,
-    make_newton_map,
     render_basins,
     require_postcritically_fixed,
 )
-from newtongraph.dynamics import _PALETTE, MAX_RASTER_ITER
 from newtongraph.sphere import INF
 
 

@@ -1,0 +1,133 @@
+"""The Newton map's marked points: one table of roots, poles and free
+critical points, with kinds and local degrees, and one lookup that every
+stage reads. The oracles here do not go through the table: local degrees
+are checked against fiber multiplicities from root clustering, root kinds
+against f.roots, and fibers against a solve over the exact marked point."""
+
+import pytest
+
+from newtongraph import Polynomial, compute_newton_graph, lift_point, newton_graph_to_json
+from newtongraph.combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT
+from newtongraph.poly import make_newton_map
+from newtongraph.pullback import extract_combinatorial
+from newtongraph.sphere import INF, SpherePoint
+
+POOL = {
+    "z3-1": (-1, 0, 0, 1),
+    "z3-z": (0, -1, 0, 1),
+    "z3+z": (0, 1, 0, 1),
+    "z4-1": (-1, 0, 0, 0, 1),
+    "z4-z": (0, -1, 0, 0, 1),
+    "z5-z": (0, -1, 0, 0, 0, 1),
+    "z6-1": (-1, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def towers():
+    out = {}
+    for name, coeffs in POOL.items():
+        f = make_newton_map(Polynomial(coeffs))
+        out[name] = (f, compute_newton_graph(f))
+    return out
+
+
+class TestTable:
+    def test_roots_poles_then_free_critical_points(self):
+        # z^3 - z: roots -1, 0, 1 and simple poles +-1/sqrt(3); p'' = 6z
+        # vanishes at the root 0, which therefore has local degree 3 and
+        # leaves no free critical point
+        f = make_newton_map(Polynomial((0, -1, 0, 1)))
+        kinds = [m.kind for m in f.marked_points]
+        assert kinds == [KIND_ROOT] * 3 + [KIND_POLE] * 2
+        degrees = {complex(m.value): m.local_degree for m in f.marked_points}
+        assert degrees[0j] == 3
+        assert degrees[1 + 0j] == degrees[-1 + 0j] == 2
+        assert [m.local_degree for m in f.marked_points[3:]] == [1, 1]
+
+    def test_free_critical_point_and_multiple_pole(self):
+        # z^3 - 2z + 2: p'' = 6z vanishes at 0, which is neither a root nor
+        # a pole; z^3 - 1 has the double pole 0
+        f = make_newton_map(Polynomial((2, -2, 0, 1)))
+        [free] = [m for m in f.marked_points if m.kind == KIND_PLAIN]
+        assert free.value == 0 and free.local_degree == 2
+        g = make_newton_map(Polynomial((-1, 0, 0, 1)))
+        [pole] = [m for m in g.marked_points if m.kind == KIND_POLE]
+        assert pole.value == 0 and pole.local_degree == 2
+
+    def test_lookup(self):
+        f = make_newton_map(Polynomial((-1, 0, 0, 1)))
+        root = f.marked_point(1 + 1e-9j)
+        assert (root.kind, root.local_degree, root.value) == (KIND_ROOT, 2, f.roots[2])
+        assert f.marked_point(INF).kind == KIND_INFINITY
+        assert f.marked_point(INF).local_degree == 1
+        plain = f.marked_point(0.5 + 0.5j)
+        assert (plain.value, plain.kind, plain.local_degree) == (0.5 + 0.5j, KIND_PLAIN, 1)
+        # beyond match_tol a point is unmarked
+        assert f.marked_point(1 + 1e-3j).kind == KIND_PLAIN
+
+
+class TestEveryVertex:
+    @pytest.mark.parametrize("name", POOL)
+    def test_local_degree_is_fiber_multiplicity(self, towers, name):
+        f, result = towers[name]
+        for dg in result.graphs:
+            geo = dg.geo
+            degrees = extract_combinatorial(f, dg).local_degree
+            for v, x in enumerate(geo.vertices):
+                fiber = dict(lift_point(f, geo.vertices[dg.vertex_map[v]]))
+                assert degrees[v] == fiber[x] == f.local_degree(x), (name, dg.level, v)
+
+    @pytest.mark.parametrize("name", POOL)
+    def test_root_vertices_are_the_roots(self, towers, name):
+        f, result = towers[name]
+        for dg in result.graphs:
+            kinds = extract_combinatorial(f, dg).graph.vertex_kinds
+            roots = {complex(v) for v, k in zip(dg.geo.vertices, kinds) if k == KIND_ROOT}
+            assert roots == {complex(r) for r in f.roots}
+            assert kinds.count(KIND_ROOT) == len(f.roots)
+
+    @pytest.mark.parametrize("name", POOL)
+    def test_export_reads_the_extraction(self, towers, name):
+        f, result = towers[name]
+        data = newton_graph_to_json(result)
+        dyn = result.dynamics
+        assert [rec["kind"] for rec in data["vertices"]] == list(dyn.graph.vertex_kinds)
+        assert data["local_degrees"] == {
+            str(v): m for v, m in enumerate(dyn.local_degree)
+        }
+
+    def test_vertex_count(self, towers):
+        total = sum(len(dg.geo.vertices) for _, r in towers.values() for dg in r.graphs)
+        assert total == 393
+
+
+class TestFiberNextToMarkedPoint:
+    def test_double_preimage_stays_whole(self):
+        # z^4 - z: the root 1 has local degree 2; a target a rounding error
+        # off it used to split that double preimage into two points 1
+        f = make_newton_map(Polynomial((0, -1, 0, 0, 1)))
+        root = f.roots[f.nearest_root(1)[0]]
+        exact = lift_point(f, root)
+        assert (SpherePoint.of(root), 2) in exact
+        assert lift_point(f, 1 + 1e-12j) == exact
+        # the image of the level-1 vertex -1/3 + 0.4714i, a preimage of 1
+        [v] = [x for x, m in exact if m == 1 and x.value.imag > 0]
+        assert lift_point(f, f.evaluate(v)) == exact
+
+    def test_no_spurious_neighbour(self):
+        # z^3 - 1: over 1 + 1e-12j the root 1 came back simple, with a second
+        # point 1e-6 away
+        f = make_newton_map(Polynomial((-1, 0, 0, 1)))
+        fiber = lift_point(f, 1 + 1e-12j)
+        assert len(fiber) == 2
+        assert (SpherePoint.of(f.roots[f.nearest_root(1)[0]]), 2) in fiber
+
+    def test_far_target_unchanged(self):
+        # a target beyond match_tol of every marked point is solved as given
+        f = make_newton_map(Polynomial((-1, 0, 0, 1)))
+        fiber = lift_point(f, 1 + 1e-3j)
+        assert len(fiber) == 3
+        for x, m in fiber:
+            assert m == 1
+            assert abs(f.evaluate(x).value - (1 + 1e-3j)) < 1e-12

@@ -318,6 +318,33 @@ class TestTolerances:
             Tolerances(max_steps=-1)
         assert Tolerances(max_steps=0).max_steps == 0
 
+    # every field with values no stage can use: non-finite floats, and each
+    # field's own out-of-range values
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("root_tol", (math.nan, math.inf, 0.0, 1.0)),
+            ("match_tol", (math.nan, math.inf, 0.0, 1.0)),
+            ("escape_radius", (math.nan, math.inf, 10.0)),
+            ("basin_tol", (math.nan, math.inf, -1e-3)),
+            ("pole_snap", (math.nan, math.inf, -1e-9)),
+            ("land_tol", (math.nan, math.inf, -1e-9)),
+            ("jump_guard", (math.nan, math.inf, -1e-3)),
+            ("max_steps", (-1,)),
+            ("lift_tol", (math.nan, math.inf, 0.0, -1.0)),
+            ("sample_ratio", (math.nan, math.inf, 1.0)),
+        ],
+    )
+    def test_unusable_value_rejected(self, name, values):
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                Tolerances(**{name: value})
+
+    def test_zero_gates_accepted(self):
+        gates = ("basin_tol", "pole_snap", "land_tol", "jump_guard")
+        tol = Tolerances(**dict.fromkeys(gates, 0.0))
+        assert all(getattr(tol, name) == 0.0 for name in gates)
+
 
 class TestVerifyNewtonConditions:
     def test_passes_on_newton_map(self):

@@ -10,20 +10,11 @@ import numpy as np
 import pytest
 
 from newtongraph import (
-    INF,
-    GeoEdge,
-    GeoGraph,
     LevelCapExceeded,
     Polynomial,
     SpherePoint,
     UnresolvedOrbit,
-    base_dynamic_graph,
-    chordal_distance,
     compute_newton_graph,
-    continue_inverse_branch,
-    extract_combinatorial,
-    geograph_to_dot,
-    graph_distance,
     graph_from_json,
     graph_to_json,
     graphs_equivalent,
@@ -32,13 +23,25 @@ from newtongraph import (
     locate_face,
     make_newton_map,
     newton_graph_to_json,
-    regular_extension_check,
-    solve_preimage_near,
+    pullback,
     validate_newton_graph,
+)
+from newtongraph.combinatorial import regular_extension_check
+from newtongraph.pullback import (
+    base_dynamic_graph,
+    extract_combinatorial,
     verify_face_counts,
 )
-from newtongraph import pullback
-from newtongraph.rays import on_branch
+from newtongraph.rays import (
+    GeoEdge,
+    GeoGraph,
+    continue_inverse_branch,
+    geograph_to_dot,
+    graph_distance,
+    on_branch,
+    solve_preimage_near,
+)
+from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import Tolerances
 
 CONDITION_NAMES = [
@@ -504,8 +507,8 @@ class TestLocateFace:
 
 
 class TestExport:
-    def test_newton_graph_json_shape(self, graph_unity, cubic_unity):
-        data = newton_graph_to_json(graph_unity, cubic_unity)
+    def test_newton_graph_json_shape(self, graph_unity):
+        data = newton_graph_to_json(graph_unity)
         assert data["N"] == 2
         assert data["pole_cover_level"] == 1
         assert len(data["vertices"]) == 20
@@ -528,7 +531,7 @@ class TestExport:
             f = make_newton_map(Polynomial((0, -1, 0, 1)))
             res = compute_newton_graph(f)
             outs.append(
-                json.dumps(newton_graph_to_json(res, f), sort_keys=True)
+                json.dumps(newton_graph_to_json(res), sort_keys=True)
             )
         assert outs[0] == outs[1]
 

@@ -21,16 +21,9 @@ import math
 import numpy as np
 import pytest
 
-from newtongraph import (
-    GeoEdge,
-    NotARoot,
-    bottcher_local,
-    channel_diagram,
-    chordal_distance,
-    graph_distance,
-    trace_fixed_ray,
-)
-from newtongraph import rays
+from newtongraph import NotARoot, channel_diagram, rays
+from newtongraph.rays import GeoEdge, bottcher_local, graph_distance, trace_fixed_ray
+from newtongraph.sphere import chordal_distance
 from newtongraph.tolerances import DEFAULT_TOL
 
 TAU = 2 * math.pi

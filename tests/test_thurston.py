@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from newtongraph import (
+    is_irreducible_obstruction,
+    transition_matrix,
+)
+from newtongraph.thurston import (
     MulticurveSpec,
     is_irreducible,
-    is_irreducible_obstruction,
     leading_eigenvalue,
     multicurve_from_json,
-    transition_matrix,
 )
 
 
