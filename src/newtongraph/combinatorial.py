@@ -17,7 +17,9 @@ sphere, and an orientation-preserving equivalence search.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidGraph
 
@@ -51,23 +53,11 @@ class EmbeddedGraph:
             raise InvalidGraph("vertex ids must be 0..V-1 with no gaps")
         if len(self.vertex_kinds) != n_vertices:
             raise InvalidGraph("vertex_kinds length does not match vertex count")
-        # one sigma-cycle per vertex
-        counts = [0] * n_vertices
-        for d in range(n):
-            counts[self.vertex_of[d]] += 1
-        seen = [False] * n
-        for v in range(n_vertices):
-            start = min(d for d in range(n) if self.vertex_of[d] == v)
-            d, cycle_len = start, 0
-            while True:
-                if seen[d]:
-                    raise InvalidGraph(f"vertex {v} has more than one sigma cycle")
-                seen[d] = True
-                cycle_len += 1
-                d = self.sigma[d]
-                if d == start:
-                    break
-            if cycle_len != counts[v]:
+        # one sigma-cycle per vertex: sigma keeps each dart at its vertex, so
+        # the cycle through a vertex's least dart holds all its darts or fewer
+        counts = Counter(self.vertex_of)
+        for v, cycle in enumerate(self.vertex_darts):
+            if len(cycle) != counts[v]:
                 raise InvalidGraph(f"vertex {v} has more than one sigma cycle")
         # connectivity under <sigma, mate>
         reached = [False] * n
@@ -98,75 +88,54 @@ class EmbeddedGraph:
     def n_vertices(self) -> int:
         return len(self.vertex_kinds)
 
-    @staticmethod
-    def mate(dart: int) -> int:
-        return dart ^ 1
-
-    @staticmethod
-    def edge_of(dart: int) -> int:
-        return dart >> 1
-
     def endpoints(self, edge: int) -> tuple[int, int]:
         return self.vertex_of[2 * edge], self.vertex_of[2 * edge + 1]
 
     def degree(self, vertex: int) -> int:
         return len(self.vertex_darts[vertex])
 
-    @property
+    @cached_property
     def vertex_darts(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its darts in ccw order, starting from the least dart id."""
-        cached = self.__dict__.get("_vertex_darts")
-        if cached is None:
-            per_vertex = [[] for _ in range(self.n_vertices)]
-            for d in range(self.n_darts):
-                per_vertex[self.vertex_of[d]].append(d)
-            cycles = []
-            for v, darts in enumerate(per_vertex):
-                start = min(darts)
-                cycle = [start]
-                d = self.sigma[start]
-                while d != start:
-                    cycle.append(d)
-                    d = self.sigma[d]
-                cycles.append(tuple(cycle))
-            cached = tuple(cycles)
-            object.__setattr__(self, "_vertex_darts", cached)
-        return cached
+        first = [None] * self.n_vertices
+        for d in reversed(range(self.n_darts)):
+            first[self.vertex_of[d]] = d
+        cycles = []
+        for start in first:
+            cycle = [start]
+            d = self.sigma[start]
+            while d != start:
+                cycle.append(d)
+                d = self.sigma[d]
+            cycles.append(tuple(cycle))
+        return tuple(cycles)
 
-    @property
+    @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of dart -> sigma[mate(dart)], each rotated to start at its least dart."""
-        cached = self.__dict__.get("_faces")
-        if cached is None:
-            n = self.n_darts
-            assigned = [False] * n
-            walks = []
-            for d in range(n):
-                if assigned[d]:
-                    continue
-                walk = []
-                x = d
-                while not assigned[x]:
-                    assigned[x] = True
-                    walk.append(x)
-                    x = self.sigma[x ^ 1]
-                walks.append(tuple(walk))
-            cached = tuple(sorted(walks, key=lambda w: w[0]))
-            object.__setattr__(self, "_faces", cached)
-        return cached
+        """Orbits of dart -> sigma[dart ^ 1], each rotated to start at its least dart."""
+        n = self.n_darts
+        assigned = [False] * n
+        walks = []
+        for d in range(n):
+            if assigned[d]:
+                continue
+            walk = []
+            x = d
+            while not assigned[x]:
+                assigned[x] = True
+                walk.append(x)
+                x = self.sigma[x ^ 1]
+            walks.append(tuple(walk))
+        return tuple(sorted(walks, key=lambda w: w[0]))
 
-    @property
+    @cached_property
     def face_of(self) -> tuple[int, ...]:
         """Face index per dart: the face on the right of the dart."""
-        cached = self.__dict__.get("_face_of")
-        if cached is None:
-            owner = [0] * self.n_darts
-            for i, walk in enumerate(self.faces):
-                for d in walk:
-                    owner[d] = i
-            cached = tuple(owner)
-            object.__setattr__(self, "_face_of", cached)
-        return cached
+        owner = [0] * self.n_darts
+        for i, walk in enumerate(self.faces):
+            for d in walk:
+                owner[d] = i
+        return tuple(owner)
 
     @property
     def n_faces(self) -> int:
@@ -287,26 +256,18 @@ class GraphDynamics:
             if self.dart_map[d ^ 1] != image ^ 1:
                 raise InvalidGraph(f"dart_map does not pair the two ends of edge {d >> 1}")
 
-    @property
+    @cached_property
     def channel_vertices(self) -> frozenset[int]:
-        cached = self.__dict__.get("_channel_vertices")
-        if cached is None:
-            members = set()
-            for e in self.channel_edges:
-                members.update(self.graph.endpoints(e))
-            cached = frozenset(members)
-            object.__setattr__(self, "_channel_vertices", cached)
-        return cached
+        members = set()
+        for e in self.channel_edges:
+            members.update(self.graph.endpoints(e))
+        return frozenset(members)
 
-    @property
+    @cached_property
     def center_vertex(self) -> int | None:
         """The unique vertex marked as the point at infinity, if there is one."""
-        cached = self.__dict__.get("_center")
-        if cached is None:
-            hits = [v for v, k in enumerate(self.graph.vertex_kinds) if k == KIND_INFINITY]
-            cached = (hits[0] if len(hits) == 1 else -1)
-            object.__setattr__(self, "_center", cached)
-        return None if cached == -1 else cached
+        hits = [v for v, k in enumerate(self.graph.vertex_kinds) if k == KIND_INFINITY]
+        return hits[0] if len(hits) == 1 else None
 
     @property
     def channel_degree(self) -> int:
@@ -314,23 +275,15 @@ class GraphDynamics:
         center = self.center_vertex
         return len(self.channel_vertices - ({center} if center is not None else set()))
 
-    @property
+    @cached_property
     def edge_depths(self) -> tuple[int | None, ...]:
         """Least number of edge_map steps taking each edge into the channel core."""
-        cached = self.__dict__.get("_edge_depths")
-        if cached is None:
-            cached = _depths(self.edge_map, self.channel_edges)
-            object.__setattr__(self, "_edge_depths", cached)
-        return cached
+        return _depths(self.edge_map, self.channel_edges)
 
-    @property
+    @cached_property
     def vertex_depths(self) -> tuple[int | None, ...]:
         """Least number of vertex_map steps taking each vertex into the channel core."""
-        cached = self.__dict__.get("_vertex_depths")
-        if cached is None:
-            cached = _depths(self.vertex_map, self.channel_vertices)
-            object.__setattr__(self, "_vertex_depths", cached)
-        return cached
+        return _depths(self.vertex_map, self.channel_vertices)
 
 
 @dataclass(frozen=True)
@@ -668,25 +621,6 @@ class Isomorphism:
     dart_bijection: tuple[int, ...]
     vertex_bijection: tuple[int, ...]
     edge_bijection: tuple[int, ...]
-
-    def inverse(self) -> "Isomorphism":
-        nd = [0] * len(self.dart_bijection)
-        for i, j in enumerate(self.dart_bijection):
-            nd[j] = i
-        nv = [0] * len(self.vertex_bijection)
-        for i, j in enumerate(self.vertex_bijection):
-            nv[j] = i
-        ne = [0] * len(self.edge_bijection)
-        for i, j in enumerate(self.edge_bijection):
-            ne[j] = i
-        return Isomorphism(tuple(nd), tuple(nv), tuple(ne))
-
-    def then(self, other: "Isomorphism") -> "Isomorphism":
-        return Isomorphism(
-            tuple(other.dart_bijection[j] for j in self.dart_bijection),
-            tuple(other.vertex_bijection[j] for j in self.vertex_bijection),
-            tuple(other.edge_bijection[j] for j in self.edge_bijection),
-        )
 
 
 def _propagate_match(ga: EmbeddedGraph, gb: EmbeddedGraph, anchor: int):

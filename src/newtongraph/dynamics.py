@@ -17,7 +17,6 @@ import numpy as np
 from .errors import UnresolvedOrbit
 from .poly import NewtonMap
 from .sphere import INF, SpherePoint
-from .tolerances import Tolerances
 
 STAY_ITERATES = 5
 # steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
@@ -35,9 +34,9 @@ class OrbitResult:
     trace: tuple[SpherePoint, ...] | None = None
 
 
-def _snap_pole(f: NewtonMap, z: complex, tol: Tolerances) -> bool:
+def _snap_pole(f: NewtonMap, z: complex) -> bool:
     for q, _ in f.poles:
-        if abs(z - q) <= tol.pole_snap * (1 + abs(q)):
+        if abs(z - q) <= f.tol.pole_snap * (1 + abs(q)):
             return True
     return False
 
@@ -72,7 +71,7 @@ def classify_point(
                 "unresolved", hit_prepole=True, trace=tuple(trace) if trace else None
             )
         zv = cur.value
-        if _snap_pole(f, zv, tol):
+        if _snap_pole(f, zv):
             if trace is not None:
                 trace.append(INF)
             return OrbitResult(
@@ -288,7 +287,7 @@ def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
                     landing, root_index, time = "root", idx, s
                     break
             prev_dist = dist
-            if _snap_pole(f, zv, tol):
+            if _snap_pole(f, zv):
                 orbit.append(INF)
                 prepole = True
                 continue

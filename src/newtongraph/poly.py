@@ -114,13 +114,6 @@ class Polynomial:
             return Polynomial((0j,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Polynomial(tuple(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        ))
-
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))

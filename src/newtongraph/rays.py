@@ -7,7 +7,9 @@ root, then continued by repeated inverse lifts: the preimage of each traced
 segment, taken along the branch that starts at the segment's outer endpoint,
 extends the ray outward until it escapes past the chart radius. Forward
 iteration is useless here (it contracts into the root), so tracing runs
-against the dynamics.
+against the dynamics. trace_fixed_ray returns a ray as a frozen polyline,
+root first and inf last; channel_diagram joins the rays of every root into
+a GeoGraph.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +68,6 @@ def frozen_polyline(points) -> np.ndarray:
 class BottcherLocal:
     """Local model f(xi + w) = xi + a w^k + O(w^(k+1)) at a root."""
 
-    root_index: int
     root: complex
     local_degree: int
     coefficient: complex
@@ -84,30 +86,7 @@ def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
     dirs = sorted(
         _mod_tau((-cmath.phase(a) + _TAU * j) / (k - 1)) for j in range(k - 1)
     )
-    return BottcherLocal(root_index, xi, k, a, tuple(dirs))
-
-
-@dataclass(frozen=True, eq=False)
-class RayPath:
-    root_index: int
-    direction: float
-    points: np.ndarray  # complex polyline, root first, inf last
-    infinity_angle: float  # tangent angle at infinity in the w = 1/z chart
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", frozen_polyline(self.points))
-
-    def __eq__(self, other):
-        if not isinstance(other, RayPath):
-            return NotImplemented
-        return (
-            (self.root_index, self.direction, self.infinity_angle)
-            == (other.root_index, other.direction, other.infinity_angle)
-            and np.array_equal(self.points, other.points)
-        )
-
-    def __hash__(self):
-        return hash((self.root_index, self.direction, len(self.points)))
+    return BottcherLocal(xi, k, a, tuple(dirs))
 
 
 # --- the corrector's gates, shared by the scalar solve and the lockstep lift --
@@ -205,8 +184,13 @@ def _thinned(seg: list[complex], center: complex, ratio: float) -> list[complex]
     return kept
 
 
-def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) -> RayPath:
+def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) -> np.ndarray:
     """Trace one invariant ray from the root out to infinity.
+
+    Returns the ray as a frozen polyline: the root first, inf last, and in
+    between the samples up to the first one past escape_radius. Its first
+    chord leaves the root in the fixed direction, and its last chord, drawn
+    in the w = 1/z chart, gives the ray's angle at infinity.
 
     The ray starts with a fundamental segment spaced at sample_ratio; each
     further segment is the inverse lift of the previous one, thinned
@@ -259,13 +243,7 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
         )
     # truncate at the first escaped sample, then close with infinity
     cut = next(i for i, z in enumerate(points) if abs(z) >= tol.escape_radius)
-    kept = points[: cut + 1]
-    return RayPath(
-        root_index=local.root_index,
-        direction=theta,
-        points=[xi] + kept + [complex(INF)],
-        infinity_angle=_mod_tau(-cmath.phase(kept[-1])),
-    )
+    return frozen_polyline([xi] + points[: cut + 1] + [complex(INF)])
 
 
 # --- geometric embedded graphs ----------------------------------------------
@@ -353,6 +331,10 @@ class GeoGraph:
                 )
         return tuple(ends)
 
+    @cached_property
+    def _geometry(self) -> "_Geometry":
+        return _Geometry(self)
+
 
 class _Geometry:
     """Flattened segment arrays for vectorized distance queries.
@@ -391,14 +373,6 @@ class _Geometry:
         self.we, self.ws = edge[starts[inverted]], index[starts[inverted]]
 
 
-def _graph_geometry(graph: GeoGraph) -> _Geometry:
-    cached = graph.__dict__.get("_geom")
-    if cached is None:
-        cached = _Geometry(graph)
-        object.__setattr__(graph, "_geom", cached)
-    return cached
-
-
 def _project_distances(q: complex, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Chordal distance from q to each chord, all drawn in one chart."""
     d = p1 - p0
@@ -411,7 +385,7 @@ def _project_distances(q: complex, p0: np.ndarray, p1: np.ndarray) -> np.ndarray
 def _distance_candidates(
     graph: GeoGraph, q: SpherePoint
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    geom = _graph_geometry(graph)
+    geom = graph._geometry
     out = []
     if geom.pts.size:
         if q.is_infinity:
@@ -435,15 +409,6 @@ def _distance_candidates(
     return out
 
 
-def graph_distance(graph: GeoGraph, q: SpherePoint | complex) -> float:
-    """Chordal distance from a point to the union of the graph's edges."""
-    pt = q if isinstance(q, SpherePoint) else SpherePoint.of(q)
-    cands = _distance_candidates(graph, pt)
-    if not cands:
-        return math.inf
-    return min(float(d.min()) for d, _, _ in cands if d.size)
-
-
 def nearest_edge_point(
     graph: GeoGraph, q: SpherePoint | complex
 ) -> tuple[int, int, float]:
@@ -457,6 +422,11 @@ def nearest_edge_point(
         if d[k] < best[2]:
             best = (int(earr[k]), int(sarr[k]), float(d[k]))
     return best
+
+
+def graph_distance(graph: GeoGraph, q: SpherePoint | complex) -> float:
+    """Chordal distance from a point to the union of the graph's edges."""
+    return nearest_edge_point(graph, q)[2]
 
 
 # --- export -------------------------------------------------------------
@@ -479,24 +449,17 @@ def _samples_json(points: np.ndarray) -> list:
 
 def geograph_to_json(
     graph: GeoGraph,
-    kinds: tuple[str, ...] | None = None,
-    labels: tuple[str, ...] | None = None,
-    edge_levels: tuple[int, ...] | None = None,
-    edge_maps: tuple[int, ...] | None = None,
+    kinds: tuple[str, ...],
+    labels: tuple[str, ...],
+    edge_levels: tuple[int, ...],
+    edge_maps: tuple[int, ...],
 ) -> dict:
     """Plain-data form of a geometric graph.
 
     Vertices carry id/kind/pos/label; edges carry id/from/to/level/maps_to
     and their full sample polylines; cyclic orders list edge-end dart ids
-    (2j for the tail of edge j, 2j+1 for its head) counterclockwise. Absent
-    metadata defaults to kind "point", level 0, and edges mapping to
-    themselves.
+    (2j for the tail of edge j, 2j+1 for its head) counterclockwise.
     """
-    n_e = len(graph.edges)
-    kinds = kinds or ("point",) * len(graph.vertices)
-    labels = labels or tuple(f"{kinds[i]} {i}" for i in range(len(graph.vertices)))
-    edge_levels = edge_levels or (0,) * n_e
-    edge_maps = edge_maps or tuple(range(n_e))
     vertices = [
         {"id": i, "kind": kinds[i], "pos": _pos_json(v), "label": labels[i]}
         for i, v in enumerate(graph.vertices)
@@ -519,26 +482,6 @@ def geograph_to_json(
     return {"vertices": vertices, "edges": edges, "cyclic_orders": orders}
 
 
-def geograph_to_dot(
-    graph: GeoGraph,
-    kinds: tuple[str, ...] | None = None,
-    labels: tuple[str, ...] | None = None,
-) -> str:
-    """Graphviz source with finite vertex positions as layout hints."""
-    kinds = kinds or ("point",) * len(graph.vertices)
-    labels = labels or tuple(f"{kinds[i]} {i}" for i in range(len(graph.vertices)))
-    lines = ["graph newton {"]
-    for i, v in enumerate(graph.vertices):
-        attrs = [f'label="{labels[i]}"']
-        if not v.is_infinity:
-            attrs.append(f'pos="{v.value.real:.6f},{v.value.imag:.6f}!"')
-        lines.append(f"  v{i} [{', '.join(attrs)}];")
-    for e in graph.edges:
-        lines.append(f"  v{e.tail} -- v{e.head};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def channel_diagram(f: NewtonMap) -> GeoGraph:
     """The invariant graph of all fixed rays: roots joined to infinity.
 
@@ -552,5 +495,5 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
         loc = bottcher_local(f, i)
         for j in range(len(loc.fixed_directions)):
             ray = trace_fixed_ray(f, loc, j)
-            edges.append(GeoEdge(tail=i, head=inf_index, points=ray.points))
+            edges.append(GeoEdge(tail=i, head=inf_index, points=ray))
     return GeoGraph(verts, tuple(edges))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import newtongraph
+from newtongraph import InvalidGraph, graph_from_json
 from newtongraph.cli import main
 
 UNITY = {"coeffs": [[-1, 0], [0, 0], [0, 0], [1, 0]]}
@@ -259,6 +260,30 @@ class TestValidate:
         path = write_json(tmp_path, "junk.json", {"foo": 1})
         code, _, _ = run(capsys, ["validate", path])
         assert code == 2
+
+    @pytest.mark.parametrize("mutation, message", [
+        ("alpha_overlap", "alpha pairs do not partition the darts"),
+        ("sigma_repeat", "missing or repeated in sigma"),
+        ("sigma_missing", "sigma does not cover every dart"),
+        ("dart_map_missing", "dart_map does not cover every dart"),
+    ])
+    def test_malformed_graph_exits_2(self, pm_graph_file, tmp_path, capsys,
+                                     mutation, message):
+        data = json.loads(open(pm_graph_file).read())["combinatorial"]
+        if mutation == "alpha_overlap":
+            data["alpha"][0][1] = data["alpha"][0][0]
+        elif mutation == "sigma_repeat":
+            data["sigma"]["1"].append(data["sigma"]["0"][0])
+        elif mutation == "sigma_missing":
+            data["sigma"]["0"].pop()
+        else:
+            del data["dynamics"]["dart_map"]["0"]
+        with pytest.raises(InvalidGraph, match=message):
+            graph_from_json(data)
+        path = write_json(tmp_path, "malformed.json", data)
+        code, _, err = run(capsys, ["validate", path])
+        assert code == 2
+        assert message in err
 
 
 class TestCompare:

@@ -32,16 +32,13 @@ def takes_map(signature: inspect.Signature) -> bool:
 
 
 def package_functions():
-    """(name, function) for every public function defined in a module of
-    the package, not only those re-exported at its root."""
+    """(name, function) for every module-level function defined in a module
+    of the package, private helpers included, not only those re-exported at
+    its root."""
     for info in pkgutil.iter_modules(newtongraph.__path__):
         module = importlib.import_module(f"newtongraph.{info.name}")
         for name, obj in vars(module).items():
-            if (
-                not name.startswith("_")
-                and inspect.isfunction(obj)
-                and obj.__module__ == module.__name__
-            ):
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
                 yield f"{info.name}.{name}", obj
 
 
@@ -61,9 +58,10 @@ class TestOnePolicySource:
                     continue
                 if pname in POLICY_PARAMETERS or "Tolerances" in str(param.annotation):
                     offenders.append(f"{name}({pname})")
-        # every public function of the rays, pullback, dynamics and poly
-        # stages that takes a map, whether or not the package root exports it
-        assert checked >= 16
+        # every function of the rays, pullback, dynamics and poly stages
+        # that takes a map, private helpers included, whether or not the
+        # package root exports it
+        assert checked >= 21
         assert offenders == []
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from newtongraph import (
+    BranchJump,
+    EndpointUnmatched,
     LevelCapExceeded,
     Polynomial,
     SpherePoint,
@@ -36,7 +38,6 @@ from newtongraph.rays import (
     GeoEdge,
     GeoGraph,
     continue_inverse_branch,
-    geograph_to_dot,
     graph_distance,
     on_branch,
     solve_preimage_near,
@@ -214,6 +215,66 @@ class TestLockstepLift:
         assert lane[jump] == continue_inverse_branch(f, w0, w1, x0)
         reference = lift_edge(f, source, start, head_candidates=head_fiber)
         self.assert_same_lift(lane, reference)
+
+    def test_first_failing_lane_in_lane_order_raises(
+        self, cubic_unity, delta0_unity, monkeypatch
+    ):
+        # every lane takes the scalar continuation; lane 1 fails in round 1,
+        # lane 0 in round 2, and the lift raises lane 0's error, as lifting
+        # the lanes one after another would
+        f = cubic_unity
+        newton_round = pullback._newton_round
+        continuation = pullback.continue_inverse_branch
+        calls = []
+
+        def gates_fail(coeffs, values, x0, target, active, tol):
+            x, rows, ok = newton_round(coeffs, values, x0, target, active, tol)
+            return x, rows, np.zeros_like(ok)
+
+        def flaky(f, w0, w1, x0):
+            calls.append(x0)
+            if len(calls) == 2:
+                raise BranchJump("lane 1 lost in round 1")
+            if len(calls) == 3:
+                raise BranchJump("lane 0 lost in round 2")
+            return continuation(f, w0, w1, x0)
+
+        monkeypatch.setattr(pullback, "_newton_round", gates_fail)
+        monkeypatch.setattr(pullback, "continue_inverse_branch", flaky)
+        head_fiber = lift_point(f, INF)
+        sources, lanes = {}, []
+        for j in (0, 2):
+            e = delta0_unity.edges[j]
+            # the simple preimage of the root cubic_unity.roots[t] is -root/2
+            start = SpherePoint.of(-f.roots[e.tail] / 2)
+            sources[j] = (e.points, head_fiber)
+            lanes.append((j, start, None))
+        with pytest.raises(BranchJump, match="lane 0 lost in round 2"):
+            pullback._lift_lanes(f, sources, lanes)
+        assert len(calls) == 3
+
+
+class TestMatchEndpoint:
+    """The two gates on the fiber point a lift ran into, on synthetic fibers."""
+
+    @staticmethod
+    def fiber(*points):
+        return tuple((SpherePoint.of(p), 1) for p in points)
+
+    def test_clear_nearest_point_is_matched(self):
+        last = SpherePoint.of(1e-3)
+        assert pullback._match_endpoint(last, self.fiber(1, 0, -1)) == SpherePoint.of(0)
+
+    def test_endpoint_far_from_every_candidate(self):
+        # 0.5 is 0.894 chordal from 0 and 1.2 from 2, both beyond 0.1
+        with pytest.raises(EndpointUnmatched, match="away from every preimage"):
+            pullback._match_endpoint(SpherePoint.of(0.5), self.fiber(0, 2))
+
+    def test_runner_up_within_five_times_the_best(self):
+        # about 0.04 and 0.08 chordal away: the runner-up is closer than 5 x
+        # the best
+        with pytest.raises(EndpointUnmatched, match="ambiguous"):
+            pullback._match_endpoint(SpherePoint.of(0), self.fiber(0.02, -0.04))
 
 
 class TestPullbackLevel:
@@ -505,6 +566,30 @@ class TestLocateFace:
         assert locate_face(dg.geo, dyn.graph, 0j) == 0
         assert locate_face(dg.geo, dyn.graph, 5j) == 0
 
+    def test_far_points_sided_in_the_inverted_chart(self, graph_unity, monkeypatch):
+        # on the top graph of z^3 - 1 only the straight fixed rays reach past
+        # |z| = 10, so a point far out in a direction between two of them
+        # lies in the same face as the point at radius 10; that far, the
+        # nearest segment ends at infinity and is sided in the w = 1/z chart
+        geo, emb = graph_unity.graphs[-1].geo, graph_unity.dynamics.graph
+        chart_values = pullback._chart_values
+        inverted = []
+
+        def recording(points):
+            inverted.append(not all(cmath.isfinite(p) for p in points))
+            return chart_values(points)
+
+        monkeypatch.setattr(pullback, "_chart_values", recording)
+        faces = []
+        for theta in (math.pi / 3, math.pi, 5 * math.pi / 3):
+            near = locate_face(geo, emb, 10 * cmath.exp(1j * theta))
+            faces.append(near)
+            for radius in (1.1e6, 1.3e6, 1.6e6):
+                inverted.clear()
+                assert locate_face(geo, emb, radius * cmath.exp(1j * theta)) == near
+                assert inverted == [True]
+        assert sorted(faces) == [0, 1, 2]
+
 
 class TestExport:
     def test_newton_graph_json_shape(self, graph_unity):
@@ -538,8 +623,3 @@ class TestExport:
     def test_combinatorial_round_trip(self, graph_pm):
         rebuilt = graph_from_json(graph_to_json(graph_pm.dynamics))
         assert rebuilt == graph_pm.dynamics
-
-    def test_dot_export(self, delta0_pm):
-        dot = geograph_to_dot(delta0_pm)
-        assert dot.startswith("graph newton {")
-        assert dot.rstrip().endswith("}")
