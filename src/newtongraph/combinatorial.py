@@ -726,6 +726,9 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
         kind_by_old = {int(v): str(k) for v, k in data["vertex_kinds"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph data: {exc}") from exc
+    for p in alpha_pairs:
+        if len(p) != 2:
+            raise InvalidGraph(f"alpha entry {list(p)} is not a pair of darts")
     if sorted(d for p in alpha_pairs for d in p) != sorted(darts):
         raise InvalidGraph("alpha pairs do not partition the darts")
     new_dart = {}
@@ -753,17 +756,22 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
         return graph
     dyn = data["dynamics"]
     try:
-        vertex_map = tuple(new_vertex[int(dyn["vertex_map"][str(v)])] for v in old_vertices)
-        edge_map = tuple(int(dyn["edge_map"][str(e)]) for e in range(graph.n_edges))
-        dart_map_old = {int(d): int(i) for d, i in dyn["dart_map"].items()}
+        field = "vertex_map"
+        vertex_map = tuple(new_vertex[int(dyn[field][str(v)])] for v in old_vertices)
+        field = "edge_map"
+        edge_map = tuple(int(dyn[field][str(e)]) for e in range(graph.n_edges))
+        field = "dart_map"
         dart_map = [None] * n
-        for old_d, old_img in dart_map_old.items():
-            dart_map[new_dart[old_d]] = new_dart[old_img]
-        local_degree = tuple(int(dyn["local_degree"][str(v)]) for v in old_vertices)
-        channel = frozenset(int(e) for e in dyn["delta_edges"])
-        level = int(dyn["N"])
+        for old_d, old_img in dyn[field].items():
+            dart_map[new_dart[int(old_d)]] = new_dart[int(old_img)]
+        field = "local_degree"
+        local_degree = tuple(int(dyn[field][str(v)]) for v in old_vertices)
+        field = "delta_edges"
+        channel = frozenset(int(e) for e in dyn[field])
+        field = "N"
+        level = int(dyn[field])
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidGraph(f"malformed dynamics data: {exc}") from exc
+        raise InvalidGraph(f"malformed dynamics data in {field}: {exc}") from exc
     if any(d is None for d in dart_map):
         raise InvalidGraph("dart_map does not cover every dart")
     return GraphDynamics(graph, vertex_map, edge_map, tuple(dart_map),

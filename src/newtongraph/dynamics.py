@@ -21,6 +21,9 @@ from .sphere import INF, SpherePoint
 STAY_ITERATES = 5
 # steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
 MAX_RASTER_ITER = int(np.iinfo(np.int16).max) - STAY_ITERATES
+# pixels per raster tile: 512 KB per complex working array, so that a step's
+# arrays fit a 2 MB per-core L2 cache; much smaller tiles pay per-step overhead
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,22 +162,23 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     """Classify every cell center; deterministic for fixed inputs.
 
     A pixel's basin and entry step are those classify_point gives its cell
-    center, computed from its own orbit by elementwise array arithmetic. Up
-    to last-bit rounding the order in which pixels retire cannot change the
-    image: numpy may round a one-element array's complex products like
-    Python scalars and longer arrays otherwise, so the last pixel left in
-    the working set can be evaluated with different rounding. The loop keeps
-    one entry per still-active pixel (pixel index, z, candidate root and the
-    step the candidate was entered); a pixel that dies (non-finite, or within
-    pole snap) or finishes is written once and dropped from that working set.
-    A lane so far out that the chordal denominator overflows is near no
-    root, as on the sphere.
+    center, computed from its own orbit by elementwise array arithmetic that
+    rounds a point the same, bit for bit, in whatever array it is evaluated.
+    So neither the order in which pixels retire nor the blocks they are
+    iterated in can change the image. The pixels run in fixed tiles of
+    _TILE, one tile to completion before the next, so that the arrays each
+    step streams stay in cache. Within a tile the loop keeps one entry per
+    still-active pixel (pixel index, z, |z|, candidate root and the step the
+    candidate was entered); a pixel that dies (non-finite, or within pole
+    snap) or finishes is written once and dropped from that working set. A
+    lane so far out that the chordal denominator overflows is near no root,
+    as on the sphere.
     """
     if not 0 <= max_iter <= MAX_RASTER_ITER:
         raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
     tol = f.tol
-    z = spec.grid().ravel().astype(complex)
-    n = z.size
+    grid = spec.grid().ravel()
+    n = grid.size
     basin = np.full(n, -1, dtype=np.int16)
     entry = np.full(n, -1, dtype=np.int16)
     roots = np.array(f.roots)
@@ -182,49 +186,52 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     rr_max = rr.max()
     pole_locs = np.array([q for q, _ in f.poles])
     poles = list(zip(pole_locs, tol.pole_snap * (1 + np.abs(pole_locs))))
-    # working set: one lane per still-active pixel
-    idx = np.arange(n, dtype=np.int32)
-    cand = np.full(n, -1, dtype=np.int16)  # candidate root, -1 for none
-    cand_step = np.zeros(n, dtype=np.int16)  # step the candidate was entered
 
-    for s in range(max_iter + STAY_ITERATES + 1):
-        if s:
-            z = f.evaluate_array(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            az = np.abs(z)
-            live = np.isfinite(az)
-            for q, snap in poles:
-                live &= np.abs(z - q) > snap
-            zz = 1 + az * az
-            # chordal distance to each root; nearest < k before root k, so
-            # the maximum keeps argmin's rule that the first of equals wins
-            nearest = np.zeros(z.size, dtype=np.int16)
-            for k, (r, rk) in enumerate(zip(roots, rr)):
-                d = np.abs(z - r)
-                d *= 2
-                den = zz * rk
-                np.sqrt(den, out=den)
-                d /= den
-                if k == 0:
-                    best = d
-                else:
-                    np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
-                    np.minimum(best, d, out=best)
-            # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
-            near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live
-        # a lane stays while it is near its candidate; stay = s - cand_step
-        keep = near & (nearest == cand)
-        cand_step = np.where(keep, cand_step, s).astype(np.int16, copy=False)
-        cand = np.where(near, nearest, -1).astype(np.int16, copy=False)
-        done = keep & (s - cand_step >= STAY_ITERATES)
-        if done.any():
-            basin[idx[done]] = cand[done]
-            entry[idx[done]] = cand_step[done]
-            live &= ~done
-        if not live.all():
-            idx, z, cand, cand_step = idx[live], z[live], cand[live], cand_step[live]
-            if idx.size == 0:
-                break
+    for start in range(0, n, _TILE):
+        z = grid[start : start + _TILE]
+        # working set: one lane per still-active pixel of the tile
+        idx = np.arange(start, start + z.size, dtype=np.int32)
+        cand = np.full(z.size, -1, dtype=np.int16)  # candidate root, -1 for none
+        cand_step = np.zeros(z.size, dtype=np.int16)  # step the candidate was entered
+        for s in range(max_iter + STAY_ITERATES + 1):
+            if s:
+                z = f.evaluate_array(z, az > tol.chart_radius)
+            with np.errstate(over="ignore", invalid="ignore"):
+                az = np.abs(z)
+                live = np.isfinite(az)
+                for q, snap in poles:
+                    live &= np.abs(z - q) > snap
+                zz = 1 + az * az
+                # chordal distance to each root; nearest < k before root k, so
+                # the maximum keeps argmin's rule that the first of equals wins
+                nearest = np.zeros(z.size, dtype=np.int16)
+                for k, (r, rk) in enumerate(zip(roots, rr)):
+                    d = np.abs(z - r)
+                    d *= 2
+                    den = zz * rk
+                    np.sqrt(den, out=den)
+                    d /= den
+                    if k == 0:
+                        best = d
+                    else:
+                        np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
+                        np.minimum(best, d, out=best)
+                # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
+                near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live
+            # a lane stays while it is near its candidate; stay = s - cand_step
+            keep = near & (nearest == cand)
+            cand_step = np.where(keep, cand_step, s).astype(np.int16, copy=False)
+            cand = np.where(near, nearest, -1).astype(np.int16, copy=False)
+            done = keep & (s - cand_step >= STAY_ITERATES)
+            if done.any():
+                basin[idx[done]] = cand[done]
+                entry[idx[done]] = cand_step[done]
+                live &= ~done
+            if not live.all():
+                idx, z, az = idx[live], z[live], az[live]
+                cand, cand_step = cand[live], cand_step[live]
+                if idx.size == 0:
+                    break
 
     shape = (spec.height, spec.width)
     return Raster(spec, basin.reshape(shape), entry.reshape(shape))

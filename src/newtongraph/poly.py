@@ -44,11 +44,7 @@ def horner(coeffs, x):
     last bit, where numpy's complex multiply rounds otherwise than Python's.
     """
     if isinstance(x, np.ndarray):
-        # fill writes the zeros; np.zeros would hand a large array fresh
-        # pages that fault in the first multiply (half again as many page
-        # faults in a 512x512 render)
-        acc = np.empty(x.shape, dtype=complex)
-        acc.fill(0)
+        acc = np.zeros(x.shape, dtype=complex)
         for c in coeffs:
             acc *= x
             acc += c
@@ -405,20 +401,33 @@ class NewtonMap:
             return INF
         return SpherePoint.of(val)
 
-    def evaluate_array(self, z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on finite points; poles/overflow come back as inf."""
-        far = np.abs(z) > self.tol.chart_radius
+    def evaluate_array(self, z: np.ndarray, far: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized evaluation on finite points; poles/overflow come back as inf.
+
+        far is np.abs(z) > tol.chart_radius, for a caller that has |z| at hand.
+        Each value depends on its own point alone, bit for bit, whatever array
+        the point comes in.
+        """
+        if far is None:
+            far = np.abs(z) > self.tol.chart_radius
         with np.errstate(divide="ignore", invalid="ignore"):
             if not far.any():  # the usual case: no point needs the 1/z chart
-                num, den = self._fraction(z, False)
-                out = np.divide(num, den, out=num)  # no third large array
+                out = self._quotient(z, False)
             else:
                 out = np.empty_like(z, dtype=complex)
                 for mask, chart in ((~far, False), (far, True)):
-                    out[mask] = np.divide(*self._fraction(z[mask], chart))
+                    out[mask] = self._quotient(z[mask], chart)
         # NaN can only arise from 0/0 overflow artifacts; push to infinity.
         out[~np.isfinite(out)] = np.inf
         return out
+
+    def _quotient(self, z: np.ndarray, far: bool) -> np.ndarray:
+        if z.size == 1:
+            # numpy's in-place complex multiply rounds a one-element array
+            # otherwise than longer ones, so a lone point goes as a pair
+            return self._quotient(np.repeat(z, 2), far)[:1]
+        num, den = self._fraction(z, far)
+        return np.divide(num, den, out=num)  # no third large array
 
     def map_derivative(self, z: complex) -> complex:
         """f'(z) at a finite non-pole point."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,10 @@ class TestValidate:
         ("sigma_repeat", "missing or repeated in sigma"),
         ("sigma_missing", "sigma does not cover every dart"),
         ("dart_map_missing", "dart_map does not cover every dart"),
+        ("alpha_singletons", "alpha entry [0] is not a pair of darts"),
+        ("vertex_map_image", "malformed dynamics data in vertex_map: 99999"),
+        ("vertex_map_missing", "malformed dynamics data in vertex_map: '0'"),
+        ("local_degree_missing", "malformed dynamics data in local_degree: '0'"),
     ])
     def test_malformed_graph_exits_2(self, pm_graph_file, tmp_path, capsys,
                                      mutation, message):
@@ -276,9 +281,16 @@ class TestValidate:
             data["sigma"]["1"].append(data["sigma"]["0"][0])
         elif mutation == "sigma_missing":
             data["sigma"]["0"].pop()
+        elif mutation == "alpha_singletons":
+            # the singletons still cover every dart once
+            a, b = data["alpha"].pop(0)
+            data["alpha"] += [[a], [b]]
+        elif mutation == "vertex_map_image":
+            data["dynamics"]["vertex_map"]["0"] = 99999
         else:
-            del data["dynamics"]["dart_map"]["0"]
-        with pytest.raises(InvalidGraph, match=message):
+            field = mutation.removesuffix("_missing")
+            del data["dynamics"][field]["0"]
+        with pytest.raises(InvalidGraph, match=re.escape(message)):
             graph_from_json(data)
         path = write_json(tmp_path, "malformed.json", data)
         code, _, err = run(capsys, ["validate", path])

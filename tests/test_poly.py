@@ -268,6 +268,22 @@ class TestEvaluate:
             else:
                 assert abs(ai - sp.value) < 1e-9 * (1 + abs(sp.value))
 
+    def test_array_value_does_not_depend_on_its_company(self):
+        # A point's value is the same bits alone, beside a point of the other
+        # chart, and in the whole array, with the far mask given or not.
+        f = make_newton_map(CUBIC_ODD)
+        rng = np.random.default_rng(7)
+        z = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 10.0 ** rng.uniform(-2, 5, 64)
+        far = np.abs(z) > f.tol.chart_radius
+        assert 0 < far.sum() < 63
+        whole = f.evaluate_array(z)
+        assert f.evaluate_array(z, far).tobytes() == whole.tobytes()
+        near_pt, far_pt = z[np.argmin(far)], z[np.argmax(far)]
+        for i in range(64):
+            alone = f.evaluate_array(z[i : i + 1])
+            mixed = f.evaluate_array(np.array([z[i], near_pt if far[i] else far_pt]))
+            assert alone.tobytes() == mixed[:1].tobytes() == whole[i : i + 1].tobytes()
+
     def test_w_chart_identity(self):
         # N = 2z^3 + 1, D = 1 + z at z = 2, w = 0.5: w^3 N(1/w) = w^3 + 2 =
         # 2.125 and w^3 D(1/w) = w^3 + w^2 = 0.375; deg D < degree - 1, so the
