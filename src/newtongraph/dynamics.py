@@ -1,15 +1,45 @@
 """Orbit classification, basin rasters, and critical-orbit certification.
 
-Basin membership is asymptotic (enter a small disk around a root and stay for
-five more iterates). Critical-orbit landings are the opposite: they must be
-exact hits, so a root landing is only recorded when the orbit jumps onto the
-root from a genuine distance — a superattracting approach that merely shrinks
-past every tolerance is left unresolved and the map reported not
-postcritically fixed.
+Basin membership is asymptotic: an orbit is in a root's basin when it enters
+the disk of chordal radius basin_tol about the root and stays there, nearer to
+that root than to any other, for STAY_ITERATES = 5 more iterates; its entry
+step is the step it entered. classify_point and render_basins both apply this
+rule, and both end an orbit sooner on a proof that the five steps would pass:
+
+- Certified exit. Smale's gamma at a simple root zeta of p is the maximum
+  over k >= 2 of |p^(k)(zeta) / (k! p'(zeta))|^(1/(k-1)). Where
+  gamma |z - zeta| <= (3 - sqrt 7)/2, one Newton step at least halves
+  |z - zeta| (BCSS, *Complexity and Real Computation*, ch. 8). So if each
+  computed step adds rounding of at most nu, every later computed point
+  stays within max(|z - zeta|, 2 nu) of zeta. NewtonMap.exit_radius picks,
+  at each computed root r, a radius R that is
+    * at most half of (3 - sqrt 7)/2 over gamma;
+    * small enough that the disk |z - r| <= R lies within chordal distance
+      basin_tol/4 of r and a quarter of the least root separation, so that
+      r stays strictly the nearest root;
+    * clear of the pole snap disks, and small enough that the chordal
+      test's products stay finite;
+    * more than 16 times a generous bound on the rounding: twice one step's
+      Horner rounding, plus twice the error of r itself (about
+      2 |p(r)/p'(r)|).
+  If some root has no such R, the radius is 0 and no orbit ends early.
+  Otherwise it is the least rho = 2t / (A (A + t)) over the roots, with
+  t = R/2 and A = sqrt(1 + |r|^2). As sqrt(1 + |z|^2) is 1-Lipschitz in
+  |z|, a point less than rho from r chordally lies within t of r, and every
+  later computed point lies within t + R/16 < R of r: near r, nearest r and
+  live, so each confirming step would pass. An orbit point less than rho
+  from a root, whose candidate was entered at a step within max_iter, is
+  in that root's basin with that entry step already.
+
+Critical-orbit landings are the opposite: they must be exact hits, so a root
+landing is only recorded when the orbit jumps onto the root from a genuine
+distance — a superattracting approach that merely shrinks past every tolerance
+is left unresolved and the map reported not postcritically fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +54,9 @@ MAX_RASTER_ITER = int(np.iinfo(np.int16).max) - STAY_ITERATES
 # pixels per raster tile: 512 KB per complex working array, so that a step's
 # arrays fit a 2 MB per-core L2 cache; much smaller tiles pay per-step overhead
 _TILE = 1 << 15
+# angle (radians) added to each side of the root band: far above the rounding
+# of |z|, atan and tan, far below any useful basin_tol
+_BAND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +83,9 @@ def classify_point(
     max_iter: int = 256,
     keep_trace: bool = False,
 ) -> OrbitResult:
-    """Classify the forward orbit of z: which root's basin it belongs to.
+    """Classify the forward orbit of z: which root's basin it belongs to, by
+    the rule of the module docstring (five confirming steps, or a certified
+    exit).
 
     Orbits hitting a pole (exactly, or within the snap distance) are routed
     through infinity and reported unresolved with the prepole flag — infinity
@@ -64,6 +99,7 @@ def classify_point(
             "fixed_infinity", entry_step=0, trace=tuple(trace) if trace else None
         )
 
+    rho = f.exit_radius
     cand_root = -1
     cand_step = -1
     stay = 0
@@ -96,6 +132,13 @@ def classify_point(
                 cand_root, cand_step, stay = -1, -1, 0
         if cand_root < 0 and near:
             cand_root, cand_step, stay = idx, s, 0
+        if near and dist < rho and cand_step <= max_iter:  # a certified exit
+            return OrbitResult(
+                "basin",
+                root_index=cand_root,
+                entry_step=cand_step,
+                trace=tuple(trace) if trace else None,
+            )
         cur = f.evaluate(zv)
         if trace is not None:
             trace.append(cur)
@@ -158,6 +201,30 @@ class Raster:
         return header + rgb.tobytes()
 
 
+def _root_band(f: NewtonMap) -> list[tuple[float, float]]:
+    """Disjoint intervals lo <= |z| < hi outside which no point is within
+    basin_tol of a root.
+
+    The chordal distance from z to a root r is at least the chord
+    2 sin|atan|z| - atan|r|| of their latitude gap (2 atan|z| is the angle
+    of z from 0 on the sphere), so a point near r has atan|z| within
+    asin(basin_tol/2) of atan|r|. Each interval takes twice that,
+    asin(min(1, basin_tol)), plus _BAND_SLACK, which is the whole sphere
+    from basin_tol = 1 on and still an interval at basin_tol = 0.
+    """
+    h = math.asin(min(1.0, f.tol.basin_tol)) + _BAND_SLACK
+    angles: list[list[float]] = []
+    for lat in sorted(math.atan(abs(r)) for r in f.roots):
+        if angles and lat - h <= angles[-1][1]:
+            angles[-1][1] = lat + h  # overlaps the last interval: merge
+        else:
+            angles.append([lat - h, lat + h])
+    return [
+        (math.tan(max(lo, 0.0)), math.tan(hi) if hi < math.pi / 2 else math.inf)
+        for lo, hi in angles
+    ]
+
+
 def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster:
     """Classify every cell center; deterministic for fixed inputs.
 
@@ -173,6 +240,14 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     snap) or finishes is written once and dropped from that working set. A
     lane so far out that the chordal denominator overflows is near no root,
     as on the sphere.
+
+    Two proofs spare work without changing a pixel. A lane finishes by five
+    confirming steps or, as in classify_point, by a certified exit once it is
+    less than f.exit_radius from its candidate root (see the module
+    docstring). And a lane can be near a root only while |z| lies in the
+    root band of _root_band: each step selects those lanes by comparing |z|
+    with the band's few bounds and measures root distances on them alone;
+    every other lane is near no root, so its candidate is dropped.
     """
     if not 0 <= max_iter <= MAX_RASTER_ITER:
         raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
@@ -186,6 +261,8 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     rr_max = rr.max()
     pole_locs = np.array([q for q, _ in f.poles])
     poles = list(zip(pole_locs, tol.pole_snap * (1 + np.abs(pole_locs))))
+    rho = f.exit_radius
+    bands = _root_band(f)
 
     for start in range(0, n, _TILE):
         z = grid[start : start + _TILE]
@@ -201,12 +278,17 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
                 live = np.isfinite(az)
                 for q, snap in poles:
                     live &= np.abs(z - q) > snap
-                zz = 1 + az * az
+                in_band = np.zeros(z.size, dtype=bool)
+                for lo, hi in bands:
+                    in_band |= (az >= lo) & (az < hi)
+                band = np.flatnonzero(in_band)
+                zb, azb = z[band], az[band]
+                zz = 1 + azb * azb
                 # chordal distance to each root; nearest < k before root k, so
                 # the maximum keeps argmin's rule that the first of equals wins
-                nearest = np.zeros(z.size, dtype=np.int16)
+                nearest = np.zeros(band.size, dtype=np.int16)
                 for k, (r, rk) in enumerate(zip(roots, rr)):
-                    d = np.abs(z - r)
+                    d = np.abs(zb - r)
                     d *= 2
                     den = zz * rk
                     np.sqrt(den, out=den)
@@ -217,16 +299,20 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
                         np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
                         np.minimum(best, d, out=best)
                 # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
-                near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live
-            # a lane stays while it is near its candidate; stay = s - cand_step
-            keep = near & (nearest == cand)
-            cand_step = np.where(keep, cand_step, s).astype(np.int16, copy=False)
-            cand = np.where(near, nearest, -1).astype(np.int16, copy=False)
-            done = keep & (s - cand_step >= STAY_ITERATES)
+                near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live[band]
+            # a band lane stays while it is near its candidate; stay = s - step
+            keep = near & (nearest == cand[band])
+            step = np.where(keep, cand_step[band], s).astype(np.int16, copy=False)
+            cand = np.full(z.size, -1, dtype=np.int16)  # out of band: near no root
+            cand[band] = np.where(near, nearest, -1)
+            cand_step[band] = step
+            # five confirming steps, or a certified exit
+            done = near & ((s - step >= STAY_ITERATES) | ((best < rho) & (step <= max_iter)))
             if done.any():
-                basin[idx[done]] = cand[done]
-                entry[idx[done]] = cand_step[done]
-                live &= ~done
+                out = band[done]
+                basin[idx[out]] = nearest[done]
+                entry[idx[out]] = step[done]
+                live[out] = False
             if not live.all():
                 idx, z, az = idx[live], z[live], az[live]
                 cand, cand_step = cand[live], cand_step[live]

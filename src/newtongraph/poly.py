@@ -18,7 +18,9 @@ regular point; that swaps N, D, N', D' to D, N, D', N' (`CHART_SWAP`).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,23 +35,32 @@ _EPS = 2.220446049250313e-16
 # Rows N, D, N', D' become D, N, D', N' when the corrector solves D/N = 1/w.
 CHART_SWAP = (1, 0, 3, 2)
 
+# Half of Smale's (3 - sqrt 7)/2: within this over gamma of a simple root,
+# each Newton step at least halves the distance to the root (BCSS ch. 8).
+_CONTRACTION = (3 - math.sqrt(7)) / 4
+
 
 def horner(coeffs, x):
     """The polynomial with the given coefficients, highest power first, at x.
 
-    x is a number, or an array that is evaluated in place in one accumulator.
-    Both start from zero and do the same operations in the same order. For
-    an array of two or more points, each value depends on its own point
-    alone, bit for bit. A number, or a one-element array, can differ in the
-    last bit, where numpy's complex multiply rounds otherwise than Python's.
+    coeffs is any non-empty iterable. x is a number, or an array that is
+    evaluated in place in one accumulator. Both start from the leading
+    coefficient and do the same operations in the same order. Starting from
+    zero instead would add c to 0 * x, which for finite x is c up to the sign
+    of a zero part, and a zero's sign reaches nothing but the signs of zeros
+    in the value. For an array of two or more points, each value depends on
+    its own point alone, bit for bit. A number, or a one-element array, can
+    differ in the last bit, where numpy's complex multiply rounds otherwise
+    than Python's.
     """
+    coeffs = iter(coeffs)
+    acc = next(coeffs)
     if isinstance(x, np.ndarray):
-        acc = np.zeros(x.shape, dtype=complex)
+        acc = np.full(x.shape, acc, dtype=complex)
         for c in coeffs:
             acc *= x
             acc += c
         return acc
-    acc = 0j
     for c in coeffs:
         acc = acc * x + c
     return acc
@@ -447,6 +458,48 @@ class NewtonMap:
             deriv = deriv.derivative()
             fact *= i
         return deriv(x) / (fact * self.denominator(x))
+
+    @cached_property
+    def exit_radius(self) -> float:
+        """Chordal radius about the roots within which an orbit's basin is
+        certain: from a point less than this from a root, every later point
+        of its orbit, as evaluated in floating point, stays within basin_tol/4
+        of that root and within a quarter of the least root separation, clear
+        of the pole snap disks and where (1 + |z|^2)(1 + |r|^2) is finite for
+        every root r. 0 when no radius is certain, as when basin_tol is not
+        far above rounding. The argument is in the dynamics module docstring.
+        """
+        tol, roots, dp = self.tol, self.roots, self.denominator
+        sep = min(chordal_distance(a, b) for i, a in enumerate(roots) for b in roots[i + 1 :])
+        beta = min(tol.basin_tol, sep) / 4
+        rr_max = max(1 + abs(r) ** 2 for r in roots)
+        higher = [dp.derivative()]  # the second to the d-th derivative of p
+        while len(higher) < self.degree - 1:
+            higher.append(higher[-1].derivative())
+        slack = 64 * self.degree * _EPS  # a generous bound on Horner's rounding
+        rho = math.inf
+        for r in roots:
+            d1 = dp(r)
+            gamma = max(
+                abs(q(r) / (math.factorial(k) * d1)) ** (1 / (k - 1))
+                for k, q in enumerate(higher, start=2)
+            )
+            ar = abs(r)
+            big = math.hypot(1, ar)  # sqrt(1 + |r|^2)
+            radius = min(
+                _CONTRACTION / gamma,
+                beta * big * big / (2 + beta * big),
+                min(((abs(q - r) - tol.pole_snap * (1 + abs(q))) / 2 for q, _ in self.poles),
+                    default=math.inf),
+            )
+            a = ar + radius
+            scale = self.p.eval_scale(a) + self.numerator.eval_scale(a) + a * dp.eval_scale(a)
+            noise = (4 * abs(self.p(r)) + slack * scale) / abs(d1) + slack * a
+            if not (16 * noise < radius and math.isfinite((1 + a * a) * rr_max)):
+                return 0.0
+            t = radius / 2
+            rho = min(rho, 2 * t / (big * (big + t)))
+        return rho
 
     # --- marked-point lookups ----------------------------------------------
 

@@ -14,6 +14,13 @@ Expected values:
   three basin counts on any rotation-invariant lattice are exactly equal.
 - a raster pixel is classify_point of its cell center, whatever step its
   neighbours finish at, so the scalar classifier is the per-pixel oracle.
+- a render without its two proofs (no certified exit, a root band of the
+  whole sphere) measures every lane's root distances at every step and
+  finishes pixels by five confirming steps alone; it is the reference the
+  optimised render must equal byte for byte.
+- roots 1, 1.002 and -1: Smale's gamma at 1 is about 1/0.002 = 500, so its
+  contraction disk (0.089/500 = 1.8e-4) is smaller than what basin_tol/4
+  allows, and the exit radius does not move when basin_tol does.
 - |z| = 1e160 overflows 1 + |z|^2 and is chordally about sqrt(2) from every
   root of z^3 - 1; f(z) ~ 2z/3 needs about 900 steps to come back, so every
   such pixel is unresolved. With roots -100, 1, 100, |z| = 5e153 keeps
@@ -22,6 +29,7 @@ Expected values:
 """
 
 import cmath
+import contextlib
 import math
 import tracemalloc
 import warnings
@@ -31,6 +39,7 @@ import pytest
 
 from newtongraph import (
     Polynomial,
+    Tolerances,
     UnresolvedOrbit,
     classify_point,
     make_newton_map,
@@ -46,7 +55,8 @@ from newtongraph.dynamics import (
     render_basins,
     require_postcritically_fixed,
 )
-from newtongraph.sphere import INF
+from newtongraph.poly import NewtonMap
+from newtongraph.sphere import INF, chordal_distance
 
 # 24 x 24 raster windows
 WINDOWS = [
@@ -56,6 +66,38 @@ WINDOWS = [
     ((0, -1, 0, 0, 1), 0j, 2.0),  # z^4 - z, full window
 ]
 WINDOW_IDS = ["z5-1-pole-zoom", "z4-z-full"]
+CLOSE_ROOTS = (1.002, -1, -1.002, 1)  # (z - 1)(z - 1.002)(z + 1)
+# 32 x 32 windows of the reference render
+REFERENCE_WINDOWS = WINDOWS + [
+    ((0, -1, 0, 0, 1), 0.6303 + 0.0004j, 0.002),  # pole (1/4)^(1/3) of z^4 - z
+    (CLOSE_ROOTS, 1.001 + 0.002j, 0.02),
+]
+REFERENCE_IDS = WINDOW_IDS + ["z4-z-pole-zoom", "close-roots"]
+
+
+@contextlib.contextmanager
+def without_proofs(monkeypatch):
+    """The reference classifiers: no certified exit (an exit radius of 0) and
+    a root band of the whole sphere."""
+    with monkeypatch.context() as m:
+        m.setattr(NewtonMap, "exit_radius", property(lambda self: 0.0))
+        m.setattr(dynamics, "_root_band", lambda f: [(0.0, math.inf)])
+        yield
+
+
+def lane_steps(monkeypatch, render):
+    """(result, points evaluated) of render(), counting evaluate_array's."""
+    count = [0]
+    evaluate = NewtonMap.evaluate_array
+
+    def counted(self, z, far=None):
+        count[0] += z.size
+        return evaluate(self, z, far)
+
+    with monkeypatch.context() as m:
+        m.setattr(NewtonMap, "evaluate_array", counted)
+        result = render()
+    return result, count[0]
 
 
 class TestClassifyPoint:
@@ -111,6 +153,29 @@ class TestClassifyPoint:
         ra = cubic_unity.roots[a.root_index]
         rb = cubic_unity.roots[b.root_index]
         assert rb == pytest.approx(w * ra)
+
+
+    @pytest.mark.parametrize("coeffs, center, half_width", REFERENCE_WINDOWS, ids=REFERENCE_IDS)
+    def test_certified_exit_agrees_with_five_confirming_steps(
+        self, monkeypatch, coeffs, center, half_width
+    ):
+        f = make_newton_map(Polynomial(coeffs))
+        grid = RasterSpec(12, 12, center, half_width).grid().ravel()
+        got = [classify_point(f, z) for z in grid]
+        with without_proofs(monkeypatch):
+            want = [classify_point(f, z) for z in grid]
+        assert [(r.kind, r.root_index, r.entry_step) for r in got] == [
+            (r.kind, r.root_index, r.entry_step) for r in want
+        ]
+
+    def test_certified_exit_ends_the_orbit_sooner(self, monkeypatch, cubic_unity):
+        res = classify_point(cubic_unity, 1.7 - 0.4j, keep_trace=True)
+        with without_proofs(monkeypatch):
+            ref = classify_point(cubic_unity, 1.7 - 0.4j, keep_trace=True)
+        assert (res.kind, res.root_index, res.entry_step) == ("basin", ref.root_index, ref.entry_step)
+        # the reference stops after five confirming steps, the exit sooner
+        assert len(ref.trace) == ref.entry_step + dynamics.STAY_ITERATES + 1
+        assert len(res.trace) < len(ref.trace)
 
 
 class TestCriticalOrbits:
@@ -248,6 +313,78 @@ class TestRenderBasins:
         tiled = render_basins(f, spec)
         assert tiled.basin_id.tobytes() == whole.basin_id.tobytes()
         assert tiled.steps.tobytes() == whole.steps.tobytes()
+
+    @pytest.mark.parametrize("coeffs, center, half_width", REFERENCE_WINDOWS, ids=REFERENCE_IDS)
+    def test_proofs_do_not_change_the_image(self, monkeypatch, coeffs, center, half_width):
+        f = make_newton_map(Polynomial(coeffs))
+        spec = RasterSpec(32, 32, center, half_width)
+        ras, work = lane_steps(monkeypatch, lambda: render_basins(f, spec))
+        with without_proofs(monkeypatch):
+            ref, ref_work = lane_steps(monkeypatch, lambda: render_basins(f, spec))
+        assert ras.basin_id.tobytes() == ref.basin_id.tobytes()
+        assert ras.steps.tobytes() == ref.steps.tobytes()
+        assert work < ref_work  # certified exits retire pixels sooner
+
+    def test_gamma_sets_the_exit_radius_of_close_roots(self):
+        p = Polynomial(CLOSE_ROOTS)
+        rho = make_newton_map(p).exit_radius
+        assert rho > 0
+        assert make_newton_map(p, Tolerances(basin_tol=0.9e-3)).exit_radius == rho
+        # where the roots are well apart, basin_tol sets it
+        q = Polynomial((-1, 0, 0, 1))
+        assert make_newton_map(q, Tolerances(basin_tol=0.9e-3)).exit_radius < (
+            make_newton_map(q).exit_radius
+        )
+
+    @pytest.mark.parametrize("basin_tol", [0.0, 1e-15, 1e-12, 0.5, 1.5])
+    def test_basin_tol_extremes_match_the_reference(self, monkeypatch, basin_tol):
+        f = make_newton_map(Polynomial((-1, 0, 0, 1)), Tolerances(basin_tol=basin_tol))
+        spec = RasterSpec(64, 64, 0j, 2.0)
+        ras = render_basins(f, spec)
+        with without_proofs(monkeypatch):
+            ref = render_basins(f, spec)
+        assert ras.basin_id.tobytes() == ref.basin_id.tobytes()
+        assert ras.steps.tobytes() == ref.steps.tobytes()
+        if basin_tol <= 1e-12:  # not far above rounding: no exit
+            assert f.exit_radius == 0
+        if basin_tol == 0:  # only exact root hits count, and many pixels make none
+            assert (ras.basin_id < 0).any()
+        if basin_tol >= 1:
+            assert dynamics._root_band(f) == [(0.0, math.inf)]
+
+    def test_exact_root_is_no_exit_at_zero_tol(self, monkeypatch):
+        # f moves each root of this map off itself in floating point, so at
+        # basin_tol = 0 an orbit that starts exactly on a root is near it for
+        # one step only and stays unresolved
+        f = make_newton_map(
+            Polynomial.from_roots([0.1, 0.7, -0.3 + 0.2j]), Tolerances(basin_tol=0)
+        )
+        for r in f.roots:
+            spec = RasterSpec(1, 1, r, 1.0)  # its one cell center is r
+            assert spec.grid()[0, 0] == r
+            res = classify_point(f, r)
+            with without_proofs(monkeypatch):
+                assert classify_point(f, r) == res
+            assert res.kind == "unresolved"
+            ras = render_basins(f, spec)
+            assert (ras.basin_id[0, 0], ras.steps[0, 0]) == (-1, -1)
+
+    @pytest.mark.parametrize("basin_tol", [0.0, 1e-9, 1e-3, 0.5])
+    @pytest.mark.parametrize("roots",[(1, -1, 2j), (-100, 1, 100, 3j), (0, 1, -0.5 + 0.8j)])
+    def test_root_band_holds_every_near_point(self, roots, basin_tol):
+        f = make_newton_map(Polynomial.from_roots(roots), Tolerances(basin_tol=basin_tol))
+        bands = dynamics._root_band(f)
+        rng = np.random.default_rng(5)
+        near = 0
+        for r in f.roots:
+            # up to 1.5 basin_tol chordal from r, in every direction
+            radius = (1 + abs(r) ** 2) / 2 * basin_tol * rng.uniform(0, 1.5, 500)
+            points = [r] + (r + radius * np.exp(2j * np.pi * rng.random(500))).tolist()
+            for z in points:
+                if chordal_distance(z, r) <= basin_tol:
+                    near += 1
+                    assert any(lo <= abs(z) < hi for lo, hi in bands), z
+        assert near > len(f.roots)
 
     def test_multi_tile_render_stays_small(self, cubic_unity):
         # traced peak of a 512 x 512 full-window z^3 - 1 render in 8 tiles:

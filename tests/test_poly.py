@@ -109,6 +109,33 @@ class TestPolynomial:
                 scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(coeffs[::-1]))
                 assert abs(horner(coeffs, x) - value) <= 8 * (deg + 1) * 2.3e-16 * scale
 
+    def test_horner_from_the_leading_coefficient_moves_only_signs_of_zeros(self):
+        # oracle: the same loop from a zero accumulator, which adds the
+        # leading coefficient to 0 * x; == does not see the sign of a zero,
+        # and every part that is not zero must match bit for bit
+        def zero_start(coeffs, x):
+            acc = np.zeros(x.shape, dtype=complex) if isinstance(x, np.ndarray) else 0j
+            for c in coeffs:
+                acc = acc * x + c
+            return acc
+
+        rng = np.random.default_rng(23)
+        for deg in (0, 1, 3, 6):
+            coeffs = [complex(c) for c in rng.normal(size=(deg + 1, 2)) @ (1, 1j)]
+            coeffs[0] = complex(-0.0, coeffs[0].imag)  # a signed zero to lose
+            if deg:
+                coeffs[-1] = complex(0.0, -0.0)
+            z = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 10.0 ** rng.uniform(-3, 3, 64)
+            z[:4] = (0j, complex(-0.0, 0.0), 2.5 + 0j, complex(0.0, -1e-300))
+            ref = zero_start(coeffs, z)
+            got = horner(iter(coeffs), z)  # any iterable, not only a sequence
+            assert np.array_equal(got, ref)
+            parts, ref_parts = got.view(float), ref.view(float)
+            nonzero = parts != 0
+            assert parts[nonzero].tobytes() == ref_parts[nonzero].tobytes()
+            for x in z.tolist():
+                assert horner(reversed(coeffs[::-1]), x) == zero_start(coeffs, x)
+
 
 class TestRootsOf:
     def test_against_companion_matrix_oracle(self):
