@@ -29,13 +29,11 @@ from .errors import (
 from .poly import Polynomial, make_newton_map
 from .pullback import (
     compute_newton_graph,
-    lift_edge,
     lift_point,
     locate_face,
     newton_graph_to_json,
 )
 from .rays import channel_diagram
-from .sphere import SpherePoint
 from .thurston import is_irreducible_obstruction, transition_matrix
 from .tolerances import Tolerances
 
@@ -52,7 +50,6 @@ __all__ = [
     "InvalidGraph",
     "is_irreducible_obstruction",
     "LevelCapExceeded",
-    "lift_edge",
     "lift_point",
     "locate_face",
     "make_newton_map",
@@ -65,7 +62,6 @@ __all__ = [
     "NotARoot",
     "Polynomial",
     "RayCollision",
-    "SpherePoint",
     "Tolerances",
     "transition_matrix",
     "UnresolvedOrbit",

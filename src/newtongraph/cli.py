@@ -4,7 +4,8 @@ One binary with subcommands (roots, render, graph, validate, compare,
 thurston), stable JSON file formats, and fixed exit codes:
 
     0  success, or a positive verdict (validation passed, graphs equivalent)
-    1  negative verdict (a condition failed, graphs not equivalent)
+    1  negative verdict (a condition failed, graphs not equivalent), or a
+       computed graph that fails validation, which graph does not write
     2  input, parse or numeric error
     3  the polynomial is not postcritically fixed
 
@@ -193,6 +194,12 @@ def cmd_graph(args) -> int:
         raise InputError("--max-level must be >= 1")
     f = make_newton_map(load_polynomial(args.polynomial))
     result = compute_newton_graph(f, max_level=args.max_level)
+    report = validate_newton_graph(result.dynamics)
+    if not report.passed:
+        for c in report.failures:
+            witness = f" ({c.witness})" if c.witness else ""
+            print(f"invalid graph: {c.name} failed{witness}", file=sys.stderr)
+        return EXIT_FAIL
     text = _dump_json(newton_graph_to_json(result))
     if args.out:
         _write_file(args.out, text.encode("utf-8"))

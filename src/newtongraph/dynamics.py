@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import UnresolvedOrbit
 from .poly import NewtonMap
-from .sphere import INF, SpherePoint
+from .sphere import INF, point
 
 STAY_ITERATES = 5
 # steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
@@ -67,7 +67,7 @@ class OrbitResult:
     root_index: int | None = None
     entry_step: int | None = None
     hit_prepole: bool = False
-    trace: tuple[SpherePoint, ...] | None = None
+    trace: tuple[complex, ...] | None = None
 
 
 def _snap_pole(f: NewtonMap, z: complex) -> bool:
@@ -79,7 +79,7 @@ def _snap_pole(f: NewtonMap, z: complex) -> bool:
 
 def classify_point(
     f: NewtonMap,
-    z: SpherePoint | complex,
+    z: complex,
     max_iter: int = 256,
     keep_trace: bool = False,
 ) -> OrbitResult:
@@ -92,9 +92,9 @@ def classify_point(
     repels, so no open set converges there.
     """
     tol = f.tol
-    pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
-    trace = [pt] if keep_trace else None
-    if pt.is_infinity:
+    z = point(z)
+    trace = [z] if keep_trace else None
+    if z == INF:
         return OrbitResult(
             "fixed_infinity", entry_step=0, trace=tuple(trace) if trace else None
         )
@@ -103,20 +103,18 @@ def classify_point(
     cand_root = -1
     cand_step = -1
     stay = 0
-    cur = pt
     for s in range(max_iter + STAY_ITERATES + 1):
-        if cur.is_infinity:
+        if z == INF:
             return OrbitResult(
                 "unresolved", hit_prepole=True, trace=tuple(trace) if trace else None
             )
-        zv = cur.value
-        if _snap_pole(f, zv):
+        if _snap_pole(f, z):
             if trace is not None:
                 trace.append(INF)
             return OrbitResult(
                 "unresolved", hit_prepole=True, trace=tuple(trace) if trace else None
             )
-        idx, dist = f.nearest_root(zv)
+        idx, dist = f.nearest_root(z)
         near = dist <= tol.basin_tol
         if cand_root >= 0:
             if near and idx == cand_root:
@@ -139,9 +137,9 @@ def classify_point(
                 entry_step=cand_step,
                 trace=tuple(trace) if trace else None,
             )
-        cur = f.evaluate(zv)
+        z = f.evaluate(z)
         if trace is not None:
-            trace.append(cur)
+            trace.append(z)
     return OrbitResult("unresolved", trace=tuple(trace) if trace else None)
 
 
@@ -328,9 +326,9 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
 
 @dataclass(frozen=True)
 class CriticalOrbit:
-    start: SpherePoint
+    start: complex
     branching: int  # local degree minus one
-    orbit: tuple[SpherePoint, ...]
+    orbit: tuple[complex, ...]
     landing: str  # "root" | "infinity" | "unresolved"
     root_index: int | None
     landing_time: int | None
@@ -364,33 +362,33 @@ def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
     tol = f.tol
     entries = []
     for c, mult in f.critical_points:
-        orbit: list[SpherePoint] = [SpherePoint.of(c)]
+        start = point(c)
+        orbit = [start]
         landing, root_index, time, prepole = "unresolved", None, None, False
         prev_dist = None  # distance from previous point to the root it may hit
         for s in range(tol.max_steps + 1):
-            cur = orbit[-1]
-            if cur.is_infinity:
+            z = orbit[-1]
+            if z == INF:
                 landing, time = "infinity", s
                 break
-            zv = cur.value
-            idx, dist = f.nearest_root(zv)
+            idx, dist = f.nearest_root(z)
             if dist <= tol.land_tol:
                 arrived_from_far = s == 0 or prev_dist is None or prev_dist >= tol.jump_guard
                 if arrived_from_far:
                     landing, root_index, time = "root", idx, s
                     break
             prev_dist = dist
-            if _snap_pole(f, zv):
+            if _snap_pole(f, z):
                 orbit.append(INF)
                 prepole = True
                 continue
-            nxt = f.evaluate(zv)
-            if nxt.is_infinity:
+            nxt = f.evaluate(z)
+            if nxt == INF:
                 prepole = True
             orbit.append(nxt)
         entries.append(
             CriticalOrbit(
-                start=SpherePoint.of(c),
+                start=start,
                 branching=mult,
                 orbit=tuple(orbit),
                 landing=landing,

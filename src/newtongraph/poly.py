@@ -17,7 +17,6 @@ regular point; that swaps N, D, N', D' to D, N, D', N' (`CHART_SWAP`).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,7 @@ import numpy as np
 
 from .combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT, UnionFind
 from .errors import DegreeTooLow, MultipleRoot, NoConvergence
-from .sphere import INF, SpherePoint, chordal_distance
+from .sphere import INF, chordal_distance, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = 2.220446049250313e-16
@@ -327,7 +326,7 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
 
 class MarkedPoint(NamedTuple):
     """What a Newton map marks at a point of the sphere: its exact location
-    (complex("inf") for infinity), the vertex kind a graph vertex there has,
+    (INF for infinity), the vertex kind a graph vertex there has,
     and the local degree of the map there."""
 
     value: complex
@@ -335,7 +334,7 @@ class MarkedPoint(NamedTuple):
     local_degree: int
 
 
-_INFINITY = MarkedPoint(complex("inf"), KIND_INFINITY, 1)
+_INFINITY = MarkedPoint(INF, KIND_INFINITY, 1)
 
 
 @dataclass(frozen=True)
@@ -399,18 +398,15 @@ class NewtonMap:
         w = 1 / z
         return horner(self._chart[0], w), horner(self._chart[1], w) * w
 
-    def evaluate(self, z: SpherePoint | complex) -> SpherePoint:
-        """Total evaluation on the sphere; exact pole hits map to infinity."""
-        pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
-        if pt.is_infinity:
+    def evaluate(self, z: complex) -> complex:
+        """Total evaluation on the sphere; exact pole hits map to INF."""
+        z = point(z)
+        if z == INF:
             return INF
-        num, den = self._fraction(pt.value, abs(pt.value) > self.tol.chart_radius)
+        num, den = self._fraction(z, abs(z) > self.tol.chart_radius)
         if den == 0:
             return INF
-        val = num / den
-        if not (cmath.isfinite(val)):
-            return INF
-        return SpherePoint.of(val)
+        return point(num / den)
 
     def evaluate_array(self, z: np.ndarray, far: np.ndarray | None = None) -> np.ndarray:
         """Vectorized evaluation on finite points; poles/overflow come back as inf.
@@ -511,20 +507,20 @@ class NewtonMap:
                 best, bd = i, d
         return best, bd
 
-    def marked_point(self, z: SpherePoint | complex) -> MarkedPoint:
+    def marked_point(self, z: complex) -> MarkedPoint:
         """The first of marked_points within match_tol (chordal) of z, the
         point at infinity itself, or else z as an unmarked plain point of
         local degree 1. This is the one place that decides whether a point
         is marked: fiber snapping, vertex kinds and local degrees read it."""
-        pt = z if isinstance(z, SpherePoint) else SpherePoint.of(z)
-        if pt.is_infinity:
+        z = point(z)
+        if z == INF:
             return _INFINITY
         for mark in self.marked_points:
-            if chordal_distance(pt, mark.value) <= self.tol.match_tol:
+            if chordal_distance(z, mark.value) <= self.tol.match_tol:
                 return mark
-        return MarkedPoint(pt.value, KIND_PLAIN, 1)
+        return MarkedPoint(z, KIND_PLAIN, 1)
 
-    def local_degree(self, z: SpherePoint | complex) -> int:
+    def local_degree(self, z: complex) -> int:
         """Local mapping degree at z; 1 except at critical points."""
         return self.marked_point(z).local_degree
 
@@ -616,7 +612,7 @@ def verify_newton_conditions(f: NewtonMap, tol: float = 1e-8) -> NewtonCheckRepo
     moduli = []
     for r in f.roots:
         img = f.evaluate(r)
-        residuals.append(chordal_distance(img, SpherePoint.of(r)))
+        residuals.append(chordal_distance(img, r))
         moduli.append(abs(f.map_derivative(r)))
     superattracting_ok = all(d <= tol for d in residuals) and all(
         m <= tol for m in moduli
@@ -634,7 +630,7 @@ def verify_newton_conditions(f: NewtonMap, tol: float = 1e-8) -> NewtonCheckRepo
     # Multiplier at infinity from a finite difference in the w = 1/z chart.
     h = 1e-6
     fw = f.evaluate(1 / h)
-    lam = (1 / fw.value) / h if fw.finite and fw.value != 0 else 0j
+    lam = (1 / fw) / h if fw != INF and fw != 0 else 0j
     repelling = abs(lam) > 1 + 1e-3
 
     return NewtonCheckReport(

@@ -52,7 +52,7 @@ from .rays import (
     residual_ok,
     solve_preimage_near,
 )
-from .sphere import INF, SpherePoint, chordal_distance
+from .sphere import INF, SpherePoint, chordal_distance, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -101,9 +101,7 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
 # --- preimages ----------------------------------------------------------
 
 
-def lift_point(
-    f: NewtonMap, w: SpherePoint | complex
-) -> tuple[tuple[SpherePoint, int], ...]:
+def lift_point(f: NewtonMap, w: complex) -> tuple[tuple[SpherePoint, int], ...]:
     """All preimages of w under f with their local degrees, summing to deg f.
 
     Finite fibers solve numerator - w * denominator = 0; the fiber over
@@ -111,22 +109,23 @@ def lift_point(
     a marked point is solved over that point's exact value, so a multiple
     preimage there is one point of its full degree. Preimages are snapped to
     the map's marked points, and two fiber points closer than match_tol abort
-    rather than silently merging.
+    rather than silently merging. Each point is a SpherePoint, a complex
+    number that also answers value and is_infinity.
     """
     tol = f.tol
-    pt = SpherePoint.of(f.marked_point(w).value)
-    if pt.is_infinity:
-        out = [(SpherePoint.of(q), m) for q, m in f.poles] + [(INF, 1)]
+    w = point(f.marked_point(w).value)
+    if w == INF:
+        out = [(point(q), m) for q, m in f.poles] + [(INF, 1)]
     else:
-        shifted = f.numerator - f.denominator * pt.value
+        shifted = f.numerator - f.denominator * w
         out = [
-            (SpherePoint.of(f.marked_point(z).value), m)
+            (point(f.marked_point(z).value), m)
             for z, m in roots_of(shifted, tol.root_tol)
         ]
     total = sum(m for _, m in out)
     if total != f.degree:
         raise NonPlanarIncidence(
-            f"fiber over {pt} carries total degree {total}, expected {f.degree}"
+            f"fiber over {w} carries total degree {total}, expected {f.degree}"
         )
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
@@ -135,7 +134,7 @@ def lift_point(
                     f"fiber points {out[i][0]} and {out[j][0]} collide below "
                     f"match_tol; vertex merging would corrupt the embedding"
                 )
-    return tuple(out)
+    return tuple((SpherePoint(z), m) for z, m in out)
 
 
 def _branched_first_step(
@@ -171,9 +170,7 @@ def _branched_first_step(
     return continue_inverse_branch(f, mid, w1, xm)
 
 
-def _match_endpoint(
-    last: SpherePoint, candidates: tuple[tuple[SpherePoint, int], ...]
-) -> SpherePoint:
+def _match_endpoint(last: complex, candidates: tuple[tuple[complex, int], ...]) -> complex:
     """Pick the fiber point the lift ran into. The polyline stops one sample
     short of the vertex, so the gate is a separation margin (factor 5 against
     the runner-up, 0.1 chordal absolute), not match_tol."""
@@ -213,9 +210,9 @@ def _first_step(
 def lift_edge(
     f: NewtonMap,
     edge_points: np.ndarray,
-    start: SpherePoint | complex,
+    start: complex,
     branch_direction: float | None = None,
-    head_candidates: tuple[tuple[SpherePoint, int], ...] | None = None,
+    head_candidates: tuple[tuple[complex, int], ...] | None = None,
 ) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
@@ -229,26 +226,26 @@ def lift_edge(
     pullback_level runs over all newest edges at once.
     """
     points = frozen_polyline(edge_points)
-    start_pt = start if isinstance(start, SpherePoint) else SpherePoint.of(start)
+    start = point(start)
     if len(points) < 3:
         raise ValueError("polyline needs interior samples to continue along")
-    tail, head = SpherePoint.of(points[0]), SpherePoint.of(points[-1])
-    if not tail.finite or not start_pt.finite:
+    tail, head = point(points[0]), point(points[-1])
+    if tail == INF or start == INF:
         raise ValueError("edge tails and lift starts must be finite points")
     if not np.isfinite(points[1:-1]).all():
         raise ValueError("interior samples must be finite")
-    if chordal_distance(f.evaluate(start_pt), tail) > f.tol.match_tol:
-        raise ValueError(f"start {start_pt} is not a preimage of the tail {tail}")
+    if chordal_distance(f.evaluate(start), tail) > f.tol.match_tol:
+        raise ValueError(f"start {start} is not a preimage of the tail {tail}")
 
-    order = f.local_degree(start_pt)
+    order = f.local_degree(start)
     if order > 1 and branch_direction is None:
         raise ValueError(
-            f"start {start_pt} has local degree {order}; a branch direction "
+            f"start {start} has local degree {order}; a branch direction "
             f"is required to select one of its lifts"
         )
 
-    w_prev = tail.value
-    x = start_pt.value
+    w_prev = tail
+    x = start
     out = [x]
     for i, w in enumerate(points[1:-1].tolist()):
         if w == w_prev:
@@ -261,7 +258,7 @@ def lift_edge(
         w_prev = w
 
     cands = head_candidates if head_candidates is not None else lift_point(f, head)
-    out.append(complex(_match_endpoint(SpherePoint.of(x), cands)))
+    out.append(_match_endpoint(x, cands))
     return frozen_polyline(out)
 
 
@@ -326,9 +323,9 @@ def _newton_round(
 
 def _lift_lanes(
     f: NewtonMap,
-    sources: dict[int, tuple[np.ndarray, tuple[tuple[SpherePoint, int], ...]]],
-    lanes: list[tuple[int, SpherePoint, float | None]],
-) -> list[tuple[SpherePoint, np.ndarray]]:
+    sources: dict[int, tuple[np.ndarray, tuple[tuple[complex, int], ...]]],
+    lanes: list[tuple[int, complex, float | None]],
+) -> list[tuple[complex, np.ndarray]]:
     """Every lane's lift at once, each as lift_edge would give it.
 
     sources maps an edge to its polyline and the fiber over its head; a lane
@@ -356,7 +353,7 @@ def _lift_lanes(
         dtype=bool,
     )
     x = np.empty_like(w)
-    x[0] = [start.value for _, start, _ in lanes]
+    x[0] = [start for _, start, _ in lanes]
     failed = np.zeros(n_lanes, dtype=bool)
     errors: dict[int, BranchJump] = {}
 
@@ -409,10 +406,10 @@ def _lift_lanes(
         if lane in errors:
             raise errors[lane]
         n = int(steps[lane])
-        head = _match_endpoint(SpherePoint.of(complex(x[n, lane])), sources[j][1])
+        head = _match_endpoint(complex(x[n, lane]), sources[j][1])
         path = np.empty(n + 2, dtype=complex)
         path[: n + 1] = x[: n + 1, lane]
-        path[-1] = complex(head)
+        path[-1] = head
         out.append((head, frozen_polyline(path)))
     return out
 
@@ -431,9 +428,9 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     """
     tol = f.tol
     geo = current.geo
-    fibers: dict[int, tuple[tuple[SpherePoint, int], ...]] = {}
+    fibers: dict[int, tuple[tuple[complex, int], ...]] = {}
 
-    def fiber(vertex: int) -> tuple[tuple[SpherePoint, int], ...]:
+    def fiber(vertex: int) -> tuple[tuple[complex, int], ...]:
         if vertex not in fibers:
             fibers[vertex] = lift_point(f, geo.vertices[vertex])
         return fibers[vertex]
@@ -443,13 +440,13 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     for j in current.edges_at_level(current.level):
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
-        psi = cmath.phase(complex(e.points[1]) - tail_pt.value)
+        psi = cmath.phase(complex(e.points[1]) - tail_pt)
         sources[j] = (e.points, fiber(e.head))
         for x, order in fiber(e.tail):
             if order == 1:
                 directions: list[float | None] = [None]
             else:
-                coeff = f.leading_coefficient(x.value, order, tail_pt.value)
+                coeff = f.leading_coefficient(x, order, tail_pt)
                 base = (psi - cmath.phase(coeff)) / order
                 directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
                 if (
@@ -469,7 +466,8 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     vmap = list(current.vertex_map)
     vlevel = list(current.vertex_level)
 
-    def locate_or_add(p: SpherePoint, image_vertex: int) -> int:
+    def locate_or_add(p: complex, image_vertex: int) -> int:
+        p = complex(p)  # a fiber point; the vertex list holds plain complex
         for i, v in enumerate(verts):
             if chordal_distance(v, p) <= tol.match_tol:
                 if vmap[i] != image_vertex:
@@ -639,7 +637,7 @@ def _chart_values(points: list[complex]) -> list[complex] | None:
 def locate_face(
     geo: GeoGraph,
     embedded: EmbeddedGraph,
-    q: SpherePoint | complex,
+    q: complex,
     tol: Tolerances | None = None,
 ) -> int | None:
     """Face of the embedding containing q, or None if q lies on the graph.
@@ -653,13 +651,12 @@ def locate_face(
     from .rays import nearest_edge_point
 
     tol = tol or DEFAULT_TOL
-    pt = q if isinstance(q, SpherePoint) else SpherePoint.of(q)
-    ei, si, dist = nearest_edge_point(geo, pt)
+    q = point(q)
+    ei, si, dist = nearest_edge_point(geo, q)
     if dist <= tol.match_tol:
         return None
 
     pts = geo.edges[ei].points
-    q = complex(pt)
     chart = _chart_values(pts[si : si + 2].tolist() + [q])
     if chart is None:
         raise ValueError(f"no common chart for segment {si} of edge {ei}")
@@ -674,7 +671,7 @@ def locate_face(
     corner = si if t <= 0.0 else si + 1
     if corner == 0 or corner == len(pts) - 1:
         vertex = geo.edges[ei].tail if corner == 0 else geo.edges[ei].head
-        return _face_at_vertex(geo, embedded, vertex, pt)
+        return _face_at_vertex(geo, embedded, vertex, q)
 
     trio = _chart_values(pts[corner - 1 : corner + 2].tolist() + [q])
     if trio is None:
@@ -690,14 +687,11 @@ def locate_face(
 
 
 def _face_at_vertex(
-    geo: GeoGraph, embedded: EmbeddedGraph, vertex: int, pt: SpherePoint
+    geo: GeoGraph, embedded: EmbeddedGraph, vertex: int, q: complex
 ) -> int:
     star = geo.vertex_star(vertex)
     v = geo.vertices[vertex]
-    if v.is_infinity:
-        alpha = _mod_tau(cmath.phase(1 / pt.value))
-    else:
-        alpha = _mod_tau(cmath.phase(pt.value - v.value))
+    alpha = _mod_tau(cmath.phase(1 / q if v == INF else q - v))
     chosen = star[-1][1]
     for angle, dart in star:
         if angle <= alpha:

@@ -29,7 +29,7 @@ from .errors import (
     RayCollision,
 )
 from .poly import NewtonMap, horner
-from .sphere import INF, SpherePoint, chordal_distance
+from .sphere import INF, chordal_distance, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAU = 2 * math.pi
@@ -243,7 +243,7 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
         )
     # truncate at the first escaped sample, then close with infinity
     cut = next(i for i, z in enumerate(points) if abs(z) >= tol.escape_radius)
-    return frozen_polyline([xi] + points[: cut + 1] + [complex(INF)])
+    return frozen_polyline([xi] + points[: cut + 1] + [INF])
 
 
 # --- geometric embedded graphs ----------------------------------------------
@@ -273,17 +273,17 @@ class GeoEdge:
 
 @dataclass(frozen=True)
 class GeoGraph:
-    vertices: tuple[SpherePoint, ...]
+    vertices: tuple[complex, ...]
     edges: tuple[GeoEdge, ...]
 
     def find_vertex(
-        self, q: SpherePoint | complex, tol: Tolerances | None = None
+        self, q: complex, tol: Tolerances | None = None
     ) -> int | None:
         tol = tol or DEFAULT_TOL
-        pt = q if isinstance(q, SpherePoint) else SpherePoint.of(q)
+        q = point(q)
         best, best_d = None, tol.match_tol
         for i, v in enumerate(self.vertices):
-            d = chordal_distance(v, pt)
+            d = chordal_distance(v, q)
             if d <= best_d:
                 best, best_d = i, d
         return best
@@ -383,39 +383,38 @@ def _project_distances(q: complex, p0: np.ndarray, p1: np.ndarray) -> np.ndarray
 
 
 def _distance_candidates(
-    graph: GeoGraph, q: SpherePoint
+    graph: GeoGraph, q: complex
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     geom = graph._geometry
     out = []
     if geom.pts.size:
-        if q.is_infinity:
+        if q == INF:
             base = 2 / np.sqrt(1 + np.abs(geom.pts) ** 2)
         else:
-            base = 2 * np.abs(q.value - geom.pts) / np.sqrt(
-                (1 + abs(q.value) ** 2) * (1 + np.abs(geom.pts) ** 2)
+            base = 2 * np.abs(q - geom.pts) / np.sqrt(
+                (1 + abs(q) ** 2) * (1 + np.abs(geom.pts) ** 2)
             )
         out.append((base, geom.pe, geom.ps))
     if geom.inf_refs:
-        dinf = 0.0 if q.is_infinity else 2 / math.sqrt(1 + abs(q.value) ** 2)
+        dinf = 0.0 if q == INF else 2 / math.sqrt(1 + abs(q) ** 2)
         ei, si = geom.inf_refs[0]
         out.append(
             (np.array([dinf]), np.array([ei]), np.array([si]))
         )
-    if not q.is_infinity and geom.zp0.size:
-        out.append((_project_distances(q.value, geom.zp0, geom.zp1), geom.ze, geom.zs))
-    qw = 0j if q.is_infinity else (1 / q.value if q.value != 0 else None)
+    if q != INF and geom.zp0.size:
+        out.append((_project_distances(q, geom.zp0, geom.zp1), geom.ze, geom.zs))
+    qw = 0j if q == INF else (1 / q if q != 0 else None)
     if qw is not None and geom.wp0.size:
         out.append((_project_distances(qw, geom.wp0, geom.wp1), geom.we, geom.ws))
     return out
 
 
 def nearest_edge_point(
-    graph: GeoGraph, q: SpherePoint | complex
+    graph: GeoGraph, q: complex
 ) -> tuple[int, int, float]:
     """(edge index, segment index, distance) of the closest edge point."""
-    pt = q if isinstance(q, SpherePoint) else SpherePoint.of(q)
     best = (0, 0, math.inf)
-    for d, earr, sarr in _distance_candidates(graph, pt):
+    for d, earr, sarr in _distance_candidates(graph, point(q)):
         if not d.size:
             continue
         k = int(np.argmin(d))
@@ -424,7 +423,7 @@ def nearest_edge_point(
     return best
 
 
-def graph_distance(graph: GeoGraph, q: SpherePoint | complex) -> float:
+def graph_distance(graph: GeoGraph, q: complex) -> float:
     """Chordal distance from a point to the union of the graph's edges."""
     return nearest_edge_point(graph, q)[2]
 
@@ -432,10 +431,10 @@ def graph_distance(graph: GeoGraph, q: SpherePoint | complex) -> float:
 # --- export -------------------------------------------------------------
 
 
-def _pos_json(p: SpherePoint):
-    if p.is_infinity:
+def _pos_json(p: complex):
+    if p == INF:
         return "inf"
-    return [p.value.real, p.value.imag]
+    return [p.real, p.imag]
 
 
 def _samples_json(points: np.ndarray) -> list:
@@ -488,7 +487,7 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
     Vertices are the roots in order followed by infinity; edges are grouped by
     root and sorted by ray direction, so the construction is deterministic.
     """
-    verts = tuple(SpherePoint.of(r) for r in f.roots) + (INF,)
+    verts = tuple(point(r) for r in f.roots) + (INF,)
     inf_index = len(f.roots)
     edges = []
     for i in range(len(f.roots)):

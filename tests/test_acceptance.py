@@ -18,7 +18,6 @@ import pytest
 
 from newtongraph import (
     Polynomial,
-    SpherePoint,
     channel_diagram,
     classify_point,
     compute_newton_graph,
@@ -37,7 +36,7 @@ from newtongraph.pullback import (
     verify_face_counts,
 )
 from newtongraph.rays import GeoEdge, GeoGraph, graph_distance
-from newtongraph.sphere import chordal_distance
+from newtongraph.sphere import chordal_distance, point
 from newtongraph.thurston import MulticurveSpec, is_irreducible
 from newtongraph.cli import main
 from newtongraph.errors import InvalidGraph
@@ -202,7 +201,7 @@ def mutate(dyn, kind, rng):
 
 def single_edge_graph(edge):
     return GeoGraph(
-        vertices=(SpherePoint.of(edge.points[0]), SpherePoint.of(edge.points[-1])),
+        vertices=(point(edge.points[0]), point(edge.points[-1])),
         edges=(GeoEdge(0, 1, edge.points),),
     )
 

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import newtongraph
-from newtongraph import InvalidGraph, graph_from_json
+from newtongraph import InvalidGraph, graph_from_json, validate_newton_graph
+from newtongraph import cli
 from newtongraph.cli import main
+from newtongraph.combinatorial import ConditionCheck, ValidationReport
 
 UNITY = {"coeffs": [[-1, 0], [0, 0], [0, 0], [1, 0]]}
 PM = {"roots": [[-1, 0], [0, 0], [1, 0]]}
@@ -210,6 +212,34 @@ class TestGraph:
         poly = write_json(tmp_path, "u.json", UNITY)
         code, _, _ = run(capsys, ["graph", poly, "--max-level", "1"])
         assert code == 2
+
+    def test_postcritically_fixed_cubic_is_valid_or_exits_1(self, tmp_path, capsys):
+        # p = z^3 + (lam - 1) z - lam: the free critical point 0 goes to
+        # -0.3617, -1/2 and then the root 1. Its graph either validates or
+        # is not written.
+        lam = 0.2656063759179105499
+        coeffs = [[-lam, 0], [lam - 1, 0], [0, 0], [1, 0]]
+        poly = write_json(tmp_path, "p.json", {"coeffs": coeffs})
+        out = tmp_path / "g.json"
+        code, _, err = run(capsys, ["graph", poly, "--out", str(out)])
+        if code == 0:
+            data = json.loads(out.read_text())["combinatorial"]
+            assert validate_newton_graph(graph_from_json(data)).passed
+        else:
+            assert code == 1
+            assert "invalid graph" in err
+            assert not out.exists()
+
+    def test_failed_validation_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        failing = ValidationReport((ConditionCheck("sector_injective", False, "a witness"),))
+        monkeypatch.setattr(cli, "validate_newton_graph", lambda graph: failing)
+        out = tmp_path / "g.json"
+        poly = write_json(tmp_path, "pm.json", PM)
+        code, text, err = run(capsys, ["graph", poly, "--out", str(out), "--json"])
+        assert code == 1
+        assert "sector_injective failed (a witness)" in err
+        assert text == ""
+        assert not out.exists()
 
 
 class TestValidate:

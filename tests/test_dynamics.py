@@ -114,14 +114,14 @@ class TestClassifyPoint:
             assert res.kind == "basin"
             z = complex(z0)
             for _ in range(200):
-                z = f.evaluate(z).value
+                z = f.evaluate(z)
             assert abs(z - f.roots[res.root_index]) < 1e-12
 
     def test_prepole_start_is_unresolved_with_flag(self, cubic_unity):
         res = classify_point(cubic_unity, 0j, keep_trace=True)
         assert res.kind == "unresolved"
         assert res.hit_prepole
-        assert res.trace[1].is_infinity
+        assert res.trace[1] == INF
 
     def test_infinity_is_fixed(self, cubic_unity):
         res = classify_point(cubic_unity, INF)
@@ -182,8 +182,7 @@ class TestCriticalOrbits:
     def test_cubic_unity_orbit_table(self, cubic_unity):
         table = critical_orbits(cubic_unity)
         assert len(table.entries) == 4
-        by_start = {e.start.value if not e.start.is_infinity else None: e
-                    for e in table.entries}
+        by_start = {e.start: e for e in table.entries}
         for r in cubic_unity.roots:
             e = by_start[r]
             assert e.landing == "root"
@@ -193,7 +192,7 @@ class TestCriticalOrbits:
         assert pole_orbit.landing == "infinity"
         assert pole_orbit.landing_time == 1
         assert pole_orbit.hit_prepole
-        assert pole_orbit.orbit[1].is_infinity
+        assert pole_orbit.orbit[1] == INF
 
     def test_cubic_unity_is_pcf_level_one(self, cubic_unity):
         ok, level = is_postcritically_fixed(critical_orbits(cubic_unity))
@@ -220,8 +219,8 @@ class TestCriticalOrbits:
         assert bad
         for e in bad:
             tail = e.orbit[-1]
-            assert not tail.is_infinity
-            _, dist = f.nearest_root(tail.value)
+            assert tail != INF
+            _, dist = f.nearest_root(tail)
             assert dist < 1e-12  # converged numerically, still not a landing
 
     def test_quartic_with_triple_pole(self):
@@ -230,7 +229,7 @@ class TestCriticalOrbits:
         ok, level = is_postcritically_fixed(table)
         assert ok
         assert level == 1
-        pole_entries = [e for e in table.entries if e.start.value == 0]
+        pole_entries = [e for e in table.entries if e.start == 0]
         assert len(pole_entries) == 1
         assert pole_entries[0].branching == 2
         assert pole_entries[0].landing == "infinity"
@@ -241,7 +240,7 @@ class TestCriticalOrbits:
         ok, level = is_postcritically_fixed(table)
         assert ok
         assert level == 0
-        origin = [e for e in table.entries if e.start.value == 0][0]
+        origin = [e for e in table.entries if e.start == 0][0]
         assert origin.branching == 3
         assert origin.landing == "root"
 

@@ -10,7 +10,7 @@ from newtongraph import Polynomial, compute_newton_graph, lift_point, newton_gra
 from newtongraph.combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT
 from newtongraph.poly import make_newton_map
 from newtongraph.pullback import extract_combinatorial
-from newtongraph.sphere import INF, SpherePoint
+from newtongraph.sphere import INF
 
 POOL = {
     "z3-1": (-1, 0, 0, 1),
@@ -109,10 +109,10 @@ class TestFiberNextToMarkedPoint:
         f = make_newton_map(Polynomial((0, -1, 0, 0, 1)))
         root = f.roots[f.nearest_root(1)[0]]
         exact = lift_point(f, root)
-        assert (SpherePoint.of(root), 2) in exact
+        assert (root, 2) in exact
         assert lift_point(f, 1 + 1e-12j) == exact
         # the image of the level-1 vertex -1/3 + 0.4714i, a preimage of 1
-        [v] = [x for x, m in exact if m == 1 and x.value.imag > 0]
+        [v] = [x for x, m in exact if m == 1 and x.imag > 0]
         assert lift_point(f, f.evaluate(v)) == exact
 
     def test_no_spurious_neighbour(self):
@@ -121,7 +121,7 @@ class TestFiberNextToMarkedPoint:
         f = make_newton_map(Polynomial((-1, 0, 0, 1)))
         fiber = lift_point(f, 1 + 1e-12j)
         assert len(fiber) == 2
-        assert (SpherePoint.of(f.roots[f.nearest_root(1)[0]]), 2) in fiber
+        assert (f.roots[f.nearest_root(1)[0]], 2) in fiber
 
     def test_far_target_unchanged(self):
         # a target beyond match_tol of every marked point is solved as given
@@ -130,4 +130,4 @@ class TestFiberNextToMarkedPoint:
         assert len(fiber) == 3
         for x, m in fiber:
             assert m == 1
-            assert abs(f.evaluate(x).value - (1 + 1e-3j)) < 1e-12
+            assert abs(f.evaluate(x) - (1 + 1e-3j)) < 1e-12

@@ -1,9 +1,11 @@
 """One numeric policy per map: every stage reads the Tolerances that
 make_newton_map fixed on the map, and no stage takes a second copy."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +73,7 @@ class TestPolicyReachesEveryStage:
         # cap of zero steps does not allow
         f = make_newton_map(Polynomial((-1, 0, 0, 1)), Tolerances(max_steps=0))
         table = critical_orbits(f)
-        [pole] = [e for e in table.entries if e.start.value == 0]
+        [pole] = [e for e in table.entries if e.start == 0]
         assert pole.landing == "unresolved"
         with pytest.raises(UnresolvedOrbit):
             compute_newton_graph(f)
@@ -88,3 +90,53 @@ class TestPolicyReachesEveryStage:
             assert abs(e.points[-2]) >= tol.escape_radius
         assert validate_newton_graph(result.dynamics).passed
         assert verify_face_counts(result, f).passed
+
+
+class TestOnePointType:
+    """Every point is a plain complex, INF at infinity. SpherePoint is only
+    the type of lift_point's fiber points, kept for readers of that output."""
+
+    @staticmethod
+    def places_naming(name):
+        """(module, enclosing function or None) of every Name, Attribute or
+        import alias in src/ that names `name`, and the isinstance calls
+        whose type argument names it."""
+        places, checks = [], []
+        for path in sorted(Path(newtongraph.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+
+            def visit(node, function):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    function = function or node.name
+                named = (
+                    (isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+                )
+                if named:
+                    places.append((path.stem, function))
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and any(
+                        isinstance(n, ast.Name) and n.id == name
+                        for n in ast.walk(node.args[1])
+                    )
+                ):
+                    checks.append(f"{path.stem}:{node.lineno}")
+                for child in ast.iter_child_nodes(node):
+                    visit(child, function)
+
+            visit(tree, None)
+        return places, checks
+
+    def test_sphere_point_is_only_lift_points_output(self):
+        places, checks = self.places_naming("SpherePoint")
+        assert checks == []
+        allowed = {("sphere", None), ("pullback", None), ("pullback", "lift_point")}
+        assert set(places) <= allowed
+        assert ("pullback", "lift_point") in places
+        # the one module-level mention outside sphere.py is the import
+        assert places.count(("pullback", None)) == 1

@@ -15,7 +15,8 @@ from newtongraph.poly import (
     roots_of,
     verify_newton_conditions,
 )
-from newtongraph.sphere import INF, SpherePoint, chordal_distance
+from newtongraph.pullback import lift_point
+from newtongraph.sphere import INF, SpherePoint, chordal_distance, point
 from newtongraph.tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -56,8 +57,18 @@ class TestChordal:
         assert chordal_distance(1, 1e200) == pytest.approx(chordal_distance(1, INF))
 
     def test_complex_conversion_round_trips(self):
-        assert complex(SpherePoint.of(2 - 1j)) == 2 - 1j
-        assert SpherePoint.of(complex(INF)) == INF
+        # numpy scalars become Python complex, whose arithmetic the exports
+        # are computed in
+        z = point(np.complex128(2 - 1j))
+        assert type(z) is complex and z == 2 - 1j
+        assert point(INF) == INF
+        assert point(complex("nan")) == INF
+        assert point(complex(1, math.inf)) == INF
+
+    def test_non_finite_values_are_infinity(self):
+        assert chordal_distance(complex("nan"), 0) == 2.0
+        assert chordal_distance(complex(math.inf, math.inf), INF) == 0.0
+        assert chordal_distance(INF, INF) == 0.0
 
 
 class TestPolynomial:
@@ -264,7 +275,19 @@ class TestEvaluate:
         assert f.evaluate(INF) == INF
         assert f.evaluate(0j) == INF  # double pole at 0
         img = f.evaluate(1 + 0j)
-        assert img.finite and abs(img.value - 1) < 1e-12
+        assert type(img) is complex and abs(img - 1) < 1e-12
+
+    def test_fiber_points_are_complex_numbers(self):
+        # lift_point's points are complex numbers that also answer value and
+        # is_infinity; 0 is the double pole of z^3 - 1
+        f = make_newton_map(CUBIC_UNITY)
+        fiber = dict(lift_point(f, INF))
+        assert fiber == {0j: 2, INF: 1}
+        for p in fiber:
+            assert isinstance(p, SpherePoint)
+            assert p == complex(p) and hash(p) == hash(complex(p))
+            assert type(p.value) is complex and p.value == p
+        assert [p.is_infinity for p in fiber] == [False, True]
 
     def test_chart_consistency(self):
         # w-chart path (|z| > 1000) must agree with the plain rational formula.
@@ -272,15 +295,15 @@ class TestEvaluate:
         for z in [2e3 + 0j, -5e3 + 7e3j, 1e5j]:
             direct = f.numerator(z) / f.denominator(z)
             via_chart = f.evaluate(z)
-            assert via_chart.finite
-            assert abs(via_chart.value - direct) < 1e-8 * abs(direct)
+            assert via_chart != INF
+            assert abs(via_chart - direct) < 1e-8 * abs(direct)
 
     def test_near_infinity_contraction_factor(self):
         # f(z) ~ (d-1)/d * z for large z (cubic: 2/3)
         f = make_newton_map(CUBIC_UNITY)
         z = 1e5 + 3e4j
         img = f.evaluate(z)
-        assert abs(img.value / z - 2 / 3) < 1e-4
+        assert abs(img / z - 2 / 3) < 1e-4
 
     def test_array_matches_scalar(self):
         f = make_newton_map(CUBIC_ODD)
@@ -289,11 +312,11 @@ class TestEvaluate:
         z[0] = 2e4  # chart branch
         arr = f.evaluate_array(z)
         for zi, ai in zip(z, arr):
-            sp = f.evaluate(complex(zi))
-            if sp.is_infinity:
+            w = f.evaluate(complex(zi))
+            if w == INF:
                 assert not np.isfinite(ai)
             else:
-                assert abs(ai - sp.value) < 1e-9 * (1 + abs(sp.value))
+                assert abs(ai - w) < 1e-9 * (1 + abs(w))
 
     def test_array_value_does_not_depend_on_its_company(self):
         # A point's value is the same bits alone, beside a point of the other
@@ -344,7 +367,7 @@ class TestEvaluate:
         for phase in (0.0, 1.0, 2.5):
             inside = cmath.rect(r * (1 - 1e-12), phase)
             outside = cmath.rect(r * (1 + 1e-12), phase)
-            a, b = f.evaluate(inside).value, f.evaluate(outside).value
+            a, b = f.evaluate(inside), f.evaluate(outside)
             assert abs(b / a - 1) < 1e-9
             arr = f.evaluate_array(np.array([inside, outside]))
             assert abs(arr[1] / arr[0] - 1) < 1e-9

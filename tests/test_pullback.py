@@ -14,13 +14,11 @@ from newtongraph import (
     EndpointUnmatched,
     LevelCapExceeded,
     Polynomial,
-    SpherePoint,
     UnresolvedOrbit,
     compute_newton_graph,
     graph_from_json,
     graph_to_json,
     graphs_equivalent,
-    lift_edge,
     lift_point,
     locate_face,
     make_newton_map,
@@ -32,6 +30,7 @@ from newtongraph.combinatorial import regular_extension_check
 from newtongraph.pullback import (
     base_dynamic_graph,
     extract_combinatorial,
+    lift_edge,
     verify_face_counts,
 )
 from newtongraph.rays import (
@@ -73,7 +72,7 @@ class TestLiftPoint:
         # preimages of infinity: the double pole 0 plus infinity itself
         fiber = fiber_as_dict(lift_point(cubic_unity, INF))
         assert fiber[INF] == 1
-        assert fiber[SpherePoint.of(0j)] == 2
+        assert fiber[0j] == 2
 
     def test_fiber_over_fixed_root(self, cubic_unity):
         # 2z^3 - 3z^2 + 1 = (z - 1)^2 (2z + 1)
@@ -128,7 +127,7 @@ class TestLiftEdge:
     def test_lift_forward_invariance(self, cubic_unity, delta0_unity):
         ray = delta0_unity.edges[2]
         source = single_edge_graph(
-            delta0_unity.vertices[ray.tail], SpherePoint.infinity(), ray.points
+            delta0_unity.vertices[ray.tail], INF, ray.points
         )
         lifted = lift_edge(cubic_unity, ray.points, -0.5 + 0j)
         for x in lifted[:-1]:
@@ -142,7 +141,7 @@ class TestLiftEdge:
         )
         assert np.isinf(lifted[-1])
         source = single_edge_graph(
-            delta0_unity.vertices[ray.tail], SpherePoint.infinity(), ray.points
+            delta0_unity.vertices[ray.tail], INF, ray.points
         )
         for x in lifted[1:-1]:
             assert graph_distance(source, x) < 1e-4
@@ -192,7 +191,7 @@ class TestLockstepLift:
                     f, points, start, direction, head_candidates=head_fiber
                 )
                 self.assert_same_lift(lane, reference)
-                assert head == SpherePoint.of(reference[-1])
+                assert head == reference[-1]
 
     def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
         # the ray of root 1 with one long jump after its fifth sample, out to
@@ -205,7 +204,7 @@ class TestLockstepLift:
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))
         head_fiber = lift_point(f, INF)
-        start = SpherePoint.of(-0.5)
+        start = -0.5 + 0j
         [(_, lane)] = pullback._lift_lanes(
             f, {0: (source, head_fiber)}, [(0, start, None)]
         )
@@ -246,7 +245,7 @@ class TestLockstepLift:
         for j in (0, 2):
             e = delta0_unity.edges[j]
             # the simple preimage of the root cubic_unity.roots[t] is -root/2
-            start = SpherePoint.of(-f.roots[e.tail] / 2)
+            start = complex(-f.roots[e.tail] / 2)
             sources[j] = (e.points, head_fiber)
             lanes.append((j, start, None))
         with pytest.raises(BranchJump, match="lane 0 lost in round 2"):
@@ -259,22 +258,21 @@ class TestMatchEndpoint:
 
     @staticmethod
     def fiber(*points):
-        return tuple((SpherePoint.of(p), 1) for p in points)
+        return tuple((complex(p), 1) for p in points)
 
     def test_clear_nearest_point_is_matched(self):
-        last = SpherePoint.of(1e-3)
-        assert pullback._match_endpoint(last, self.fiber(1, 0, -1)) == SpherePoint.of(0)
+        assert pullback._match_endpoint(1e-3 + 0j, self.fiber(1, 0, -1)) == 0
 
     def test_endpoint_far_from_every_candidate(self):
         # 0.5 is 0.894 chordal from 0 and 1.2 from 2, both beyond 0.1
         with pytest.raises(EndpointUnmatched, match="away from every preimage"):
-            pullback._match_endpoint(SpherePoint.of(0.5), self.fiber(0, 2))
+            pullback._match_endpoint(0.5 + 0j, self.fiber(0, 2))
 
     def test_runner_up_within_five_times_the_best(self):
         # about 0.04 and 0.08 chordal away: the runner-up is closer than 5 x
         # the best
         with pytest.raises(EndpointUnmatched, match="ambiguous"):
-            pullback._match_endpoint(SpherePoint.of(0), self.fiber(0.02, -0.04))
+            pullback._match_endpoint(0j, self.fiber(0.02, -0.04))
 
 
 class TestPullbackLevel:
@@ -546,7 +544,7 @@ class TestLocateFace:
         geo, emb = pm_base
         assert locate_face(geo, emb, 0.5j) is None
         assert locate_face(geo, emb, 2.0 + 0j) is None
-        assert locate_face(geo, emb, SpherePoint.infinity()) is None
+        assert locate_face(geo, emb, INF) is None
 
     def test_near_graph_but_off(self, pm_base):
         geo, emb = pm_base

@@ -23,7 +23,7 @@ import pytest
 
 from newtongraph import NotARoot, channel_diagram, rays
 from newtongraph.rays import GeoEdge, bottcher_local, graph_distance, trace_fixed_ray
-from newtongraph.sphere import chordal_distance
+from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import DEFAULT_TOL
 
 TAU = 2 * math.pi
@@ -180,7 +180,7 @@ class TestChannelDiagram:
     def test_cubic_unity_structure(self, delta0_unity):
         g = delta0_unity
         assert len(g.vertices) == 4
-        assert g.vertices[3].is_infinity
+        assert g.vertices[3] == INF
         assert len(g.edges) == 3
         assert {e.tail for e in g.edges} == {0, 1, 2}
         assert all(e.head == 3 for e in g.edges)
