@@ -5,7 +5,8 @@ thurston), stable JSON file formats, and fixed exit codes:
 
     0  success, or a positive verdict (validation passed, graphs equivalent)
     1  negative verdict (a condition failed, graphs not equivalent), or a
-       computed graph that fails validation, which graph does not write
+       computed graph that fails validation or its face counts, which
+       graph does not write
     2  input, parse or numeric error
     3  the polynomial is not postcritically fixed
 
@@ -30,7 +31,7 @@ from .combinatorial import (
 from .dynamics import MAX_RASTER_ITER, RasterSpec, render_basins
 from .errors import NewtonGraphError, UnresolvedOrbit
 from .poly import Polynomial, make_newton_map
-from .pullback import compute_newton_graph, newton_graph_to_json
+from .pullback import compute_newton_graph, newton_graph_to_json, verify_face_counts
 from .thurston import multicurve_from_json, transition_matrix
 
 EXIT_OK = 0
@@ -194,9 +195,12 @@ def cmd_graph(args) -> int:
         raise InputError("--max-level must be >= 1")
     f = make_newton_map(load_polynomial(args.polynomial))
     result = compute_newton_graph(f, max_level=args.max_level)
-    report = validate_newton_graph(result.dynamics)
-    if not report.passed:
-        for c in report.failures:
+    failures = (
+        validate_newton_graph(result.dynamics).failures
+        + verify_face_counts(result, f).failures
+    )
+    if failures:
+        for c in failures:
             witness = f" ({c.witness})" if c.witness else ""
             print(f"invalid graph: {c.name} failed{witness}", file=sys.stderr)
         return EXIT_FAIL

@@ -447,13 +447,22 @@ class NewtonMap:
     def leading_coefficient(self, x: complex, order: int, w0: complex) -> complex:
         """b with f(x + u) = w0 + b u^order + O(u^(order+1)), where f - w0
         vanishes to exactly that order at x: the order-th Taylor coefficient
-        of N - w0 D at x over D(x)."""
-        deriv = self.numerator - self.denominator * w0
+        of N - w0 D at x over D(x). Infinity is read in its w = 1/z chart:
+        at a pole x over w0 = INF, 1/f(x + u) = b u^order + ..., so b is the
+        order-th coefficient of D at x over N(x); at x = INF, 1/f(1/u) =
+        b u + ..., with b = d/(d - 1), the multiplier of the repelling fixed
+        point."""
+        if x == INF:
+            return self.degree / (self.degree - 1)
+        if w0 == INF:
+            deriv, base = self.denominator, self.numerator
+        else:
+            deriv, base = self.numerator - self.denominator * w0, self.denominator
         fact = 1
         for i in range(1, order + 1):
             deriv = deriv.derivative()
             fact *= i
-        return deriv(x) / (fact * self.denominator(x))
+        return deriv(x) / (fact * base(x))
 
     @cached_property
     def exit_radius(self) -> float:

@@ -12,6 +12,7 @@ tower stops one pullback after every critical point has become a vertex.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .rays import (
     solve_preimage_near,
 )
 from .sphere import INF, SpherePoint, chordal_distance, point
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import Tolerances
 
 
 @dataclass(frozen=True)
@@ -170,25 +171,86 @@ def _branched_first_step(
     return continue_inverse_branch(f, mid, w1, xm)
 
 
-def _match_endpoint(last: complex, candidates: tuple[tuple[complex, int], ...]) -> complex:
-    """Pick the fiber point the lift ran into. The polyline stops one sample
-    short of the vertex, so the gate is a separation margin (factor 5 against
-    the runner-up, 0.1 chordal absolute), not match_tol."""
-    ranked = sorted(
-        ((chordal_distance(last, c), i) for i, (c, _) in enumerate(candidates))
-    )
-    best_d, best_i = ranked[0]
-    if best_d > 0.1:
+# Gates on the fiber point a lift ran into: the best score, and how far the
+# runner-up's score must trail it (a factor 5 in predicted distance).
+_END_SCORE = math.log(2)
+_END_MARGIN = math.log(5)
+
+
+def _end_model(
+    f: NewtonMap, head: complex, fiber: tuple[tuple[complex, int], ...]
+) -> tuple[tuple[complex, int, float], ...]:
+    """The fiber over a lift's head, each point c with its local degree m
+    and |b|, b the leading coefficient of f at c over the head (in the
+    w = 1/z chart at infinity). Computed once per fiber, for every lift that
+    ends there."""
+    return tuple((c, m, abs(f.leading_coefficient(c, m, head))) for c, m in fiber)
+
+
+def _endpoint_scores(
+    model: tuple[tuple[complex, int, float], ...],
+    head: complex,
+    w_last: complex,
+    x_last: complex,
+) -> list[tuple[float, int]]:
+    """(score, index into model) per fiber point, best first.
+
+    The lift's last sample x_last lies over its last target w_last. Near a
+    fiber point c of local degree m, f(c + u) = head + b u^m, so the model
+    predicts |x_last - c| = rho = (|w_last - head| / |b|)^(1/m); at a head
+    at infinity |1/w_last| replaces |w_last - head|, and the distance to
+    c = INF is |1/x_last|. The score is |log(distance / rho)|, 0 for an
+    exact fit, and it does not change when the map is conjugated by a
+    scaling.
+    """
+    gap = 1 / abs(w_last) if head == INF else abs(w_last - head)
+    scores = []
+    for i, (c, m, b) in enumerate(model):
+        if c == INF:
+            dist = 1 / abs(x_last) if x_last != 0 else math.inf
+        else:
+            dist = abs(x_last - c)
+        rho = (gap / b) ** (1 / m) if b > 0 else math.inf
+        fits = 0 < dist < math.inf and 0 < rho < math.inf
+        scores.append((abs(math.log(dist / rho)) if fits else math.inf, i))
+    scores.sort()
+    return scores
+
+
+def _match_endpoint(
+    model: tuple[tuple[complex, int, float], ...],
+    head: complex,
+    w_last: complex,
+    x_last: complex,
+    edge: int | None = None,
+) -> complex:
+    """Pick the fiber point the lift ran into by the local model at the head.
+
+    The polyline stops one sample short of the vertex, at x_last over the
+    target w_last; _endpoint_scores says how well each fiber point's local
+    model predicts that distance. The best score must be at most log 2 (the
+    distance within a factor 2 of the prediction), and the runner-up's at
+    least log 5 larger. Both gates are ratios, so the match holds at any
+    escape radius and any scale of the map. edge names the source edge in
+    the error.
+    """
+    ranked = _endpoint_scores(model, head, w_last, x_last)
+    best, i = ranked[0]
+    runner_up = ranked[1][0] if len(ranked) > 1 else math.inf
+    where = "lift" if edge is None else f"lift of source edge {edge}"
+    scores = f"scores {best:.3g} and {runner_up:.3g}"
+    if best > _END_SCORE:
         raise EndpointUnmatched(
-            f"lift endpoint {last} is {best_d:.3g} away from every preimage "
-            f"of the source head"
+            f"{where} ends at {x_last}, away from every preimage of the head "
+            f"{head}: {scores}, the best above log 2"
         )
-    if len(ranked) > 1 and 5 * best_d > ranked[1][0]:
+    if runner_up - best < _END_MARGIN:
         raise EndpointUnmatched(
-            f"lift endpoint {last} is ambiguous between fiber points "
-            f"{candidates[best_i][0]} and {candidates[ranked[1][1]][0]}"
+            f"{where} ends at {x_last}, ambiguous between fiber points "
+            f"{model[i][0]} and {model[ranked[1][1]][0]} over the head {head}: "
+            f"{scores}, less than log 5 apart"
         )
-    return candidates[best_i][0]
+    return model[i][0]
 
 
 def _first_step(
@@ -218,11 +280,12 @@ def lift_edge(
 
     Continuation is predictor-corrector over the interior samples; the final
     vertex is never solved for directly (it is typically a critical point or
-    infinity) but matched against the fiber over the source head. At a start
-    of local degree m >= 2 the m lifts are distinguished by branch_direction,
-    the initial tangent of the desired lift; None selects the unique branch
-    of a non-critical start. The lift is a read-only complex array, inf at an
-    end at infinity. This is the one-edge form of the level lift that
+    infinity) but matched against the fiber over the source head by the
+    local model there (_match_endpoint). At a start of local degree m >= 2
+    the m lifts are distinguished by branch_direction, the initial tangent
+    of the desired lift; None selects the unique branch of a non-critical
+    start. The lift is a read-only complex array, inf at an end at
+    infinity. This is the one-edge form of the level lift that
     pullback_level runs over all newest edges at once.
     """
     points = frozen_polyline(edge_points)
@@ -257,8 +320,8 @@ def lift_edge(
         out.append(x)
         w_prev = w
 
-    cands = head_candidates if head_candidates is not None else lift_point(f, head)
-    out.append(_match_endpoint(x, cands))
+    fiber = head_candidates if head_candidates is not None else lift_point(f, head)
+    out.append(_match_endpoint(_end_model(f, head, fiber), head, w_prev, x))
     return frozen_polyline(out)
 
 
@@ -402,15 +465,22 @@ def _lift_lanes(
                 values = horner(coeffs, np.concatenate((x[k],) * 4))
 
     out = []
+    models = {}  # one end model per head, shared by the lanes ending there
     for lane, (j, _, _) in enumerate(lanes):
         if lane in errors:
             raise errors[lane]
         n = int(steps[lane])
-        head = _match_endpoint(complex(x[n, lane]), sources[j][1])
+        points, fiber = sources[j]
+        head = point(points[-1])
+        if head not in models:
+            models[head] = _end_model(f, head, fiber)
+        end = _match_endpoint(
+            models[head], head, complex(w[n, lane]), complex(x[n, lane]), j
+        )
         path = np.empty(n + 2, dtype=complex)
         path[: n + 1] = x[: n + 1, lane]
-        path[-1] = head
-        out.append((head, frozen_polyline(path)))
+        path[-1] = end
+        out.append((end, frozen_polyline(path)))
     return out
 
 
@@ -511,7 +581,7 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
         elevel = [elevel[j] for j in ekeep]
 
     return DynamicGraph(
-        geo=GeoGraph(tuple(verts), tuple(edges)),
+        geo=GeoGraph(tuple(verts), tuple(edges), f.tol),
         level=current.level + 1,
         vertex_map=tuple(vmap),
         edge_map=tuple(emap),
@@ -571,10 +641,8 @@ class NewtonGraphResult:
         return self.dynamics.graph
 
 
-def _marked_covered(
-    geo: GeoGraph, points: list[complex], tol: Tolerances
-) -> bool:
-    return all(geo.find_vertex(c, tol) is not None for c in points)
+def _marked_covered(geo: GeoGraph, points: list[complex]) -> bool:
+    return all(geo.find_vertex(c) is not None for c in points)
 
 
 def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
@@ -585,15 +653,14 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     the partial tower when max_level is hit first. Every stage reads its
     numeric policy from f.tol.
     """
-    tol = f.tol
     require_postcritically_fixed(critical_orbits(f))
 
     crit_pts = [c for c, _ in f.critical_points]
     pole_pts = [q for q, _ in f.poles]
     cur = base_dynamic_graph(f)
     tower = [cur]
-    crit_level = 0 if _marked_covered(cur.geo, crit_pts, tol) else None
-    pole_level = 0 if _marked_covered(cur.geo, pole_pts, tol) else None
+    crit_level = 0 if _marked_covered(cur.geo, crit_pts) else None
+    pole_level = 0 if _marked_covered(cur.geo, pole_pts) else None
 
     while crit_level is None or cur.level < crit_level + 1:
         if cur.level >= max_level:
@@ -604,9 +671,9 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
             )
         cur = pullback_level(f, cur)
         tower.append(cur)
-        if crit_level is None and _marked_covered(cur.geo, crit_pts, tol):
+        if crit_level is None and _marked_covered(cur.geo, crit_pts):
             crit_level = cur.level
-        if pole_level is None and _marked_covered(cur.geo, pole_pts, tol):
+        if pole_level is None and _marked_covered(cur.geo, pole_pts):
             pole_level = cur.level
 
     return NewtonGraphResult(
@@ -634,13 +701,9 @@ def _chart_values(points: list[complex]) -> list[complex] | None:
     return None
 
 
-def locate_face(
-    geo: GeoGraph,
-    embedded: EmbeddedGraph,
-    q: complex,
-    tol: Tolerances | None = None,
-) -> int | None:
-    """Face of the embedding containing q, or None if q lies on the graph.
+def locate_face(geo: GeoGraph, embedded: EmbeddedGraph, q: complex) -> int | None:
+    """Face of the embedding containing q, or None if q lies on the graph,
+    within the graph's match_tol.
 
     The query point is sided against the nearest graph point: against the
     directed nearest segment when that point is interior to it, with the
@@ -650,10 +713,9 @@ def locate_face(
     """
     from .rays import nearest_edge_point
 
-    tol = tol or DEFAULT_TOL
     q = point(q)
     ei, si, dist = nearest_edge_point(geo, q)
-    if dist <= tol.match_tol:
+    if dist <= geo.tol.match_tol:
         return None
 
     pts = geo.edges[ei].points
@@ -713,7 +775,6 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
       most two roots; at level 1 an incident edge lies in an immediate basin
       exactly when its tail is the owning root itself.
     """
-    tol = f.tol
     base = result.graphs[0]
     level1 = result.graphs[1]
     emb0 = extract_combinatorial(f, base).graph
@@ -726,11 +787,9 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
             boundary_roots[emb0.face_of[dart]].add(v)
 
     interior_poles: dict[int, int] = {i: 0 for i in range(emb0.n_faces)}
-    pole_face: dict[int, int | None] = {}
     boundary_poles = []
-    for i, (q, mult) in enumerate(f.poles):
-        face = locate_face(base.geo, emb0, q, tol)
-        pole_face[i] = face
+    for q, mult in f.poles:
+        face = locate_face(base.geo, emb0, q)
         if face is None:
             boundary_poles.append(q)
         else:
@@ -769,7 +828,7 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
         for v, owners in pole_owner_sets.items():
             if len(owners) < 2:
                 continue
-            if locate_face(base.geo, emb0, geo1.vertices[v], tol) == face:
+            if locate_face(base.geo, emb0, geo1.vertices[v]) == face:
                 found = True
                 break
         if not found:

@@ -5,7 +5,7 @@ immediate basin carries k - 1 invariant accesses to infinity. A ray is traced
 from a short straight fundamental segment in an invariant direction near the
 root, then continued by repeated inverse lifts: the preimage of each traced
 segment, taken along the branch that starts at the segment's outer endpoint,
-extends the ray outward until it escapes past the chart radius. Forward
+extends the ray outward until it escapes past the escape radius. Forward
 iteration is useless here (it contracts into the root), so tracing runs
 against the dynamics. trace_fixed_ray returns a ray as a frozen polyline,
 root first and inf last; channel_diagram joins the rays of every root into
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -273,15 +273,18 @@ class GeoEdge:
 
 @dataclass(frozen=True)
 class GeoGraph:
+    """Vertices and polyline edges on the sphere, with the Tolerances of the
+    map they were built for: channel_diagram and pullback_level fill in
+    f.tol, and every query on the graph reads its gates from there."""
+
     vertices: tuple[complex, ...]
     edges: tuple[GeoEdge, ...]
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
-    def find_vertex(
-        self, q: complex, tol: Tolerances | None = None
-    ) -> int | None:
-        tol = tol or DEFAULT_TOL
+    def find_vertex(self, q: complex) -> int | None:
+        """The vertex nearest q within match_tol (chordal), or None."""
         q = point(q)
-        best, best_d = None, tol.match_tol
+        best, best_d = None, self.tol.match_tol
         for i, v in enumerate(self.vertices):
             d = chordal_distance(v, q)
             if d <= best_d:
@@ -495,4 +498,4 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
         for j in range(len(loc.fixed_directions)):
             ray = trace_fixed_ray(f, loc, j)
             edges.append(GeoEdge(tail=i, head=inf_index, points=ray))
-    return GeoGraph(verts, tuple(edges))
+    return GeoGraph(verts, tuple(edges), f.tol)

@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+# The chart boundary of Tolerances.chart_radius.
+CHART_RADIUS = 1e3
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -14,8 +16,11 @@ class Tolerances:
     root_tol: float = 1e-8
     # Vertex identification, chordal metric on the sphere.
     match_tol: float = 1e-6
-    # |z| beyond this counts as "at infinity" for ray truncation.
-    escape_radius: float = 1e6
+    # A fixed ray is traced until a sample reaches |z| >= escape_radius, then
+    # closed with infinity. Geometry only: a lift's end is matched by the
+    # local model at its head, whatever the radius, so the default is the
+    # validation floor, where the channel diagram carries the fewest samples.
+    escape_radius: float = 1e3
     # Basin membership disk for orbit classification (enter and stay).
     basin_tol: float = 1e-3
     # Snap distance for routing orbits exactly through poles.
@@ -59,8 +64,11 @@ class Tolerances:
 
     @property
     def chart_radius(self) -> float:
-        """|z| beyond which evaluation is routed through the w = 1/z chart."""
-        return self.escape_radius ** 0.5
+        """|z| beyond which evaluation is routed through the w = 1/z chart.
+        Fixed, not derived from escape_radius, so evaluation, both
+        correctors and the basin raster keep one chart whatever the ray
+        length."""
+        return CHART_RADIUS
 
 
 DEFAULT_TOL = Tolerances()

@@ -241,6 +241,21 @@ class TestGraph:
         assert text == ""
         assert not out.exists()
 
+    def test_failed_face_counts_write_nothing(self, tmp_path, capsys, monkeypatch):
+        failing = ValidationReport((
+            ConditionCheck("boundary_fixed_points", True, None),
+            ConditionCheck("shared_pole_access", False, "faces without a two-basin pole: [0]"),
+        ))
+        monkeypatch.setattr(cli, "verify_face_counts", lambda result, f: failing)
+        out = tmp_path / "g.json"
+        poly = write_json(tmp_path, "pm.json", PM)
+        code, text, err = run(capsys, ["graph", poly, "--out", str(out), "--json"])
+        assert code == 1
+        assert "invalid graph: shared_pole_access failed (faces without" in err
+        assert "boundary_fixed_points" not in err
+        assert text == ""
+        assert not out.exists()
+
 
 class TestValidate:
     def test_pipeline_export_passes(self, pm_graph_file, capsys):
@@ -419,8 +434,8 @@ class TestGoldenDigests:
     @pytest.mark.parametrize(
         "name, poly, digest",
         [
-            ("z3-1", UNITY, "f20196c6b6c7e73e29a7156cad44733068782f1baac46a50506cf460fb966755"),
-            ("z4-z", ZMZ4, "fce15d35c8c78c78a3cb56df0a21034c8b4b745ba9d60490e35ca81a476b2211"),
+            ("z3-1", UNITY, "7a166d5dd83de34c7a23763b189f3ef28f88c0b560e5ef7ffa8a5b10d005c377"),
+            ("z4-z", ZMZ4, "bb4140d046caa4a9ee97d7d9be35dcfbd3b3a16f8e1e3ffdf470e0b13cde2a08"),
         ],
     )
     def test_graph_export(self, tmp_path, capsys, name, poly, digest):

@@ -21,38 +21,51 @@ from newtongraph import (
 )
 from newtongraph.dynamics import critical_orbits
 from newtongraph.poly import NewtonMap
-from newtongraph.pullback import verify_face_counts
+from newtongraph.pullback import locate_face, verify_face_counts
+from newtongraph.rays import GeoGraph
 
 # Parameter names that would carry a second numeric policy beside f.tol.
 POLICY_PARAMETERS = {"tol", "max_steps", "max_lifts"}
+# Types that carry the map's Tolerances: the map itself, and the geometric
+# graphs built for it (geo.tol).
+POLICY_CARRIERS = (NewtonMap, GeoGraph)
 
 
-def takes_map(signature: inspect.Signature) -> bool:
-    return any(
-        p.annotation in (NewtonMap, "NewtonMap") for p in signature.parameters.values()
+def takes_carrier(owner, signature: inspect.Signature) -> bool:
+    """A method of a carrier, or a function with a parameter of a carrier
+    type."""
+    names = {cls.__name__ for cls in POLICY_CARRIERS}
+    return owner in POLICY_CARRIERS or any(
+        p.annotation in POLICY_CARRIERS or p.annotation in names
+        for p in signature.parameters.values()
     )
 
 
 def package_functions():
-    """(name, function) for every module-level function defined in a module
-    of the package, private helpers included, not only those re-exported at
-    its root."""
+    """(name, owning class or None, function) for every module-level function
+    and every method other than a dunder of a class defined in a module of
+    the package, private helpers included, not only those re-exported at its
+    root. Constructors are left out: they are where a policy is fixed."""
     for info in pkgutil.iter_modules(newtongraph.__path__):
         module = importlib.import_module(f"newtongraph.{info.name}")
         for name, obj in vars(module).items():
             if inspect.isfunction(obj) and obj.__module__ == module.__name__:
-                yield f"{info.name}.{name}", obj
+                yield f"{info.name}.{name}", None, obj
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and not attr.startswith("__"):
+                        yield f"{info.name}.{name}.{attr}", obj, member
 
 
 class TestOnePolicySource:
     def test_no_public_callable_on_a_map_takes_its_own_policy(self):
         offenders = []
-        checked = 0
-        for name, obj in package_functions():
+        checked = set()
+        for name, owner, obj in package_functions():
             signature = inspect.signature(obj)
-            if not takes_map(signature):
+            if not takes_carrier(owner, signature):
                 continue
-            checked += 1
+            checked.add(name)
             for pname, param in signature.parameters.items():
                 # a scalar check threshold (verify_newton_conditions) is not
                 # a Tolerances policy
@@ -62,8 +75,9 @@ class TestOnePolicySource:
                     offenders.append(f"{name}({pname})")
         # every function of the rays, pullback, dynamics and poly stages
         # that takes a map, private helpers included, whether or not the
-        # package root exports it
-        assert checked >= 21
+        # package root exports it, and the queries on a geometric graph
+        assert len(checked) >= 21
+        assert {"rays.GeoGraph.find_vertex", "pullback.locate_face"} <= checked
         assert offenders == []
 
 
@@ -79,9 +93,9 @@ class TestPolicyReachesEveryStage:
             compute_newton_graph(f)
 
     def test_escape_radius_comes_from_the_map(self):
-        # at the default escape radius the last ray samples of z^7 - 1 sit
-        # too far from the order-6 pole for the endpoint gate; rays traced
-        # out to the map's radius 1e12 land close enough
+        # the rays of z^7 - 1 are traced out to the map's radius 1e12, not to
+        # the default 1e3, and the graph is as valid: the endpoint gate
+        # scales with the radius
         tol = Tolerances(escape_radius=1e12)
         f = make_newton_map(Polynomial((-1, 0, 0, 0, 0, 0, 0, 1)), tol)
         result = compute_newton_graph(f)
@@ -90,6 +104,19 @@ class TestPolicyReachesEveryStage:
             assert abs(e.points[-2]) >= tol.escape_radius
         assert validate_newton_graph(result.dynamics).passed
         assert verify_face_counts(result, f).passed
+
+    def test_graph_queries_read_the_policy_the_graph_was_built_with(self):
+        # with match_tol 1e-3, a point 1e-5 from the root 1 is that vertex
+        # and lies on the graph; the default 1e-6 would see neither
+        tol = Tolerances(match_tol=1e-3)
+        f = make_newton_map(Polynomial((-1, 0, 0, 1)), tol)
+        result = compute_newton_graph(f)
+        assert all(g.geo.tol is tol for g in result.graphs)
+        top = result.graphs[-1].geo
+        root = top.find_vertex(1 + 0j)
+        assert root is not None
+        assert top.find_vertex(1 + 1e-5j) == root
+        assert locate_face(top, result.embedded, 1 + 1e-5j) is None
 
 
 class TestOnePointType:

@@ -254,25 +254,125 @@ class TestLockstepLift:
 
 
 class TestMatchEndpoint:
-    """The two gates on the fiber point a lift ran into, on synthetic fibers."""
+    """The two gates on the fiber point a lift ran into, on the fibers of
+    z^3 - 1. Over infinity lie the double pole 0 (|b| = 3) and infinity
+    (|b| = 3/2); over the root 1 lie 1 itself (double, |b| = 1) and -1/2
+    (|b| = 6)."""
 
     @staticmethod
-    def fiber(*points):
-        return tuple((complex(p), 1) for p in points)
+    def model(f, head):
+        return pullback._end_model(f, head, lift_point(f, head))
 
-    def test_clear_nearest_point_is_matched(self):
-        assert pullback._match_endpoint(1e-3 + 0j, self.fiber(1, 0, -1)) == 0
+    @staticmethod
+    def preimage_near(f, w, guess):
+        return min((complex(x) for x, _ in lift_point(f, w)), key=lambda x: abs(x - guess))
 
-    def test_endpoint_far_from_every_candidate(self):
-        # 0.5 is 0.894 chordal from 0 and 1.2 from 2, both beyond 0.1
-        with pytest.raises(EndpointUnmatched, match="away from every preimage"):
-            pullback._match_endpoint(0.5 + 0j, self.fiber(0, 2))
+    def test_clear_nearest_point_is_matched(self, cubic_unity):
+        # a lift over the ray of root 1 that stops at w = 1000: its preimage
+        # near the pole sits the predicted (1e-3 / 3)^(1/2) from it, and the
+        # one near infinity at |1/x| = 1e-3 / (3/2)
+        f = cubic_unity
+        model = self.model(f, INF)
+        near_pole = self.preimage_near(f, 1000, -0.02)
+        assert pullback._match_endpoint(model, INF, 1000, near_pole) == 0
+        near_infinity = self.preimage_near(f, 1000, 1500)
+        assert pullback._match_endpoint(model, INF, 1000, near_infinity) == INF
+        # that far out both models are exact to first order
+        for x in (near_pole, near_infinity):
+            assert pullback._endpoint_scores(model, INF, 1000, x)[0][0] < 1e-4
 
-    def test_runner_up_within_five_times_the_best(self):
-        # about 0.04 and 0.08 chordal away: the runner-up is closer than 5 x
-        # the best
+    def test_endpoint_far_from_every_candidate(self, cubic_unity):
+        # 0.3 is 16 times the predicted distance from the pole, and far from
+        # infinity: scores 2.8 and 8.5, both above log 2
+        model = self.model(cubic_unity, INF)
+        with pytest.raises(EndpointUnmatched, match="source edge 7 .* away from every preimage"):
+            pullback._match_endpoint(model, INF, 1000, 0.3 + 0j, 7)
+
+    def test_runner_up_within_five_times_the_best(self, cubic_unity):
+        # a lift toward the root 1 that stops at w = 2.6, far from it: the
+        # preimage near -0.34 fits the model at -1/2 (score 0.06) and, less
+        # well, the one at 1 (score 0.53); the scores are within log 5
+        f = cubic_unity
+        model = self.model(f, 1 + 0j)
+        x = self.preimage_near(f, 2.6, -0.34)
         with pytest.raises(EndpointUnmatched, match="ambiguous"):
-            pullback._match_endpoint(0j, self.fiber(0.02, -0.04))
+            pullback._match_endpoint(model, 1 + 0j, 2.6, x)
+
+
+def unity(d):
+    """Coefficients of z^d - 1, lowest first."""
+    return (-1,) + (0,) * (d - 1) + (1,)
+
+
+def conjugated(coeffs, a):
+    """Coefficients of a^d p(z / a): the roots scaled by a."""
+    d = len(coeffs) - 1
+    return tuple(complex(c) * a ** (d - k) for k, c in enumerate(coeffs))
+
+
+class TestScaleFreeEnds:
+    """The endpoint gate compares each lift's end with the local model at
+    its head, so it holds at high degree, at any scale of the map and at any
+    escape radius."""
+
+    def test_every_match_on_the_pool_clears_both_gates_by_a_factor(
+        self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic,
+        monkeypatch,
+    ):
+        ranked = []
+        endpoint_scores = pullback._endpoint_scores
+
+        def recording(*args):
+            out = endpoint_scores(*args)
+            ranked.append(out)
+            return out
+
+        monkeypatch.setattr(pullback, "_endpoint_scores", recording)
+        z9 = make_newton_map(Polynomial(unity(9)))
+        for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic, z9):
+            before = len(ranked)
+            compute_newton_graph(f)
+            assert len(ranked) > before
+        worst = max(scores[0][0] for scores in ranked)
+        margin = min(scores[1][0] - scores[0][0] for scores in ranked if len(scores) > 1)
+        # the gates are log 2 = 0.69 and log 5 = 1.61
+        assert worst <= 0.35
+        assert margin >= 2.0
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            unity(7),
+            unity(8),
+            unity(9),
+            conjugated(unity(5), 4 * cmath.exp(1.3j)),
+            conjugated(unity(6), 4 * cmath.exp(1.3j)),
+        ],
+        ids=["z7-1", "z8-1", "z9-1", "z5-1@4", "z6-1@4"],
+    )
+    def test_high_order_poles_and_large_scales_build(self, coeffs):
+        # lifts into the high-order poles of these maps end far from the pole
+        # in the chordal metric (0.14 to 0.45 at radius 1e6), so only a
+        # scale-free gate matches them
+        f = make_newton_map(Polynomial(coeffs))
+        result = compute_newton_graph(f)
+        report = validate_newton_graph(result.dynamics)
+        assert [c.name for c in report.checks] == CONDITION_NAMES
+        assert report.passed, [c.witness for c in report.failures]
+        assert verify_face_counts(result, f).passed
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [unity(3), (0, -1, 0, 0, 1), unity(5), (0, -1, 0, 0, 0, 0, 1)],
+        ids=["z3-1", "z4-z", "z5-1", "z6-z"],
+    )
+    def test_escape_radius_is_geometry_only(self, coeffs):
+        p = Polynomial(coeffs)
+        short = compute_newton_graph(make_newton_map(p))
+        long = compute_newton_graph(make_newton_map(p, Tolerances(escape_radius=1e12)))
+        assert graphs_equivalent(short.dynamics, long.dynamics) is not None
+        assert short.minimal_level == long.minimal_level
+        assert short.pole_cover_level == long.pole_cover_level
 
 
 class TestPullbackLevel:
