@@ -54,8 +54,9 @@ MAX_RASTER_ITER = int(np.iinfo(np.int16).max) - STAY_ITERATES
 # pixels per raster tile: 512 KB per complex working array, so that a step's
 # arrays fit a 2 MB per-core L2 cache; much smaller tiles pay per-step overhead
 _TILE = 1 << 15
-# angle (radians) added to each side of the root band: far above the rounding
-# of |z|, atan and tan, far below any useful basin_tol
+# added to each side of a band, as an angle (radians) in the root band and
+# relative to the moduli in the pole band: far above the rounding of |z|,
+# atan and tan, far below any useful basin_tol or pole_snap
 _BAND_SLACK = 1e-12
 
 
@@ -223,6 +224,37 @@ def _root_band(f: NewtonMap) -> list[tuple[float, float]]:
     ]
 
 
+def _pole_band(f: NewtonMap) -> list[tuple[float, float]]:
+    """Disjoint intervals lo <= |z| < hi outside which no point is within
+    pole snap of a pole, as render_basins computes that test.
+
+    A point z fails the snap test of a pole q when |z - q| <= snap, with
+    snap = pole_snap (1 + |q|); then ||z| - |q|| <= |z - q| <= snap, so |z|
+    lies within snap of |q|. The computed |z|, |q| and |z - q| are each
+    within a few units of rounding of the exact ones, relative to |z|, |q|
+    and snap, so each interval takes snap plus _BAND_SLACK (1 + |q| + snap)
+    on either side of |q|; intervals that overlap merge. A pole at 0 gives
+    |z| < snap plus the slack, where the test is |z| > snap itself.
+    """
+    intervals: list[list[float]] = []
+    for aq in sorted(abs(q) for q, _ in f.poles):
+        snap = f.tol.pole_snap * (1 + aq)
+        w = snap + _BAND_SLACK * (1 + aq + snap)
+        if intervals and aq - w <= intervals[-1][1]:
+            intervals[-1][1] = aq + w  # overlaps the last interval: merge
+        else:
+            intervals.append([aq - w, aq + w])
+    return [(lo, hi) for lo, hi in intervals]
+
+
+def _in_bands(az: np.ndarray, bands: list[tuple[float, float]]) -> np.ndarray:
+    """Indices of the lanes whose |z| lies in one of the bands lo <= |z| < hi."""
+    inside = np.zeros(az.size, dtype=bool)
+    for lo, hi in bands:
+        inside |= (az >= lo) & (az < hi)
+    return np.flatnonzero(inside)
+
+
 def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster:
     """Classify every cell center; deterministic for fixed inputs.
 
@@ -239,13 +271,15 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     lane so far out that the chordal denominator overflows is near no root,
     as on the sphere.
 
-    Two proofs spare work without changing a pixel. A lane finishes by five
+    Three proofs spare work without changing a pixel. A lane finishes by five
     confirming steps or, as in classify_point, by a certified exit once it is
     less than f.exit_radius from its candidate root (see the module
-    docstring). And a lane can be near a root only while |z| lies in the
-    root band of _root_band: each step selects those lanes by comparing |z|
-    with the band's few bounds and measures root distances on them alone;
-    every other lane is near no root, so its candidate is dropped.
+    docstring). A lane can be near a root only while |z| lies in the root
+    band of _root_band: each step selects those lanes by comparing |z| with
+    the band's few bounds and measures root distances on them alone; every
+    other lane is near no root, so its candidate is dropped. And a lane can
+    be within pole snap of a pole only while |z| lies in the pole band of
+    _pole_band, so each step tests those lanes alone against the poles.
     """
     if not 0 <= max_iter <= MAX_RASTER_ITER:
         raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
@@ -261,6 +295,7 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     poles = list(zip(pole_locs, tol.pole_snap * (1 + np.abs(pole_locs))))
     rho = f.exit_radius
     bands = _root_band(f)
+    pole_bands = _pole_band(f)
 
     for start in range(0, n, _TILE):
         z = grid[start : start + _TILE]
@@ -274,12 +309,14 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
             with np.errstate(over="ignore", invalid="ignore"):
                 az = np.abs(z)
                 live = np.isfinite(az)
-                for q, snap in poles:
-                    live &= np.abs(z - q) > snap
-                in_band = np.zeros(z.size, dtype=bool)
-                for lo, hi in bands:
-                    in_band |= (az >= lo) & (az < hi)
-                band = np.flatnonzero(in_band)
+                near_pole = _in_bands(az, pole_bands)
+                if near_pole.size:
+                    zp = z[near_pole]
+                    clear = np.ones(near_pole.size, dtype=bool)
+                    for q, snap in poles:
+                        clear &= np.abs(zp - q) > snap
+                    live[near_pole] = clear
+                band = _in_bands(az, bands)
                 zb, azb = z[band], az[band]
                 zz = 1 + azb * azb
                 # chordal distance to each root; nearest < k before root k, so

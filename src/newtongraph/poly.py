@@ -1,10 +1,17 @@
 """Polynomials, root solving, and Newton maps as rational maps on the sphere.
 
 Coefficients are stored lowest-order first. Every polynomial evaluation, of a
-number or of an array, runs through one Horner loop, `horner`. The root solver
-is a simultaneous Aberth–Ehrlich iteration with exact deflation of zero roots
-and stall-aware clustering for multiplicities; companion-matrix eigenvalues are
-used only as an independent oracle in the tests, never here.
+number or of an array, runs through one Horner loop, `horner`. The root solver,
+roots_of_rows, is a simultaneous Aberth–Ehrlich iteration (Bini–Fiorentino,
+Numer. Algorithms 2000) over a batch of polynomials: those of one degree run
+as rows of one array, each row frozen once its own stop test holds, and each
+row comes out bit for bit as it does alone; roots_of is the one-row call.
+Before the iteration, zero roots are deflated exactly, and a root the caller
+knows with its multiplicity (a fixed root r of a fiber N - rD) is divided out
+by synthetic division, so only the simple remainder is solved. Residual
+certification, stall-aware clustering for multiplicities and a final polish
+then run on each row. Companion-matrix eigenvalues are used only as an
+independent oracle in the tests, never here.
 
 The chart rule: beyond `Tolerances.chart_radius` the Newton map f = N/D of
 degree d is handled in the w = 1/z chart. To evaluate f at such a z, the
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,40 +163,68 @@ def _deflate(coeffs: list[complex], root: complex) -> list[complex]:
     return out
 
 
-def _aberth_once(c: np.ndarray, z0: np.ndarray, iters: int):
-    """One Aberth–Ehrlich run on coefficients c (lowest first), returns points
-    and final correction sizes."""
-    n = len(c) - 1
-    z = z0.copy()
-    corr = np.full(n, np.inf)
-    cr = c[::-1]
-    dr = (c[1:] * np.arange(1, n + 1))[::-1]
-    scale_abs = np.abs(c[::-1])
+def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
+    """One Aberth–Ehrlich run on each row of c (coefficients lowest first),
+    from the starts in the same row of z0. Returns the points and the final
+    correction sizes, one row per polynomial.
+
+    The rows iterate together, and a row freezes once its own stop test
+    holds. Every operation is elementwise within a row, or a reduction
+    along it, on arrays of at least two points, so a row comes out bit for
+    bit as it does in any other company or alone.
+    """
+    rows, n = z0.shape
+    z = np.empty_like(z0)
+    corr = np.full((rows, n), np.inf)
+    # the live rows, and per power, highest first, its coefficient spread
+    # over each row's points: same-shape operands keep numpy on its fast path
+    live = np.arange(rows)
+    zl, corr_l = z0.copy(), corr.copy()
+    cr = np.repeat(c[:, ::-1].T[:, :, None], n, axis=2)
+    dr = np.repeat((c[:, 1:] * np.arange(1, n + 1))[:, ::-1].T[:, :, None], n, axis=2)
+    scale_abs = np.abs(cr)
     for _ in range(iters):
-        q = horner(cr, z)
-        dq = horner(dr, z)
+        q = horner(cr, zl)
+        dq = horner(dr, zl)
         # Backward-error scale of each evaluation.
-        es = np.zeros(n)
-        az = np.abs(z)
+        es = np.zeros(zl.shape)
+        az = np.abs(zl)
         for a in scale_abs:
             es = es * az + a
         small = np.abs(q) <= 8 * _EPS * es
         bad = dq == 0
-        if np.any(bad):
-            z[bad] += 1e-8 * (1 + np.abs(z[bad])) * (0.6 + 0.8j)
-            continue
+        stuck = bad.any(axis=1) if bad.any() else None
+        if stuck is not None:
+            # a row with a zero derivative takes no step this round: its
+            # points there are nudged, and its corrections stay
+            zl[bad] += 1e-8 * (1 + np.abs(zl[bad])) * (0.6 + 0.8j)
+            dq[stuck] = 1
         w = q / dq
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        diff = zl[:, :, None] - zl[:, None, :]
+        diff.reshape(len(zl), n * n)[:, :: n + 1] = np.inf  # the diagonal
+        s = np.sum(1.0 / diff, axis=2)
         denom = 1.0 - w * s
         denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
         step = w / denom
         step = np.where(small, 0.0, step)
-        z = z - step
-        corr = np.abs(step)
-        if np.all(small | (corr < 1e-14 * (1 + np.abs(z)))):
-            break
+        if stuck is not None:
+            step[stuck] = 0
+        zl = zl - step
+        corr_new = np.abs(step)
+        settled = (small | (corr_new < 1e-14 * (1 + np.abs(zl)))).all(axis=1)
+        if stuck is None:
+            corr_l = corr_new
+        else:
+            corr_l = np.where(stuck[:, None], corr_l, corr_new)
+            settled &= ~stuck
+        if settled.any():
+            z[live[settled]], corr[live[settled]] = zl[settled], corr_l[settled]
+            keep = ~settled
+            live, zl, corr_l = live[keep], zl[keep], corr_l[keep]
+            cr, dr, scale_abs = cr[:, keep], dr[:, keep], scale_abs[:, keep]
+            if live.size == 0:
+                break
+    z[live], corr[live] = zl, corr_l
     return z, corr
 
 
@@ -202,58 +237,114 @@ def _initial_points(c: np.ndarray) -> np.ndarray:
     return r * np.exp(1j * ang) * (1 + 0.01 * np.arange(n) / max(n, 1))
 
 
-def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, int], ...]:
-    """All roots of q with multiplicities, multiplicities summing to degree.
+def _root_order(root: tuple[complex, int]) -> tuple[float, float]:
+    return round(root[0].real, 12), round(root[0].imag, 12)
+
+
+def roots_of(q: Polynomial) -> tuple[tuple[complex, int], ...]:
+    """All roots of q with multiplicities, multiplicities summing to degree:
+    the one-row call of roots_of_rows.
 
     Raises NoConvergence if the iteration cannot certify the residuals.
     """
-    if q.is_zero:
-        raise ValueError("zero polynomial")
-    if q.degree == 0:
-        return ()
-    tol = DEFAULT_TOL.root_tol if tol is None else tol
-    coeffs = list(q.coeffs)
+    return roots_of_rows([q])[0]
 
-    # Exact deflation of zero roots (exactly-zero low-order coefficients).
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs.pop(0)
-        zero_mult += 1
-    found: list[tuple[complex, int]] = []
-    if zero_mult:
-        found.append((0j, zero_mult))
-    n = len(coeffs) - 1
-    if n == 0:
-        return tuple(found)
-    if n == 1:
-        found.append((-coeffs[0] / coeffs[1], 1))
-        return tuple(sorted(found, key=lambda t: (t[0].real, t[0].imag)))
 
-    c = np.array(coeffs, dtype=complex)
-    c = c / np.max(np.abs(c))
-    pts, corr = _aberth_once(c, _initial_points(c), 400)
+def roots_of_rows(
+    polys: Sequence[Polynomial],
+    known: Sequence[tuple[complex, int] | None] | None = None,
+    names: Sequence[str] | None = None,
+) -> list[tuple[tuple[complex, int], ...]]:
+    """roots_of of every polynomial in polys, with one Aberth–Ehrlich run
+    per degree for all of them; each row gets bit for bit what it gets
+    alone.
+
+    known[i], if given, is a root r of polys[i] with its exact
+    multiplicity m: (z - r)^m is divided out by synthetic division, only
+    the quotient is solved, and (r, m) is added back. names[i], if given,
+    says in an error which polynomial failed. The rows are finished in
+    order, so the first that cannot be certified raises NoConvergence.
+    """
+    rows = []  # per polynomial: its roots found so far and what is left
+    for i, q in enumerate(polys):
+        if q.is_zero:
+            raise ValueError("zero polynomial")
+        coeffs = list(q.coeffs)
+        found: list[tuple[complex, int]] = []
+        if known is not None and known[i] is not None:
+            r, m = known[i]
+            for _ in range(m):
+                coeffs = _deflate(coeffs, r)
+            found.append((complex(r), m))
+        # Exact deflation of zero roots (exactly-zero low-order coefficients).
+        zero_mult = 0
+        while len(coeffs) > 1 and coeffs[0] == 0:
+            coeffs.pop(0)
+            zero_mult += 1
+        if zero_mult:
+            found.append((0j, zero_mult))
+        if len(coeffs) == 2:  # linear: solved directly
+            found.append((complex(-coeffs[0] / coeffs[1]), 1))
+        rows.append((found, coeffs))
+
+    # one Aberth batch per degree above one
+    by_degree: dict[int, list[int]] = {}
+    for i, (_, coeffs) in enumerate(rows):
+        if len(coeffs) > 2:
+            by_degree.setdefault(len(coeffs) - 1, []).append(i)
+    batched: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for members in by_degree.values():
+        c = np.array([rows[i][1] for i in members], dtype=complex)
+        c = c / np.max(np.abs(c), axis=1, keepdims=True)
+        pts, corr = _aberth_rows(c, np.array([_initial_points(row) for row in c]), 400)
+        for k, i in enumerate(members):
+            batched[i] = c[k], pts[k], corr[k]
+
+    out = []
+    for i, (q, (found, _)) in enumerate(zip(polys, rows)):
+        if i in batched:
+            name = names[i] if names is not None else f"degree {q.degree}"
+            found += _finish_row(q, *batched[i], name)
+            if sum(mult for _, mult in found) != q.degree:
+                raise NoConvergence(f"multiplicity bookkeeping lost roots of {name}")
+        out.append(tuple(sorted(found, key=_root_order)))
+    return out
+
+
+def _finish_row(
+    q: Polynomial, c: np.ndarray, pts: np.ndarray, corr: np.ndarray, name: str
+) -> list[tuple[complex, int]]:
+    """The roots of q that an Aberth run on c (q with roots divided out,
+    normalised) approximates by pts, after residual certification against
+    q, multiplicity clustering and a final polish on q."""
+
+    def _rerun(cc, z0, iters):
+        z, corr = _aberth_rows(cc[None], z0[None], iters)
+        return z[0], corr[0]
 
     # Accept points with certified residuals; deflate and retry the rest once.
     def _resid_ok(z):
         qq = q(z)
         return abs(qq) <= 64 * _EPS * max(q.eval_scale(z), 1e-300)
 
-    ok = np.array([_resid_ok(z) for z in pts])
+    ok = np.array([_resid_ok(z) for z in pts.tolist()])
     if not np.all(ok):
-        retry_c = list(c)
-        for z in pts[ok]:
-            retry_c = _deflate(retry_c, z)
-        rc = np.array(retry_c, dtype=complex)
-        if len(rc) >= 3 and np.any(ok):
-            sub, subcorr = _aberth_once(rc, _initial_points(rc), 400)
+        if np.any(ok):
+            retry_c = list(c)
+            for z in pts[ok]:
+                retry_c = _deflate(retry_c, z)
+            if len(retry_c) == 2:  # one point left: the linear remainder's root
+                sub, subcorr = np.array([-retry_c[0] / retry_c[1]]), np.zeros(1)
+            else:
+                rc = np.array(retry_c, dtype=complex)
+                sub, subcorr = _rerun(rc, _initial_points(rc), 400)
             pts = np.concatenate([pts[ok], sub])
             corr = np.concatenate([corr[ok], subcorr])
-        else:
-            pts2, corr2 = _aberth_once(c, _initial_points(c) * 1.7 + 0.1j, 800)
-            pts, corr = pts2, corr2
-        ok = np.array([_resid_ok(z) for z in pts])
+        else:  # nothing certified: restart the whole row from other starts
+            pts, corr = _rerun(c, _initial_points(c) * 1.7 + 0.1j, 800)
+        ok = np.array([_resid_ok(z) for z in pts.tolist()])
         if not np.all(ok):
-            raise NoConvergence(f"root residuals not certified for degree {q.degree}")
+            raise NoConvergence(f"root residuals not certified for {name}")
 
     # Multiplicity-aware clustering. Near an m-fold root the attainable accuracy
     # is ~ eps^(1/m), and L = q q'' / q'^2 tends to (m-1)/m, so estimate m per
@@ -286,6 +377,7 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
             if abs(pts[i] - pts[j]) < max(_radius(i), _radius(j)):
                 near.union(i, j)
 
+    found = []
     for cluster in near.classes():
         members = [pts[i] for i in cluster]
         mult = len(members)
@@ -316,12 +408,8 @@ def roots_of(q: Polynomial, tol: float | None = None) -> tuple[tuple[complex, in
                 if abs(step) <= _EPS * (1 + abs(z)):
                     break
             center = best
-        found.append((center, mult))
-
-    total = sum(mult for _, mult in found)
-    if total != q.degree:
-        raise NoConvergence("multiplicity bookkeeping lost roots")
-    return tuple(sorted(found, key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12))))
+        found.append((complex(center), mult))
+    return found
 
 
 class MarkedPoint(NamedTuple):
@@ -539,7 +627,7 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
     tol = tol or DEFAULT_TOL
     if p.degree < 3:
         raise DegreeTooLow(f"degree {p.degree} < 3")
-    rootinfo = roots_of(p, tol.root_tol)
+    rootinfo = roots_of(p)
     if any(m > 1 for _, m in rootinfo):
         raise MultipleRoot("input polynomial has a multiple root")
     roots = tuple(r for r, _ in rootinfo)
@@ -551,7 +639,7 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
 
     dpoly = p.derivative()
     numerator = Polynomial(tuple((k - 1) * c for k, c in enumerate(p.coeffs)))
-    poles = roots_of(dpoly, tol.root_tol)
+    poles = roots_of(dpoly)
     for q, _ in poles:
         for r in roots:
             if abs(q - r) <= tol.root_tol * max(1.0, abs(q)):
@@ -562,7 +650,7 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
     ddpoly = dpoly.derivative()
     crit: list[tuple[complex, int]] = [(r, 1) for r in roots]
     anchors = list(roots) + [q for q, _ in poles]
-    for z, m in roots_of(ddpoly, tol.root_tol):
+    for z, m in roots_of(ddpoly):
         # Snap to the canonical root/pole location when the zero coincides.
         for a in anchors:
             if abs(z - a) <= 1e-7 * (1.0 + max(abs(z), abs(a))):
@@ -574,7 +662,7 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
                 break
         else:
             crit.append((z, m))
-    crit.sort(key=lambda t: (round(t[0].real, 12), round(t[0].imag, 12)))
+    crit.sort(key=_root_order)
     total = sum(m for _, m in crit)
     if total != 2 * p.degree - 2:
         raise NoConvergence(

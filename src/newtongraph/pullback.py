@@ -2,7 +2,8 @@
 
 Each pass lifts the newest edges: an edge with tail t is lifted once from
 every preimage x of t, along each of the local_degree(x) inverse branches at
-x. Tails of lifts map onto tails of sources, so orientation, the edge map
+x. The fibers over all heads and tails of those edges are solved first, in
+one batched root solve. Tails of lifts map onto tails of sources, so orientation, the edge map
 and the vertex map come from lift bookkeeping instead of after-the-fact
 geometry matching. Fixed edges are their own lifts; on the first pass the
 branch that retraces the source is skipped and the existing edge kept. The
@@ -37,7 +38,7 @@ from .errors import (
     LevelCapExceeded,
     NonPlanarIncidence,
 )
-from .poly import CHART_SWAP, NewtonMap, horner, roots_of
+from .poly import CHART_SWAP, NewtonMap, horner, roots_of_rows
 from .rays import (
     _TAU,
     GeoEdge,
@@ -102,40 +103,63 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
 # --- preimages ----------------------------------------------------------
 
 
+def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[tuple[complex, int], ...]]:
+    """The fiber over each target, as lift_point gives it, with the
+    polynomials of all finite targets solved in one roots_of_rows call.
+
+    A target within match_tol of a marked point is solved over that point's
+    exact value. Over a root r of local degree m, (z - r)^m is divided out
+    of numerator - r * denominator, so r is one fiber point of its full
+    degree and only the simple remainder is solved. Every fiber is checked
+    on its own: its degrees must sum to deg f, and two of its points closer
+    than match_tol abort rather than silently merging.
+    """
+    tol = f.tol
+    marks = [f.marked_point(w) for w in targets]
+    finite = [mark for mark in marks if mark.value != INF]
+    solved = iter(roots_of_rows(
+        [f.numerator - f.denominator * mark.value for mark in finite],
+        known=[(mark.value, mark.local_degree) if mark.kind == KIND_ROOT else None
+               for mark in finite],
+        names=[f"the fiber over {mark.value}" for mark in finite],
+    ))
+    out = []
+    for mark in marks:
+        w = mark.value
+        if w == INF:
+            fiber = [*f.poles, (INF, 1)]
+        else:
+            fiber = [(f.marked_point(z).value, m) for z, m in next(solved)]
+        total = sum(m for _, m in fiber)
+        if total != f.degree:
+            raise NonPlanarIncidence(
+                f"fiber over {w} carries total degree {total}, expected {f.degree}"
+            )
+        for i in range(len(fiber)):
+            for j in range(i + 1, len(fiber)):
+                if chordal_distance(fiber[i][0], fiber[j][0]) < tol.match_tol:
+                    raise NonPlanarIncidence(
+                        f"fiber points {fiber[i][0]} and {fiber[j][0]} over {w} "
+                        f"collide below match_tol; vertex merging would corrupt "
+                        f"the embedding"
+                    )
+        out.append(tuple(fiber))
+    return out
+
+
 def lift_point(f: NewtonMap, w: complex) -> tuple[tuple[SpherePoint, int], ...]:
     """All preimages of w under f with their local degrees, summing to deg f.
 
     Finite fibers solve numerator - w * denominator = 0; the fiber over
-    infinity is the poles plus infinity itself. A target within match_tol of
-    a marked point is solved over that point's exact value, so a multiple
-    preimage there is one point of its full degree. Preimages are snapped to
-    the map's marked points, and two fiber points closer than match_tol abort
-    rather than silently merging. Each point is a SpherePoint, a complex
-    number that also answers value and is_infinity.
+    infinity is the poles plus infinity itself. This is the one-target form
+    of the fiber solve that pullback_level runs for a whole level at once
+    (_fibers): a target near a marked point is solved over its exact value,
+    a root's own factor is divided out before solving, preimages are
+    snapped to the map's marked points, and two fiber points closer than
+    match_tol abort. Each point is a SpherePoint, a complex number that
+    also answers value and is_infinity.
     """
-    tol = f.tol
-    w = point(f.marked_point(w).value)
-    if w == INF:
-        out = [(point(q), m) for q, m in f.poles] + [(INF, 1)]
-    else:
-        shifted = f.numerator - f.denominator * w
-        out = [
-            (point(f.marked_point(z).value), m)
-            for z, m in roots_of(shifted, tol.root_tol)
-        ]
-    total = sum(m for _, m in out)
-    if total != f.degree:
-        raise NonPlanarIncidence(
-            f"fiber over {w} carries total degree {total}, expected {f.degree}"
-        )
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if chordal_distance(out[i][0], out[j][0]) < tol.match_tol:
-                raise NonPlanarIncidence(
-                    f"fiber points {out[i][0]} and {out[j][0]} collide below "
-                    f"match_tol; vertex merging would corrupt the embedding"
-                )
-    return tuple((SpherePoint(z), m) for z, m in out)
+    return tuple((SpherePoint(z), m) for z, m in _fibers(f, [w])[0])
 
 
 def _branched_first_step(
@@ -498,21 +522,19 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     """
     tol = f.tol
     geo = current.geo
-    fibers: dict[int, tuple[tuple[complex, int], ...]] = {}
-
-    def fiber(vertex: int) -> tuple[tuple[complex, int], ...]:
-        if vertex not in fibers:
-            fibers[vertex] = lift_point(f, geo.vertices[vertex])
-        return fibers[vertex]
+    newest = current.edges_at_level(current.level)
+    # the fibers over every head and tail of the newest edges, in one solve
+    ends = list(dict.fromkeys(v for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)))
+    fiber = dict(zip(ends, _fibers(f, [geo.vertices[v] for v in ends])))
 
     sources = {}
     lanes = []  # (source edge, start, branch direction)
-    for j in current.edges_at_level(current.level):
+    for j in newest:
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
-        sources[j] = (e.points, fiber(e.head))
-        for x, order in fiber(e.tail):
+        sources[j] = (e.points, fiber[e.head])
+        for x, order in fiber[e.tail]:
             if order == 1:
                 directions: list[float | None] = [None]
             else:
@@ -536,20 +558,32 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     vmap = list(current.vertex_map)
     vlevel = list(current.vertex_level)
 
+    # The first vertex within match_tol of a fiber point, by the point's
+    # exact value. verts only grows, at its end, so once that first vertex
+    # is found, or the point itself added, no later vertex can come before
+    # it: the scan would give the same index every time.
+    located: dict[complex, int] = {}
+
     def locate_or_add(p: complex, image_vertex: int) -> int:
         p = complex(p)  # a fiber point; the vertex list holds plain complex
-        for i, v in enumerate(verts):
-            if chordal_distance(v, p) <= tol.match_tol:
-                if vmap[i] != image_vertex:
-                    raise NonPlanarIncidence(
-                        f"point {p} merges with vertex {i} whose image is "
-                        f"vertex {vmap[i]}, not {image_vertex}"
-                    )
-                return i
-        verts.append(p)
-        vmap.append(image_vertex)
-        vlevel.append(current.level + 1)
-        return len(verts) - 1
+        i = located.get(p)
+        if i is None:
+            i = next(
+                (k for k, v in enumerate(verts) if chordal_distance(v, p) <= tol.match_tol),
+                None,
+            )
+            if i is None:
+                i = len(verts)
+                verts.append(p)
+                vmap.append(image_vertex)
+                vlevel.append(current.level + 1)
+            located[p] = i
+        if vmap[i] != image_vertex:
+            raise NonPlanarIncidence(
+                f"point {p} merges with vertex {i} whose image is "
+                f"vertex {vmap[i]}, not {image_vertex}"
+            )
+        return i
 
     edges = list(geo.edges)
     emap = list(current.edge_map)

@@ -14,10 +14,16 @@ Expected values:
   three basin counts on any rotation-invariant lattice are exactly equal.
 - a raster pixel is classify_point of its cell center, whatever step its
   neighbours finish at, so the scalar classifier is the per-pixel oracle.
-- a render without its two proofs (no certified exit, a root band of the
-  whole sphere) measures every lane's root distances at every step and
-  finishes pixels by five confirming steps alone; it is the reference the
-  optimised render must equal byte for byte.
+- a render without its three proofs (no certified exit, root and pole
+  bands of the whole sphere) measures every lane's root distances and tests
+  every lane against every pole at every step, and finishes pixels by five
+  confirming steps alone; it is the reference the optimised render must
+  equal byte for byte.
+- (z - 1)(z + 1)(z - 2i) = z^3 - 2i z^2 - z + 2i has p' = 3z^2 - 4i z - 1
+  with roots i and i/3, poles of moduli 1 and 1/3. f(-i/2) = i/3 and
+  |f'(-i/2)| = 14/9, so a cell center 1e-12 (1 + i) from -i/2 maps about
+  2e-12 from the pole i/3, within its snap: a pre-pole pixel. Unsnapped,
+  its orbit comes back from about 5e11 and reaches a basin at step 70.
 - roots 1, 1.002 and -1: Smale's gamma at 1 is about 1/0.002 = 500, so its
   contraction disk (0.089/500 = 1.8e-4) is smaller than what basin_tol/4
   allows, and the exit radius does not move when basin_tol does.
@@ -67,21 +73,26 @@ WINDOWS = [
 ]
 WINDOW_IDS = ["z5-1-pole-zoom", "z4-z-full"]
 CLOSE_ROOTS = (1.002, -1, -1.002, 1)  # (z - 1)(z - 1.002)(z + 1)
+TWO_POLE_MODULI = (2j, -1, -2j, 1)  # (z - 1)(z + 1)(z - 2i), poles i and i/3
+PREPOLE_CENTER = -0.001562499999 - 0.498437499999j
 # 32 x 32 windows of the reference render
 REFERENCE_WINDOWS = WINDOWS + [
     ((0, -1, 0, 0, 1), 0.6303 + 0.0004j, 0.002),  # pole (1/4)^(1/3) of z^4 - z
     (CLOSE_ROOTS, 1.001 + 0.002j, 0.02),
+    # cell (16, 16) is a pre-pole about 1e-12 from -i/2
+    (TWO_POLE_MODULI, PREPOLE_CENTER, 0.05),
 ]
-REFERENCE_IDS = WINDOW_IDS + ["z4-z-pole-zoom", "close-roots"]
+REFERENCE_IDS = WINDOW_IDS + ["z4-z-pole-zoom", "close-roots", "two-pole-moduli-prepole"]
 
 
 @contextlib.contextmanager
 def without_proofs(monkeypatch):
-    """The reference classifiers: no certified exit (an exit radius of 0) and
-    a root band of the whole sphere."""
+    """The reference classifiers: no certified exit (an exit radius of 0),
+    and root and pole bands of the whole sphere."""
     with monkeypatch.context() as m:
         m.setattr(NewtonMap, "exit_radius", property(lambda self: 0.0))
         m.setattr(dynamics, "_root_band", lambda f: [(0.0, math.inf)])
+        m.setattr(dynamics, "_pole_band", lambda f: [(0.0, math.inf)])
         yield
 
 
@@ -384,6 +395,37 @@ class TestRenderBasins:
                     near += 1
                     assert any(lo <= abs(z) < hi for lo, hi in bands), z
         assert near > len(f.roots)
+
+    def test_prepole_pixel_dies_in_the_pole_band(self, monkeypatch):
+        f = make_newton_map(Polynomial(TWO_POLE_MODULI))
+        bands = dynamics._pole_band(f)
+        assert len(bands) == 2  # moduli 1/3 and 1: two bands
+        spec = RasterSpec(32, 32, PREPOLE_CENTER, 0.05)
+        z = spec.grid()[16, 16]
+        assert 0 < abs(z + 0.5j) < 2e-12
+        assert 0 < abs(f.evaluate(z) - 1j / 3) < f.tol.pole_snap
+        assert classify_point(f, z).hit_prepole
+        assert render_basins(f, spec).basin_id[16, 16] == -1
+        # without its pole band the pixel's orbit would reach a basin
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_pole_band", lambda f: [])
+            assert render_basins(f, spec).basin_id[16, 16] >= 0
+
+    @pytest.mark.parametrize("pole_snap", [0.0, 1e-9, 1e-3, 0.5, 100.0])
+    @pytest.mark.parametrize("coeffs", [TWO_POLE_MODULI, (-1, 0, 0, 0, 1), CLOSE_ROOTS])
+    def test_pole_band_holds_every_snapped_point(self, coeffs, pole_snap):
+        f = make_newton_map(Polynomial(coeffs), Tolerances(pole_snap=pole_snap))
+        bands = dynamics._pole_band(f)
+        rng = np.random.default_rng(9)
+        for q, _ in f.poles:
+            snap = pole_snap * (1 + abs(q))
+            # up to 1.5 snap from q, in every direction, and the rim itself
+            radius = snap * np.concatenate((rng.uniform(0, 1.5, 500), [1.0]))
+            z = q + radius * np.exp(2j * np.pi * rng.random(radius.size))
+            snapped = z[np.abs(z - q) <= snap]
+            assert snapped.size > 0
+            inside = dynamics._in_bands(np.abs(snapped), bands)
+            assert inside.size == snapped.size
 
     def test_multi_tile_render_stays_small(self, cubic_unity):
         # traced peak of a 512 x 512 full-window z^3 - 1 render in 8 tiles:

@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from newtongraph.errors import DegreeTooLow, MultipleRoot
+from newtongraph import poly
+from newtongraph.errors import DegreeTooLow, MultipleRoot, NoConvergence
 from newtongraph.poly import (
     NewtonMap,
     Polynomial,
     horner,
     make_newton_map,
     roots_of,
+    roots_of_rows,
     verify_newton_conditions,
 )
 from newtongraph.pullback import lift_point
@@ -196,6 +198,145 @@ class TestRootsOf:
             q = Polynomial.from_roots(roots)
             for r, m in roots_of(q):
                 assert abs(q(r)) <= 1e-8 * q.eval_scale(r)
+
+
+def random_batch(rng, size):
+    """Polynomials of degrees 0 to 9, some with zero roots or a double root."""
+    polys = []
+    for _ in range(size):
+        deg = int(rng.integers(0, 10))
+        kind = rng.integers(3)
+        if kind == 2 and deg >= 2:
+            roots = rng.normal(size=deg - 1) + 1j * rng.normal(size=deg - 1)
+            polys.append(Polynomial.from_roots([roots[0], *roots]))
+            continue
+        coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        if kind == 1 and deg >= 1:
+            coeffs[: int(rng.integers(1, deg + 1))] = 0
+        polys.append(Polynomial(tuple(coeffs)))
+    return polys
+
+
+def sorted_roots(found):
+    return sorted((r for r, m in found for _ in range(m)), key=lambda z: (z.real, z.imag))
+
+
+class TestBatchedRoots:
+    def test_mixed_batches_against_companion_matrix_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            polys = [q for q in random_batch(rng, 12) if q.degree >= 1]
+            for q, found in zip(polys, roots_of_rows(polys)):
+                assert sum(m for _, m in found) == q.degree
+                oracle = sorted(np.roots(q.coeffs[::-1]), key=lambda z: (z.real, z.imag))
+                for a, b in zip(sorted_roots(found), oracle):
+                    # a double root is only good to about sqrt(eps)
+                    assert abs(a - b) < 1e-6 * (1 + abs(b))
+
+    def test_each_row_is_the_row_solved_alone_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        polys = random_batch(rng, 60)
+        alone = [roots_of(q) for q in polys]
+        assert roots_of_rows(polys) == alone
+        order = rng.permutation(len(polys))
+        assert roots_of_rows([polys[i] for i in order]) == [alone[i] for i in order]
+        # and in a batch of one degree alone
+        sixes = [i for i, q in enumerate(polys) if q.degree == 6]
+        assert roots_of_rows([polys[i] for i in sixes]) == [alone[i] for i in sixes]
+
+    def test_a_settled_row_freezes(self, monkeypatch):
+        # a row is evaluated as often in a batch as alone: once its stop
+        # test holds it takes no more rounds, whatever the other rows need
+        evaluated = [0]
+
+        def counted(coeffs, x):
+            evaluated[0] += x.size
+            return horner(coeffs, x)
+
+        monkeypatch.setattr(poly, "horner", counted)
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(8, 7)) + 1j * rng.normal(size=(8, 7))
+        starts = np.array([poly._initial_points(row) for row in c])
+        poly._aberth_rows(c, starts, 400)
+        batch, evaluated[0] = evaluated[0], 0
+        for k in range(8):
+            poly._aberth_rows(c[k : k + 1], starts[k : k + 1], 400)
+        assert batch == evaluated[0]
+
+    def test_one_aberth_run_per_degree(self, monkeypatch):
+        runs = []
+        aberth = poly._aberth_rows
+
+        def counted(c, z0, iters):
+            runs.append(z0.shape)
+            return aberth(c, z0, iters)
+
+        monkeypatch.setattr(poly, "_aberth_rows", counted)
+        polys = [Polynomial.from_roots(range(k, k + d)) for d in (3, 5, 3, 5, 5) for k in (1, 9)]
+        roots_of_rows(polys)
+        assert sorted(runs) == [(4, 3), (6, 5)]
+
+    def test_row_with_a_zero_derivative_waits_alone(self):
+        # z^3 + 1 starts at 0 and z^3 - 3z + 1 at its critical points 1 and
+        # -1, where the derivative vanishes: those rows take no step in the
+        # first round, the third goes on, and each row comes out as it does
+        # alone
+        rows = np.array([[1, 0, 0, 1], [1, -3, 0, 1], [2, 1j, 0.5, 1]], dtype=complex)
+        starts = np.array([[0, 1.5 + 0.2j, -0.7 + 1j], [1, -1, 0.3j], [1, 1j, -1]])
+        z, corr = poly._aberth_rows(rows, starts, 400)
+        for k in range(3):
+            alone, alone_corr = poly._aberth_rows(rows[k : k + 1], starts[k : k + 1], 400)
+            assert z[k].tobytes() == alone[0].tobytes()
+            assert corr[k].tobytes() == alone_corr[0].tobytes()
+            q = Polynomial(tuple(rows[k]))
+            for r in z[k]:
+                assert abs(q(r)) < 1e-12
+
+    def test_known_factor_is_divided_out(self):
+        # (z - 0.5i)^3 (z^2 + 2): the triple root comes back exactly
+        r = 0.5j
+        q = Polynomial.from_roots([r, r, r, 2**0.5 * 1j, -(2**0.5) * 1j])
+        [found] = roots_of_rows([q], known=[(r, 3)])
+        assert (r, 3) in found
+        assert sum(m for _, m in found) == 5
+        others = sorted(z.imag for z, m in found if m == 1)
+        assert others == pytest.approx([-(2**0.5), 2**0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("spoiled, runs", [(1, 1), (4, 2)])
+    def test_retry_after_failed_certification(self, monkeypatch, spoiled, runs):
+        # spoil some points of the first run: with one left uncertified the
+        # remainder after deflating the rest is linear and solved directly;
+        # with none certified the row restarts from other starts
+        calls = []
+        aberth = poly._aberth_rows
+
+        def spoiling(c, z0, iters):
+            z, corr = aberth(c, z0, iters)
+            calls.append(iters)
+            if len(calls) == 1:
+                z[0, :spoiled] += 1e-3
+            return z, corr
+
+        monkeypatch.setattr(poly, "_aberth_rows", spoiling)
+        q = P(3 - 1j, 0.5, 2j, -1, 1)
+        found = roots_of(q)
+        assert len(calls) == runs
+        assert calls[1:] == [800] * (runs - 1)  # a restart, never a rerun of 400
+        for a, b in zip(
+            sorted_roots(found),
+            sorted(np.roots(q.coeffs[::-1]), key=lambda z: (z.real, z.imag)),
+        ):
+            assert abs(a - b) < 1e-10 * (1 + abs(b))
+        for z, _ in found:
+            assert abs(q(z)) <= 64 * 2.2e-16 * q.eval_scale(z)
+
+    def test_uncertified_row_is_named(self, monkeypatch):
+        # every Aberth run misses, and the line is solved directly
+        monkeypatch.setattr(
+            poly, "_aberth_rows", lambda c, z0, iters: (z0 + 5, np.zeros(z0.shape))
+        )
+        with pytest.raises(NoConvergence, match="the cubic"):
+            roots_of_rows([P(1, 2), P(1, 2, 3, 4)], names=["the line", "the cubic"])
 
 
 class TestMakeNewtonMap:

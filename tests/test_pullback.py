@@ -26,6 +26,7 @@ from newtongraph import (
     pullback,
     validate_newton_graph,
 )
+from newtongraph import poly
 from newtongraph.combinatorial import regular_extension_check
 from newtongraph.pullback import (
     base_dynamic_graph,
@@ -308,6 +309,71 @@ def conjugated(coeffs, a):
     """Coefficients of a^d p(z / a): the roots scaled by a."""
     d = len(coeffs) - 1
     return tuple(complex(c) * a ** (d - k) for k, c in enumerate(coeffs))
+
+
+ROTATED_AND_SCALED = [
+    conjugated(unity(5), cmath.exp(0.7j)),
+    conjugated((0, -1, 0, 0, 1), 0.25 * cmath.exp(0.3j)),
+    conjugated((0, -1, 0, 0, 0, 0, 1), 4 * cmath.exp(1.1j)),
+    conjugated(unity(7), 4 * cmath.exp(1.3j)),
+]
+ROTATED_AND_SCALED_IDS = ["z5-1@rot", "z4-z@0.25", "z6-z@4", "z7-1@4"]
+
+
+def assert_root_fibers(f):
+    """The fiber over each root holds that root once, exactly, at its local
+    degree; the other points are simple preimages, and the degrees sum to d."""
+    for r in f.roots:
+        fiber = lift_point(f, r)
+        assert [m for p, m in fiber if p == r] == [f.local_degree(r)]
+        assert sum(m for _, m in fiber) == f.degree
+        for p, m in fiber:
+            if p != r:
+                assert m == 1
+                assert chordal_distance(f.evaluate(p), r) < 1e-8
+
+
+class TestLevelFibers:
+    """pullback_level solves the fibers over all ends of its newest edges in
+    one call, and a root's own factor is divided out before solving."""
+
+    def test_root_fibers_on_the_pool(
+        self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic
+    ):
+        for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
+            assert_root_fibers(f)
+
+    @pytest.mark.parametrize("coeffs", ROTATED_AND_SCALED, ids=ROTATED_AND_SCALED_IDS)
+    def test_root_fibers_on_rotated_and_scaled_conjugates(self, coeffs):
+        assert_root_fibers(make_newton_map(Polynomial(coeffs)))
+
+    @pytest.mark.parametrize("coeffs", ROTATED_AND_SCALED[:3], ids=ROTATED_AND_SCALED_IDS[:3])
+    def test_one_solve_per_level_and_one_aberth_run_per_degree(self, monkeypatch, coeffs):
+        f = make_newton_map(Polynomial(coeffs))
+        solves = []  # per roots_of_rows call, the row shapes of its Aberth runs
+        solve, aberth = pullback.roots_of_rows, poly._aberth_rows
+
+        def counted_solve(*args, **kwargs):
+            solves.append([])
+            return solve(*args, **kwargs)
+
+        def counted_aberth(c, z0, iters):
+            solves[-1].append(z0.shape)
+            return aberth(c, z0, iters)
+
+        def no_lift_point(*args):
+            raise AssertionError("pullback_level solves its fibers in one call")
+
+        monkeypatch.setattr(pullback, "roots_of_rows", counted_solve)
+        monkeypatch.setattr(poly, "_aberth_rows", counted_aberth)
+        monkeypatch.setattr(pullback, "lift_point", no_lift_point)
+        result = compute_newton_graph(f)
+        assert len(solves) == result.graphs[-1].level
+        for runs in solves:
+            degrees = [n for _, n in runs]
+            assert len(degrees) == len(set(degrees))
+        # a fiber over a root solves a remainder of lower degree
+        assert any(n < f.degree for runs in solves for _, n in runs)
 
 
 class TestScaleFreeEnds:
