@@ -17,6 +17,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -58,15 +59,16 @@ def _load_json(path: str):
 
 
 def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise InputError(f"expected a number or [re, im] pair, got {value!r}")
+    """A finite number or [re, im] pair; NaN, Infinity and huge integers fail."""
+    pair = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:
+            z = complex("nan")
+        if cmath.isfinite(z):
+            return z
+    raise InputError(f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def load_polynomial(path: str) -> Polynomial:
@@ -76,10 +78,12 @@ def load_polynomial(path: str) -> Polynomial:
         raise InputError(f"{path}: polynomial file must hold a JSON object")
     if "coeffs" in data and "roots" in data:
         raise InputError(f'{path}: give either "coeffs" or "roots", not both')
-    if "coeffs" in data:
-        return Polynomial(tuple(_complex_from_json(v) for v in data["coeffs"]))
-    if "roots" in data:
-        return Polynomial.from_roots([_complex_from_json(v) for v in data["roots"]])
+    for key in ("coeffs", "roots"):
+        if key in data:
+            if not isinstance(data[key], list):
+                raise InputError(f'{path}: "{key}" must be a list')
+            values = [_complex_from_json(v) for v in data[key]]
+            return Polynomial(tuple(values)) if key == "coeffs" else Polynomial.from_roots(values)
     raise InputError(f'{path}: need a "coeffs" or "roots" key')
 
 

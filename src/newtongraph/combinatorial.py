@@ -11,7 +11,9 @@ dart (oriented from its vertex toward the far end).
 On top of the bare graphs sit: a validator for the axioms of an abstract
 channel diagram, a validator for the seven abstract-Newton-graph axioms, a
 sector-model injectivity check for the extension of the graph map to the
-sphere, and an orientation-preserving equivalence search.
+sphere, and an orientation-preserving equivalence search: dart 0's image
+closed under sigma, the mate and the dart map, each dart's label (vertex kind,
+local degree, channel flag) checked on the way.
 """
 
 from __future__ import annotations
@@ -268,6 +270,14 @@ class GraphDynamics:
         """The unique vertex marked as the point at infinity, if there is one."""
         hits = [v for v, k in enumerate(self.graph.vertex_kinds) if k == KIND_INFINITY]
         return hits[0] if len(hits) == 1 else None
+
+    @cached_property
+    def dart_labels(self) -> tuple[tuple[str, int, bool], ...]:
+        """Per dart, what an equivalence must keep: its vertex's kind and
+        local degree, and whether its edge is a channel edge."""
+        kinds, channel = self.graph.vertex_kinds, self.channel_edges
+        return tuple((kinds[v], self.local_degree[v], d >> 1 in channel)
+                     for d, v in enumerate(self.graph.vertex_of))
 
     @property
     def channel_degree(self) -> int:
@@ -623,72 +633,43 @@ class Isomorphism:
     edge_bijection: tuple[int, ...]
 
 
-def _propagate_match(ga: EmbeddedGraph, gb: EmbeddedGraph, anchor: int):
-    """Extend dart 0 of ``ga`` -> ``anchor`` of ``gb`` by sigma/mate closure."""
-    n = ga.n_darts
-    match = [-1] * n
-    used = [False] * n
-    match[0] = anchor
-    used[anchor] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for nxt, img in ((ga.sigma[x], gb.sigma[match[x]]), (x ^ 1, match[x] ^ 1)):
-            if match[nxt] == -1:
-                if used[img]:
-                    return None
-                match[nxt] = img
-                used[img] = True
-                stack.append(nxt)
-            elif match[nxt] != img:
-                return None
-    return match
-
-
 def graphs_equivalent(first: GraphDynamics, second: GraphDynamics) -> Isomorphism | None:
     """Search for an orientation-preserving isomorphism conjugating the maps.
 
-    Deterministic: candidates for the image of dart 0 are tried in increasing
-    order, so the returned witness is the one with the least anchor dart.
+    Each dart of ``second`` labelled like dart 0 is tried, in increasing
+    order, as dart 0's image; the choice is closed under sigma, the mate d ^ 1
+    and dart_map together, and given up on the first clash, reused image or
+    label mismatch. A closure that finishes maps vertices (sigma cycles) onto
+    vertices and keeps every label and dart_map, which vertex_map and
+    edge_map follow: it is the witness, the one with the least anchor dart.
     """
     ga, gb = first.graph, second.graph
-    if (ga.n_darts != gb.n_darts
-            or ga.n_vertices != gb.n_vertices
-            or ga.n_faces != gb.n_faces
-            or sorted(ga.vertex_kinds) != sorted(gb.vertex_kinds)
-            or sorted(len(s) for s in ga.vertex_darts) != sorted(len(s) for s in gb.vertex_darts)
-            or sorted(first.local_degree) != sorted(second.local_degree)
-            or len(first.channel_edges) != len(second.channel_edges)
-            or first.level != second.level):
+    if (ga.n_darts, ga.n_vertices, first.level) != (gb.n_darts, gb.n_vertices, second.level):
         return None
+    la, lb = first.dart_labels, second.dart_labels
+
+    def closure(anchor: int) -> list[int] | None:
+        match, used, stack = [-1] * ga.n_darts, [False] * ga.n_darts, [0]
+        match[0], used[anchor] = anchor, True
+        while stack:
+            x = stack.pop()
+            y = match[x]
+            for nxt, img in ((ga.sigma[x], gb.sigma[y]), (x ^ 1, y ^ 1),
+                             (first.dart_map[x], second.dart_map[y])):
+                if match[nxt] == -1:
+                    if used[img] or la[nxt] != lb[img]:
+                        return None
+                    match[nxt], used[img] = img, True
+                    stack.append(nxt)
+                elif match[nxt] != img:
+                    return None
+        return match
+
     for anchor in range(gb.n_darts):
-        match = _propagate_match(ga, gb, anchor)
-        if match is None:
-            continue
-        vertex_bij = [-1] * ga.n_vertices
-        ok = True
-        for d in range(ga.n_darts):
-            v, w = ga.vertex_of[d], gb.vertex_of[match[d]]
-            if vertex_bij[v] == -1:
-                vertex_bij[v] = w
-            elif vertex_bij[v] != w:
-                ok = False
-                break
-        if not ok:
-            continue
-        if any(ga.vertex_kinds[v] != gb.vertex_kinds[vertex_bij[v]]
-               for v in range(ga.n_vertices)):
-            continue
-        if any(first.local_degree[v] != second.local_degree[vertex_bij[v]]
-               for v in range(ga.n_vertices)):
-            continue
-        if any(match[first.dart_map[d]] != second.dart_map[match[d]]
-               for d in range(ga.n_darts)):
-            continue
-        edge_bij = [match[2 * j] >> 1 for j in range(ga.n_edges)]
-        if {edge_bij[e] for e in first.channel_edges} != set(second.channel_edges):
-            continue
-        return Isomorphism(tuple(match), tuple(vertex_bij), tuple(edge_bij))
+        match = closure(anchor) if lb[anchor] == la[0] else None
+        if match is not None:
+            vertex_bij = (gb.vertex_of[match[darts[0]]] for darts in ga.vertex_darts)
+            return Isomorphism(tuple(match), tuple(vertex_bij), tuple(y >> 1 for y in match[::2]))
     return None
 
 

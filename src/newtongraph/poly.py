@@ -24,6 +24,7 @@ regular point; that swaps N, D, N', D' to D, N, D', N' (`CHART_SWAP`).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -323,9 +324,14 @@ def _finish_row(
         return z[0], corr[0]
 
     # Accept points with certified residuals; deflate and retry the rest once.
+    # A lost point is retried; a residual past float range raises.
     def _resid_ok(z):
-        qq = q(z)
-        return abs(qq) <= 64 * _EPS * max(q.eval_scale(z), 1e-300)
+        if not cmath.isfinite(z):
+            return False
+        qq, scale = q(z), q.eval_scale(z)
+        if not (cmath.isfinite(qq) and math.isfinite(scale)):
+            raise NoConvergence(f"residual not finite for {name} at {z}")
+        return abs(qq) <= 64 * _EPS * max(scale, 1e-300)
 
     ok = np.array([_resid_ok(z) for z in pts.tolist()])
     if not np.all(ok):
@@ -358,6 +364,8 @@ def _finish_row(
         if dv == 0:
             return q.degree
         L = (qv * ddv) / (dv * dv)
+        if not cmath.isfinite(L):
+            raise NoConvergence(f"q q''/q'^2 not finite for {name} at {complex(z)}")
         denom = 1.0 - L.real
         if denom <= 1.0 / (2 * q.degree):
             return q.degree
@@ -365,7 +373,8 @@ def _finish_row(
         return max(1, min(q.degree, est))
 
     m = len(pts)
-    mhat = [_mult_estimate(z) for z in pts]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L raises
+        mhat = [_mult_estimate(z) for z in pts]
     near = UnionFind(m)
 
     def _radius(i):

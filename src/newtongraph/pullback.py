@@ -856,17 +856,9 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
             if e.tail == owner:
                 pole_immediate_sets.setdefault(v, set()).add(owner)
 
-    uncovered = []
-    for face in range(emb0.n_faces):
-        found = False
-        for v, owners in pole_owner_sets.items():
-            if len(owners) < 2:
-                continue
-            if locate_face(base.geo, emb0, geo1.vertices[v]) == face:
-                found = True
-                break
-        if not found:
-            uncovered.append(face)
+    shared = {locate_face(base.geo, emb0, geo1.vertices[v])
+              for v, owners in pole_owner_sets.items() if len(owners) >= 2}
+    uncovered = [face for face in range(emb0.n_faces) if face not in shared]
     checks.append(
         ConditionCheck(
             "shared_pole_access",

@@ -317,22 +317,33 @@ class GeoGraph:
     def vertex_star(self, vertex: int) -> tuple[tuple[float, int], ...]:
         """(angle, dart) pairs of the edge ends at a vertex, counterclockwise
         by initial angle; dart 2j is the tail of edge j, 2j + 1 its head.
-        Two ends closer than 1e-9 in angle cannot be ordered and raise."""
-        ends = []
+        Two ends closer than 1e-9 in angle cannot be ordered and raise.
+        Each star is built once, from this vertex's ends alone."""
+        if vertex not in self._stars:
+            ends = sorted((self.direction_at(d >> 1, ("tail", "head")[d & 1]), d)
+                          for d in self._ends[vertex])
+            for t in range(len(ends)):
+                gap = _circular_gap(ends[t][0], ends[(t + 1) % len(ends)][0])
+                if len(ends) > 1 and gap < 1e-9:
+                    raise NonPlanarIncidence(
+                        f"edge ends {ends[t][1]} and {ends[(t + 1) % len(ends)][1]} at "
+                        f"vertex {vertex} are angularly indistinguishable"
+                    )
+            self._stars[vertex] = tuple(ends)
+        return self._stars[vertex]
+
+    @cached_property
+    def _ends(self) -> tuple[list[int], ...]:
+        """Per vertex, the darts of the edge ends there, grouped in one pass."""
+        ends = tuple([] for _ in self.vertices)
         for j, e in enumerate(self.edges):
-            if e.tail == vertex:
-                ends.append((self.direction_at(j, "tail"), 2 * j))
-            if e.head == vertex:
-                ends.append((self.direction_at(j, "head"), 2 * j + 1))
-        ends.sort()
-        for t in range(len(ends)):
-            gap = _circular_gap(ends[t][0], ends[(t + 1) % len(ends)][0])
-            if len(ends) > 1 and gap < 1e-9:
-                raise NonPlanarIncidence(
-                    f"edge ends {ends[t][1]} and {ends[(t + 1) % len(ends)][1]} at "
-                    f"vertex {vertex} are angularly indistinguishable"
-                )
-        return tuple(ends)
+            ends[e.tail].append(2 * j)
+            ends[e.head].append(2 * j + 1)
+        return ends
+
+    @cached_property
+    def _stars(self) -> dict[int, tuple[tuple[float, int], ...]]:
+        return {}
 
     @cached_property
     def _geometry(self) -> "_Geometry":

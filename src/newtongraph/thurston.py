@@ -18,6 +18,11 @@ from fractions import Fraction
 import numpy as np
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool: JSON's 1.5, "2" and true are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MulticurveSpec:
     """Lifting table: lifts[j] lists (target class or None, degree) for each
@@ -27,46 +32,38 @@ class MulticurveSpec:
     lifts: tuple[tuple[tuple[int | None, int], ...], ...]
 
     def __post_init__(self):
-        if self.classes < 1:
-            raise ValueError("need at least one curve class")
+        if not _is_int(self.classes) or self.classes < 1:
+            raise ValueError(f"need a positive integer class count, got {self.classes!r}")
         if len(self.lifts) != self.classes:
             raise ValueError("lift table length does not match class count")
         for j, row in enumerate(self.lifts):
             for target, degree in row:
-                if not isinstance(degree, int) or degree < 1:
+                if not _is_int(degree) or degree < 1:
                     raise ValueError(
                         f"lift of class {j}: degree must be a positive integer"
                     )
-                if target is not None and not 0 <= target < self.classes:
+                if target is not None and not (_is_int(target) and 0 <= target < self.classes):
                     raise ValueError(
-                        f"lift of class {j}: target {target} out of range"
+                        f"lift of class {j}: target {target!r} is not an integer in range"
                     )
 
 
 def multicurve_from_json(data) -> MulticurveSpec:
     """Parse {"classes": m, "lifts": {"j": [{"target": i|null, "degree": d}]}}.
 
+    m, i and d are taken as given, and MulticurveSpec accepts only integers.
     Classes with no entry have no lifts; unknown keys are rejected.
     """
     try:
-        classes = int(data["classes"])
+        classes = data["classes"]
         raw = dict(data.get("lifts", {}))
+        rows = tuple(tuple((item["target"], item["degree"]) for item in raw.pop(str(j), []))
+                     for j in range(classes))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed multicurve spec: {exc}") from exc
-    rows = []
-    for j in range(classes):
-        row = []
-        for item in raw.pop(str(j), []):
-            try:
-                target = item["target"]
-                degree = item["degree"]
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed lift entry for class {j}") from exc
-            row.append((None if target is None else int(target), int(degree)))
-        rows.append(tuple(row))
     if raw:
         raise ValueError(f"lift table keys outside 0..{classes - 1}: {sorted(raw)}")
-    return MulticurveSpec(classes, tuple(rows))
+    return MulticurveSpec(classes, rows)
 
 
 def _validated(matrix) -> list[list[float]]:

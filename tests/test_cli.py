@@ -396,6 +396,35 @@ class TestThurston:
         assert code == 2
 
 
+MALFORMED = [
+    ("roots", {"coeffs": 5}, "must be a list"),
+    ("roots", {"roots": 3}, "must be a list"),
+    ("roots", {"coeffs": "z^3 - 1"}, "must be a list"),
+    ("roots", {"coeffs": [float("nan"), 0, 0, 1]}, "finite"),
+    ("roots", {"coeffs": [[float("inf"), 0], 0, 0, 1]}, "finite"),
+    ("roots", {"roots": [[0, float("-inf")], 1, 2]}, "finite"),
+    ("roots", {"coeffs": [10 ** 400, 0, 0, 1]}, "finite"),
+    ("roots", {"coeffs": [[1e200, 0], 0, 0, [1e200, 0]]}, "not finite for degree 3"),
+    ("roots", {"coeffs": [[1e308, 0], 0, 0, [1e308, 0]]}, "not finite for degree 3"),
+    ("thurston", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": 1.5}]}}, "integer"),
+    ("thurston", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": True}]}}, "integer"),
+    ("thurston", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": float("inf")}]}},
+     "integer"),
+    ("thurston", {"classes": 2, "lifts": {"0": [{"target": 1.0, "degree": 1}]}}, "integer"),
+    ("thurston", {"classes": 2.7, "lifts": {}}, "integer"),
+    ("thurston", {"classes": True, "lifts": {}}, "integer"),
+    ("thurston", {"classes": "2", "lifts": {}}, "integer"),
+]
+
+
+@pytest.mark.parametrize("command, data, message", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, command, data, message):
+    code, _, err = run(capsys, [command, write_json(tmp_path, "in.json", data)])
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_graph_json_byte_identical(self, tmp_path, capsys):
         poly = write_json(tmp_path, "pm.json", PM)

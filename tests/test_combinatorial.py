@@ -380,6 +380,148 @@ class TestEquivalence:
         assert graphs_equivalent(handbuilt_pm_level1.dynamics(), other) is None
 
 
+POOL_GRAPHS = ("graph_unity", "graph_pm", "graph_pm_plus", "graph_q_unity", "graph_q_monic")
+
+
+def old_prechecks(dyn):
+    """Every count and multiset that a cheap precheck could compare."""
+    g = dyn.graph
+    return (g.n_darts, g.n_vertices, g.n_faces, sorted(g.vertex_kinds),
+            sorted(g.degree(v) for v in range(g.n_vertices)), sorted(dyn.local_degree),
+            len(dyn.channel_edges), dyn.level)
+
+
+def vertex_triples(dyn):
+    g = dyn.graph
+    return sorted((g.vertex_kinds[v], g.degree(v), dyn.local_degree[v])
+                  for v in range(g.n_vertices))
+
+
+def edge_flags(dyn):
+    g = dyn.graph
+    return sorted((e in dyn.channel_edges, tuple(sorted(g.vertex_kinds[v] for v in g.endpoints(e))))
+                  for e in range(g.n_edges))
+
+
+def with_parts(dyn, kinds=None, local_degree=None, channel=None, edge_map=None):
+    """A copy of a pipeline graph (whose dart map aligns tails with tails)
+    with some parts replaced."""
+    g = dyn.graph
+    graph = g if kinds is None else EmbeddedGraph(g.sigma, g.vertex_of, tuple(kinds))
+    edge_map = dyn.edge_map if edge_map is None else tuple(edge_map)
+    return GraphDynamics(
+        graph, dyn.vertex_map, edge_map, aligned_dart_map(edge_map),
+        dyn.local_degree if local_degree is None else tuple(local_degree),
+        dyn.channel_edges if channel is None else frozenset(channel), dyn.level)
+
+
+def label_swaps(dyn):
+    """Per label component, the first swap that keeps old_prechecks and
+    changes the invariant the component feeds."""
+    g, ld = dyn.graph, dyn.local_degree
+    kinds, size = g.vertex_kinds, g.degree
+    pairs = [(a, b) for a in range(g.n_vertices) for b in range(a + 1, g.n_vertices)]
+    out = {}
+    for a, b in pairs:
+        if kinds[a] != kinds[b] and size(a) != size(b):
+            swapped = list(kinds)
+            swapped[a], swapped[b] = kinds[b], kinds[a]
+            out["kind"] = with_parts(dyn, kinds=swapped)
+            break
+    for a, b in pairs:
+        if ld[a] != ld[b] and (kinds[a], size(a)) != (kinds[b], size(b)):
+            swapped = list(ld)
+            swapped[a], swapped[b] = ld[b], ld[a]
+            out["local_degree"] = with_parts(dyn, local_degree=swapped)
+            break
+    core = sorted(dyn.channel_edges)
+    outside = [e for e in range(g.n_edges) if e not in dyn.channel_edges]
+    out["channel"] = with_parts(dyn, channel=set(core[1:]) | {outside[0]})
+    return out
+
+
+class TestEquivalenceLabels:
+    """Mutants that pass every cheap precheck, so that only the labels or
+    the dart map checked inside the closure can tell them apart."""
+
+    @pytest.mark.parametrize("name", POOL_GRAPHS)
+    def test_label_swap_mutants_rejected(self, request, name):
+        dyn = request.getfixturevalue(name).dynamics
+        mutants = label_swaps(dyn)
+        assert sorted(mutants) == ["channel", "kind", "local_degree"]
+        for component, mutant in mutants.items():
+            assert old_prechecks(mutant) == old_prechecks(dyn), component
+            invariant = edge_flags if component == "channel" else vertex_triples
+            assert invariant(mutant) != invariant(dyn), component
+            assert graphs_equivalent(dyn, mutant) is None, component
+            assert graphs_equivalent(mutant, dyn) is None, component
+            assert graphs_equivalent(mutant, mutant) is not None, component
+
+    @pytest.mark.parametrize("name", ["graph_pm", "graph_pm_plus", "graph_q_monic"])
+    def test_dart_map_mutant_rejected(self, request, name):
+        # two channel edges at a root of local degree >= 3 join the same two
+        # vertices; mapping each onto the other keeps every label and the
+        # vertex map but fixes fewer darts, a conjugacy invariant
+        dyn = request.getfixturevalue(name).dynamics
+        g = dyn.graph
+        by_ends = {}
+        for e in sorted(dyn.channel_edges):
+            by_ends.setdefault(g.endpoints(e), []).append(e)
+        e1, e2 = next(bundle for bundle in by_ends.values() if len(bundle) > 1)[:2]
+        edge_map = list(dyn.edge_map)
+        edge_map[e1], edge_map[e2] = edge_map[e2], edge_map[e1]
+        mutant = with_parts(dyn, edge_map=edge_map)
+        assert mutant.dart_labels == dyn.dart_labels
+        fixed = [sum(x.dart_map[d] == d for d in range(g.n_darts)) for x in (dyn, mutant)]
+        assert fixed[0] != fixed[1]
+        assert graphs_equivalent(dyn, mutant) is None
+        assert graphs_equivalent(mutant, dyn) is None
+
+    def test_witness_is_least_anchor(self, graph_unity):
+        # z^3 - 1 has a threefold rotation, so dart 0 of a relabeled copy has
+        # three images; a brute-force search over every anchor finds them all,
+        # and the witness uses the least
+        dyn = graph_unity.dynamics
+        g, n_e = dyn.graph, dyn.graph.n_edges
+
+        def r(d):
+            return 2 * ((d // 2 + 5) % n_e) + (d & 1 ^ (d // 2) & 1)
+
+        sigma, vertex_of, dart_map = [0] * g.n_darts, [0] * g.n_darts, [0] * g.n_darts
+        for d in range(g.n_darts):
+            sigma[r(d)], vertex_of[r(d)] = r(g.sigma[d]), g.vertex_of[d]
+            dart_map[r(d)] = r(dyn.dart_map[d])
+        edge_map = [0] * n_e
+        for e in range(n_e):
+            edge_map[r(2 * e) // 2] = r(2 * dyn.edge_map[e]) // 2
+        copy = GraphDynamics(
+            EmbeddedGraph(tuple(sigma), tuple(vertex_of), g.vertex_kinds), dyn.vertex_map,
+            tuple(edge_map), tuple(dart_map), dyn.local_degree,
+            frozenset(r(2 * e) // 2 for e in dyn.channel_edges), dyn.level)
+        h = copy.graph
+        anchors = []
+        for anchor in range(h.n_darts):
+            match, stack, ok = {0: anchor}, [0], True
+            while stack and ok:
+                x = stack.pop()
+                for nxt, img in ((g.sigma[x], h.sigma[match[x]]), (x ^ 1, match[x] ^ 1),
+                                 (dyn.dart_map[x], copy.dart_map[match[x]])):
+                    if nxt not in match:
+                        match[nxt] = img
+                        stack.append(nxt)
+                    elif match[nxt] != img:
+                        ok = False
+            vertex = {g.vertex_of[d]: h.vertex_of[img] for d, img in match.items()}
+            if (ok and len(set(match.values())) == g.n_darts
+                    and all(g.vertex_kinds[v] == h.vertex_kinds[w]
+                            and dyn.local_degree[v] == copy.local_degree[w]
+                            for v, w in vertex.items())
+                    and {match[2 * e] // 2 for e in dyn.channel_edges} == copy.channel_edges):
+                anchors.append(anchor)
+        assert len(anchors) == 3
+        assert graphs_equivalent(dyn, copy).dart_bijection[0] == min(anchors)
+
+
 class TestJsonInterchange:
     def test_graph_round_trip(self):
         g = triangle()

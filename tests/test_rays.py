@@ -213,6 +213,23 @@ class TestChannelDiagram:
         assert angles == sorted(angles)
         assert angles == [angle for angle, _ in star]
 
+    def test_vertex_star_is_local_and_built_once(self, monkeypatch):
+        # both edges leave vertex 0 along the positive real axis; the stars
+        # at their far ends do not depend on that collision
+        g = rays.GeoGraph(
+            (0j, 1 + 0j, 2 + 1j),
+            (GeoEdge(0, 1, [0j, 1 + 0j]), GeoEdge(0, 2, [0j, 0.5 + 0j, 2 + 1j])),
+        )
+        calls = []
+        direction_at = rays.GeoGraph.direction_at
+        monkeypatch.setattr(rays.GeoGraph, "direction_at",
+                            lambda self, j, end: calls.append(j) or direction_at(self, j, end))
+        assert g.vertex_star(2) == ((math.atan2(-1, -1.5) % TAU, 3),)
+        assert g.vertex_star(1) is g.vertex_star(1)
+        assert sorted(calls) == [0, 1]
+        with pytest.raises(rays.NonPlanarIncidence, match="vertex 0"):
+            g.vertex_star(0)
+
     def test_graph_distance_separates_faces(self, delta0_pm):
         g = delta0_pm
         on_edge = g.edges[0].points[len(g.edges[0].points) // 2]
