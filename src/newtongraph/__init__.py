@@ -21,6 +21,7 @@ from .errors import (
     NewtonGraphError,
     NoConvergence,
     NoEscape,
+    NonFiniteCoefficient,
     NonPlanarIncidence,
     NotARoot,
     RayCollision,
@@ -58,6 +59,7 @@ __all__ = [
     "NewtonGraphError",
     "NoConvergence",
     "NoEscape",
+    "NonFiniteCoefficient",
     "NonPlanarIncidence",
     "NotARoot",
     "Polynomial",

@@ -13,6 +13,11 @@ class MultipleRoot(NewtonGraphError):
     """Input polynomial has a multiple (or numerically unresolved) root."""
 
 
+class NonFiniteCoefficient(NewtonGraphError):
+    """A coefficient of the polynomial, or of a polynomial derived from it,
+    is not finite in floating point."""
+
+
 class NoConvergence(NewtonGraphError):
     """An iterative solver failed to reach its tolerance."""
 

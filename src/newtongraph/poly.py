@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT, UnionFind
-from .errors import DegreeTooLow, MultipleRoot, NoConvergence
+from .errors import DegreeTooLow, MultipleRoot, NoConvergence, NonFiniteCoefficient
 from .sphere import INF, chordal_distance, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -147,10 +147,6 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     __rmul__ = __mul__
-
-    def shift_up(self) -> "Polynomial":
-        """Multiply by z."""
-        return Polynomial((0j,) + self.coeffs)
 
 
 def _deflate(coeffs: list[complex], root: complex) -> list[complex]:
@@ -452,14 +448,10 @@ class NewtonMap:
     poles: tuple[tuple[complex, int], ...]
     critical_points: tuple[tuple[complex, int], ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
-    numerator_derivative: Polynomial = field(init=False, repr=False, compare=False)
-    denominator_derivative: Polynomial = field(init=False, repr=False, compare=False)
     marked_points: tuple[MarkedPoint, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dnum, dden = self.numerator.derivative(), self.denominator.derivative()
-        object.__setattr__(self, "numerator_derivative", dnum)
-        object.__setattr__(self, "denominator_derivative", dden)
         # Coefficient tuples, highest power first, so that hot loops fetch
         # them once: the corrector's rows in either chart, and the numerator
         # and denominator of f in the w = 1/z chart.
@@ -532,14 +524,6 @@ class NewtonMap:
             return self._quotient(np.repeat(z, 2), far)[:1]
         num, den = self._fraction(z, far)
         return np.divide(num, den, out=num)  # no third large array
-
-    def map_derivative(self, z: complex) -> complex:
-        """f'(z) at a finite non-pole point."""
-        dv = self.denominator(z)
-        return (
-            self.numerator_derivative(z) * dv
-            - self.numerator(z) * self.denominator_derivative(z)
-        ) / (dv * dv)
 
     def leading_coefficient(self, x: complex, order: int, w0: complex) -> complex:
         """b with f(x + u) = w0 + b u^order + O(u^(order+1)), where f - w0
@@ -632,10 +616,19 @@ class NewtonMap:
 
 
 def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
-    """Build the Newton map of p; p must have degree >= 3 and simple roots."""
+    """Build the Newton map of p; p must have degree >= 3, simple roots, and
+    finite coefficients in p, p', p'' and the numerator z p' - p."""
     tol = tol or DEFAULT_TOL
     if p.degree < 3:
         raise DegreeTooLow(f"degree {p.degree} < 3")
+    dpoly = p.derivative()
+    ddpoly = dpoly.derivative()
+    numerator = Polynomial(tuple((k - 1) * c for k, c in enumerate(p.coeffs)))
+    for name, q in (("p", p), ("p'", dpoly), ("p''", ddpoly), ("z p' - p", numerator)):
+        if not all(cmath.isfinite(c) for c in q.coeffs):
+            raise NonFiniteCoefficient(
+                f"a coefficient of {name} is not finite for degree {p.degree}"
+            )
     rootinfo = roots_of(p)
     if any(m > 1 for _, m in rootinfo):
         raise MultipleRoot("input polynomial has a multiple root")
@@ -646,8 +639,6 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
             if sep <= tol.root_tol * max(1.0, abs(roots[i]), abs(roots[j])):
                 raise MultipleRoot("roots closer than the separation gate")
 
-    dpoly = p.derivative()
-    numerator = Polynomial(tuple((k - 1) * c for k, c in enumerate(p.coeffs)))
     poles = roots_of(dpoly)
     for q, _ in poles:
         for r in roots:
@@ -656,7 +647,6 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
 
     # Critical points of z - p/p' are the zeros of p * p'' (multiple poles
     # included, since ord(p'') = ord(p') - 1 there); branching indices add up.
-    ddpoly = dpoly.derivative()
     crit: list[tuple[complex, int]] = [(r, 1) for r in roots]
     anchors = list(roots) + [q for q, _ in poles]
     for z, m in roots_of(ddpoly):
@@ -687,64 +677,4 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
         poles=poles,
         critical_points=tuple(crit),
         tol=tol,
-    )
-
-
-@dataclass(frozen=True)
-class NewtonCheckReport:
-    """Outcome of verify_newton_conditions, one flag per dynamical property."""
-
-    fixed_residuals: tuple[float, ...]
-    multiplier_moduli: tuple[float, ...]
-    superattracting_ok: bool
-    extra_fixed_points: tuple[complex, ...]
-    no_extra_fixed_ok: bool
-    infinity_multiplier: complex
-    infinity_repelling_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.superattracting_ok
-            and self.no_extra_fixed_ok
-            and self.infinity_repelling_ok
-        )
-
-
-def verify_newton_conditions(f: NewtonMap, tol: float = 1e-8) -> NewtonCheckReport:
-    """Check the dynamical signature: every declared root is a superattracting
-    fixed point, no other finite fixed points exist, and infinity repels."""
-    residuals = []
-    moduli = []
-    for r in f.roots:
-        img = f.evaluate(r)
-        residuals.append(chordal_distance(img, r))
-        moduli.append(abs(f.map_derivative(r)))
-    superattracting_ok = all(d <= tol for d in residuals) and all(
-        m <= tol for m in moduli
-    )
-
-    # Finite fixed points solve numerator(z) = z * denominator(z).
-    fix_poly = f.numerator - f.denominator.shift_up()
-    extra = []
-    if not fix_poly.is_zero and fix_poly.degree >= 1:
-        for z, _ in roots_of(fix_poly):
-            if all(abs(z - r) > 1e-6 * (1 + abs(z)) for r in f.roots):
-                extra.append(z)
-    no_extra = not extra
-
-    # Multiplier at infinity from a finite difference in the w = 1/z chart.
-    h = 1e-6
-    fw = f.evaluate(1 / h)
-    lam = (1 / fw) / h if fw != INF and fw != 0 else 0j
-    repelling = abs(lam) > 1 + 1e-3
-
-    return NewtonCheckReport(
-        fixed_residuals=tuple(residuals),
-        multiplier_moduli=tuple(moduli),
-        superattracting_ok=superattracting_ok,
-        extra_fixed_points=tuple(extra),
-        no_extra_fixed_ok=no_extra,
-        infinity_multiplier=lam,
-        infinity_repelling_ok=repelling,
     )

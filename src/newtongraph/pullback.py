@@ -3,11 +3,15 @@
 Each pass lifts the newest edges: an edge with tail t is lifted once from
 every preimage x of t, along each of the local_degree(x) inverse branches at
 x. The fibers over all heads and tails of those edges are solved first, in
-one batched root solve. Tails of lifts map onto tails of sources, so orientation, the edge map
-and the vertex map come from lift bookkeeping instead of after-the-fact
-geometry matching. Fixed edges are their own lifts; on the first pass the
-branch that retraces the source is skipped and the existing edge kept. The
-tower stops one pullback after every critical point has become a vertex.
+one batched root solve. Every vertex a lift ends at is a point of one of
+those fibers, snapped to the map's marked points, and a fiber comes out bit
+for bit the same at every level, so a vertex is found by its exact value,
+not by distance. Tails of lifts map onto tails of sources, so orientation,
+the edge map and the vertex map come from lift bookkeeping instead of
+after-the-fact geometry matching. Fixed edges are their own lifts; on the
+first pass the branch that retraces the source is skipped and the existing
+edge kept. The tower stops one pullback after every critical point has
+become a vertex.
 """
 
 from __future__ import annotations
@@ -558,26 +562,16 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     vmap = list(current.vertex_map)
     vlevel = list(current.vertex_level)
 
-    # The first vertex within match_tol of a fiber point, by the point's
-    # exact value. verts only grows, at its end, so once that first vertex
-    # is found, or the point itself added, no later vertex can come before
-    # it: the scan would give the same index every time.
-    located: dict[complex, int] = {}
+    # a fiber point is a vertex exactly when its value is one (module docstring)
+    index = {v: i for i, v in enumerate(verts)}
 
     def locate_or_add(p: complex, image_vertex: int) -> int:
-        p = complex(p)  # a fiber point; the vertex list holds plain complex
-        i = located.get(p)
+        i = index.get(p)
         if i is None:
-            i = next(
-                (k for k, v in enumerate(verts) if chordal_distance(v, p) <= tol.match_tol),
-                None,
-            )
-            if i is None:
-                i = len(verts)
-                verts.append(p)
-                vmap.append(image_vertex)
-                vlevel.append(current.level + 1)
-            located[p] = i
+            i = index[p] = len(verts)
+            verts.append(p)
+            vmap.append(image_vertex)
+            vlevel.append(current.level + 1)
         if vmap[i] != image_vertex:
             raise NonPlanarIncidence(
                 f"point {p} merges with vertex {i} whose image is "
@@ -675,8 +669,8 @@ class NewtonGraphResult:
         return self.dynamics.graph
 
 
-def _marked_covered(geo: GeoGraph, points: list[complex]) -> bool:
-    return all(geo.find_vertex(c) is not None for c in points)
+def _marked_covered(geo: GeoGraph, points: set[complex]) -> bool:
+    return points <= set(geo.vertices)
 
 
 def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
@@ -689,8 +683,9 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     """
     require_postcritically_fixed(critical_orbits(f))
 
-    crit_pts = [c for c, _ in f.critical_points]
-    pole_pts = [q for q, _ in f.poles]
+    # each point where fiber snapping puts it, so a vertex there is equal to it
+    crit_pts = {f.marked_point(c).value for c, _ in f.critical_points}
+    pole_pts = {f.marked_point(q).value for q, _ in f.poles}
     cur = base_dynamic_graph(f)
     tower = [cur]
     crit_level = 0 if _marked_covered(cur.geo, crit_pts) else None

@@ -29,7 +29,7 @@ from .errors import (
     RayCollision,
 )
 from .poly import NewtonMap, horner
-from .sphere import INF, chordal_distance, point
+from .sphere import INF, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAU = 2 * math.pi
@@ -281,16 +281,6 @@ class GeoGraph:
     edges: tuple[GeoEdge, ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
-    def find_vertex(self, q: complex) -> int | None:
-        """The vertex nearest q within match_tol (chordal), or None."""
-        q = point(q)
-        best, best_d = None, self.tol.match_tol
-        for i, v in enumerate(self.vertices):
-            d = chordal_distance(v, q)
-            if d <= best_d:
-                best, best_d = i, d
-        return best
-
     def direction_at(self, edge_index: int, end: str) -> float:
         """Initial tangent angle of the edge at one end, in that vertex's chart.
 
@@ -435,11 +425,6 @@ def nearest_edge_point(
         if d[k] < best[2]:
             best = (int(earr[k]), int(sarr[k]), float(d[k]))
     return best
-
-
-def graph_distance(graph: GeoGraph, q: complex) -> float:
-    """Chordal distance from a point to the union of the graph's edges."""
-    return nearest_edge_point(graph, q)[2]
 
 
 # --- export -------------------------------------------------------------

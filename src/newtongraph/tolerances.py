@@ -14,7 +14,9 @@ CHART_RADIUS = 1e3
 class Tolerances:
     # Root solving: relative residual gate and the simple-root separation gate.
     root_tol: float = 1e-8
-    # Vertex identification, chordal metric on the sphere.
+    # Marked-point identification (chordal): a point this close to a marked
+    # point is that point, and two points of one fiber this close abort.
+    # Tower vertices are fiber points, identified by exact value.
     match_tol: float = 1e-6
     # A fixed ray is traced until a sample reaches |z| >= escape_radius, then
     # closed with infinity. Geometry only: a lift's end is matched by the

@@ -1,4 +1,5 @@
-"""Shared fixtures: the small pool of Newton maps used across the suite."""
+"""Shared fixtures: the small pool of Newton maps used across the suite,
+and the geometric oracles several test modules share."""
 
 import pytest
 
@@ -16,6 +17,25 @@ from newtongraph.combinatorial import (
     KIND_ROOT,
     embedded_graph_from_rotations,
 )
+from newtongraph.rays import nearest_edge_point
+from newtongraph.sphere import chordal_distance, point
+
+
+def nearest_vertex(geo, q):
+    """The vertex of a geometric graph nearest q within the graph's
+    match_tol (chordal), or None."""
+    q = point(q)
+    best, best_d = None, geo.tol.match_tol
+    for i, v in enumerate(geo.vertices):
+        d = chordal_distance(v, q)
+        if d <= best_d:
+            best, best_d = i, d
+    return best
+
+
+def graph_distance(geo, q):
+    """Chordal distance from a point to the union of the graph's edges."""
+    return nearest_edge_point(geo, q)[2]
 
 
 def aligned_dart_map(edge_map):

