@@ -694,17 +694,31 @@ def graph_to_json(value) -> dict:
     return data
 
 
+def _ints(values) -> list[int]:
+    """values as a list of integers: JSON's 1.5, 2.0, "2" and true are not."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(x for x in values if type(x) is not int)
+        raise ValueError(f"{bad!r} is not an integer")
+    return values
+
+
 def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
     """Rebuild a graph (with dynamics when present) from the interchange format.
 
     Dart and vertex ids are normalized: edges are numbered by their position
-    in the "alpha" list, vertices by increasing original id.
+    in the "alpha" list, vertices by increasing original id. Every value
+    that is an id, a degree or N must be a JSON integer.
     """
     try:
         darts = list(data["darts"])
         alpha_pairs = [tuple(p) for p in data["alpha"]]
         sigma_cycles = {int(v): list(c) for v, c in data["sigma"].items()}
-        kind_by_old = {int(v): str(k) for v, k in data["vertex_kinds"].items()}
+        _ints(itertools.chain(darts, *alpha_pairs, *sigma_cycles.values()))
+        kind_by_old = {int(v): k for v, k in data["vertex_kinds"].items()}
+        unknown = set(kind_by_old.values()) - {KIND_ROOT, KIND_POLE, KIND_INFINITY, KIND_PLAIN}
+        if unknown:
+            raise ValueError(f"unknown vertex kind {unknown.pop()!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph data: {exc}") from exc
     for p in alpha_pairs:
@@ -738,19 +752,19 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
     dyn = data["dynamics"]
     try:
         field = "vertex_map"
-        vertex_map = tuple(new_vertex[int(dyn[field][str(v)])] for v in old_vertices)
+        vertex_map = tuple(new_vertex[w] for w in _ints(dyn[field][str(v)] for v in old_vertices))
         field = "edge_map"
-        edge_map = tuple(int(dyn[field][str(e)]) for e in range(graph.n_edges))
+        edge_map = tuple(_ints(dyn[field][str(e)] for e in range(graph.n_edges)))
         field = "dart_map"
         dart_map = [None] * n
-        for old_d, old_img in dyn[field].items():
-            dart_map[new_dart[int(old_d)]] = new_dart[int(old_img)]
+        for old_d, old_img in zip(dyn[field], _ints(dyn[field].values())):
+            dart_map[new_dart[int(old_d)]] = new_dart[old_img]
         field = "local_degree"
-        local_degree = tuple(int(dyn[field][str(v)]) for v in old_vertices)
+        local_degree = tuple(_ints(dyn[field][str(v)] for v in old_vertices))
         field = "delta_edges"
-        channel = frozenset(int(e) for e in dyn[field])
+        channel = frozenset(_ints(dyn[field]))
         field = "N"
-        level = int(dyn[field])
+        [level] = _ints([dyn[field]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed dynamics data in {field}: {exc}") from exc
     if any(d is None for d in dart_map):

@@ -10,8 +10,10 @@ not by distance. Tails of lifts map onto tails of sources, so orientation,
 the edge map and the vertex map come from lift bookkeeping instead of
 after-the-fact geometry matching. Fixed edges are their own lifts; on the
 first pass the branch that retraces the source is skipped and the existing
-edge kept. The tower stops one pullback after every critical point has
-become a vertex.
+edge kept. The fiber solve decides each point's mark (kind and local
+degree), and every vertex carries its mark from there on. The tower stops
+one pullback after the marks' branching indices add up to 2d - 2, that is
+after every critical point has become a vertex.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     LevelCapExceeded,
     NonPlanarIncidence,
 )
-from .poly import CHART_SWAP, NewtonMap, horner, roots_of_rows
+from .poly import _INFINITY, CHART_SWAP, MarkedPoint, NewtonMap, horner, roots_of_rows
 from .rays import (
     _TAU,
     GeoEdge,
@@ -68,7 +70,8 @@ class DynamicGraph:
 
     vertex_map/edge_map give the image vertex/edge under f (fixed for the
     level-0 core); vertex_level/edge_level record the pass on which each
-    item first appeared, so the level-n subgraph is a prefix slice.
+    item first appeared, so the level-n subgraph is a prefix slice; marks[i]
+    is the map's mark at vertex i, as its fiber solve gave it.
     """
 
     geo: GeoGraph
@@ -77,6 +80,7 @@ class DynamicGraph:
     edge_map: tuple[int, ...]
     vertex_level: tuple[int, ...]
     edge_level: tuple[int, ...]
+    marks: tuple[MarkedPoint, ...]
 
     def root_owner(self, edge: int) -> int:
         """Vertex index of the root whose basin carries this edge: the tail
@@ -101,26 +105,27 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
         edge_map=tuple(range(n_e)),
         vertex_level=(0,) * n_v,
         edge_level=(0,) * n_e,
+        marks=f.marked_points[: len(f.roots)] + (_INFINITY,),
     )
 
 
 # --- preimages ----------------------------------------------------------
 
 
-def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[tuple[complex, int], ...]]:
-    """The fiber over each target, as lift_point gives it, with the
-    polynomials of all finite targets solved in one roots_of_rows call.
+def _fibers(f: NewtonMap, targets: list[MarkedPoint]) -> list[tuple[MarkedPoint, ...]]:
+    """The fiber over each target mark, each point as the map's mark there,
+    with the polynomials of all finite targets solved in one roots_of_rows
+    call.
 
-    A target within match_tol of a marked point is solved over that point's
-    exact value. Over a root r of local degree m, (z - r)^m is divided out
-    of numerator - r * denominator, so r is one fiber point of its full
-    degree and only the simple remainder is solved. Every fiber is checked
-    on its own: its degrees must sum to deg f, and two of its points closer
-    than match_tol abort rather than silently merging.
+    A target is solved over its mark's exact value. Over a root r of local
+    degree m, (z - r)^m is divided out of numerator - r * denominator, so r
+    is one fiber point of its full degree and only the simple remainder is
+    solved. Every fiber is checked on its own: each point's multiplicity in
+    the solve must be its mark's local degree, the degrees must sum to
+    deg f, and two of its points closer than match_tol abort rather than
+    silently merging.
     """
-    tol = f.tol
-    marks = [f.marked_point(w) for w in targets]
-    finite = [mark for mark in marks if mark.value != INF]
+    finite = [mark for mark in targets if mark.value != INF]
     solved = iter(roots_of_rows(
         [f.numerator - f.denominator * mark.value for mark in finite],
         known=[(mark.value, mark.local_degree) if mark.kind == KIND_ROOT else None
@@ -128,26 +133,30 @@ def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[tuple[complex, i
         names=[f"the fiber over {mark.value}" for mark in finite],
     ))
     out = []
-    for mark in marks:
-        w = mark.value
-        if w == INF:
-            fiber = [*f.poles, (INF, 1)]
-        else:
-            fiber = [(f.marked_point(z).value, m) for z, m in next(solved)]
-        total = sum(m for _, m in fiber)
+    for target in targets:
+        w = target.value
+        solve = [*f.poles, (INF, 1)] if w == INF else next(solved)
+        fiber = tuple(f.marked_point(z) for z, _ in solve)
+        for mark, (_, m) in zip(fiber, solve):
+            if m != mark.local_degree:
+                raise NonPlanarIncidence(
+                    f"fiber point {mark.value} over {w} has multiplicity {m} "
+                    f"in the solve but local degree {mark.local_degree}"
+                )
+        total = sum(m for _, m in solve)
         if total != f.degree:
             raise NonPlanarIncidence(
                 f"fiber over {w} carries total degree {total}, expected {f.degree}"
             )
-        for i in range(len(fiber)):
-            for j in range(i + 1, len(fiber)):
-                if chordal_distance(fiber[i][0], fiber[j][0]) < tol.match_tol:
+        for i, a in enumerate(fiber):
+            for b in fiber[i + 1:]:
+                if chordal_distance(a.value, b.value) < f.tol.match_tol:
                     raise NonPlanarIncidence(
-                        f"fiber points {fiber[i][0]} and {fiber[j][0]} over {w} "
+                        f"fiber points {a.value} and {b.value} over {w} "
                         f"collide below match_tol; vertex merging would corrupt "
                         f"the embedding"
                     )
-        out.append(tuple(fiber))
+        out.append(fiber)
     return out
 
 
@@ -155,15 +164,13 @@ def lift_point(f: NewtonMap, w: complex) -> tuple[tuple[SpherePoint, int], ...]:
     """All preimages of w under f with their local degrees, summing to deg f.
 
     Finite fibers solve numerator - w * denominator = 0; the fiber over
-    infinity is the poles plus infinity itself. This is the one-target form
-    of the fiber solve that pullback_level runs for a whole level at once
-    (_fibers): a target near a marked point is solved over its exact value,
-    a root's own factor is divided out before solving, preimages are
-    snapped to the map's marked points, and two fiber points closer than
-    match_tol abort. Each point is a SpherePoint, a complex number that
-    also answers value and is_infinity.
+    infinity is the poles plus infinity itself. This is _fibers, the fiber
+    solve that pullback_level runs for a whole level at once, over the mark
+    at w. Each point is a SpherePoint, a complex number that also answers
+    value and is_infinity.
     """
-    return tuple((SpherePoint(z), m) for z, m in _fibers(f, [w])[0])
+    fiber = _fibers(f, [f.marked_point(w)])[0]
+    return tuple((SpherePoint(mark.value), mark.local_degree) for mark in fiber)
 
 
 def _branched_first_step(
@@ -281,28 +288,11 @@ def _match_endpoint(
     return model[i][0]
 
 
-def _first_step(
-    f: NewtonMap,
-    w0: complex,
-    w1: complex,
-    x0: complex,
-    direction: float | None,
-) -> complex:
-    """The first step of a lift from x0 over the target segment w0 -> w1; at
-    a critical start, direction selects the branch the lift leaves along."""
-    if direction is None:
-        return continue_inverse_branch(f, w0, w1, x0)
-    order = f.local_degree(x0)
-    coeff = f.leading_coefficient(x0, order, w0)
-    return _branched_first_step(f, w0, w1, x0, order, coeff, direction)
-
-
 def lift_edge(
     f: NewtonMap,
     edge_points: np.ndarray,
     start: complex,
     branch_direction: float | None = None,
-    head_candidates: tuple[tuple[complex, int], ...] | None = None,
 ) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
@@ -314,7 +304,7 @@ def lift_edge(
     of the desired lift; None selects the unique branch of a non-critical
     start. The lift is a read-only complex array, inf at an end at
     infinity. This is the one-edge form of the level lift that
-    pullback_level runs over all newest edges at once.
+    pullback_level runs over all newest edges at once, and its reference.
     """
     points = frozen_polyline(edge_points)
     start = point(start)
@@ -341,15 +331,16 @@ def lift_edge(
     for i, w in enumerate(points[1:-1].tolist()):
         if w == w_prev:
             continue
-        if i == 0:
-            x = _first_step(f, w_prev, w, x, branch_direction)
+        if i == 0 and branch_direction is not None:
+            coeff = f.leading_coefficient(start, order, tail)
+            x = _branched_first_step(f, tail, w, start, order, coeff, branch_direction)
         else:
             x = continue_inverse_branch(f, w_prev, w, x)
         out.append(x)
         w_prev = w
 
-    fiber = head_candidates if head_candidates is not None else lift_point(f, head)
-    out.append(_match_endpoint(_end_model(f, head, fiber), head, w_prev, x))
+    model = _end_model(f, head, lift_point(f, head))
+    out.append(_match_endpoint(model, head, w_prev, x))
     return frozen_polyline(out)
 
 
@@ -414,15 +405,16 @@ def _newton_round(
 
 def _lift_lanes(
     f: NewtonMap,
-    sources: dict[int, tuple[np.ndarray, tuple[tuple[complex, int], ...]]],
-    lanes: list[tuple[int, complex, float | None]],
+    sources: dict[int, tuple[np.ndarray, tuple[MarkedPoint, ...]]],
+    lanes: list[tuple[int, complex, tuple[int, complex, float] | None]],
 ) -> list[tuple[complex, np.ndarray]]:
     """Every lane's lift at once, each as lift_edge would give it.
 
     sources maps an edge to its polyline and the fiber over its head; a lane
-    (edge, start, branch direction) lifts that edge from one preimage of its
-    tail. The lanes advance in lockstep, one target sample per round, padded
-    to the longest. A lane that fails a gate in a round, and the branched
+    (edge, start, branch) lifts that edge from one preimage of its tail,
+    branch None at a simple start, else (order, b, direction) for
+    _branched_first_step. The lanes advance in lockstep, one target sample
+    per round, padded to the longest. A lane that fails a gate in a round, and the branched
     first step off a critical start, take the scalar continuation for that
     round. Returns (matched head, lifted polyline) per lane, or raises the
     error of the first lane that failed, which is the error a lift of the
@@ -440,7 +432,7 @@ def _lift_lanes(
         w[len(seq):, lane] = seq[-1]
     alive = np.arange(n_rounds + 1)[:, None] <= steps
     branched = np.array(
-        [direction is not None and targets[j][1] for j, _, direction in lanes],
+        [branch is not None and targets[j][1] for j, _, branch in lanes],
         dtype=bool,
     )
     x = np.empty_like(w)
@@ -453,7 +445,7 @@ def _lift_lanes(
         x0 = complex(x[k - 1, lane])
         try:
             if k == 1 and branched[lane]:
-                x[k, lane] = _first_step(f, w0, w1, x0, lanes[lane][2])
+                x[k, lane] = _branched_first_step(f, w0, w1, x0, *lanes[lane][2])
             else:
                 x[k, lane] = continue_inverse_branch(f, w0, w1, x0)
         except BranchJump as exc:
@@ -501,7 +493,8 @@ def _lift_lanes(
         points, fiber = sources[j]
         head = point(points[-1])
         if head not in models:
-            models[head] = _end_model(f, head, fiber)
+            pairs = tuple((mark.value, mark.local_degree) for mark in fiber)
+            models[head] = _end_model(f, head, pairs)
         end = _match_endpoint(
             models[head], head, complex(w[n, lane]), complex(x[n, lane]), j
         )
@@ -524,52 +517,48 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     branch retracing a fixed edge is recognized by its direction and skipped.
     All lifts of the level run together, in lockstep.
     """
-    tol = f.tol
     geo = current.geo
     newest = current.edges_at_level(current.level)
     # the fibers over every head and tail of the newest edges, in one solve
     ends = list(dict.fromkeys(v for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)))
-    fiber = dict(zip(ends, _fibers(f, [geo.vertices[v] for v in ends])))
+    fiber = dict(zip(ends, _fibers(f, [current.marks[v] for v in ends])))
+    # each point over a tail, with b of its local model if it is critical
+    starts = {v: [(x, m, f.leading_coefficient(x, m, geo.vertices[v]) if m > 1 else None)
+                  for x, _, m in fiber[v]] for v in {geo.edges[j].tail for j in newest}}
 
     sources = {}
-    lanes = []  # (source edge, start, branch direction)
+    lanes = []  # (source edge, start, branch: None or (order, b, direction))
     for j in newest:
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
         sources[j] = (e.points, fiber[e.head])
-        for x, order in fiber[e.tail]:
-            if order == 1:
-                directions: list[float | None] = [None]
-            else:
-                coeff = f.leading_coefficient(x, order, tail_pt)
-                base = (psi - cmath.phase(coeff)) / order
-                directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
-                if (
-                    current.level == 0
-                    and chordal_distance(x, tail_pt) <= tol.match_tol
-                ):
-                    # a fixed edge is one of its own lifts; drop that branch
-                    self_branch = min(
-                        range(order), key=lambda t: _circular_gap(directions[t], psi)
-                    )
-                    directions.pop(self_branch)
-            lanes.extend((j, x, direction) for direction in directions)
+        for x, order, coeff in starts[e.tail]:
+            if coeff is None:
+                lanes.append((j, x, None))
+                continue
+            base = (psi - cmath.phase(coeff)) / order
+            directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
+            if current.level == 0 and x == tail_pt:
+                # a fixed edge is one of its own lifts; drop that branch
+                directions.remove(min(directions, key=lambda d: _circular_gap(d, psi)))
+            lanes.extend((j, x, (order, coeff, direction)) for direction in directions)
     lifted = _lift_lanes(f, sources, lanes)
 
-    # merge endpoints into the vertex list, newest last
-    verts = list(geo.vertices)
+    # merge endpoints into the vertex list, newest last; a vertex is its mark
+    marks = list(current.marks)
     vmap = list(current.vertex_map)
     vlevel = list(current.vertex_level)
 
     # a fiber point is a vertex exactly when its value is one (module docstring)
-    index = {v: i for i, v in enumerate(verts)}
+    index = {v: i for i, v in enumerate(geo.vertices)}
+    fiber_marks = {mark.value: mark for points in fiber.values() for mark in points}
 
     def locate_or_add(p: complex, image_vertex: int) -> int:
         i = index.get(p)
         if i is None:
-            i = index[p] = len(verts)
-            verts.append(p)
+            i = index[p] = len(marks)
+            marks.append(fiber_marks[p])
             vmap.append(image_vertex)
             vlevel.append(current.level + 1)
         if vmap[i] != image_vertex:
@@ -590,15 +579,15 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
         elevel.append(current.level + 1)
 
     # keep the connected component containing the core (vertex 0 is a root)
-    components = UnionFind(len(verts))
+    components = UnionFind(len(marks))
     for e in edges:
         components.union(e.tail, e.head)
     vkeep = components.classes()[0]
-    if len(vkeep) != len(verts):
+    if len(vkeep) != len(marks):
         vindex = {old: new for new, old in enumerate(vkeep)}
         ekeep = [j for j, e in enumerate(edges) if e.tail in vindex]
         eindex = {old: new for new, old in enumerate(ekeep)}
-        verts = [verts[i] for i in vkeep]
+        marks = [marks[i] for i in vkeep]
         vmap = [vindex[vmap[i]] for i in vkeep]
         vlevel = [vlevel[i] for i in vkeep]
         edges = [
@@ -609,28 +598,29 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
         elevel = [elevel[j] for j in ekeep]
 
     return DynamicGraph(
-        geo=GeoGraph(tuple(verts), tuple(edges), f.tol),
+        geo=GeoGraph(tuple(m.value for m in marks), tuple(edges), f.tol),
         level=current.level + 1,
         vertex_map=tuple(vmap),
         edge_map=tuple(emap),
         vertex_level=tuple(vlevel),
         edge_level=tuple(elevel),
+        marks=tuple(marks),
     )
 
 
 # --- the full tower -------------------------------------------------------
 
 
-def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
+def extract_combinatorial(dg: DynamicGraph) -> GraphDynamics:
     """Rotation system and self-map data of a pullback level.
 
     Cyclic orders come from edge-end tangent angles (the 1/z chart at
     infinity); the dart map aligns tails with tails since lifts inherit
-    orientation from their sources.
+    orientation from their sources. Vertex kinds and local degrees are the
+    vertices' marks.
     """
     geo = dg.geo
-    marks = [f.marked_point(v) for v in geo.vertices]
-    kinds = tuple(m.kind for m in marks)
+    kinds = tuple(m.kind for m in dg.marks)
     rotations = [
         [d for _, d in geo.vertex_star(v)] for v in range(len(geo.vertices))
     ]
@@ -643,7 +633,7 @@ def extract_combinatorial(f: NewtonMap, dg: DynamicGraph) -> GraphDynamics:
         vertex_map=tuple(dg.vertex_map),
         edge_map=tuple(dg.edge_map),
         dart_map=dart_map,
-        local_degree=tuple(m.local_degree for m in marks),
+        local_degree=tuple(m.local_degree for m in dg.marks),
         channel_edges=frozenset(j for j, l in enumerate(dg.edge_level) if l == 0),
         level=dg.level,
     )
@@ -669,29 +659,28 @@ class NewtonGraphResult:
         return self.dynamics.graph
 
 
-def _marked_covered(geo: GeoGraph, points: set[complex]) -> bool:
-    return points <= set(geo.vertices)
-
-
 def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     """Pull the channel diagram back until the graph certifies itself.
 
     Requires a postcritically fixed map. Levels are added until every
     critical point is a vertex, plus one more pass; LevelCapExceeded carries
-    the partial tower when max_level is hit first. Every stage reads its
-    numeric policy from f.tol.
+    the partial tower when max_level is hit first. Coverage is counted over
+    the vertex marks, one per vertex: every critical point is a vertex when
+    the branching indices (local degree minus one) add up to 2d - 2, every
+    pole when len(f.poles) marks are poles. Every stage reads its numeric
+    policy from f.tol.
     """
     require_postcritically_fixed(critical_orbits(f))
-
-    # each point where fiber snapping puts it, so a vertex there is equal to it
-    crit_pts = {f.marked_point(c).value for c, _ in f.critical_points}
-    pole_pts = {f.marked_point(q).value for q, _ in f.poles}
     cur = base_dynamic_graph(f)
     tower = [cur]
-    crit_level = 0 if _marked_covered(cur.geo, crit_pts) else None
-    pole_level = 0 if _marked_covered(cur.geo, pole_pts) else None
-
-    while crit_level is None or cur.level < crit_level + 1:
+    crit_level = pole_level = None
+    while True:
+        if crit_level is None and sum(m.local_degree - 1 for m in cur.marks) == 2 * f.degree - 2:
+            crit_level = cur.level
+        if pole_level is None and sum(m.kind == KIND_POLE for m in cur.marks) == len(f.poles):
+            pole_level = cur.level
+        if crit_level is not None and cur.level > crit_level:
+            break
         if cur.level >= max_level:
             raise LevelCapExceeded(
                 f"critical points still missing from the graph at the level "
@@ -700,16 +689,12 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
             )
         cur = pullback_level(f, cur)
         tower.append(cur)
-        if crit_level is None and _marked_covered(cur.geo, crit_pts):
-            crit_level = cur.level
-        if pole_level is None and _marked_covered(cur.geo, pole_pts):
-            pole_level = cur.level
 
     return NewtonGraphResult(
         graphs=tuple(tower),
         minimal_level=crit_level + 1,
         pole_cover_level=pole_level,
-        dynamics=extract_combinatorial(f, cur),
+        dynamics=extract_combinatorial(cur),
     )
 
 
@@ -806,7 +791,7 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     """
     base = result.graphs[0]
     level1 = result.graphs[1]
-    emb0 = extract_combinatorial(f, base).graph
+    emb0 = extract_combinatorial(base).graph
     kinds0 = emb0.vertex_kinds
 
     boundary_roots: dict[int, set[int]] = {i: set() for i in range(emb0.n_faces)}
@@ -839,13 +824,12 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
 
     # owners of level-1 edges at each pole vertex
     geo1 = level1.geo
-    marks1 = [f.marked_point(v) for v in geo1.vertices]
     pole_owner_sets: dict[int, set[int]] = {}
     pole_immediate_sets: dict[int, set[int]] = {}
     for j, e in enumerate(geo1.edges):
         owner = level1.root_owner(j)
         for v in (e.tail, e.head):
-            if marks1[v].kind != KIND_POLE:
+            if level1.marks[v].kind != KIND_POLE:
                 continue
             pole_owner_sets.setdefault(v, set()).add(owner)
             if e.tail == owner:
@@ -863,7 +847,7 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     )
 
     crowded = []
-    for v, mark in enumerate(marks1):
+    for v, mark in enumerate(level1.marks):
         if mark.kind != KIND_POLE or mark.local_degree != 1:  # simple poles only
             continue
         owners = pole_immediate_sets.get(v, set())

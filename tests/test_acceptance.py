@@ -234,7 +234,7 @@ def test_a1_cubic_unity_pipeline():
     for r in f.roots:
         assert f.local_degree(r) == 2
 
-    base = extract_combinatorial(f, base_dynamic_graph(f))
+    base = extract_combinatorial(base_dynamic_graph(f))
     assert base.graph.n_edges == 3
     assert base.graph.n_vertices == 4
     assert base.graph.n_faces == 1

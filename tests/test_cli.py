@@ -428,6 +428,57 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, data, message):
     assert "Traceback" not in err
 
 
+def set_path(data, path, value):
+    *parents, last = path
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+# (path into a z^3 - 1 export's combinatorial block, value, message)
+NOT_AN_INTEGER_OR_KIND = [
+    (("dynamics", "N"), 2.7, "in N: 2.7 is not an integer"),
+    (("dynamics", "N"), True, "in N: True is not an integer"),
+    (("dynamics", "N"), "2", "in N: '2' is not an integer"),
+    (("dynamics", "local_degree", "0"), 2.9, "in local_degree: 2.9 is not an integer"),
+    (("dynamics", "local_degree", "0"), 2.0, "in local_degree: 2.0 is not an integer"),
+    (("dynamics", "vertex_map", "1"), True, "in vertex_map: True is not an integer"),
+    (("dynamics", "edge_map", "0"), "0", "in edge_map: '0' is not an integer"),
+    (("dynamics", "dart_map", "0"), 0.0, "in dart_map: 0.0 is not an integer"),
+    (("dynamics", "delta_edges", 0), 0.0, "in delta_edges: 0.0 is not an integer"),
+    (("darts", 1), 1.0, "malformed graph data: 1.0 is not an integer"),
+    (("alpha", 0, 1), True, "malformed graph data: True is not an integer"),
+    (("sigma", "0", 0), "0", "malformed graph data: '0' is not an integer"),
+    (("vertex_kinds", "0"), "banana", "unknown vertex kind 'banana'"),
+    (("vertex_kinds", "0"), 0, "unknown vertex kind 0"),
+]
+
+
+@pytest.fixture(scope="module")
+def unity_graph():
+    f = newtongraph.make_newton_map(newtongraph.Polynomial((-1, 0, 0, 1)))
+    result = newtongraph.compute_newton_graph(f)
+    return json.loads(json.dumps(newtongraph.newton_graph_to_json(result)["combinatorial"]))
+
+
+@pytest.mark.parametrize("path, value, message", NOT_AN_INTEGER_OR_KIND)
+def test_graph_file_takes_only_integers_and_known_kinds(
+    unity_graph, tmp_path, capsys, path, value, message
+):
+    # graph_from_json used to read these through int() and str()
+    data = json.loads(json.dumps(unity_graph))
+    set_path(data, path, value)
+    with pytest.raises(InvalidGraph, match=re.escape(message)):
+        graph_from_json(data)
+    good = write_json(tmp_path, "good.json", unity_graph)
+    bad = write_json(tmp_path, "bad.json", data)
+    for argv in (["validate", bad], ["compare", good, bad]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+
 class TestDeterminism:
     def test_graph_json_byte_identical(self, tmp_path, capsys):
         poly = write_json(tmp_path, "pm.json", PM)

@@ -69,11 +69,22 @@ class TestTable:
 
 class TestEveryVertex:
     @pytest.mark.parametrize("name", POOL)
+    def test_carried_mark_is_the_lookup_at_the_vertex(self, towers, name):
+        # each vertex carries the mark its fiber solve gave it; the lookup
+        # at the vertex, which the tower no longer runs, agrees with it
+        f, result = towers[name]
+        for dg in result.graphs:
+            assert len(dg.marks) == len(dg.geo.vertices)
+            for v, (mark, x) in enumerate(zip(dg.marks, dg.geo.vertices)):
+                assert repr(mark.value) == repr(x), (name, dg.level, v)
+                assert mark == f.marked_point(x), (name, dg.level, v)
+
+    @pytest.mark.parametrize("name", POOL)
     def test_local_degree_is_fiber_multiplicity(self, towers, name):
         f, result = towers[name]
         for dg in result.graphs:
             geo = dg.geo
-            degrees = extract_combinatorial(f, dg).local_degree
+            degrees = extract_combinatorial(dg).local_degree
             for v, x in enumerate(geo.vertices):
                 fiber = dict(lift_point(f, geo.vertices[dg.vertex_map[v]]))
                 assert degrees[v] == fiber[x] == f.local_degree(x), (name, dg.level, v)
@@ -82,7 +93,7 @@ class TestEveryVertex:
     def test_root_vertices_are_the_roots(self, towers, name):
         f, result = towers[name]
         for dg in result.graphs:
-            kinds = extract_combinatorial(f, dg).graph.vertex_kinds
+            kinds = extract_combinatorial(dg).graph.vertex_kinds
             roots = {complex(v) for v, k in zip(dg.geo.vertices, kinds) if k == KIND_ROOT}
             assert roots == {complex(r) for r in f.roots}
             assert kinds.count(KIND_ROOT) == len(f.roots)

@@ -188,3 +188,29 @@ class TestVertexIdentityByValue:
             if isinstance(node, ast.Call)
         }
         assert "chordal_distance" not in called
+
+
+class TestMarkDecidedOnce:
+    """A point's mark is decided where its fiber is solved, and the tower
+    carries it: no other part of the pullback stage looks a mark up."""
+
+    @staticmethod
+    def callers(method):
+        """The top-level definitions of pullback.py that call `method` on
+        some object."""
+        path = Path(newtongraph.__file__).parent / "pullback.py"
+        return {
+            top.name
+            for top in ast.parse(path.read_text()).body
+            if isinstance(top, DEFINITIONS)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        }
+
+    def test_marks_are_looked_up_only_in_the_fiber_solve(self):
+        assert self.callers("marked_point") == {"_fibers", "lift_point"}
+
+    def test_only_the_reference_lift_finds_a_local_degree(self):
+        assert self.callers("local_degree") == {"lift_edge"}

@@ -13,6 +13,7 @@ from newtongraph import (
     BranchJump,
     EndpointUnmatched,
     LevelCapExceeded,
+    NonPlanarIncidence,
     Polynomial,
     UnresolvedOrbit,
     compute_newton_graph,
@@ -115,6 +116,22 @@ class TestLiftPoint:
                 for p, _ in fiber:
                     assert chordal_distance(f.evaluate(p), w) < 1e-6
 
+    def test_solver_multiplicity_must_be_the_local_degree(self, cubic_unity, monkeypatch):
+        # a solve that gives the double pole 0 of z^3 - 1 as a simple
+        # preimage of w, in place of a true one: the degrees still sum to 3
+        # and no two points collide, but the mark at 0 has local degree 2
+        solve = pullback.roots_of_rows
+
+        def wrong(polys, known=None, names=None):
+            return [((0j, 1),) + row[1:] for row in solve(polys, known, names)]
+
+        monkeypatch.setattr(pullback, "roots_of_rows", wrong)
+        with pytest.raises(
+            NonPlanarIncidence,
+            match=r"fiber point 0j over \(0\.3\+0\.7j\) has multiplicity 1 .* local degree 2",
+        ):
+            lift_point(cubic_unity, 0.3 + 0.7j)
+
 
 class TestLiftEdge:
     def test_lift_from_extra_preimage_ends_at_pole(self, cubic_unity, delta0_unity):
@@ -187,11 +204,10 @@ class TestLockstepLift:
         assert len(levels) == 7  # one per pass; the towers are 2, 1, 1, 2, 1 high
         for f, sources, lanes, lifted in levels:
             assert len(lifted) == len(lanes)
-            for (edge, start, direction), (head, lane) in zip(lanes, lifted):
-                points, head_fiber = sources[edge]
-                reference = lift_edge(
-                    f, points, start, direction, head_candidates=head_fiber
-                )
+            for (edge, start, branch), (head, lane) in zip(lanes, lifted):
+                points, _ = sources[edge]
+                direction = None if branch is None else branch[2]
+                reference = lift_edge(f, points, start, direction)
                 self.assert_same_lift(lane, reference)
                 assert head == reference[-1]
 
@@ -205,7 +221,7 @@ class TestLockstepLift:
         jump = 5
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))
-        head_fiber = lift_point(f, INF)
+        [head_fiber] = pullback._fibers(f, [f.marked_point(INF)])
         start = -0.5 + 0j
         [(_, lane)] = pullback._lift_lanes(
             f, {0: (source, head_fiber)}, [(0, start, None)]
@@ -214,7 +230,7 @@ class TestLockstepLift:
         direct = solve_preimage_near(f, w1, x0)
         assert direct is None or not on_branch(direct, x0)
         assert lane[jump] == continue_inverse_branch(f, w0, w1, x0)
-        reference = lift_edge(f, source, start, head_candidates=head_fiber)
+        reference = lift_edge(f, source, start)
         self.assert_same_lift(lane, reference)
 
     def test_first_failing_lane_in_lane_order_raises(
@@ -242,7 +258,7 @@ class TestLockstepLift:
 
         monkeypatch.setattr(pullback, "_newton_round", gates_fail)
         monkeypatch.setattr(pullback, "continue_inverse_branch", flaky)
-        head_fiber = lift_point(f, INF)
+        [head_fiber] = pullback._fibers(f, [f.marked_point(INF)])
         sources, lanes = {}, []
         for j in (0, 2):
             e = delta0_unity.edges[j]
@@ -659,9 +675,9 @@ class TestComputeNewtonGraph:
             report = regular_extension_check(res.dynamics)
             assert report.passed, [c for c in report.checks if not c.passed]
 
-    def test_level_short_tower_fails_depth(self, graph_unity, cubic_unity):
+    def test_level_short_tower_fails_depth(self, graph_unity):
         # one level below minimal: structurally sound but not deep enough
-        dyn1 = extract_combinatorial(cubic_unity, graph_unity.graphs[1])
+        dyn1 = extract_combinatorial(graph_unity.graphs[1])
         report = validate_newton_graph(dyn1)
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["depth_minimal"]
@@ -727,7 +743,7 @@ class TestFaceCounts:
 @pytest.fixture(scope="module")
 def pm_base(cubic_pm):
     dg = base_dynamic_graph(cubic_pm)
-    dyn = extract_combinatorial(cubic_pm, dg)
+    dyn = extract_combinatorial(dg)
     return dg.geo, dyn.graph
 
 
@@ -766,10 +782,10 @@ class TestLocateFace:
         right = locate_face(geo, emb, 1 / math.sqrt(3) + 0j)
         assert locate_face(geo, emb, 1e5 + 1e5j) == right
 
-    def test_single_face_diagram(self, cubic_unity, graph_unity):
+    def test_single_face_diagram(self, graph_unity):
         # the level-0 diagram of z^3 - 1 has one face containing the pole
         dg = graph_unity.graphs[0]
-        dyn = extract_combinatorial(cubic_unity, dg)
+        dyn = extract_combinatorial(dg)
         assert dyn.graph.n_faces == 1
         assert locate_face(dg.geo, dyn.graph, 0j) == 0
         assert locate_face(dg.geo, dyn.graph, 5j) == 0
