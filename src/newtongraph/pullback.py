@@ -296,15 +296,14 @@ def lift_edge(
 ) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
-    Continuation is predictor-corrector over the interior samples; the final
-    vertex is never solved for directly (it is typically a critical point or
-    infinity) but matched against the fiber over the source head by the
-    local model there (_match_endpoint). At a start of local degree m >= 2
-    the m lifts are distinguished by branch_direction, the initial tangent
-    of the desired lift; None selects the unique branch of a non-critical
-    start. The lift is a read-only complex array, inf at an end at
-    infinity. This is the one-edge form of the level lift that
-    pullback_level runs over all newest edges at once, and its reference.
+    The one-edge call of the level lift (_lift_lanes on one lane); no two
+    consecutive samples may be equal. The final vertex is never solved for
+    directly (it is typically a critical point or infinity) but matched
+    against the fiber over the source head by the local model there
+    (_match_endpoint). At a start of local degree m >= 2 the m lifts are
+    distinguished by branch_direction, the initial tangent of the desired
+    lift; a simple start has one lift and takes None. The lift is a
+    read-only complex array, inf at an end at infinity.
     """
     points = frozen_polyline(edge_points)
     start = point(start)
@@ -315,45 +314,27 @@ def lift_edge(
         raise ValueError("edge tails and lift starts must be finite points")
     if not np.isfinite(points[1:-1]).all():
         raise ValueError("interior samples must be finite")
+    repeats = np.flatnonzero(points[1:] == points[:-1])
+    if len(repeats):
+        raise ValueError(f"sample {repeats[0] + 1} repeats the sample before it")
     if chordal_distance(f.evaluate(start), tail) > f.tol.match_tol:
         raise ValueError(f"start {start} is not a preimage of the tail {tail}")
 
     order = f.local_degree(start)
-    if order > 1 and branch_direction is None:
+    if (order > 1) != (branch_direction is not None):
         raise ValueError(
             f"start {start} has local degree {order}; a branch direction "
-            f"is required to select one of its lifts"
+            f"selects one of its lifts exactly when that is above 1"
         )
-
-    w_prev = tail
-    x = start
-    out = [x]
-    for i, w in enumerate(points[1:-1].tolist()):
-        if w == w_prev:
-            continue
-        if i == 0 and branch_direction is not None:
-            coeff = f.leading_coefficient(start, order, tail)
-            x = _branched_first_step(f, tail, w, start, order, coeff, branch_direction)
-        else:
-            x = continue_inverse_branch(f, w_prev, w, x)
-        out.append(x)
-        w_prev = w
-
-    model = _end_model(f, head, lift_point(f, head))
-    out.append(_match_endpoint(model, head, w_prev, x))
-    return frozen_polyline(out)
+    branch = None
+    if order > 1:
+        branch = (order, f.leading_coefficient(start, order, tail), branch_direction)
+    [head_fiber] = _fibers(f, [f.marked_point(head)])
+    [(_, path)] = _lift_lanes(f, {0: (points, head_fiber)}, [(0, start, branch)])
+    return path
 
 
 # --- lockstep lifting -------------------------------------------------------
-
-
-def _lift_targets(points: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The samples a lift continues over, the tail first: every interior
-    sample that differs from the one before it. Also whether the first
-    interior sample is kept, since a critical start branches on that step."""
-    interior = points[1:-1]
-    kept = interior != points[:-2]
-    return np.concatenate((points[:1], interior[kept])), bool(kept[0])
 
 
 def _lane_coefficients(f: NewtonMap, inverted: np.ndarray) -> np.ndarray:
@@ -408,33 +389,29 @@ def _lift_lanes(
     sources: dict[int, tuple[np.ndarray, tuple[MarkedPoint, ...]]],
     lanes: list[tuple[int, complex, tuple[int, complex, float] | None]],
 ) -> list[tuple[complex, np.ndarray]]:
-    """Every lane's lift at once, each as lift_edge would give it.
+    """Every lane's lift at once.
 
     sources maps an edge to its polyline and the fiber over its head; a lane
     (edge, start, branch) lifts that edge from one preimage of its tail,
     branch None at a simple start, else (order, b, direction) for
-    _branched_first_step. The lanes advance in lockstep, one target sample
-    per round, padded to the longest. A lane that fails a gate in a round, and the branched
-    first step off a critical start, take the scalar continuation for that
-    round. Returns (matched head, lifted polyline) per lane, or raises the
-    error of the first lane that failed, which is the error a lift of the
-    lanes one after another raises.
+    _branched_first_step. The lanes advance in lockstep, one sample of the
+    source polyline per round, padded to the longest. A lane that fails a
+    gate in a round, and the branched first step off a critical start, take
+    the scalar continuation for that round. Returns (matched head, lifted
+    polyline) per lane, or raises the error of the first lane that failed,
+    which is the error a lift of the lanes one after another raises.
     """
     tol = f.tol
-    targets = {j: _lift_targets(points) for j, (points, _) in sources.items()}
     n_lanes = len(lanes)
-    steps = np.array([len(targets[j][0]) - 1 for j, _, _ in lanes], dtype=np.int64)
+    steps = np.array([len(sources[j][0]) - 2 for j, _, _ in lanes], dtype=np.int64)
     n_rounds = int(steps.max()) if n_lanes else 0
     w = np.empty((n_rounds + 1, n_lanes), dtype=complex)
     for lane, (j, _, _) in enumerate(lanes):
-        seq = targets[j][0]
+        seq = sources[j][0][:-1]
         w[: len(seq), lane] = seq
         w[len(seq):, lane] = seq[-1]
     alive = np.arange(n_rounds + 1)[:, None] <= steps
-    branched = np.array(
-        [branch is not None and targets[j][1] for j, _, branch in lanes],
-        dtype=bool,
-    )
+    branched = np.array([branch is not None for _, _, branch in lanes], dtype=bool)
     x = np.empty_like(w)
     x[0] = [start for _, start, _ in lanes]
     failed = np.zeros(n_lanes, dtype=bool)

@@ -1,13 +1,16 @@
 """Shared fixtures: the small pool of Newton maps used across the suite,
 and the geometric oracles several test modules share."""
 
+import numpy as np
 import pytest
 
 from newtongraph import (
     Polynomial,
     channel_diagram,
     compute_newton_graph,
+    lift_point,
     make_newton_map,
+    pullback,
 )
 from newtongraph.combinatorial import (
     GraphDynamics,
@@ -17,7 +20,7 @@ from newtongraph.combinatorial import (
     KIND_ROOT,
     embedded_graph_from_rotations,
 )
-from newtongraph.rays import nearest_edge_point
+from newtongraph.rays import continue_inverse_branch, nearest_edge_point
 from newtongraph.sphere import chordal_distance, point
 
 
@@ -36,6 +39,28 @@ def nearest_vertex(geo, q):
 def graph_distance(geo, q):
     """Chordal distance from a point to the union of the graph's edges."""
     return nearest_edge_point(geo, q)[2]
+
+
+def scalar_lift(f, points, start, branch_direction=None):
+    """Reference lift of one polyline from a preimage of its tail, sample by
+    sample: the branched first step off a critical start, with the start's
+    order and leading coefficient found here, then continue_inverse_branch
+    per sample, and the end matched by the local model at the head."""
+    tail, head = point(points[0]), point(points[-1])
+    x = start
+    out = [x]
+    for k in range(1, len(points) - 1):
+        w0, w1 = complex(points[k - 1]), complex(points[k])
+        if k == 1 and branch_direction is not None:
+            order = f.local_degree(start)
+            coeff = f.leading_coefficient(start, order, tail)
+            x = pullback._branched_first_step(f, w0, w1, x, order, coeff, branch_direction)
+        else:
+            x = continue_inverse_branch(f, w0, w1, x)
+        out.append(x)
+    model = pullback._end_model(f, head, lift_point(f, head))
+    out.append(pullback._match_endpoint(model, head, complex(points[-2]), x))
+    return np.array(out, dtype=complex)
 
 
 def aligned_dart_map(edge_map):

@@ -190,27 +190,40 @@ class TestVertexIdentityByValue:
         assert "chordal_distance" not in called
 
 
+def pullback_callers(name):
+    """The top-level definitions of pullback.py that call `name`, as a plain
+    name or as a method on some object."""
+    path = Path(newtongraph.__file__).parent / "pullback.py"
+    return {
+        top.name
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, DEFINITIONS)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
 class TestMarkDecidedOnce:
     """A point's mark is decided where its fiber is solved, and the tower
-    carries it: no other part of the pullback stage looks a mark up."""
-
-    @staticmethod
-    def callers(method):
-        """The top-level definitions of pullback.py that call `method` on
-        some object."""
-        path = Path(newtongraph.__file__).parent / "pullback.py"
-        return {
-            top.name
-            for top in ast.parse(path.read_text()).body
-            if isinstance(top, DEFINITIONS)
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == method
-        }
+    carries it: no other part of the pullback stage looks a mark up, save
+    the one-edge lift, which is given a bare head and start."""
 
     def test_marks_are_looked_up_only_in_the_fiber_solve(self):
-        assert self.callers("marked_point") == {"_fibers", "lift_point"}
+        assert pullback_callers("marked_point") == {"_fibers", "lift_point", "lift_edge"}
 
-    def test_only_the_reference_lift_finds_a_local_degree(self):
-        assert self.callers("local_degree") == {"lift_edge"}
+    def test_only_the_one_edge_lift_finds_a_local_degree(self):
+        assert pullback_callers("local_degree") == {"lift_edge"}
+
+
+class TestOneEdgeLift:
+    """The package lifts an edge one way: the level lift, whose scalar
+    fallback and the branched first step are the only continuations."""
+
+    def test_only_the_level_lift_continues_an_inverse_branch(self):
+        assert pullback_callers("continue_inverse_branch") == {
+            "_lift_lanes", "_branched_first_step"
+        }
+
+    def test_the_one_edge_lift_runs_the_level_lift(self):
+        assert "lift_edge" in pullback_callers("_lift_lanes")

@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from newtongraph import (
     validate_newton_graph,
 )
 from newtongraph import poly
-from newtongraph.combinatorial import regular_extension_check
+from newtongraph.combinatorial import KIND_POLE, regular_extension_check
+from newtongraph.dynamics import critical_orbits, require_postcritically_fixed
 from newtongraph.pullback import (
     base_dynamic_graph,
     extract_combinatorial,
@@ -45,7 +47,7 @@ from newtongraph.rays import (
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import Tolerances
 
-from conftest import graph_distance, nearest_vertex
+from conftest import graph_distance, nearest_vertex, scalar_lift
 
 CONDITION_NAMES = [
     "channel_core",
@@ -55,6 +57,15 @@ CONDITION_NAMES = [
     "complement_connected",
     "sector_injective",
     "star_saturated",
+]
+
+
+POOL = [
+    ("cubic_unity", "graph_unity"),
+    ("cubic_pm", "graph_pm"),
+    ("cubic_pm_plus", "graph_pm_plus"),
+    ("quartic_unity", "graph_q_unity"),
+    ("quartic_monic", "graph_q_monic"),
 ]
 
 
@@ -173,10 +184,36 @@ class TestLiftEdge:
         with pytest.raises(ValueError):
             lift_edge(cubic_unity, delta0_unity.edges[2].points, 1 + 0j)
 
+    @pytest.mark.parametrize("offset", [1.0, 3.0])
+    def test_simple_start_takes_no_branch_direction(
+        self, cubic_unity, delta0_unity, offset
+    ):
+        # -1/2 is a simple preimage of the root 1: a direction there has no
+        # branch to select, whatever it is
+        direction = delta0_unity.direction_at(2, "tail") + offset
+        with pytest.raises(ValueError, match=r"\(-0\.5\+0j\) has local degree 1"):
+            lift_edge(cubic_unity, delta0_unity.edges[2].points, -0.5 + 0j, direction)
+
+    def test_repeated_sample_is_refused(self, cubic_unity, delta0_unity):
+        ray = delta0_unity.edges[2].points
+        repeated = np.concatenate((ray[:4], ray[3:]))
+        with pytest.raises(ValueError, match="sample 4 repeats the sample before it"):
+            lift_edge(cubic_unity, repeated, -0.5 + 0j)
+
+    def test_one_edge_lift_matches_the_scalar_reference(self, cubic_unity, delta0_unity):
+        ray = delta0_unity.edges[2]
+        direction = delta0_unity.direction_at(2, "tail")
+        for start, branch in ((-0.5 + 0j, None), (1 + 0j, direction)):
+            TestLockstepLift.assert_same_lift(
+                lift_edge(cubic_unity, ray.points, start, branch),
+                scalar_lift(cubic_unity, ray.points, start, branch),
+            )
+
 
 class TestLockstepLift:
-    """The level lift runs every lift of a pullback pass at once; lift_edge,
-    which lifts one edge sample by sample, is its reference."""
+    """The level lift runs every lift of a pullback pass at once; the tests'
+    scalar_lift, which lifts one edge sample by sample with
+    continue_inverse_branch, is its reference."""
 
     @staticmethod
     def assert_same_lift(lane, reference):
@@ -186,7 +223,7 @@ class TestLockstepLift:
         chordal = 2 * np.abs(a - b) / np.sqrt((1 + np.abs(a) ** 2) * (1 + np.abs(b) ** 2))
         assert chordal.max() < 1e-12
 
-    def test_level_lift_matches_lift_edge(
+    def test_level_lift_matches_scalar_lift(
         self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic,
         monkeypatch,
     ):
@@ -207,7 +244,7 @@ class TestLockstepLift:
             for (edge, start, branch), (head, lane) in zip(lanes, lifted):
                 points, _ = sources[edge]
                 direction = None if branch is None else branch[2]
-                reference = lift_edge(f, points, start, direction)
+                reference = scalar_lift(f, points, start, direction)
                 self.assert_same_lift(lane, reference)
                 assert head == reference[-1]
 
@@ -230,8 +267,16 @@ class TestLockstepLift:
         direct = solve_preimage_near(f, w1, x0)
         assert direct is None or not on_branch(direct, x0)
         assert lane[jump] == continue_inverse_branch(f, w0, w1, x0)
-        reference = lift_edge(f, source, start)
+        reference = scalar_lift(f, source, start)
         self.assert_same_lift(lane, reference)
+
+    @pytest.mark.parametrize("graph_name", [graph for _, graph in POOL])
+    def test_no_polyline_repeats_a_sample(self, request, graph_name):
+        # the level lift continues over its source's samples as stored,
+        # one step per sample, which needs every step to move
+        for dg in request.getfixturevalue(graph_name).graphs:
+            for j, e in enumerate(dg.geo.edges):
+                assert not (e.points[1:] == e.points[:-1]).any(), (dg.level, j)
 
     def test_first_failing_lane_in_lane_order_raises(
         self, cubic_unity, delta0_unity, monkeypatch
@@ -526,15 +571,6 @@ class TestPullbackLevel:
             assert top.vertex_map[owner] == owner
 
 
-POOL = [
-    ("cubic_unity", "graph_unity"),
-    ("cubic_pm", "graph_pm"),
-    ("cubic_pm_plus", "graph_pm_plus"),
-    ("quartic_unity", "graph_q_unity"),
-    ("quartic_monic", "graph_q_monic"),
-]
-
-
 class TestVertexIdentity:
     """pullback_level identifies a vertex by its exact value. That is sound
     because every vertex is a fiber point over its image, bit for bit as the
@@ -567,6 +603,111 @@ class TestVertexIdentity:
                     for b in range(a + 1, len(points)):
                         d = chordal_distance(points[a], points[b])
                         assert d > f.tol.match_tol, (dg.level, points[a], points[b])
+
+
+# p = z^4 - 6 c^2 z^2 - 1 with c^2 = 0.303498782062455i: its free critical
+# points +-c land on a pole, and the first pullback leaves a component off
+# the core
+POLE_LANDING_QUARTIC = (-1, 0, -6 * 0.303498782062455j, 0, 1)
+
+
+class TestCoreComponentCut:
+    """pullback_level keeps the connected component of the core. On the
+    pole-landing quartic the first pass reaches 16 vertices in two
+    components, of 11 and 5; the 5 go, the pole at 0 among them, and the
+    kept vertices, their marks and the edges are renumbered together."""
+
+    @pytest.fixture(scope="class")
+    def quartic(self):
+        f = make_newton_map(Polynomial(POLE_LANDING_QUARTIC))
+        require_postcritically_fixed(critical_orbits(f))
+        return f
+
+    @pytest.fixture(scope="class")
+    def level(self, quartic):
+        return pullback.pullback_level(quartic, base_dynamic_graph(quartic))
+
+    def test_the_cut_drops_the_off_core_component(self, quartic, monkeypatch):
+        components = []
+
+        class Recording(pullback.UnionFind):
+            def classes(self):
+                components.append(super().classes())
+                return components[-1]
+
+        monkeypatch.setattr(pullback, "UnionFind", Recording)
+        level = pullback.pullback_level(quartic, base_dynamic_graph(quartic))
+        [(core, cut)] = components
+        assert (len(core), cut) == (11, [6, 7, 10, 13, 15])
+        assert (len(level.geo.vertices), len(level.geo.edges)) == (11, 12)
+        assert len(level.marks) == len(level.vertex_map) == len(level.vertex_level) == 11
+        assert len(level.edge_map) == len(level.edge_level) == 12
+
+    def test_pole_at_zero_is_cut(self, level):
+        assert 0j not in level.geo.vertices
+        assert sum(m.kind == KIND_POLE for m in level.marks) == 2
+
+    def test_edges_end_at_their_vertices(self, level):
+        geo = level.geo
+        for e in geo.edges:
+            assert repr(complex(e.points[0])) == repr(geo.vertices[e.tail])
+            assert repr(complex(e.points[-1])) == repr(geo.vertices[e.head])
+
+    def test_vertex_map_follows_the_edge_map(self, level):
+        for e, image in zip(level.geo.edges, level.edge_map):
+            source = level.geo.edges[image]
+            assert level.vertex_map[e.tail] == source.tail
+            assert level.vertex_map[e.head] == source.head
+
+    def test_marks_stay_with_their_vertices(self, quartic, level):
+        for i, v in enumerate(level.geo.vertices):
+            assert level.marks[i] == quartic.marked_point(v)
+
+
+class TestLevelCollisionGuards:
+    """The two guards of a pullback pass against points that would merge:
+    two points of one fiber, and a lift ending at a vertex over another
+    image."""
+
+    def test_fiber_points_colliding_below_match_tol_abort(self, cubic_unity, monkeypatch):
+        w = 0.3 + 0.7j
+        a = complex(lift_point(cubic_unity, w)[0][0])
+        b = a + 1e-9
+        solve = pullback.roots_of_rows
+
+        def colliding(polys, known=None, names=None):
+            return [row[:1] + ((b, 1),) + row[2:] for row in solve(polys, known, names)]
+
+        monkeypatch.setattr(pullback, "roots_of_rows", colliding)
+        message = (
+            rf"fiber points {re.escape(str(a))} and {re.escape(str(b))} over "
+            rf"{re.escape(str(w))} collide below match_tol"
+        )
+        with pytest.raises(NonPlanarIncidence, match=message):
+            lift_point(cubic_unity, w)
+
+    def test_lift_ending_at_a_vertex_over_another_image_aborts(
+        self, cubic_unity, monkeypatch
+    ):
+        # the first lift of the ray of root 0 is made to end at root 0,
+        # whose image is root 0, not the ray's head at infinity
+        base = base_dynamic_graph(cubic_unity)
+        root = base.geo.vertices[0]
+        lift_lanes = pullback._lift_lanes
+
+        def misplaced(f, sources, lanes):
+            lifted = lift_lanes(f, sources, lanes)
+            return [(root, lifted[0][1])] + lifted[1:]
+
+        monkeypatch.setattr(pullback, "_lift_lanes", misplaced)
+        [first, *_] = base.edges_at_level(0)
+        head = base.geo.edges[first].head
+        message = (
+            rf"point {re.escape(str(root))} merges with vertex 0 whose image "
+            rf"is vertex 0, not {head}"
+        )
+        with pytest.raises(NonPlanarIncidence, match=message):
+            pullback.pullback_level(cubic_unity, base)
 
 
 class TestSamplingInvariance:
