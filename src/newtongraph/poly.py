@@ -6,9 +6,9 @@ roots_of_rows, is a simultaneous Aberth–Ehrlich iteration (Bini–Fiorentino,
 Numer. Algorithms 2000) over a batch of polynomials: those of one degree run
 as rows of one array, each row frozen once its own stop test holds, and each
 row comes out bit for bit as it does alone; roots_of is the one-row call.
-Before the iteration, zero roots are deflated exactly, and a root the caller
-knows with its multiplicity (a fixed root r of a fiber N - rD) is divided out
-by synthetic division, so only the simple remainder is solved. Residual
+Before the iteration, zero roots are deflated exactly, and roots the caller
+knows with their multiplicities (the marks over a fiber's target) are divided
+out by synthetic division, so only the simple remainder is solved. Residual
 certification, stall-aware clustering for multiplicities and a final polish
 then run on each row. Companion-matrix eigenvalues are used only as an
 independent oracle in the tests, never here.
@@ -249,16 +249,16 @@ def roots_of(q: Polynomial) -> tuple[tuple[complex, int], ...]:
 
 def roots_of_rows(
     polys: Sequence[Polynomial],
-    known: Sequence[tuple[complex, int] | None] | None = None,
+    known: Sequence[Sequence[tuple[complex, int]]] | None = None,
     names: Sequence[str] | None = None,
 ) -> list[tuple[tuple[complex, int], ...]]:
     """roots_of of every polynomial in polys, with one Aberth–Ehrlich run
     per degree for all of them; each row gets bit for bit what it gets
     alone.
 
-    known[i], if given, is a root r of polys[i] with its exact
-    multiplicity m: (z - r)^m is divided out by synthetic division, only
-    the quotient is solved, and (r, m) is added back. names[i], if given,
+    known[i], if given, lists roots r of polys[i] with exact multiplicities
+    m: each (z - r)^m is divided out by synthetic division, only the
+    quotient is solved, and each (r, m) is added back. names[i], if given,
     says in an error which polynomial failed. The rows are finished in
     order, so the first that cannot be certified raises NoConvergence.
     """
@@ -268,8 +268,7 @@ def roots_of_rows(
             raise ValueError("zero polynomial")
         coeffs = list(q.coeffs)
         found: list[tuple[complex, int]] = []
-        if known is not None and known[i] is not None:
-            r, m = known[i]
+        for r, m in known[i] if known is not None else ():
             for _ in range(m):
                 coeffs = _deflate(coeffs, r)
             found.append((complex(r), m))
@@ -419,15 +418,14 @@ def _finish_row(
 
 class MarkedPoint(NamedTuple):
     """What a Newton map marks at a point of the sphere: its exact location
-    (INF for infinity), the vertex kind a graph vertex there has,
-    and the local degree of the map there."""
+    (INF for infinity), the vertex kind a graph vertex there has, the local
+    degree m of the map there, and b of its local model f(x + u) = f(x) +
+    b u^m + ..., read in the 1/z chart as leading_coefficient says."""
 
     value: complex
     kind: str
     local_degree: int
-
-
-_INFINITY = MarkedPoint(INF, KIND_INFINITY, 1)
+    coefficient: complex
 
 
 @dataclass(frozen=True)
@@ -449,6 +447,7 @@ class NewtonMap:
     critical_points: tuple[tuple[complex, int], ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
     marked_points: tuple[MarkedPoint, ...] = field(init=False, repr=False, compare=False)
+    infinity: MarkedPoint = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dnum, dden = self.numerator.derivative(), self.denominator.derivative()
@@ -461,14 +460,19 @@ class NewtonMap:
         n, d = self.numerator.coeffs, self.denominator.coeffs
         chart = (n + (0j,) * (self.degree + 1 - len(n)), d + (0j,) * (self.degree - len(d)))
         object.__setattr__(self, "_chart", chart)
-        # The roots, then the poles, then the free critical points, each once.
+        # The roots, then the poles, then the free critical points, each once,
+        # and infinity apart, each with the image its b is read over.
         # make_newton_map puts a critical point that coincides with a root or
         # a pole exactly there, so branching indices are taken by value.
         index = dict(self.critical_points)
-        marked = [MarkedPoint(r, KIND_ROOT, 1 + index.pop(r, 0)) for r in self.roots]
-        marked += [MarkedPoint(q, KIND_POLE, 1 + index.pop(q, 0)) for q, _ in self.poles]
-        marked += [MarkedPoint(c, KIND_PLAIN, 1 + m) for c, m in index.items()]
-        object.__setattr__(self, "marked_points", tuple(marked))
+        over = [(r, KIND_ROOT, 1 + index.pop(r, 0), r) for r in self.roots]
+        over += [(q, KIND_POLE, 1 + index.pop(q, 0), INF) for q, _ in self.poles]
+        over += [(c, KIND_PLAIN, 1 + m, self.evaluate(c)) for c, m in index.items()]
+        images = tuple((MarkedPoint(x, kind, m, self.leading_coefficient(x, m, w)), w)
+                       for x, kind, m, w in over + [(INF, KIND_INFINITY, 1, INF)])
+        object.__setattr__(self, "_images", images)  # (mark, its image)
+        object.__setattr__(self, "marked_points", tuple(mark for mark, _ in images[:-1]))
+        object.__setattr__(self, "infinity", images[-1][0])
 
     # --- evaluation ---------------------------------------------------------
 
@@ -599,20 +603,31 @@ class NewtonMap:
 
     def marked_point(self, z: complex) -> MarkedPoint:
         """The first of marked_points within match_tol (chordal) of z, the
-        point at infinity itself, or else z as an unmarked plain point of
-        local degree 1. This is the one place that decides whether a point
-        is marked: fiber snapping, vertex kinds and local degrees read it."""
+        point at infinity itself, or else z unmarked. For a bare point from
+        outside; a fiber takes its marks from marks_over."""
         z = point(z)
         if z == INF:
-            return _INFINITY
+            return self.infinity
         for mark in self.marked_points:
             if chordal_distance(z, mark.value) <= self.tol.match_tol:
                 return mark
-        return MarkedPoint(z, KIND_PLAIN, 1)
+        return self.unmarked(z)
 
-    def local_degree(self, z: complex) -> int:
-        """Local mapping degree at z; 1 except at critical points."""
-        return self.marked_point(z).local_degree
+    def marks_over(self, w: complex) -> tuple[MarkedPoint, ...]:
+        """The marks whose image is w (over INF, the poles and infinity), or
+        for a finite w lies within match_tol (chordal) of it."""
+        tol = self.tol.match_tol
+        return tuple(
+            mark for mark, image in self._images
+            if image == w or (INF not in (image, w) and chordal_distance(image, w) <= tol)
+        )
+
+    def unmarked(self, z: complex) -> MarkedPoint:
+        """The finite z unmarked: plain, of local degree 1, b = f'(z) (INF
+        where the denominator vanishes)."""
+        num, den, dnum, dden = (horner(row, z) for row in self._rows)
+        b = (dnum * den - num * dden) / (den * den) if den != 0 else INF
+        return MarkedPoint(z, KIND_PLAIN, 1, b)
 
 
 def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:

@@ -1,19 +1,19 @@
 """Pullback of the channel diagram under the Newton map.
 
 Each pass lifts the newest edges: an edge with tail t is lifted once from
-every preimage x of t, along each of the local_degree(x) inverse branches at
-x. The fibers over all heads and tails of those edges are solved first, in
-one batched root solve. Every vertex a lift ends at is a point of one of
-those fibers, snapped to the map's marked points, and a fiber comes out bit
-for bit the same at every level, so a vertex is found by its exact value,
-not by distance. Tails of lifts map onto tails of sources, so orientation,
-the edge map and the vertex map come from lift bookkeeping instead of
-after-the-fact geometry matching. Fixed edges are their own lifts; on the
-first pass the branch that retraces the source is skipped and the existing
-edge kept. The fiber solve decides each point's mark (kind and local
-degree), and every vertex carries its mark from there on. The tower stops
-one pullback after the marks' branching indices add up to 2d - 2, that is
-after every critical point has become a vertex.
+every preimage x of t, along each of the local-degree-many inverse branches
+at x. The fibers over all heads and tails of those edges are solved first,
+in one batched root solve. A fiber takes its marked points, each with its
+local model, from the map (the marks over its target); its other points are
+unmarked. A fiber comes out bit for bit the same at every level, so a vertex
+is found by its exact value, not by distance. Tails of lifts map onto tails
+of sources, so orientation, the edge map and the vertex map come from lift
+bookkeeping instead of after-the-fact geometry matching. Fixed edges are
+their own lifts; on the first pass the branch that retraces the source is
+skipped and the existing edge kept. A lift runs from the mark of a fiber
+point to the mark of another, and every vertex carries its mark from there
+on. The tower stops one pullback after the marks' branching indices add up
+to 2d - 2, that is after every critical point has become a vertex.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     LevelCapExceeded,
     NonPlanarIncidence,
 )
-from .poly import _INFINITY, CHART_SWAP, MarkedPoint, NewtonMap, horner, roots_of_rows
+from .poly import CHART_SWAP, MarkedPoint, NewtonMap, horner, roots_of_rows
 from .rays import (
     _TAU,
     GeoEdge,
@@ -60,7 +60,7 @@ from .rays import (
     residual_ok,
     solve_preimage_near,
 )
-from .sphere import INF, SpherePoint, chordal_distance, point
+from .sphere import INF, SpherePoint, chordal_distance, closest_pair, point
 from .tolerances import Tolerances
 
 
@@ -105,57 +105,57 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
         edge_map=tuple(range(n_e)),
         vertex_level=(0,) * n_v,
         edge_level=(0,) * n_e,
-        marks=f.marked_points[: len(f.roots)] + (_INFINITY,),
+        marks=f.marked_points[: len(f.roots)] + (f.infinity,),
     )
 
 
 # --- preimages ----------------------------------------------------------
 
 
-def _fibers(f: NewtonMap, targets: list[MarkedPoint]) -> list[tuple[MarkedPoint, ...]]:
-    """The fiber over each target mark, each point as the map's mark there,
-    with the polynomials of all finite targets solved in one roots_of_rows
-    call.
+def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[MarkedPoint, ...]]:
+    """The fiber over each target point, each point as its mark, with the
+    polynomials of all finite targets solved in one roots_of_rows call.
 
-    A target is solved over its mark's exact value. Over a root r of local
-    degree m, (z - r)^m is divided out of numerator - r * denominator, so r
-    is one fiber point of its full degree and only the simple remainder is
-    solved. Every fiber is checked on its own: each point's multiplicity in
-    the solve must be its mark's local degree, the degrees must sum to
-    deg f, and two of its points closer than match_tol abort rather than
-    silently merging.
+    The marks over a target w (f.marks_over) are its fiber's marked points:
+    over INF they are the whole fiber, and over a finite w each is divided
+    out of numerator - w * denominator to its local degree, so it comes back
+    exactly and only the simple remainder is solved. The other points are
+    unmarked. Each fiber is checked on its own: each point's multiplicity in
+    the solve must be its mark's local degree, with b finite and nonzero,
+    the degrees must sum to deg f, and two points closer than match_tol
+    abort rather than silently merging.
     """
-    finite = [mark for mark in targets if mark.value != INF]
+    over = [f.marks_over(w) for w in targets]
+    finite = [(w, marks) for w, marks in zip(targets, over) if w != INF]
     solved = iter(roots_of_rows(
-        [f.numerator - f.denominator * mark.value for mark in finite],
-        known=[(mark.value, mark.local_degree) if mark.kind == KIND_ROOT else None
-               for mark in finite],
-        names=[f"the fiber over {mark.value}" for mark in finite],
+        [f.numerator - f.denominator * w for w, _ in finite],
+        known=[[(mark.value, mark.local_degree) for mark in marks] for _, marks in finite],
+        names=[f"the fiber over {w}" for w, _ in finite],
     ))
     out = []
-    for target in targets:
-        w = target.value
-        solve = [*f.poles, (INF, 1)] if w == INF else next(solved)
-        fiber = tuple(f.marked_point(z) for z, _ in solve)
+    for w, marks in zip(targets, over):
+        solve = [(mark.value, mark.local_degree) for mark in marks] if w == INF else next(solved)
+        known = {mark.value: mark for mark in marks}
+        fiber = tuple(known[z] if z in known else f.unmarked(z) for z, _ in solve)
         for mark, (_, m) in zip(fiber, solve):
-            if m != mark.local_degree:
+            if m != mark.local_degree or not 0 < abs(mark.coefficient) < math.inf:
                 raise NonPlanarIncidence(
-                    f"fiber point {mark.value} over {w} has multiplicity {m} "
-                    f"in the solve but local degree {mark.local_degree}"
+                    f"fiber point {mark.value} over {w} has multiplicity {m} in the "
+                    f"solve, its mark local degree {mark.local_degree} and b = "
+                    f"{mark.coefficient}"
                 )
         total = sum(m for _, m in solve)
         if total != f.degree:
             raise NonPlanarIncidence(
                 f"fiber over {w} carries total degree {total}, expected {f.degree}"
             )
-        for i, a in enumerate(fiber):
-            for b in fiber[i + 1:]:
-                if chordal_distance(a.value, b.value) < f.tol.match_tol:
-                    raise NonPlanarIncidence(
-                        f"fiber points {a.value} and {b.value} over {w} "
-                        f"collide below match_tol; vertex merging would corrupt "
-                        f"the embedding"
-                    )
+        gap, i, j = closest_pair([mark.value for mark in fiber])
+        if gap < f.tol.match_tol:
+            raise NonPlanarIncidence(
+                f"fiber points {fiber[i].value} and {fiber[j].value} over {w} "
+                f"collide below match_tol; vertex merging would corrupt "
+                f"the embedding"
+            )
         out.append(fiber)
     return out
 
@@ -169,28 +169,22 @@ def lift_point(f: NewtonMap, w: complex) -> tuple[tuple[SpherePoint, int], ...]:
     at w. Each point is a SpherePoint, a complex number that also answers
     value and is_infinity.
     """
-    fiber = _fibers(f, [f.marked_point(w)])[0]
+    fiber = _fibers(f, [f.marked_point(w).value])[0]
     return tuple((SpherePoint(mark.value), mark.local_degree) for mark in fiber)
 
 
 def _branched_first_step(
-    f: NewtonMap,
-    w0: complex,
-    w1: complex,
-    x0: complex,
-    order: int,
-    coeff: complex,
-    direction: float,
-    depth: int = 0,
+    f: NewtonMap, w0: complex, w1: complex, start: MarkedPoint, direction: float, depth: int = 0
 ) -> complex:
-    """First continuation step away from a critical start point, selecting the
-    inverse branch that leaves x0 in the given direction.
+    """First continuation step away from the critical start mark x0, on
+    the inverse branch that leaves x0 in the given direction.
 
-    The local model places the preimage of w1 near x0 + rho e^{i phi} with
-    rho = (|w1 - w0| / |coeff|)^(1/order); the corrected point must stay
-    within 0.6 rho of that seed (adjacent branches are 2 rho sin(pi/order)
-    apart), otherwise the segment is subdivided until the model holds.
+    Its local model places the preimage of w1 near x0 + rho e^{i phi} with
+    rho = (|w1 - w0| / |b|)^(1/order); the corrected point must stay within
+    0.6 rho of that seed (adjacent branches are 2 rho sin(pi/order) apart),
+    otherwise the segment is subdivided until the model holds.
     """
+    x0, _, order, coeff = start
     rho = (abs(w1 - w0) / abs(coeff)) ** (1.0 / order)
     seed = x0 + rho * cmath.exp(1j * direction)
     x = solve_preimage_near(f, w1, seed)
@@ -202,7 +196,7 @@ def _branched_first_step(
             f"critical point {x0}"
         )
     mid = (w0 + w1) / 2
-    xm = _branched_first_step(f, w0, mid, x0, order, coeff, direction, depth + 1)
+    xm = _branched_first_step(f, w0, mid, start, direction, depth + 1)
     return continue_inverse_branch(f, mid, w1, xm)
 
 
@@ -212,23 +206,13 @@ _END_SCORE = math.log(2)
 _END_MARGIN = math.log(5)
 
 
-def _end_model(
-    f: NewtonMap, head: complex, fiber: tuple[tuple[complex, int], ...]
-) -> tuple[tuple[complex, int, float], ...]:
-    """The fiber over a lift's head, each point c with its local degree m
-    and |b|, b the leading coefficient of f at c over the head (in the
-    w = 1/z chart at infinity). Computed once per fiber, for every lift that
-    ends there."""
-    return tuple((c, m, abs(f.leading_coefficient(c, m, head))) for c, m in fiber)
-
-
 def _endpoint_scores(
-    model: tuple[tuple[complex, int, float], ...],
+    fiber: tuple[MarkedPoint, ...],
     head: complex,
     w_last: complex,
     x_last: complex,
 ) -> list[tuple[float, int]]:
-    """(score, index into model) per fiber point, best first.
+    """(score, index into the fiber over head) per fiber point, best first.
 
     The lift's last sample x_last lies over its last target w_last. Near a
     fiber point c of local degree m, f(c + u) = head + b u^m, so the model
@@ -240,12 +224,12 @@ def _endpoint_scores(
     """
     gap = 1 / abs(w_last) if head == INF else abs(w_last - head)
     scores = []
-    for i, (c, m, b) in enumerate(model):
+    for i, (c, _, m, b) in enumerate(fiber):
         if c == INF:
             dist = 1 / abs(x_last) if x_last != 0 else math.inf
         else:
             dist = abs(x_last - c)
-        rho = (gap / b) ** (1 / m) if b > 0 else math.inf
+        rho = (gap / abs(b)) ** (1 / m)
         fits = 0 < dist < math.inf and 0 < rho < math.inf
         scores.append((abs(math.log(dist / rho)) if fits else math.inf, i))
     scores.sort()
@@ -253,12 +237,12 @@ def _endpoint_scores(
 
 
 def _match_endpoint(
-    model: tuple[tuple[complex, int, float], ...],
+    fiber: tuple[MarkedPoint, ...],
     head: complex,
     w_last: complex,
     x_last: complex,
     edge: int | None = None,
-) -> complex:
+) -> MarkedPoint:
     """Pick the fiber point the lift ran into by the local model at the head.
 
     The polyline stops one sample short of the vertex, at x_last over the
@@ -269,7 +253,7 @@ def _match_endpoint(
     escape radius and any scale of the map. edge names the source edge in
     the error.
     """
-    ranked = _endpoint_scores(model, head, w_last, x_last)
+    ranked = _endpoint_scores(fiber, head, w_last, x_last)
     best, i = ranked[0]
     runner_up = ranked[1][0] if len(ranked) > 1 else math.inf
     where = "lift" if edge is None else f"lift of source edge {edge}"
@@ -282,10 +266,10 @@ def _match_endpoint(
     if runner_up - best < _END_MARGIN:
         raise EndpointUnmatched(
             f"{where} ends at {x_last}, ambiguous between fiber points "
-            f"{model[i][0]} and {model[ranked[1][1]][0]} over the head {head}: "
+            f"{fiber[i].value} and {fiber[ranked[1][1]].value} over the head {head}: "
             f"{scores}, less than log 5 apart"
         )
-    return model[i][0]
+    return fiber[i]
 
 
 def lift_edge(
@@ -320,17 +304,14 @@ def lift_edge(
     if chordal_distance(f.evaluate(start), tail) > f.tol.match_tol:
         raise ValueError(f"start {start} is not a preimage of the tail {tail}")
 
-    order = f.local_degree(start)
-    if (order > 1) != (branch_direction is not None):
+    mark = f.marked_point(start)
+    if (mark.local_degree > 1) != (branch_direction is not None):
         raise ValueError(
-            f"start {start} has local degree {order}; a branch direction "
-            f"selects one of its lifts exactly when that is above 1"
+            f"start {start} has local degree {mark.local_degree}; a branch "
+            f"direction selects one of its lifts exactly when that is above 1"
         )
-    branch = None
-    if order > 1:
-        branch = (order, f.leading_coefficient(start, order, tail), branch_direction)
-    [head_fiber] = _fibers(f, [f.marked_point(head)])
-    [(_, path)] = _lift_lanes(f, {0: (points, head_fiber)}, [(0, start, branch)])
+    [head_fiber] = _fibers(f, [f.marked_point(head).value])
+    [(_, path)] = _lift_lanes(f, {0: (points, head_fiber)}, [(0, mark, branch_direction)])
     return path
 
 
@@ -387,17 +368,17 @@ def _newton_round(
 def _lift_lanes(
     f: NewtonMap,
     sources: dict[int, tuple[np.ndarray, tuple[MarkedPoint, ...]]],
-    lanes: list[tuple[int, complex, tuple[int, complex, float] | None]],
-) -> list[tuple[complex, np.ndarray]]:
+    lanes: list[tuple[int, MarkedPoint, float | None]],
+) -> list[tuple[MarkedPoint, np.ndarray]]:
     """Every lane's lift at once.
 
     sources maps an edge to its polyline and the fiber over its head; a lane
-    (edge, start, branch) lifts that edge from one preimage of its tail,
-    branch None at a simple start, else (order, b, direction) for
-    _branched_first_step. The lanes advance in lockstep, one sample of the
-    source polyline per round, padded to the longest. A lane that fails a
-    gate in a round, and the branched first step off a critical start, take
-    the scalar continuation for that round. Returns (matched head, lifted
+    (edge, start, direction) lifts that edge from the mark of one preimage
+    of its tail, in the branch direction of _branched_first_step, None at a
+    simple start. The lanes advance in lockstep, one sample of the source
+    polyline per round, padded to the longest. A lane that fails a gate in a
+    round, and the branched first step off a critical start, take the scalar
+    continuation for that round. Returns (matched head mark, lifted
     polyline) per lane, or raises the error of the first lane that failed,
     which is the error a lift of the lanes one after another raises.
     """
@@ -411,9 +392,9 @@ def _lift_lanes(
         w[: len(seq), lane] = seq
         w[len(seq):, lane] = seq[-1]
     alive = np.arange(n_rounds + 1)[:, None] <= steps
-    branched = np.array([branch is not None for _, _, branch in lanes], dtype=bool)
+    branched = np.array([direction is not None for _, _, direction in lanes], dtype=bool)
     x = np.empty_like(w)
-    x[0] = [start for _, start, _ in lanes]
+    x[0] = [start.value for _, start, _ in lanes]
     failed = np.zeros(n_lanes, dtype=bool)
     errors: dict[int, BranchJump] = {}
 
@@ -422,7 +403,7 @@ def _lift_lanes(
         x0 = complex(x[k - 1, lane])
         try:
             if k == 1 and branched[lane]:
-                x[k, lane] = _branched_first_step(f, w0, w1, x0, *lanes[lane][2])
+                x[k, lane] = _branched_first_step(f, w0, w1, *lanes[lane][1:])
             else:
                 x[k, lane] = continue_inverse_branch(f, w0, w1, x0)
         except BranchJump as exc:
@@ -462,22 +443,17 @@ def _lift_lanes(
                 values = horner(coeffs, np.concatenate((x[k],) * 4))
 
     out = []
-    models = {}  # one end model per head, shared by the lanes ending there
     for lane, (j, _, _) in enumerate(lanes):
         if lane in errors:
             raise errors[lane]
         n = int(steps[lane])
         points, fiber = sources[j]
-        head = point(points[-1])
-        if head not in models:
-            pairs = tuple((mark.value, mark.local_degree) for mark in fiber)
-            models[head] = _end_model(f, head, pairs)
         end = _match_endpoint(
-            models[head], head, complex(w[n, lane]), complex(x[n, lane]), j
+            fiber, point(points[-1]), complex(w[n, lane]), complex(x[n, lane]), j
         )
         path = np.empty(n + 2, dtype=complex)
         path[: n + 1] = x[: n + 1, lane]
-        path[-1] = end
+        path[-1] = end.value
         out.append((end, frozen_polyline(path)))
     return out
 
@@ -498,28 +474,26 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     newest = current.edges_at_level(current.level)
     # the fibers over every head and tail of the newest edges, in one solve
     ends = list(dict.fromkeys(v for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)))
-    fiber = dict(zip(ends, _fibers(f, [current.marks[v] for v in ends])))
-    # each point over a tail, with b of its local model if it is critical
-    starts = {v: [(x, m, f.leading_coefficient(x, m, geo.vertices[v]) if m > 1 else None)
-                  for x, _, m in fiber[v]] for v in {geo.edges[j].tail for j in newest}}
+    fiber = dict(zip(ends, _fibers(f, [geo.vertices[v] for v in ends])))
 
     sources = {}
-    lanes = []  # (source edge, start, branch: None or (order, b, direction))
+    lanes = []  # (source edge, start mark, branch direction or None)
     for j in newest:
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
         sources[j] = (e.points, fiber[e.head])
-        for x, order, coeff in starts[e.tail]:
-            if coeff is None:
-                lanes.append((j, x, None))
+        for start in fiber[e.tail]:
+            x, _, order, coeff = start
+            if order == 1:
+                lanes.append((j, start, None))
                 continue
             base = (psi - cmath.phase(coeff)) / order
             directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
             if current.level == 0 and x == tail_pt:
                 # a fixed edge is one of its own lifts; drop that branch
                 directions.remove(min(directions, key=lambda d: _circular_gap(d, psi)))
-            lanes.extend((j, x, (order, coeff, direction)) for direction in directions)
+            lanes.extend((j, start, direction) for direction in directions)
     lifted = _lift_lanes(f, sources, lanes)
 
     # merge endpoints into the vertex list, newest last; a vertex is its mark
@@ -529,18 +503,17 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
 
     # a fiber point is a vertex exactly when its value is one (module docstring)
     index = {v: i for i, v in enumerate(geo.vertices)}
-    fiber_marks = {mark.value: mark for points in fiber.values() for mark in points}
 
-    def locate_or_add(p: complex, image_vertex: int) -> int:
-        i = index.get(p)
+    def locate_or_add(mark: MarkedPoint, image_vertex: int) -> int:
+        i = index.get(mark.value)
         if i is None:
-            i = index[p] = len(marks)
-            marks.append(fiber_marks[p])
+            i = index[mark.value] = len(marks)
+            marks.append(mark)
             vmap.append(image_vertex)
             vlevel.append(current.level + 1)
         if vmap[i] != image_vertex:
             raise NonPlanarIncidence(
-                f"point {p} merges with vertex {i} whose image is "
+                f"point {mark.value} merges with vertex {i} whose image is "
                 f"vertex {vmap[i]}, not {image_vertex}"
             )
         return i
@@ -548,9 +521,9 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     edges = list(geo.edges)
     emap = list(current.edge_map)
     elevel = list(current.edge_level)
-    for (source, tail_p, _), (head_p, pts) in zip(lanes, lifted):
-        ti = locate_or_add(tail_p, geo.edges[source].tail)
-        hi = locate_or_add(head_p, geo.edges[source].head)
+    for (source, tail, _), (head, pts) in zip(lanes, lifted):
+        ti = locate_or_add(tail, geo.edges[source].tail)
+        hi = locate_or_add(head, geo.edges[source].head)
         edges.append(GeoEdge(tail=ti, head=hi, points=pts))
         emap.append(source)
         elevel.append(current.level + 1)

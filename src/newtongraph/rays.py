@@ -78,11 +78,9 @@ def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
     """Leading local coefficient and the k-1 invariant ray directions."""
     if not 0 <= root_index < len(f.roots):
         raise NotARoot(f"no root with index {root_index}")
-    xi = f.roots[root_index]
-    k = f.local_degree(xi)
+    xi, _, k, a = f.marked_points[root_index]  # the roots' marks come first
     if k < 2:
         raise NotARoot(f"point {xi} is not superattracting")
-    a = f.leading_coefficient(xi, k, xi)
     dirs = sorted(
         _mod_tau((-cmath.phase(a) + _TAU * j) / (k - 1)) for j in range(k - 1)
     )

@@ -14,6 +14,7 @@ returns. It adds only the read-only value and is_infinity.
 from __future__ import annotations
 
 import cmath
+import math
 
 INF = complex("inf")
 
@@ -69,3 +70,11 @@ def _inverted(z: complex) -> complex:
     if z == 0:
         return INF
     return 0j if abs(z) > _BIG else 1 / z
+
+
+def closest_pair(points) -> tuple[float, int, int]:
+    """The least chordal distance between two of the points, with indices
+    i < j of such a pair; inf for fewer than two points."""
+    n = len(points)
+    return min(((chordal_distance(points[i], points[j]), i, j)
+                for i in range(n) for j in range(i + 1, n)), default=(math.inf, 0, 0))

@@ -8,7 +8,6 @@ from newtongraph import (
     Polynomial,
     channel_diagram,
     compute_newton_graph,
-    lift_point,
     make_newton_map,
     pullback,
 )
@@ -43,23 +42,22 @@ def graph_distance(geo, q):
 
 def scalar_lift(f, points, start, branch_direction=None):
     """Reference lift of one polyline from a preimage of its tail, sample by
-    sample: the branched first step off a critical start, with the start's
-    order and leading coefficient found here, then continue_inverse_branch
-    per sample, and the end matched by the local model at the head."""
-    tail, head = point(points[0]), point(points[-1])
+    sample: the branched first step off a critical start, by the local
+    model of the start's mark, then continue_inverse_branch per sample, and
+    the end matched by the local models of the marks over the head."""
+    head = point(points[-1])
     x = start
     out = [x]
     for k in range(1, len(points) - 1):
         w0, w1 = complex(points[k - 1]), complex(points[k])
         if k == 1 and branch_direction is not None:
-            order = f.local_degree(start)
-            coeff = f.leading_coefficient(start, order, tail)
-            x = pullback._branched_first_step(f, w0, w1, x, order, coeff, branch_direction)
+            mark = f.marked_point(start)
+            x = pullback._branched_first_step(f, w0, w1, mark, branch_direction)
         else:
             x = continue_inverse_branch(f, w0, w1, x)
         out.append(x)
-    model = pullback._end_model(f, head, lift_point(f, head))
-    out.append(pullback._match_endpoint(model, head, complex(points[-2]), x))
+    [fiber] = pullback._fibers(f, [f.marked_point(head).value])
+    out.append(pullback._match_endpoint(fiber, head, complex(points[-2]), x).value)
     return np.array(out, dtype=complex)
 
 

@@ -232,7 +232,7 @@ def test_a1_cubic_unity_pipeline():
     assert len(f.roots) == 3
     # every root is superattracting with one fixed ray (local degree 2)
     for r in f.roots:
-        assert f.local_degree(r) == 2
+        assert f.marked_point(r).local_degree == 2
 
     base = extract_combinatorial(base_dynamic_graph(f))
     assert base.graph.n_edges == 3
@@ -263,7 +263,7 @@ def test_a2_cubic_pm_pipeline():
     result = compute_newton_graph(f)
     elapsed = time.perf_counter() - started
 
-    assert f.local_degree(0j) == 3
+    assert f.marked_point(0j).local_degree == 3
 
     delta0 = channel_diagram(f)
     assert len(delta0.edges) == 4

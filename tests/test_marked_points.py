@@ -1,8 +1,9 @@
 """The Newton map's marked points: one table of roots, poles and free
-critical points, with kinds and local degrees, and one lookup that every
-stage reads. The oracles here do not go through the table: local degrees
+critical points, with kinds, local degrees and local models, the lookup for
+bare points, and the marks over a target that each fiber takes. The oracles here do not go through the table: local degrees
 are checked against fiber multiplicities from root clustering, root kinds
-against f.roots, and fibers against a solve over the exact marked point."""
+against f.roots, local models against closed forms, and fibers against a
+solve over the exact marked point."""
 
 import pytest
 
@@ -67,6 +68,50 @@ class TestTable:
         assert f.marked_point(1 + 1e-3j).kind == KIND_PLAIN
 
 
+class TestLocalModels:
+    """Each mark's b against closed forms, which do not go through
+    leading_coefficient, and the marks over a target."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 7])
+    def test_unity(self, d):
+        # z^d - 1: f(r + u) = r + (d - 1)/(2r) u^2 at a root r; 1/f(u) =
+        # d u^(d-1) + ... at the pole 0; 1/f(1/u) = d/(d - 1) u at infinity
+        f = make_newton_map(Polynomial((-1,) + (0,) * (d - 1) + (1,)))
+        for r in f.roots:
+            root = f.marked_point(r)
+            assert root.local_degree == 2
+            assert root.coefficient == pytest.approx((d - 1) / (2 * r), rel=1e-12)
+            assert f.marks_over(r) == (root,)
+        [pole] = [m for m in f.marked_points if m.kind == KIND_POLE]
+        assert (pole.value, pole.local_degree) == (0, d - 1)
+        assert pole.coefficient == pytest.approx(d, rel=1e-12)
+        assert f.infinity.coefficient == pytest.approx(d / (d - 1), rel=1e-12)
+        assert f.marks_over(INF) == (pole, f.infinity)
+
+    def test_free_critical_point(self):
+        # p = z^3 + az + c with a = -2/3, c = -1/3 (lambda = 1/3 in
+        # tests/test_pcf_cubics.py): f(u) = -c/a + (3c/a^2) u^2 + ... at the
+        # free critical point 0, whose image -1/2 is a level-1 vertex
+        lam = 1 / 3
+        f = make_newton_map(Polynomial((-lam, lam - 1, 0, 1)))
+        [free] = [m for m in f.marked_points if m.kind == KIND_PLAIN]
+        assert (free.value, free.local_degree) == (0, 2)
+        assert free.coefficient == pytest.approx(-9 / 4, rel=1e-12)
+        result = compute_newton_graph(f)
+        [v] = [x for x in result.graphs[1].geo.vertices if abs(x + 0.5) < 1e-9]
+        assert f.marks_over(v) == (free,)
+        assert free in result.graphs[-1].marks
+
+    def test_plain_point(self):
+        f = make_newton_map(Polynomial((2, -2, 0, 1)))
+        z, h = 0.3 + 0.7j, 1e-5
+        plain = f.marked_point(z)
+        assert (plain.kind, plain.local_degree) == (KIND_PLAIN, 1)
+        difference = (f.evaluate(z + h) - f.evaluate(z - h)) / (2 * h)
+        assert plain.coefficient == pytest.approx(difference, rel=1e-8)
+        assert f.marks_over(z) == ()
+
+
 class TestEveryVertex:
     @pytest.mark.parametrize("name", POOL)
     def test_carried_mark_is_the_lookup_at_the_vertex(self, towers, name):
@@ -87,7 +132,7 @@ class TestEveryVertex:
             degrees = extract_combinatorial(dg).local_degree
             for v, x in enumerate(geo.vertices):
                 fiber = dict(lift_point(f, geo.vertices[dg.vertex_map[v]]))
-                assert degrees[v] == fiber[x] == f.local_degree(x), (name, dg.level, v)
+                assert degrees[v] == fiber[x] == f.marked_point(x).local_degree, (name, dg.level, v)
 
     @pytest.mark.parametrize("name", POOL)
     def test_root_vertices_are_the_roots(self, towers, name):

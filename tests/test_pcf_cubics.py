@@ -1,0 +1,79 @@
+"""The paper's class: postcritically finite cubic Newton maps whose free
+critical point is a vertex of the graph. The family is p_λ = z³ + (λ−1)z − λ
+= (z − 1)(z² + z + λ), with free critical point 0 (Tan Lei, Fund. Math.
+1997). Two orbits land:
+- root-landing, k = 2: N²(0) is a root, at λ ∈ {1/3, i√3, −i√3};
+- pole-landing, j = 1: N(0) is a pole, at the roots of λ³ + 3λ − 1.
+
+In both, 0 is a double preimage of a vertex that is not itself marked: its
+critical value, a preimage of a root, or a pole. The classes come from an
+oracle that builds no graph: z ↦ z/a moves the root a of z² + z + λ to 1 and
+sends λ to λ/a³, so λ and λ′ give equivalent graphs exactly when λ′ is λ,
+λ/a³ or λ/b³, with a and b the roots of z² + z + λ.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from newtongraph import (
+    Polynomial,
+    compute_newton_graph,
+    graphs_equivalent,
+    make_newton_map,
+    validate_newton_graph,
+)
+from newtongraph.pullback import verify_face_counts
+
+ROOT_LANDING = [1 / 3, 1j * math.sqrt(3), -1j * math.sqrt(3)]
+POLE_LANDING = [complex(lam) for lam in np.roots([1, 0, 3, -1])]
+LAMBDAS = ROOT_LANDING + POLE_LANDING
+
+
+def cubic(lam):
+    return make_newton_map(Polynomial((-lam, lam - 1, 0, 1)))
+
+
+def same_class(lam, other):
+    """The oracle: other is lam, lam/a^3 or lam/b^3."""
+    a, b = np.roots([1, 1, lam])
+    return any(abs(other - x) <= 1e-9 * (1 + abs(x)) for x in (lam, lam / a**3, lam / b**3))
+
+
+@pytest.fixture(scope="module")
+def built():
+    out = []
+    for lam in LAMBDAS:
+        f = cubic(lam)
+        out.append((f, compute_newton_graph(f)))
+    return out
+
+
+def test_the_orbit_of_zero_lands():
+    for lam in ROOT_LANDING:
+        f = cubic(lam)
+        image = f.evaluate(f.evaluate(0j))
+        assert min(abs(image - r) for r in f.roots) < 1e-12
+    for lam in POLE_LANDING:
+        f = cubic(lam)
+        assert min(abs(f.evaluate(0j) - q) for q, _ in f.poles) < 1e-12
+
+
+@pytest.mark.parametrize("index", range(len(LAMBDAS)))
+def test_builds_and_validates(built, index):
+    f, result = built[index]
+    assert validate_newton_graph(result.dynamics).passed
+    assert verify_face_counts(result, f).passed
+    # the free critical point is a vertex of local degree 2
+    [zero] = [m for m in result.graphs[-1].marks if m.value == 0]
+    assert zero.local_degree == 2
+
+
+def test_two_classes_as_the_oracle_predicts(built):
+    expected = [[same_class(a, b) for b in LAMBDAS] for a in LAMBDAS]
+    # each triple is one class, and the two triples differ
+    assert expected == [[(i < 3) == (j < 3) for j in range(6)] for i in range(6)]
+    found = [[bool(graphs_equivalent(r.dynamics, s.dynamics)) for _, s in built]
+             for _, r in built]
+    assert found == expected

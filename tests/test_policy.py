@@ -190,10 +190,11 @@ class TestVertexIdentityByValue:
         assert "chordal_distance" not in called
 
 
-def pullback_callers(name):
-    """The top-level definitions of pullback.py that call `name`, as a plain
-    name or as a method on some object."""
-    path = Path(newtongraph.__file__).parent / "pullback.py"
+def pullback_callers(name, module="pullback"):
+    """The top-level definitions of a module of the package, pullback.py
+    unless named, that call `name`, as a plain name or as a method on some
+    object."""
+    path = Path(newtongraph.__file__).parent / f"{module}.py"
     return {
         top.name
         for top in ast.parse(path.read_text()).body
@@ -205,15 +206,22 @@ def pullback_callers(name):
 
 
 class TestMarkDecidedOnce:
-    """A point's mark is decided where its fiber is solved, and the tower
-    carries it: no other part of the pullback stage looks a mark up, save
-    the one-edge lift, which is given a bare head and start."""
+    """A point's mark, with the b of its local model, is decided once, on
+    the map: a fiber takes the marks over its target, and the tower carries
+    them. Only the one-point and one-edge lifts, which are given bare
+    points, look a mark up by distance, and no lift computes b."""
 
     def test_marks_are_looked_up_only_in_the_fiber_solve(self):
-        assert pullback_callers("marked_point") == {"_fibers", "lift_point", "lift_edge"}
+        assert pullback_callers("marks_over") == {"_fibers"}
+        called = pullback_callers("marked_point") | pullback_callers("chordal_distance")
+        assert "_fibers" not in called
 
-    def test_only_the_one_edge_lift_finds_a_local_degree(self):
-        assert pullback_callers("local_degree") == {"lift_edge"}
+    def test_only_bare_points_are_snapped_to_a_mark(self):
+        assert pullback_callers("marked_point") == {"lift_point", "lift_edge"}
+
+    def test_no_lift_computes_a_leading_coefficient(self):
+        assert pullback_callers("leading_coefficient") == set()
+        assert pullback_callers("leading_coefficient", "rays") == set()
 
 
 class TestOneEdgeLift:

@@ -295,11 +295,21 @@ class TestBatchedRoots:
         # (z - 0.5i)^3 (z^2 + 2): the triple root comes back exactly
         r = 0.5j
         q = Polynomial.from_roots([r, r, r, 2**0.5 * 1j, -(2**0.5) * 1j])
-        [found] = roots_of_rows([q], known=[(r, 3)])
+        [found] = roots_of_rows([q], known=[[(r, 3)]])
         assert (r, 3) in found
         assert sum(m for _, m in found) == 5
         others = sorted(z.imag for z, m in found if m == 1)
         assert others == pytest.approx([-(2**0.5), 2**0.5], abs=1e-12)
+
+    def test_two_known_factors_on_one_row(self):
+        # (z - 1)^2 (z - 2)^3 (z - 3): both known factors come back exactly,
+        # and the simple root left after dividing them out is certified
+        q = Polynomial.from_roots([1, 1, 2, 2, 2, 3])
+        [found] = roots_of_rows([q], known=[[(1, 2), (2, 3)]])
+        assert found[:2] == ((1, 2), (2, 3))
+        [(z, m)] = found[2:]
+        assert m == 1 and abs(z - 3) < 1e-12
+        assert abs(q(z)) <= 64 * 2.0**-52 * q.eval_scale(z)
 
     @pytest.mark.parametrize("spoiled, runs", [(1, 1), (4, 2)])
     def test_retry_after_failed_certification(self, monkeypatch, spoiled, runs):
@@ -377,10 +387,10 @@ class TestMakeNewtonMap:
         assert table[(0.0, 0.0)] == 2  # local degree 3 at the root 0
         assert table[(1.0, 0.0)] == 1
         assert table[(-1.0, 0.0)] == 1
-        assert f.local_degree(0j) == 3
-        assert f.local_degree(1 + 0j) == 2
-        assert f.local_degree(INF) == 1
-        assert f.local_degree(0.5 + 0.5j) == 1
+        assert f.marked_point(0j).local_degree == 3
+        assert f.marked_point(1 + 0j).local_degree == 2
+        assert f.marked_point(INF).local_degree == 1
+        assert f.marked_point(0.5 + 0.5j).local_degree == 1
 
     def test_riemann_hurwitz_on_random_maps(self):
         rng = np.random.default_rng(11)

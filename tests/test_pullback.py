@@ -130,7 +130,7 @@ class TestLiftPoint:
     def test_solver_multiplicity_must_be_the_local_degree(self, cubic_unity, monkeypatch):
         # a solve that gives the double pole 0 of z^3 - 1 as a simple
         # preimage of w, in place of a true one: the degrees still sum to 3
-        # and no two points collide, but the mark at 0 has local degree 2
+        # and no two points collide, but 0 is no regular point of f
         solve = pullback.roots_of_rows
 
         def wrong(polys, known=None, names=None):
@@ -139,7 +139,7 @@ class TestLiftPoint:
         monkeypatch.setattr(pullback, "roots_of_rows", wrong)
         with pytest.raises(
             NonPlanarIncidence,
-            match=r"fiber point 0j over \(0\.3\+0\.7j\) has multiplicity 1 .* local degree 2",
+            match=r"fiber point 0j over \(0\.3\+0\.7j\) has multiplicity 1 .* b = \(inf",
         ):
             lift_point(cubic_unity, 0.3 + 0.7j)
 
@@ -241,12 +241,11 @@ class TestLockstepLift:
         assert len(levels) == 7  # one per pass; the towers are 2, 1, 1, 2, 1 high
         for f, sources, lanes, lifted in levels:
             assert len(lifted) == len(lanes)
-            for (edge, start, branch), (head, lane) in zip(lanes, lifted):
+            for (edge, start, direction), (head, lane) in zip(lanes, lifted):
                 points, _ = sources[edge]
-                direction = None if branch is None else branch[2]
-                reference = scalar_lift(f, points, start, direction)
+                reference = scalar_lift(f, points, start.value, direction)
                 self.assert_same_lift(lane, reference)
-                assert head == reference[-1]
+                assert head.value == reference[-1]
 
     def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
         # the ray of root 1 with one long jump after its fifth sample, out to
@@ -258,10 +257,10 @@ class TestLockstepLift:
         jump = 5
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))
-        [head_fiber] = pullback._fibers(f, [f.marked_point(INF)])
+        [head_fiber] = pullback._fibers(f, [INF])
         start = -0.5 + 0j
         [(_, lane)] = pullback._lift_lanes(
-            f, {0: (source, head_fiber)}, [(0, start, None)]
+            f, {0: (source, head_fiber)}, [(0, f.marked_point(start), None)]
         )
         x0, w0, w1 = complex(lane[jump - 1]), complex(source[jump - 1]), complex(source[jump])
         direct = solve_preimage_near(f, w1, x0)
@@ -303,14 +302,14 @@ class TestLockstepLift:
 
         monkeypatch.setattr(pullback, "_newton_round", gates_fail)
         monkeypatch.setattr(pullback, "continue_inverse_branch", flaky)
-        [head_fiber] = pullback._fibers(f, [f.marked_point(INF)])
+        [head_fiber] = pullback._fibers(f, [INF])
         sources, lanes = {}, []
         for j in (0, 2):
             e = delta0_unity.edges[j]
             # the simple preimage of the root cubic_unity.roots[t] is -root/2
             start = complex(-f.roots[e.tail] / 2)
             sources[j] = (e.points, head_fiber)
-            lanes.append((j, start, None))
+            lanes.append((j, f.marked_point(start), None))
         with pytest.raises(BranchJump, match="lane 0 lost in round 2"):
             pullback._lift_lanes(f, sources, lanes)
         assert len(calls) == 3
@@ -324,7 +323,8 @@ class TestMatchEndpoint:
 
     @staticmethod
     def model(f, head):
-        return pullback._end_model(f, head, lift_point(f, head))
+        [fiber] = pullback._fibers(f, [head])
+        return fiber
 
     @staticmethod
     def preimage_near(f, w, guess):
@@ -337,9 +337,9 @@ class TestMatchEndpoint:
         f = cubic_unity
         model = self.model(f, INF)
         near_pole = self.preimage_near(f, 1000, -0.02)
-        assert pullback._match_endpoint(model, INF, 1000, near_pole) == 0
+        assert pullback._match_endpoint(model, INF, 1000, near_pole).value == 0
         near_infinity = self.preimage_near(f, 1000, 1500)
-        assert pullback._match_endpoint(model, INF, 1000, near_infinity) == INF
+        assert pullback._match_endpoint(model, INF, 1000, near_infinity) == f.infinity
         # that far out both models are exact to first order
         for x in (near_pole, near_infinity):
             assert pullback._endpoint_scores(model, INF, 1000, x)[0][0] < 1e-4
@@ -387,7 +387,7 @@ def assert_root_fibers(f):
     degree; the other points are simple preimages, and the degrees sum to d."""
     for r in f.roots:
         fiber = lift_point(f, r)
-        assert [m for p, m in fiber if p == r] == [f.local_degree(r)]
+        assert [m for p, m in fiber if p == r] == [f.marked_point(r).local_degree]
         assert sum(m for _, m in fiber) == f.degree
         for p, m in fiber:
             if p != r:
@@ -692,7 +692,7 @@ class TestLevelCollisionGuards:
         # the first lift of the ray of root 0 is made to end at root 0,
         # whose image is root 0, not the ray's head at infinity
         base = base_dynamic_graph(cubic_unity)
-        root = base.geo.vertices[0]
+        root = base.marks[0]
         lift_lanes = pullback._lift_lanes
 
         def misplaced(f, sources, lanes):
@@ -703,7 +703,7 @@ class TestLevelCollisionGuards:
         [first, *_] = base.edges_at_level(0)
         head = base.geo.edges[first].head
         message = (
-            rf"point {re.escape(str(root))} merges with vertex 0 whose image "
+            rf"point {re.escape(str(root.value))} merges with vertex 0 whose image "
             rf"is vertex 0, not {head}"
         )
         with pytest.raises(NonPlanarIncidence, match=message):
@@ -764,13 +764,13 @@ class TestComputeNewtonGraph:
         d1 = graph_unity.graphs[1]
         pole = nearest_vertex(d1.geo, 0j)
         assert pole is not None
-        assert cubic_unity.local_degree(0j) == 2
+        assert cubic_unity.marked_point(0j).local_degree == 2
 
     def test_quartic_triple_pole_vertex(self, graph_q_unity, quartic_unity):
         d1 = graph_q_unity.graphs[1]
         pole = nearest_vertex(d1.geo, 0j)
         assert pole is not None
-        assert quartic_unity.local_degree(0j) == 3
+        assert quartic_unity.marked_point(0j).local_degree == 3
 
     def test_branch_count_identity(
         self,
