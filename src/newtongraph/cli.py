@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
@@ -295,7 +296,10 @@ def cmd_thurston(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and
+    building it costs more than most commands' parsing."""
     parser = argparse.ArgumentParser(
         prog="newtongraph",
         description="Newton maps: basins, channel diagrams, Newton graphs, "

@@ -28,7 +28,7 @@ from .errors import (
     NotARoot,
     RayCollision,
 )
-from .poly import NewtonMap, horner
+from .poly import MarkedPoint, NewtonMap, horner
 from .sphere import INF, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -66,11 +66,10 @@ def frozen_polyline(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BottcherLocal:
-    """Local model f(xi + w) = xi + a w^k + O(w^(k+1)) at a root."""
+    """Local model f(xi + w) = xi + a w^k + O(w^(k+1)) at a root: the root's
+    mark (xi, its local degree k and a) and the k-1 invariant directions."""
 
-    root: complex
-    local_degree: int
-    coefficient: complex
+    mark: MarkedPoint
     fixed_directions: tuple[float, ...]  # angles in [0, 2pi), sorted
 
 
@@ -78,13 +77,15 @@ def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
     """Leading local coefficient and the k-1 invariant ray directions."""
     if not 0 <= root_index < len(f.roots):
         raise NotARoot(f"no root with index {root_index}")
-    xi, _, k, a = f.marked_points[root_index]  # the roots' marks come first
+    mark = f.marked_points[root_index]  # the roots' marks come first
+    k = mark.local_degree
     if k < 2:
-        raise NotARoot(f"point {xi} is not superattracting")
+        raise NotARoot(f"point {mark.value} is not superattracting")
     dirs = sorted(
-        _mod_tau((-cmath.phase(a) + _TAU * j) / (k - 1)) for j in range(k - 1)
+        _mod_tau((-cmath.phase(mark.coefficient) + _TAU * j) / (k - 1))
+        for j in range(k - 1)
     )
-    return BottcherLocal(xi, k, a, tuple(dirs))
+    return BottcherLocal(mark, tuple(dirs))
 
 
 # --- the corrector's gates, shared by the scalar solve and the lockstep lift --
@@ -200,7 +201,7 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
     """
     tol = f.tol
     theta = local.fixed_directions[direction_index]
-    xi, k, a = local.root, local.local_degree, local.coefficient
+    xi, _, k, a = local.mark
 
     clearance = min(
         [abs(q - xi) for q in f.roots if q != xi]

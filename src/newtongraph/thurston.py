@@ -4,9 +4,14 @@ A multicurve spec records, for each curve class, how its preimage components
 distribute over the classes and with what mapping degrees. The induced linear
 map has matrix entry A[i][j] = sum of 1/degree over lifts of class j landing
 in class i; lifts landing outside the system contribute nothing. The decision
-of interest is whether the matrix is irreducible with leading eigenvalue >= 1;
-it is made exactly on the rational entries, while the floating-point leading
-eigenvalue is only reported.
+of interest is whether the matrix is irreducible with leading eigenvalue >= 1.
+
+Every answer is read off one integer matrix S = L A, where L is the lcm of the
+degrees of the lifts that land in the system (1 if none do): S[i][j] sums
+L // degree over those lifts. The verdict is decided exactly, by fraction-free
+elimination on the integer matrix L (I - A) = L I - S; the rational entries
+(for display), the floating-point leading eigenvalue (only reported) and the
+support come from S as well.
 """
 
 from __future__ import annotations
@@ -66,47 +71,43 @@ def multicurve_from_json(data) -> MulticurveSpec:
     return MulticurveSpec(classes, rows)
 
 
-def _validated(matrix) -> list[list[float]]:
-    rows = [list(map(float, row)) for row in matrix]
-    m = len(rows)
-    if m == 0 or any(len(r) != m for r in rows):
+def _validated(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError("matrix must be square and non-empty")
-    for r in rows:
-        for x in r:
-            if not math.isfinite(x) or x < 0:
-                raise ValueError("matrix entries must be finite and non-negative")
-    return rows
+    if not (np.isfinite(a).all() and (a >= 0).all()):
+        raise ValueError("matrix entries must be finite and non-negative")
+    return a
 
 
 def leading_eigenvalue(matrix) -> float:
     """Spectral radius of a non-negative square matrix, in floating point."""
-    rows = _validated(matrix)
-    return float(np.abs(np.linalg.eigvals(np.array(rows))).max())
+    return float(np.abs(np.linalg.eigvals(_validated(matrix))).max())
 
 
-def _spectral_radius_below_one(entries) -> bool:
-    """Exact test of rho(A) < 1 for a non-negative rational matrix A.
+def _spectral_radius_below_one(scaled: list[list[int]], scale: int) -> bool:
+    """Exact test of rho(A) < 1 for the non-negative matrix A = scaled / scale,
+    with integer entries scaled and a positive integer scale.
 
     I - A is a Z-matrix, so rho(A) < 1 exactly when I - A is a nonsingular
     M-matrix, which holds exactly when every leading principal minor of
-    I - A is positive. Fraction-free (Bareiss) elimination on L (I - A), L
-    the common denominator of the entries, leaves the k-th leading minor
-    times L^k as the k-th pivot.
+    I - A is positive. Fraction-free (Bareiss) elimination on the integer
+    matrix scale (I - A) leaves the k-th leading minor times scale^k as the
+    k-th pivot.
     """
-    entries = [[Fraction(x) for x in row] for row in entries]
-    scale = math.lcm(*(x.denominator for row in entries for x in row))
-    b = [
-        [(scale if i == j else 0) - int(x * scale) for j, x in enumerate(row)]
-        for i, row in enumerate(entries)
-    ]
+    b = [[-s for s in row] for row in scaled]
+    for k, row in enumerate(b):
+        row[k] += scale
     m, prev = len(b), 1
     for k in range(m):
         pivot = b[k][k]
         if pivot <= 0:
             return False
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                b[i][j] = (b[i][j] * pivot - b[i][k] * b[k][j]) // prev
+        below = b[k][k + 1:]
+        for row in b[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(row[k + 1:], below)]
         prev = pivot
     return True
 
@@ -116,23 +117,19 @@ class TransitionMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     leading: float  # floating-point spectral radius, for display
     irreducible: bool
-
-    @property
-    def obstruction(self) -> bool:
-        """Irreducible with leading eigenvalue at least 1, decided exactly on
-        the rational entries."""
-        return self.irreducible and not _spectral_radius_below_one(self.entries)
+    # irreducible with leading eigenvalue at least 1, decided exactly
+    obstruction: bool
 
 
 def is_irreducible(matrix) -> bool:
     """True iff every class reaches every class through the support digraph
     in at least one step. A 1x1 matrix needs a self-loop."""
-    rows = _validated(matrix)
-    m = len(rows)
+    support = _validated(matrix) > 0
+    m = len(support)
     if m == 1:
-        return rows[0][0] > 0
-    forward = [[j for j in range(m) if rows[i][j] > 0] for i in range(m)]
-    backward = [[j for j in range(m) if rows[j][i] > 0] for i in range(m)]
+        return bool(support[0, 0])
+    forward = [np.flatnonzero(row).tolist() for row in support]
+    backward = [np.flatnonzero(column).tolist() for column in support.T]
     for adjacency in (forward, backward):
         seen = {0}
         stack = [0]
@@ -148,18 +145,27 @@ def is_irreducible(matrix) -> bool:
 
 def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
     """Weighted preimage-count matrix of a lifting table, with its leading
-    eigenvalue and irreducibility verdict."""
+    eigenvalue, irreducibility and obstruction verdicts."""
     m = spec.classes
-    entries = [[Fraction(0)] * m for _ in range(m)]
-    for j, row in enumerate(spec.lifts):
-        for target, degree in row:
-            if target is not None:
-                entries[target][j] += Fraction(1, degree)
-    frozen = tuple(tuple(row) for row in entries)
+    landed = [(target, j, degree) for j, row in enumerate(spec.lifts)
+              for target, degree in row if target is not None]
+    scale = math.lcm(*(degree for _, _, degree in landed))
+    scaled = [[0] * m for _ in range(m)]
+    for target, j, degree in landed:
+        scaled[target][j] += scale // degree
+    # int / int rounds the rational correctly, as float(Fraction) does
+    values = np.zeros((m, m))
+    for target, j, _ in landed:
+        values[target, j] = scaled[target][j] / scale
+    leading = leading_eigenvalue(values)
+    irreducible = is_irreducible(values)
+    zero = Fraction(0)
     return TransitionMatrix(
-        entries=frozen,
-        leading=leading_eigenvalue(frozen),
-        irreducible=is_irreducible(frozen),
+        entries=tuple(tuple(Fraction(s, scale) if s else zero for s in row)
+                      for row in scaled),
+        leading=leading,
+        irreducible=irreducible,
+        obstruction=irreducible and not _spectral_radius_below_one(scaled, scale),
     )
 
 

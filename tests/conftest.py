@@ -1,6 +1,9 @@
 """Shared fixtures: the small pool of Newton maps used across the suite,
 and the geometric oracles several test modules share."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,29 @@ def scalar_lift(f, points, start, branch_direction=None):
     [fiber] = pullback._fibers(f, [f.marked_point(head).value])
     out.append(pullback._match_endpoint(fiber, head, complex(points[-2]), x).value)
     return np.array(out, dtype=complex)
+
+
+def fraction_radius_below_one(entries):
+    """Reference exact test of rho(A) < 1 for a non-negative rational matrix
+    A: Bareiss elimination on L (I - A), L the lcm of the reduced entry
+    denominators, converted from the Fraction entries. Every leading
+    principal minor of I - A is positive exactly when rho(A) < 1."""
+    entries = [[Fraction(x) for x in row] for row in entries]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    b = [
+        [(scale if i == j else 0) - int(x * scale) for j, x in enumerate(row)]
+        for i, row in enumerate(entries)
+    ]
+    m, prev = len(b), 1
+    for k in range(m):
+        pivot = b[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                b[i][j] = (b[i][j] * pivot - b[i][k] * b[k][j]) // prev
+        prev = pivot
+    return True
 
 
 def aligned_dart_map(edge_map):

@@ -396,6 +396,32 @@ class TestThurston:
         assert code == 2
 
 
+class TestOneParser:
+    def test_calls_share_one_parser_and_each_parses_its_own_argv(self, tmp_path, capsys):
+        swap = write_json(tmp_path, "swap.json", SWAP_SPEC)
+        half = write_json(
+            tmp_path, "half.json", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": 2}]}})
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        code, out, _ = run(capsys, ["thurston", swap, "--json"])
+        assert code == 0
+        assert json.loads(out)["classes"] == 2
+        # an argparse error exits 2 and leaves no state for the next call
+        with pytest.raises(SystemExit) as exc:
+            main(["thurston", half, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["thurston", half])
+        assert code == 0
+        assert out.startswith("classes 1\n")
+        assert "obstruction: no" in out
+        code, out, _ = run(capsys, ["roots", write_json(tmp_path, "p.json", UNITY), "--json"])
+        assert code == 0
+        assert json.loads(out)["degree"] == 3
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().misses == 1
+
+
 MALFORMED = [
     ("roots", {"coeffs": 5}, "must be a list"),
     ("roots", {"roots": 3}, "must be a list"),

@@ -235,3 +235,15 @@ class TestOneEdgeLift:
 
     def test_the_one_edge_lift_runs_the_level_lift(self):
         assert "lift_edge" in pullback_callers("_lift_lanes")
+
+
+class TestExactVerdictOnIntegers:
+    """The Thurston verdict eliminates on the integer matrix L (I - A) that
+    transition_matrix reads off the lifting table; no Fraction enters it."""
+
+    def test_the_verdict_names_no_fraction(self):
+        places, _ = TestOnePointType.places_naming("Fraction")
+        assert ("thurston", "_spectral_radius_below_one") not in places
+        assert pullback_callers("_spectral_radius_below_one", "thurston") == {
+            "transition_matrix"
+        }

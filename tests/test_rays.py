@@ -38,33 +38,33 @@ def _root_index(f, value):
 class TestBottcherLocal:
     def test_cubic_pm_origin(self, cubic_pm):
         loc = bottcher_local(cubic_pm, _root_index(cubic_pm, 0))
-        assert loc.local_degree == 3
-        assert loc.coefficient == pytest.approx(-2)
+        assert loc.mark.local_degree == 3
+        assert loc.mark.coefficient == pytest.approx(-2)
         assert loc.fixed_directions == pytest.approx((math.pi / 2, 3 * math.pi / 2))
 
     def test_cubic_pm_unit_roots(self, cubic_pm):
         plus = bottcher_local(cubic_pm, _root_index(cubic_pm, 1))
         minus = bottcher_local(cubic_pm, _root_index(cubic_pm, -1))
-        assert plus.local_degree == 2
-        assert plus.coefficient == pytest.approx(1.5)
+        assert plus.mark.local_degree == 2
+        assert plus.mark.coefficient == pytest.approx(1.5)
         assert plus.fixed_directions == pytest.approx((0.0,))
-        assert minus.coefficient == pytest.approx(-1.5)
+        assert minus.mark.coefficient == pytest.approx(-1.5)
         assert minus.fixed_directions == pytest.approx((math.pi,))
 
     def test_cubic_unity_all_roots(self, cubic_unity):
         w = cmath.exp(2j * math.pi / 3)
         one = bottcher_local(cubic_unity, _root_index(cubic_unity, 1))
-        assert one.local_degree == 2
-        assert one.coefficient == pytest.approx(1)
+        assert one.mark.local_degree == 2
+        assert one.mark.coefficient == pytest.approx(1)
         assert one.fixed_directions == pytest.approx((0.0,))
         rot = bottcher_local(cubic_unity, _root_index(cubic_unity, w))
-        assert rot.coefficient == pytest.approx(w.conjugate())
+        assert rot.mark.coefficient == pytest.approx(w.conjugate())
         assert rot.fixed_directions == pytest.approx((2 * math.pi / 3,))
 
     def test_quartic_monic_origin(self, quartic_monic):
         loc = bottcher_local(quartic_monic, _root_index(quartic_monic, 0))
-        assert loc.local_degree == 4
-        assert loc.coefficient == pytest.approx(-3)
+        assert loc.mark.local_degree == 4
+        assert loc.mark.coefficient == pytest.approx(-3)
         assert loc.fixed_directions == pytest.approx(
             (math.pi / 3, math.pi, 5 * math.pi / 3)
         )
@@ -135,7 +135,7 @@ class TestTraceFixedRay:
                 for j in range(len(loc.fixed_directions)):
                     lifts.clear()
                     ray = trace_fixed_ray(f, loc, j)
-                    xi = loc.root
+                    xi = loc.mark.value
 
                     def spread(a, c):
                         return abs(cmath.log((c - xi) / (a - xi)))

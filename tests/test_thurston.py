@@ -1,12 +1,14 @@
 """Transition matrices: entries, leading eigenvalues, irreducibility, and the
-obstruction predicate, cross-checked against exact characteristic polynomials
-and boolean reachability powers."""
+obstruction predicate, cross-checked against exact characteristic polynomials,
+boolean reachability powers and the Fraction elimination of conftest."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import fraction_radius_below_one
 
 from newtongraph import (
     is_irreducible_obstruction,
@@ -49,19 +51,11 @@ def char_poly_radius(matrix) -> float:
 def bool_power_irreducible(matrix) -> bool:
     """Irreducibility oracle: OR of boolean support powers S^1..S^m covers
     every entry."""
-    m = len(matrix)
-    support = [[matrix[i][j] > 0 for j in range(m)] for i in range(m)]
-    acc = [row[:] for row in support]
-    power = [row[:] for row in support]
-    for _ in range(m - 1):
-        power = [
-            [any(power[i][k] and support[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        acc = [
-            [acc[i][j] or power[i][j] for j in range(m)] for i in range(m)
-        ]
-    return all(all(row) for row in acc)
+    support = np.array([[int(x > 0) for x in row] for row in matrix])
+    reach = support
+    for _ in range(len(support) - 1):
+        reach = ((reach + reach @ support) > 0).astype(int)
+    return bool(reach.all())
 
 
 def spec_of(classes, table):
@@ -246,3 +240,86 @@ class TestObstruction:
             assert tm.obstruction == (tm.irreducible and radius > 1), table
             decided += 1
         assert decided > 100
+
+
+def reference_entries(spec):
+    """A[i][j] as a sum of Fractions 1/degree over the lifts of class j that
+    land in class i."""
+    m = spec.classes
+    entries = [[Fraction(0)] * m for _ in range(m)]
+    for j, row in enumerate(spec.lifts):
+        for target, degree in row:
+            if target is not None:
+                entries[target][j] += Fraction(1, degree)
+    return tuple(tuple(row) for row in entries)
+
+
+def reference_leading(entries) -> float:
+    rows = np.array([[float(x) for x in row] for row in entries])
+    return float(np.abs(np.linalg.eigvals(rows)).max())
+
+
+class TestIntegerVerdictAgainstFractions:
+    """The answers read off the integer matrix L A agree with the Fraction
+    entries, their float eigenvalue and the Fraction elimination."""
+
+    @staticmethod
+    def check(spec):
+        tm = transition_matrix(spec)
+        entries = reference_entries(spec)
+        irreducible = bool_power_irreducible(entries)
+        assert tm.entries == entries
+        assert tm.leading == reference_leading(entries)
+        assert tm.irreducible is irreducible
+        assert tm.obstruction is (irreducible and not fraction_radius_below_one(entries))
+        return tm
+
+    def test_random_specs(self):
+        rng = random.Random(31415926)
+        verdicts = Counter()
+        for k in range(150):
+            # every other spec dense enough to be irreducible, with empty
+            # rows and few lifts in the rest
+            m = rng.randint(1, 30)
+            empty, lifts = (0.0, (1, 8)) if k % 2 else (0.15, (0, 5))
+            table = [
+                [] if rng.random() < empty else
+                [(rng.choice([None] + list(range(m))), rng.randint(1, 9))
+                 for _ in range(rng.randint(*lifts))]
+                for _ in range(m)
+            ]
+            tm = self.check(spec_of(m, table))
+            verdicts[tm.irreducible, tm.obstruction] += 1
+        # reducible, irreducible below radius 1, and obstructed all occur
+        assert min(verdicts[False, False], verdicts[True, False], verdicts[True, True]) >= 10
+
+    @pytest.mark.parametrize("degree", [2, 3, 6])
+    def test_self_lifts_of_radius_exactly_one(self, degree):
+        tm = self.check(spec_of(1, [[(0, degree)] * degree]))
+        assert tm.entries == ((Fraction(1),),)
+        assert tm.leading == 1.0
+        assert tm.obstruction is True
+
+    def test_cycle_of_degree_one_lifts(self):
+        tm = self.check(spec_of(5, [[((j + 1) % 5, 1)] for j in range(5)]))
+        assert tm.irreducible is True
+        assert tm.obstruction is True
+
+    def test_sylvester_spec(self):
+        degrees = (2, 3, 7, 43, 1807, 3263443)
+        tm = self.check(spec_of(1, [[(0, d) for d in degrees]]))
+        assert 1 - tm.leading < 1e-12
+        assert tm.obstruction is False
+
+    def test_scale_beyond_float_precision(self):
+        # L = 3 (10^17 + 1) and its entry L // 3 + L // (10^17 + 1) are not
+        # floats; dividing their float roundings gives 0.3333333333333333,
+        # the rational rounds to 0.33333333333333337
+        tm = self.check(spec_of(1, [[(0, 3), (0, 10**17 + 1)]]))
+        assert tm.leading == 0.33333333333333337
+
+    def test_no_lift_in_the_system(self):
+        tm = self.check(spec_of(3, [[(None, 2)], [], [(None, 1), (None, 5)]]))
+        assert tm.entries == ((Fraction(0),) * 3,) * 3
+        assert tm.leading == 0.0
+        assert tm.obstruction is False
