@@ -6,7 +6,9 @@ at x. The fibers over all heads and tails of those edges are solved first,
 in one batched root solve. A fiber takes its marked points, each with its
 local model, from the map (the marks over its target); its other points are
 unmarked. A fiber comes out bit for bit the same at every level, so a vertex
-is found by its exact value, not by distance. Tails of lifts map onto tails
+is found by its exact value, not by distance, and each fiber is solved once
+per tower. The lifts are then thinned to the rays' sample spacing about
+both ends of each edge. Tails of lifts map onto tails
 of sources, so orientation, the edge map and the vertex map come from lift
 bookkeeping instead of after-the-fact geometry matching. Fixed edges are
 their own lifts; on the first pass the branch that retraces the source is
@@ -287,7 +289,9 @@ def lift_edge(
     (_match_endpoint). At a start of local degree m >= 2 the m lifts are
     distinguished by branch_direction, the initial tangent of the desired
     lift; a simple start has one lift and takes None. The lift is a
-    read-only complex array, inf at an end at infinity.
+    read-only complex array, inf at an end at infinity, with one sample
+    over each sample of the polyline: it is not thinned as the lifts of a
+    pullback pass are.
     """
     points = frozen_polyline(edge_points)
     start = point(start)
@@ -458,23 +462,93 @@ def _lift_lanes(
     return out
 
 
+def _thinned_lifts(paths: list[np.ndarray], ratio: float) -> list[np.ndarray]:
+    """Every lifted polyline thinned by the greedy rule of rays._thinned,
+    taken about both of its ends.
+
+    Near an end of local degree m the lift divides log-polar distance by m,
+    so it is m-fold oversampled there. An interior sample is dropped when
+    the chord from the last kept sample to the sample after it lies within
+    log(ratio) in log-polar distance about the tail and also about the head;
+    about a head at infinity the distance is taken in the 1/z chart, which
+    is the same distance about 0. The two samples at each end are kept, so
+    vertex stars and end matches read the lift's own samples.
+
+    Each sample's log-polar coordinates log|u| + i arg u about both ends are
+    computed once, with the argument continued along the polyline. A chord
+    that turns less than half a turn about an end has the distance of the
+    principal logarithm there, and one that turns more a larger distance,
+    so a chord that winds around an end is never taken as short. The lanes
+    then run in lockstep, one sample per round.
+    """
+    if not paths:
+        return []
+    n_lanes = len(paths)
+    lengths = np.array([len(p) for p in paths], dtype=np.int64)
+    rows = int(lengths.max())
+    flat = np.concatenate(paths)
+    stops = np.cumsum(lengths)
+    lane_of = np.repeat(np.arange(n_lanes), lengths)
+    row_of = np.arange(len(flat)) - np.repeat(stops - lengths, lengths)
+    # every lane without its head, padded with its last interior sample
+    x = np.empty((rows, n_lanes), dtype=complex)
+    x[:] = flat[stops - 2]
+    body = row_of < lengths[lane_of] - 1
+    x[row_of[body], lane_of[body]] = flat[body]
+    heads = flat[stops - 1]
+    # offsets from the tail and from the head, shape (rows, 2, lanes)
+    u = np.stack((x - x[0], x - np.where(np.isinf(heads), 0, heads)), axis=1)
+    polar = np.empty_like(u)
+    keep = np.zeros((rows, n_lanes), dtype=bool)
+    limit = math.log(ratio)
+    with np.errstate(all="ignore"):
+        polar.real = np.log(np.abs(u))
+        polar.imag[0] = 0
+        np.cumsum(np.angle(u[1:] * u[:-1].conj()), axis=0, out=polar.imag[1:])
+        last = polar[1].copy()
+        # a lane's rows past its end decide nothing; they are masked below
+        for k in range(2, rows - 2):
+            far = np.abs(polar[k + 1] - last) > limit
+            np.logical_or(far[0], far[1], out=keep[k])
+            np.copyto(last, polar[k], where=keep[k])
+    keep &= np.arange(rows)[:, None] < lengths - 2
+    keep[:2] = True
+    lanes = np.arange(n_lanes)
+    keep[lengths - 2, lanes] = keep[lengths - 1, lanes] = True
+    kept = frozen_polyline(flat[keep[row_of, lane_of]])
+    return np.split(kept, np.cumsum(keep.sum(axis=0))[:-1])
+
+
 # --- one pullback pass ----------------------------------------------------
 
 
-def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
+def pullback_level(
+    f: NewtonMap,
+    current: DynamicGraph,
+    fibers: dict[complex, tuple[MarkedPoint, ...]] | None = None,
+) -> DynamicGraph:
     """One pullback pass: lift every newest edge from every preimage of its
-    tail, merge endpoints, and keep the connected component of the core.
+    tail, thin the lifts, merge endpoints, and keep the connected component
+    of the core.
 
     Lifts of older edges are already present (a level-n edge maps onto a
     level-(n-1) edge), so only the top level is lifted; on the first pass the
     branch retracing a fixed edge is recognized by its direction and skipped.
-    All lifts of the level run together, in lockstep.
+    All lifts of the level run together, in lockstep, and are then thinned
+    to the rays' spacing about both their ends (_thinned_lifts), so each
+    kept sample maps onto a sample of its source. fibers holds the fibers
+    solved so far in the tower, keyed by exact target value; the fibers
+    over the ends of the newest edges that it lacks are solved in one call
+    and added to it.
     """
     geo = current.geo
     newest = current.edges_at_level(current.level)
-    # the fibers over every head and tail of the newest edges, in one solve
-    ends = list(dict.fromkeys(v for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)))
-    fiber = dict(zip(ends, _fibers(f, [geo.vertices[v] for v in ends])))
+    fibers = {} if fibers is None else fibers
+    ends = dict.fromkeys(
+        geo.vertices[v] for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)
+    )
+    new = [w for w in ends if w not in fibers]
+    fibers.update(zip(new, _fibers(f, new)))
 
     sources = {}
     lanes = []  # (source edge, start mark, branch direction or None)
@@ -482,8 +556,8 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
-        sources[j] = (e.points, fiber[e.head])
-        for start in fiber[e.tail]:
+        sources[j] = (e.points, fibers[geo.vertices[e.head]])
+        for start in fibers[tail_pt]:
             x, _, order, coeff = start
             if order == 1:
                 lanes.append((j, start, None))
@@ -495,6 +569,7 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
                 directions.remove(min(directions, key=lambda d: _circular_gap(d, psi)))
             lanes.extend((j, start, direction) for direction in directions)
     lifted = _lift_lanes(f, sources, lanes)
+    paths = _thinned_lifts([pts for _, pts in lifted], f.tol.sample_ratio)
 
     # merge endpoints into the vertex list, newest last; a vertex is its mark
     marks = list(current.marks)
@@ -521,7 +596,7 @@ def pullback_level(f: NewtonMap, current: DynamicGraph) -> DynamicGraph:
     edges = list(geo.edges)
     emap = list(current.edge_map)
     elevel = list(current.edge_level)
-    for (source, tail, _), (head, pts) in zip(lanes, lifted):
+    for (source, tail, _), (head, _), pts in zip(lanes, lifted, paths):
         ti = locate_or_add(tail, geo.edges[source].tail)
         hi = locate_or_add(head, geo.edges[source].head)
         edges.append(GeoEdge(tail=ti, head=hi, points=pts))
@@ -623,6 +698,7 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     require_postcritically_fixed(critical_orbits(f))
     cur = base_dynamic_graph(f)
     tower = [cur]
+    fibers: dict[complex, tuple[MarkedPoint, ...]] = {}  # one solve per target
     crit_level = pole_level = None
     while True:
         if crit_level is None and sum(m.local_degree - 1 for m in cur.marks) == 2 * f.degree - 2:
@@ -637,7 +713,7 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
                 f"cap {max_level}",
                 partial=tuple(tower),
             )
-        cur = pullback_level(f, cur)
+        cur = pullback_level(f, cur, fibers)
         tower.append(cur)
 
     return NewtonGraphResult(

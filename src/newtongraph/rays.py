@@ -454,7 +454,8 @@ def geograph_to_json(
     """Plain-data form of a geometric graph.
 
     Vertices carry id/kind/pos/label; edges carry id/from/to/level/maps_to
-    and their full sample polylines; cyclic orders list edge-end dart ids
+    and their samples as the graph holds them (a lifted edge's thinned to
+    sample_ratio about both its ends); cyclic orders list edge-end dart ids
     (2j for the tail of edge j, 2j+1 for its head) counterclockwise.
     """
     vertices = [

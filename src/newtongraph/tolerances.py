@@ -36,11 +36,13 @@ class Tolerances:
     max_steps: int = 64
     # Newton corrector tolerance for edge lifting / ray continuation (chordal).
     lift_tol: float = 1e-10
-    # Ray sample spacing: neighbouring samples of a traced ray lie at most
+    # Sample spacing: neighbouring samples of a traced ray lie at most
     # log(sample_ratio) apart in log-polar distance |log((c - xi)/(a - xi))|
     # about the root xi wherever samples were dropped; each lift keeps only
     # the samples needed for that, so every sample of lift n+1 maps onto a
-    # sample of lift n, and lifted edges inherit the spacing.
+    # sample of lift n. A lifted edge does not inherit that spacing: near an
+    # end of local degree m it is m-fold oversampled. Each level's lifts are
+    # thinned to it, by the same rule taken about both ends of the edge.
     sample_ratio: float = 1.25
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
 """Shared fixtures: the small pool of Newton maps used across the suite,
 and the geometric oracles several test modules share."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from newtongraph.combinatorial import (
     embedded_graph_from_rotations,
 )
 from newtongraph.rays import continue_inverse_branch, nearest_edge_point
-from newtongraph.sphere import chordal_distance, point
+from newtongraph.sphere import INF, chordal_distance, point
 
 
 def nearest_vertex(geo, q):
@@ -62,6 +63,35 @@ def scalar_lift(f, points, start, branch_direction=None):
     [fiber] = pullback._fibers(f, [f.marked_point(head).value])
     out.append(pullback._match_endpoint(fiber, head, complex(points[-2]), x).value)
     return np.array(out, dtype=complex)
+
+
+def log_polar_within(a, c, centers, ratio):
+    """Whether the chord from a to c lies within log(ratio) in log-polar
+    distance |log((c - center) / (a - center))| about every center."""
+    return all(abs(cmath.log((c - o) / (a - o))) <= math.log(ratio) for o in centers)
+
+
+def lift_ends(points):
+    """The centers a lifted polyline is thinned about: its tail, and its
+    head, or 0 for a head at infinity (the distance in the 1/z chart)."""
+    head = point(points[-1])
+    return complex(points[0]), 0j if head == INF else head
+
+
+def scalar_thinned(points, ratio):
+    """Reference thinning of one lifted polyline, sample by sample: the
+    greedy rule of rays._thinned taken about both ends at once, keeping the
+    two samples at each end."""
+    seg = [complex(z) for z in points[1:-1]]
+    if len(seg) < 2:
+        return np.array(points, dtype=complex)
+    centers = lift_ends(points)
+    kept = [seg[0]]
+    for j in range(1, len(seg) - 1):
+        if not log_polar_within(kept[-1], seg[j + 1], centers, ratio):
+            kept.append(seg[j])
+    kept.append(seg[-1])
+    return np.array([points[0], *kept, points[-1]], dtype=complex)
 
 
 def fraction_radius_below_one(entries):

@@ -533,26 +533,40 @@ class TestDeterminism:
 
 class TestGoldenDigests:
     """SHA-256 of three exports, pinned so that a refactor that moves any
-    float fails here. The exports run numpy's complex multiply, whose
-    last-bit rounding depends on the CPU's vector instructions; these digests
-    were taken on x86-64 with AVX-512 and numpy 2.4, and need recording
-    afresh on another platform."""
+    float fails here, and of the combinatorial block of the two graph
+    exports, which no change to the sampling of the polylines may move.
+    The exports run numpy's complex multiply, whose last-bit rounding
+    depends on the CPU's vector instructions; these digests were taken on
+    x86-64 with AVX-512 and numpy 2.4, and need recording afresh on another
+    platform."""
 
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
+    GRAPHS = [
+        ("z3-1", UNITY,
+         "ef8d09e5ac2d09e2a277d396bfb24b961b82c8bdc931bc97fa7c3307cd5fe6f6",
+         "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
+        ("z4-z", ZMZ4,
+         "00421ddfbd00d4656fbd8b8b52f2b077c5e82c320045cd0384e18f5eba97de76",
+         "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
+    ]
 
-    @pytest.mark.parametrize(
-        "name, poly, digest",
-        [
-            ("z3-1", UNITY, "3e8253639286a7787877e73149f56a18ce2ee4d5d9479a8e32336402abfaf906"),
-            ("z4-z", ZMZ4, "c4442f03b3d4438c01b9f6844e10f687cf0a79defc38b665bb98f2670242f3ed"),
-        ],
-        ids=["z3-1", "z4-z"],
-    )
-    def test_graph_export(self, tmp_path, capsys, name, poly, digest):
+    @staticmethod
+    def graph_export(tmp_path, capsys, name, poly):
         out = tmp_path / f"{name}.json"
         code, _, _ = run(capsys, ["graph", write_json(tmp_path, "p.json", poly), "--out", str(out)])
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("name, poly, digest, _", GRAPHS, ids=["z3-1", "z4-z"])
+    def test_graph_export(self, tmp_path, capsys, name, poly, digest, _):
+        export = self.graph_export(tmp_path, capsys, name, poly)
+        assert hashlib.sha256(export).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, poly, _, digest", GRAPHS, ids=["z3-1", "z4-z"])
+    def test_combinatorial_block(self, tmp_path, capsys, name, poly, _, digest):
+        block = json.loads(self.graph_export(tmp_path, capsys, name, poly))["combinatorial"]
+        text = json.dumps(block, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_render_ppm(self, tmp_path, capsys):
         out = tmp_path / "z3-1.ppm"

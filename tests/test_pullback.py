@@ -47,7 +47,14 @@ from newtongraph.rays import (
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import Tolerances
 
-from conftest import graph_distance, nearest_vertex, scalar_lift
+from conftest import (
+    graph_distance,
+    lift_ends,
+    log_polar_within,
+    nearest_vertex,
+    scalar_lift,
+    scalar_thinned,
+)
 
 CONDITION_NAMES = [
     "channel_core",
@@ -315,6 +322,67 @@ class TestLockstepLift:
         assert len(calls) == 3
 
 
+class TestThinnedLifts:
+    """pullback_level thins every level's lifts to the rays' spacing about
+    both ends of the edge (_thinned_lifts, all lanes in lockstep);
+    conftest.scalar_thinned, the greedy rule of rays._thinned run sample by
+    sample, is its reference. Recorded on every level of the pool towers."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
+        """(lift, kept, sample_ratio) per lane of every pass, and the towers."""
+        lanes, towers = [], []
+        thin = pullback._thinned_lifts
+
+        def recording(paths, ratio):
+            kept = thin(paths, ratio)
+            lanes.extend((path, k, ratio) for path, k in zip(paths, kept))
+            return kept
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pullback, "_thinned_lifts", recording)
+            for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
+                towers.append(compute_newton_graph(f))
+        return lanes, towers
+
+    @staticmethod
+    def positions(path, kept):
+        index = {complex(z): i for i, z in enumerate(path)}
+        return [index[complex(z)] for z in kept]
+
+    def test_lockstep_matches_the_scalar_reference(self, recorded):
+        lanes, _ = recorded
+        for path, kept, ratio in lanes:
+            assert np.array_equal(kept, scalar_thinned(path, ratio))
+
+    def test_every_lifted_edge_is_a_thinned_lift(self, recorded):
+        lanes, towers = recorded
+        kept = {k.tobytes() for _, k, _ in lanes}
+        assert sum(len(k) for _, k, _ in lanes) < sum(len(path) for path, _, _ in lanes)
+        for result in towers:
+            for dg in result.graphs:
+                for j, e in enumerate(dg.geo.edges):
+                    if dg.edge_level[j] > 0:
+                        assert e.points.tobytes() in kept, (dg.level, j)
+
+    def test_the_two_samples_at_each_end_are_the_lifts_own(self, recorded):
+        lanes, _ = recorded
+        for path, kept, _ in lanes:
+            assert np.array_equal(kept[:2], path[:2])
+            assert np.array_equal(kept[-2:], path[-2:])
+
+    def test_kept_chords_are_steps_or_within_the_spacing_about_both_ends(self, recorded):
+        lanes, _ = recorded
+        for path, kept, ratio in lanes:
+            at = self.positions(path, kept)
+            assert at == sorted(set(at))  # a subsequence, no sample repeated
+            centers = lift_ends(path)
+            for i, j in zip(at[1:-2], at[2:-1]):
+                assert j == i + 1 or log_polar_within(
+                    complex(path[i]), complex(path[j]), centers, ratio
+                ), (i, j)
+
+
 class TestMatchEndpoint:
     """The two gates on the fiber point a lift ran into, on the fibers of
     z^3 - 1. Over infinity lie the double pole 0 (|b| = 3) and infinity
@@ -437,6 +505,41 @@ class TestLevelFibers:
         # a fiber over a root solves a remainder of lower degree
         assert any(n < f.degree for runs in solves for _, n in runs)
 
+    # towers of two passes: the second solves over the first's ends again
+    TWO_LEVEL = [unity(3), unity(4), ROTATED_AND_SCALED[0], ROTATED_AND_SCALED[3]]
+    TWO_LEVEL_IDS = ["z3-1", "z4-1", "z5-1@rot", "z7-1@4"]
+
+    @pytest.mark.parametrize("coeffs", TWO_LEVEL, ids=TWO_LEVEL_IDS)
+    def test_each_target_is_solved_once_per_tower(self, monkeypatch, coeffs):
+        f = make_newton_map(Polynomial(coeffs))
+        targets = []
+        fibers = pullback._fibers
+
+        def recording(f, ws):
+            targets.extend(ws)
+            return fibers(f, ws)
+
+        monkeypatch.setattr(pullback, "_fibers", recording)
+        result = compute_newton_graph(f)
+        assert result.graphs[-1].level == 2
+        assert len(targets) == len(set(targets))
+        ends = [
+            {dg.geo.vertices[v] for j in dg.edges_at_level(dg.level)
+             for v in (dg.geo.edges[j].tail, dg.geo.edges[j].head)}
+            for dg in result.graphs[:-1]
+        ]
+        assert set(targets) == set().union(*ends)
+        assert len(targets) < sum(len(level) for level in ends)
+
+    @pytest.mark.parametrize("coeffs", TWO_LEVEL[:3], ids=TWO_LEVEL_IDS[:3])
+    def test_the_memo_leaves_the_export_byte_identical(self, monkeypatch, coeffs):
+        f = make_newton_map(Polynomial(coeffs))
+        memo = json.dumps(newton_graph_to_json(compute_newton_graph(f)), sort_keys=True)
+        level = pullback.pullback_level
+        monkeypatch.setattr(pullback, "pullback_level", lambda f, cur, fibers: level(f, cur))
+        fresh = json.dumps(newton_graph_to_json(compute_newton_graph(f)), sort_keys=True)
+        assert memo == fresh
+
 
 class TestScaleFreeEnds:
     """The endpoint gate compares each lift's end with the local model at
@@ -551,17 +654,24 @@ class TestPullbackLevel:
             else:
                 assert top.edge_level[top.edge_map[j]] == level - 1
 
-    def test_lifts_map_onto_sources(self, graph_unity, cubic_unity):
-        # forward images of lifted samples stay on the source polyline
-        top = graph_unity.graphs[-1]
-        for j in top.edges_at_level(top.level):
-            e = top.geo.edges[j]
-            src = top.geo.edges[top.edge_map[j]]
-            source = single_edge_graph(
-                top.geo.vertices[src.tail], top.geo.vertices[src.head], src.points
-            )
-            for x in e.points[:-1:10]:
-                assert graph_distance(source, cubic_unity.evaluate(x)) < 1e-4
+    def test_lifts_map_onto_sources(self, request):
+        # each interior sample of a level-n edge lies over a sample of its
+        # thinned source, to the corrector's lift_tol, and in the source's
+        # order: forward invariance is structural, as for the rays
+        for map_name, graph_name in POOL:
+            f = request.getfixturevalue(map_name)
+            top = request.getfixturevalue(graph_name).graphs[-1]
+            for j, e in enumerate(top.geo.edges):
+                if top.edge_level[j] == 0:
+                    continue
+                source = top.geo.edges[top.edge_map[j]].points
+                over = []
+                for x in e.points[1:-1]:
+                    w = f.evaluate(complex(x))
+                    gaps = [chordal_distance(w, complex(s)) for s in source]
+                    over.append(int(np.argmin(gaps)))
+                    assert gaps[over[-1]] <= f.tol.lift_tol, (map_name, j, x)
+                assert over == sorted(set(over)), (map_name, j)
 
     def test_root_owner_follows_edge_map(self, graph_pm):
         top = graph_pm.graphs[-1]
@@ -713,8 +823,9 @@ class TestLevelCollisionGuards:
 class TestSamplingInvariance:
     """The graph depends on the isotopy class of the rays, not on how densely
     they are sampled: a spacing four times finer gives the same graph. The
-    finer spacing is set on the map alone, so the sample count also shows
-    that the map's policy reaches the ray tracer."""
+    finer spacing is set on the map alone, so the sample counts also show
+    that the map's policy reaches the ray tracer and the thinning of the
+    lifts."""
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -736,6 +847,42 @@ class TestSamplingInvariance:
         finer_samples = sum(len(e.points) for e in finer.graphs[0].geo.edges)
         default_samples = sum(len(e.points) for e in default.graphs[0].geo.edges)
         assert finer_samples > 2 * default_samples
+        # the lifts are thinned to the map's spacing too: at the default
+        # spacing they would keep about as many samples as the default does
+        finer_lifted, default_lifted = (
+            sum(len(e.points) for j, e in enumerate(top.geo.edges) if top.edge_level[j] > 0)
+            for top in (finer.graphs[-1], default.graphs[-1])
+        )
+        assert finer_lifted > 2 * default_lifted
+
+
+class TestThinningOracle:
+    """Thinning the lifts changes their interior samples and nothing else:
+    with the thinning made the identity, the pool's exports keep their
+    combinatorial block, vertices, cyclic orders, maps, level-0 samples and
+    each edge's first interior sample, and grow."""
+
+    def test_thinning_changes_only_lifted_interiors(self, request, monkeypatch):
+        thinned = [newton_graph_to_json(request.getfixturevalue(g)) for _, g in POOL]
+        monkeypatch.setattr(pullback, "_thinned_lifts", lambda paths, ratio: paths)
+        full = [
+            newton_graph_to_json(compute_newton_graph(request.getfixturevalue(f)))
+            for f, _ in POOL
+        ]
+        for a, b in zip(thinned, full):
+            assert {k: v for k, v in a.items() if k != "edges"} == {
+                k: v for k, v in b.items() if k != "edges"
+            }
+            assert len(a["edges"]) == len(b["edges"])
+            for ea, eb in zip(a["edges"], b["edges"]):
+                ends = ea["samples"][:2] + ea["samples"][-1:]
+                assert ends == eb["samples"][:2] + eb["samples"][-1:]
+                assert {k: v for k, v in ea.items() if k != "samples"} == {
+                    k: v for k, v in eb.items() if k != "samples"
+                }
+                if ea["level"] == 0:
+                    assert ea["samples"] == eb["samples"]
+            assert len(json.dumps(a)) < len(json.dumps(b))
 
 
 class TestComputeNewtonGraph:
