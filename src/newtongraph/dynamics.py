@@ -4,7 +4,9 @@ Basin membership is asymptotic: an orbit is in a root's basin when it enters
 the disk of chordal radius basin_tol about the root and stays there, nearer to
 that root than to any other, for STAY_ITERATES = 5 more iterates; its entry
 step is the step it entered. classify_point and render_basins both apply this
-rule, and both end an orbit sooner on a proof that the five steps would pass:
+rule to the same state, two values per orbit: the candidate root (-1 for
+none) and the step it was entered, so the stay count is the step minus that.
+Both end an orbit sooner on a proof that the five steps would pass:
 
 - Certified exit. Smale's gamma at a simple root zeta of p is the maximum
   over k >= 2 of |p^(k)(zeta) / (k! p'(zeta))|^(1/(k-1)). Where
@@ -34,7 +36,8 @@ rule, and both end an orbit sooner on a proof that the five steps would pass:
 Critical-orbit landings are the opposite: they must be exact hits, so a root
 landing is only recorded when the orbit jumps onto the root from a genuine
 distance — a superattracting approach that merely shrinks past every tolerance
-is left unresolved and the map reported not postcritically fixed.
+is left unresolved. require_postcritically_fixed is the pcf verdict: it
+returns the landing level, or raises UnresolvedOrbit.
 """
 
 from __future__ import annotations
@@ -92,56 +95,34 @@ def classify_point(
     through infinity and reported unresolved with the prepole flag — infinity
     repels, so no open set converges there.
     """
-    tol = f.tol
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     z = point(z)
     trace = [z] if keep_trace else None
-    if z == INF:
-        return OrbitResult(
-            "fixed_infinity", entry_step=0, trace=tuple(trace) if trace else None
-        )
 
-    rho = f.exit_radius
-    cand_root = -1
-    cand_step = -1
-    stay = 0
+    def result(kind: str, **fields) -> OrbitResult:
+        return OrbitResult(kind, trace=tuple(trace) if trace else None, **fields)
+
+    if z == INF:
+        return result("fixed_infinity", entry_step=0)
+    basin_tol, rho = f.tol.basin_tol, f.exit_radius
+    cand, step = -1, 0  # candidate root (-1 for none) and the step it was entered
     for s in range(max_iter + STAY_ITERATES + 1):
-        if z == INF:
-            return OrbitResult(
-                "unresolved", hit_prepole=True, trace=tuple(trace) if trace else None
-            )
-        if _snap_pole(f, z):
-            if trace is not None:
+        if z == INF or _snap_pole(f, z):
+            if z != INF and trace is not None:  # snapped: routed through INF
                 trace.append(INF)
-            return OrbitResult(
-                "unresolved", hit_prepole=True, trace=tuple(trace) if trace else None
-            )
+            return result("unresolved", hit_prepole=True)
         idx, dist = f.nearest_root(z)
-        near = dist <= tol.basin_tol
-        if cand_root >= 0:
-            if near and idx == cand_root:
-                stay += 1
-                if stay >= STAY_ITERATES:
-                    return OrbitResult(
-                        "basin",
-                        root_index=cand_root,
-                        entry_step=cand_step,
-                        trace=tuple(trace) if trace else None,
-                    )
-            else:
-                cand_root, cand_step, stay = -1, -1, 0
-        if cand_root < 0 and near:
-            cand_root, cand_step, stay = idx, s, 0
-        if near and dist < rho and cand_step <= max_iter:  # a certified exit
-            return OrbitResult(
-                "basin",
-                root_index=cand_root,
-                entry_step=cand_step,
-                trace=tuple(trace) if trace else None,
-            )
+        near = dist <= basin_tol
+        if not (near and idx == cand):
+            cand, step = (idx if near else -1), s
+        # five confirming steps, or a certified exit
+        if near and (s - step >= STAY_ITERATES or (dist < rho and step <= max_iter)):
+            return result("basin", root_index=cand, entry_step=step)
         z = f.evaluate(z)
         if trace is not None:
             trace.append(z)
-    return OrbitResult("unresolved", trace=tuple(trace) if trace else None)
+    return result("unresolved")
 
 
 # --- rasters ----------------------------------------------------------------
@@ -376,16 +357,6 @@ class CriticalOrbit:
 class CriticalOrbitTable:
     entries: tuple[CriticalOrbit, ...]
 
-    @property
-    def all_resolved(self) -> bool:
-        return all(e.landing != "unresolved" for e in self.entries)
-
-    @property
-    def max_landing_time(self) -> int | None:
-        if not self.all_resolved:
-            return None
-        return max((e.landing_time for e in self.entries), default=0)
-
 
 def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
     """Forward orbit of every critical point until it provably lands or the cap.
@@ -410,7 +381,7 @@ def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
                 break
             idx, dist = f.nearest_root(z)
             if dist <= tol.land_tol:
-                arrived_from_far = s == 0 or prev_dist is None or prev_dist >= tol.jump_guard
+                arrived_from_far = prev_dist is None or prev_dist >= tol.jump_guard
                 if arrived_from_far:
                     landing, root_index, time = "root", idx, s
                     break
@@ -437,19 +408,12 @@ def critical_orbits(f: NewtonMap) -> CriticalOrbitTable:
     return CriticalOrbitTable(tuple(entries))
 
 
-def is_postcritically_fixed(table: CriticalOrbitTable) -> tuple[bool, int | None]:
-    """(certified, max landing time); (False, None) when any orbit wandered."""
-    if not table.all_resolved:
-        return False, None
-    return True, table.max_landing_time
-
-
 def require_postcritically_fixed(table: CriticalOrbitTable) -> int:
-    """Landing level L, or UnresolvedOrbit naming the wandering critical points."""
-    ok, level = is_postcritically_fixed(table)
-    if not ok:
-        bad = [str(e.start) for e in table.entries if e.landing == "unresolved"]
+    """The pcf verdict: the latest landing time over the table (0 when it has
+    no entries), or UnresolvedOrbit naming the wandering critical points."""
+    bad = [str(e.start) for e in table.entries if e.landing == "unresolved"]
+    if bad:
         raise UnresolvedOrbit(
             "critical orbits did not land on fixed points: " + ", ".join(bad)
         )
-    return level if level is not None else 0
+    return max((e.landing_time for e in table.entries), default=0)

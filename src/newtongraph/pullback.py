@@ -58,6 +58,7 @@ from .rays import (
     converged,
     frozen_polyline,
     geograph_to_json,
+    nearest_edge_point,
     on_branch,
     residual_ok,
     solve_preimage_near,
@@ -751,8 +752,6 @@ def locate_face(geo: GeoGraph, embedded: EmbeddedGraph, q: complex) -> int | Non
     point is a vertex. All side tests run in a chart containing the local
     data (1/z near infinity), so counterclockwise order is preserved.
     """
-    from .rays import nearest_edge_point
-
     q = point(q)
     ei, si, dist = nearest_edge_point(geo, q)
     if dist <= geo.tol.match_tol:
@@ -826,10 +825,13 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
         if kinds0[v] == KIND_ROOT:
             boundary_roots[emb0.face_of[dart]].add(v)
 
+    # level-0 face of each pole; a level-1 pole vertex is its pole's exact
+    # value, as the fiber over INF is f.marks_over(INF)
+    pole_face = {q: locate_face(base.geo, emb0, q) for q, _ in f.poles}
     interior_poles: dict[int, int] = {i: 0 for i in range(emb0.n_faces)}
     boundary_poles = []
     for q, mult in f.poles:
-        face = locate_face(base.geo, emb0, q)
+        face = pole_face[q]
         if face is None:
             boundary_poles.append(q)
         else:
@@ -861,7 +863,7 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
             if e.tail == owner:
                 pole_immediate_sets.setdefault(v, set()).add(owner)
 
-    shared = {locate_face(base.geo, emb0, geo1.vertices[v])
+    shared = {pole_face[geo1.vertices[v]]
               for v, owners in pole_owner_sets.items() if len(owners) >= 2}
     uncovered = [face for face in range(emb0.n_faces) if face not in shared]
     checks.append(

@@ -29,7 +29,7 @@ from newtongraph import (
     validate_newton_graph,
 )
 from newtongraph.combinatorial import GraphDynamics, embedded_graph_from_rotations
-from newtongraph.dynamics import critical_orbits, is_postcritically_fixed
+from newtongraph.dynamics import critical_orbits, require_postcritically_fixed
 from newtongraph.pullback import (
     base_dynamic_graph,
     extract_combinatorial,
@@ -291,8 +291,7 @@ def test_a2_cubic_pm_pipeline():
 def test_a3_degree_and_euler_bookkeeping(pool):
     assert len(pool) >= 4
     for name, f, result in pool:
-        certified, _ = is_postcritically_fixed(critical_orbits(f))
-        assert certified, name
+        require_postcritically_fixed(critical_orbits(f))  # raises UnresolvedOrbit if not
         assert f.degree in (3, 4), name
         dyn = result.dynamics
         assert sum(k - 1 for k in dyn.local_degree) == 2 * f.degree - 2, name

@@ -52,12 +52,12 @@ from newtongraph import (
 )
 from newtongraph import dynamics
 from newtongraph.dynamics import (
+    CriticalOrbitTable,
     MAX_RASTER_ITER,
     Raster,
     RasterSpec,
     _PALETTE,
     critical_orbits,
-    is_postcritically_fixed,
     render_basins,
     require_postcritically_fixed,
 )
@@ -143,6 +143,14 @@ class TestClassifyPoint:
         assert res.kind == "basin"
         assert res.entry_step == 0
 
+    def test_negative_max_iter_rejected(self, cubic_unity):
+        # as in render_basins; no upper bound, as no step is stored in int16
+        with pytest.raises(ValueError, match="max_iter"):
+            classify_point(cubic_unity, 1 + 0j, max_iter=-1)
+        assert classify_point(cubic_unity, 1 + 0j, max_iter=0).kind == "basin"
+        big = classify_point(cubic_unity, 1.2, max_iter=MAX_RASTER_ITER + 1)
+        assert big == classify_point(cubic_unity, 1.2)
+
     def test_threefold_symmetric_lattice_counts_equal(self, cubic_unity):
         w = cmath.exp(2j * math.pi / 3)
         counts = [0, 0, 0]
@@ -206,23 +214,19 @@ class TestCriticalOrbits:
         assert pole_orbit.orbit[1] == INF
 
     def test_cubic_unity_is_pcf_level_one(self, cubic_unity):
-        ok, level = is_postcritically_fixed(critical_orbits(cubic_unity))
-        assert ok
-        assert level == 1
+        assert require_postcritically_fixed(critical_orbits(cubic_unity)) == 1
 
     def test_cubic_pm_is_pcf_level_zero(self, cubic_pm):
         table = critical_orbits(cubic_pm)
-        ok, level = is_postcritically_fixed(table)
-        assert ok
-        assert level == 0
+        assert require_postcritically_fixed(table) == 0
         assert all(e.landing == "root" for e in table.entries)
+
+    def test_empty_table_lands_at_level_zero(self):
+        assert require_postcritically_fixed(CriticalOrbitTable(())) == 0
 
     def test_perturbed_cubic_is_not_pcf(self):
         f = make_newton_map(Polynomial((0.3, -1, 0, 1)))
         table = critical_orbits(f)
-        ok, level = is_postcritically_fixed(table)
-        assert not ok
-        assert level is None
         with pytest.raises(UnresolvedOrbit):
             require_postcritically_fixed(table)
         # the wandering orbit converges to a root yet never lands
@@ -237,9 +241,7 @@ class TestCriticalOrbits:
     def test_quartic_with_triple_pole(self):
         f = make_newton_map(Polynomial((-1, 0, 0, 0, 1)))
         table = critical_orbits(f)
-        ok, level = is_postcritically_fixed(table)
-        assert ok
-        assert level == 1
+        assert require_postcritically_fixed(table) == 1
         pole_entries = [e for e in table.entries if e.start == 0]
         assert len(pole_entries) == 1
         assert pole_entries[0].branching == 2
@@ -248,9 +250,7 @@ class TestCriticalOrbits:
     def test_monic_quartic_superattracting_origin(self):
         f = make_newton_map(Polynomial((0, -1, 0, 0, 1)))
         table = critical_orbits(f)
-        ok, level = is_postcritically_fixed(table)
-        assert ok
-        assert level == 0
+        assert require_postcritically_fixed(table) == 0
         origin = [e for e in table.entries if e.start == 0][0]
         assert origin.branching == 3
         assert origin.landing == "root"

@@ -17,6 +17,7 @@ from newtongraph import (
     NonPlanarIncidence,
     Polynomial,
     UnresolvedOrbit,
+    classify_point,
     compute_newton_graph,
     graph_from_json,
     graph_to_json,
@@ -679,6 +680,25 @@ class TestPullbackLevel:
             owner = top.root_owner(j)
             assert top.vertex_level[owner] == 0
             assert top.vertex_map[owner] == owner
+
+    @pytest.mark.parametrize("map_name, graph_name", POOL)
+    def test_every_lifted_sample_lies_in_its_owners_basin(
+        self, request, map_name, graph_name
+    ):
+        # an edge of any level is a preimage of a channel, so each interior
+        # sample lies in the basin of the root owning the edge; roots are
+        # compared by exact value, so a wrong-branch lift inside the gates
+        # shows here
+        f = request.getfixturevalue(map_name)
+        top = request.getfixturevalue(graph_name).graphs[-1]
+        misses = []
+        for j, e in enumerate(top.geo.edges):
+            owner = top.geo.vertices[top.root_owner(j)]
+            for x in e.points[1:-1]:
+                res = classify_point(f, complex(x))
+                if res.kind != "basin" or f.roots[res.root_index] != owner:
+                    misses.append((j, complex(x), res.kind))
+        assert not misses, (map_name, misses[:5], len(misses))
 
 
 class TestVertexIdentity:
