@@ -7,15 +7,17 @@ in one batched root solve. A fiber takes its marked points, each with its
 local model, from the map (the marks over its target); its other points are
 unmarked. A fiber comes out bit for bit the same at every level, so a vertex
 is found by its exact value, not by distance, and each fiber is solved once
-per tower. The lifts are then thinned to the rays' sample spacing about
-both ends of each edge. Tails of lifts map onto tails
-of sources, so orientation, the edge map and the vertex map come from lift
-bookkeeping instead of after-the-fact geometry matching. Fixed edges are
-their own lifts; on the first pass the branch that retraces the source is
-skipped and the existing edge kept. A lift runs from the mark of a fiber
-point to the mark of another, and every vertex carries its mark from there
-on. The tower stops one pullback after the marks' branching indices add up
-to 2d - 2, that is after every critical point has become a vertex.
+per tower. The lifts are then thinned to the rays' sample spacing about both
+ends of each edge. Tails of lifts map onto tails of sources, so orientation,
+the edge map and the vertex map come from lift bookkeeping instead of
+after-the-fact geometry matching; so do the stars, as each end of a lift
+takes its angle from its source's by the local model f(x + u) = f(x) + b u^m
+there, on its own sheet. Fixed edges are their own lifts; on the first pass
+the branch that retraces the source is skipped and the existing edge kept. A
+lift runs from the mark of a fiber point to the mark of another, and every
+vertex carries its mark from there on. The tower stops one pullback after
+the marks' branching indices add up to 2d - 2, that is after every critical
+point has become a vertex.
 """
 
 from __future__ import annotations
@@ -72,16 +74,15 @@ class DynamicGraph:
     """Geometric graph with the self-map bookkeeping of a pullback tower.
 
     vertex_map/edge_map give the image vertex/edge under f (fixed for the
-    level-0 core); vertex_level/edge_level record the pass on which each
-    item first appeared, so the level-n subgraph is a prefix slice; marks[i]
-    is the map's mark at vertex i, as its fiber solve gave it.
+    level-0 core); edge_level records the pass on which each edge first
+    appeared, so the level-n subgraph is a prefix slice; marks[i] is the
+    map's mark at vertex i, as its fiber solve gave it.
     """
 
     geo: GeoGraph
     level: int
     vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]
-    vertex_level: tuple[int, ...]
     edge_level: tuple[int, ...]
     marks: tuple[MarkedPoint, ...]
 
@@ -106,7 +107,6 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
         level=0,
         vertex_map=tuple(range(n_v)),
         edge_map=tuple(range(n_e)),
-        vertex_level=(0,) * n_v,
         edge_level=(0,) * n_e,
         marks=f.marked_points[: len(f.roots)] + (f.infinity,),
     )
@@ -203,10 +203,11 @@ def _branched_first_step(
     return continue_inverse_branch(f, mid, w1, xm)
 
 
-# Gates on the fiber point a lift ran into: the best score, and how far the
-# runner-up's score must trail it (a factor 5 in predicted distance).
+# Gates on the fiber point a lift ran into: the best score, the runner-up's
+# lead over it (a factor 5 in distance), and the lift's turn off its sheet.
 _END_SCORE = math.log(2)
 _END_MARGIN = math.log(5)
+_END_TURN = 0.25
 
 
 def _endpoint_scores(
@@ -273,6 +274,27 @@ def _match_endpoint(
             f"{scores}, less than log 5 apart"
         )
     return fiber[i]
+
+
+def _head_angle(
+    end: MarkedPoint, head: complex, w_last: complex, x_last: complex, theta: float, edge: int
+) -> float:
+    """The angle at which a lift leaves its head c, the fiber point of its
+    mark. With u = x_last - c and W = w_last - head (1/z at infinity) the
+    local model there is W = b u^m, so the argument of b u^m / W is the turn
+    by which the lift misses its sheet t, at most _END_TURN; the lift takes
+    (theta - arg b + 2 pi t) / m, with the source's theta moved onto W's turn.
+    """
+    c, _, m, b = end
+    u = 1 / x_last if c == INF else x_last - c
+    gap = 1 / w_last if head == INF else w_last - head
+    miss = cmath.phase(b * u**m / gap)
+    if abs(miss) > _END_TURN * _TAU:
+        raise EndpointUnmatched(
+            f"lift of source edge {edge} ends at {x_last}, {abs(miss) / _TAU:.3g} turn "
+            f"off the sheets of the local model at the head {head}, above {_END_TURN}"
+        )
+    return _mod_tau(cmath.phase(u) + (math.remainder(theta - cmath.phase(gap), _TAU) - miss) / m)
 
 
 def lift_edge(
@@ -473,7 +495,7 @@ def _thinned_lifts(paths: list[np.ndarray], ratio: float) -> list[np.ndarray]:
     log(ratio) in log-polar distance about the tail and also about the head;
     about a head at infinity the distance is taken in the 1/z chart, which
     is the same distance about 0. The two samples at each end are kept, so
-    vertex stars and end matches read the lift's own samples.
+    end matches and branch seeds read the lift's own samples.
 
     Each sample's log-polar coordinates log|u| + i arg u about both ends are
     computed once, with the argument continued along the polyline. A chord
@@ -537,10 +559,12 @@ def pullback_level(
     branch retracing a fixed edge is recognized by its direction and skipped.
     All lifts of the level run together, in lockstep, and are then thinned
     to the rays' spacing about both their ends (_thinned_lifts), so each
-    kept sample maps onto a sample of its source. fibers holds the fibers
-    solved so far in the tower, keyed by exact target value; the fibers
-    over the ends of the newest edges that it lacks are solved in one call
-    and added to it.
+    kept sample maps onto a sample of its source. A lift leaves its tail on
+    the sheet whose branch seed lies over the source's first chord psi, at
+    the source's tail angle moved onto psi's turn, and its head at
+    _head_angle. fibers holds the fibers solved so far in the tower, keyed
+    by exact target value; the fibers over the ends of the newest edges that
+    it lacks are solved in one call and added to it.
     """
     geo = current.geo
     newest = current.edges_at_level(current.level)
@@ -553,29 +577,29 @@ def pullback_level(
 
     sources = {}
     lanes = []  # (source edge, start mark, branch direction or None)
+    tail_angles = []
     for j in newest:
         e = geo.edges[j]
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
+        bend = math.remainder(e.angles[0] - psi, _TAU)
         sources[j] = (e.points, fibers[geo.vertices[e.head]])
         for start in fibers[tail_pt]:
             x, _, order, coeff = start
-            if order == 1:
-                lanes.append((j, start, None))
-                continue
             base = (psi - cmath.phase(coeff)) / order
             directions = [_mod_tau(base + _TAU * t / order) for t in range(order)]
             if current.level == 0 and x == tail_pt:
                 # a fixed edge is one of its own lifts; drop that branch
                 directions.remove(min(directions, key=lambda d: _circular_gap(d, psi)))
-            lanes.extend((j, start, direction) for direction in directions)
+            for direction in directions:
+                lanes.append((j, start, direction if order > 1 else None))
+                tail_angles.append(_mod_tau(direction + bend / order))
     lifted = _lift_lanes(f, sources, lanes)
     paths = _thinned_lifts([pts for _, pts in lifted], f.tol.sample_ratio)
 
     # merge endpoints into the vertex list, newest last; a vertex is its mark
     marks = list(current.marks)
     vmap = list(current.vertex_map)
-    vlevel = list(current.vertex_level)
 
     # a fiber point is a vertex exactly when its value is one (module docstring)
     index = {v: i for i, v in enumerate(geo.vertices)}
@@ -586,7 +610,6 @@ def pullback_level(
             i = index[mark.value] = len(marks)
             marks.append(mark)
             vmap.append(image_vertex)
-            vlevel.append(current.level + 1)
         if vmap[i] != image_vertex:
             raise NonPlanarIncidence(
                 f"point {mark.value} merges with vertex {i} whose image is "
@@ -597,10 +620,12 @@ def pullback_level(
     edges = list(geo.edges)
     emap = list(current.edge_map)
     elevel = list(current.edge_level)
-    for (source, tail, _), (head, _), pts in zip(lanes, lifted, paths):
-        ti = locate_or_add(tail, geo.edges[source].tail)
-        hi = locate_or_add(head, geo.edges[source].head)
-        edges.append(GeoEdge(tail=ti, head=hi, points=pts))
+    for (source, tail, _), tail_angle, (head, _), pts in zip(lanes, tail_angles, lifted, paths):
+        e = geo.edges[source]
+        ti, hi = locate_or_add(tail, e.tail), locate_or_add(head, e.head)
+        w_last, x_last = complex(e.points[-2]), complex(pts[-2])
+        head_angle = _head_angle(head, geo.vertices[e.head], w_last, x_last, e.angles[1], source)
+        edges.append(GeoEdge(ti, hi, pts, (tail_angle, head_angle)))
         emap.append(source)
         elevel.append(current.level + 1)
 
@@ -615,9 +640,8 @@ def pullback_level(
         eindex = {old: new for new, old in enumerate(ekeep)}
         marks = [marks[i] for i in vkeep]
         vmap = [vindex[vmap[i]] for i in vkeep]
-        vlevel = [vlevel[i] for i in vkeep]
         edges = [
-            GeoEdge(vindex[edges[j].tail], vindex[edges[j].head], edges[j].points)
+            GeoEdge(vindex[edges[j].tail], vindex[edges[j].head], edges[j].points, edges[j].angles)
             for j in ekeep
         ]
         emap = [eindex[emap[j]] for j in ekeep]
@@ -628,7 +652,6 @@ def pullback_level(
         level=current.level + 1,
         vertex_map=tuple(vmap),
         edge_map=tuple(emap),
-        vertex_level=tuple(vlevel),
         edge_level=tuple(elevel),
         marks=tuple(marks),
     )
@@ -640,10 +663,10 @@ def pullback_level(
 def extract_combinatorial(dg: DynamicGraph) -> GraphDynamics:
     """Rotation system and self-map data of a pullback level.
 
-    Cyclic orders come from edge-end tangent angles (the 1/z chart at
-    infinity); the dart map aligns tails with tails since lifts inherit
-    orientation from their sources. Vertex kinds and local degrees are the
-    vertices' marks.
+    Cyclic orders sort the angles the edges carry (GeoEdge.angles, each
+    lift's from its source's by the local model at its ends); the dart map
+    aligns tails with tails since lifts inherit orientation from their
+    sources. Vertex kinds and local degrees are the vertices' marks.
     """
     geo = dg.geo
     kinds = tuple(m.kind for m in dg.marks)

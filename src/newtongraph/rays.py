@@ -250,11 +250,14 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
 
 @dataclass(frozen=True, eq=False)
 class GeoEdge:
-    """Polyline edge; points[0] and points[-1] are the vertex locations."""
+    """Polyline edge; points[0] and points[-1] are the vertex locations, and
+    angles the edge's tangent angles leaving them, in [0, 2pi) in each
+    vertex's chart (w = 1/z at infinity), decided where the edge is made."""
 
     tail: int
     head: int
     points: np.ndarray  # complex polyline, inf only at an end at infinity
+    angles: tuple[float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "points", frozen_polyline(self.points))
@@ -262,9 +265,8 @@ class GeoEdge:
     def __eq__(self, other):
         if not isinstance(other, GeoEdge):
             return NotImplemented
-        return (self.tail, self.head) == (other.tail, other.head) and np.array_equal(
-            self.points, other.points
-        )
+        same_ends = (self.tail, self.head, self.angles) == (other.tail, other.head, other.angles)
+        return same_ends and np.array_equal(self.points, other.points)
 
     def __hash__(self):
         return hash((self.tail, self.head, len(self.points)))
@@ -280,44 +282,17 @@ class GeoGraph:
     edges: tuple[GeoEdge, ...]
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
-    def direction_at(self, edge_index: int, end: str) -> float:
-        """Initial tangent angle of the edge at one end, in that vertex's chart.
-
-        Finite vertices use the plane chart, infinity uses w = 1/z. The angle
-        orders edge ends counterclockwise around the vertex.
-        """
-        pts = self.edges[edge_index].points
-        if end != "tail":
-            pts = pts[::-1]
-        v = complex(pts[0])
-        at_infinity = not cmath.isfinite(v)
-        for k in range(1, len(pts)):
-            p = complex(pts[k])
-            if not cmath.isfinite(p):
-                continue
-            if at_infinity and p != 0:
-                return _mod_tau(cmath.phase(1 / p))
-            if not at_infinity and p != v:
-                return _mod_tau(cmath.phase(p - v))
-        if at_infinity:
-            raise ValueError("degenerate edge at infinity")
-        raise ValueError("degenerate edge: no distinct neighbor point")
-
     def vertex_star(self, vertex: int) -> tuple[tuple[float, int], ...]:
         """(angle, dart) pairs of the edge ends at a vertex, counterclockwise
-        by initial angle; dart 2j is the tail of edge j, 2j + 1 its head.
-        Two ends closer than 1e-9 in angle cannot be ordered and raise.
-        Each star is built once, from this vertex's ends alone."""
+        by the angles the edges carry; dart 2j is the tail of edge j, 2j + 1
+        its head. Two ends closer than 1e-9 in angle cannot be ordered and
+        raise. Each star is built once, from this vertex's ends alone."""
         if vertex not in self._stars:
-            ends = sorted((self.direction_at(d >> 1, ("tail", "head")[d & 1]), d)
-                          for d in self._ends[vertex])
-            for t in range(len(ends)):
-                gap = _circular_gap(ends[t][0], ends[(t + 1) % len(ends)][0])
-                if len(ends) > 1 and gap < 1e-9:
-                    raise NonPlanarIncidence(
-                        f"edge ends {ends[t][1]} and {ends[(t + 1) % len(ends)][1]} at "
-                        f"vertex {vertex} are angularly indistinguishable"
-                    )
+            ends = sorted((self.edges[d >> 1].angles[d & 1], d) for d in self._ends[vertex])
+            for (a, d), (b, d_next) in zip(ends, ends[1:] + ends[:1]):
+                if len(ends) > 1 and _circular_gap(a, b) < 1e-9:
+                    raise NonPlanarIncidence(f"edge ends {d} and {d_next} at vertex "
+                                             f"{vertex} are angularly indistinguishable")
             self._stars[vertex] = tuple(ends)
         return self._stars[vertex]
 
@@ -491,7 +466,8 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
     edges = []
     for i in range(len(f.roots)):
         loc = bottcher_local(f, i)
-        for j in range(len(loc.fixed_directions)):
+        for j, theta in enumerate(loc.fixed_directions):
             ray = trace_fixed_ray(f, loc, j)
-            edges.append(GeoEdge(tail=i, head=inf_index, points=ray))
+            at_infinity = _mod_tau(cmath.phase(1 / complex(ray[-2])))
+            edges.append(GeoEdge(i, inf_index, ray, (theta, at_infinity)))
     return GeoGraph(verts, tuple(edges), f.tol)

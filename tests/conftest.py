@@ -65,6 +65,37 @@ def scalar_lift(f, points, start, branch_direction=None):
     return np.array(out, dtype=complex)
 
 
+def pullback_defects(top):
+    """The local model at both ends of every lifted edge of a tower's top
+    graph, f(c + u) = f(c) + b u^m in the charts at c and its image (1/z at
+    infinity).
+
+    Returns the defects: per end, how far m * angle + arg b lies from the
+    angle of the image dart under the edge map, mod 2 pi. And the residuals:
+    per head of local degree m >= 2, the turn by which the lift's last
+    sample u misses the nearest sheet over its source's last sample W, the
+    argument of b u^m / W over 2 pi.
+    """
+    def offset(c, x):
+        return 1 / x if c == INF else x - c
+
+    defects, residuals = [], []
+    for j, e in enumerate(top.geo.edges):
+        if top.edge_level[j] == 0:
+            continue
+        image = top.geo.edges[top.edge_map[j]]
+        for end, v in enumerate((e.tail, e.head)):
+            _, _, m, b = top.marks[v]
+            pushed = m * e.angles[end] + cmath.phase(b)
+            defects.append(abs(math.remainder(pushed - image.angles[end], 2 * math.pi)))
+        c, _, m, b = top.marks[e.head]
+        if m > 1:
+            u = offset(c, complex(e.points[-2]))
+            w = offset(top.geo.vertices[image.head], complex(image.points[-2]))
+            residuals.append(abs(cmath.phase(b * u**m / w)) / (2 * math.pi))
+    return defects, residuals
+
+
 def log_polar_within(a, c, centers, ratio):
     """Whether the chord from a to c lies within log(ratio) in log-polar
     distance |log((c - center) / (a - center))| about every center."""

@@ -204,7 +204,7 @@ def mutate(dyn, kind, rng):
 def single_edge_graph(edge):
     return GeoGraph(
         vertices=(point(edge.points[0]), point(edge.points[-1])),
-        edges=(GeoEdge(0, 1, edge.points),),
+        edges=(GeoEdge(0, 1, edge.points, edge.angles),),
     )
 
 
@@ -268,10 +268,7 @@ def test_a2_cubic_pm_pipeline():
     delta0 = channel_diagram(f)
     assert len(delta0.edges) == 4
     v0 = nearest_vertex(delta0, 0j)
-    directions = sorted(
-        delta0.direction_at(i, "tail")
-        for i, e in enumerate(delta0.edges) if e.tail == v0
-    )
+    directions = sorted(e.angles[0] for e in delta0.edges if e.tail == v0)
     assert len(directions) == 2
     assert abs(directions[0] - math.pi / 2) < 1e-6
     assert abs(directions[1] - 3 * math.pi / 2) < 1e-6

@@ -543,10 +543,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "ef8d09e5ac2d09e2a277d396bfb24b961b82c8bdc931bc97fa7c3307cd5fe6f6",
+         "7d5874d41af0cb53bdf076d60aa90fc95733f87a8a0a6baeb2fc0f7ab0438987",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "00421ddfbd00d4656fbd8b8b52f2b077c5e82c320045cd0384e18f5eba97de76",
+         "66bccacaa511e4c5e8beae113eb5c003b18dfe7f14aff1be677efbcee205f2af",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

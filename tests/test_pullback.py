@@ -30,7 +30,7 @@ from newtongraph import (
     validate_newton_graph,
 )
 from newtongraph import poly
-from newtongraph.combinatorial import KIND_POLE, regular_extension_check
+from newtongraph.combinatorial import KIND_POLE, KIND_ROOT, regular_extension_check
 from newtongraph.dynamics import critical_orbits, require_postcritically_fixed
 from newtongraph.pullback import (
     base_dynamic_graph,
@@ -53,6 +53,7 @@ from conftest import (
     lift_ends,
     log_polar_within,
     nearest_vertex,
+    pullback_defects,
     scalar_lift,
     scalar_thinned,
 )
@@ -85,8 +86,8 @@ def end_count(geo, vertex):
     return sum((e.tail == vertex) + (e.head == vertex) for e in geo.edges)
 
 
-def single_edge_graph(tail_pt, head_pt, points):
-    return GeoGraph((tail_pt, head_pt), (GeoEdge(0, 1, points),))
+def single_edge_graph(tail_pt, head_pt, edge):
+    return GeoGraph((tail_pt, head_pt), (GeoEdge(0, 1, edge.points, edge.angles),))
 
 
 class TestLiftPoint:
@@ -164,23 +165,19 @@ class TestLiftEdge:
 
     def test_lift_forward_invariance(self, cubic_unity, delta0_unity):
         ray = delta0_unity.edges[2]
-        source = single_edge_graph(
-            delta0_unity.vertices[ray.tail], INF, ray.points
-        )
+        source = single_edge_graph(delta0_unity.vertices[ray.tail], INF, ray)
         lifted = lift_edge(cubic_unity, ray.points, -0.5 + 0j)
         for x in lifted[:-1]:
             assert graph_distance(source, cubic_unity.evaluate(x)) < 1e-4
 
     def test_self_lift_reproduces_ray(self, cubic_unity, delta0_unity):
         ray = delta0_unity.edges[2]
-        direction = delta0_unity.direction_at(2, "tail")
+        direction = ray.angles[0]
         lifted = lift_edge(
             cubic_unity, ray.points, 1 + 0j, branch_direction=direction
         )
         assert np.isinf(lifted[-1])
-        source = single_edge_graph(
-            delta0_unity.vertices[ray.tail], INF, ray.points
-        )
+        source = single_edge_graph(delta0_unity.vertices[ray.tail], INF, ray)
         for x in lifted[1:-1]:
             assert graph_distance(source, x) < 1e-4
 
@@ -198,7 +195,7 @@ class TestLiftEdge:
     ):
         # -1/2 is a simple preimage of the root 1: a direction there has no
         # branch to select, whatever it is
-        direction = delta0_unity.direction_at(2, "tail") + offset
+        direction = delta0_unity.edges[2].angles[0] + offset
         with pytest.raises(ValueError, match=r"\(-0\.5\+0j\) has local degree 1"):
             lift_edge(cubic_unity, delta0_unity.edges[2].points, -0.5 + 0j, direction)
 
@@ -210,7 +207,7 @@ class TestLiftEdge:
 
     def test_one_edge_lift_matches_the_scalar_reference(self, cubic_unity, delta0_unity):
         ray = delta0_unity.edges[2]
-        direction = delta0_unity.direction_at(2, "tail")
+        direction = ray.angles[0]
         for start, branch in ((-0.5 + 0j, None), (1 + 0j, direction)):
             TestLockstepLift.assert_same_lift(
                 lift_edge(cubic_unity, ray.points, start, branch),
@@ -431,6 +428,42 @@ class TestMatchEndpoint:
             pullback._match_endpoint(model, 1 + 0j, 2.6, x)
 
 
+class TestAnglesArePullbacks:
+    """Each end of a lifted edge carries the angle its lift was made with:
+    its source's, pulled back by the local model at its vertex on the sheet
+    the lift runs in. A vertex's star is then the pullback of its image's,
+    and no chord is measured for it."""
+
+    @pytest.mark.parametrize("graph_name", [graph for _, graph in POOL])
+    def test_every_end_maps_onto_its_image_dart(self, request, graph_name):
+        defects, residuals = pullback_defects(request.getfixturevalue(graph_name).graphs[-1])
+        assert max(defects) < 1e-9
+        # the gate is a quarter turn
+        assert max(residuals, default=0.0) < 0.01
+
+    def test_a_head_off_its_sheet_names_the_source_edge(self, cubic_unity, monkeypatch):
+        # the first level-1 lift of z^3 - 1 into the double pole 0 has its
+        # last sample turned about 0 by half a sheet, a quarter turn: its
+        # distance, and so its end match, is unchanged, but it misses its
+        # sheet by half a turn
+        lift_lanes = pullback._lift_lanes
+        turned = []
+
+        def off_sheet(f, sources, lanes):
+            lifted = lift_lanes(f, sources, lanes)
+            k = next(k for k, (end, _) in enumerate(lifted) if end.local_degree > 1)
+            end, path = lifted[k]
+            path = path.copy()
+            path[-2] = end.value + (path[-2] - end.value) * cmath.exp(1j * math.pi / 2)
+            turned.append(lanes[k][0])
+            return lifted[:k] + [(end, path)] + lifted[k + 1:]
+
+        monkeypatch.setattr(pullback, "_lift_lanes", off_sheet)
+        with pytest.raises(EndpointUnmatched, match="turn off the sheets") as info:
+            pullback.pullback_level(cubic_unity, base_dynamic_graph(cubic_unity))
+        assert f"lift of source edge {turned[0]} ends at" in str(info.value)
+
+
 def unity(d):
     """Coefficients of z^d - 1, lowest first."""
     return (-1,) + (0,) * (d - 1) + (1,)
@@ -639,7 +672,9 @@ class TestPullbackLevel:
         assert d1.geo.edges[:ne] == d0.geo.edges
         assert d1.edge_map[:ne] == tuple(range(ne))
         assert d1.edge_level[:ne] == (0,) * ne
-        assert d1.vertex_level[:nv] == (0,) * nv
+        # the level-0 vertices keep their marks and stay fixed
+        assert d1.marks[:nv] == d0.marks
+        assert d1.vertex_map[:nv] == tuple(range(nv))
 
     def test_vertex_map_forward_consistent(self, graph_unity, cubic_unity):
         top = graph_unity.graphs[-1]
@@ -678,7 +713,8 @@ class TestPullbackLevel:
         top = graph_pm.graphs[-1]
         for j in range(len(top.geo.edges)):
             owner = top.root_owner(j)
-            assert top.vertex_level[owner] == 0
+            assert owner < len(graph_pm.graphs[0].geo.vertices)  # a level-0 vertex
+            assert top.marks[owner].kind == KIND_ROOT
             assert top.vertex_map[owner] == owner
 
     @pytest.mark.parametrize("map_name, graph_name", POOL)
@@ -770,7 +806,7 @@ class TestCoreComponentCut:
         [(core, cut)] = components
         assert (len(core), cut) == (11, [6, 7, 10, 13, 15])
         assert (len(level.geo.vertices), len(level.geo.edges)) == (11, 12)
-        assert len(level.marks) == len(level.vertex_map) == len(level.vertex_level) == 11
+        assert len(level.marks) == len(level.vertex_map) == len({m.value for m in level.marks}) == 11
         assert len(level.edge_map) == len(level.edge_level) == 12
 
     def test_pole_at_zero_is_cut(self, level):

@@ -186,7 +186,7 @@ class TestChannelDiagram:
         assert len(g.edges) == 3
         assert {e.tail for e in g.edges} == {0, 1, 2}
         assert all(e.head == 3 for e in g.edges)
-        angles = sorted(g.direction_at(i, "head") for i in range(3))
+        angles = sorted(e.angles[1] for e in g.edges)
         assert angles == pytest.approx([0, TAU / 3, 2 * TAU / 3], abs=1e-8)
 
     def test_cubic_pm_structure(self, cubic_pm, delta0_pm):
@@ -211,21 +211,32 @@ class TestChannelDiagram:
         star = g.vertex_star(3)
         assert len(star) == 3
         assert all(dart % 2 == 1 for _, dart in star)
-        angles = [g.direction_at(dart // 2, "head") for _, dart in star]
+        angles = [g.edges[dart // 2].angles[1] for _, dart in star]
         assert angles == sorted(angles)
         assert angles == [angle for angle, _ in star]
 
-    def test_vertex_star_is_local_and_built_once(self, monkeypatch):
+    def test_vertex_star_is_local_and_built_once(self):
         # both edges leave vertex 0 along the positive real axis; the stars
         # at their far ends do not depend on that collision
+        calls = []
+
+        class Recorded(tuple):
+            """An edge's angles that log the edge each time one is read."""
+
+            def __getitem__(self, end):
+                calls.append(self.edge)
+                return super().__getitem__(end)
+
+        def angles(edge, tail, head):
+            out = Recorded((tail, head))
+            out.edge = edge
+            return out
+
         g = rays.GeoGraph(
             (0j, 1 + 0j, 2 + 1j),
-            (GeoEdge(0, 1, [0j, 1 + 0j]), GeoEdge(0, 2, [0j, 0.5 + 0j, 2 + 1j])),
+            (GeoEdge(0, 1, [0j, 1 + 0j], angles(0, 0.0, math.pi)),
+             GeoEdge(0, 2, [0j, 0.5 + 0j, 2 + 1j], angles(1, 0.0, math.atan2(-1, -1.5) % TAU))),
         )
-        calls = []
-        direction_at = rays.GeoGraph.direction_at
-        monkeypatch.setattr(rays.GeoGraph, "direction_at",
-                            lambda self, j, end: calls.append(j) or direction_at(self, j, end))
         assert g.vertex_star(2) == ((math.atan2(-1, -1.5) % TAU, 3),)
         assert g.vertex_star(1) is g.vertex_star(1)
         assert sorted(calls) == [0, 1]
@@ -245,7 +256,8 @@ class TestChannelDiagram:
 
     def test_edges_compare_and_freeze_their_polylines(self, delta0_unity):
         e = delta0_unity.edges[0]
-        assert e == GeoEdge(e.tail, e.head, list(e.points))
-        assert e != GeoEdge(e.tail, e.head, e.points[::-1])
+        assert e == GeoEdge(e.tail, e.head, list(e.points), e.angles)
+        assert e != GeoEdge(e.tail, e.head, e.points[::-1], e.angles)
+        assert e != GeoEdge(e.tail, e.head, e.points, e.angles[::-1])
         with pytest.raises(ValueError):
             e.points[1] = 0j
