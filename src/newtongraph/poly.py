@@ -328,7 +328,27 @@ def _finish_row(
             raise NoConvergence(f"residual not finite for {name} at {z}")
         return abs(qq) <= 64 * _EPS * max(scale, 1e-300)
 
+    dq_poly = q.derivative()
+
+    def _newton3(z: complex) -> complex:
+        for _ in range(3):
+            d = dq_poly(z)
+            if d == 0:
+                break
+            z = z - q(z) / d
+        return z
+
     ok = np.array([_resid_ok(z) for z in pts.tolist()])
+    if not np.all(ok):
+        # A root of the quotient left after known roots are divided out can
+        # miss q by a little: polish it on q first, and keep it if it then
+        # certifies and stays nearest its own start (no two collapse).
+        starts, pts = pts.tolist(), pts.copy()
+        for i in np.flatnonzero(~ok).tolist():
+            z = _newton3(starts[i])
+            nearest = min(range(len(starts)), key=lambda j: abs(z - starts[j]))
+            if nearest == i and _resid_ok(z):
+                pts[i], ok[i] = z, True
     if not np.all(ok):
         if np.any(ok):
             retry_c = list(c)
@@ -351,7 +371,6 @@ def _finish_row(
     # is ~ eps^(1/m), and L = q q'' / q'^2 tends to (m-1)/m, so estimate m per
     # point and size the cluster radius accordingly. Estimated-simple points get
     # a radius near the noise floor and never merge with true neighbors.
-    dq_poly = q.derivative()
     ddq_poly = dq_poly.derivative()
 
     def _mult_estimate(z: complex) -> int:
@@ -387,12 +406,7 @@ def _finish_row(
         mult = len(members)
         center = sum(members) / mult
         if mult == 1:
-            # Quadratic polish against the original polynomial.
-            for _ in range(3):
-                d = dq_poly(center)
-                if d == 0:
-                    break
-                center = center - q(center) / d
+            center = _newton3(center)  # quadratic polish against q
         else:
             # Modified Newton z <- z - mult * q/q' restores quadratic
             # convergence at an exact mult-fold root. Near the noise floor
@@ -662,21 +676,17 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
 
     # Critical points of z - p/p' are the zeros of p * p'' (multiple poles
     # included, since ord(p'') = ord(p') - 1 there); branching indices add up.
-    crit: list[tuple[complex, int]] = [(r, 1) for r in roots]
+    branching = dict.fromkeys(roots, 1)
     anchors = list(roots) + [q for q, _ in poles]
     for z, m in roots_of(ddpoly):
-        # Snap to the canonical root/pole location when the zero coincides.
+        # Snap to the canonical root/pole location when the zero coincides;
+        # a snapped zero then merges with that point by its exact value.
         for a in anchors:
             if abs(z - a) <= 1e-7 * (1.0 + max(abs(z), abs(a))):
                 z = a
                 break
-        for k, (w, wm) in enumerate(crit):
-            if abs(z - w) <= 1e-7 * (1.0 + max(abs(z), abs(w))):
-                crit[k] = (w, wm + m)
-                break
-        else:
-            crit.append((z, m))
-    crit.sort(key=_root_order)
+        branching[z] = branching.get(z, 0) + m
+    crit = sorted(branching.items(), key=_root_order)
     total = sum(m for _, m in crit)
     if total != 2 * p.degree - 2:
         raise NoConvergence(

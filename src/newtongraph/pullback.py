@@ -7,17 +7,18 @@ in one batched root solve. A fiber takes its marked points, each with its
 local model, from the map (the marks over its target); its other points are
 unmarked. A fiber comes out bit for bit the same at every level, so a vertex
 is found by its exact value, not by distance, and each fiber is solved once
-per tower. The lifts are then thinned to the rays' sample spacing about both
-ends of each edge. Tails of lifts map onto tails of sources, so orientation,
-the edge map and the vertex map come from lift bookkeeping instead of
-after-the-fact geometry matching; so do the stars, as each end of a lift
-takes its angle from its source's by the local model f(x + u) = f(x) + b u^m
-there, on its own sheet. Fixed edges are their own lifts; on the first pass
-the branch that retraces the source is skipped and the existing edge kept. A
-lift runs from the mark of a fiber point to the mark of another, and every
-vertex carries its mark from there on. The tower stops one pullback after
-the marks' branching indices add up to 2d - 2, that is after every critical
-point has become a vertex.
+per tower. A lift's head is read once, from r = b u^m / W of the local model
+f(c + u) = f(c) + b u^m at each point c over it: |r| picks the point, arg r
+the sheet. The lifts are then thinned to the rays' sample spacing about both
+ends. Tails of lifts map onto tails of sources, so orientation, the edge map
+and the vertex map come from lift bookkeeping instead of after-the-fact
+geometry matching; so do the stars, as each end of a lift takes its angle
+from its source's on its own sheet. Fixed edges are their own lifts; on the
+first pass the branch that retraces the source is skipped and the existing
+edge kept. A lift runs from the mark of a fiber point to the mark of
+another, and every vertex carries its mark from there on. The tower stops
+one pullback after the marks' branching indices add up to 2d - 2, that is
+after every critical point has become a vertex.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .rays import (
     residual_ok,
     solve_preimage_near,
 )
-from .sphere import INF, SpherePoint, chordal_distance, closest_pair, point
+from .sphere import INF, SpherePoint, chordal_distance, closest_pair, offset, point
 from .tolerances import Tolerances
 
 
@@ -210,55 +211,39 @@ _END_MARGIN = math.log(5)
 _END_TURN = 0.25
 
 
-def _endpoint_scores(
-    fiber: tuple[MarkedPoint, ...],
-    head: complex,
-    w_last: complex,
-    x_last: complex,
-) -> list[tuple[float, int]]:
-    """(score, index into the fiber over head) per fiber point, best first.
-
-    The lift's last sample x_last lies over its last target w_last. Near a
-    fiber point c of local degree m, f(c + u) = head + b u^m, so the model
-    predicts |x_last - c| = rho = (|w_last - head| / |b|)^(1/m); at a head
-    at infinity |1/w_last| replaces |w_last - head|, and the distance to
-    c = INF is |1/x_last|. The score is |log(distance / rho)|, 0 for an
-    exact fit, and it does not change when the map is conjugated by a
-    scaling.
-    """
-    gap = 1 / abs(w_last) if head == INF else abs(w_last - head)
-    scores = []
+def _head_ranking(
+    fiber: tuple[MarkedPoint, ...], head: complex, w_last: complex, x_last: complex
+) -> list[tuple[float, int, complex]]:
+    """(score, index into the fiber over head, r) per fiber point, best first.
+    Near a point c of local degree m the model is W = b u^m, u = offset(c,
+    x_last) and W = offset(head, w_last), so r = b u^m / W is 1 for an exact
+    fit. The score |log|r|| / m = |log(|u| / rho)|, rho = (|W| / |b|)^(1/m)
+    the predicted distance, is unchanged when the map is scaled."""
+    gap = offset(head, w_last)
+    ranked = []
     for i, (c, _, m, b) in enumerate(fiber):
-        if c == INF:
-            dist = 1 / abs(x_last) if x_last != 0 else math.inf
-        else:
-            dist = abs(x_last - c)
-        rho = (gap / abs(b)) ** (1 / m)
-        fits = 0 < dist < math.inf and 0 < rho < math.inf
-        scores.append((abs(math.log(dist / rho)) if fits else math.inf, i))
-    scores.sort()
-    return scores
+        # x_last = 0 has no offset from c = INF: it fits no model there
+        r = b * offset(c, x_last) ** m / gap if x_last != 0 or c != INF else 0j
+        fits = 0 < abs(r) < math.inf
+        ranked.append((abs(math.log(abs(r))) / m if fits else math.inf, i, r))
+    ranked.sort()
+    return ranked
 
 
-def _match_endpoint(
-    fiber: tuple[MarkedPoint, ...],
-    head: complex,
-    w_last: complex,
-    x_last: complex,
-    edge: int | None = None,
-) -> MarkedPoint:
-    """Pick the fiber point the lift ran into by the local model at the head.
-
-    The polyline stops one sample short of the vertex, at x_last over the
-    target w_last; _endpoint_scores says how well each fiber point's local
-    model predicts that distance. The best score must be at most log 2 (the
-    distance within a factor 2 of the prediction), and the runner-up's at
-    least log 5 larger. Both gates are ratios, so the match holds at any
-    escape radius and any scale of the map. edge names the source edge in
-    the error.
-    """
-    ranked = _endpoint_scores(fiber, head, w_last, x_last)
-    best, i = ranked[0]
+def _read_head(
+    fiber: tuple[MarkedPoint, ...], head: complex, w_last: complex, x_last: complex,
+    theta: float, edge: int | None,
+) -> tuple[MarkedPoint, float]:
+    """The mark a lift ends at, one sample after x_last over w_last, and the
+    angle it leaves it at. By _head_ranking the best score must be at most
+    log 2 (the distance within a factor 2 of the prediction) and the
+    runner-up's at least log 5 larger: ratios, which hold at any escape
+    radius and scale of the map. arg r, the turn by which the lift misses its
+    sheet t, must be at most _END_TURN; the lift leaves its head at (theta -
+    arg b + 2 pi t) / m, the source's head angle theta moved onto W's turn.
+    edge names the source edge in the errors."""
+    ranked = _head_ranking(fiber, head, w_last, x_last)
+    best, i, r = ranked[0]
     runner_up = ranked[1][0] if len(ranked) > 1 else math.inf
     where = "lift" if edge is None else f"lift of source edge {edge}"
     scores = f"scores {best:.3g} and {runner_up:.3g}"
@@ -273,28 +258,16 @@ def _match_endpoint(
             f"{fiber[i].value} and {fiber[ranked[1][1]].value} over the head {head}: "
             f"{scores}, less than log 5 apart"
         )
-    return fiber[i]
-
-
-def _head_angle(
-    end: MarkedPoint, head: complex, w_last: complex, x_last: complex, theta: float, edge: int
-) -> float:
-    """The angle at which a lift leaves its head c, the fiber point of its
-    mark. With u = x_last - c and W = w_last - head (1/z at infinity) the
-    local model there is W = b u^m, so the argument of b u^m / W is the turn
-    by which the lift misses its sheet t, at most _END_TURN; the lift takes
-    (theta - arg b + 2 pi t) / m, with the source's theta moved onto W's turn.
-    """
-    c, _, m, b = end
-    u = 1 / x_last if c == INF else x_last - c
-    gap = 1 / w_last if head == INF else w_last - head
-    miss = cmath.phase(b * u**m / gap)
+    miss = cmath.phase(r)
     if abs(miss) > _END_TURN * _TAU:
         raise EndpointUnmatched(
-            f"lift of source edge {edge} ends at {x_last}, {abs(miss) / _TAU:.3g} turn "
+            f"{where} ends at {x_last}, {abs(miss) / _TAU:.3g} turn "
             f"off the sheets of the local model at the head {head}, above {_END_TURN}"
         )
-    return _mod_tau(cmath.phase(u) + (math.remainder(theta - cmath.phase(gap), _TAU) - miss) / m)
+    c, _, m, _ = end = fiber[i]
+    u, gap = offset(c, x_last), offset(head, w_last)
+    turn = math.remainder(theta - cmath.phase(gap), _TAU)
+    return end, _mod_tau(cmath.phase(u) + (turn - miss) / m)
 
 
 def lift_edge(
@@ -307,14 +280,14 @@ def lift_edge(
 
     The one-edge call of the level lift (_lift_lanes on one lane); no two
     consecutive samples may be equal. The final vertex is never solved for
-    directly (it is typically a critical point or infinity) but matched
-    against the fiber over the source head by the local model there
-    (_match_endpoint). At a start of local degree m >= 2 the m lifts are
-    distinguished by branch_direction, the initial tangent of the desired
-    lift; a simple start has one lift and takes None. The lift is a
-    read-only complex array, inf at an end at infinity, with one sample
-    over each sample of the polyline: it is not thinned as the lifts of a
-    pullback pass are.
+    directly (it is typically a critical point or infinity) but read off the
+    fiber over the source head by the local model there (_read_head), under
+    the level lift's gates on the end match and on the sheet. At a start of
+    local degree m >= 2 the m lifts are distinguished by branch_direction,
+    the initial tangent of the desired lift; a simple start has one lift and
+    takes None. The lift is a read-only complex array, inf at an end at
+    infinity, with one sample over each sample of the polyline: it is not
+    thinned as the lifts of a pullback pass are.
     """
     points = frozen_polyline(edge_points)
     start = point(start)
@@ -338,8 +311,10 @@ def lift_edge(
             f"direction selects one of its lifts exactly when that is above 1"
         )
     [head_fiber] = _fibers(f, [f.marked_point(head).value])
-    [(_, path)] = _lift_lanes(f, {0: (points, head_fiber)}, [(0, mark, branch_direction)])
-    return path
+    [samples] = _lift_lanes(f, {0: points}, [(0, mark, branch_direction)])
+    # the source carries no head angle here; the angle read is not kept
+    end, _ = _read_head(head_fiber, head, complex(points[-2]), complex(samples[-1]), 0.0, None)
+    return frozen_polyline(np.append(samples, end.value))
 
 
 # --- lockstep lifting -------------------------------------------------------
@@ -394,28 +369,28 @@ def _newton_round(
 
 def _lift_lanes(
     f: NewtonMap,
-    sources: dict[int, tuple[np.ndarray, tuple[MarkedPoint, ...]]],
+    sources: dict[int, np.ndarray],
     lanes: list[tuple[int, MarkedPoint, float | None]],
-) -> list[tuple[MarkedPoint, np.ndarray]]:
+) -> list[np.ndarray]:
     """Every lane's lift at once.
 
-    sources maps an edge to its polyline and the fiber over its head; a lane
-    (edge, start, direction) lifts that edge from the mark of one preimage
-    of its tail, in the branch direction of _branched_first_step, None at a
-    simple start. The lanes advance in lockstep, one sample of the source
-    polyline per round, padded to the longest. A lane that fails a gate in a
-    round, and the branched first step off a critical start, take the scalar
-    continuation for that round. Returns (matched head mark, lifted
-    polyline) per lane, or raises the error of the first lane that failed,
-    which is the error a lift of the lanes one after another raises.
+    sources maps an edge to its polyline; a lane (edge, start, direction)
+    lifts that edge from the mark of one preimage of its tail, in the branch
+    direction of _branched_first_step, None at a simple start. The lanes
+    advance in lockstep, one sample of the source polyline per round, padded
+    to the longest. A lane that fails a gate in a round, and the branched
+    first step off a critical start, take the scalar continuation for that
+    round. Returns each lane's samples, one over each sample of its source
+    but the head, or raises the error of the first lane that failed, which
+    is the error a lift of the lanes one after another raises.
     """
     tol = f.tol
     n_lanes = len(lanes)
-    steps = np.array([len(sources[j][0]) - 2 for j, _, _ in lanes], dtype=np.int64)
+    steps = np.array([len(sources[j]) - 2 for j, _, _ in lanes], dtype=np.int64)
     n_rounds = int(steps.max()) if n_lanes else 0
     w = np.empty((n_rounds + 1, n_lanes), dtype=complex)
     for lane, (j, _, _) in enumerate(lanes):
-        seq = sources[j][0][:-1]
+        seq = sources[j][:-1]
         w[: len(seq), lane] = seq
         w[len(seq):, lane] = seq[-1]
     alive = np.arange(n_rounds + 1)[:, None] <= steps
@@ -469,20 +444,9 @@ def _lift_lanes(
                     scalar_step(lane, k)
                 values = horner(coeffs, np.concatenate((x[k],) * 4))
 
-    out = []
-    for lane, (j, _, _) in enumerate(lanes):
-        if lane in errors:
-            raise errors[lane]
-        n = int(steps[lane])
-        points, fiber = sources[j]
-        end = _match_endpoint(
-            fiber, point(points[-1]), complex(w[n, lane]), complex(x[n, lane]), j
-        )
-        path = np.empty(n + 2, dtype=complex)
-        path[: n + 1] = x[: n + 1, lane]
-        path[-1] = end.value
-        out.append((end, frozen_polyline(path)))
-    return out
+    if errors:
+        raise errors[min(errors)]
+    return [x[: n + 1, lane] for lane, n in enumerate(steps.tolist())]
 
 
 def _thinned_lifts(paths: list[np.ndarray], ratio: float) -> list[np.ndarray]:
@@ -557,14 +521,15 @@ def pullback_level(
     Lifts of older edges are already present (a level-n edge maps onto a
     level-(n-1) edge), so only the top level is lifted; on the first pass the
     branch retracing a fixed edge is recognized by its direction and skipped.
-    All lifts of the level run together, in lockstep, and are then thinned
-    to the rays' spacing about both their ends (_thinned_lifts), so each
-    kept sample maps onto a sample of its source. A lift leaves its tail on
-    the sheet whose branch seed lies over the source's first chord psi, at
-    the source's tail angle moved onto psi's turn, and its head at
-    _head_angle. fibers holds the fibers solved so far in the tower, keyed
-    by exact target value; the fibers over the ends of the newest edges that
-    it lacks are solved in one call and added to it.
+    All lifts of the level run together, in lockstep (_lift_lanes); each
+    head is then read once (_read_head) for its mark and angle, and the
+    lifts, closed by their heads, are thinned to the rays' spacing about
+    both their ends (_thinned_lifts), so each kept sample maps onto a sample
+    of its source. A lift leaves its tail on the sheet whose branch seed
+    lies over the source's first chord psi, at the source's tail angle moved
+    onto psi's turn. fibers holds the fibers solved so far in the tower,
+    keyed by exact target value; the fibers over the ends of the newest
+    edges that it lacks are solved in one call and added to it.
     """
     geo = current.geo
     newest = current.edges_at_level(current.level)
@@ -583,7 +548,7 @@ def pullback_level(
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
         bend = math.remainder(e.angles[0] - psi, _TAU)
-        sources[j] = (e.points, fibers[geo.vertices[e.head]])
+        sources[j] = e.points
         for start in fibers[tail_pt]:
             x, _, order, coeff = start
             base = (psi - cmath.phase(coeff)) / order
@@ -595,7 +560,15 @@ def pullback_level(
                 lanes.append((j, start, direction if order > 1 else None))
                 tail_angles.append(_mod_tau(direction + bend / order))
     lifted = _lift_lanes(f, sources, lanes)
-    paths = _thinned_lifts([pts for _, pts in lifted], f.tol.sample_ratio)
+    heads = []  # (head mark, head angle) per lane
+    for (j, _, _), samples in zip(lanes, lifted):
+        e, head = geo.edges[j], geo.vertices[geo.edges[j].head]
+        w_last, x_last = complex(e.points[-2]), complex(samples[-1])
+        heads.append(_read_head(fibers[head], head, w_last, x_last, e.angles[1], j))
+    paths = _thinned_lifts(
+        [np.append(samples, end.value) for samples, (end, _) in zip(lifted, heads)],
+        f.tol.sample_ratio,
+    )
 
     # merge endpoints into the vertex list, newest last; a vertex is its mark
     marks = list(current.marks)
@@ -620,11 +593,11 @@ def pullback_level(
     edges = list(geo.edges)
     emap = list(current.edge_map)
     elevel = list(current.edge_level)
-    for (source, tail, _), tail_angle, (head, _), pts in zip(lanes, tail_angles, lifted, paths):
+    for (source, tail, _), tail_angle, (head, head_angle), pts in zip(
+        lanes, tail_angles, heads, paths
+    ):
         e = geo.edges[source]
         ti, hi = locate_or_add(tail, e.tail), locate_or_add(head, e.head)
-        w_last, x_last = complex(e.points[-2]), complex(pts[-2])
-        head_angle = _head_angle(head, geo.vertices[e.head], w_last, x_last, e.angles[1], source)
         edges.append(GeoEdge(ti, hi, pts, (tail_angle, head_angle)))
         emap.append(source)
         elevel.append(current.level + 1)
@@ -814,8 +787,7 @@ def _face_at_vertex(
     geo: GeoGraph, embedded: EmbeddedGraph, vertex: int, q: complex
 ) -> int:
     star = geo.vertex_star(vertex)
-    v = geo.vertices[vertex]
-    alpha = _mod_tau(cmath.phase(1 / q if v == INF else q - v))
+    alpha = _mod_tau(cmath.phase(offset(geo.vertices[vertex], q)))
     chosen = star[-1][1]
     for angle, dart in star:
         if angle <= alpha:

@@ -29,7 +29,7 @@ from .errors import (
     RayCollision,
 )
 from .poly import MarkedPoint, NewtonMap, horner
-from .sphere import INF, point
+from .sphere import INF, offset, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _TAU = 2 * math.pi
@@ -468,6 +468,6 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
         loc = bottcher_local(f, i)
         for j, theta in enumerate(loc.fixed_directions):
             ray = trace_fixed_ray(f, loc, j)
-            at_infinity = _mod_tau(cmath.phase(1 / complex(ray[-2])))
+            at_infinity = _mod_tau(cmath.phase(offset(INF, complex(ray[-2]))))
             edges.append(GeoEdge(i, inf_index, ray, (theta, at_infinity)))
     return GeoGraph(verts, tuple(edges), f.tol)

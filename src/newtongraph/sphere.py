@@ -5,7 +5,8 @@ complex("inf"). point(z) is the one conversion: it turns any number, numpy
 scalars included, into a Python complex, and any value with a part that is
 not finite into INF. So a test for infinity is z == INF, and equality is
 exact. All tolerance comparisons go through chordal_distance, the one metric
-that treats infinity like any other point.
+that treats infinity like any other point, and every local chart through
+offset(c, x): x - c, or 1/x about infinity.
 
 SpherePoint is the complex subclass of the fiber points that lift_point
 returns. It adds only the read-only value and is_infinity.
@@ -70,6 +71,11 @@ def _inverted(z: complex) -> complex:
     if z == 0:
         return INF
     return 0j if abs(z) > _BIG else 1 / z
+
+
+def offset(c: complex, x: complex) -> complex:
+    """x in the chart at c, the u of a local model there: x - c, or 1/x."""
+    return 1 / x if c == INF else x - c
 
 
 def closest_pair(points) -> tuple[float, int, int]:

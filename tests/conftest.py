@@ -24,7 +24,7 @@ from newtongraph.combinatorial import (
     embedded_graph_from_rotations,
 )
 from newtongraph.rays import continue_inverse_branch, nearest_edge_point
-from newtongraph.sphere import INF, chordal_distance, point
+from newtongraph.sphere import INF, chordal_distance, offset, point
 
 
 def nearest_vertex(geo, q):
@@ -48,7 +48,7 @@ def scalar_lift(f, points, start, branch_direction=None):
     """Reference lift of one polyline from a preimage of its tail, sample by
     sample: the branched first step off a critical start, by the local
     model of the start's mark, then continue_inverse_branch per sample, and
-    the end matched by the local models of the marks over the head."""
+    the end read off the local models of the marks over the head."""
     head = point(points[-1])
     x = start
     out = [x]
@@ -61,7 +61,8 @@ def scalar_lift(f, points, start, branch_direction=None):
             x = continue_inverse_branch(f, w0, w1, x)
         out.append(x)
     [fiber] = pullback._fibers(f, [f.marked_point(head).value])
-    out.append(pullback._match_endpoint(fiber, head, complex(points[-2]), x).value)
+    end, _ = pullback._read_head(fiber, head, complex(points[-2]), x, 0.0, None)
+    out.append(end.value)
     return np.array(out, dtype=complex)
 
 
@@ -76,9 +77,6 @@ def pullback_defects(top):
     sample u misses the nearest sheet over its source's last sample W, the
     argument of b u^m / W over 2 pi.
     """
-    def offset(c, x):
-        return 1 / x if c == INF else x - c
-
     defects, residuals = [], []
     for j, e in enumerate(top.geo.edges):
         if top.edge_level[j] == 0:

@@ -236,6 +236,13 @@ class TestOneEdgeLift:
     def test_the_one_edge_lift_runs_the_level_lift(self):
         assert "lift_edge" in pullback_callers("_lift_lanes")
 
+    def test_a_head_is_read_in_one_place_after_the_kernel(self):
+        # the kernel returns bare samples; both lifts read their heads by
+        # _read_head, the one reader of the local-model ranking
+        assert pullback_callers("_read_head") == {"lift_edge", "pullback_level"}
+        assert pullback_callers("_head_ranking") == {"_read_head"}
+        assert pullback_callers("_fibers") & {"_lift_lanes", "_read_head"} == set()
+
 
 class TestExactVerdictOnIntegers:
     """The Thurston verdict eliminates on the integer matrix L (I - A) that

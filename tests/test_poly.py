@@ -313,9 +313,10 @@ class TestBatchedRoots:
 
     @pytest.mark.parametrize("spoiled, runs", [(1, 1), (4, 2)])
     def test_retry_after_failed_certification(self, monkeypatch, spoiled, runs):
-        # spoil some points of the first run: with one left uncertified the
-        # remainder after deflating the rest is linear and solved directly;
-        # with none certified the row restarts from other starts
+        # spoil some points of the first run, 1e3 off, where three Newton
+        # steps cannot certify them: with one left uncertified the remainder
+        # after deflating the rest is linear and solved directly; with none
+        # certified the row restarts from other starts
         calls = []
         aberth = poly._aberth_rows
 
@@ -323,7 +324,7 @@ class TestBatchedRoots:
             z, corr = aberth(c, z0, iters)
             calls.append(iters)
             if len(calls) == 1:
-                z[0, :spoiled] += 1e-3
+                z[0, :spoiled] += 1e3
             return z, corr
 
         monkeypatch.setattr(poly, "_aberth_rows", spoiling)
@@ -338,6 +339,35 @@ class TestBatchedRoots:
             assert abs(a - b) < 1e-10 * (1 + abs(b))
         for z, _ in found:
             assert abs(q(z)) <= 64 * 2.2e-16 * q.eval_scale(z)
+
+    @pytest.mark.parametrize("spoil", ["near", "onto-a-neighbour"])
+    def test_a_near_miss_is_polished_on_q(self, monkeypatch, spoil):
+        # points of the first run 1e-3 off their roots take three Newton
+        # steps on q and certify, with no second run; a point moved 1e-3
+        # from another's root would polish onto that root, so it is not
+        # kept, and the linear remainder gives its own root instead
+        calls = []
+        aberth = poly._aberth_rows
+
+        def spoiling(c, z0, iters):
+            z, corr = aberth(c, z0, iters)
+            calls.append(iters)
+            if spoil == "near":
+                z[0] += 1e-3
+            else:
+                z[0, 1] = z[0, 0] + 1e-3
+            return z, corr
+
+        monkeypatch.setattr(poly, "_aberth_rows", spoiling)
+        q = P(3 - 1j, 0.5, 2j, -1, 1)
+        found = roots_of(q)
+        assert calls == [400]
+        assert [m for _, m in found] == [1, 1, 1, 1]
+        for a, b in zip(
+            sorted_roots(found),
+            sorted(np.roots(q.coeffs[::-1]), key=lambda z: (z.real, z.imag)),
+        ):
+            assert abs(a - b) < 1e-10 * (1 + abs(b))
 
     def test_uncertified_row_is_named(self, monkeypatch):
         # every Aberth run misses, and the line is solved directly

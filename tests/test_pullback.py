@@ -232,25 +232,34 @@ class TestLockstepLift:
         self, cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic,
         monkeypatch,
     ):
-        levels = []
-        lift_lanes = pullback._lift_lanes
+        # the kernel gives each lane's samples; pullback_level then reads
+        # the lanes' heads, one after another in lane order
+        levels, heads = [], []
+        lift_lanes, read_head = pullback._lift_lanes, pullback._read_head
 
         def recording(f, sources, lanes):
             lifted = lift_lanes(f, sources, lanes)
-            levels.append((f, sources, lanes, lifted))
+            levels.append((f, sources, lanes, lifted, len(heads)))
             return lifted
 
+        def reading(*args):
+            out = read_head(*args)
+            heads.append(out[0])
+            return out
+
         monkeypatch.setattr(pullback, "_lift_lanes", recording)
+        monkeypatch.setattr(pullback, "_read_head", reading)
         for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
             compute_newton_graph(f)
+        monkeypatch.undo()
         assert len(levels) == 7  # one per pass; the towers are 2, 1, 1, 2, 1 high
-        for f, sources, lanes, lifted in levels:
+        assert len(heads) == sum(len(lanes) for _, _, lanes, _, _ in levels)
+        for f, sources, lanes, lifted, first in levels:
             assert len(lifted) == len(lanes)
-            for (edge, start, direction), (head, lane) in zip(lanes, lifted):
-                points, _ = sources[edge]
-                reference = scalar_lift(f, points, start.value, direction)
-                self.assert_same_lift(lane, reference)
-                assert head.value == reference[-1]
+            for k, ((edge, start, direction), lane) in enumerate(zip(lanes, lifted)):
+                reference = scalar_lift(f, sources[edge], start.value, direction)
+                self.assert_same_lift(lane, reference[:-1])
+                assert heads[first + k].value == reference[-1]
 
     def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
         # the ray of root 1 with one long jump after its fifth sample, out to
@@ -262,17 +271,16 @@ class TestLockstepLift:
         jump = 5
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))
-        [head_fiber] = pullback._fibers(f, [INF])
         start = -0.5 + 0j
-        [(_, lane)] = pullback._lift_lanes(
-            f, {0: (source, head_fiber)}, [(0, f.marked_point(start), None)]
-        )
+        [lane] = pullback._lift_lanes(f, {0: source}, [(0, f.marked_point(start), None)])
         x0, w0, w1 = complex(lane[jump - 1]), complex(source[jump - 1]), complex(source[jump])
         direct = solve_preimage_near(f, w1, x0)
         assert direct is None or not on_branch(direct, x0)
         assert lane[jump] == continue_inverse_branch(f, w0, w1, x0)
         reference = scalar_lift(f, source, start)
-        self.assert_same_lift(lane, reference)
+        self.assert_same_lift(lane, reference[:-1])
+        # with its head, read off the fiber over infinity
+        self.assert_same_lift(lift_edge(f, source, start), reference)
 
     @pytest.mark.parametrize("graph_name", [graph for _, graph in POOL])
     def test_no_polyline_repeats_a_sample(self, request, graph_name):
@@ -307,13 +315,12 @@ class TestLockstepLift:
 
         monkeypatch.setattr(pullback, "_newton_round", gates_fail)
         monkeypatch.setattr(pullback, "continue_inverse_branch", flaky)
-        [head_fiber] = pullback._fibers(f, [INF])
         sources, lanes = {}, []
         for j in (0, 2):
             e = delta0_unity.edges[j]
             # the simple preimage of the root cubic_unity.roots[t] is -root/2
             start = complex(-f.roots[e.tail] / 2)
-            sources[j] = (e.points, head_fiber)
+            sources[j] = e.points
             lanes.append((j, f.marked_point(start), None))
         with pytest.raises(BranchJump, match="lane 0 lost in round 2"):
             pullback._lift_lanes(f, sources, lanes)
@@ -382,8 +389,8 @@ class TestThinnedLifts:
 
 
 class TestMatchEndpoint:
-    """The two gates on the fiber point a lift ran into, on the fibers of
-    z^3 - 1. Over infinity lie the double pole 0 (|b| = 3) and infinity
+    """The two gates on the fiber point a lift ran into (_read_head, by the
+    scores of _head_ranking), on the fibers of z^3 - 1. Over infinity lie the double pole 0 (|b| = 3) and infinity
     (|b| = 3/2); over the root 1 lie 1 itself (double, |b| = 1) and -1/2
     (|b| = 6)."""
 
@@ -403,19 +410,21 @@ class TestMatchEndpoint:
         f = cubic_unity
         model = self.model(f, INF)
         near_pole = self.preimage_near(f, 1000, -0.02)
-        assert pullback._match_endpoint(model, INF, 1000, near_pole).value == 0
+        end, _ = pullback._read_head(model, INF, 1000, near_pole, 0.0, None)
+        assert end.value == 0
         near_infinity = self.preimage_near(f, 1000, 1500)
-        assert pullback._match_endpoint(model, INF, 1000, near_infinity) == f.infinity
+        end, _ = pullback._read_head(model, INF, 1000, near_infinity, 0.0, None)
+        assert end == f.infinity
         # that far out both models are exact to first order
         for x in (near_pole, near_infinity):
-            assert pullback._endpoint_scores(model, INF, 1000, x)[0][0] < 1e-4
+            assert pullback._head_ranking(model, INF, 1000, x)[0][0] < 1e-4
 
     def test_endpoint_far_from_every_candidate(self, cubic_unity):
         # 0.3 is 16 times the predicted distance from the pole, and far from
         # infinity: scores 2.8 and 8.5, both above log 2
         model = self.model(cubic_unity, INF)
         with pytest.raises(EndpointUnmatched, match="source edge 7 .* away from every preimage"):
-            pullback._match_endpoint(model, INF, 1000, 0.3 + 0j, 7)
+            pullback._read_head(model, INF, 1000, 0.3 + 0j, 0.0, 7)
 
     def test_runner_up_within_five_times_the_best(self, cubic_unity):
         # a lift toward the root 1 that stops at w = 2.6, far from it: the
@@ -425,7 +434,7 @@ class TestMatchEndpoint:
         model = self.model(f, 1 + 0j)
         x = self.preimage_near(f, 2.6, -0.34)
         with pytest.raises(EndpointUnmatched, match="ambiguous"):
-            pullback._match_endpoint(model, 1 + 0j, 2.6, x)
+            pullback._read_head(model, 1 + 0j, 2.6, x, 0.0, None)
 
 
 class TestAnglesArePullbacks:
@@ -441,27 +450,35 @@ class TestAnglesArePullbacks:
         # the gate is a quarter turn
         assert max(residuals, default=0.0) < 0.01
 
-    def test_a_head_off_its_sheet_names_the_source_edge(self, cubic_unity, monkeypatch):
-        # the first level-1 lift of z^3 - 1 into the double pole 0 has its
+    @pytest.mark.parametrize("lift", ["level", "one-edge"])
+    def test_a_head_off_its_sheet_names_the_source_edge(
+        self, cubic_unity, delta0_unity, monkeypatch, lift
+    ):
+        # the first lift of z^3 - 1 into the double pole 0, in the level-1
+        # pass or the one-edge lift of the ray of root 1 from -1/2, has its
         # last sample turned about 0 by half a sheet, a quarter turn: its
         # distance, and so its end match, is unchanged, but it misses its
-        # sheet by half a turn
+        # sheet by half a turn. Every source here ends at infinity, over
+        # which lie 0 and infinity itself, so the lifts into 0 are the ones
+        # whose last sample lies within 1 of it.
         lift_lanes = pullback._lift_lanes
         turned = []
 
         def off_sheet(f, sources, lanes):
-            lifted = lift_lanes(f, sources, lanes)
-            k = next(k for k, (end, _) in enumerate(lifted) if end.local_degree > 1)
-            end, path = lifted[k]
-            path = path.copy()
-            path[-2] = end.value + (path[-2] - end.value) * cmath.exp(1j * math.pi / 2)
+            lifted = [samples.copy() for samples in lift_lanes(f, sources, lanes)]
+            k = next(k for k, samples in enumerate(lifted) if abs(samples[-1]) < 1)
+            lifted[k][-1] *= cmath.exp(1j * math.pi / 2)
             turned.append(lanes[k][0])
-            return lifted[:k] + [(end, path)] + lifted[k + 1:]
+            return lifted
 
         monkeypatch.setattr(pullback, "_lift_lanes", off_sheet)
         with pytest.raises(EndpointUnmatched, match="turn off the sheets") as info:
-            pullback.pullback_level(cubic_unity, base_dynamic_graph(cubic_unity))
-        assert f"lift of source edge {turned[0]} ends at" in str(info.value)
+            if lift == "level":
+                pullback.pullback_level(cubic_unity, base_dynamic_graph(cubic_unity))
+            else:
+                lift_edge(cubic_unity, delta0_unity.edges[2].points, -0.5 + 0j)
+        where = f"lift of source edge {turned[0]}" if lift == "level" else "lift"
+        assert str(info.value).startswith(f"{where} ends at")
 
 
 def unity(d):
@@ -510,6 +527,18 @@ class TestLevelFibers:
     @pytest.mark.parametrize("coeffs", ROTATED_AND_SCALED, ids=ROTATED_AND_SCALED_IDS)
     def test_root_fibers_on_rotated_and_scaled_conjugates(self, coeffs):
         assert_root_fibers(make_newton_map(Polynomial(coeffs)))
+
+    @pytest.mark.parametrize("c2", [1.360370250730394, -1.360370250730394], ids=["+", "-"])
+    def test_an_inexact_remainder_root_is_polished(self, c2):
+        # z^4 - 6 c^2 z^2 - 1 with +-c landing on a pole at step 2: once the
+        # root -2.878 (-2.878i at -c^2) is divided out of the fiber over it,
+        # the quotient's root near 0.0212 misses numerator - w * denominator
+        # by more than the certification gate until it is polished on it
+        f = make_newton_map(Polynomial((-1, 0, -6 * c2, 0, 1)))
+        result = compute_newton_graph(f)
+        assert (result.minimal_level, result.pole_cover_level) == (4, 1)
+        assert validate_newton_graph(result.dynamics).passed
+        assert verify_face_counts(result, f).passed
 
     @pytest.mark.parametrize("coeffs", ROTATED_AND_SCALED[:3], ids=ROTATED_AND_SCALED_IDS[:3])
     def test_one_solve_per_level_and_one_aberth_run_per_degree(self, monkeypatch, coeffs):
@@ -585,14 +614,14 @@ class TestScaleFreeEnds:
         monkeypatch,
     ):
         ranked = []
-        endpoint_scores = pullback._endpoint_scores
+        head_ranking = pullback._head_ranking
 
         def recording(*args):
-            out = endpoint_scores(*args)
+            out = head_ranking(*args)
             ranked.append(out)
             return out
 
-        monkeypatch.setattr(pullback, "_endpoint_scores", recording)
+        monkeypatch.setattr(pullback, "_head_ranking", recording)
         z9 = make_newton_map(Polynomial(unity(9)))
         for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic, z9):
             before = len(ranked)
@@ -859,13 +888,15 @@ class TestLevelCollisionGuards:
         # whose image is root 0, not the ray's head at infinity
         base = base_dynamic_graph(cubic_unity)
         root = base.marks[0]
-        lift_lanes = pullback._lift_lanes
+        read_head = pullback._read_head
+        reads = []
 
-        def misplaced(f, sources, lanes):
-            lifted = lift_lanes(f, sources, lanes)
-            return [(root, lifted[0][1])] + lifted[1:]
+        def misplaced(*args):
+            end, angle = read_head(*args)
+            reads.append(end)
+            return (root if len(reads) == 1 else end), angle
 
-        monkeypatch.setattr(pullback, "_lift_lanes", misplaced)
+        monkeypatch.setattr(pullback, "_read_head", misplaced)
         [first, *_] = base.edges_at_level(0)
         head = base.geo.edges[first].head
         message = (
