@@ -193,15 +193,10 @@ def _root_band(f: NewtonMap) -> list[tuple[float, float]]:
     from basin_tol = 1 on and still an interval at basin_tol = 0.
     """
     h = math.asin(min(1.0, f.tol.basin_tol)) + _BAND_SLACK
-    angles: list[list[float]] = []
-    for lat in sorted(math.atan(abs(r)) for r in f.roots):
-        if angles and lat - h <= angles[-1][1]:
-            angles[-1][1] = lat + h  # overlaps the last interval: merge
-        else:
-            angles.append([lat - h, lat + h])
+    lats = sorted(math.atan(abs(r)) for r in f.roots)
     return [
         (math.tan(max(lo, 0.0)), math.tan(hi) if hi < math.pi / 2 else math.inf)
-        for lo, hi in angles
+        for lo, hi in _merged([(lat - h, lat + h) for lat in lats])
     ]
 
 
@@ -217,15 +212,24 @@ def _pole_band(f: NewtonMap) -> list[tuple[float, float]]:
     on either side of |q|; intervals that overlap merge. A pole at 0 gives
     |z| < snap plus the slack, where the test is |z| > snap itself.
     """
-    intervals: list[list[float]] = []
+    intervals = []
     for aq in sorted(abs(q) for q, _ in f.poles):
         snap = f.tol.pole_snap * (1 + aq)
         w = snap + _BAND_SLACK * (1 + aq + snap)
-        if intervals and aq - w <= intervals[-1][1]:
-            intervals[-1][1] = aq + w  # overlaps the last interval: merge
+        intervals.append((aq - w, aq + w))
+    return _merged(intervals)
+
+
+def _merged(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The intervals (lo, hi), taken in order, each merged into the last one
+    kept when it starts at or before that one's end, which it then ends."""
+    out: list[tuple[float, float]] = []
+    for lo, hi in intervals:
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], hi)
         else:
-            intervals.append([aq - w, aq + w])
-    return [(lo, hi) for lo, hi in intervals]
+            out.append((lo, hi))
+    return out
 
 
 def _in_bands(az: np.ndarray, bands: list[tuple[float, float]]) -> np.ndarray:
@@ -286,7 +290,7 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
         cand_step = np.zeros(z.size, dtype=np.int16)  # step the candidate was entered
         for s in range(max_iter + STAY_ITERATES + 1):
             if s:
-                z = f.evaluate_array(z, az > tol.chart_radius)
+                z = f.evaluate_array(z, az)
             with np.errstate(over="ignore", invalid="ignore"):
                 az = np.abs(z)
                 live = np.isfinite(az)

@@ -13,13 +13,15 @@ certification, stall-aware clustering for multiplicities and a final polish
 then run on each row. Companion-matrix eigenvalues are used only as an
 independent oracle in the tests, never here.
 
-The chart rule: beyond `Tolerances.chart_radius` the Newton map f = N/D of
-degree d is handled in the w = 1/z chart. To evaluate f at such a z, the
-numerator and denominator are w^d N(1/w) and w^d D(1/w): the lowest-first
-coefficients read front to back, zero-padded to order d for N and to order
-d - 1 for D, whose value is then multiplied by w once more. To solve f(x) = w
-for such a w, the corrector solves D/N = 1/w instead, so a pole of f is a
-regular point; that swaps N, D, N', D' to D, N, D', N' (`CHART_SWAP`).
+The chart rule, which the Newton map alone decides: beyond |z| = CHART_RADIUS
+the map f = N/D of degree d is handled in the w = 1/z chart. To evaluate f at
+such a z, the numerator and denominator are w^d N(1/w) and w^d D(1/w): the
+lowest-first coefficients read front to back, zero-padded to order d for N
+and to order d - 1 for D, whose value is then multiplied by w once more. To
+solve f(x) = w for such a w, the corrector solves D/N = 1/w instead, so a
+pole of f is a regular point; that swaps N, D, N', D' to D, N, D', N'
+(`CHART_SWAP`). No other module reads the radius or the swap: they ask
+NewtonMap for values, or for a corrector's rows and target in its chart.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = 2.220446049250313e-16
 
+# |z| beyond which f is evaluated, and f = w solved, in the w = 1/z chart;
+# fixed, so that every stage keeps one chart whatever the escape radius.
+CHART_RADIUS = 1e3
 # Rows N, D, N', D' become D, N, D', N' when the corrector solves D/N = 1/w.
 CHART_SWAP = (1, 0, 3, 2)
 
@@ -490,11 +495,33 @@ class NewtonMap:
 
     # --- evaluation ---------------------------------------------------------
 
-    def corrector_rows(self, inverted: bool) -> tuple[tuple[complex, ...], ...]:
-        """Coefficients, highest power first, of a, b, a', b' for a corrector
-        that solves a/b = target: N, D, N', D' for f = w, or, inverted for a
-        target beyond the chart radius, D, N, D', N' for 1/f = 1/w."""
-        return self._swapped_rows if inverted else self._rows
+    def corrector(self, w: complex) -> tuple[tuple[tuple[complex, ...], ...], complex]:
+        """(rows, target) for a corrector that solves a/b = target to find
+        the preimages of w: the coefficients, highest power first, of a, b,
+        a', b', which are N, D, N', D' with target w, or, for w beyond the
+        chart radius, D, N, D', N' with target 1/w."""
+        if abs(w) > CHART_RADIUS:
+            return self._swapped_rows, 1 / w
+        return self._rows, w
+
+    def lane_targets(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(far, target) elementwise over an array of targets w: far where
+        the corrector works in the 1/z chart, and there target 1/w, else w."""
+        far = np.abs(w) > CHART_RADIUS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return far, np.where(far, 1 / w, w)
+
+    def lane_rows(self, far: np.ndarray) -> np.ndarray:
+        """The corrector's rows in each lane's chart (far of lane_targets),
+        laid out for one Horner pass over all four at the lanes' x repeated
+        four times: shape (m, 4 * lanes), m the longest row, zero-padded at
+        the top. Every operand then has one flat shape, numpy's fast path."""
+        m = max(len(c) for c in self._rows)
+        table = np.zeros((m, 4, 1), dtype=complex)
+        for r, c in enumerate(self._rows):
+            table[m - len(c):, r, 0] = c
+        table = np.where(far, table[:, CHART_SWAP], table)
+        return table.reshape(m, 4 * len(far))
 
     def _fraction(self, z, far: bool):
         """(num, den) with num / den = f(z), at a number or elementwise at an
@@ -510,20 +537,18 @@ class NewtonMap:
         z = point(z)
         if z == INF:
             return INF
-        num, den = self._fraction(z, abs(z) > self.tol.chart_radius)
+        num, den = self._fraction(z, abs(z) > CHART_RADIUS)
         if den == 0:
             return INF
         return point(num / den)
 
-    def evaluate_array(self, z: np.ndarray, far: np.ndarray | None = None) -> np.ndarray:
+    def evaluate_array(self, z: np.ndarray, az: np.ndarray | None = None) -> np.ndarray:
         """Vectorized evaluation on finite points; poles/overflow come back as inf.
 
-        far is np.abs(z) > tol.chart_radius, for a caller that has |z| at hand.
-        Each value depends on its own point alone, bit for bit, whatever array
-        the point comes in.
+        az is np.abs(z), for a caller that has it at hand. Each value depends
+        on its own point alone, bit for bit, whatever array the point comes in.
         """
-        if far is None:
-            far = np.abs(z) > self.tol.chart_radius
+        far = (np.abs(z) if az is None else az) > CHART_RADIUS
         with np.errstate(divide="ignore", invalid="ignore"):
             if not far.any():  # the usual case: no point needs the 1/z chart
                 out = self._quotient(z, False)

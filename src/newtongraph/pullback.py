@@ -49,9 +49,10 @@ from .errors import (
     LevelCapExceeded,
     NonPlanarIncidence,
 )
-from .poly import CHART_SWAP, MarkedPoint, NewtonMap, horner, roots_of_rows
+from .poly import MarkedPoint, NewtonMap, horner, roots_of_rows
 from .rays import (
     _TAU,
+    MAX_BISECTION_DEPTH,
     GeoEdge,
     GeoGraph,
     _circular_gap,
@@ -194,7 +195,7 @@ def _branched_first_step(
     x = solve_preimage_near(f, w1, seed)
     if x is not None and abs(x - seed) <= 0.6 * rho:
         return x
-    if depth >= 24:
+    if depth >= MAX_BISECTION_DEPTH:
         raise BranchJump(
             f"inverse branch at direction {direction:.6f} lost leaving "
             f"critical point {x0}"
@@ -320,21 +321,6 @@ def lift_edge(
 # --- lockstep lifting -------------------------------------------------------
 
 
-def _lane_coefficients(f: NewtonMap, inverted: np.ndarray) -> np.ndarray:
-    """The rows of f.corrector_rows in each lane's chart, laid out for one
-    Horner pass over all four at the lanes' x repeated four times: shape
-    (m, 4 * lanes), m the longest row, zero-padded at the top, the four rows
-    one after another. Every operand then has the same flat shape, which
-    keeps numpy on its fast path."""
-    rows = f.corrector_rows(False)
-    m = max(len(c) for c in rows)
-    table = np.zeros((m, 4, 1), dtype=complex)
-    for r, c in enumerate(rows):
-        table[m - len(c):, r, 0] = c
-    table = np.where(inverted, table[:, CHART_SWAP], table)
-    return table.reshape(m, 4 * len(inverted))
-
-
 def _newton_round(
     coeffs: np.ndarray,
     values: np.ndarray,
@@ -413,23 +399,14 @@ def _lift_lanes(
             failed[lane] = True
 
     with np.errstate(all="ignore"):
-        # each lane solves in the chart of its target sample; the values and
-        # coefficients are arranged for the chart of the current round
-        inverted = np.abs(w) > tol.chart_radius
-        target = np.where(inverted, 1 / w, w)
-        chart = inverted[min(1, n_rounds)]
-        flips = set(
-            (np.flatnonzero((inverted[2:] != inverted[1:-1]).any(axis=1)) + 2).tolist()
-        )
-        coeffs = _lane_coefficients(f, chart)
-        values = horner(coeffs, np.concatenate((x[0],) * 4))
+        # each lane solves in the map's chart for its round's target; coeffs,
+        # and the rows' values at x, are made afresh when a lane's chart changes
+        far, target = f.lane_targets(w)
         for k in range(1, n_rounds + 1):
-            if k in flips:
-                flip = inverted[k] != chart
-                by_row = values.reshape(4, n_lanes)
-                values = np.where(flip, by_row[CHART_SWAP, :], by_row).reshape(-1)
-                chart = inverted[k]
-                coeffs = _lane_coefficients(f, chart)
+            if k == 1 or (far[k] != chart).any():
+                chart = far[k]
+                coeffs = f.lane_rows(chart)
+                values = horner(coeffs, np.concatenate((x[k - 1],) * 4))
             active = alive[k] & ~failed if errors else alive[k]
             if k == 1:
                 active = active & ~branched

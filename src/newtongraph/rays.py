@@ -35,6 +35,8 @@ from .tolerances import DEFAULT_TOL, Tolerances
 _TAU = 2 * math.pi
 # Inverse lifts a fixed ray may take before it must have escaped.
 MAX_RAY_LIFTS = 512
+# Halvings of a target segment before a continuation's inverse branch is lost.
+MAX_BISECTION_DEPTH = 24
 
 
 def _mod_tau(x: float) -> float:
@@ -113,14 +115,12 @@ def on_branch(x, x0):
 def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None:
     """One preimage of w under f near x0, or None if the iteration strays.
 
-    Newton's method on a/b = target with the rows of f.corrector_rows: f = w
-    in the plane, or 1/f = 1/w for a target beyond the chart radius, where a
-    pole of f is a regular point of 1/f.
+    Newton's method on a/b = target with the rows and target of
+    f.corrector(w): f = w, or 1/f = 1/w in the map's 1/z chart, where a pole
+    of f is a regular point of 1/f.
     """
     tol = f.tol
-    inverted = abs(w) > tol.chart_radius
-    target = 1 / w if inverted else w
-    a, b, da, db = f.corrector_rows(inverted)
+    (a, b, da, db), target = f.corrector(w)
     x = x0
     for _ in range(50):
         av, bv = horner(a, x), horner(b, x)
@@ -156,7 +156,7 @@ def continue_inverse_branch(
     x = solve_preimage_near(f, w_to, x0)
     if x is not None and on_branch(x, x0):
         return x
-    if depth >= 24:
+    if depth >= MAX_BISECTION_DEPTH:
         raise BranchJump(
             f"inverse branch lost between targets {w_from} and {w_to}"
         )

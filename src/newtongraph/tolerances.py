@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-# The chart boundary of Tolerances.chart_radius.
-CHART_RADIUS = 1e3
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -54,6 +52,8 @@ class Tolerances:
             raise ValueError("escape_radius too small")
         if not self.sample_ratio > 1:
             raise ValueError("sample_ratio must be > 1")
+        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
+            raise ValueError("max_steps must be an int")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if not self.lift_tol > 0:
@@ -65,14 +65,6 @@ class Tolerances:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-
-    @property
-    def chart_radius(self) -> float:
-        """|z| beyond which evaluation is routed through the w = 1/z chart.
-        Fixed, not derived from escape_radius, so evaluation, both
-        correctors and the basin raster keep one chart whatever the ray
-        length."""
-        return CHART_RADIUS
 
 
 DEFAULT_TOL = Tolerances()

@@ -168,6 +168,23 @@ class TestOnePointType:
         assert places.count(("pullback", None)) == 1
 
 
+class TestOneChartRule:
+    """Only the Newton map knows where the w = 1/z chart begins: poly alone
+    names the chart radius and the corrector's row swap, and every other
+    stage asks the map for values and corrector rows in the right chart."""
+
+    @pytest.mark.parametrize("name", ["CHART_RADIUS", "CHART_SWAP"])
+    def test_only_poly_names_the_radius_and_the_swap(self, name):
+        places, _ = TestOnePointType.places_naming(name)
+        assert ("poly", None) in places
+        assert {module for module, _ in places} == {"poly"}
+
+    def test_the_policy_object_carries_no_chart_radius(self):
+        places, _ = TestOnePointType.places_naming("chart_radius")
+        assert places == []
+        assert not hasattr(Tolerances(), "chart_radius")
+
+
 class TestVertexIdentityByValue:
     """A tower vertex is its exact fiber value: no chordal scan over the
     vertices decides which vertex a fiber point is."""

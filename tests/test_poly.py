@@ -10,6 +10,7 @@ import pytest
 from newtongraph import poly
 from newtongraph.errors import DegreeTooLow, MultipleRoot, NoConvergence
 from newtongraph.poly import (
+    CHART_RADIUS,
     NewtonMap,
     Polynomial,
     horner,
@@ -19,7 +20,7 @@ from newtongraph.poly import (
 )
 from newtongraph.pullback import lift_point
 from newtongraph.sphere import INF, SpherePoint, chordal_distance, point
-from newtongraph.tolerances import DEFAULT_TOL, Tolerances
+from newtongraph.tolerances import Tolerances
 
 
 def P(*coeffs):
@@ -500,14 +501,14 @@ class TestEvaluate:
 
     def test_array_value_does_not_depend_on_its_company(self):
         # A point's value is the same bits alone, beside a point of the other
-        # chart, and in the whole array, with the far mask given or not.
+        # chart, and in the whole array, with |z| given or not.
         f = make_newton_map(CUBIC_ODD)
         rng = np.random.default_rng(7)
         z = (rng.normal(size=64) + 1j * rng.normal(size=64)) * 10.0 ** rng.uniform(-2, 5, 64)
-        far = np.abs(z) > f.tol.chart_radius
+        far = np.abs(z) > CHART_RADIUS
         assert 0 < far.sum() < 63
         whole = f.evaluate_array(z)
-        assert f.evaluate_array(z, far).tobytes() == whole.tobytes()
+        assert f.evaluate_array(z, np.abs(z)).tobytes() == whole.tobytes()
         near_pt, far_pt = z[np.argmin(far)], z[np.argmax(far)]
         for i in range(64):
             alone = f.evaluate_array(z[i : i + 1])
@@ -543,7 +544,7 @@ class TestEvaluate:
             poles=(),
             critical_points=(),
         )
-        r = DEFAULT_TOL.chart_radius
+        r = CHART_RADIUS
         for phase in (0.0, 1.0, 2.5):
             inside = cmath.rect(r * (1 - 1e-12), phase)
             outside = cmath.rect(r * (1 + 1e-12), phase)
@@ -576,7 +577,7 @@ class TestTolerances:
             ("pole_snap", (math.nan, math.inf, -1e-9)),
             ("land_tol", (math.nan, math.inf, -1e-9)),
             ("jump_guard", (math.nan, math.inf, -1e-3)),
-            ("max_steps", (-1,)),
+            ("max_steps", (-1, 2.5, 3.0, True, False, "8", None)),
             ("lift_tol", (math.nan, math.inf, 0.0, -1.0)),
             ("sample_ratio", (math.nan, math.inf, 1.0)),
         ],

@@ -39,6 +39,7 @@ from newtongraph.pullback import (
     verify_face_counts,
 )
 from newtongraph.rays import (
+    MAX_BISECTION_DEPTH,
     GeoEdge,
     GeoGraph,
     continue_inverse_branch,
@@ -149,6 +150,21 @@ class TestLiftPoint:
         with pytest.raises(
             NonPlanarIncidence,
             match=r"fiber point 0j over \(0\.3\+0\.7j\) has multiplicity 1 .* b = \(inf",
+        ):
+            lift_point(cubic_unity, 0.3 + 0.7j)
+
+    def test_degrees_must_sum_to_the_map_degree(self, cubic_unity, monkeypatch):
+        # a solve that loses one simple preimage: every point left has its
+        # mark's local degree and no two collide, but only 2 of 3 remain
+        solve = pullback.roots_of_rows
+
+        def short(polys, known=None, names=None):
+            return [row[:-1] for row in solve(polys, known, names)]
+
+        monkeypatch.setattr(pullback, "roots_of_rows", short)
+        with pytest.raises(
+            NonPlanarIncidence,
+            match=r"fiber over \(0\.3\+0\.7j\) carries total degree 2, expected 3",
         ):
             lift_point(cubic_unity, 0.3 + 0.7j)
 
@@ -905,6 +921,27 @@ class TestLevelCollisionGuards:
         )
         with pytest.raises(NonPlanarIncidence, match=message):
             pullback.pullback_level(cubic_unity, base)
+
+
+class TestBranchedFirstStep:
+    def test_branch_lost_at_the_bisection_bound(self, cubic_unity, monkeypatch):
+        # a corrector that always strays: the step off a root of z^3 - 1, a
+        # critical point of local degree 2, halves its target segment
+        # MAX_BISECTION_DEPTH times, one solve per halving, then gives up
+        start = cubic_unity.marked_points[0]
+        assert start.local_degree == 2
+        targets = []
+
+        def strays(f, w, x0):
+            targets.append(w)
+            return None
+
+        monkeypatch.setattr(pullback, "solve_preimage_near", strays)
+        w0, w1 = start.value, start.value + 0.01
+        with pytest.raises(BranchJump, match="inverse branch at direction 0.500000 lost"):
+            pullback._branched_first_step(cubic_unity, w0, w1, start, 0.5)
+        assert len(targets) == MAX_BISECTION_DEPTH + 1
+        assert targets[-1] == pytest.approx(w0 + 0.01 / 2**MAX_BISECTION_DEPTH, abs=1e-20)
 
 
 class TestSamplingInvariance:

@@ -21,7 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from newtongraph import NotARoot, channel_diagram, rays
+from newtongraph import BranchJump, NotARoot, channel_diagram, rays
+from newtongraph.poly import CHART_RADIUS
 from newtongraph.rays import GeoEdge, bottcher_local, trace_fixed_ray
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import DEFAULT_TOL
@@ -165,17 +166,65 @@ class TestTraceFixedRay:
 
 class TestSolvePreimageNear:
     def test_target_beyond_chart_radius(self, cubic_pm):
-        # |w| > chart_radius: the corrector solves D/N = 1/w, where each
+        # |w| > CHART_RADIUS: the corrector solves D/N = 1/w, where each
         # simple pole of f is a regular point, and near infinity f ~ 2z/3.
         f, tol = cubic_pm, cubic_pm.tol
         for w in (2e3, 1e5 * cmath.exp(0.7j), -3e8j):
-            assert abs(w) > tol.chart_radius
+            assert abs(w) > CHART_RADIUS
             starts = [q + 1e-3 * (1 + 1j) * math.sqrt(1e5 / abs(w)) for q, _ in f.poles]
             for x0, near in zip(starts + [1.4 * w], [q for q, _ in f.poles] + [1.5 * w]):
                 x = rays.solve_preimage_near(f, w, x0)
                 assert x is not None
                 assert abs(x - near) < 0.01 * (1 + abs(near))
                 assert chordal_distance(f.evaluate(x), w) <= tol.lift_tol
+
+    def test_no_convergence_in_fifty_steps_gives_none(self, cubic_unity, monkeypatch):
+        # the solve of f(x) = 0.5 from 0.9 converges; with the step gate
+        # never met it runs its 50 steps and gives up
+        f = cubic_unity
+        assert rays.solve_preimage_near(f, 0.5, 0.9) is not None
+        steps = []
+
+        def never(step, x, tol):
+            steps.append(step)
+            return False
+
+        monkeypatch.setattr(rays, "converged", never)
+        assert rays.solve_preimage_near(f, 0.5, 0.9) is None
+        assert len(steps) == 50
+
+    def test_failed_residual_gives_none(self, cubic_unity, monkeypatch):
+        # the iteration converges, and only the residual gate refuses it
+        f = cubic_unity
+        residual_ok = rays.residual_ok
+        seen = []
+
+        def refuse(res, target, tol):
+            seen.append(res)
+            return False
+
+        monkeypatch.setattr(rays, "residual_ok", refuse)
+        assert rays.solve_preimage_near(f, 0.5, 0.9) is None
+        [res] = seen
+        assert residual_ok(res, 0.5, f.tol)
+
+
+class TestContinueInverseBranch:
+    def test_branch_lost_at_the_bisection_bound(self, cubic_unity, monkeypatch):
+        # a corrector that always strays: the continuation halves its target
+        # segment MAX_BISECTION_DEPTH times, one solve per halving, then
+        # gives the branch up
+        targets = []
+
+        def strays(f, w, x0):
+            targets.append(w)
+            return None
+
+        monkeypatch.setattr(rays, "solve_preimage_near", strays)
+        with pytest.raises(BranchJump, match="inverse branch lost between targets 0.5 and"):
+            rays.continue_inverse_branch(cubic_unity, 0.5, 0.6, 0.9)
+        assert len(targets) == rays.MAX_BISECTION_DEPTH + 1
+        assert targets[-1] == pytest.approx(0.5 + 0.1 / 2**rays.MAX_BISECTION_DEPTH, abs=1e-15)
 
 
 class TestChannelDiagram:
