@@ -42,7 +42,9 @@ returns the landing level, or raises UnresolvedOrbit.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +56,9 @@ from .sphere import INF, point
 STAY_ITERATES = 5
 # steps and candidate steps are int16 and reach max_iter + STAY_ITERATES
 MAX_RASTER_ITER = int(np.iinfo(np.int16).max) - STAY_ITERATES
-# pixels per raster tile: 512 KB per complex working array, so that a step's
-# arrays fit a 2 MB per-core L2 cache; much smaller tiles pay per-step overhead
+# most lanes in the raster working set: 512 KB per complex working array, so
+# that a step's arrays fit a 2 MB per-core L2 cache; a smaller set pays the
+# fixed cost of a step's numpy calls over fewer lanes
 _TILE = 1 << 15
 # added to each side of a band, as an angle (radians) in the root band and
 # relative to the moduli in the pole band: far above the rounding of |z|,
@@ -149,6 +152,17 @@ class RasterSpec:
     height: int
     center: complex = 0j
     half_width: float = 2.0
+
+    def __post_init__(self):
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        hw = self.half_width
+        if isinstance(hw, bool) or not isinstance(hw, numbers.Real) or not 0 < hw < math.inf:
+            raise ValueError(f"half_width must be finite and > 0, got {hw!r}")
+        if not isinstance(self.center, numbers.Complex) or not cmath.isfinite(self.center):
+            raise ValueError(f"center must be a finite number, got {self.center!r}")
 
     @property
     def half_height(self) -> float:
@@ -246,15 +260,19 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     A pixel's basin and entry step are those classify_point gives its cell
     center, computed from its own orbit by elementwise array arithmetic that
     rounds a point the same, bit for bit, in whatever array it is evaluated.
-    So neither the order in which pixels retire nor the blocks they are
-    iterated in can change the image. The pixels run in fixed tiles of
-    _TILE, one tile to completion before the next, so that the arrays each
-    step streams stay in cache. Within a tile the loop keeps one entry per
-    still-active pixel (pixel index, z, |z|, candidate root and the step the
-    candidate was entered); a pixel that dies (non-finite, or within pole
-    snap) or finishes is written once and dropped from that working set. A
-    lane so far out that the chordal denominator overflows is near no root,
-    as on the sphere.
+    So neither the order in which pixels retire nor the company they are
+    iterated in can change the image. The loop keeps one working set of at
+    most _TILE lanes, one per started, still-active pixel (pixel index, z,
+    |z|, its step, its candidate root and the step the candidate was
+    entered), so that the arrays each step streams stay in cache. A pixel
+    that dies (non-finite, or within pole snap), finishes or reaches the
+    cap is written once and dropped from it; whenever at most half of _TILE
+    lanes are left, the next unstarted pixels are appended in pixel order,
+    so that no step runs on a nearly empty set. Lanes of one set thus
+    started on different steps, and each keeps its own step: the stay count,
+    the certified exit's entry-step test and the cap of max_iter +
+    STAY_ITERATES are per lane. A lane so far out that the chordal
+    denominator overflows is near no root, as on the sphere.
 
     Three proofs spare work without changing a pixel. A lane finishes by five
     confirming steps or, as in classify_point, by a certified exit once it is
@@ -282,62 +300,76 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     bands = _root_band(f)
     pole_bands = _pole_band(f)
 
-    for start in range(0, n, _TILE):
-        z = grid[start : start + _TILE]
-        # working set: one lane per still-active pixel of the tile
-        idx = np.arange(start, start + z.size, dtype=np.int32)
-        cand = np.full(z.size, -1, dtype=np.int16)  # candidate root, -1 for none
-        cand_step = np.zeros(z.size, dtype=np.int16)  # step the candidate was entered
-        for s in range(max_iter + STAY_ITERATES + 1):
-            if s:
-                z = f.evaluate_array(z, az)
-            with np.errstate(over="ignore", invalid="ignore"):
-                az = np.abs(z)
-                live = np.isfinite(az)
-                near_pole = _in_bands(az, pole_bands)
-                if near_pole.size:
-                    zp = z[near_pole]
-                    clear = np.ones(near_pole.size, dtype=bool)
-                    for q, snap in poles:
-                        clear &= np.abs(zp - q) > snap
-                    live[near_pole] = clear
-                band = _in_bands(az, bands)
-                zb, azb = z[band], az[band]
-                zz = 1 + azb * azb
-                # chordal distance to each root; nearest < k before root k, so
-                # the maximum keeps argmin's rule that the first of equals wins
-                nearest = np.zeros(band.size, dtype=np.int16)
-                for k, (r, rk) in enumerate(zip(roots, rr)):
-                    d = np.abs(zb - r)
-                    d *= 2
-                    den = zz * rk
-                    np.sqrt(den, out=den)
-                    d /= den
-                    if k == 0:
-                        best = d
-                    else:
-                        np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
-                        np.minimum(best, d, out=best)
-                # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
-                near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live[band]
-            # a band lane stays while it is near its candidate; stay = s - step
-            keep = near & (nearest == cand[band])
-            step = np.where(keep, cand_step[band], s).astype(np.int16, copy=False)
-            cand = np.full(z.size, -1, dtype=np.int16)  # out of band: near no root
-            cand[band] = np.where(near, nearest, -1)
-            cand_step[band] = step
-            # five confirming steps, or a certified exit
-            done = near & ((s - step >= STAY_ITERATES) | ((best < rho) & (step <= max_iter)))
-            if done.any():
-                out = band[done]
-                basin[idx[out]] = nearest[done]
-                entry[idx[out]] = step[done]
-                live[out] = False
-            if not live.all():
-                idx, z, az = idx[live], z[live], az[live]
-                cand, cand_step = cand[live], cand_step[live]
-                if idx.size == 0:
-                    break
+    cap = max_iter + STAY_ITERATES  # the last step a lane is checked at
+    top = 0  # the next unstarted pixel
+    # working set: one lane per started, still-active pixel, in pixel order
+    idx = np.zeros(0, dtype=np.int32)
+    z = np.zeros(0, dtype=complex)
+    step = np.zeros(0, dtype=np.int16)  # the step z is at
+    cand = np.zeros(0, dtype=np.int16)  # candidate root, -1 for none
+    cand_step = np.zeros(0, dtype=np.int16)  # step the candidate was entered
+    while True:
+        if idx.size <= _TILE // 2 and top < n:
+            new = min(_TILE - idx.size, n - top)
+            idx = np.concatenate((idx, np.arange(top, top + new, dtype=np.int32)))
+            z = np.concatenate((z, grid[top : top + new]))
+            step = np.concatenate((step, np.zeros(new, dtype=np.int16)))
+            cand = np.concatenate((cand, np.full(new, -1, dtype=np.int16)))
+            cand_step = np.concatenate((cand_step, np.zeros(new, dtype=np.int16)))
+            top += new
+        if idx.size == 0:
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            az = np.abs(z)
+            live = np.isfinite(az)
+            near_pole = _in_bands(az, pole_bands)
+            if near_pole.size:
+                zp = z[near_pole]
+                clear = np.ones(near_pole.size, dtype=bool)
+                for q, snap in poles:
+                    clear &= np.abs(zp - q) > snap
+                live[near_pole] = clear
+            band = _in_bands(az, bands)
+            zb, azb = z[band], az[band]
+            zz = 1 + azb * azb
+            # chordal distance to each root; nearest < k before root k, so
+            # the maximum keeps argmin's rule that the first of equals wins
+            nearest = np.zeros(band.size, dtype=np.int16)
+            for k, (r, rk) in enumerate(zip(roots, rr)):
+                d = np.abs(zb - r)
+                d *= 2
+                den = zz * rk
+                np.sqrt(den, out=den)
+                d /= den
+                if k == 0:
+                    best = d
+                else:
+                    np.maximum(nearest, (d < best) * np.int16(k), out=nearest)
+                    np.minimum(best, d, out=best)
+            # far out, where (1 + |z|^2)(1 + |r|^2) overflows, no root is near
+            near = (best <= tol.basin_tol) & np.isfinite(zz * rr_max) & live[band]
+        # a band lane stays while it is near its candidate; stay = step - entered
+        sb = step[band]
+        keep = near & (nearest == cand[band])
+        entered = np.where(keep, cand_step[band], sb)
+        cand = np.full(idx.size, -1, dtype=np.int16)  # out of band: near no root
+        cand[band] = np.where(near, nearest, -1)
+        cand_step[band] = entered
+        # five confirming steps, or a certified exit
+        done = near & ((sb - entered >= STAY_ITERATES) | ((best < rho) & (entered <= max_iter)))
+        if done.any():
+            out = band[done]
+            basin[idx[out]] = nearest[done]
+            entry[idx[out]] = entered[done]
+            live[out] = False
+        # lanes start in pixel order, so the oldest, and any at the cap, lead
+        if step[0] == cap:
+            live &= step < cap
+        if not live.all():
+            idx, z, az = idx[live], z[live], az[live]
+            step, cand, cand_step = step[live], cand[live], cand_step[live]
+        z = f.evaluate_array(z, az)
+        step += 1
 
     shape = (spec.height, spec.width)
     return Raster(spec, basin.reshape(shape), entry.reshape(shape))

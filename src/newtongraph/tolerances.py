@@ -5,6 +5,7 @@ it from there."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -44,6 +45,16 @@ class Tolerances:
     sample_ratio: float = 1.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "float":
+                continue
+            # a bool compares as a number, and other types fail the range
+            # checks below with a TypeError that names no field
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{f.name} must be finite")
         if not (0 < self.root_tol < 1):
             raise ValueError("root_tol out of range")
         if not (0 < self.match_tol < 1):
@@ -61,10 +72,6 @@ class Tolerances:
         for name in ("basin_tol", "pole_snap", "land_tol", "jump_guard"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
 
 
 DEFAULT_TOL = Tolerances()

@@ -292,21 +292,30 @@ class TestRenderBasins:
                 if res.kind == "basin":
                     assert ras.steps[i, j] == res.entry_step
 
-    @pytest.mark.parametrize("max_iter", [256, 3])
+    @pytest.mark.parametrize("max_iter", [256, 60, 3])
     @pytest.mark.parametrize("coeffs, center, half_width", WINDOWS, ids=WINDOW_IDS)
-    def test_every_pixel_matches_classify_point(self, coeffs, center, half_width, max_iter):
+    def test_every_pixel_matches_classify_point(
+        self, monkeypatch, coeffs, center, half_width, max_iter
+    ):
+        # in a working set of 7 lanes, topped up whenever 3 are left, pixels
+        # started on different steps share it and reach the cap on different
+        # loop steps; in the pole zoom, 60 lies inside the spread of
+        # retirement steps
         f = make_newton_map(Polynomial(coeffs))
         spec = RasterSpec(24, 24, center, half_width)
-        ras = render_basins(f, spec, max_iter=max_iter)
         grid = spec.grid()
+        want = np.full((24, 24, 2), -1, dtype=np.int16)
         for i in range(24):
             for j in range(24):
                 res = classify_point(f, grid[i, j], max_iter=max_iter)
                 if res.kind == "basin":
-                    want = (res.root_index, res.entry_step)
-                else:
-                    want = (-1, -1)
-                assert (ras.basin_id[i, j], ras.steps[i, j]) == want, (i, j)
+                    want[i, j] = (res.root_index, res.entry_step)
+        for tile in (dynamics._TILE, 7):
+            monkeypatch.setattr(dynamics, "_TILE", tile)
+            ras = render_basins(f, spec, max_iter=max_iter)
+            got = np.stack((ras.basin_id, ras.steps), axis=-1)
+            bad = np.argwhere((got != want).any(axis=-1))
+            assert bad.size == 0, (tile, bad[:5].tolist())
         if max_iter == 3:
             assert (ras.basin_id < 0).any()
         else:
@@ -314,8 +323,9 @@ class TestRenderBasins:
 
     @pytest.mark.parametrize("coeffs, center, half_width", WINDOWS, ids=WINDOW_IDS)
     def test_tiles_do_not_change_the_image(self, monkeypatch, coeffs, center, half_width):
-        # 576 pixels in tiles of 7: tiles end with lone lanes, and far lanes
-        # are evaluated in other company than in one whole-image tile
+        # 576 pixels through a working set of 7 lanes: it runs down to lone
+        # lanes at the end, and far lanes are evaluated in other company
+        # than in one whole-image working set
         f = make_newton_map(Polynomial(coeffs))
         spec = RasterSpec(24, 24, center, half_width)
         whole = render_basins(f, spec)
@@ -428,9 +438,9 @@ class TestRenderBasins:
             assert inside.size == snapped.size
 
     def test_multi_tile_render_stays_small(self, cubic_unity):
-        # traced peak of a 512 x 512 full-window z^3 - 1 render in 8 tiles:
-        # 9.7 MB measured (numpy 2.4); one whole-image working set peaks at
-        # about 37 MB
+        # traced peak of a 512 x 512 full-window z^3 - 1 render through a
+        # working set of at most 2^15 lanes: 9.2 MB measured (numpy 2.4); one
+        # whole-image working set peaks at about 37 MB
         spec = RasterSpec(512, 512, 0j, 2.0)
         tracemalloc.start()
         try:
@@ -476,6 +486,22 @@ class TestRenderBasins:
     def test_max_iter_out_of_range_rejected(self, cubic_unity, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             render_basins(cubic_unity, RasterSpec(2, 2), max_iter=max_iter)
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [(dict(width=0, height=4), "width"),
+         (dict(width=4, height=0), "height"),
+         (dict(width=4.0, height=4), "width"),
+         (dict(width=4, height=True), "height"),
+         (dict(width=4, height=4, half_width=math.nan), "half_width"),
+         (dict(width=4, height=4, half_width=-2.0), "half_width"),
+         (dict(width=4, height=4, half_width=math.inf), "half_width"),
+         (dict(width=4, height=4, center=complex(math.nan, 0)), "center"),
+         (dict(width=4, height=4, center=complex(0, math.inf)), "center")],
+    )
+    def test_unrenderable_window_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            RasterSpec(**fields)
 
     def test_ppm_palette_wraps_and_unresolved_is_black(self):
         ids = np.array([[-1, 0, 1, 2, 3], [4, 5, 6, 7, 8], [9, 10, 11, 12, -1]],

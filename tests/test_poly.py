@@ -565,20 +565,21 @@ class TestTolerances:
             Tolerances(max_steps=-1)
         assert Tolerances(max_steps=0).max_steps == 0
 
-    # every field with values no stage can use: non-finite floats, and each
-    # field's own out-of-range values
+    # every field with values no stage can use: non-finite floats, values of
+    # the wrong type (a bool is no number here), and each field's own
+    # out-of-range values
     @pytest.mark.parametrize(
         "name, values",
         [
-            ("root_tol", (math.nan, math.inf, 0.0, 1.0)),
+            ("root_tol", (math.nan, math.inf, 0.0, 1.0, "1e-8")),
             ("match_tol", (math.nan, math.inf, 0.0, 1.0)),
             ("escape_radius", (math.nan, math.inf, 10.0)),
-            ("basin_tol", (math.nan, math.inf, -1e-3)),
+            ("basin_tol", (math.nan, math.inf, -1e-3, True)),
             ("pole_snap", (math.nan, math.inf, -1e-9)),
             ("land_tol", (math.nan, math.inf, -1e-9)),
             ("jump_guard", (math.nan, math.inf, -1e-3)),
             ("max_steps", (-1, 2.5, 3.0, True, False, "8", None)),
-            ("lift_tol", (math.nan, math.inf, 0.0, -1.0)),
+            ("lift_tol", (math.nan, math.inf, 0.0, -1.0, None)),
             ("sample_ratio", (math.nan, math.inf, 1.0)),
         ],
     )
