@@ -8,15 +8,25 @@ of interest is whether the matrix is irreducible with leading eigenvalue >= 1.
 
 Every answer is read off one integer matrix S = L A, where L is the lcm of the
 degrees of the lifts that land in the system (1 if none do): S[i][j] sums
-L // degree over those lifts. The verdict is decided exactly, by fraction-free
-elimination on the integer matrix L (I - A) = L I - S; the rational entries
-(for display), the floating-point leading eigenvalue (only reported) and the
-support come from S as well.
+L // degree over those lifts. The rational entries (for display), the
+floating-point leading eigenvalue (only reported) and the support come from S.
+
+The verdict is decided exactly, and no float is compared with 1. The one
+floating-point eigendecomposition that gives the leading eigenvalue also gives
+the eigenvector of the eigenvalue of largest real part, which for a
+non-negative matrix is the Perron root. Its moduli, converted exactly to
+integers V over one power of two, are a certificate checked in integers in
+O(m^2) for m classes. If every V_i > 0, then S V < L V in every row proves
+rho(A) < 1, since rho(A) <= max_i (A V)_i / V_i, and S V >= L V in every row
+proves rho(A) >= 1, since then A^k V >= V for every k. Only when the rows are
+mixed, or some V_i is 0, does fraction-free elimination on the integer matrix
+L (I - A) = L I - S decide, in O(m^3).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,18 +67,33 @@ def multicurve_from_json(data) -> MulticurveSpec:
     """Parse {"classes": m, "lifts": {"j": [{"target": i|null, "degree": d}]}}.
 
     m, i and d are taken as given, and MulticurveSpec accepts only integers.
-    Classes with no entry have no lifts; unknown keys are rejected.
+    The lift table is an object keyed by class, each entry a list of objects
+    with exactly the keys target and degree. Classes with no entry have no
+    lifts; unknown keys are rejected.
     """
     try:
         classes = data["classes"]
-        raw = dict(data.get("lifts", {}))
-        rows = tuple(tuple((item["target"], item["degree"]) for item in raw.pop(str(j), []))
-                     for j in range(classes))
-    except (KeyError, TypeError, ValueError) as exc:
+        table = data.get("lifts", {})
+        indices = range(classes)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed multicurve spec: {exc}") from exc
-    if raw:
-        raise ValueError(f"lift table keys outside 0..{classes - 1}: {sorted(raw)}")
-    return MulticurveSpec(classes, rows)
+    if not isinstance(table, dict):
+        raise ValueError(f"lift table: need an object keyed by class, got a {type(table).__name__}")
+    table = dict(table)
+    rows = []
+    for j in indices:
+        entry = table.pop(str(j), [])
+        if not isinstance(entry, list):
+            raise ValueError(f"lifts of class {j}: need a list, got a {type(entry).__name__}")
+        for item in entry:
+            if not isinstance(item, dict) or item.keys() != {"target", "degree"}:
+                raise ValueError(
+                    f"lift of class {j}: need an object with keys target and degree, got {item!r}"
+                )
+        rows.append(tuple((item["target"], item["degree"]) for item in entry))
+    if table:
+        raise ValueError(f"lift table keys outside 0..{classes - 1}: {sorted(table)}")
+    return MulticurveSpec(classes, tuple(rows))
 
 
 def _validated(matrix) -> np.ndarray:
@@ -80,14 +105,23 @@ def _validated(matrix) -> np.ndarray:
     return a
 
 
+def _leading_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Spectral radius of a validated matrix, and the moduli of the
+    eigenvector of its eigenvalue of largest real part. For a non-negative
+    matrix that eigenvalue is the Perron root, whose eigenvector is positive
+    when the matrix is irreducible. A pick by modulus could take another
+    eigenvalue on the same circle, which may round above the root."""
+    values, vectors = np.linalg.eig(a)
+    return float(np.abs(values).max()), np.abs(vectors[:, np.argmax(values.real)])
+
+
 def leading_eigenvalue(matrix) -> float:
     """Spectral radius of a non-negative square matrix, in floating point."""
-    return float(np.abs(np.linalg.eigvals(_validated(matrix))).max())
+    return _leading_eigenpair(_validated(matrix))[0]
 
 
-def _spectral_radius_below_one(scaled: list[list[int]], scale: int) -> bool:
-    """Exact test of rho(A) < 1 for the non-negative matrix A = scaled / scale,
-    with integer entries scaled and a positive integer scale.
+def _eliminated_below_one(scaled: list[list[int]], scale: int) -> bool:
+    """rho(A) < 1 for A = scaled / scale, decided by elimination.
 
     I - A is a Z-matrix, so rho(A) < 1 exactly when I - A is a nonsingular
     M-matrix, which holds exactly when every leading principal minor of
@@ -112,6 +146,33 @@ def _spectral_radius_below_one(scaled: list[list[int]], scale: int) -> bool:
     return True
 
 
+def _spectral_radius_below_one(scaled: list[list[int]], scale: int,
+                               vector: np.ndarray) -> bool:
+    """Exact test of rho(A) < 1 for the non-negative matrix A = scaled / scale,
+    with integer entries scaled, a positive integer scale and a non-negative
+    float vector, meant to approximate the Perron vector of A.
+
+    The vector is converted exactly to integers V over one power of two, and
+    row i of scaled V is compared with scale V_i in integers. If every
+    V_i > 0, a strict drop in every row proves rho(A) < 1, by the
+    Collatz-Wielandt bound rho(A) <= max_i (A V)_i / V_i, and no drop in any
+    row proves rho(A) >= 1: A V >= V gives A^k V >= V, so the V-weighted
+    max norm of every power A^k is at least 1. Otherwise, with mixed rows or
+    some V_i = 0, elimination decides.
+    """
+    ratios = [x.as_integer_ratio() for x in vector.tolist()]
+    denominator = max(d for _, d in ratios)
+    v = [n * (denominator // d) for n, d in ratios]
+    if min(v) > 0:
+        drops = [sum(map(operator.mul, row, v)) < scale * x_i
+                 for row, x_i in zip(scaled, v)]
+        if all(drops):
+            return True
+        if not any(drops):
+            return False
+    return _eliminated_below_one(scaled, scale)
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
@@ -128,8 +189,11 @@ def is_irreducible(matrix) -> bool:
     m = len(support)
     if m == 1:
         return bool(support[0, 0])
-    forward = [np.flatnonzero(row).tolist() for row in support]
-    backward = [np.flatnonzero(column).tolist() for column in support.T]
+    rows, columns = np.nonzero(support)
+    forward, backward = [[] for _ in range(m)], [[] for _ in range(m)]
+    for i, j in zip(rows.tolist(), columns.tolist()):
+        forward[i].append(j)
+        backward[j].append(i)
     for adjacency in (forward, backward):
         seen = {0}
         stack = [0]
@@ -157,7 +221,7 @@ def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
     values = np.zeros((m, m))
     for target, j, _ in landed:
         values[target, j] = scaled[target][j] / scale
-    leading = leading_eigenvalue(values)
+    leading, vector = _leading_eigenpair(values)
     irreducible = is_irreducible(values)
     zero = Fraction(0)
     return TransitionMatrix(
@@ -165,7 +229,7 @@ def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
                       for row in scaled),
         leading=leading,
         irreducible=irreducible,
-        obstruction=irreducible and not _spectral_radius_below_one(scaled, scale),
+        obstruction=irreducible and not _spectral_radius_below_one(scaled, scale, vector),
     )
 
 

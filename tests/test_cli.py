@@ -443,6 +443,8 @@ MALFORMED = [
     # finite input whose expansion, derivative or Newton numerator overflows
     ("roots", {"roots": [1e200, -1e200, 3]}, "a coefficient of p is not finite"),
     ("roots", {"coeffs": [1e308, 1e308, 1e308, 1e308]}, "a coefficient of p' is not finite"),
+    ("thurston", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": 2, "extra": 1}]}},
+     "lift of class 0"),
 ]
 
 

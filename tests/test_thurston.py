@@ -1,6 +1,8 @@
 """Transition matrices: entries, leading eigenvalues, irreducibility, and the
 obstruction predicate, cross-checked against exact characteristic polynomials,
-boolean reachability powers and the Fraction elimination of conftest."""
+boolean reachability powers and the Fraction elimination of conftest. The
+Perron-vector certificate is checked against the same oracles, with the
+package's elimination counted or forbidden."""
 
 import random
 from collections import Counter
@@ -14,8 +16,11 @@ from newtongraph import (
     is_irreducible_obstruction,
     transition_matrix,
 )
+from newtongraph import thurston
 from newtongraph.thurston import (
     MulticurveSpec,
+    _leading_eigenpair,
+    _spectral_radius_below_one,
     is_irreducible,
     leading_eigenvalue,
     multicurve_from_json,
@@ -133,6 +138,18 @@ class TestTransitionMatrix:
             multicurve_from_json({"classes": 1, "lifts": {"3": []}})
         with pytest.raises(ValueError):
             multicurve_from_json({"lifts": {}})
+
+    @pytest.mark.parametrize("lifts, message", [
+        ([], "lift table"),
+        ([["0", [{"target": 1, "degree": 2}]]], "lift table"),
+        ({"1": {"target": 0, "degree": 2}}, "lifts of class 1"),
+        ({"0": [{"target": 0, "degree": 2, "extra": 1}]}, "lift of class 0"),
+        ({"0": [{"target": 0}]}, "lift of class 0"),
+        ({"1": [[0, 2]]}, "lift of class 1"),
+    ])
+    def test_json_rejects_malformed_lift_tables(self, lifts, message):
+        with pytest.raises(ValueError, match=message):
+            multicurve_from_json({"classes": 2, "lifts": lifts})
 
 
 class TestLeadingEigenvalue:
@@ -323,3 +340,113 @@ class TestIntegerVerdictAgainstFractions:
         assert tm.entries == ((Fraction(0),) * 3,) * 3
         assert tm.leading == 0.0
         assert tm.obstruction is False
+
+
+@pytest.fixture()
+def eliminations(monkeypatch):
+    """The class counts of the specs the package's elimination decides."""
+    sizes = []
+    eliminate = thurston._eliminated_below_one
+
+    def counted(scaled, scale):
+        sizes.append(len(scaled))
+        return eliminate(scaled, scale)
+
+    monkeypatch.setattr(thurston, "_eliminated_below_one", counted)
+    return sizes
+
+
+@pytest.fixture()
+def certificate_alone(monkeypatch):
+    def forbidden(scaled, scale):
+        raise AssertionError("the certificate left the verdict to elimination")
+
+    monkeypatch.setattr(thurston, "_eliminated_below_one", forbidden)
+
+
+def chain_spec(rng, m, next_degrees=(1, 6), degrees=(1, 9), extra=(0, 3)):
+    """Each class lifts onto the next one, which makes the spec irreducible,
+    and onto a few random classes or none."""
+    return spec_of(m, [
+        [((j + 1) % m, rng.randint(*next_degrees))]
+        + [(rng.choice([None] + list(range(m))), rng.randint(*degrees))
+           for _ in range(rng.randint(*extra))]
+        for j in range(m)
+    ])
+
+
+class TestPerronCertificate:
+    """The integer-checked Perron vector decides the verdict, and elimination
+    only the specs it leaves open."""
+
+    def test_sweep_agrees_with_fraction_elimination(self, eliminations):
+        # Fraction elimination costs O(m^3), so one spec in 25 draws from
+        # 1-50 classes and the rest from 1-10
+        rng = random.Random(16180339)
+        verdicts = Counter()
+        for k in range(1000):
+            m = rng.randint(1, 50) if k % 25 == 0 else rng.randint(1, 10)
+            tm = transition_matrix(chain_spec(rng, m))
+            assert tm.irreducible
+            assert tm.obstruction is not fraction_radius_below_one(tm.entries)
+            verdicts[tm.obstruction] += 1
+        assert verdicts[False] >= 200 and verdicts[True] >= 200
+        assert len(eliminations) <= 50, eliminations
+
+    @pytest.mark.parametrize("next_degrees, degrees, obstruction", [
+        # every column sums to at most 1/2 + 1/3, or to at least 1 + 1/4
+        ((2, 4), (3, 6), False),
+        ((1, 1), (1, 4), True),
+    ])
+    def test_fifty_classes_decided_alone(self, certificate_alone, next_degrees, degrees,
+                                         obstruction):
+        tm = transition_matrix(chain_spec(random.Random(2), 50, next_degrees, degrees, (1, 1)))
+        assert tm.obstruction is obstruction
+        assert tm.obstruction is not fraction_radius_below_one(tm.entries)
+
+    @pytest.mark.parametrize("table", [
+        [[(0, 1)]],
+        [[(0, 3)] * 3],
+        [[(1, 1)], [(0, 1)]],
+    ])
+    def test_exact_perron_vector_decides_radius_one_alone(self, certificate_alone, table):
+        # the float Perron vector is exact, so every row of A v = v is an
+        # equality, which proves rho(A) >= 1 and not rho(A) < 1
+        assert transition_matrix(spec_of(len(table), table)).obstruction is True
+
+    def test_non_dyadic_perron_vector_falls_back(self, eliminations):
+        # A = [[1/2, 1/6], [3/2, 1/2]] has rho 1 and Perron vector (1, 3):
+        # its float normalisation leaves the rows mixed
+        tm = transition_matrix(spec_of(2, [[(0, 2), (1, 1), (1, 2)], [(0, 6), (1, 2)]]))
+        assert tm.entries == ((Fraction(1, 2), Fraction(1, 6)), (Fraction(3, 2), Fraction(1, 2)))
+        assert eliminations == [2]
+        assert tm.obstruction is True
+
+    @pytest.mark.parametrize("degrees, radius", [
+        ((1, 1, 1), 1.0),
+        ((1, 2, 3), 6 ** (-1 / 3)),
+    ])
+    def test_imprimitive_cycles(self, degrees, radius):
+        # the eigenvalues of largest modulus are radius times the cube
+        # roots of unity
+        tm = transition_matrix(spec_of(3, [[((j + 1) % 3, d)] for j, d in enumerate(degrees)]))
+        assert abs(char_poly_radius(tm.entries) - radius) < 1e-12
+        assert abs(tm.leading - radius) < 1e-12
+        assert tm.obstruction is (radius >= 1) is not fraction_radius_below_one(tm.entries)
+
+    @pytest.mark.parametrize("vector", [[0.0], [0.0, 0.0]])
+    def test_a_zero_entry_proves_nothing(self, eliminations, vector):
+        # A = 1/2 I: with v = 0 every row reads 0 >= 0
+        m = len(vector)
+        scaled = [[int(i == j) for j in range(m)] for i in range(m)]
+        assert _spectral_radius_below_one(scaled, 2, np.array(vector)) is True
+        assert eliminations == [m]
+
+    def test_vector_belongs_to_the_real_root(self):
+        # a fixed class fed by a 3-cycle: the cycle's complex eigenvalues
+        # round above the root 1 in modulus, and their eigenvectors are not
+        # eigenvectors of 1
+        a = np.array([[1, 1, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=float)
+        leading, vector = _leading_eigenpair(a)
+        assert abs(leading - 1) < 1e-12
+        assert np.allclose(a @ vector, vector)
