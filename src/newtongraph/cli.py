@@ -5,8 +5,8 @@ thurston), stable JSON file formats, and fixed exit codes:
 
     0  success, or a positive verdict (validation passed, graphs equivalent)
     1  negative verdict (a condition failed, graphs not equivalent), or a
-       computed graph that fails validation or its face counts, which
-       graph does not write
+       computed graph that compute_newton_graph refuses as InvalidGraph,
+       which graph does not write
     2  input, parse or numeric error
     3  the polynomial is not postcritically fixed
 
@@ -31,9 +31,9 @@ from .combinatorial import (
     validate_newton_graph,
 )
 from .dynamics import MAX_RASTER_ITER, RasterSpec, render_basins
-from .errors import NewtonGraphError, UnresolvedOrbit
+from .errors import InvalidGraph, NewtonGraphError, UnresolvedOrbit
 from .poly import Polynomial, make_newton_map
-from .pullback import compute_newton_graph, newton_graph_to_json, verify_face_counts
+from .pullback import compute_newton_graph, newton_graph_to_json
 from .thurston import multicurve_from_json, transition_matrix
 
 EXIT_OK = 0
@@ -199,15 +199,10 @@ def cmd_graph(args) -> int:
     if args.max_level < 1:
         raise InputError("--max-level must be >= 1")
     f = make_newton_map(load_polynomial(args.polynomial))
-    result = compute_newton_graph(f, max_level=args.max_level)
-    failures = (
-        validate_newton_graph(result.dynamics).failures
-        + verify_face_counts(result, f).failures
-    )
-    if failures:
-        for c in failures:
-            witness = f" ({c.witness})" if c.witness else ""
-            print(f"invalid graph: {c.name} failed{witness}", file=sys.stderr)
+    try:
+        result = compute_newton_graph(f, max_level=args.max_level)
+    except InvalidGraph as exc:
+        print(f"invalid graph: {exc}", file=sys.stderr)
         return EXIT_FAIL
     text = _dump_json(newton_graph_to_json(result))
     if args.out:

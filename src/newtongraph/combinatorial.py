@@ -502,15 +502,11 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
             bad = sub.failures[0]
             witness = f"core diagram fails {bad.name}: {bad.witness}"
         else:
-            for e in sorted(channel):
-                if dyn.edge_map[e] != e:
-                    witness = f"channel edge {e} not fixed"
-                    break
-            else:
-                for v in sorted(members):
-                    if dyn.vertex_map[v] != v:
-                        witness = f"channel vertex {v} not fixed"
-                        break
+            # no vertex check is needed: a fixed edge keeps its two ends as a
+            # set, the center ends every channel edge, so it and each root stay
+            unfixed = [e for e in sorted(channel) if dyn.edge_map[e] != e]
+            if unfixed:
+                witness = f"channel edge {unfixed[0]} not fixed"
     checks.append(ConditionCheck("channel_core", witness is None, witness))
 
     # (2) roots touch the pulled-back material, the center does not, and each
@@ -566,12 +562,10 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
         if not branch:
             witness = "no branch vertices"
         else:
-            vdepths = [dyn.vertex_depths[v] for v in branch]
-            if any(d is None for d in vdepths):
-                v = branch[vdepths.index(None)]
-                witness = f"branch vertex {v} never reaches the channel core"
-            elif max(vdepths) != dyn.level - 1:
-                witness = (f"deepest branch vertex reaches the core in {max(vdepths)} "
+            # none strays: a vertex ends an edge and reaches the core with it
+            deepest = max(dyn.vertex_depths[v] for v in branch)
+            if deepest != dyn.level - 1:
+                witness = (f"deepest branch vertex reaches the core in {deepest} "
                            f"steps, expected {dyn.level - 1}")
     checks.append(ConditionCheck("depth_minimal", witness is None, witness))
 
@@ -703,6 +697,14 @@ def _ints(values) -> list[int]:
     return values
 
 
+def _object(data, field: str) -> dict:
+    """data[field], which must be a JSON object (a dict), not a list."""
+    value = data[field]
+    if not isinstance(value, dict):
+        raise TypeError(f"{field} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
     """Rebuild a graph (with dynamics when present) from the interchange format.
 
@@ -713,9 +715,9 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
     try:
         darts = list(data["darts"])
         alpha_pairs = [tuple(p) for p in data["alpha"]]
-        sigma_cycles = {int(v): list(c) for v, c in data["sigma"].items()}
+        sigma_cycles = {int(v): list(c) for v, c in _object(data, "sigma").items()}
         _ints(itertools.chain(darts, *alpha_pairs, *sigma_cycles.values()))
-        kind_by_old = {int(v): k for v, k in data["vertex_kinds"].items()}
+        kind_by_old = {int(v): k for v, k in _object(data, "vertex_kinds").items()}
         unknown = set(kind_by_old.values()) - {KIND_ROOT, KIND_POLE, KIND_INFINITY, KIND_PLAIN}
         if unknown:
             raise ValueError(f"unknown vertex kind {unknown.pop()!r}")
@@ -756,8 +758,9 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
         field = "edge_map"
         edge_map = tuple(_ints(dyn[field][str(e)] for e in range(graph.n_edges)))
         field = "dart_map"
+        images = _object(dyn, field)
         dart_map = [None] * n
-        for old_d, old_img in zip(dyn[field], _ints(dyn[field].values())):
+        for old_d, old_img in zip(images, _ints(images.values())):
             dart_map[new_dart[int(old_d)]] = new_dart[old_img]
         field = "local_degree"
         local_degree = tuple(_ints(dyn[field][str(v)] for v in old_vertices))

@@ -84,6 +84,13 @@ def _snap_pole(f: NewtonMap, z: complex) -> bool:
     return False
 
 
+def _check_max_iter(max_iter, upper: float) -> None:
+    """max_iter must be an integer in 0..upper: not a bool, not 2.5."""
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or not 0 <= max_iter <= upper):
+        raise ValueError(f"max_iter must be an integer in 0..{upper}, got {max_iter!r}")
+
+
 def classify_point(
     f: NewtonMap,
     z: complex,
@@ -98,8 +105,7 @@ def classify_point(
     through infinity and reported unresolved with the prepole flag — infinity
     repels, so no open set converges there.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    _check_max_iter(max_iter, math.inf)
     z = point(z)
     trace = [z] if keep_trace else None
 
@@ -284,8 +290,7 @@ def render_basins(f: NewtonMap, spec: RasterSpec, max_iter: int = 256) -> Raster
     be within pole snap of a pole only while |z| lies in the pole band of
     _pole_band, so each step tests those lanes alone against the poles.
     """
-    if not 0 <= max_iter <= MAX_RASTER_ITER:
-        raise ValueError(f"max_iter must be in 0..{MAX_RASTER_ITER}, got {max_iter}")
+    _check_max_iter(max_iter, MAX_RASTER_ITER)
     tol = f.tol
     grid = spec.grid().ravel()
     n = grid.size

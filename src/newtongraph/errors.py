@@ -53,7 +53,9 @@ class NonPlanarIncidence(NewtonGraphError):
 
 class InvalidGraph(NewtonGraphError):
     """Combinatorial graph data violates a structural invariant (bad permutation,
-    disconnected dart set, non-spherical Euler count, inconsistent maps)."""
+    disconnected dart set, non-spherical Euler count, inconsistent maps), or a
+    computed Newton graph fails one of the seven conditions or its face counts;
+    the message then names each failed check with its witness."""
 
 
 class LevelCapExceeded(NewtonGraphError):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,13 @@ from .combinatorial import (
     ValidationReport,
     embedded_graph_from_rotations,
     graph_to_json,
+    validate_newton_graph,
 )
 from .dynamics import critical_orbits, require_postcritically_fixed
 from .errors import (
     BranchJump,
     EndpointUnmatched,
+    InvalidGraph,
     LevelCapExceeded,
     NonPlanarIncidence,
 )
@@ -667,7 +670,10 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     the vertex marks, one per vertex: every critical point is a vertex when
     the branching indices (local degree minus one) add up to 2d - 2, every
     pole when len(f.poles) marks are poles. Every stage reads its numeric
-    policy from f.tol.
+    policy from f.tol. The top level leaves only once certified: it must pass
+    the seven conditions of validate_newton_graph and the face counts of
+    verify_face_counts, else InvalidGraph names each failed check with its
+    witness.
     """
     require_postcritically_fixed(critical_orbits(f))
     cur = base_dynamic_graph(f)
@@ -690,12 +696,22 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
         cur = pullback_level(f, cur, fibers)
         tower.append(cur)
 
-    return NewtonGraphResult(
+    result = NewtonGraphResult(
         graphs=tuple(tower),
         minimal_level=crit_level + 1,
         pole_cover_level=pole_level,
         dynamics=extract_combinatorial(cur),
     )
+    failures = (
+        validate_newton_graph(result.dynamics).failures
+        + verify_face_counts(result, f).failures
+    )
+    if failures:
+        raise InvalidGraph("; ".join(
+            f"{c.name} failed" + (f" ({c.witness})" if c.witness else "")
+            for c in failures
+        ) + f" at level {cur.level}")
+    return result
 
 
 # --- point location and face counting --------------------------------------
@@ -778,8 +794,8 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     """Face bookkeeping of the basin structure.
 
     - boundary_fixed_points: each face of the level-0 diagram has one more
-      root on its boundary than poles (with multiplicity) strictly inside it;
-      poles sitting on the diagram itself are listed, not guessed about.
+      root on its boundary than poles (with multiplicity) strictly inside it,
+      and every pole lies inside some face: a pole on the diagram fails it.
     - shared_pole_access: each level-0 face contains a level-1 pole vertex
       whose incident edges belong to at least two distinct roots' basins.
     - simple_pole_basin_bound: a simple pole meets immediate basins of at
@@ -800,26 +816,15 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     # level-0 face of each pole; a level-1 pole vertex is its pole's exact
     # value, as the fiber over INF is f.marks_over(INF)
     pole_face = {q: locate_face(base.geo, emb0, q) for q, _ in f.poles}
-    interior_poles: dict[int, int] = {i: 0 for i in range(emb0.n_faces)}
-    boundary_poles = []
+    interior_poles = Counter()
     for q, mult in f.poles:
-        face = pole_face[q]
-        if face is None:
-            boundary_poles.append(q)
-        else:
-            interior_poles[face] += mult
-
-    mismatches = [
+        interior_poles[pole_face[q]] += mult
+    mismatches = [f"pole {q} lies in no face" for q, face in pole_face.items() if face is None]
+    mismatches += [
         f"face {i}: {len(boundary_roots[i])} boundary roots vs "
         f"{interior_poles[i]} interior poles"
         for i in range(emb0.n_faces)
         if len(boundary_roots[i]) != interior_poles[i] + 1
-    ]
-    witness = "; ".join(mismatches) if mismatches else None
-    if boundary_poles and witness is None:
-        witness = f"poles on the diagram, excluded from counts: {boundary_poles}"
-    checks = [
-        ConditionCheck("boundary_fixed_points", not mismatches, witness)
     ]
 
     # owners of level-1 edges at each pole vertex
@@ -838,31 +843,20 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
     shared = {pole_face[geo1.vertices[v]]
               for v, owners in pole_owner_sets.items() if len(owners) >= 2}
     uncovered = [face for face in range(emb0.n_faces) if face not in shared]
-    checks.append(
-        ConditionCheck(
-            "shared_pole_access",
-            not uncovered,
-            f"faces without a two-basin pole: {uncovered}" if uncovered else None,
-        )
-    )
-
-    crowded = []
-    for v, mark in enumerate(level1.marks):
-        if mark.kind != KIND_POLE or mark.local_degree != 1:  # simple poles only
-            continue
-        owners = pole_immediate_sets.get(v, set())
-        if len(owners) > 2:
-            crowded.append((v, sorted(owners)))
-    checks.append(
-        ConditionCheck(
-            "simple_pole_basin_bound",
-            not crowded,
-            f"simple poles meeting too many immediate basins: {crowded}"
-            if crowded
-            else None,
-        )
-    )
-    return ValidationReport(tuple(checks))
+    crowded = [
+        (v, sorted(pole_immediate_sets[v]))
+        for v, mark in enumerate(level1.marks)
+        if mark.kind == KIND_POLE and mark.local_degree == 1  # simple poles only
+        and len(pole_immediate_sets.get(v, ())) > 2
+    ]
+    return ValidationReport((
+        ConditionCheck("boundary_fixed_points", not mismatches, "; ".join(mismatches) or None),
+        ConditionCheck("shared_pole_access", not uncovered,
+                       f"faces without a two-basin pole: {uncovered}" if uncovered else None),
+        ConditionCheck("simple_pole_basin_bound", not crowded,
+                       f"simple poles meeting too many immediate basins: {crowded}"
+                       if crowded else None),
+    ))
 
 
 # --- export -----------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import newtongraph
 from newtongraph import InvalidGraph, graph_from_json, validate_newton_graph
-from newtongraph import cli
+from newtongraph import cli, pullback
 from newtongraph.cli import main
 from newtongraph.combinatorial import ConditionCheck, ValidationReport
 
@@ -232,7 +232,7 @@ class TestGraph:
 
     def test_failed_validation_writes_nothing(self, tmp_path, capsys, monkeypatch):
         failing = ValidationReport((ConditionCheck("sector_injective", False, "a witness"),))
-        monkeypatch.setattr(cli, "validate_newton_graph", lambda graph: failing)
+        monkeypatch.setattr(pullback, "validate_newton_graph", lambda graph: failing)
         out = tmp_path / "g.json"
         poly = write_json(tmp_path, "pm.json", PM)
         code, text, err = run(capsys, ["graph", poly, "--out", str(out), "--json"])
@@ -246,7 +246,7 @@ class TestGraph:
             ConditionCheck("boundary_fixed_points", True, None),
             ConditionCheck("shared_pole_access", False, "faces without a two-basin pole: [0]"),
         ))
-        monkeypatch.setattr(cli, "verify_face_counts", lambda result, f: failing)
+        monkeypatch.setattr(pullback, "verify_face_counts", lambda result, f: failing)
         out = tmp_path / "g.json"
         poly = write_json(tmp_path, "pm.json", PM)
         code, text, err = run(capsys, ["graph", poly, "--out", str(out), "--json"])
@@ -497,6 +497,26 @@ def test_graph_file_takes_only_integers_and_known_kinds(
     data = json.loads(json.dumps(unity_graph))
     set_path(data, path, value)
     with pytest.raises(InvalidGraph, match=re.escape(message)):
+        graph_from_json(data)
+    good = write_json(tmp_path, "good.json", unity_graph)
+    bad = write_json(tmp_path, "bad.json", data)
+    for argv in (["validate", bad], ["compare", good, bad]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and message in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("path", [("sigma",), ("vertex_kinds",), ("dynamics", "dart_map")],
+                         ids=["sigma", "vertex_kinds", "dart_map"])
+def test_graph_file_maps_must_be_objects(unity_graph, tmp_path, capsys, path):
+    # a list where an object is due is malformed input: exit 2, with no
+    # traceback, not exit 1, the code of a failed condition
+    data = json.loads(json.dumps(unity_graph))
+    parent = data if len(path) == 1 else data[path[0]]
+    parent[path[-1]] = list(parent[path[-1]].values())
+    message = f"{path[-1]} must be a JSON object, not list"
+    with pytest.raises(InvalidGraph, match=message):
         graph_from_json(data)
     good = write_json(tmp_path, "good.json", unity_graph)
     bad = write_json(tmp_path, "bad.json", data)

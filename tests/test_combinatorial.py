@@ -116,6 +116,57 @@ class TestEmbeddedGraph:
                 [(0, 1)], [[1], [0]], [KIND_PLAIN, KIND_PLAIN])
 
 
+    @pytest.mark.parametrize("sigma, vertex_of, message", [
+        ((), (), "dart count must be positive and even"),
+        ((0,), (0,), "dart count must be positive and even"),
+        ((0, 1), (0,), "vertex_of length does not match dart count"),
+    ])
+    def test_rejects_malformed_dart_arrays(self, sigma, vertex_of, message):
+        with pytest.raises(InvalidGraph, match=message):
+            EmbeddedGraph(sigma, vertex_of, (KIND_PLAIN,))
+
+    @pytest.mark.parametrize("rotations, message", [
+        ([[0, 0], [1]], "dart 0 repeated or out of range"),
+        ([[2], [1]], "dart 2 repeated or out of range"),
+        ([[0], []], "rotations do not cover every dart"),
+    ])
+    def test_rejects_bad_rotations(self, rotations, message):
+        with pytest.raises(InvalidGraph, match=message):
+            embedded_graph_from_rotations([(0, 1)], rotations, [KIND_PLAIN, KIND_PLAIN])
+
+
+class TestGraphDynamics:
+    # the identity on one edge is a valid self-map; each case breaks one rule
+    IDENTITY = dict(vertex_map=(0, 1), edge_map=(0,), dart_map=(0, 1),
+                    local_degree=(1, 1), channel_edges=frozenset({0}), level=0)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(vertex_map=(0,)), "vertex_map/local_degree length mismatch"),
+        (dict(edge_map=(0, 0)), "edge_map/dart_map length mismatch"),
+        (dict(vertex_map=(0, 2)), "vertex_map value out of range"),
+        (dict(edge_map=(1,)), "edge_map value out of range"),
+        (dict(dart_map=(0, 2)), "dart_map value out of range"),
+        (dict(local_degree=(0, 1)), "local degrees must be >= 1"),
+        (dict(level=-1), "level must be >= 0"),
+        (dict(channel_edges=frozenset({1})), "channel edge id out of range"),
+        (dict(vertex_map=(1, 0)), r"dart_map\(0\) lands at the wrong vertex"),
+        # on the triangle, dart 0 and dart 5 both sit at vertex 0
+        (dict(graph="triangle", vertex_map=(0, 1, 2), edge_map=(0, 1, 2),
+              dart_map=(5, 1, 2, 3, 4, 5), local_degree=(1, 1, 1)),
+         r"dart_map\(0\) lands on the wrong edge"),
+        (dict(vertex_map=(0, 0), dart_map=(0, 0)),
+         "dart_map does not pair the two ends of edge 0"),
+    ])
+    def test_rejects_inconsistent_maps(self, changes, message):
+        fields = {**self.IDENTITY, **changes}
+        graph = triangle() if fields.pop("graph", None) == "triangle" else single_edge()
+        with pytest.raises(InvalidGraph, match=message):
+            GraphDynamics(graph, **fields)
+
+    def test_the_identity_is_valid(self):
+        GraphDynamics(single_edge(), **self.IDENTITY)
+
+
 class TestChannelDiagramValidator:
     def test_handbuilt_level0_passes(self, handbuilt_pm_level0):
         graph = handbuilt_pm_level0.dynamics().graph
@@ -231,6 +282,37 @@ class TestNewtonGraphValidator:
         for name in ("channel_core", "root_contact", "branch_total",
                      "depth_minimal", "complement_connected", "sector_injective"):
             assert report.check(name).passed, report.check(name)
+
+    @pytest.mark.parametrize("mutation, name, witness", [
+        (("channel", set()), "channel_core", "no channel edges marked"),
+        (("channel", {4}), "channel_core", "center vertex not on any channel edge"),
+        (("kinds", 3, KIND_PLAIN), "channel_core", "no unique center vertex"),
+        (("kinds", 3, KIND_PLAIN), "root_contact", "no unique center vertex"),
+        (("local_degree", 1, 1), "root_contact", "root 1 has local degree 1"),
+        (("level", 0), "depth_minimal", "edge depth 1 exceeds level 0"),
+        (("local_degree", [1] * 8), "depth_minimal", "no branch vertices"),
+    ])
+    def test_witnesses(self, handbuilt_pm_level1, mutation, name, witness):
+        parts = handbuilt_pm_level1.parts()
+        if len(mutation) == 2:
+            parts[mutation[0]] = mutation[1]
+        else:
+            parts[mutation[0]][mutation[1]] = mutation[2]
+        check = validate_newton_graph(HandBuiltModel.assemble(parts)).check(name)
+        assert not check.passed
+        assert check.witness == witness
+
+    def test_a_map_fixing_the_channel_edges_fixes_their_vertices(self, handbuilt_pm_level1):
+        # channel_core checks edges only: to move root 1 while fixing its
+        # channel edge 2, the map must reverse that edge, taking the center
+        # to root 1 and off the other channel edges at the center
+        dyn = handbuilt_pm_level1.dynamics()
+        dart_map, vertex_map = list(dyn.dart_map), list(dyn.vertex_map)
+        dart_map[4], dart_map[5] = 5, 4
+        vertex_map[1], vertex_map[3] = 3, 1
+        with pytest.raises(InvalidGraph, match="lands at the wrong vertex"):
+            GraphDynamics(dyn.graph, tuple(vertex_map), dyn.edge_map, tuple(dart_map),
+                          dyn.local_degree, dyn.channel_edges, dyn.level)
 
     def test_reports_are_stable(self, handbuilt_pm_level1):
         dyn = handbuilt_pm_level1.dynamics()

@@ -513,3 +513,17 @@ class TestRenderBasins:
         )
         assert ras.to_ppm() == want
         assert _PALETTE[12 % len(_PALETTE)] == _PALETTE[0]
+
+
+# z^3 - 2z + 2: the Newton map has the attracting 2-cycle {0, 1}, so an orbit
+# from near 0 nears no root and only the step cap ends it. A cap of 2.5 + 5
+# equals no int16 step, so render_basins would never retire such a lane.
+@pytest.mark.parametrize("max_iter", [2.5, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("caller", ["classify_point", "render_basins"])
+def test_max_iter_must_be_an_integer(caller, max_iter):
+    f = make_newton_map(Polynomial((2, -2, 0, 1)))
+    with pytest.raises(ValueError, match="max_iter"):
+        if caller == "classify_point":
+            classify_point(f, 0.01, max_iter=max_iter)
+        else:
+            render_basins(f, RasterSpec(8, 8, 0j, 0.05), max_iter=max_iter)

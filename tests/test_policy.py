@@ -271,3 +271,22 @@ class TestExactVerdictOnIntegers:
         assert pullback_callers("_spectral_radius_below_one", "thurston") == {
             "transition_matrix"
         }
+
+
+class TestOneCertificationSite:
+    """compute_newton_graph certifies every graph it returns, so no caller
+    checks a graph a second time: the CLI only reports InvalidGraph."""
+
+    def test_face_counts_are_verified_only_in_the_build(self):
+        modules = [info.name for info in pkgutil.iter_modules(newtongraph.__path__)]
+        callers = {
+            (module, caller)
+            for module in modules
+            for caller in pullback_callers("verify_face_counts", module)
+        }
+        assert callers == {("pullback", "compute_newton_graph")}
+
+    def test_the_cli_names_no_certification(self):
+        places, _ = TestOnePointType.places_naming("verify_face_counts")
+        assert [p for p in places if p[0] == "cli"] == []
+        assert pullback_callers("validate_newton_graph", "cli") == {"cmd_validate"}

@@ -13,6 +13,7 @@ import pytest
 from newtongraph import (
     BranchJump,
     EndpointUnmatched,
+    InvalidGraph,
     LevelCapExceeded,
     NonPlanarIncidence,
     Polynomial,
@@ -30,7 +31,13 @@ from newtongraph import (
     validate_newton_graph,
 )
 from newtongraph import poly
-from newtongraph.combinatorial import KIND_POLE, KIND_ROOT, regular_extension_check
+from newtongraph.combinatorial import (
+    KIND_POLE,
+    KIND_ROOT,
+    ConditionCheck,
+    ValidationReport,
+    regular_extension_check,
+)
 from newtongraph.dynamics import critical_orbits, require_postcritically_fixed
 from newtongraph.pullback import (
     base_dynamic_graph,
@@ -1107,6 +1114,42 @@ class TestComputeNewtonGraph:
         with pytest.raises(UnresolvedOrbit):
             compute_newton_graph(f)
 
+    def test_failed_checks_name_the_top_level(self, cubic_unity, monkeypatch):
+        failing = ValidationReport((
+            ConditionCheck("channel_core", False, "first witness"),
+            ConditionCheck("root_contact", True),
+            ConditionCheck("star_saturated", False, "second witness"),
+        ))
+        monkeypatch.setattr(pullback, "validate_newton_graph", lambda dyn: failing)
+        with pytest.raises(InvalidGraph) as err:
+            compute_newton_graph(cubic_unity)
+        assert str(err.value) == (
+            "channel_core failed (first witness); "
+            "star_saturated failed (second witness) at level 2"
+        )
+
+    # z^4 - 6 c^2 z^2 - 1, whose Newton map is odd, with c^2 near the
+    # imaginary axis, refined by Newton in c^2 on the landing condition of
+    # the free critical orbits: four root-landing after k = 2 steps, two
+    # pole-landing after k = 1 and six after k = 2. Their orbits land, but
+    # the top level splits its non-channel part, so no graph may leave.
+    IMAGINARY_AXIS_C2 = [
+        complex(re, im)
+        for re in (0.0003115105291598439, -0.0003115105291598439)
+        for im in (0.3009200719352122, -0.3009200719352122)
+    ] + [
+        complex(0, sign * y)
+        for y in (0.3034987820624550, 0.2558629191616792,
+                  0.3008441791478416, 0.3272017128922724)
+        for sign in (1, -1)
+    ]
+
+    @pytest.mark.parametrize("c2", IMAGINARY_AXIS_C2, ids=str)
+    def test_imaginary_axis_quartics_raise(self, c2):
+        f = make_newton_map(Polynomial((-1, 0, -6 * c2, 0, 1)))
+        with pytest.raises(InvalidGraph, match="complement_connected failed"):
+            compute_newton_graph(f)
+
     def test_pipeline_matches_handbuilt_model(self, graph_pm, handbuilt_pm_level1):
         # the computed tower and the independently assembled combinatorial
         # model of the same map must be equivalent
@@ -1150,6 +1193,19 @@ class TestFaceCounts:
                 "simple_pole_basin_bound",
             ]
             assert report.passed, [c for c in report.checks if not c.passed]
+
+    def test_pole_in_no_face_fails_and_is_named(self, graph_pm, cubic_pm, monkeypatch):
+        # poles lie in the Julia set, which meets the level-0 diagram only at
+        # infinity; a pole put on the diagram fails the count, not leaves it
+        q = cubic_pm.poles[0][0]
+        located = pullback.locate_face
+        monkeypatch.setattr(
+            pullback, "locate_face",
+            lambda geo, emb, z: None if z == q else located(geo, emb, z),
+        )
+        check = verify_face_counts(graph_pm, cubic_pm).check("boundary_fixed_points")
+        assert not check.passed
+        assert check.witness.startswith(f"pole {q} lies in no face")
 
 
 @pytest.fixture(scope="module")
