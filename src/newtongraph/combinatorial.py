@@ -332,21 +332,26 @@ class ValidationReport:
 
 
 def _bigon_sides(graph: EmbeddedGraph, first_edge: int, second_edge: int):
-    """Partition the faces into the two sides of the 2-cycle formed by two
-    parallel edges, by dual connectivity across every other edge.
+    """The two sides of the closed curve formed by two distinct edges
+    between the same two vertices, as two sets of face indices, found by
+    dual connectivity across every other edge.
 
-    Returns a list of face-index sets (expected length 2) or None when the
-    pair fails to separate (degenerate input).
+    There are always exactly two. EmbeddedGraph admits only connected
+    rotation systems of Euler count 2, so the graph is embedded in the
+    sphere, and the two edges form a simple closed curve there. By the
+    Jordan curve theorem that curve cuts the sphere into two open discs,
+    and every face lies in one of them. Within one disc, any two faces are
+    joined by a path that avoids the finitely many vertices and so crosses
+    only interiors of edges inside the disc: the faces of a disc form one
+    class. No face is joined across the curve, since only the two edges
+    lie on it.
     """
     faces = UnionFind(graph.n_faces)
     for e in range(graph.n_edges):
         if e == first_edge or e == second_edge:
             continue
         faces.union(graph.face_of[2 * e], graph.face_of[2 * e + 1])
-    sides = faces.classes()
-    if len(sides) != 2:
-        return None
-    return [set(side) for side in sides]
+    return [set(side) for side in faces.classes()]
 
 
 def validate_channel_diagram(graph: EmbeddedGraph, channel_edges=None, center=None,
@@ -411,12 +416,8 @@ def validate_channel_diagram(graph: EmbeddedGraph, channel_edges=None, center=No
             if parallel_witness:
                 break
             for e_i, e_j in itertools.combinations(bundle, 2):
-                sides = _bigon_sides(graph, e_i, e_j)
-                if sides is None:
-                    parallel_witness = f"edges {e_i},{e_j} do not separate the sphere"
-                    break
                 ok = True
-                for side in sides:
+                for side in _bigon_sides(graph, e_i, e_j):
                     side_vertices = {graph.vertex_of[d] for d in range(graph.n_darts)
                                      if graph.face_of[d] in side and (d >> 1) not in (e_i, e_j)}
                     if not (side_vertices & members - {center, other}):
@@ -740,10 +741,13 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
     sigma = [None] * n
     vertex_of = [None] * n
     for old_v, cycle in sigma_cycles.items():
-        for i, d in enumerate(cycle):
-            if d not in new_dart or sigma[new_dart[d]] is not None:
+        unknown = [d for d in cycle if d not in new_dart]
+        if unknown:
+            raise InvalidGraph(f"sigma names dart {unknown[0]}, which is in no alpha pair")
+        for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
+            if sigma[new_dart[d]] is not None:
                 raise InvalidGraph(f"dart {d} missing or repeated in sigma")
-            sigma[new_dart[d]] = new_dart[cycle[(i + 1) % len(cycle)]]
+            sigma[new_dart[d]] = new_dart[successor]
             vertex_of[new_dart[d]] = new_vertex[old_v]
     if any(s is None for s in sigma):
         raise InvalidGraph("sigma does not cover every dart")

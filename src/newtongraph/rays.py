@@ -14,6 +14,8 @@ a GeoGraph.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -410,13 +412,38 @@ def _pos_json(p: complex):
     return [p.real, p.imag]
 
 
-def _samples_json(points: np.ndarray) -> list:
-    """[re, im] pairs straight from the array; "inf" at an end at infinity."""
-    out = np.stack((points.real, points.imag), axis=1).tolist()
-    for k in (0, -1):
-        if np.isinf(points[k]):
-            out[k] = "inf"
-    return out
+_SAMPLE_DTYPE = "<c16"  # an exported sample: complex128, little-endian
+
+
+def _samples_json(points: np.ndarray) -> str:
+    """The samples as one base64 block of little-endian complex128; an end
+    at infinity is stored as the bits of complex("inf")."""
+    raw = points.astype(_SAMPLE_DTYPE, copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def polyline_from_json(text: str) -> np.ndarray:
+    """The frozen polyline of an exported "samples" string, bit for bit.
+
+    The string must be strict base64 of at least two little-endian complex128
+    values; inf is allowed only at an end, and every other sample must be
+    finite. Anything else raises ValueError.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, TypeError, ValueError) as exc:
+        raise ValueError(f"samples are not base64: {exc}") from exc
+    if len(raw) % 16 or len(raw) < 32:
+        raise ValueError(
+            f"samples hold {len(raw)} bytes, not two or more 16-byte complex128 values"
+        )
+    points = np.frombuffer(raw, dtype=_SAMPLE_DTYPE).astype(complex, copy=False)
+    if not np.isfinite(points[1:-1]).all():
+        raise ValueError("an interior sample is not finite")
+    for end in (points[0], points[-1]):
+        if not (np.isfinite(end) or end == INF):
+            raise ValueError(f"an end sample is {end}, neither finite nor inf")
+    return frozen_polyline(points)
 
 
 def geograph_to_json(
@@ -426,12 +453,13 @@ def geograph_to_json(
     edge_levels: tuple[int, ...],
     edge_maps: tuple[int, ...],
 ) -> dict:
-    """Plain-data form of a geometric graph.
+    """Plain-data form of a geometric graph, at format 2.
 
     Vertices carry id/kind/pos/label; edges carry id/from/to/level/maps_to
     and their samples as the graph holds them (a lifted edge's thinned to
-    sample_ratio about both its ends); cyclic orders list edge-end dart ids
-    (2j for the tail of edge j, 2j+1 for its head) counterclockwise.
+    sample_ratio about both its ends), as one string that polyline_from_json
+    reads back; cyclic orders list edge-end dart ids (2j for the tail of
+    edge j, 2j+1 for its head) counterclockwise.
     """
     vertices = [
         {"id": i, "kind": kinds[i], "pos": _pos_json(v), "label": labels[i]}
@@ -452,7 +480,7 @@ def geograph_to_json(
         str(v): [dart for _, dart in graph.vertex_star(v)]
         for v in range(len(graph.vertices))
     }
-    return {"vertices": vertices, "edges": edges, "cyclic_orders": orders}
+    return {"format": 2, "vertices": vertices, "edges": edges, "cyclic_orders": orders}
 
 
 def channel_diagram(f: NewtonMap) -> GeoGraph:

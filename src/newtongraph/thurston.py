@@ -25,6 +25,7 @@ L (I - A) = L I - S decide, in O(m^3).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -223,10 +224,10 @@ def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
         values[target, j] = scaled[target][j] / scale
     leading, vector = _leading_eigenpair(values)
     irreducible = is_irreducible(values)
-    zero = Fraction(0)
+    # one Fraction per distinct entry, shared by every cell that holds it
+    fractions = {s: Fraction(s, scale) for s in set(itertools.chain(*scaled))}
     return TransitionMatrix(
-        entries=tuple(tuple(Fraction(s, scale) if s else zero for s in row)
-                      for row in scaled),
+        entries=tuple(tuple(map(fractions.__getitem__, row)) for row in scaled),
         leading=leading,
         irreducible=irreducible,
         obstruction=irreducible and not _spectral_radius_below_one(scaled, scale, vector),

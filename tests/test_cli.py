@@ -565,10 +565,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "7d5874d41af0cb53bdf076d60aa90fc95733f87a8a0a6baeb2fc0f7ab0438987",
+         "0fec961bd0bfcfc8992de874c31b5dbf37fd8550513ac30a1e9cfb38daffa3d7",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "66bccacaa511e4c5e8beae113eb5c003b18dfe7f14aff1be677efbcee205f2af",
+         "74e9e98d1f7cfd749387fad3a09bd3b0e47a7a58dfda006398e8560c3d8bbcae",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

@@ -182,12 +182,15 @@ class TestChannelDiagramValidator:
             endpoints, [[0, 6, 4, 2], [1, 3], [5], [7]], kinds)
         report = validate_channel_diagram(empty_lens)
         assert not report.check("parallel_separation").passed
+        assert report.check("parallel_separation").witness == (
+            "edges 0,1 bound a side with no further vertex")
         assert report.check("edge_budget").passed
         # Second embedding: one root between the parallel edges on each side.
         split = embedded_graph_from_rotations(
             endpoints, [[0, 6, 2, 4], [1, 3], [5], [7]], kinds)
         report = validate_channel_diagram(split)
         assert report.passed, report.failures
+        assert report.check("parallel_separation").witness is None
 
     def test_root_to_root_edge_rejected(self):
         endpoints = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]
@@ -644,6 +647,12 @@ class TestJsonInterchange:
             },
         }
         assert graph_from_json(scrambled) == dyn
+
+    def test_unknown_dart_after_a_known_one_in_sigma(self):
+        data = {"darts": [0, 1], "alpha": [[0, 1]], "sigma": {"0": [0, 999], "1": [1]},
+                "vertex_kinds": {"0": "point", "1": "point"}}
+        with pytest.raises(InvalidGraph, match="dart 999"):
+            graph_from_json(data)
 
     def test_malformed_rejected(self):
         data = graph_to_json(triangle())

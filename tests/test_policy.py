@@ -290,3 +290,25 @@ class TestOneCertificationSite:
         places, _ = TestOnePointType.places_naming("verify_face_counts")
         assert [p for p in places if p[0] == "cli"] == []
         assert pullback_callers("validate_newton_graph", "cli") == {"cmd_validate"}
+
+
+class TestOneSampleEncoding:
+    """Only rays knows how an exported polyline is written: its encoder
+    alone calls b64encode, its decoder alone b64decode, and it alone names
+    the '<c16' layout."""
+
+    @pytest.mark.parametrize("name, function", [
+        ("b64encode", "_samples_json"), ("b64decode", "polyline_from_json"),
+    ])
+    def test_only_rays_names_the_codec(self, name, function):
+        places, _ = TestOnePointType.places_naming(name)
+        assert set(places) == {("rays", function)}
+
+    def test_only_rays_names_the_layout(self):
+        modules = {
+            path.stem
+            for path in Path(newtongraph.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and node.value == "<c16"
+        }
+        assert modules == {"rays"}

@@ -51,6 +51,7 @@ from newtongraph.rays import (
     GeoGraph,
     continue_inverse_branch,
     on_branch,
+    polyline_from_json,
     solve_preimage_near,
 )
 from newtongraph.sphere import INF, chordal_distance
@@ -1006,8 +1007,9 @@ class TestThinningOracle:
             }
             assert len(a["edges"]) == len(b["edges"])
             for ea, eb in zip(a["edges"], b["edges"]):
-                ends = ea["samples"][:2] + ea["samples"][-1:]
-                assert ends == eb["samples"][:2] + eb["samples"][-1:]
+                ends = [0, 1, -1]
+                pa, pb = (polyline_from_json(e["samples"])[ends] for e in (ea, eb))
+                assert pa.tobytes() == pb.tobytes()
                 assert {k: v for k, v in ea.items() if k != "samples"} == {
                     k: v for k, v in eb.items() if k != "samples"
                 }
@@ -1291,16 +1293,34 @@ class TestExport:
         assert len(data["vertices"]) == 20
         assert len(data["edges"]) == 27
         top = graph_unity.graphs[-1]
+        positions = [INF if v["pos"] == "inf" else complex(*v["pos"]) for v in data["vertices"]]
         for rec in data["edges"]:
             j = rec["id"]
             assert rec["level"] == top.edge_level[j]
             assert rec["maps_to"] == top.edge_map[j]
             assert rec["samples"]
+            points = polyline_from_json(rec["samples"])
+            assert (points[0], points[-1]) == (positions[rec["from"]], positions[rec["to"]])
         assert set(data["cyclic_orders"]) == {str(v) for v in range(20)}
         degrees = data["local_degrees"]
         assert sum(m - 1 for m in degrees.values()) == 4
         assert data["combinatorial"]["dynamics"]["N"] == 2
         assert data["combinatorial"]["dynamics"]["delta_edges"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("graph", [g for _, g in POOL])
+    def test_samples_decode_bit_for_bit(self, request, graph):
+        result = request.getfixturevalue(graph)
+        data = json.loads(json.dumps(newton_graph_to_json(result)))
+        assert data["format"] == 2
+        edges = result.graphs[-1].geo.edges
+        assert [rec["id"] for rec in data["edges"]] == list(range(len(edges)))
+        at_infinity = 0
+        for rec, e in zip(data["edges"], edges):
+            points = polyline_from_json(rec["samples"])
+            assert points.view(np.float64).tobytes() == e.points.view(np.float64).tobytes()
+            assert not points.flags.writeable
+            at_infinity += (points[0] == INF) + (points[-1] == INF)
+        assert at_infinity > 0
 
     def test_json_deterministic(self):
         outs = []

@@ -15,6 +15,7 @@ The segments along the real and imaginary axes are dynamics-invariant lines,
 giving exact geometric oracles for the traced rays.
 """
 
+import base64
 import cmath
 import math
 
@@ -23,7 +24,7 @@ import pytest
 
 from newtongraph import BranchJump, NotARoot, channel_diagram, rays
 from newtongraph.poly import CHART_RADIUS
-from newtongraph.rays import GeoEdge, bottcher_local, trace_fixed_ray
+from newtongraph.rays import GeoEdge, bottcher_local, polyline_from_json, trace_fixed_ray
 from newtongraph.sphere import INF, chordal_distance
 from newtongraph.tolerances import DEFAULT_TOL
 
@@ -310,3 +311,58 @@ class TestChannelDiagram:
         assert e != GeoEdge(e.tail, e.head, e.points, e.angles[::-1])
         with pytest.raises(ValueError):
             e.points[1] = 0j
+
+
+def encoded(values) -> str:
+    """The export encoding, written out here: base64 of little-endian
+    complex128 values."""
+    return base64.b64encode(np.array(values, dtype="<c16").tobytes()).decode("ascii")
+
+
+class TestSampleEncoding:
+    """A polyline's "samples" string is base64 of its complex128 values,
+    little-endian, and polyline_from_json reads it back bit for bit or
+    raises ValueError."""
+
+    def test_layout_is_little_endian_complex128(self):
+        points = [complex(-0.0, 1e-300), 1 / 3 + 2j, INF]
+        text = rays._samples_json(rays.frozen_polyline(points))
+        assert text == encoded(points)
+        raw = base64.b64decode(text)
+        assert len(raw) == 48
+        assert raw[32:40] == np.array([math.inf], dtype="<f8").tobytes()
+
+    def test_an_end_at_infinity_is_allowed_at_either_end(self):
+        for points in ([INF, 1 + 1j], [0j, INF], [INF, 2j, INF]):
+            assert polyline_from_json(encoded(points)).tolist() == points
+
+    @pytest.mark.parametrize("text, message", [
+        ("AAAA*AAA", "not base64"),
+        ("AAAAAAAAAAAAAAAAAAAAAA", "not base64"),  # 16 bytes, padding missing
+        ("ÄAAA", "not base64"),
+        (None, "not base64"),
+        (encoded([1j])[:-4], "bytes"),  # 15 bytes
+        (encoded([1j]), "bytes"),  # one sample
+        (base64.b64encode(bytes(40)).decode(), "bytes"),
+        ("", "bytes"),
+    ], ids=["bad-character", "bad-padding", "non-ascii", "not-a-string",
+            "partial-sample", "one-sample", "not-whole-samples", "empty"])
+    def test_malformed_strings_raise(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            polyline_from_json(text)
+
+    @pytest.mark.parametrize("points", [
+        [0j, INF, 1j],
+        [0j, complex(1, math.inf), 2j, 3j],
+        [0j, complex(math.nan, 0), 1j],
+    ], ids=["inf-interior", "half-inf-interior", "nan-interior"])
+    def test_only_ends_may_be_infinite(self, points):
+        with pytest.raises(ValueError, match="interior"):
+            polyline_from_json(encoded(points))
+
+    @pytest.mark.parametrize("end", [complex(math.nan, 0), complex(-math.inf, 0),
+                                     complex(math.inf, 1)], ids=["nan", "minus-inf", "inf-plus-i"])
+    def test_an_end_is_finite_or_inf(self, end):
+        for points in ([end, 1j], [1j, end]):
+            with pytest.raises(ValueError, match="end sample"):
+                polyline_from_json(encoded(points))
