@@ -35,8 +35,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT, UnionFind
-from .errors import DegreeTooLow, MultipleRoot, NoConvergence, NonFiniteCoefficient
-from .sphere import INF, chordal_distance, point
+from .errors import (
+    DegreeTooLow,
+    MultipleRoot,
+    NoConvergence,
+    NonFiniteCoefficient,
+    NonPlanarIncidence,
+)
+from .sphere import INF, chordal_distance, closest_pair, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _EPS = 2.220446049250313e-16
@@ -661,6 +667,26 @@ class NewtonMap:
             if image == w or (INF not in (image, w) and chordal_distance(image, w) <= tol)
         )
 
+    @cached_property
+    def _closest_marks(self) -> tuple[float, MarkedPoint, MarkedPoint]:
+        marks = self.marked_points + (self.infinity,)
+        gap, i, j = closest_pair([mark.value for mark in marks])
+        return gap, marks[i], marks[j]
+
+    def require_separated_marks(self) -> None:
+        """Raise NonPlanarIncidence when two of the map's marks (roots,
+        poles, free critical points and infinity) lie closer than match_tol
+        (chordal), the rule each fiber keeps: marks_over would take one for
+        the other, and a tower would merge their vertices. The closest pair
+        is found once per map."""
+        gap, a, b = self._closest_marks
+        if gap < self.tol.match_tol:
+            raise NonPlanarIncidence(
+                f"marks {a.value} and {b.value} lie {gap:.3g} apart (chordal), "
+                f"below match_tol {self.tol.match_tol:g}; the tower cannot "
+                f"tell them apart"
+            )
+
     def unmarked(self, z: complex) -> MarkedPoint:
         """The finite z unmarked: plain, of local degree 1, b = f'(z) (INF
         where the denominator vanishes)."""
@@ -699,16 +725,17 @@ def make_newton_map(p: Polynomial, tol: Tolerances | None = None) -> NewtonMap:
             if abs(q - r) <= tol.root_tol * max(1.0, abs(q)):
                 raise MultipleRoot("derivative vanishes at a root")
 
-    # Critical points of z - p/p' are the zeros of p * p'' (multiple poles
-    # included, since ord(p'') = ord(p') - 1 there); branching indices add up.
+    # Critical points of z - p/p' are the zeros of p * p''; branching indices
+    # add up. A pole q of multiplicity m is a zero of p'' of order exactly
+    # m - 1, so (z - q)^(m - 1) is divided out and comes back at q itself.
     branching = dict.fromkeys(roots, 1)
-    anchors = list(roots) + [q for q, _ in poles]
-    for z, m in roots_of(ddpoly):
-        # Snap to the canonical root/pole location when the zero coincides;
-        # a snapped zero then merges with that point by its exact value.
-        for a in anchors:
-            if abs(z - a) <= 1e-7 * (1.0 + max(abs(z), abs(a))):
-                z = a
+    multiple = [(q, m - 1) for q, m in poles if m > 1]
+    for z, m in roots_of_rows([ddpoly], known=[multiple])[0]:
+        # Snap to the canonical root location when the zero coincides; a
+        # snapped zero then merges with that root by its exact value.
+        for r in roots:
+            if abs(z - r) <= 1e-7 * (1.0 + max(abs(z), abs(r))):
+                z = r
                 break
         branching[z] = branching.get(z, 0) + m
     crit = sorted(branching.items(), key=_root_order)

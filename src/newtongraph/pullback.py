@@ -31,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorial import (
-    KIND_INFINITY,
-    KIND_PLAIN,
     KIND_POLE,
     KIND_ROOT,
     ConditionCheck,
@@ -128,11 +126,13 @@ def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[MarkedPoint, ...
     over INF they are the whole fiber, and over a finite w each is divided
     out of numerator - w * denominator to its local degree, so it comes back
     exactly and only the simple remainder is solved. The other points are
-    unmarked. Each fiber is checked on its own: each point's multiplicity in
-    the solve must be its mark's local degree, with b finite and nonzero,
-    the degrees must sum to deg f, and two points closer than match_tol
-    abort rather than silently merging.
+    unmarked. The map's marks must lie match_tol apart, so that each target
+    finds its own. Each fiber is checked on its own: each point's
+    multiplicity in the solve must be its mark's local degree, with b finite
+    and nonzero, the degrees must sum to deg f, and two points closer than
+    match_tol abort rather than silently merging.
     """
+    f.require_separated_marks()
     over = [f.marks_over(w) for w in targets]
     finite = [(w, marks) for w, marks in zip(targets, over) if w != INF]
     solved = iter(roots_of_rows(
@@ -863,27 +863,12 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
 
 
 def newton_graph_to_json(result: NewtonGraphResult) -> dict:
-    """Plain-data export of the top level: the geometric graph with per-edge
-    levels and source edges, the map data, and the combinatorial extraction,
-    whose vertex kinds and local degrees it reuses."""
+    """Plain-data export of the top level: the combinatorial block, which
+    holds every vertex kind, local degree, map and rotation, with N and the
+    pole cover level, beside the geometry the block lacks, each vertex's
+    position and each edge's ends, level and samples."""
     top = result.graphs[-1]
-    kinds = result.dynamics.graph.vertex_kinds
-    labels = []
-    counters = {KIND_ROOT: 0, KIND_POLE: 0, KIND_PLAIN: 0}
-    for i, kind in enumerate(kinds):
-        if kind == KIND_INFINITY:
-            labels.append("infinity")
-        else:
-            labels.append(f"{kind} {counters[kind]}")
-            counters[kind] += 1
-    data = geograph_to_json(
-        top.geo, kinds, tuple(labels), top.edge_level, top.edge_map
-    )
-    data["vertex_map"] = {str(i): m for i, m in enumerate(top.vertex_map)}
-    data["edge_map"] = {str(j): m for j, m in enumerate(top.edge_map)}
-    data["local_degrees"] = {
-        str(i): m for i, m in enumerate(result.dynamics.local_degree)
-    }
+    data = geograph_to_json(top.geo, top.edge_level)
     data["N"] = result.minimal_level
     data["pole_cover_level"] = result.pole_cover_level
     data["combinatorial"] = graph_to_json(result.dynamics)

@@ -446,41 +446,17 @@ def polyline_from_json(text: str) -> np.ndarray:
     return frozen_polyline(points)
 
 
-def geograph_to_json(
-    graph: GeoGraph,
-    kinds: tuple[str, ...],
-    labels: tuple[str, ...],
-    edge_levels: tuple[int, ...],
-    edge_maps: tuple[int, ...],
-) -> dict:
-    """Plain-data form of a geometric graph, at format 2.
-
-    Vertices carry id/kind/pos/label; edges carry id/from/to/level/maps_to
-    and their samples as the graph holds them (a lifted edge's thinned to
-    sample_ratio about both its ends), as one string that polyline_from_json
-    reads back; cyclic orders list edge-end dart ids (2j for the tail of
-    edge j, 2j+1 for its head) counterclockwise.
-    """
-    vertices = [
-        {"id": i, "kind": kinds[i], "pos": _pos_json(v), "label": labels[i]}
-        for i, v in enumerate(graph.vertices)
-    ]
+def geograph_to_json(graph: GeoGraph, edge_levels: tuple[int, ...]) -> dict:
+    """The geometry of a graph, at format 3: vertices lists each vertex's
+    position by vertex id, and edge j, which owns darts 2j (its tail) and
+    2j + 1 (its head), the vertices it joins, its level and its samples as
+    the graph holds them (a lifted edge's thinned to sample_ratio about both
+    its ends), as one string that polyline_from_json reads back."""
     edges = [
-        {
-            "id": j,
-            "from": e.tail,
-            "to": e.head,
-            "level": edge_levels[j],
-            "maps_to": edge_maps[j],
-            "samples": _samples_json(e.points),
-        }
+        {"from": e.tail, "to": e.head, "level": edge_levels[j], "samples": _samples_json(e.points)}
         for j, e in enumerate(graph.edges)
     ]
-    orders = {
-        str(v): [dart for _, dart in graph.vertex_star(v)]
-        for v in range(len(graph.vertices))
-    }
-    return {"format": 2, "vertices": vertices, "edges": edges, "cyclic_orders": orders}
+    return {"format": 3, "vertices": [_pos_json(v) for v in graph.vertices], "edges": edges}
 
 
 def channel_diagram(f: NewtonMap) -> GeoGraph:
@@ -488,7 +464,9 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
 
     Vertices are the roots in order followed by infinity; edges are grouped by
     root and sorted by ray direction, so the construction is deterministic.
+    A map whose marks lie closer than match_tol raises NonPlanarIncidence.
     """
+    f.require_separated_marks()
     verts = tuple(point(r) for r in f.roots) + (INF,)
     inf_index = len(f.roots)
     edges = []

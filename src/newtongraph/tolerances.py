@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Root solving: relative residual gate and the simple-root separation gate.
+    # Separation gates of make_newton_map: two roots of p, or a root and a
+    # zero of p', closer than this (relative) make the map refuse p.
     root_tol: float = 1e-8
     # Marked-point identification (chordal): a point this close to a marked
     # point is that point, and two points of one fiber this close abort.

@@ -456,6 +456,40 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, data, message):
     assert "Traceback" not in err
 
 
+# (name, polynomial, exit code of graph, what graph says on stderr): the
+# first two maps have every root beyond 1e8, so their marks collide near
+# infinity; the next two have a zero of p'' 5e-9 or 6e-9 from a pole, which
+# is free and not postcritically fixed. roots and render accept every map.
+EXIT_CODE_MAPS = [
+    ("tiny-leading", {"coeffs": [1, 0, 0, 1e-300]}, 2, "below match_tol"),
+    ("huge-constant", {"coeffs": [-1e24, 0, 0, 1]}, 2, "below match_tol"),
+    ("unity-roots",
+     {"roots": [1, [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]},
+     3, "not postcritically fixed"),
+    ("near-double-pole", {"coeffs": [[1, 0], [0, 0], [0, 0], [1e-8, 0], [1, 0]]},
+     3, "not postcritically fixed"),
+    ("z3-1", UNITY, 0, ""),
+]
+
+
+@pytest.mark.parametrize("command", ["roots", "render", "graph"])
+@pytest.mark.parametrize("data, graph_code, message", [m[1:] for m in EXIT_CODE_MAPS],
+                         ids=[m[0] for m in EXIT_CODE_MAPS])
+def test_exit_code_contract(tmp_path, capsys, command, data, graph_code, message):
+    poly = write_json(tmp_path, "p.json", data)
+    argv = {
+        "roots": ["roots", poly],
+        "render": ["render", poly, str(tmp_path / "p.ppm"), "--width", "8", "--height", "8"],
+        "graph": ["graph", poly],
+    }[command]
+    code, _, err = run(capsys, argv)
+    assert code == (graph_code if command == "graph" else 0)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if command == "graph":
+        assert message in err
+
+
 def set_path(data, path, value):
     *parents, last = path
     for key in parents:
@@ -565,10 +599,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "0fec961bd0bfcfc8992de874c31b5dbf37fd8550513ac30a1e9cfb38daffa3d7",
+         "0825a2655e4041bc61f98dc3c2751b53eefc0bc95c310eba6b8ca36da02d1e1d",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "74e9e98d1f7cfd749387fad3a09bd3b0e47a7a58dfda006398e8560c3d8bbcae",
+         "0be7feb685ae2bf6a1599632835f427fb23d4696dc022264cd4db37c91162067",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

@@ -9,8 +9,10 @@ import pytest
 
 from newtongraph import Polynomial, compute_newton_graph, lift_point, newton_graph_to_json
 from newtongraph.combinatorial import KIND_INFINITY, KIND_PLAIN, KIND_POLE, KIND_ROOT
+from newtongraph.errors import NonPlanarIncidence
 from newtongraph.poly import make_newton_map
 from newtongraph.pullback import extract_combinatorial
+from newtongraph.rays import channel_diagram
 from newtongraph.sphere import INF
 
 POOL = {
@@ -55,6 +57,32 @@ class TestTable:
         g = make_newton_map(Polynomial((-1, 0, 0, 1)))
         [pole] = [m for m in g.marked_points if m.kind == KIND_POLE]
         assert pole.value == 0 and pole.local_degree == 2
+
+    def test_zero_of_p2_next_to_a_simple_pole_stays_free(self):
+        # z^3 - 1 from its roots to double precision: p' = 3z^2 - 2.2e-16 has
+        # the simple zeros +-6.08e-9, and p'' = 6z vanishes between them, at
+        # a free critical point no snap may join to a pole; z^4 + 1e-8 z^3 + 1
+        # has the double pole 0, the simple pole -7.5e-9 and the free
+        # critical point -5e-9
+        f = make_newton_map(Polynomial.from_roots(
+            [1, -0.5 + 0.8660254037844386j, -0.5 - 0.8660254037844386j]))
+        assert [(m.kind, m.local_degree) for m in f.marked_points[3:]] == [
+            (KIND_POLE, 1), (KIND_POLE, 1), (KIND_PLAIN, 2)]
+        assert f.marked_points[5].value == 0
+        g = make_newton_map(Polynomial((1, 0, 0, 1e-8, 1)))
+        assert [(m.kind, m.local_degree) for m in g.marked_points[4:]] == [
+            (KIND_POLE, 1), (KIND_POLE, 2), (KIND_PLAIN, 2)]
+        assert [m.value for m in g.marked_points[4:7]] == pytest.approx([-7.5e-9, 0, -5e-9],
+                                                                        rel=1e-9, abs=1e-30)
+
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1e-300), (-1e24, 0, 0, 1)])
+    def test_the_tower_refuses_colliding_marks(self, coeffs):
+        # every root lies beyond 1e8, within match_tol of infinity
+        # (chordally), and for 1e-300 z^3 + 1 of the other roots too
+        f = make_newton_map(Polynomial(coeffs))
+        for build in (lambda: lift_point(f, f.roots[0]), lambda: channel_diagram(f)):
+            with pytest.raises(NonPlanarIncidence, match="below match_tol"):
+                build()
 
     def test_lookup(self):
         f = make_newton_map(Polynomial((-1, 0, 0, 1)))
@@ -146,10 +174,10 @@ class TestEveryVertex:
     @pytest.mark.parametrize("name", POOL)
     def test_export_reads_the_extraction(self, towers, name):
         f, result = towers[name]
-        data = newton_graph_to_json(result)
+        block = newton_graph_to_json(result)["combinatorial"]
         dyn = result.dynamics
-        assert [rec["kind"] for rec in data["vertices"]] == list(dyn.graph.vertex_kinds)
-        assert data["local_degrees"] == {
+        assert block["vertex_kinds"] == {str(v): k for v, k in enumerate(dyn.graph.vertex_kinds)}
+        assert block["dynamics"]["local_degree"] == {
             str(v): m for v, m in enumerate(dyn.local_degree)
         }
 

@@ -991,8 +991,8 @@ class TestSamplingInvariance:
 class TestThinningOracle:
     """Thinning the lifts changes their interior samples and nothing else:
     with the thinning made the identity, the pool's exports keep their
-    combinatorial block, vertices, cyclic orders, maps, level-0 samples and
-    each edge's first interior sample, and grow."""
+    combinatorial block (cyclic orders and maps), vertices, level-0 samples
+    and each edge's first interior sample, and grow."""
 
     def test_thinning_changes_only_lifted_interiors(self, request, monkeypatch):
         thinned = [newton_graph_to_json(request.getfixturevalue(g)) for _, g in POOL]
@@ -1285,37 +1285,55 @@ class TestLocateFace:
         assert sorted(faces) == [0, 1, 2]
 
 
+EXPORT_KEYS = {"format", "vertices", "edges", "N", "pole_cover_level", "combinatorial"}
+EDGE_KEYS = {"from", "to", "level", "samples"}
+
+
+def dart_vertices(block) -> dict[int, int]:
+    """The vertex of each dart of an exported combinatorial block."""
+    return {d: int(v) for v, cycle in block["sigma"].items() for d in cycle}
+
+
 class TestExport:
     def test_newton_graph_json_shape(self, graph_unity):
         data = newton_graph_to_json(graph_unity)
+        assert set(data) == EXPORT_KEYS
         assert data["N"] == 2
         assert data["pole_cover_level"] == 1
         assert len(data["vertices"]) == 20
         assert len(data["edges"]) == 27
         top = graph_unity.graphs[-1]
-        positions = [INF if v["pos"] == "inf" else complex(*v["pos"]) for v in data["vertices"]]
-        for rec in data["edges"]:
-            j = rec["id"]
+        block = data["combinatorial"]
+        dynamics = block["dynamics"]
+        vertex_of = dart_vertices(block)
+        positions = [INF if v == "inf" else complex(*v) for v in data["vertices"]]
+        for j, rec in enumerate(data["edges"]):
+            assert set(rec) == EDGE_KEYS
+            assert (rec["from"], rec["to"]) == (vertex_of[2 * j], vertex_of[2 * j + 1])
             assert rec["level"] == top.edge_level[j]
-            assert rec["maps_to"] == top.edge_map[j]
+            assert dynamics["edge_map"][str(j)] == top.edge_map[j]
             assert rec["samples"]
             points = polyline_from_json(rec["samples"])
             assert (points[0], points[-1]) == (positions[rec["from"]], positions[rec["to"]])
-        assert set(data["cyclic_orders"]) == {str(v) for v in range(20)}
-        degrees = data["local_degrees"]
+        assert set(block["sigma"]) == {str(v) for v in range(20)}
+        degrees = dynamics["local_degree"]
         assert sum(m - 1 for m in degrees.values()) == 4
-        assert data["combinatorial"]["dynamics"]["N"] == 2
-        assert data["combinatorial"]["dynamics"]["delta_edges"] == [0, 1, 2]
+        assert dynamics["N"] == 2
+        assert dynamics["delta_edges"] == [0, 1, 2]
 
     @pytest.mark.parametrize("graph", [g for _, g in POOL])
     def test_samples_decode_bit_for_bit(self, request, graph):
         result = request.getfixturevalue(graph)
         data = json.loads(json.dumps(newton_graph_to_json(result)))
-        assert data["format"] == 2
+        assert data["format"] == 3
+        assert set(data) == EXPORT_KEYS
         edges = result.graphs[-1].geo.edges
-        assert [rec["id"] for rec in data["edges"]] == list(range(len(edges)))
+        assert len(data["edges"]) == len(data["combinatorial"]["alpha"]) == len(edges)
+        vertex_of = dart_vertices(data["combinatorial"])
         at_infinity = 0
-        for rec, e in zip(data["edges"], edges):
+        for j, (rec, e) in enumerate(zip(data["edges"], edges)):
+            assert set(rec) == EDGE_KEYS
+            assert (rec["from"], rec["to"]) == (vertex_of[2 * j], vertex_of[2 * j + 1])
             points = polyline_from_json(rec["samples"])
             assert points.view(np.float64).tobytes() == e.points.view(np.float64).tobytes()
             assert not points.flags.writeable
