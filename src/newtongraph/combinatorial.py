@@ -19,7 +19,6 @@ local degree, channel flag) checked on the way.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +30,11 @@ KIND_POLE = "pole"
 KIND_PLAIN = "point"
 
 
+def _outside(values, n: int) -> bool:
+    """Whether some value lies outside 0..n-1."""
+    return bool(values) and (min(values) < 0 or max(values) >= n)
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """Rotation system: ccw successor per dart, vertex per dart, kind per vertex."""
@@ -40,40 +44,43 @@ class EmbeddedGraph:
     vertex_kinds: tuple[str, ...]
 
     def __post_init__(self):
-        n = len(self.sigma)
+        sigma, vertex_of = self.sigma, self.vertex_of
+        n = len(sigma)
         if n == 0 or n % 2 != 0:
             raise InvalidGraph("dart count must be positive and even")
-        if len(self.vertex_of) != n:
+        if len(vertex_of) != n:
             raise InvalidGraph("vertex_of length does not match dart count")
-        if sorted(self.sigma) != list(range(n)):
+        if len(set(sigma)) != n or _outside(sigma, n):
             raise InvalidGraph("sigma is not a permutation of the darts")
-        for d in range(n):
-            if self.vertex_of[self.sigma[d]] != self.vertex_of[d]:
-                raise InvalidGraph(f"sigma moves dart {d} to a different vertex")
-        n_vertices = max(self.vertex_of) + 1
-        if sorted(set(self.vertex_of)) != list(range(n_vertices)):
+        moved = [vertex_of[s] != v for s, v in zip(sigma, vertex_of)]
+        if True in moved:
+            raise InvalidGraph(f"sigma moves dart {moved.index(True)} to a different vertex")
+        n_vertices = max(vertex_of) + 1
+        if min(vertex_of) < 0 or len(set(vertex_of)) != n_vertices:
             raise InvalidGraph("vertex ids must be 0..V-1 with no gaps")
         if len(self.vertex_kinds) != n_vertices:
             raise InvalidGraph("vertex_kinds length does not match vertex count")
         # one sigma-cycle per vertex: sigma keeps each dart at its vertex, so
-        # the cycle through a vertex's least dart holds all its darts or fewer
-        counts = Counter(self.vertex_of)
-        for v, cycle in enumerate(self.vertex_darts):
-            if len(cycle) != counts[v]:
-                raise InvalidGraph(f"vertex {v} has more than one sigma cycle")
-        # connectivity under <sigma, mate>
-        reached = [False] * n
-        stack = [0]
+        # the cycles through the vertices' least darts cover every dart or
+        # some vertex has darts off its cycle
+        stars = self.vertex_darts
+        if sum(map(len, stars)) != n:
+            v = min(vertex_of[d] for d in set(range(n)).difference(*stars))
+            raise InvalidGraph(f"vertex {v} has more than one sigma cycle")
+        # connectivity under <sigma, mate>: each vertex is one sigma-cycle, so
+        # it is connectivity of the vertices under the edges
+        reached = [False] * n_vertices
         reached[0] = True
+        stack = [0]
         while stack:
-            d = stack.pop()
-            for nxt in (self.sigma[d], d ^ 1):
-                if not reached[nxt]:
-                    reached[nxt] = True
-                    stack.append(nxt)
+            for d in stars[stack.pop()]:
+                w = vertex_of[d ^ 1]
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
         if not all(reached):
             raise InvalidGraph("graph is not connected")
-        if self.n_vertices - self.n_edges + self.n_faces != 2:
+        if n_vertices - n // 2 + self.n_faces != 2:
             raise InvalidGraph("rotation system is not spherical (Euler count != 2)")
 
     # -- basic structure ---------------------------------------------------
@@ -99,36 +106,47 @@ class EmbeddedGraph:
     @cached_property
     def vertex_darts(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its darts in ccw order, starting from the least dart id."""
-        first = [None] * self.n_vertices
-        for d in reversed(range(self.n_darts)):
-            first[self.vertex_of[d]] = d
+        sigma = self.sigma
+        # read backwards, so each vertex keeps its least dart
+        first = dict(zip(reversed(self.vertex_of), reversed(range(len(sigma)))))
         cycles = []
-        for start in first:
+        for v in range(self.n_vertices):
+            start = first[v]
             cycle = [start]
-            d = self.sigma[start]
+            d = sigma[start]
             while d != start:
                 cycle.append(d)
-                d = self.sigma[d]
+                d = sigma[d]
             cycles.append(tuple(cycle))
         return tuple(cycles)
 
     @cached_property
+    def star_position(self) -> tuple[int, ...]:
+        """Per dart, its index in its vertex's ``vertex_darts`` entry."""
+        position = [0] * self.n_darts
+        for star in self.vertex_darts:
+            for i, d in enumerate(star):
+                position[d] = i
+        return tuple(position)
+
+    @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of dart -> sigma[dart ^ 1], each rotated to start at its least dart."""
-        n = self.n_darts
-        assigned = [False] * n
+        """Orbits of dart -> sigma[dart ^ 1], each from its least dart, in that dart's order."""
+        sigma = self.sigma
+        assigned = [False] * len(sigma)
         walks = []
-        for d in range(n):
+        for d in range(len(sigma)):
             if assigned[d]:
                 continue
+            # d is the least dart not yet walked, so the least of its orbit
             walk = []
             x = d
             while not assigned[x]:
                 assigned[x] = True
                 walk.append(x)
-                x = self.sigma[x ^ 1]
+                x = sigma[x ^ 1]
             walks.append(tuple(walk))
-        return tuple(sorted(walks, key=lambda w: w[0]))
+        return tuple(walks)
 
     @cached_property
     def face_of(self) -> tuple[int, ...]:
@@ -154,22 +172,17 @@ def embedded_graph_from_rotations(edge_endpoints, rotations, vertex_kinds) -> Em
     ``edge_endpoints[j]`` is (tail vertex, head vertex) of edge j, owning darts
     2j and 2j + 1.  ``rotations[v]`` lists the darts at vertex v in ccw order.
     """
-    n_edges = len(edge_endpoints)
-    vertex_of = [None] * (2 * n_edges)
-    for j, (tail, head) in enumerate(edge_endpoints):
-        vertex_of[2 * j] = tail
-        vertex_of[2 * j + 1] = head
-    sigma = [None] * (2 * n_edges)
-    seen = set()
+    n = 2 * len(edge_endpoints)
+    vertex_of = [v for tail, head in edge_endpoints for v in (tail, head)]
+    sigma = [None] * n
     for v, cycle in enumerate(rotations):
-        for i, d in enumerate(cycle):
-            if d in seen or not 0 <= d < 2 * n_edges:
+        for d, successor in zip(cycle, [*cycle[1:], *cycle[:1]]):
+            if not 0 <= d < n or sigma[d] is not None:
                 raise InvalidGraph(f"dart {d} repeated or out of range in rotations")
             if vertex_of[d] != v:
                 raise InvalidGraph(f"dart {d} listed at vertex {v} but belongs to vertex {vertex_of[d]}")
-            seen.add(d)
-            sigma[d] = cycle[(i + 1) % len(cycle)]
-    if len(seen) != 2 * n_edges:
+            sigma[d] = successor
+    if None in sigma:
         raise InvalidGraph("rotations do not cover every dart")
     return EmbeddedGraph(tuple(sigma), tuple(vertex_of), tuple(vertex_kinds))
 
@@ -233,29 +246,31 @@ class GraphDynamics:
 
     def __post_init__(self):
         g = self.graph
-        if len(self.vertex_map) != g.n_vertices or len(self.local_degree) != g.n_vertices:
+        n_vertices, n_edges, n_darts = g.n_vertices, g.n_edges, g.n_darts
+        vertex_map, edge_map, dart_map = self.vertex_map, self.edge_map, self.dart_map
+        if len(vertex_map) != n_vertices or len(self.local_degree) != n_vertices:
             raise InvalidGraph("vertex_map/local_degree length mismatch")
-        if len(self.edge_map) != g.n_edges or len(self.dart_map) != g.n_darts:
+        if len(edge_map) != n_edges or len(dart_map) != n_darts:
             raise InvalidGraph("edge_map/dart_map length mismatch")
-        if any(not 0 <= v < g.n_vertices for v in self.vertex_map):
+        if _outside(vertex_map, n_vertices):
             raise InvalidGraph("vertex_map value out of range")
-        if any(not 0 <= e < g.n_edges for e in self.edge_map):
+        if _outside(edge_map, n_edges):
             raise InvalidGraph("edge_map value out of range")
-        if any(not 0 <= d < g.n_darts for d in self.dart_map):
+        if _outside(dart_map, n_darts):
             raise InvalidGraph("dart_map value out of range")
-        if any(m < 1 for m in self.local_degree):
+        if min(self.local_degree) < 1:
             raise InvalidGraph("local degrees must be >= 1")
         if self.level < 0:
             raise InvalidGraph("level must be >= 0")
-        if any(not 0 <= e < g.n_edges for e in self.channel_edges):
+        if _outside(self.channel_edges, n_edges):
             raise InvalidGraph("channel edge id out of range")
-        for d in range(g.n_darts):
-            image = self.dart_map[d]
-            if g.vertex_of[image] != self.vertex_map[g.vertex_of[d]]:
+        vertex_of = g.vertex_of
+        for d, (image, v) in enumerate(zip(dart_map, vertex_of)):
+            if vertex_of[image] != vertex_map[v]:
                 raise InvalidGraph(f"dart_map({d}) lands at the wrong vertex")
-            if image >> 1 != self.edge_map[d >> 1]:
+            if image >> 1 != edge_map[d >> 1]:
                 raise InvalidGraph(f"dart_map({d}) lands on the wrong edge")
-            if self.dart_map[d ^ 1] != image ^ 1:
+            if dart_map[d ^ 1] != image ^ 1:
                 raise InvalidGraph(f"dart_map does not pair the two ends of edge {d >> 1}")
 
     @cached_property
@@ -441,37 +456,37 @@ def regular_extension_check(dyn: GraphDynamics) -> ValidationReport:
     distinct corners must not overlap.
     """
     graph = dyn.graph
+    stars, face_of, n_darts = graph.vertex_darts, graph.face_of, graph.n_darts
+    image_pos = list(map(graph.star_position.__getitem__, dyn.dart_map))
     winding_witness = None
     overlap_witness = None
-    coverage = {}
-    for v in range(graph.n_vertices):
-        star = graph.vertex_darts[v]
-        k = len(star)
-        m = dyn.local_degree[v]
+    # a target corner is named by the dart it starts at, keyed with the source
+    # face as source_face * n_darts + dart
+    owner = {}
+    for v, star in enumerate(stars):
         y = dyn.vertex_map[v]
-        target_star = graph.vertex_darts[y]
+        target_star = stars[y]
         l = len(target_star)
-        position = {d: i for i, d in enumerate(target_star)}
-        image_pos = [position[dyn.dart_map[x]] for x in star]
-        if k == 1:
-            counts = [m * l]
+        turns = dyn.local_degree[v] * l
+        starts = [image_pos[x] for x in star]
+        if len(star) == 1:
+            counts = [turns]
         else:
-            counts = [((image_pos[(t + 1) % k] - image_pos[t]) % l) or l for t in range(k)]
-        if sum(counts) != m * l:
+            counts = [((b - a) % l) or l for a, b in zip(starts, starts[1:] + starts[:1])]
+        if sum(counts) != turns:
             if winding_witness is None:
                 winding_witness = (f"vertex {v}: corner runs cover {sum(counts)} "
-                                   f"target corners, expected {m * l}")
+                                   f"target corners, expected {turns}")
             continue
-        for t in range(k):
-            source_face = graph.face_of[star[(t + 1) % k]]
-            bucket = coverage.setdefault((y, source_face), {})
-            start = image_pos[t]
-            for r in range(counts[t]):
-                corner = (start + r) % l
-                if corner in bucket and overlap_witness is None:
+        for start, count, x in zip(starts, counts, star[1:] + star[:1]):
+            source_face = face_of[x]
+            base = source_face * n_darts
+            for r in range(start, start + count):
+                key = base + target_star[r % l]
+                if key in owner and overlap_witness is None:
                     overlap_witness = (f"target vertex {y}, face {source_face}: corner images "
-                                       f"of vertices {bucket[corner]} and {v} overlap")
-                bucket[corner] = v
+                                       f"of vertices {owner[key]} and {v} overlap")
+                owner[key] = v
     return ValidationReport((
         ConditionCheck("sector_winding", winding_witness is None, winding_witness),
         ConditionCheck("sector_injective", overlap_witness is None, overlap_witness),
@@ -514,16 +529,15 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
     # root keeps exactly local_degree - 1 >= 1 channel edges to the center
     witness = None
     if center is not None:
-        non_channel_at = [0] * graph.n_vertices
+        # darts at each vertex, less the ends of channel edges
+        non_channel_at = [len(star) for star in graph.vertex_darts]
         channel_to_center = [0] * graph.n_vertices
-        for e in range(graph.n_edges):
+        for e in channel:
             a, b = graph.endpoints(e)
-            if e in channel:
-                if center in (a, b) and a != b:
-                    channel_to_center[a if b == center else b] += 1
-            else:
-                non_channel_at[a] += 1
-                non_channel_at[b] += 1
+            non_channel_at[a] -= 1
+            non_channel_at[b] -= 1
+            if center in (a, b) and a != b:
+                channel_to_center[a if b == center else b] += 1
         if non_channel_at[center]:
             witness = "center vertex meets a non-channel edge"
         else:
@@ -570,23 +584,25 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
                            f"steps, expected {dyn.level - 1}")
     checks.append(ConditionCheck("depth_minimal", witness is None, witness))
 
-    # (5) the non-channel part, with its endpoints, is connected
-    witness = None
-    non_channel = [e for e in range(graph.n_edges) if e not in channel]
-    if non_channel:
-        index = {}
-        for e in non_channel:
-            for v in graph.endpoints(e):
-                index.setdefault(v, len(index))
-        parts = UnionFind(len(index))
-        for e in non_channel:
-            a, b = graph.endpoints(e)
-            parts.union(index[a], index[b])
-        groups = parts.classes()
-        if len(groups) > 1:
-            vertices = list(index)
-            reps = sorted(vertices[group[0]] for group in groups)[:2]
-            witness = f"non-channel part splits, e.g. vertices {reps[0]} and {reps[1]}"
+    # (5) the non-channel part, with its endpoints, is connected: each
+    # component is found from its first end in edge order
+    vertex_of, stars = graph.vertex_of, graph.vertex_darts
+    reached = [False] * graph.n_vertices
+    firsts = []
+    for d, v in enumerate(vertex_of):
+        if reached[v] or d >> 1 in channel:
+            continue
+        firsts.append(v)
+        reached[v] = True
+        stack = [v]
+        while stack:
+            for x in stars[stack.pop()]:
+                w = vertex_of[x ^ 1]
+                if not reached[w] and x >> 1 not in channel:
+                    reached[w] = True
+                    stack.append(w)
+    reps = sorted(firsts)[:2]
+    witness = f"non-channel part splits, e.g. vertices {reps[0]} and {reps[1]}" if len(reps) > 1 else None
     checks.append(ConditionCheck("complement_connected", witness is None, witness))
 
     # (6) sector model of the extension is injective off the graph
@@ -597,23 +613,19 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
     # (7) star saturation: every liftable dart at the image vertex is hit by
     # exactly local_degree(v) darts at v, else pullback material is missing
     witness = None
-    for v in range(graph.n_vertices):
-        if witness:
-            break
-        star = graph.vertex_darts[v]
-        y = dyn.vertex_map[v]
-        hits = {}
+    position = graph.star_position
+    liftable = [d is not None and d < dyn.level for d in depths]
+    for v, star in enumerate(stars):
+        target_star = stars[dyn.vertex_map[v]]
+        hits = [0] * len(target_star)
         for x in star:
-            hits[dyn.dart_map[x]] = hits.get(dyn.dart_map[x], 0) + 1
-        for target_dart in graph.vertex_darts[y]:
-            depth = depths[target_dart >> 1]
-            if depth is None or depth > dyn.level - 1:
-                continue
-            got = hits.get(target_dart, 0)
-            if got != dyn.local_degree[v]:
-                witness = (f"vertex {v}: dart {target_dart} at its image has {got} "
-                           f"preimage darts, expected {dyn.local_degree[v]}")
-                break
+            hits[position[dyn.dart_map[x]]] += 1
+        m = dyn.local_degree[v]
+        bad = next((i for i, t in enumerate(target_star) if liftable[t >> 1] and hits[i] != m), None)
+        if bad is not None:
+            witness = (f"vertex {v}: dart {target_star[bad]} at its image has {hits[bad]} "
+                       f"preimage darts, expected {m}")
+            break
     checks.append(ConditionCheck("star_saturated", witness is None, witness))
 
     return ValidationReport(tuple(checks))
@@ -711,70 +723,78 @@ def graph_from_json(data) -> EmbeddedGraph | GraphDynamics:
 
     Dart and vertex ids are normalized: edges are numbered by their position
     in the "alpha" list, vertices by increasing original id. Every value
-    that is an id, a degree or N must be a JSON integer.
+    that is an id, a degree or N must be a JSON integer. The data are read
+    and checked in passes linear in the number of darts, apart from sorting
+    the vertex ids.
     """
     try:
         darts = list(data["darts"])
         alpha_pairs = [tuple(p) for p in data["alpha"]]
         sigma_cycles = {int(v): list(c) for v, c in _object(data, "sigma").items()}
-        _ints(itertools.chain(darts, *alpha_pairs, *sigma_cycles.values()))
+        _ints(darts)
+        _ints(itertools.chain.from_iterable(alpha_pairs))
+        _ints(itertools.chain.from_iterable(sigma_cycles.values()))
         kind_by_old = {int(v): k for v, k in _object(data, "vertex_kinds").items()}
         unknown = set(kind_by_old.values()) - {KIND_ROOT, KIND_POLE, KIND_INFINITY, KIND_PLAIN}
         if unknown:
             raise ValueError(f"unknown vertex kind {unknown.pop()!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed graph data: {exc}") from exc
-    for p in alpha_pairs:
+    new_dart = {}
+    for j, p in enumerate(alpha_pairs):
         if len(p) != 2:
             raise InvalidGraph(f"alpha entry {list(p)} is not a pair of darts")
-    if sorted(d for p in alpha_pairs for d in p) != sorted(darts):
-        raise InvalidGraph("alpha pairs do not partition the darts")
-    new_dart = {}
-    for j, (a, b) in enumerate(alpha_pairs):
-        new_dart[a] = 2 * j
-        new_dart[b] = 2 * j + 1
-    old_vertices = sorted(sigma_cycles)
-    if sorted(kind_by_old) != old_vertices:
-        raise InvalidGraph("vertex_kinds and sigma keys disagree")
-    new_vertex = {v: i for i, v in enumerate(old_vertices)}
+        new_dart[p[0]] = 2 * j
+        new_dart[p[1]] = 2 * j + 1
     n = len(darts)
+    # n distinct darts, each in exactly one pair
+    if n != 2 * len(alpha_pairs) or len(new_dart) != n or new_dart.keys() != set(darts):
+        raise InvalidGraph("alpha pairs do not partition the darts")
+    if kind_by_old.keys() != sigma_cycles.keys():
+        raise InvalidGraph("vertex_kinds and sigma keys disagree")
+    old_vertices = sorted(sigma_cycles)
+    new_vertex = {v: i for i, v in enumerate(old_vertices)}
     sigma = [None] * n
     vertex_of = [None] * n
     for old_v, cycle in sigma_cycles.items():
-        unknown = [d for d in cycle if d not in new_dart]
-        if unknown:
-            raise InvalidGraph(f"sigma names dart {unknown[0]}, which is in no alpha pair")
-        for d, successor in zip(cycle, cycle[1:] + cycle[:1]):
-            if sigma[new_dart[d]] is not None:
+        try:
+            ids = list(map(new_dart.__getitem__, cycle))
+        except KeyError as exc:
+            raise InvalidGraph(f"sigma names dart {exc.args[0]}, which is in no alpha pair") from None
+        v = new_vertex[old_v]
+        for d, i, successor in zip(cycle, ids, ids[1:] + ids[:1]):
+            if sigma[i] is not None:
                 raise InvalidGraph(f"dart {d} missing or repeated in sigma")
-            sigma[new_dart[d]] = new_dart[successor]
-            vertex_of[new_dart[d]] = new_vertex[old_v]
-    if any(s is None for s in sigma):
+            sigma[i] = successor
+            vertex_of[i] = v
+    if None in sigma:
         raise InvalidGraph("sigma does not cover every dart")
     graph = EmbeddedGraph(tuple(sigma), tuple(vertex_of),
-                          tuple(kind_by_old[v] for v in old_vertices))
+                          tuple(map(kind_by_old.__getitem__, old_vertices)))
     if "dynamics" not in data:
         return graph
     dyn = data["dynamics"]
+    vertex_keys = [str(v) for v in old_vertices]
     try:
         field = "vertex_map"
-        vertex_map = tuple(new_vertex[w] for w in _ints(dyn[field][str(v)] for v in old_vertices))
+        vertex_map = tuple(map(new_vertex.__getitem__, _ints([dyn[field][k] for k in vertex_keys])))
         field = "edge_map"
-        edge_map = tuple(_ints(dyn[field][str(e)] for e in range(graph.n_edges)))
+        edge_map = tuple(_ints([dyn[field][str(e)] for e in range(graph.n_edges)]))
         field = "dart_map"
         images = _object(dyn, field)
-        dart_map = [None] * n
-        for old_d, old_img in zip(images, _ints(images.values())):
-            dart_map[new_dart[int(old_d)]] = new_dart[old_img]
+        _ints(images.values())
+        # zip reads key i, then image i: the first bad id is the first one read
+        by_dart = dict(zip(map(new_dart.__getitem__, map(int, images)),
+                           map(new_dart.__getitem__, images.values())))
+        dart_map = tuple(map(by_dart.get, range(n)))
         field = "local_degree"
-        local_degree = tuple(_ints(dyn[field][str(v)] for v in old_vertices))
+        local_degree = tuple(_ints([dyn[field][k] for k in vertex_keys]))
         field = "delta_edges"
         channel = frozenset(_ints(dyn[field]))
         field = "N"
         [level] = _ints([dyn[field]])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"malformed dynamics data in {field}: {exc}") from exc
-    if any(d is None for d in dart_map):
+    if None in dart_map:
         raise InvalidGraph("dart_map does not cover every dart")
-    return GraphDynamics(graph, vertex_map, edge_map, tuple(dart_map),
-                         local_degree, channel, level)
+    return GraphDynamics(graph, vertex_map, edge_map, dart_map, local_degree, channel, level)

@@ -190,16 +190,18 @@ def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
     zl, corr_l = z0.copy(), corr.copy()
     cr = np.repeat(c[:, ::-1].T[:, :, None], n, axis=2)
     dr = np.repeat((c[:, 1:] * np.arange(1, n + 1))[:, ::-1].T[:, :, None], n, axis=2)
-    scale_abs = np.abs(cr)
+    # q and the backward-error scale sum |c_k| |z|^k of each evaluation share
+    # one Horner pass: the scale's row holds |c_k| + 0j at |z| + 0j, whose
+    # real part is the float pass bit for bit. q' keeps its own pass, since
+    # padding it to q's length with a leading zero can flip the sign of a zero
+    table = np.stack([cr, np.abs(cr).astype(complex)], axis=1)
     for _ in range(iters):
-        q = horner(cr, zl)
+        x = np.zeros((2,) + zl.shape, dtype=complex)
+        x[0] = zl
+        np.abs(zl, out=x[1].real)
+        q, es = horner(table, x)
         dq = horner(dr, zl)
-        # Backward-error scale of each evaluation.
-        es = np.zeros(zl.shape)
-        az = np.abs(zl)
-        for a in scale_abs:
-            es = es * az + a
-        small = np.abs(q) <= 8 * _EPS * es
+        small = np.abs(q) <= 8 * _EPS * es.real
         bad = dq == 0
         stuck = bad.any(axis=1) if bad.any() else None
         if stuck is not None:
@@ -229,7 +231,7 @@ def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
             z[live[settled]], corr[live[settled]] = zl[settled], corr_l[settled]
             keep = ~settled
             live, zl, corr_l = live[keep], zl[keep], corr_l[keep]
-            cr, dr, scale_abs = cr[:, keep], dr[:, keep], scale_abs[:, keep]
+            table, dr = table[:, :, keep], dr[:, keep]
             if live.size == 0:
                 break
     z[live], corr[live] = zl, corr_l

@@ -80,7 +80,16 @@ def offset(c: complex, x: complex) -> complex:
 
 def closest_pair(points) -> tuple[float, int, int]:
     """The least chordal distance between two of the points, with indices
-    i < j of such a pair; inf for fewer than two points."""
-    n = len(points)
-    return min(((chordal_distance(points[i], points[j]), i, j)
+    i < j of such a pair; inf for fewer than two points.
+
+    Bit for bit min((chordal_distance(points[i], points[j]), i, j)) over
+    i < j: 1 + |z|² is taken once per point, and a pair of points of modulus
+    at most _BIG is measured inline by chordal_distance's own first branch.
+    """
+    zs = [complex(z) for z in points]
+    norms = [1.0 + a * a if (a := abs(z)) <= _BIG else None for z in zs]
+    n = len(zs)
+    return min(((2.0 * abs(zs[i] - zs[j]) / (norms[i] * norms[j]) ** 0.5
+                 if norms[i] is not None and norms[j] is not None
+                 else chordal_distance(zs[i], zs[j]), i, j)
                 for i in range(n) for j in range(i + 1, n)), default=(math.inf, 0, 0))

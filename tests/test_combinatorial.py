@@ -6,6 +6,8 @@ germ directions on paper, independently of the numerical pipeline.
 """
 
 import json
+import random
+import re
 import time
 
 import pytest
@@ -133,6 +135,19 @@ class TestEmbeddedGraph:
     def test_rejects_bad_rotations(self, rotations, message):
         with pytest.raises(InvalidGraph, match=message):
             embedded_graph_from_rotations([(0, 1)], rotations, [KIND_PLAIN, KIND_PLAIN])
+
+    @pytest.mark.parametrize("sigma, vertex_of, n_kinds, message", [
+        ((0, 0), (0, 1), 2, "sigma is not a permutation of the darts"),
+        ((0, 1, 3, 2), (0, 1, 0, 1), 2, "sigma moves dart 2 to a different vertex"),
+        ((0, 1), (0, 2), 3, "vertex ids must be 0..V-1 with no gaps"),
+        ((0, 1), (0, 1), 1, "vertex_kinds length does not match vertex count"),
+        # vertex 0 is one cycle (0 2), vertex 1 two fixed darts
+        ((2, 1, 0, 3), (0, 1, 0, 1), 2, "vertex 1 has more than one sigma cycle"),
+        ((0, 1, 2, 3), (0, 1, 2, 3), 4, "graph is not connected"),
+    ])
+    def test_each_rejection_names_its_check(self, sigma, vertex_of, n_kinds, message):
+        with pytest.raises(InvalidGraph, match=f"^{re.escape(message)}$"):
+            EmbeddedGraph(sigma, vertex_of, (KIND_PLAIN,) * n_kinds)
 
 
 class TestGraphDynamics:
@@ -654,8 +669,101 @@ class TestJsonInterchange:
         with pytest.raises(InvalidGraph, match="dart 999"):
             graph_from_json(data)
 
+    def test_kind_and_sigma_keys_must_agree(self):
+        data = graph_to_json(triangle())
+        data["vertex_kinds"]["5"] = data["vertex_kinds"].pop("2")
+        with pytest.raises(InvalidGraph, match="^vertex_kinds and sigma keys disagree$"):
+            graph_from_json(data)
+
     def test_malformed_rejected(self):
         data = graph_to_json(triangle())
         del data["vertex_kinds"]["2"]
         with pytest.raises(InvalidGraph):
             graph_from_json(data)
+
+
+def failing_handbuilt(level1, level0):
+    """The hand-built graphs of the validator tests above that fail some
+    condition, each of the seven failing in at least one."""
+    base = level1.parts()
+    changes = [
+        ("local_degree", [2] + base["local_degree"][1:]),
+        ("local_degree", base["local_degree"][:1] + [1] + base["local_degree"][2:]),
+        ("local_degree", [1] * 8),
+        ("kinds", base["kinds"][:3] + [KIND_PLAIN] + base["kinds"][4:]),
+        ("edge_map", [1, 0] + base["edge_map"][2:]),
+        ("level", 2), ("level", 0),
+        ("channel", {0, 1, 2}), ("channel", set(range(8))), ("channel", set()), ("channel", {4}),
+    ]
+    graphs = [level0.dynamics()]
+    for key, value in changes:
+        parts = level1.parts()
+        parts[key] = value
+        graphs.append(HandBuiltModel.assemble(parts))
+    # two sectors of one vertex in one face, as in TestRegularExtension
+    path = embedded_graph_from_rotations([(0, 1), (1, 2)], [[0], [1, 2], [3]], [KIND_PLAIN] * 3)
+    graphs.append(GraphDynamics(path, (0, 1, 0), (0, 0), (0, 1, 1, 0), (1, 2, 1),
+                                frozenset({0}), 1))
+    return graphs
+
+
+def relabelled(dyn, rng):
+    """The interchange form of dyn under foreign dart and vertex ids, shuffled
+    edge order and key order, flipped edge ends and rotated sigma cycles."""
+    data = graph_to_json(dyn)
+    n, n_vertices = len(data["darts"]), len(data["sigma"])
+    dart = dict(zip(range(n), rng.sample(range(1000, 1000 + 7 * n), n)))
+    vertex = dict(zip(range(n_vertices), rng.sample(range(-3 * n_vertices, 0), n_vertices)))
+    order = rng.sample(range(n // 2), n // 2)  # new edge position -> old edge
+    edge = {old: new for new, old in enumerate(order)}
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return dict(items)
+
+    alpha = [[dart[2 * old], dart[2 * old + 1]][::rng.choice((1, -1))] for old in order]
+    sigma = {}
+    for v, cycle in data["sigma"].items():
+        k = rng.randrange(len(cycle))
+        sigma[str(vertex[int(v)])] = [dart[d] for d in cycle[k:] + cycle[:k]]
+    dynamics = data["dynamics"]
+    return {
+        "darts": rng.sample(list(dart.values()), n),
+        "alpha": alpha,
+        "sigma": shuffled(sigma.items()),
+        "vertex_kinds": shuffled((str(vertex[int(v)]), k) for v, k in data["vertex_kinds"].items()),
+        "dynamics": {
+            "vertex_map": shuffled((str(vertex[int(v)]), vertex[w])
+                                   for v, w in dynamics["vertex_map"].items()),
+            "edge_map": shuffled((str(edge[int(e)]), edge[i]) for e, i in dynamics["edge_map"].items()),
+            "dart_map": shuffled((str(dart[int(d)]), dart[i]) for d, i in dynamics["dart_map"].items()),
+            "local_degree": shuffled((str(vertex[int(v)]), m)
+                                     for v, m in dynamics["local_degree"].items()),
+            "delta_edges": rng.sample([edge[e] for e in dynamics["delta_edges"]],
+                                      len(dynamics["delta_edges"])),
+            "N": dynamics["N"],
+        },
+    }
+
+
+def verdicts(dyn):
+    return [(c.name, c.passed) for c in validate_newton_graph(dyn).checks]
+
+
+class TestValidationIgnoresLabels:
+    def test_pool_and_failing_handbuilt_graphs(self, request, handbuilt_pm_level1,
+                                               handbuilt_pm_level0):
+        graphs = [request.getfixturevalue(name).dynamics for name in POOL_GRAPHS]
+        graphs.append(handbuilt_pm_level1.dynamics())
+        failing = failing_handbuilt(handbuilt_pm_level1, handbuilt_pm_level0)
+        assert all(not validate_newton_graph(dyn).passed for dyn in failing)
+        graphs += failing
+        failed = {name for dyn in failing for name, passed in verdicts(dyn) if not passed}
+        assert len(failed) == 7
+        rng = random.Random(41)
+        for dyn in graphs:
+            for _ in range(3):
+                copy = graph_from_json(relabelled(dyn, rng))
+                assert verdicts(copy) == verdicts(dyn)
+                assert graphs_equivalent(dyn, copy) is not None

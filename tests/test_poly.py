@@ -19,7 +19,7 @@ from newtongraph.poly import (
     roots_of_rows,
 )
 from newtongraph.pullback import lift_point
-from newtongraph.sphere import INF, SpherePoint, chordal_distance, point
+from newtongraph.sphere import INF, SpherePoint, chordal_distance, closest_pair, point
 from newtongraph.tolerances import Tolerances
 
 
@@ -72,6 +72,28 @@ class TestChordal:
         assert chordal_distance(complex("nan"), 0) == 2.0
         assert chordal_distance(complex(math.inf, math.inf), INF) == 0.0
         assert chordal_distance(INF, INF) == 0.0
+
+    def test_closest_pair_is_the_scalar_minimum(self):
+        def scalar(points):  # the definition: one chordal_distance per pair
+            n = len(points)
+            return min(((chordal_distance(points[i], points[j]), i, j)
+                        for i in range(n) for j in range(i + 1, n)), default=(math.inf, 0, 0))
+
+        sets = [
+            [], [2j], [1, -1, 1j, -1j], [0, 1, 2, 1], [INF, INF, 1, 1],
+            [INF, 0, 2e150, -3e151j, 1e-160, 1e150], [1e200, INF, 2, -1e200],
+            [np.complex128(0.5 - 1j), 0.5 - 1j, INF, complex("nan")],
+        ]
+        rng = np.random.default_rng(31)
+        extras = [INF, 1e151, -2e160j, 1e-170, 0j]
+        for _ in range(60):
+            k = int(rng.integers(2, 10))
+            points = list(rng.normal(size=k) + 1j * rng.normal(size=k))
+            points += [extras[i] for i in rng.integers(0, len(extras), size=int(rng.integers(0, 3)))]
+            points += [points[i] for i in rng.integers(0, len(points), size=int(rng.integers(0, 2)))]
+            sets.append([points[i] for i in rng.permutation(len(points))])
+        for points in sets:
+            assert closest_pair(points) == scalar(points), points
 
 
 class TestPolynomial:
@@ -148,6 +170,39 @@ class TestPolynomial:
             assert parts[nonzero].tobytes() == ref_parts[nonzero].tobytes()
             for x in z.tolist():
                 assert horner(reversed(coeffs[::-1]), x) == zero_start(coeffs, x)
+
+    def test_value_and_scale_rows_share_one_horner_pass(self):
+        # _aberth_rows evaluates q and its backward-error scale sum |c_k||z|^k
+        # as two rows of one table, the scale as |c_k| + 0j at |z| + 0j: each
+        # row must be its separate pass bit for bit, signed zeros included
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 6):
+            c = rng.normal(size=(4, n + 1)) + 1j * rng.normal(size=(4, n + 1))
+            c.imag[rng.random(c.shape) < 0.3] = -0.0
+            c.real[rng.random(c.shape) < 0.1] = -0.0
+            z = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+            z.imag[rng.random(z.shape) < 0.3] = 0.0
+            z[0, 0] = complex(-0.0, 0.0)
+            cr = np.repeat(c[:, ::-1].T[:, :, None], n, axis=2)
+            x = np.zeros((2,) + z.shape, dtype=complex)
+            x[0] = z
+            np.abs(z, out=x[1].real)
+            q, es = horner(np.stack([cr, np.abs(cr).astype(complex)], axis=1), x)
+            scale = np.zeros(z.shape)
+            for a in np.abs(cr):
+                scale = scale * np.abs(z) + a
+            assert q.tobytes() == horner(cr, z).tobytes()
+            assert es.real.copy().tobytes() == scale.tobytes()
+            assert not es.imag.any()
+        # q' keeps a pass of its own: padded to q's length with a leading
+        # zero it loses the sign of a zero part, here on negative real
+        # coefficients with -0 imaginary parts at real points
+        c = np.array([[complex(-2, -0.0), complex(-3, -0.0), complex(-1, -0.0)]])
+        z = np.array([[0.5 + 0j, 1.5 + 0j]])
+        dr = np.repeat((c[:, 1:] * np.arange(1, 3))[:, ::-1].T[:, :, None], 2, axis=2)
+        padded = horner(np.concatenate([np.zeros((1, 1, 2), dtype=complex), dr]), z)
+        assert np.array_equal(padded, horner(dr, z))
+        assert padded.tobytes() != horner(dr, z).tobytes()
 
 
 class TestRootsOf:
