@@ -10,8 +10,9 @@ Before the iteration, zero roots are deflated exactly, and roots the caller
 knows with their multiplicities (the marks over a fiber's target) are divided
 out by synthetic division, so only the simple remainder is solved. Residual
 certification, stall-aware clustering for multiplicities and a final polish
-then run on each row. Companion-matrix eigenvalues are used only as an
-independent oracle in the tests, never here.
+then run on all rows of one degree at once, elementwise, where every point
+is a certified simple root, and on each other row alone. Companion-matrix
+eigenvalues are used only as an independent oracle in the tests, never here.
 
 The chart rule, which the Newton map alone decides: beyond |z| = CHART_RADIUS
 the map f = N/D of degree d is handled in the w = 1/z chart. To evaluate f at
@@ -263,8 +264,8 @@ def roots_of(q: Polynomial) -> tuple[tuple[complex, int], ...]:
 def roots_of_rows(
     polys: Sequence[Polynomial],
     known: Sequence[Sequence[tuple[complex, int]]] | None = None,
-    names: Sequence[str] | None = None,
-) -> list[tuple[tuple[complex, int], ...]]:
+    names: Sequence[str | None] | None = None,
+) -> list[tuple[tuple[complex, int], ...] | None]:
     """roots_of of every polynomial in polys, with one Aberth–Ehrlich run
     per degree for all of them; each row gets bit for bit what it gets
     alone.
@@ -272,8 +273,12 @@ def roots_of_rows(
     known[i], if given, lists roots r of polys[i] with exact multiplicities
     m: each (z - r)^m is divided out by synthetic division, only the
     quotient is solved, and each (r, m) is added back. names[i], if given,
-    says in an error which polynomial failed. The rows are finished in
-    order, so the first that cannot be certified raises NoConvergence.
+    says in an error which polynomial failed; a row named None is optional,
+    and comes out None where it cannot be certified. The rows of one degree
+    are finished together (_finish_rows) where every point certifies as a
+    simple root; any other row takes _finish_row alone. The rows are
+    finished in order, so the first required row that cannot be certified
+    raises NoConvergence.
     """
     rows = []  # per polynomial: its roots found so far and what is left
     for i, q in enumerate(polys):
@@ -301,23 +306,143 @@ def roots_of_rows(
     for i, (_, coeffs) in enumerate(rows):
         if len(coeffs) > 2:
             by_degree.setdefault(len(coeffs) - 1, []).append(i)
-    batched: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    batched: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list | None]] = {}
     for members in by_degree.values():
         c = np.array([rows[i][1] for i in members], dtype=complex)
         c = c / np.max(np.abs(c), axis=1, keepdims=True)
         pts, corr = _aberth_rows(c, np.array([_initial_points(row) for row in c]), 400)
+        # one batched finish per degree of q, which deflation can leave apart
+        by_q: dict[int, list[int]] = {}
         for k, i in enumerate(members):
-            batched[i] = c[k], pts[k], corr[k]
+            by_q.setdefault(polys[i].degree, []).append(k)
+        for ks in by_q.values():
+            finished = _finish_rows([polys[members[k]] for k in ks], pts[ks], corr[ks])
+            for k, done in zip(ks, finished):
+                batched[members[k]] = c[k], pts[k], corr[k], done
 
     out = []
     for i, (q, (found, _)) in enumerate(zip(polys, rows)):
         if i in batched:
+            c, pts, corr, done = batched[i]
             name = names[i] if names is not None else f"degree {q.degree}"
-            found += _finish_row(q, *batched[i], name)
-            if sum(mult for _, mult in found) != q.degree:
-                raise NoConvergence(f"multiplicity bookkeeping lost roots of {name}")
+            try:
+                found += done if done is not None else _finish_row(q, c, pts, corr, name)
+                if sum(mult for _, mult in found) != q.degree:
+                    raise NoConvergence(f"multiplicity bookkeeping lost roots of {name}")
+            except NoConvergence:
+                if name is not None:
+                    raise
+                out.append(None)
+                continue
         out.append(tuple(sorted(found, key=_root_order)))
     return out
+
+
+def _finish_rows(
+    qs: Sequence[Polynomial], pts: np.ndarray, corr: np.ndarray
+) -> list[list[tuple[complex, int]] | None]:
+    """_finish_row of every row of one degree at once, for the rows whose
+    points all certify as simple roots; None for each other row, which
+    _finish_row then takes alone.
+
+    A row passes when every point certifies its residual against q, q q''/q'^2
+    is finite wherever q' is not zero, and no two points cluster under the
+    multiplicity-aware radii (_row_verdicts); each point then takes the
+    three Newton steps on q of a simple cluster. Every operation is
+    elementwise on arrays of at least two points, so a row comes out bit for
+    bit as it does in any other company or alone.
+    """
+    table = _derivatives(np.array([q.coeffs for q in qs], dtype=complex))
+    certified, _, clustered, qv, dv = _row_verdicts(table, pts, corr)
+    simple = certified.all(axis=1) & ~clustered
+    out: list[list[tuple[complex, int]] | None] = [None] * len(qs)
+    if simple.any():
+        z = _polished(table[:2], pts, qv, dv)
+        for k in np.flatnonzero(simple).tolist():
+            out[k] = [(root, 1) for root in z[k].tolist()]
+    return out
+
+
+def _row_values(tables: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner's rule for stacked polynomials, one per row: tables holds the
+    coefficients, lowest first, shape (stack, rows, terms), and z the
+    points, shape (stack, rows, points); each polynomial is evaluated at
+    its own row's points."""
+    return horner(tables[:, :, ::-1].transpose(2, 0, 1)[..., None], z)
+
+
+def _derivatives(c: np.ndarray) -> np.ndarray:
+    """The rows of c (coefficients lowest first), their first and second
+    derivatives, each zero-padded at the top to c's length, and the moduli
+    of c: shape (4, rows, terms). A leading zero changes only the signs of
+    zero parts of a value (see horner)."""
+    n = c.shape[1]
+    k = np.arange(n)
+    out = np.zeros((4,) + c.shape, dtype=complex)
+    out[0] = c
+    out[1, :, : n - 1] = c[:, 1:] * k[1:]
+    out[2, :, : n - 2] = out[1, :, 1 : n - 1] * k[1 : n - 1]
+    out[3] = np.abs(c)
+    return out
+
+
+def _row_verdicts(
+    table: np.ndarray, pts: np.ndarray, corr: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The tests of _finish_row on every point at once, for rows of one
+    degree (table: _derivatives of the coefficients of each row's q).
+
+    Returns, per point, whether its residual certifies, |q| <= 64 eps sum
+    |c_k| |z|^k with both finite, and its multiplicity estimate from L = q
+    q''/q'^2 (the degree where q' = 0 or 1 - Re L <= 1/(2 degree), else
+    1/(1 - Re L) rounded into 1..degree; 0 where L is not finite), and per
+    row whether two points cluster: they lie closer than the larger of
+    their radii, max(50 corr, base (1 + |z|)) with base 1e3 eps for an
+    estimated simple point and 30 eps^(1/m) for m-fold. A non-finite L
+    counts as uncertified, as _finish_row raises there. Then q and q' at
+    each point, for the polish. q, q', q'' and the scale share one Horner
+    pass: the scale's row holds |c_k| + 0j at |z| + 0j, whose real part is
+    the float pass bit for bit.
+    """
+    degree = table.shape[2] - 1
+    az = np.abs(pts)
+    z = np.empty((4,) + pts.shape, dtype=complex)
+    z[:3] = pts
+    z[3] = az
+    bases = np.array([0, 1e3 * _EPS] + [30 * _EPS ** (1.0 / m) for m in range(2, degree + 1)])
+    with np.errstate(all="ignore"):
+        qv, dv, ddv, scale = _row_values(table, z)
+        scale = scale.real
+        # a scale past float range, and so a point that is not finite, fails
+        certified = (np.abs(qv) <= 64 * _EPS * np.maximum(scale, 1e-300)) & (scale < np.inf)
+        flat = dv == 0
+        L = qv * ddv / (dv * dv)
+        denom = 1.0 - L.real
+        estimate = np.minimum(np.maximum(np.rint(1.0 / denom), 1), degree)
+        mult = np.where(flat | (denom <= 1.0 / (2 * degree)), degree, estimate)
+        finite = flat | np.isfinite(L)
+        mult = np.where(finite, mult, 0).astype(np.int64)
+        radius = np.maximum(50 * corr, bases[mult] * (1 + az))
+        gap = np.abs(pts[:, :, None] - pts[:, None, :])
+        reach = np.maximum(radius[:, :, None], radius[:, None, :])
+    near = (gap < reach) & ~np.eye(pts.shape[1], dtype=bool)
+    return certified & finite, mult, near.any(axis=(1, 2)), qv, dv
+
+
+def _polished(table: np.ndarray, z: np.ndarray, qv: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Three Newton steps on each row's polynomial from each of its points,
+    whose values qv and derivatives dv are given, a point stopping where the
+    derivative is zero, as _finish_row polishes a simple cluster. table
+    holds each row's coefficients and its derivative's, as _derivatives
+    gives them."""
+    stopped = np.zeros(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for step in range(3):
+            if step:
+                qv, dv = _row_values(table, np.stack((z, z)))
+            stopped |= dv == 0
+            z = np.where(stopped, z, z - qv / dv)
+    return z
 
 
 def _finish_row(

@@ -2,22 +2,34 @@
 
 Each pass lifts the newest edges: an edge with tail t is lifted once from
 every preimage x of t, along each of the local-degree-many inverse branches
-at x. The fibers over all heads and tails of those edges are solved first,
-in one batched root solve. A fiber takes its marked points, each with its
-local model, from the map (the marks over its target); its other points are
-unmarked. A fiber comes out bit for bit the same at every level, so a vertex
-is found by its exact value, not by distance, and each fiber is solved once
-per tower. A lift's head is read once, from r = b u^m / W of the local model
-f(c + u) = f(c) + b u^m at each point c over it: |r| picks the point, arg r
-the sheet. The lifts are then thinned to the rays' sample spacing about both
-ends. Tails of lifts map onto tails of sources, so orientation, the edge map
-and the vertex map come from lift bookkeeping instead of after-the-fact
-geometry matching; so do the stars, as each end of a lift takes its angle
-from its source's on its own sheet. Fixed edges are their own lifts; on the
-first pass the branch that retraces the source is skipped and the existing
-edge kept. A lift runs from the mark of a fiber point to the mark of
-another, and every vertex carries its mark from there on. The tower stops
-one pullback after the marks' branching indices add up to 2d - 2, that is
+at x. Each newest edge is cut every _CUT_SPACING interior samples, with no
+cut within _CUT_SPACING / 2 of its last lifted sample, and the fibers over
+all heads and tails of those edges and over every cut sample are solved
+first, in one batched root solve. A cut is used only if its fiber
+certifies as deg f simple points pairwise at least match_tol apart
+(chordal); otherwise it is dropped and its two segments run as one. All
+segments of all lifts run in one lockstep run, the later segments of an
+edge from every point over their cut, so the run is as long as the longest
+segment, not the longest edge. Each lift is then chained through the cuts:
+its segment's end must lie within match_tol of exactly one point over the
+cut, and no two lifts of an edge may take one point, or BranchJump names
+the edge and the cut sample. A failed segment raises only if a kept lift
+runs through it, and the first lift in lane order that failed raises. A
+fiber takes its marked points, each with its local model, from the map (the
+marks over its target); its other points are unmarked. A fiber comes out
+bit for bit the same at every level, so a vertex is found by its exact
+value, not by distance, and each fiber is solved once per tower. A lift's
+head is read once, from r = b u^m / W of the local model f(c + u) = f(c) +
+b u^m at each point c over it: |r| picks the point, arg r the sheet. The
+lifts are then thinned to the rays' sample spacing about both ends. Tails
+of lifts map onto tails of sources, so orientation, the edge map and the
+vertex map come from lift bookkeeping instead of after-the-fact geometry
+matching; so do the stars, as each end of a lift takes its angle from its
+source's on its own sheet. Fixed edges are their own lifts; on the first
+pass the branch that retraces the source is skipped and the existing edge
+kept. A lift runs from the mark of a fiber point to the mark of another,
+and every vertex carries its mark from there on. The tower stops one
+pullback after the marks' branching indices add up to 2d - 2, that is
 after every critical point has become a vertex.
 """
 
@@ -68,7 +80,15 @@ from .rays import (
     residual_ok,
     solve_preimage_near,
 )
-from .sphere import INF, SpherePoint, chordal_distance, closest_pair, offset, point
+from .sphere import (
+    INF,
+    SpherePoint,
+    chordal_distance,
+    chordal_distances,
+    closest_pair,
+    offset,
+    point,
+)
 from .tolerances import Tolerances
 
 
@@ -118,9 +138,13 @@ def base_dynamic_graph(f: NewtonMap) -> DynamicGraph:
 # --- preimages ----------------------------------------------------------
 
 
-def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[MarkedPoint, ...]]:
-    """The fiber over each target point, each point as its mark, with the
-    polynomials of all finite targets solved in one roots_of_rows call.
+def _fibers(
+    f: NewtonMap, targets: list[complex], cuts: list[complex] = ()
+) -> list[tuple[MarkedPoint, ...] | np.ndarray | None]:
+    """The fiber over each target point, each point as its mark, then the
+    fiber over each cut sample, as an array of its points or None; the
+    polynomials of all finite targets and of all cuts solved in one
+    roots_of_rows call.
 
     The marks over a target w (f.marks_over) are its fiber's marked points:
     over INF they are the whole fiber, and over a finite w each is divided
@@ -130,19 +154,26 @@ def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[MarkedPoint, ...
     finds its own. Each fiber is checked on its own: each point's
     multiplicity in the solve must be its mark's local degree, with b finite
     and nonzero, the degrees must sum to deg f, and two points closer than
-    match_tol abort rather than silently merging.
+    match_tol abort rather than silently merging. A cut's fiber is kept only
+    if it certifies as deg f simple points pairwise at least match_tol apart
+    (chordal); else it is None, as is a cut whose row cannot be certified,
+    so a cut never fails a solve.
     """
     f.require_separated_marks()
     over = [f.marks_over(w) for w in targets]
     finite = [(w, marks) for w, marks in zip(targets, over) if w != INF]
-    solved = iter(roots_of_rows(
-        [f.numerator - f.denominator * w for w, _ in finite],
-        known=[[(mark.value, mark.local_degree) for mark in marks] for _, marks in finite],
-        names=[f"the fiber over {w}" for w, _ in finite],
-    ))
+    rows = [(w, [(mark.value, mark.local_degree) for mark in marks], f"the fiber over {w}")
+            for w, marks in finite]
+    rows += [(w, (), None) for w in cuts]  # a row named None is optional
+    solved = roots_of_rows(
+        [f.numerator - f.denominator * w for w, _, _ in rows],
+        known=[known for _, known, _ in rows],
+        names=[name for _, _, name in rows],
+    )
+    at_ends = iter(solved[: len(finite)])
     out = []
     for w, marks in zip(targets, over):
-        solve = [(mark.value, mark.local_degree) for mark in marks] if w == INF else next(solved)
+        solve = [(mark.value, mark.local_degree) for mark in marks] if w == INF else next(at_ends)
         known = {mark.value: mark for mark in marks}
         fiber = tuple(known[z] if z in known else f.unmarked(z) for z, _ in solve)
         for mark, (_, m) in zip(fiber, solve):
@@ -165,6 +196,25 @@ def _fibers(f: NewtonMap, targets: list[complex]) -> list[tuple[MarkedPoint, ...
                 f"the embedding"
             )
         out.append(fiber)
+    return out + _cut_fibers(f, solved[len(finite):])
+
+
+def _cut_fibers(
+    f: NewtonMap, solved: list[tuple[tuple[complex, int], ...] | None]
+) -> list[np.ndarray | None]:
+    """Each solved cut fiber as an array of its deg f points, or None
+    unless they are simple and pairwise at least match_tol apart (chordal)."""
+    out: list[np.ndarray | None] = [None] * len(solved)
+    simple = [k for k, row in enumerate(solved)
+              if row is not None and len(row) == f.degree and all(m == 1 for _, m in row)]
+    if simple:
+        z = np.array([[x for x, _ in solved[k]] for k in simple])
+        gap = chordal_distances(z[:, :, None], z[:, None, :])
+        gap[:, np.eye(f.degree, dtype=bool)] = math.inf
+        # a point past sphere._BIG gives a gap of 0 or not a number: dropped
+        apart = (gap >= f.tol.match_tol).all(axis=(1, 2))
+        for k, row in zip(np.array(simple)[apart].tolist(), z[apart]):
+            out[k] = row
     return out
 
 
@@ -282,16 +332,18 @@ def lift_edge(
 ) -> np.ndarray:
     """Lift a polyline under f, starting at the given preimage of its tail.
 
-    The one-edge call of the level lift (_lift_lanes on one lane); no two
-    consecutive samples may be equal. The final vertex is never solved for
-    directly (it is typically a critical point or infinity) but read off the
-    fiber over the source head by the local model there (_read_head), under
-    the level lift's gates on the end match and on the sheet. At a start of
-    local degree m >= 2 the m lifts are distinguished by branch_direction,
-    the initial tangent of the desired lift; a simple start has one lift and
-    takes None. The lift is a read-only complex array, inf at an end at
-    infinity, with one sample over each sample of the polyline: it is not
-    thinned as the lifts of a pullback pass are.
+    The one-edge call of the level lift (_lift_lanes on one lane, in the
+    segments of _solve_ends_and_cuts, whose one solve gives the fiber over
+    the head and those over the cuts); no two consecutive samples may be
+    equal. The final vertex is never solved for directly (it is typically a
+    critical point or infinity) but read off the fiber over the source head
+    by the local model there (_read_head), under the level lift's gates on
+    the end match and on the sheet. At a start of local degree m >= 2 the m
+    lifts are distinguished by branch_direction, the initial tangent of the
+    desired lift; a simple start has one lift and takes None. The lift is a
+    read-only complex array, inf at an end at infinity, with one sample over
+    each sample of the polyline: it is not thinned as the lifts of a
+    pullback pass are.
     """
     points = frozen_polyline(edge_points)
     start = point(start)
@@ -314,8 +366,8 @@ def lift_edge(
             f"start {start} has local degree {mark.local_degree}; a branch "
             f"direction selects one of its lifts exactly when that is above 1"
         )
-    [head_fiber] = _fibers(f, [f.marked_point(head).value])
-    [samples] = _lift_lanes(f, {0: points}, [(0, mark, branch_direction)])
+    [head_fiber], sources = _solve_ends_and_cuts(f, [f.marked_point(head).value], {0: points})
+    [samples] = _lift_lanes(f, sources, [(0, mark, branch_direction)])
     # the source carries no head angle here; the angle read is not kept
     end, _ = _read_head(head_fiber, head, complex(points[-2]), complex(samples[-1]), 0.0, None)
     return frozen_polyline(np.append(samples, end.value))
@@ -356,37 +408,114 @@ def _newton_round(
     return x, values, ok
 
 
+# A level lift cuts each source every _CUT_SPACING interior samples, and not
+# within _CUT_SPACING / 2 of its last lifted sample, so no segment runs more
+# than 1.5 _CUT_SPACING rounds of the lockstep kernel, whose round costs
+# about the same at 10 lanes as at 100. Measured on the seed-7 tower maps
+# of perfbench, two pullback passes each (least of 15 runs, CPU seconds):
+# 0.267 uncut, then 0.197, 0.202, 0.205 and 0.229 at 16, 24, 32 and 48; at
+# 24 the seed-7 builds, timed and untimed, run 904 kernel rounds, not 2,586.
+_CUT_SPACING = 24
+
+
+class Sources(dict):
+    """The source polylines of a level lift by edge, with the cuts of each:
+    cuts[edge] lists (sample index, the points of the fiber over that
+    sample), in order along the polyline. A plain dict of polylines is
+    lifted uncut."""
+
+    def __init__(self, polylines: dict[int, np.ndarray], cuts: dict[int, list]):
+        super().__init__(polylines)
+        self.cuts = cuts
+
+
+def _solve_ends_and_cuts(
+    f: NewtonMap, targets: list[complex], polylines: dict[int, np.ndarray]
+) -> tuple[list[tuple[MarkedPoint, ...]], Sources]:
+    """The fibers over targets, and the polylines as Sources cut every
+    _CUT_SPACING interior samples, none within _CUT_SPACING / 2 of the last
+    lifted sample: the fibers over the targets and over every cut sample in
+    one _fibers call. A cut whose fiber does not certify is dropped, and
+    its two segments run as one."""
+    cut_at = {
+        j: range(_CUT_SPACING, len(p) - 2 - _CUT_SPACING // 2, _CUT_SPACING)
+        for j, p in polylines.items()
+    }
+    solved = _fibers(
+        f, targets, [complex(polylines[j][c]) for j in polylines for c in cut_at[j]]
+    )
+    over_cuts = iter(solved[len(targets):])
+    cuts = {
+        j: [(c, fiber) for c, fiber in zip(cut_at[j], over_cuts) if fiber is not None]
+        for j in polylines
+    }
+    return solved[: len(targets)], Sources(polylines, cuts)
+
+
 def _lift_lanes(
     f: NewtonMap,
     sources: dict[int, np.ndarray],
     lanes: list[tuple[int, MarkedPoint, float | None]],
 ) -> list[np.ndarray]:
-    """Every lane's lift at once.
+    """Every lane's lift at once, in segments between the cuts of its source.
 
-    sources maps an edge to its polyline; a lane (edge, start, direction)
-    lifts that edge from the mark of one preimage of its tail, in the branch
-    direction of _branched_first_step, None at a simple start. The lanes
-    advance in lockstep, one sample of the source polyline per round, padded
-    to the longest. A lane that fails a gate in a round, and the branched
-    first step off a critical start, take the scalar continuation for that
-    round. Returns each lane's samples, one over each sample of its source
-    but the head, or raises the error of the first lane that failed, which
-    is the error a lift of the lanes one after another raises.
+    sources maps an edge to its polyline, and a Sources also gives its cuts;
+    a lane (edge, start, direction) lifts that edge from the mark of one
+    preimage of its tail, in the branch direction of _branched_first_step,
+    None at a simple start. Segment 0 of each lane runs from its start to
+    the first cut; each later segment of a source runs from every point of
+    the fiber over its cut to the next cut, or to the last sample before
+    the head. All segments advance in one lockstep run, one sample per
+    round, padded to the longest segment. A segment lane that fails a gate
+    in a round, and the branched first step off a critical start, take the
+    scalar continuation for that round.
+
+    Each lane's lift is then chained through the cuts: a segment's end must
+    lie within match_tol (chordal) of exactly one point of the fiber over
+    the cut, that point becomes the lift's sample there, and the lift goes
+    on in the segment lifted from it; no two lifts of one source may take
+    one point. Returns each lane's samples, one over each sample of its
+    source but the head. A segment that fails fails only the lifts chained
+    through it, so a segment no lift takes (as the fixed branch of a level-0
+    edge) never raises. The error raised is the first lane's, in lane order,
+    whose lift failed, the error a lift of the lanes one after another
+    raises; a failed match raises BranchJump naming the source edge and the
+    cut sample.
     """
+    if not lanes:
+        return []
     tol = f.tol
+    cuts = sources.cuts if isinstance(sources, Sources) else {}
     n_lanes = len(lanes)
-    steps = np.array([len(sources[j]) - 2 for j, _, _ in lanes], dtype=np.int64)
-    n_rounds = int(steps.max()) if n_lanes else 0
-    w = np.empty((n_rounds + 1, n_lanes), dtype=complex)
-    for lane, (j, _, _) in enumerate(lanes):
-        seq = sources[j][:-1]
-        w[: len(seq), lane] = seq
-        w[len(seq):, lane] = seq[-1]
+    edges = list(dict.fromkeys(j for j, _, _ in lanes))
+    # (first, last) sample of each segment of each source
+    stops = {j: [c for c, _ in cuts.get(j, ())] + [len(sources[j]) - 2] for j in edges}
+    seg_edge = [j for j, _, _ in lanes]
+    seg_first = [0] * n_lanes
+    seg_last = [stops[j][0] for j in seg_edge]
+    starts = [start.value for _, start, _ in lanes]
+    fanned = {}  # (edge, cut number): the first segment lane from that cut's fiber
+    for j in edges:
+        for i, (c, fiber) in enumerate(cuts.get(j, ())):
+            fanned[j, i] = len(seg_edge)
+            seg_edge += [j] * len(fiber)
+            seg_first += [c] * len(fiber)
+            seg_last += [stops[j][i + 1]] * len(fiber)
+            starts += fiber.tolist()
+    first = np.array(seg_first, dtype=np.int64)
+    steps = np.array(seg_last, dtype=np.int64) - first
+    n_seg, n_rounds = len(seg_edge), int(steps.max())
+    # round k of a segment lane lifts onto its sample first + k, held at its last
+    at = dict(zip(edges, np.cumsum([0] + [len(sources[j]) for j in edges]).tolist()))
+    flat = np.concatenate([sources[j] for j in edges])
+    base = np.array([at[j] for j in seg_edge], dtype=np.int64) + first
+    w = flat[base + np.minimum(np.arange(n_rounds + 1)[:, None], steps)]
     alive = np.arange(n_rounds + 1)[:, None] <= steps
-    branched = np.array([direction is not None for _, _, direction in lanes], dtype=bool)
+    branched = np.zeros(n_seg, dtype=bool)
+    branched[:n_lanes] = [direction is not None for _, _, direction in lanes]
     x = np.empty_like(w)
-    x[0] = [start.value for _, start, _ in lanes]
-    failed = np.zeros(n_lanes, dtype=bool)
+    x[0] = starts
+    failed = np.zeros(n_seg, dtype=bool)
     errors: dict[int, BranchJump] = {}
 
     def scalar_step(lane: int, k: int) -> None:
@@ -424,9 +553,59 @@ def _lift_lanes(
                     scalar_step(lane, k)
                 values = horner(coeffs, np.concatenate((x[k],) * 4))
 
-    if errors:
-        raise errors[min(errors)]
-    return [x[: n + 1, lane] for lane, n in enumerate(steps.tolist())]
+    # chain each lane through its source's cuts: its segment lane per stage
+    members: dict[int, list[int]] = {}
+    for lane, j in enumerate(seg_edge[:n_lanes]):
+        members.setdefault(j, []).append(lane)
+    chains: dict[int, np.ndarray] = {}
+    failures: dict[int, BranchJump] = {}  # per lane, the first failure of its lift
+
+    def segment_errors(j: int, chain: np.ndarray) -> None:
+        for lane, seg in zip(members[j], chain.tolist()):
+            if seg in errors:
+                failures.setdefault(lane, errors[seg])
+
+    for j, lanes_j in members.items():
+        chain = np.array(lanes_j)
+        stages = [chain]
+        for i, (c, fiber) in enumerate(cuts.get(j, ())):
+            if errors:
+                segment_errors(j, chain)
+            ends = x[c - first[chain], chain]
+            near = chordal_distances(ends[:, None], fiber[None, :]) <= tol.match_tol
+            hits, pick = near.sum(axis=1).tolist(), near.argmax(axis=1)
+            kept = [k for k, lane in enumerate(lanes_j) if lane not in failures]
+            taken = Counter(pick[k] for k in kept if hits[k] == 1)
+            for k in kept:
+                if hits[k] != 1:
+                    failures[lanes_j[k]] = BranchJump(
+                        f"lift of source edge {j} jumps sheets at cut sample {c}: its "
+                        f"end {complex(ends[k])} lies within match_tol of {hits[k]} "
+                        f"points over {complex(sources[j][c])}"
+                    )
+                elif taken[pick[k]] > 1:
+                    failures[lanes_j[k]] = BranchJump(
+                        f"lifts of source edge {j} meet at cut sample {c}, at the "
+                        f"point {complex(fiber[pick[k]])} over {complex(sources[j][c])}"
+                    )
+            chain = fanned[j, i] + pick
+            stages.append(chain)
+        if errors:
+            segment_errors(j, chain)
+        chains[j] = np.stack(stages, axis=1)
+    if failures:
+        raise failures[min(failures)]
+
+    # sample t of a lift is sample t - first of the segment lane it is in
+    out: list[np.ndarray] = [None] * n_lanes
+    for j, chain in chains.items():
+        cut_at = np.array([0] + [c for c, _ in cuts.get(j, ())])
+        t = np.arange(len(sources[j]) - 1)
+        stage = np.searchsorted(cut_at, t, side="right") - 1
+        lifted = x[t - cut_at[stage], chain[:, stage]]
+        for lane, samples in zip(members[j], lifted):
+            out[lane] = samples
+    return out
 
 
 def _thinned_lifts(paths: list[np.ndarray], ratio: float) -> list[np.ndarray]:
@@ -501,7 +680,8 @@ def pullback_level(
     Lifts of older edges are already present (a level-n edge maps onto a
     level-(n-1) edge), so only the top level is lifted; on the first pass the
     branch retracing a fixed edge is recognized by its direction and skipped.
-    All lifts of the level run together, in lockstep (_lift_lanes); each
+    All lifts of the level run together, in lockstep (_lift_lanes), each
+    in segments between the cuts of its source (_solve_ends_and_cuts); each
     head is then read once (_read_head) for its mark and angle, and the
     lifts, closed by their heads, are thinned to the rays' spacing about
     both their ends (_thinned_lifts), so each kept sample maps onto a sample
@@ -509,7 +689,8 @@ def pullback_level(
     lies over the source's first chord psi, at the source's tail angle moved
     onto psi's turn. fibers holds the fibers solved so far in the tower,
     keyed by exact target value; the fibers over the ends of the newest
-    edges that it lacks are solved in one call and added to it.
+    edges that it lacks are solved in one call with the fibers over their
+    cuts, and added to it.
     """
     geo = current.geo
     newest = current.edges_at_level(current.level)
@@ -518,9 +699,9 @@ def pullback_level(
         geo.vertices[v] for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)
     )
     new = [w for w in ends if w not in fibers]
-    fibers.update(zip(new, _fibers(f, new)))
+    solved, sources = _solve_ends_and_cuts(f, new, {j: geo.edges[j].points for j in newest})
+    fibers.update(zip(new, solved))
 
-    sources = {}
     lanes = []  # (source edge, start mark, branch direction or None)
     tail_angles = []
     for j in newest:
@@ -528,7 +709,6 @@ def pullback_level(
         tail_pt = geo.vertices[e.tail]
         psi = cmath.phase(complex(e.points[1]) - tail_pt)
         bend = math.remainder(e.angles[0] - psi, _TAU)
-        sources[j] = e.points
         for start in fibers[tail_pt]:
             x, _, order, coeff = start
             base = (psi - cmath.phase(coeff)) / order

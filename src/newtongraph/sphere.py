@@ -17,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 INF = complex("inf")
 
 # beyond this modulus 1 + |z|^2 may overflow, so the metric goes through 1/z
@@ -65,6 +67,15 @@ def chordal_distance(a: complex, b: complex) -> float:
     # Avoid overflow in the product of norms; route through 1/z, where the
     # finite point 0 goes to infinity.
     return chordal_distance(_inverted(a), _inverted(b))
+
+
+def chordal_distances(a, b):
+    """chordal_distance elementwise over broadcast arrays of finite points
+    of modulus at most _BIG: its first branch, for the lockstep paths. At a
+    larger or non-finite point the result is 0 or not a number."""
+    with np.errstate(all="ignore"):
+        norms = (1.0 + np.abs(a) ** 2) * (1.0 + np.abs(b) ** 2)
+        return 2.0 * np.abs(a - b) / np.sqrt(norms)
 
 
 def _inverted(z: complex) -> complex:

@@ -599,10 +599,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "0825a2655e4041bc61f98dc3c2751b53eefc0bc95c310eba6b8ca36da02d1e1d",
+         "950e595e32337f7e5d3cd496f0d0af4bf60512cf55cb4bbad47e1ce4124a244d",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "0be7feb685ae2bf6a1599632835f427fb23d4696dc022264cd4db37c91162067",
+         "6da626549314435d358cdff761e6a24a8bd6187ee154e2b30e711ec66a9ce59a",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

@@ -434,6 +434,147 @@ class TestBatchedRoots:
             roots_of_rows([P(1, 2), P(1, 2, 3, 4)], names=["the line", "the cubic"])
 
 
+EPS = 2.220446049250313e-16
+
+
+def scalar_certified(q, z):
+    """_finish_row's residual test at one point, False where it raises."""
+    if not cmath.isfinite(z):
+        return False
+    qq, scale = q(z), q.eval_scale(z)
+    if not (cmath.isfinite(qq) and math.isfinite(scale)):
+        return False  # the row raises NoConvergence
+    return abs(qq) <= 64 * EPS * max(scale, 1e-300)
+
+
+def scalar_multiplicity(q, z):
+    """_finish_row's multiplicity estimate from L = q q''/q'^2, 0 where it
+    raises on a non-finite L."""
+    dq = q.derivative()
+    qv, dv, ddv = q(z), dq(z), dq.derivative()(z)
+    if dv == 0:
+        return q.degree
+    L = qv * ddv / (dv * dv)
+    if not cmath.isfinite(L):
+        return 0
+    denom = 1.0 - L.real
+    if denom <= 1.0 / (2 * q.degree):
+        return q.degree
+    return max(1, min(q.degree, int(round(1.0 / denom))))
+
+
+def scalar_clustered(pts, corr, mult):
+    """_finish_row's cluster rule: two points closer than the larger of
+    their radii."""
+    radius = [
+        max(50 * c, (1e3 * EPS if m == 1 else 30 * EPS ** (1.0 / m)) * (1 + abs(z)))
+        for z, c, m in zip(pts, corr, mult)
+    ]
+    n = len(pts)
+    return any(abs(pts[i] - pts[j]) < max(radius[i], radius[j])
+               for i in range(n) for j in range(i + 1, n))
+
+
+def aberth_points(qs):
+    """The Aberth points and corrections of roots_of_rows for each q."""
+    c = np.array([q.coeffs for q in qs], dtype=complex)
+    c = c / np.max(np.abs(c), axis=1, keepdims=True)
+    return poly._aberth_rows(c, np.array([poly._initial_points(row) for row in c]), 400)
+
+
+class TestBatchedFinish:
+    """roots_of_rows finishes the rows of one degree at once where every
+    point is a certified simple root; the scalar rules of _finish_row,
+    restated here, are the oracle of its verdicts."""
+
+    @staticmethod
+    def special_rows():
+        """Rows of degree 4 with a double root, an uncertified point, a zero
+        derivative, a residual past float range and a finite residual whose
+        scale is past float range, with their points."""
+        double = Polynomial.from_roots([1, 1, 2, -3])
+        generic = P(3 - 1j, 0.5, 2j, -1, 1)
+        flat = P(1, -4, 0, 0, 1)  # q' = 4z^3 - 4 vanishes at 1
+        huge = P(1, 0, 0, 0, 1e300)
+        cancelling = P(1, 0, 0, -1e78, 1)  # q(1e78) = 1, its scale 2e312
+        qs = [double, generic, flat, huge, cancelling]
+        pts, corr = aberth_points(qs)
+        pts[1, 0] += 1e-3
+        pts[2, 0] = 1.0
+        pts[3, 0] = 1e10
+        pts[4, 0] = 1e78
+        return qs, pts, corr
+
+    def assert_verdicts_match_the_oracle(self, qs, pts, corr):
+        c = np.array([q.coeffs for q in qs], dtype=complex)
+        certified, mult, clustered, _, _ = poly._row_verdicts(poly._derivatives(c), pts, corr)
+        for k, q in enumerate(qs):
+            row = pts[k].tolist()
+            assert certified[k].tolist() == [scalar_certified(q, z) for z in row]
+            oracle = [scalar_multiplicity(q, z) for z in row]
+            assert mult[k].tolist() == oracle
+            if all(oracle):
+                assert clustered[k] == scalar_clustered(row, corr[k].tolist(), oracle)
+        return certified, mult, clustered
+
+    def test_the_special_rows_leave_the_batch(self):
+        qs, pts, corr = self.special_rows()
+        certified, mult, clustered = self.assert_verdicts_match_the_oracle(qs, pts, corr)
+        assert clustered[0] and sorted(mult[0].tolist())[-2:] == [2, 2]
+        assert not certified[1, 0] and certified[1, 1:].all()
+        assert mult[2, 0] == 4 and not certified[2, 0]
+        assert not certified[3, 0] and not certified[4, 0]
+        assert poly._finish_rows(qs, pts, corr) == [None] * 5
+        for k in (3, 4):
+            with pytest.raises(NoConvergence, match="residual not finite"):
+                poly._finish_row(qs[k], qs[k].coeffs, pts[k], corr[k], "a row")
+        [found] = roots_of_rows([qs[0]])
+        assert [(round(z.real), m) for z, m in found] == [(-3, 1), (1, 2), (2, 1)]
+
+    def test_verdicts_off_the_roots(self):
+        # roots moved by 1e-17 to 1e-11 relative, about the certification
+        # gate, with corrections that may reach across to a neighbour, and
+        # points anywhere, where q' may nearly vanish and the estimate falls
+        # back to the degree
+        rng = np.random.default_rng(37)
+        qs = [Polynomial(tuple(rng.normal(size=6) + 1j * rng.normal(size=6)))
+              for _ in range(40)]
+        pts, corr = aberth_points(qs)
+        moved = pts * (1 + 10.0 ** rng.uniform(-17, -11, pts.shape)
+                       * np.exp(2j * np.pi * rng.uniform(size=pts.shape)))
+        anywhere = 2 * (rng.normal(size=pts.shape) + 1j * rng.normal(size=pts.shape))
+        wide = np.abs(pts) * 10.0 ** rng.uniform(-17, -1, pts.shape)
+        certified, _, clustered = self.assert_verdicts_match_the_oracle(qs, moved, wide)
+        assert 0.2 < certified.mean() < 0.8
+        assert 0 < clustered.sum() < len(qs)
+        _, mult, _ = self.assert_verdicts_match_the_oracle(qs, anywhere, corr)
+        assert {1, 2, 5} <= set(mult.ravel().tolist())
+
+    def test_random_rows_alone_and_in_mixed_batches(self):
+        rng = np.random.default_rng(31)
+        qs = [Polynomial(tuple(rng.normal(size=5) + 1j * rng.normal(size=5)))
+              for _ in range(12)]
+        pts, corr = aberth_points(qs)
+        special, spts, scorr = self.special_rows()
+        mixed = (qs[:6] + special + qs[6:], np.concatenate((pts[:6], spts, pts[6:])),
+                 np.concatenate((corr[:6], scorr, corr[6:])))
+        certified, mult, clustered = self.assert_verdicts_match_the_oracle(*mixed)
+        batch = poly._finish_rows(*mixed)
+        place = list(range(6)) + list(range(11, 17))
+        for k, q in enumerate(qs):
+            c = np.array([q.coeffs], dtype=complex)
+            alone = poly._row_verdicts(poly._derivatives(c), pts[k : k + 1], corr[k : k + 1])
+            assert alone[0][0].tobytes() == certified[place[k]].tobytes()
+            assert alone[1][0].tobytes() == mult[place[k]].tobytes()
+            assert alone[2][0] == clustered[place[k]]
+            [finished] = poly._finish_rows([q], pts[k : k + 1], corr[k : k + 1])
+            assert finished is not None and finished == batch[place[k]]
+            # the scalar finish of the same points polishes to the same roots
+            scalar = poly._finish_row(q, q.coeffs, pts[k], corr[k], "a random row")
+            for (a, _), (b, _) in zip(finished, scalar):
+                assert abs(a - b) <= 4 * EPS * (1 + abs(b))
+
+
 class TestMakeNewtonMap:
     def test_frozen_expansion_cubic_unity(self):
         f = make_newton_map(CUBIC_UNITY)

@@ -351,6 +351,148 @@ class TestLockstepLift:
         assert len(calls) == 3
 
 
+def cut_sample(dg, w):
+    """(edge, sample index) of the cut sample w among the newest edges of a
+    tower level."""
+    [found] = [(j, int(k)) for j in dg.edges_at_level(dg.level)
+               for k in np.flatnonzero(dg.geo.edges[j].points == w)]
+    return found
+
+
+class TestSegmentedLift:
+    """A level lift cuts its long sources at interior samples, solves the
+    fibers over the cuts with the level's ends, and lifts every segment in
+    one lockstep run; each lift is chained through the cut fibers."""
+
+    SPACING = pullback._CUT_SPACING
+
+    @pytest.mark.parametrize("map_name", ["cubic_unity", "quartic_unity"])
+    def test_no_level_runs_more_rounds_than_its_longest_segment(
+        self, request, monkeypatch, map_name
+    ):
+        # uncut, the levels of z^3 - 1 ran 87 and 57 rounds and those of
+        # z^4 - 1 95 and 55: as many as their longest source
+        f = request.getfixturevalue(map_name)
+        newton_round, lift_lanes = pullback._newton_round, pullback._lift_lanes
+        rounds, levels = [0], []
+
+        def counted_round(*args):
+            rounds[0] += 1
+            return newton_round(*args)
+
+        def counted_lift(f, sources, lanes):
+            rounds[0] = 0
+            lifted = lift_lanes(f, sources, lanes)
+            levels.append((sources, rounds[0]))
+            return lifted
+
+        monkeypatch.setattr(pullback, "_newton_round", counted_round)
+        monkeypatch.setattr(pullback, "_lift_lanes", counted_lift)
+        compute_newton_graph(f)
+        assert len(levels) == 2
+        for sources, n in levels:
+            longest = 0
+            for j, points in sources.items():
+                stops = [0] + [c for c, _ in sources.cuts[j]] + [len(points) - 2]
+                longest = max(longest, max(b - a for a, b in zip(stops, stops[1:])))
+            assert n == longest <= self.SPACING + self.SPACING // 2
+            assert n < max(len(points) for points in sources.values()) - 2
+
+    @pytest.mark.parametrize("spoil", ["shifted", "far"])
+    def test_a_segment_end_off_its_cut_fiber_raises(self, cubic_unity, monkeypatch, spoil):
+        # one point of the first cut fiber of the first level is moved 10
+        # match_tol (chordal) off, or far away. Two of the three points over
+        # a cut of a ray of z^3 - 1 are taken by the lifts of the level; the
+        # third lies on the ray's fixed branch, whose lift is not kept
+        f = cubic_unity
+        base = base_dynamic_graph(f)
+        fibers = pullback._fibers
+        raised = []
+        for k in range(f.degree):
+            def spoiled(f, targets, cuts=()):
+                out = list(fibers(f, targets, cuts))
+                if cuts and not spoiled.cut:
+                    spoiled.cut = cuts[0]
+                    points = out[len(targets)].copy()
+                    z = points[k]
+                    points[k] = (z + 5 * f.tol.match_tol * (1 + abs(z) ** 2)
+                                 if spoil == "shifted" else -3 * z - 2)
+                    out[len(targets)] = points
+                return out
+
+            spoiled.cut = None
+            monkeypatch.setattr(pullback, "_fibers", spoiled)
+            try:
+                compute_newton_graph(f)
+            except BranchJump as exc:
+                edge, c = cut_sample(base, spoiled.cut)
+                assert str(exc).startswith(
+                    f"lift of source edge {edge} jumps sheets at cut sample {c}: "
+                )
+                raised.append(k)
+        assert len(raised) == f.degree - 1
+
+    def test_two_lifts_meeting_at_a_cut_raise(self, cubic_unity, delta0_unity):
+        # two lanes from one start run one lift, which takes one point twice
+        f = cubic_unity
+        ray = delta0_unity.edges[2].points
+        _, sources = pullback._solve_ends_and_cuts(f, [], {2: ray})
+        c = sources.cuts[2][0][0]
+        start = f.marked_point(-0.5 + 0j)
+        with pytest.raises(BranchJump, match=rf"lifts of source edge 2 meet at cut sample {c}, "):
+            pullback._lift_lanes(f, sources, [(2, start, None)] * 2)
+
+    def test_a_cut_whose_fiber_does_not_certify_is_dropped(
+        self, cubic_unity, quartic_unity, delta0_unity, monkeypatch
+    ):
+        # the solve gives the first cut of every call two points closer than
+        # match_tol: that cut is dropped, its segments run as one, and every
+        # lift is still the scalar one
+        solve, fibers, lift_lanes = pullback.roots_of_rows, pullback._fibers, pullback._lift_lanes
+        planned, levels = [], []
+
+        def close_pair(polys, known=None, names=None):
+            out = solve(polys, known, names)
+            if None in names:
+                k = names.index(None)
+                z = out[k][0][0]
+                out[k] = ((z, 1), (z + 1e-9, 1)) + out[k][2:]
+            return out
+
+        def recording_fibers(f, targets, cuts=()):
+            planned.append(list(cuts))
+            return fibers(f, targets, cuts)
+
+        def recording_lift(f, sources, lanes):
+            lifted = lift_lanes(f, sources, lanes)
+            levels.append((f, sources, lanes, lifted))
+            return lifted
+
+        monkeypatch.setattr(pullback, "roots_of_rows", close_pair)
+        monkeypatch.setattr(pullback, "_fibers", recording_fibers)
+        monkeypatch.setattr(pullback, "_lift_lanes", recording_lift)
+        for f in (cubic_unity, quartic_unity):
+            compute_newton_graph(f)
+        # a branched lift from the root 1 over the cuts of its ray, into infinity
+        ray = delta0_unity.edges[2]
+        lifted = lift_edge(cubic_unity, ray.points, 1 + 0j, ray.angles[0])
+        monkeypatch.undo()
+
+        assert len(levels) == len(planned) == 5
+        for cuts, (f, sources, lanes, lifted_lanes) in zip(planned, levels):
+            kept = [complex(sources[j][c]) for j in sources for c, _ in sources.cuts[j]]
+            assert kept == cuts[1:]
+            for (edge, start, direction), lane in zip(lanes, lifted_lanes):
+                reference = scalar_lift(f, sources[edge], start.value, direction)
+                TestLockstepLift.assert_same_lift(lane, reference[:-1])
+        [(_, sources, _, _)] = levels[-1:]
+        assert [c for c, _ in sources.cuts[0]] == [2 * self.SPACING, 3 * self.SPACING]
+        assert np.isinf(lifted[-1])
+        TestLockstepLift.assert_same_lift(
+            lifted, scalar_lift(cubic_unity, ray.points, 1 + 0j, ray.angles[0])
+        )
+
+
 class TestThinnedLifts:
     """pullback_level thins every level's lifts to the rays' spacing about
     both ends of the edge (_thinned_lifts, all lanes in lockstep);
@@ -602,9 +744,9 @@ class TestLevelFibers:
         targets = []
         fibers = pullback._fibers
 
-        def recording(f, ws):
+        def recording(f, ws, cuts=()):
             targets.extend(ws)
-            return fibers(f, ws)
+            return fibers(f, ws, cuts)
 
         monkeypatch.setattr(pullback, "_fibers", recording)
         result = compute_newton_graph(f)
