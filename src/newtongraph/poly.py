@@ -10,9 +10,10 @@ Before the iteration, zero roots are deflated exactly, and roots the caller
 knows with their multiplicities (the marks over a fiber's target) are divided
 out by synthetic division, so only the simple remainder is solved. Residual
 certification, stall-aware clustering for multiplicities and a final polish
-then run on all rows of one degree at once, elementwise, where every point
-is a certified simple root, and on each other row alone. Companion-matrix
-eigenvalues are used only as an independent oracle in the tests, never here.
+then run on all rows of one degree at once, elementwise, in one path
+(_finish_rows); only a row's second Aberth run and the merge of a cluster
+into one multiple root take a step alone. Companion-matrix eigenvalues are
+used only as an independent oracle in the tests, never here.
 
 The chart rule, which the Newton map alone decides: beyond |z| = CHART_RADIUS
 the map f = N/D of degree d is handled in the w = 1/z chart. To evaluate f at
@@ -274,11 +275,10 @@ def roots_of_rows(
     m: each (z - r)^m is divided out by synthetic division, only the
     quotient is solved, and each (r, m) is added back. names[i], if given,
     says in an error which polynomial failed; a row named None is optional,
-    and comes out None where it cannot be certified. The rows of one degree
-    are finished together (_finish_rows) where every point certifies as a
-    simple root; any other row takes _finish_row alone. The rows are
-    finished in order, so the first required row that cannot be certified
-    raises NoConvergence.
+    and comes out None where it cannot be certified. Every row of one degree
+    of the polynomial is finished in one call (_finish_rows), retries and
+    clusters included. The rows are reported in order, so the first
+    required row that cannot be certified raises NoConvergence.
     """
     rows = []  # per polynomial: its roots found so far and what is left
     for i, q in enumerate(polys):
@@ -302,11 +302,12 @@ def roots_of_rows(
         rows.append((found, coeffs))
 
     # one Aberth batch per degree above one
+    labels = [names[i] if names is not None else f"degree {q.degree}" for i, q in enumerate(polys)]
     by_degree: dict[int, list[int]] = {}
     for i, (_, coeffs) in enumerate(rows):
         if len(coeffs) > 2:
             by_degree.setdefault(len(coeffs) - 1, []).append(i)
-    batched: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list | None]] = {}
+    batched: dict[int, list[tuple[complex, int]] | NoConvergence] = {}
     for members in by_degree.values():
         c = np.array([rows[i][1] for i in members], dtype=complex)
         c = c / np.max(np.abs(c), axis=1, keepdims=True)
@@ -316,51 +317,138 @@ def roots_of_rows(
         for k, i in enumerate(members):
             by_q.setdefault(polys[i].degree, []).append(k)
         for ks in by_q.values():
-            finished = _finish_rows([polys[members[k]] for k in ks], pts[ks], corr[ks])
+            qs = [polys[members[k]] for k in ks]
+            finished = _finish_rows(qs, c[ks], pts[ks], corr[ks], [labels[members[k]] for k in ks])
             for k, done in zip(ks, finished):
-                batched[members[k]] = c[k], pts[k], corr[k], done
+                batched[members[k]] = done
 
     out = []
     for i, (q, (found, _)) in enumerate(zip(polys, rows)):
-        if i in batched:
-            c, pts, corr, done = batched[i]
-            name = names[i] if names is not None else f"degree {q.degree}"
-            try:
-                found += done if done is not None else _finish_row(q, c, pts, corr, name)
-                if sum(mult for _, mult in found) != q.degree:
-                    raise NoConvergence(f"multiplicity bookkeeping lost roots of {name}")
-            except NoConvergence:
-                if name is not None:
-                    raise
-                out.append(None)
+        done = batched.get(i, [])
+        if isinstance(done, list):
+            found += done
+            if sum(mult for _, mult in found) == q.degree:
+                out.append(tuple(sorted(found, key=_root_order)))
                 continue
-        out.append(tuple(sorted(found, key=_root_order)))
+            done = NoConvergence(f"multiplicity bookkeeping lost roots of {labels[i]}")
+        if labels[i] is not None:
+            raise done
+        out.append(None)
     return out
 
 
 def _finish_rows(
-    qs: Sequence[Polynomial], pts: np.ndarray, corr: np.ndarray
-) -> list[list[tuple[complex, int]] | None]:
-    """_finish_row of every row of one degree at once, for the rows whose
-    points all certify as simple roots; None for each other row, which
-    _finish_row then takes alone.
+    qs: Sequence[Polynomial],
+    c: np.ndarray,
+    pts: np.ndarray,
+    corr: np.ndarray,
+    names: Sequence[str | None],
+) -> list[list[tuple[complex, int]] | NoConvergence]:
+    """The roots of each q, of one degree, with multiplicities, from the
+    points pts of an Aberth run on the same row of c (q with roots divided
+    out, normalised); or the NoConvergence that fails the row, naming it by
+    names.
 
-    A row passes when every point certifies its residual against q, q q''/q'^2
-    is finite wherever q' is not zero, and no two points cluster under the
-    multiplicity-aware radii (_row_verdicts); each point then takes the
-    three Newton steps on q of a simple cluster. Every operation is
-    elementwise on arrays of at least two points, so a row comes out bit for
-    bit as it does in any other company or alone.
+    All rows are judged at once (_row_verdicts). A row with an uncertified
+    point, and none whose residual or scale is not finite, is retried: such
+    a point is polished on q (_polished) and kept where it then certifies
+    and its nearest start is its own, and a row still uncertified reruns
+    alone (_rerun) and is judged again. A lone point takes its polish, and
+    an m-point cluster one m-fold root (_merged). Every operation on a row
+    that needs neither is elementwise on arrays of at least two points, so
+    it comes out bit for bit as it does in any other company or alone.
     """
     table = _derivatives(np.array([q.coeffs for q in qs], dtype=complex))
-    certified, _, clustered, qv, dv = _row_verdicts(table, pts, corr)
-    simple = certified.all(axis=1) & ~clustered
-    out: list[list[tuple[complex, int]] | None] = [None] * len(qs)
-    if simple.any():
-        z = _polished(table[:2], pts, qv, dv)
-        for k in np.flatnonzero(simple).tolist():
-            out[k] = [(root, 1) for root in z[k].tolist()]
+    pts, corr = pts.copy(), corr.copy()
+    verdicts = _row_verdicts(table, pts, corr)
+    certified, blown = verdicts[:2]
+    retry = np.flatnonzero(~certified.all(axis=1) & ~blown.any(axis=1))
+    if retry.size:
+        starts = pts[retry]
+        z = _polished(table[:2, retry], starts, verdicts[4][retry], verdicts[5][retry])
+        with np.errstate(all="ignore"):
+            nearest = np.abs(z[:, :, None] - starts[:, None, :]).argmin(axis=2)
+        keep = ~certified[retry] & (nearest == np.arange(z.shape[1]))
+        keep &= _row_verdicts(table[:, retry], z, corr[retry])[0]
+        pts[retry] = np.where(keep, z, starts)
+        for k, ok in zip(retry.tolist(), keep | certified[retry]):
+            if not ok.all():
+                pts[k], corr[k] = _rerun(c[k], pts[k], corr[k], ok)
+        for v, judged in zip(verdicts, _row_verdicts(table[:, retry], pts[retry], corr[retry])):
+            v[retry] = judged
+    certified, blown, mult, near, qv, dv = verdicts
+    polished = _polished(table[:2], pts, qv, dv)
+    out: list[list[tuple[complex, int]] | NoConvergence] = []
+    for k, (q, name) in enumerate(zip(qs, names)):
+        if blown[k].any():
+            z = complex(pts[k][blown[k]][0])
+            out.append(NoConvergence(f"residual not finite for {name} at {z}"))
+        elif not certified[k].all():
+            out.append(NoConvergence(f"root residuals not certified for {name}"))
+        elif not mult[k].all():
+            z = complex(pts[k][mult[k] == 0][0])
+            out.append(NoConvergence(f"q q''/q'^2 not finite for {name} at {z}"))
+        elif not near[k].any():
+            out.append([(root, 1) for root in polished[k].tolist()])
+        else:
+            clusters = UnionFind(len(pts[k]))
+            for i, j in zip(*np.nonzero(near[k])):
+                clusters.union(int(i), int(j))
+            roots = []
+            for members in clusters.classes():
+                if len(members) == 1:
+                    roots.append((complex(polished[k, members[0]]), 1))
+                else:
+                    roots.append((_merged(q, pts[k, members].tolist()), len(members)))
+            out.append(roots)
     return out
+
+
+def _rerun(
+    c: np.ndarray, pts: np.ndarray, corr: np.ndarray, ok: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The points and corrections of a row (c, q with roots divided out,
+    normalised) after a second Aberth run: its certified points (ok) ahead
+    of the roots of c with those points divided out, a linear remainder's
+    solved directly; with none certified, an 800-iteration run on c from
+    other starts."""
+    if not ok.any():
+        z, corr = _aberth_rows(c[None], (_initial_points(c) * 1.7 + 0.1j)[None], 800)
+        return z[0], corr[0]
+    rest = list(c)
+    for z in pts[ok]:
+        rest = _deflate(rest, z)
+    if len(rest) == 2:
+        sub, subcorr = np.array([-rest[0] / rest[1]]), np.zeros(1)
+    else:
+        rc = np.array(rest, dtype=complex)
+        [sub], [subcorr] = _aberth_rows(rc[None], _initial_points(rc)[None], 400)
+    return np.concatenate([pts[ok], sub]), np.concatenate([corr[ok], subcorr])
+
+
+def _merged(q: Polynomial, members: list[complex]) -> complex:
+    """The root of q of multiplicity m that a cluster of m points
+    approximates: modified Newton z <- z - m q/q' from their mean, which
+    restores quadratic convergence at an exact m-fold root, keeping the
+    iterate of least residual. Near the noise floor q(z) is dominated by
+    evaluation error while q'(z) ~ delta, so a raw step can kick a good
+    iterate away."""
+    mult = len(members)
+    dq = q.derivative()
+    z = best = sum(members) / mult
+    best_res = abs(q(z))
+    for _ in range(6):
+        d = dq(z)
+        if d == 0:
+            break
+        step = mult * q(z) / d
+        z = z - step
+        res = abs(q(z))
+        if res < best_res:
+            best, best_res = z, res
+        if abs(step) <= _EPS * (1 + abs(z)):
+            break
+    return complex(best)
 
 
 def _row_values(tables: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -389,20 +477,21 @@ def _derivatives(c: np.ndarray) -> np.ndarray:
 def _row_verdicts(
     table: np.ndarray, pts: np.ndarray, corr: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """The tests of _finish_row on every point at once, for rows of one
+    """The tests of the finish on every point at once, for rows of one
     degree (table: _derivatives of the coefficients of each row's q).
 
     Returns, per point, whether its residual certifies, |q| <= 64 eps sum
-    |c_k| |z|^k with both finite, and its multiplicity estimate from L = q
-    q''/q'^2 (the degree where q' = 0 or 1 - Re L <= 1/(2 degree), else
-    1/(1 - Re L) rounded into 1..degree; 0 where L is not finite), and per
-    row whether two points cluster: they lie closer than the larger of
-    their radii, max(50 corr, base (1 + |z|)) with base 1e3 eps for an
-    estimated simple point and 30 eps^(1/m) for m-fold. A non-finite L
-    counts as uncertified, as _finish_row raises there. Then q and q' at
-    each point, for the polish. q, q', q'' and the scale share one Horner
-    pass: the scale's row holds |c_k| + 0j at |z| + 0j, whose real part is
-    the float pass bit for bit.
+    |c_k| |z|^k with both finite; whether it is a finite point where either
+    is not (blown); and its multiplicity estimate from L = q q''/q'^2 (the
+    degree where q' = 0 or 1 - Re L <= 1/(2 degree), else 1/(1 - Re L)
+    rounded into 1..degree; 0 where L is not finite). Per row, the pair
+    matrix near: whether two points lie closer than the larger of their
+    radii, max(50 corr, base (1 + |z|)) with base 1e3 eps for an estimated
+    simple point and 30 eps^(1/m) for m-fold, since near an m-fold root the
+    attainable accuracy is about eps^(1/m). Then q and q' at each point, for
+    the polish. q, q', q'' and the scale share one Horner pass: the scale's
+    row holds |c_k| + 0j at |z| + 0j, whose real part is the float pass bit
+    for bit.
     """
     degree = table.shape[2] - 1
     az = np.abs(pts)
@@ -415,26 +504,26 @@ def _row_verdicts(
         scale = scale.real
         # a scale past float range, and so a point that is not finite, fails
         certified = (np.abs(qv) <= 64 * _EPS * np.maximum(scale, 1e-300)) & (scale < np.inf)
+        blown = np.isfinite(pts) & ~(np.isfinite(qv) & np.isfinite(scale))
         flat = dv == 0
         L = qv * ddv / (dv * dv)
         denom = 1.0 - L.real
         estimate = np.minimum(np.maximum(np.rint(1.0 / denom), 1), degree)
         mult = np.where(flat | (denom <= 1.0 / (2 * degree)), degree, estimate)
-        finite = flat | np.isfinite(L)
-        mult = np.where(finite, mult, 0).astype(np.int64)
+        mult = np.where(flat | np.isfinite(L), mult, 0).astype(np.int64)
         radius = np.maximum(50 * corr, bases[mult] * (1 + az))
         gap = np.abs(pts[:, :, None] - pts[:, None, :])
         reach = np.maximum(radius[:, :, None], radius[:, None, :])
     near = (gap < reach) & ~np.eye(pts.shape[1], dtype=bool)
-    return certified & finite, mult, near.any(axis=(1, 2)), qv, dv
+    return certified, blown, mult, near, qv, dv
 
 
 def _polished(table: np.ndarray, z: np.ndarray, qv: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Three Newton steps on each row's polynomial from each of its points,
     whose values qv and derivatives dv are given, a point stopping where the
-    derivative is zero, as _finish_row polishes a simple cluster. table
-    holds each row's coefficients and its derivative's, as _derivatives
-    gives them."""
+    derivative is zero: the polish of a lone point, and of a near miss in a
+    retry. table holds each row's coefficients and its derivative's, as
+    _derivatives gives them."""
     stopped = np.zeros(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for step in range(3):
@@ -443,129 +532,6 @@ def _polished(table: np.ndarray, z: np.ndarray, qv: np.ndarray, dv: np.ndarray) 
             stopped |= dv == 0
             z = np.where(stopped, z, z - qv / dv)
     return z
-
-
-def _finish_row(
-    q: Polynomial, c: np.ndarray, pts: np.ndarray, corr: np.ndarray, name: str
-) -> list[tuple[complex, int]]:
-    """The roots of q that an Aberth run on c (q with roots divided out,
-    normalised) approximates by pts, after residual certification against
-    q, multiplicity clustering and a final polish on q."""
-
-    def _rerun(cc, z0, iters):
-        z, corr = _aberth_rows(cc[None], z0[None], iters)
-        return z[0], corr[0]
-
-    # Accept points with certified residuals; deflate and retry the rest once.
-    # A lost point is retried; a residual past float range raises.
-    def _resid_ok(z):
-        if not cmath.isfinite(z):
-            return False
-        qq, scale = q(z), q.eval_scale(z)
-        if not (cmath.isfinite(qq) and math.isfinite(scale)):
-            raise NoConvergence(f"residual not finite for {name} at {z}")
-        return abs(qq) <= 64 * _EPS * max(scale, 1e-300)
-
-    dq_poly = q.derivative()
-
-    def _newton3(z: complex) -> complex:
-        for _ in range(3):
-            d = dq_poly(z)
-            if d == 0:
-                break
-            z = z - q(z) / d
-        return z
-
-    ok = np.array([_resid_ok(z) for z in pts.tolist()])
-    if not np.all(ok):
-        # A root of the quotient left after known roots are divided out can
-        # miss q by a little: polish it on q first, and keep it if it then
-        # certifies and stays nearest its own start (no two collapse).
-        starts, pts = pts.tolist(), pts.copy()
-        for i in np.flatnonzero(~ok).tolist():
-            z = _newton3(starts[i])
-            nearest = min(range(len(starts)), key=lambda j: abs(z - starts[j]))
-            if nearest == i and _resid_ok(z):
-                pts[i], ok[i] = z, True
-    if not np.all(ok):
-        if np.any(ok):
-            retry_c = list(c)
-            for z in pts[ok]:
-                retry_c = _deflate(retry_c, z)
-            if len(retry_c) == 2:  # one point left: the linear remainder's root
-                sub, subcorr = np.array([-retry_c[0] / retry_c[1]]), np.zeros(1)
-            else:
-                rc = np.array(retry_c, dtype=complex)
-                sub, subcorr = _rerun(rc, _initial_points(rc), 400)
-            pts = np.concatenate([pts[ok], sub])
-            corr = np.concatenate([corr[ok], subcorr])
-        else:  # nothing certified: restart the whole row from other starts
-            pts, corr = _rerun(c, _initial_points(c) * 1.7 + 0.1j, 800)
-        ok = np.array([_resid_ok(z) for z in pts.tolist()])
-        if not np.all(ok):
-            raise NoConvergence(f"root residuals not certified for {name}")
-
-    # Multiplicity-aware clustering. Near an m-fold root the attainable accuracy
-    # is ~ eps^(1/m), and L = q q'' / q'^2 tends to (m-1)/m, so estimate m per
-    # point and size the cluster radius accordingly. Estimated-simple points get
-    # a radius near the noise floor and never merge with true neighbors.
-    ddq_poly = dq_poly.derivative()
-
-    def _mult_estimate(z: complex) -> int:
-        qv, dv, ddv = q(z), dq_poly(z), ddq_poly(z)
-        if dv == 0:
-            return q.degree
-        L = (qv * ddv) / (dv * dv)
-        if not cmath.isfinite(L):
-            raise NoConvergence(f"q q''/q'^2 not finite for {name} at {complex(z)}")
-        denom = 1.0 - L.real
-        if denom <= 1.0 / (2 * q.degree):
-            return q.degree
-        est = int(round(1.0 / denom))
-        return max(1, min(q.degree, est))
-
-    m = len(pts)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite L raises
-        mhat = [_mult_estimate(z) for z in pts]
-    near = UnionFind(m)
-
-    def _radius(i):
-        base = 1e3 * _EPS if mhat[i] == 1 else 30 * _EPS ** (1.0 / mhat[i])
-        return max(50 * corr[i], base * (1 + abs(pts[i])))
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(pts[i] - pts[j]) < max(_radius(i), _radius(j)):
-                near.union(i, j)
-
-    found = []
-    for cluster in near.classes():
-        members = [pts[i] for i in cluster]
-        mult = len(members)
-        center = sum(members) / mult
-        if mult == 1:
-            center = _newton3(center)  # quadratic polish against q
-        else:
-            # Modified Newton z <- z - mult * q/q' restores quadratic
-            # convergence at an exact mult-fold root. Near the noise floor
-            # q(z) is dominated by evaluation error while q'(z) ~ delta, so a
-            # raw step can kick a good iterate away; keep the best residual.
-            best, best_res = center, abs(q(center))
-            z = center
-            for _ in range(6):
-                d = dq_poly(z)
-                if d == 0:
-                    break
-                step = mult * q(z) / d
-                z = z - step
-                res = abs(q(z))
-                if res < best_res:
-                    best, best_res = z, res
-                if abs(step) <= _EPS * (1 + abs(z)):
-                    break
-            center = best
-        found.append((complex(center), mult))
-    return found
 
 
 class MarkedPoint(NamedTuple):

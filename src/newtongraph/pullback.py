@@ -366,8 +366,8 @@ def lift_edge(
             f"start {start} has local degree {mark.local_degree}; a branch "
             f"direction selects one of its lifts exactly when that is above 1"
         )
-    [head_fiber], sources = _solve_ends_and_cuts(f, [f.marked_point(head).value], {0: points})
-    [samples] = _lift_lanes(f, sources, [(0, mark, branch_direction)])
+    [head_fiber], cuts = _solve_ends_and_cuts(f, [f.marked_point(head).value], {0: points})
+    [samples] = _lift_lanes(f, {0: points}, cuts, [(0, mark, branch_direction)])
     # the source carries no head angle here; the angle read is not kept
     end, _ = _read_head(head_fiber, head, complex(points[-2]), complex(samples[-1]), 0.0, None)
     return frozen_polyline(np.append(samples, end.value))
@@ -418,25 +418,14 @@ def _newton_round(
 _CUT_SPACING = 24
 
 
-class Sources(dict):
-    """The source polylines of a level lift by edge, with the cuts of each:
-    cuts[edge] lists (sample index, the points of the fiber over that
-    sample), in order along the polyline. A plain dict of polylines is
-    lifted uncut."""
-
-    def __init__(self, polylines: dict[int, np.ndarray], cuts: dict[int, list]):
-        super().__init__(polylines)
-        self.cuts = cuts
-
-
 def _solve_ends_and_cuts(
     f: NewtonMap, targets: list[complex], polylines: dict[int, np.ndarray]
-) -> tuple[list[tuple[MarkedPoint, ...]], Sources]:
-    """The fibers over targets, and the polylines as Sources cut every
-    _CUT_SPACING interior samples, none within _CUT_SPACING / 2 of the last
-    lifted sample: the fibers over the targets and over every cut sample in
-    one _fibers call. A cut whose fiber does not certify is dropped, and
-    its two segments run as one."""
+) -> tuple[list[tuple[MarkedPoint, ...]], dict[int, list]]:
+    """The fibers over targets, and by edge the cuts of each polyline, one
+    every _CUT_SPACING interior samples and none within _CUT_SPACING / 2 of
+    the last lifted sample, each as (sample index, the fiber over it): all
+    those fibers in one _fibers call. A cut whose fiber does not certify is
+    dropped, and its two segments run as one."""
     cut_at = {
         j: range(_CUT_SPACING, len(p) - 2 - _CUT_SPACING // 2, _CUT_SPACING)
         for j, p in polylines.items()
@@ -449,18 +438,20 @@ def _solve_ends_and_cuts(
         j: [(c, fiber) for c, fiber in zip(cut_at[j], over_cuts) if fiber is not None]
         for j in polylines
     }
-    return solved[: len(targets)], Sources(polylines, cuts)
+    return solved[: len(targets)], cuts
 
 
 def _lift_lanes(
     f: NewtonMap,
     sources: dict[int, np.ndarray],
+    cuts: dict[int, list],
     lanes: list[tuple[int, MarkedPoint, float | None]],
 ) -> list[np.ndarray]:
     """Every lane's lift at once, in segments between the cuts of its source.
 
-    sources maps an edge to its polyline, and a Sources also gives its cuts;
-    a lane (edge, start, direction) lifts that edge from the mark of one
+    sources maps an edge to its polyline, and cuts an edge to its cuts as
+    _solve_ends_and_cuts gives them; an edge without cuts is lifted uncut.
+    A lane (edge, start, direction) lifts that edge from the mark of one
     preimage of its tail, in the branch direction of _branched_first_step,
     None at a simple start. Segment 0 of each lane runs from its start to
     the first cut; each later segment of a source runs from every point of
@@ -485,7 +476,6 @@ def _lift_lanes(
     if not lanes:
         return []
     tol = f.tol
-    cuts = sources.cuts if isinstance(sources, Sources) else {}
     n_lanes = len(lanes)
     edges = list(dict.fromkeys(j for j, _, _ in lanes))
     # (first, last) sample of each segment of each source
@@ -699,7 +689,8 @@ def pullback_level(
         geo.vertices[v] for j in newest for v in (geo.edges[j].head, geo.edges[j].tail)
     )
     new = [w for w in ends if w not in fibers]
-    solved, sources = _solve_ends_and_cuts(f, new, {j: geo.edges[j].points for j in newest})
+    sources = {j: geo.edges[j].points for j in newest}
+    solved, cuts = _solve_ends_and_cuts(f, new, sources)
     fibers.update(zip(new, solved))
 
     lanes = []  # (source edge, start mark, branch direction or None)
@@ -719,7 +710,7 @@ def pullback_level(
             for direction in directions:
                 lanes.append((j, start, direction if order > 1 else None))
                 tail_angles.append(_mod_tau(direction + bend / order))
-    lifted = _lift_lanes(f, sources, lanes)
+    lifted = _lift_lanes(f, sources, cuts, lanes)
     heads = []  # (head mark, head angle) per lane
     for (j, _, _), samples in zip(lanes, lifted):
         e, head = geo.edges[j], geo.vertices[geo.edges[j].head]

@@ -445,6 +445,10 @@ MALFORMED = [
     ("roots", {"coeffs": [1e308, 1e308, 1e308, 1e308]}, "a coefficient of p' is not finite"),
     ("thurston", {"classes": 1, "lifts": {"0": [{"target": 0, "degree": 2, "extra": 1}]}},
      "lift of class 0"),
+    # finite coefficients whose root finish cannot be certified
+    ("roots", {"roots": [1e150, -1e150, 1]}, "residual not finite for degree 3"),
+    ("roots", {"roots": [0, 1e-160, 1]}, "q q''/q'^2 not finite for degree 3"),
+    ("roots", {"coeffs": [1e-300, 0, 0, 1]}, "root residuals not certified for degree 3"),
 ]
 
 

@@ -292,6 +292,19 @@ class TestOneCertificationSite:
         assert pullback_callers("validate_newton_graph", "cli") == {"cmd_validate"}
 
 
+class TestOneFinish:
+    """Every root row is finished in one batched path: residual
+    certification, the multiplicity estimate and the cluster radius exist
+    once, in _row_verdicts, which only _finish_rows calls; no scalar copy
+    of the finish measures a residual's scale."""
+
+    def test_only_the_exit_radius_takes_a_scalar_scale(self):
+        assert pullback_callers("eval_scale", "poly") == {"NewtonMap"}
+
+    def test_only_the_finish_judges_a_row(self):
+        assert pullback_callers("_row_verdicts", "poly") == {"_finish_rows"}
+
+
 class TestOneSampleEncoding:
     """Only rays knows how an exported polyline is written: its encoder
     alone calls b64encode, its decoder alone b64decode, and it alone names

@@ -438,18 +438,19 @@ EPS = 2.220446049250313e-16
 
 
 def scalar_certified(q, z):
-    """_finish_row's residual test at one point, False where it raises."""
+    """The finish's residual test at one point, False where the finish
+    fails the row for a residual or scale that is not finite."""
     if not cmath.isfinite(z):
         return False
     qq, scale = q(z), q.eval_scale(z)
     if not (cmath.isfinite(qq) and math.isfinite(scale)):
-        return False  # the row raises NoConvergence
+        return False  # the row fails with NoConvergence
     return abs(qq) <= 64 * EPS * max(scale, 1e-300)
 
 
 def scalar_multiplicity(q, z):
-    """_finish_row's multiplicity estimate from L = q q''/q'^2, 0 where it
-    raises on a non-finite L."""
+    """The finish's multiplicity estimate from L = q q''/q'^2, 0 where L is
+    not finite and the row fails."""
     dq = q.derivative()
     qv, dv, ddv = q(z), dq(z), dq.derivative()(z)
     if dv == 0:
@@ -464,7 +465,7 @@ def scalar_multiplicity(q, z):
 
 
 def scalar_clustered(pts, corr, mult):
-    """_finish_row's cluster rule: two points closer than the larger of
+    """The finish's cluster rule: two points closer than the larger of
     their radii."""
     radius = [
         max(50 * c, (1e3 * EPS if m == 1 else 30 * EPS ** (1.0 / m)) * (1 + abs(z)))
@@ -475,39 +476,59 @@ def scalar_clustered(pts, corr, mult):
                for i in range(n) for j in range(i + 1, n))
 
 
+def scalar_polish(q, z):
+    """Three Newton steps on q from z, stopping where q' is zero."""
+    dq = q.derivative()
+    for _ in range(3):
+        d = dq(z)
+        if d == 0:
+            break
+        z = z - q(z) / d
+    return z
+
+
 def aberth_points(qs):
-    """The Aberth points and corrections of roots_of_rows for each q."""
+    """The normalised coefficients, and the Aberth points and corrections,
+    of roots_of_rows for each q."""
     c = np.array([q.coeffs for q in qs], dtype=complex)
     c = c / np.max(np.abs(c), axis=1, keepdims=True)
-    return poly._aberth_rows(c, np.array([poly._initial_points(row) for row in c]), 400)
+    return (c,) + poly._aberth_rows(c, np.array([poly._initial_points(row) for row in c]), 400)
+
+
+def finish_bits(done):
+    """A finished row as bytes and multiplicities, or its error's text."""
+    if isinstance(done, NoConvergence):
+        return str(done)
+    return np.array([z for z, _ in done]).tobytes(), [m for _, m in done]
 
 
 class TestBatchedFinish:
-    """roots_of_rows finishes the rows of one degree at once where every
-    point is a certified simple root; the scalar rules of _finish_row,
-    restated here, are the oracle of its verdicts."""
+    """roots_of_rows finishes every row of one degree at once, retries and
+    clusters included; the scalar rules restated here are the oracle of its
+    verdicts."""
 
     @staticmethod
     def special_rows():
         """Rows of degree 4 with a double root, an uncertified point, a zero
         derivative, a residual past float range and a finite residual whose
-        scale is past float range, with their points."""
+        scale is past float range, with their coefficients and points."""
         double = Polynomial.from_roots([1, 1, 2, -3])
         generic = P(3 - 1j, 0.5, 2j, -1, 1)
         flat = P(1, -4, 0, 0, 1)  # q' = 4z^3 - 4 vanishes at 1
         huge = P(1, 0, 0, 0, 1e300)
         cancelling = P(1, 0, 0, -1e78, 1)  # q(1e78) = 1, its scale 2e312
         qs = [double, generic, flat, huge, cancelling]
-        pts, corr = aberth_points(qs)
+        c, pts, corr = aberth_points(qs)
         pts[1, 0] += 1e-3
         pts[2, 0] = 1.0
         pts[3, 0] = 1e10
         pts[4, 0] = 1e78
-        return qs, pts, corr
+        return qs, c, pts, corr
 
     def assert_verdicts_match_the_oracle(self, qs, pts, corr):
         c = np.array([q.coeffs for q in qs], dtype=complex)
-        certified, mult, clustered, _, _ = poly._row_verdicts(poly._derivatives(c), pts, corr)
+        certified, _, mult, near, _, _ = poly._row_verdicts(poly._derivatives(c), pts, corr)
+        clustered = near.any(axis=(1, 2))
         for k, q in enumerate(qs):
             row = pts[k].tolist()
             assert certified[k].tolist() == [scalar_certified(q, z) for z in row]
@@ -517,19 +538,35 @@ class TestBatchedFinish:
                 assert clustered[k] == scalar_clustered(row, corr[k].tolist(), oracle)
         return certified, mult, clustered
 
-    def test_the_special_rows_leave_the_batch(self):
-        qs, pts, corr = self.special_rows()
+    def test_the_special_rows_are_finished_in_the_batch(self, monkeypatch):
+        qs, c, pts, corr = self.special_rows()
         certified, mult, clustered = self.assert_verdicts_match_the_oracle(qs, pts, corr)
         assert clustered[0] and sorted(mult[0].tolist())[-2:] == [2, 2]
         assert not certified[1, 0] and certified[1, 1:].all()
         assert mult[2, 0] == 4 and not certified[2, 0]
         assert not certified[3, 0] and not certified[4, 0]
-        assert poly._finish_rows(qs, pts, corr) == [None] * 5
+        done = poly._finish_rows(qs, c, pts, corr, ["a row"] * 5)
+        assert sorted((round(z.real), m) for z, m in done[0]) == [(-3, 1), (1, 2), (2, 1)]
+        for k in (1, 2):  # retried: polished on q, or rerun after deflation
+            assert [m for _, m in done[k]] == [1, 1, 1, 1]
+            for b in np.roots(qs[k].coeffs[::-1]):
+                assert min(abs(a - b) for a, _ in done[k]) < 1e-10 * (1 + abs(b))
         for k in (3, 4):
-            with pytest.raises(NoConvergence, match="residual not finite"):
-                poly._finish_row(qs[k], qs[k].coeffs, pts[k], corr[k], "a row")
+            assert isinstance(done[k], NoConvergence)
+            assert str(done[k]).startswith("residual not finite for a row at ")
         [found] = roots_of_rows([qs[0]])
         assert [(round(z.real), m) for z, m in found] == [(-3, 1), (1, 2), (2, 1)]
+        # the two overflow rows raise through roots_of_rows
+        aberth = poly._aberth_rows
+        for k in (3, 4):
+            def spoiling(c, z0, iters, at=pts[k, 0]):
+                z, corr = aberth(c, z0, iters)
+                z[0, 0] = at
+                return z, corr
+
+            monkeypatch.setattr(poly, "_aberth_rows", spoiling)
+            with pytest.raises(NoConvergence, match="residual not finite for degree 4 at "):
+                roots_of(qs[k])
 
     def test_verdicts_off_the_roots(self):
         # roots moved by 1e-17 to 1e-11 relative, about the certification
@@ -539,7 +576,7 @@ class TestBatchedFinish:
         rng = np.random.default_rng(37)
         qs = [Polynomial(tuple(rng.normal(size=6) + 1j * rng.normal(size=6)))
               for _ in range(40)]
-        pts, corr = aberth_points(qs)
+        _, pts, corr = aberth_points(qs)
         moved = pts * (1 + 10.0 ** rng.uniform(-17, -11, pts.shape)
                        * np.exp(2j * np.pi * rng.uniform(size=pts.shape)))
         anywhere = 2 * (rng.normal(size=pts.shape) + 1j * rng.normal(size=pts.shape))
@@ -554,25 +591,37 @@ class TestBatchedFinish:
         rng = np.random.default_rng(31)
         qs = [Polynomial(tuple(rng.normal(size=5) + 1j * rng.normal(size=5)))
               for _ in range(12)]
-        pts, corr = aberth_points(qs)
-        special, spts, scorr = self.special_rows()
-        mixed = (qs[:6] + special + qs[6:], np.concatenate((pts[:6], spts, pts[6:])),
+        c, pts, corr = aberth_points(qs)
+        special, sc, spts, scorr = self.special_rows()
+        mixed = (qs[:6] + special + qs[6:], np.concatenate((c[:6], sc, c[6:])),
+                 np.concatenate((pts[:6], spts, pts[6:])),
                  np.concatenate((corr[:6], scorr, corr[6:])))
-        certified, mult, clustered = self.assert_verdicts_match_the_oracle(*mixed)
-        batch = poly._finish_rows(*mixed)
+        certified, mult, clustered = self.assert_verdicts_match_the_oracle(
+            mixed[0], *mixed[2:]
+        )
+        batch = poly._finish_rows(*mixed, ["a row"] * 17)
         place = list(range(6)) + list(range(11, 17))
         for k, q in enumerate(qs):
-            c = np.array([q.coeffs], dtype=complex)
-            alone = poly._row_verdicts(poly._derivatives(c), pts[k : k + 1], corr[k : k + 1])
+            c1 = np.array([q.coeffs], dtype=complex)
+            alone = poly._row_verdicts(poly._derivatives(c1), pts[k : k + 1], corr[k : k + 1])
             assert alone[0][0].tobytes() == certified[place[k]].tobytes()
-            assert alone[1][0].tobytes() == mult[place[k]].tobytes()
-            assert alone[2][0] == clustered[place[k]]
-            [finished] = poly._finish_rows([q], pts[k : k + 1], corr[k : k + 1])
-            assert finished is not None and finished == batch[place[k]]
-            # the scalar finish of the same points polishes to the same roots
-            scalar = poly._finish_row(q, q.coeffs, pts[k], corr[k], "a random row")
-            for (a, _), (b, _) in zip(finished, scalar):
-                assert abs(a - b) <= 4 * EPS * (1 + abs(b))
+            assert alone[2][0].tobytes() == mult[place[k]].tobytes()
+            assert alone[3][0].any() == clustered[place[k]]
+            [finished] = poly._finish_rows(
+                [q], c[k : k + 1], pts[k : k + 1], corr[k : k + 1], ["a row"]
+            )
+            assert finish_bits(finished) == finish_bits(batch[place[k]])
+            # a scalar polish of the same points gives the same roots
+            for (a, m), z in zip(finished, pts[k].tolist()):
+                b = scalar_polish(q, z)
+                assert m == 1 and abs(a - b) <= 4 * EPS * (1 + abs(b))
+        # the double-root row, the retried rows and the failed rows come
+        # out alone as in the mixed batch
+        for k in range(len(special)):
+            [finished] = poly._finish_rows(
+                special[k : k + 1], sc[k : k + 1], spts[k : k + 1], scorr[k : k + 1], ["a row"]
+            )
+            assert finish_bits(finished) == finish_bits(batch[6 + k])
 
 
 class TestMakeNewtonMap:

@@ -261,8 +261,8 @@ class TestLockstepLift:
         levels, heads = [], []
         lift_lanes, read_head = pullback._lift_lanes, pullback._read_head
 
-        def recording(f, sources, lanes):
-            lifted = lift_lanes(f, sources, lanes)
+        def recording(f, sources, cuts, lanes):
+            lifted = lift_lanes(f, sources, cuts, lanes)
             levels.append((f, sources, lanes, lifted, len(heads)))
             return lifted
 
@@ -296,7 +296,7 @@ class TestLockstepLift:
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))
         start = -0.5 + 0j
-        [lane] = pullback._lift_lanes(f, {0: source}, [(0, f.marked_point(start), None)])
+        [lane] = pullback._lift_lanes(f, {0: source}, {}, [(0, f.marked_point(start), None)])
         x0, w0, w1 = complex(lane[jump - 1]), complex(source[jump - 1]), complex(source[jump])
         direct = solve_preimage_near(f, w1, x0)
         assert direct is None or not on_branch(direct, x0)
@@ -347,7 +347,7 @@ class TestLockstepLift:
             sources[j] = e.points
             lanes.append((j, f.marked_point(start), None))
         with pytest.raises(BranchJump, match="lane 0 lost in round 2"):
-            pullback._lift_lanes(f, sources, lanes)
+            pullback._lift_lanes(f, sources, {}, lanes)
         assert len(calls) == 3
 
 
@@ -380,20 +380,20 @@ class TestSegmentedLift:
             rounds[0] += 1
             return newton_round(*args)
 
-        def counted_lift(f, sources, lanes):
+        def counted_lift(f, sources, cuts, lanes):
             rounds[0] = 0
-            lifted = lift_lanes(f, sources, lanes)
-            levels.append((sources, rounds[0]))
+            lifted = lift_lanes(f, sources, cuts, lanes)
+            levels.append((sources, cuts, rounds[0]))
             return lifted
 
         monkeypatch.setattr(pullback, "_newton_round", counted_round)
         monkeypatch.setattr(pullback, "_lift_lanes", counted_lift)
         compute_newton_graph(f)
         assert len(levels) == 2
-        for sources, n in levels:
+        for sources, cuts, n in levels:
             longest = 0
             for j, points in sources.items():
-                stops = [0] + [c for c, _ in sources.cuts[j]] + [len(points) - 2]
+                stops = [0] + [c for c, _ in cuts[j]] + [len(points) - 2]
                 longest = max(longest, max(b - a for a, b in zip(stops, stops[1:])))
             assert n == longest <= self.SPACING + self.SPACING // 2
             assert n < max(len(points) for points in sources.values()) - 2
@@ -436,11 +436,11 @@ class TestSegmentedLift:
         # two lanes from one start run one lift, which takes one point twice
         f = cubic_unity
         ray = delta0_unity.edges[2].points
-        _, sources = pullback._solve_ends_and_cuts(f, [], {2: ray})
-        c = sources.cuts[2][0][0]
+        _, cuts = pullback._solve_ends_and_cuts(f, [], {2: ray})
+        c = cuts[2][0][0]
         start = f.marked_point(-0.5 + 0j)
         with pytest.raises(BranchJump, match=rf"lifts of source edge 2 meet at cut sample {c}, "):
-            pullback._lift_lanes(f, sources, [(2, start, None)] * 2)
+            pullback._lift_lanes(f, {2: ray}, cuts, [(2, start, None)] * 2)
 
     def test_a_cut_whose_fiber_does_not_certify_is_dropped(
         self, cubic_unity, quartic_unity, delta0_unity, monkeypatch
@@ -463,9 +463,9 @@ class TestSegmentedLift:
             planned.append(list(cuts))
             return fibers(f, targets, cuts)
 
-        def recording_lift(f, sources, lanes):
-            lifted = lift_lanes(f, sources, lanes)
-            levels.append((f, sources, lanes, lifted))
+        def recording_lift(f, sources, cuts, lanes):
+            lifted = lift_lanes(f, sources, cuts, lanes)
+            levels.append((f, sources, cuts, lanes, lifted))
             return lifted
 
         monkeypatch.setattr(pullback, "roots_of_rows", close_pair)
@@ -479,14 +479,14 @@ class TestSegmentedLift:
         monkeypatch.undo()
 
         assert len(levels) == len(planned) == 5
-        for cuts, (f, sources, lanes, lifted_lanes) in zip(planned, levels):
-            kept = [complex(sources[j][c]) for j in sources for c, _ in sources.cuts[j]]
-            assert kept == cuts[1:]
+        for planned_cuts, (f, sources, cuts, lanes, lifted_lanes) in zip(planned, levels):
+            kept = [complex(sources[j][c]) for j in sources for c, _ in cuts[j]]
+            assert kept == planned_cuts[1:]
             for (edge, start, direction), lane in zip(lanes, lifted_lanes):
                 reference = scalar_lift(f, sources[edge], start.value, direction)
                 TestLockstepLift.assert_same_lift(lane, reference[:-1])
-        [(_, sources, _, _)] = levels[-1:]
-        assert [c for c, _ in sources.cuts[0]] == [2 * self.SPACING, 3 * self.SPACING]
+        [(_, _, cuts, _, _)] = levels[-1:]
+        assert [c for c, _ in cuts[0]] == [2 * self.SPACING, 3 * self.SPACING]
         assert np.isinf(lifted[-1])
         TestLockstepLift.assert_same_lift(
             lifted, scalar_lift(cubic_unity, ray.points, 1 + 0j, ray.angles[0])
@@ -630,8 +630,8 @@ class TestAnglesArePullbacks:
         lift_lanes = pullback._lift_lanes
         turned = []
 
-        def off_sheet(f, sources, lanes):
-            lifted = [samples.copy() for samples in lift_lanes(f, sources, lanes)]
+        def off_sheet(f, sources, cuts, lanes):
+            lifted = [samples.copy() for samples in lift_lanes(f, sources, cuts, lanes)]
             k = next(k for k, samples in enumerate(lifted) if abs(samples[-1]) < 1)
             lifted[k][-1] *= cmath.exp(1j * math.pi / 2)
             turned.append(lanes[k][0])
