@@ -4,16 +4,19 @@ Coefficients are stored lowest-order first. Every polynomial evaluation, of a
 number or of an array, runs through one Horner loop, `horner`. The root solver,
 roots_of_rows, is a simultaneous Aberth–Ehrlich iteration (Bini–Fiorentino,
 Numer. Algorithms 2000) over a batch of polynomials: those of one degree run
-as rows of one array, each row frozen once its own stop test holds, and each
-row comes out bit for bit as it does alone; roots_of is the one-row call.
-Before the iteration, zero roots are deflated exactly, and roots the caller
-knows with their multiplicities (the marks over a fiber's target) are divided
-out by synthetic division, so only the simple remainder is solved. Residual
-certification, stall-aware clustering for multiplicities and a final polish
-then run on all rows of one degree at once, elementwise, in one path
-(_finish_rows); only a row's second Aberth run and the merge of a cluster
-into one multiple root take a step alone. Companion-matrix eigenvalues are
-used only as an independent oracle in the tests, never here.
+as rows of one array (_solve_rows), each row frozen once its own stop test
+holds, and each row comes out bit for bit as it does alone; roots_of is the
+one-row call. Before the iteration, zero roots are deflated exactly, and
+roots the caller knows with their multiplicities (the marks over a fiber's
+target) are divided out by synthetic division, so only the simple remainder
+is solved. The starts (_initial_points), then residual certification,
+stall-aware clustering for multiplicities and a final polish (_finish_rows),
+and the sort into roots_of's order (_in_root_order) run on all rows of one
+degree at once, elementwise; only a row's second Aberth run, the merge of a
+cluster into one multiple root and the rows with known or zero roots take a
+step alone, so a row solved whole into simple roots stays an array row
+throughout. Companion-matrix eigenvalues are used only as an independent
+oracle in the tests, never here.
 
 The chart rule, which the Newton map alone decides: beyond |z| = CHART_RADIUS
 the map f = N/D of degree d is handled in the w = 1/z chart. To evaluate f at
@@ -31,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -173,6 +176,7 @@ def _deflate(coeffs: list[complex], root: complex) -> list[complex]:
     return out
 
 
+@np.errstate(all="ignore")
 def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
     """One Aberth–Ehrlich run on each row of c (coefficients lowest first),
     from the starts in the same row of z0. Returns the points and the final
@@ -181,7 +185,8 @@ def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
     The rows iterate together, and a row freezes once its own stop test
     holds. Every operation is elementwise within a row, or a reduction
     along it, on arrays of at least two points, so a row comes out bit for
-    bit as it does in any other company or alone.
+    bit as it does in any other company or alone. A row that overflows runs
+    on in infinities and NaNs without a warning, and the finish fails it.
     """
     rows, n = z0.shape
     z = np.empty_like(z0)
@@ -196,9 +201,10 @@ def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
     # one Horner pass: the scale's row holds |c_k| + 0j at |z| + 0j, whose
     # real part is the float pass bit for bit. q' keeps its own pass, since
     # padding it to q's length with a leading zero can flip the sign of a zero
-    table = np.stack([cr, np.abs(cr).astype(complex)], axis=1)
+    table = np.empty((n + 1, 2) + cr.shape[1:], dtype=complex)
+    table[:, 0], table[:, 1] = cr, np.abs(cr)
+    x = np.zeros((2,) + zl.shape, dtype=complex)  # z, and |z| + 0j
     for _ in range(iters):
-        x = np.zeros((2,) + zl.shape, dtype=complex)
         x[0] = zl
         np.abs(zl, out=x[1].real)
         q, es = horner(table, x)
@@ -233,24 +239,54 @@ def _aberth_rows(c: np.ndarray, z0: np.ndarray, iters: int):
             z[live[settled]], corr[live[settled]] = zl[settled], corr_l[settled]
             keep = ~settled
             live, zl, corr_l = live[keep], zl[keep], corr_l[keep]
-            table, dr = table[:, :, keep], dr[:, keep]
+            table, dr, x = table[:, :, keep], dr[:, keep], x[:, keep]
             if live.size == 0:
                 break
     z[live], corr[live] = zl, corr_l
     return z, corr
 
 
-def _initial_points(c: np.ndarray) -> np.ndarray:
-    n = len(c) - 1
-    r0 = abs(c[0] / c[-1]) ** (1.0 / n) if c[0] != 0 else 1.0
-    rmax = 1.0 + max(abs(c[i] / c[-1]) for i in range(n))
-    r = min(max(r0, 1e-3), rmax)
+@cache
+def _start_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit points at angles 2 pi k / n + 0.376, and the factors
+    1 + k / (100 n), for k < n: Aberth's starts before their radius."""
     ang = 2 * np.pi * np.arange(n) / n + 0.376
-    return r * np.exp(1j * ang) * (1 + 0.01 * np.arange(n) / max(n, 1))
+    return np.exp(1j * ang), 1 + 0.01 * np.arange(n) / max(n, 1)
+
+
+def _initial_points(c: np.ndarray) -> np.ndarray:
+    """Aberth's starts for each row of c (coefficients lowest first, the
+    last nonzero), or for c alone if it is one row: the points of
+    _start_circle times the radius |c_0 / c_n|^(1/n), or 1 if c_0 = 0,
+    clamped to [1e-3, 1 + max |c_k / c_n|]. A modulus is taken by hypot and
+    the root by a Python power, as for a number: numpy's array abs and power
+    may round otherwise in the last bit, and a row's starts stay those that
+    one row alone got from numpy scalars."""
+    rows = c.reshape(-1, c.shape[-1])
+    n = rows.shape[1] - 1
+    ratio = rows[:, :n] / rows[:, n:]
+    size = np.hypot(ratio.real, ratio.imag)
+    root = np.array([x ** (1.0 / n) for x in size[:, 0].tolist()])
+    r = np.where(rows[:, 0] != 0, root, 1.0)
+    r = np.minimum(np.maximum(r, 1e-3), 1.0 + size.max(axis=1))
+    circle, spread = _start_circle(n)
+    return (r[:, None] * circle * spread).reshape(c.shape[:-1] + (n,))
 
 
 def _root_order(root: tuple[complex, int]) -> tuple[float, float]:
     return round(root[0].real, 12), round(root[0].imag, 12)
+
+
+def _in_root_order(z: np.ndarray) -> np.ndarray:
+    """Each row of z in the order of _root_order: by real part, as rounding
+    to 12 places keeps it apart; a row where two real parts lie within
+    1e-11 (1 + |x|) is sorted by _root_order itself, from its own order."""
+    out = z[np.arange(len(z))[:, None], np.argsort(z.real, axis=1, kind="stable")]
+    re = out.real
+    tied = (re[:, 1:] - re[:, :-1] <= 1e-11 * (1 + np.abs(re[:, 1:]))).any(axis=1)
+    for k in np.flatnonzero(tied).tolist():
+        out[k] = sorted(z[k].tolist(), key=lambda x: _root_order((x, 1)))
+    return out
 
 
 def roots_of(q: Polynomial) -> tuple[tuple[complex, int], ...]:
@@ -263,91 +299,145 @@ def roots_of(q: Polynomial) -> tuple[tuple[complex, int], ...]:
 
 
 def roots_of_rows(
-    polys: Sequence[Polynomial],
+    polys: Sequence[Polynomial] | np.ndarray,
     known: Sequence[Sequence[tuple[complex, int]]] | None = None,
     names: Sequence[str | None] | None = None,
-) -> list[tuple[tuple[complex, int], ...] | None]:
-    """roots_of of every polynomial in polys, with one Aberth–Ehrlich run
-    per degree for all of them; each row gets bit for bit what it gets
-    alone.
+) -> list[tuple[tuple[complex, int], ...] | np.ndarray | None]:
+    """roots_of of every polynomial in polys, solved together by _solve_rows
+    per degree; each row gets bit for bit what it gets alone.
 
-    known[i], if given, lists roots r of polys[i] with exact multiplicities
-    m: each (z - r)^m is divided out by synthetic division, only the
-    quotient is solved, and each (r, m) is added back. names[i], if given,
-    says in an error which polynomial failed; a row named None is optional,
-    and comes out None where it cannot be certified. Every row of one degree
-    of the polynomial is finished in one call (_finish_rows), retries and
-    clusters included. The rows are reported in order, so the first
+    polys holds Polynomials, or is a 2-D array whose rows are the
+    coefficients, lowest first, of polynomials of one degree (a nonzero last
+    column). known[i], if given, lists roots r of polys[i] with exact
+    multiplicities m: each (z - r)^m is divided out by synthetic division,
+    only the quotient is solved, and each (r, m) is added back. names[i], if
+    given, says in an error which polynomial failed. A row named None is
+    optional: it comes out as the array of its roots, in roots_of's order,
+    when they are all simple, and None when it has a multiple root or
+    cannot be certified. The rows are reported in order, so the first
     required row that cannot be certified raises NoConvergence.
     """
-    rows = []  # per polynomial: its roots found so far and what is left
-    for i, q in enumerate(polys):
-        if q.is_zero:
-            raise ValueError("zero polynomial")
-        coeffs = list(q.coeffs)
-        found: list[tuple[complex, int]] = []
-        for r, m in known[i] if known is not None else ():
+    if isinstance(polys, np.ndarray):
+        groups = [(list(range(len(polys))), polys)] if len(polys) else []
+    else:
+        by_degree: dict[int, list[int]] = {}
+        for i, q in enumerate(polys):
+            if q.is_zero:
+                raise ValueError("zero polynomial")
+            by_degree.setdefault(q.degree, []).append(i)
+        groups = [(members, np.array([polys[i].coeffs for i in members], dtype=complex))
+                  for members in by_degree.values()]
+    out: list = [None] * len(polys)
+    failed: dict[int, NoConvergence] = {}
+    for members, q in groups:
+        labels = ([names[i] for i in members] if names is not None
+                  else [f"degree {q.shape[1] - 1}"] * len(members))
+        divide = {k: known[i] for k, i in enumerate(members) if known[i]} if known else {}
+        points, clean, other = _solve_rows(q, divide, labels)
+        values = points.tolist()
+        for k, (i, label) in enumerate(zip(members, labels)):
+            if clean[k]:
+                out[i] = tuple([(z, 1) for z in values[k]]) if label is not None else points[k]
+                continue
+            roots = other[k]
+            if isinstance(roots, NoConvergence):
+                if label is not None:
+                    failed[i] = roots
+            elif label is not None:
+                out[i] = roots
+            elif all(m == 1 for _, m in roots):
+                out[i] = np.array([z for z, _ in roots])
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
+def _solve_rows(
+    q: np.ndarray, known: dict[int, Sequence[tuple[complex, int]]], labels: Sequence[str | None]
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The roots of each row of q, coefficient rows lowest first of one
+    degree d with a nonzero last column: one Aberth run and one finish
+    (_finish_rows) per degree of what is left to solve.
+
+    A row k in known has those roots, with exact multiplicities, divided
+    out by synthetic division; exactly zero low coefficients are divided out
+    as roots at 0, and a linear remainder is solved directly. labels name
+    the rows in errors. Returns (points, clean, other): a clean row is one
+    solved whole, with no root known or at 0, whose finish gives d simple
+    roots, which points holds in the order of _root_order; other holds, by
+    row, every other row's roots with multiplicities, so sorted, or the
+    NoConvergence that fails it.
+    """
+    rows, d = q.shape[0], q.shape[1] - 1
+    clean = q[:, 0] != 0 if d > 1 else np.zeros(rows, dtype=bool)
+    if known:
+        clean[list(known)] = False
+    whole = np.flatnonzero(clean)  # the rows solved as they are
+    found: dict[int, list[tuple[complex, int]]] = {}
+    rests: dict[int, list[tuple[int, list[complex]]]] = {}
+    for k in np.flatnonzero(~clean).tolist():
+        coeffs = q[k].tolist()
+        roots = []
+        for r, m in known.get(k, ()):
             for _ in range(m):
                 coeffs = _deflate(coeffs, r)
-            found.append((complex(r), m))
-        # Exact deflation of zero roots (exactly-zero low-order coefficients).
+            roots.append((complex(r), m))
         zero_mult = 0
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs.pop(0)
             zero_mult += 1
         if zero_mult:
-            found.append((0j, zero_mult))
+            roots.append((0j, zero_mult))
         if len(coeffs) == 2:  # linear: solved directly
-            found.append((complex(-coeffs[0] / coeffs[1]), 1))
-        rows.append((found, coeffs))
-
-    # one Aberth batch per degree above one
-    labels = [names[i] if names is not None else f"degree {q.degree}" for i, q in enumerate(polys)]
-    by_degree: dict[int, list[int]] = {}
-    for i, (_, coeffs) in enumerate(rows):
+            roots.append((complex(-coeffs[0] / coeffs[1]), 1))
+        found[k] = roots
         if len(coeffs) > 2:
-            by_degree.setdefault(len(coeffs) - 1, []).append(i)
-    batched: dict[int, list[tuple[complex, int]] | NoConvergence] = {}
-    for members in by_degree.values():
-        c = np.array([rows[i][1] for i in members], dtype=complex)
-        c = c / np.max(np.abs(c), axis=1, keepdims=True)
-        pts, corr = _aberth_rows(c, np.array([_initial_points(row) for row in c]), 400)
-        # one batched finish per degree of q, which deflation can leave apart
-        by_q: dict[int, list[int]] = {}
-        for k, i in enumerate(members):
-            by_q.setdefault(polys[i].degree, []).append(k)
-        for ks in by_q.values():
-            qs = [polys[members[k]] for k in ks]
-            finished = _finish_rows(qs, c[ks], pts[ks], corr[ks], [labels[members[k]] for k in ks])
-            for k, done in zip(ks, finished):
-                batched[members[k]] = done
+            rests.setdefault(len(coeffs) - 1, []).append((k, coeffs))
 
-    out = []
-    for i, (q, (found, _)) in enumerate(zip(polys, rows)):
-        done = batched.get(i, [])
-        if isinstance(done, list):
-            found += done
-            if sum(mult for _, mult in found) == q.degree:
-                out.append(tuple(sorted(found, key=_root_order)))
-                continue
-            done = NoConvergence(f"multiplicity bookkeeping lost roots of {labels[i]}")
-        if labels[i] is not None:
-            raise done
-        out.append(None)
-    return out
+    groups = [(whole, q[whole])] if len(whole) else []
+    groups += [(np.array([k for k, _ in rest]), np.array([c for _, c in rest], dtype=complex))
+               for rest in rests.values()]
+    points = np.zeros((rows, d), dtype=complex)
+    other: dict[int, tuple[tuple[complex, int], ...] | NoConvergence] = {}
+    for members, c in groups:
+        c = c / np.max(np.abs(c), axis=1, keepdims=True)
+        pts, corr = _aberth_rows(c, _initial_points(c), 400)
+        roots, odd = _finish_rows(q[members], c, pts, corr, [labels[k] for k in members])
+        if roots.shape[1] == d:  # the rows solved whole
+            points[members] = roots
+        else:
+            for i, k in enumerate(members.tolist()):
+                if i not in odd:
+                    found[k] += [(z, 1) for z in roots[i].tolist()]
+        for i, done in odd.items():
+            k = int(members[i])
+            clean[k] = False
+            if isinstance(done, NoConvergence):
+                other[k] = done
+            else:
+                found.setdefault(k, []).extend(done)
+    for k, roots in found.items():
+        if k not in other:
+            other[k] = (tuple(sorted(roots, key=_root_order)) if sum(m for _, m in roots) == d
+                        else NoConvergence(f"multiplicity bookkeeping lost roots of {labels[k]}"))
+    if len(whole):
+        points[clean] = _in_root_order(points[clean])
+    return points, clean, other
 
 
 def _finish_rows(
-    qs: Sequence[Polynomial],
+    q: np.ndarray,
     c: np.ndarray,
     pts: np.ndarray,
     corr: np.ndarray,
     names: Sequence[str | None],
-) -> list[list[tuple[complex, int]] | NoConvergence]:
-    """The roots of each q, of one degree, with multiplicities, from the
-    points pts of an Aberth run on the same row of c (q with roots divided
-    out, normalised); or the NoConvergence that fails the row, naming it by
-    names.
+) -> tuple[np.ndarray, dict[int, list[tuple[complex, int]] | NoConvergence]]:
+    """The roots of each row of q (coefficient rows of one degree, lowest
+    first), from the points pts of an Aberth run on the same row of c (q
+    with roots divided out, normalised): (roots, odd). roots holds each
+    row's points polished; they are its roots, each simple, unless odd
+    holds the row: the roots with multiplicities of a row with a cluster,
+    or the NoConvergence that fails the row, naming it by names.
 
     All rows are judged at once (_row_verdicts). A row with an uncertified
     point, and none whose residual or scale is not finite, is retried: such
@@ -358,7 +448,7 @@ def _finish_rows(
     that needs neither is elementwise on arrays of at least two points, so
     it comes out bit for bit as it does in any other company or alone.
     """
-    table = _derivatives(np.array([q.coeffs for q in qs], dtype=complex))
+    table = _derivatives(q)
     pts, corr = pts.copy(), corr.copy()
     verdicts = _row_verdicts(table, pts, corr)
     certified, blown = verdicts[:2]
@@ -378,30 +468,31 @@ def _finish_rows(
             v[retry] = judged
     certified, blown, mult, near, qv, dv = verdicts
     polished = _polished(table[:2], pts, qv, dv)
-    out: list[list[tuple[complex, int]] | NoConvergence] = []
-    for k, (q, name) in enumerate(zip(qs, names)):
+    odd: dict[int, list[tuple[complex, int]] | NoConvergence] = {}
+    judged = blown.any(axis=1) | ~certified.all(axis=1) | ~mult.all(axis=1) | near.any(axis=(1, 2))
+    for k in np.flatnonzero(judged).tolist():
+        name = names[k]
         if blown[k].any():
             z = complex(pts[k][blown[k]][0])
-            out.append(NoConvergence(f"residual not finite for {name} at {z}"))
+            odd[k] = NoConvergence(f"residual not finite for {name} at {z}")
         elif not certified[k].all():
-            out.append(NoConvergence(f"root residuals not certified for {name}"))
+            odd[k] = NoConvergence(f"root residuals not certified for {name}")
         elif not mult[k].all():
             z = complex(pts[k][mult[k] == 0][0])
-            out.append(NoConvergence(f"q q''/q'^2 not finite for {name} at {z}"))
-        elif not near[k].any():
-            out.append([(root, 1) for root in polished[k].tolist()])
+            odd[k] = NoConvergence(f"q q''/q'^2 not finite for {name} at {z}")
         else:
             clusters = UnionFind(len(pts[k]))
             for i, j in zip(*np.nonzero(near[k])):
                 clusters.union(int(i), int(j))
+            row = Polynomial(tuple(q[k].tolist()))
             roots = []
             for members in clusters.classes():
                 if len(members) == 1:
                     roots.append((complex(polished[k, members[0]]), 1))
                 else:
-                    roots.append((_merged(q, pts[k, members].tolist()), len(members)))
-            out.append(roots)
-    return out
+                    roots.append((_merged(row, pts[k, members].tolist()), len(members)))
+            odd[k] = roots
+    return polished, odd
 
 
 def _rerun(
@@ -474,6 +565,13 @@ def _derivatives(c: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
+def _cluster_bases(degree: int) -> np.ndarray:
+    """The base of _row_verdicts' cluster radius by estimated multiplicity
+    0..degree."""
+    return np.array([0, 1e3 * _EPS] + [30 * _EPS ** (1.0 / m) for m in range(2, degree + 1)])
+
+
 def _row_verdicts(
     table: np.ndarray, pts: np.ndarray, corr: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -498,7 +596,7 @@ def _row_verdicts(
     z = np.empty((4,) + pts.shape, dtype=complex)
     z[:3] = pts
     z[3] = az
-    bases = np.array([0, 1e3 * _EPS] + [30 * _EPS ** (1.0 / m) for m in range(2, degree + 1)])
+    bases = _cluster_bases(degree)
     with np.errstate(all="ignore"):
         qv, dv, ddv, scale = _row_values(table, z)
         scale = scale.real
@@ -528,7 +626,7 @@ def _polished(table: np.ndarray, z: np.ndarray, qv: np.ndarray, dv: np.ndarray) 
     with np.errstate(all="ignore"):
         for step in range(3):
             if step:
-                qv, dv = _row_values(table, np.stack((z, z)))
+                qv, dv = _row_values(table, np.array((z, z)))
             stopped |= dv == 0
             z = np.where(stopped, z, z - qv / dv)
     return z
@@ -578,6 +676,7 @@ class NewtonMap:
         n, d = self.numerator.coeffs, self.denominator.coeffs
         chart = (n + (0j,) * (self.degree + 1 - len(n)), d + (0j,) * (self.degree - len(d)))
         object.__setattr__(self, "_chart", chart)
+        object.__setattr__(self, "_fiber_terms", (np.array(n), np.array(d)))
         # The roots, then the poles, then the free critical points, each once,
         # and infinity apart, each with the image its b is read over.
         # make_newton_map puts a critical point that coincides with a root or
@@ -621,6 +720,26 @@ class NewtonMap:
             table[m - len(c):, r, 0] = c
         table = np.where(far, table[:, CHART_SWAP], table)
         return table.reshape(m, 4 * len(far))
+
+    def fiber_rows(self, w: np.ndarray) -> np.ndarray:
+        """The coefficients, lowest first, of numerator - w * denominator for
+        each finite w of an array, one row each, in one broadcast: bit for
+        bit the Polynomial arithmetic, whose complex products are unfused,
+        and which subtracts 0 past the product's trailing zeros."""
+        num, den = self._fiber_terms
+        k = len(den)
+        wr, wi = w.real[:, None], w.imag[:, None]
+        prod = np.empty((len(w), k), dtype=complex)
+        prod.real = den.real * wr - den.imag * wi
+        prod.imag = den.real * wi + den.imag * wr
+        if not prod[:, -1].all():  # w = 0, or an underflow
+            trailing = np.logical_and.accumulate(prod[:, ::-1] == 0, axis=1)[:, ::-1]
+            trailing[:, 0] = False  # Polynomial keeps a zero product's first coefficient
+            prod[trailing] = 0
+        rows = np.empty((len(w), len(num)), dtype=complex)
+        rows[:, k:] = num[k:]
+        np.subtract(num[:k], prod, out=rows[:, :k])
+        return rows
 
     def _fraction(self, z, far: bool):
         """(num, den) with num / den = f(z), at a number or elementwise at an

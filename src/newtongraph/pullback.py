@@ -2,10 +2,10 @@
 
 Each pass lifts the newest edges: an edge with tail t is lifted once from
 every preimage x of t, along each of the local-degree-many inverse branches
-at x. Each newest edge is cut every _CUT_SPACING interior samples, with no
-cut within _CUT_SPACING / 2 of its last lifted sample, and the fibers over
-all heads and tails of those edges and over every cut sample are solved
-first, in one batched root solve. A cut is used only if its fiber
+at x. Each newest edge is cut into the fewest near-equal segments of at
+most _CUT_SPACING samples, and the fibers over all heads and tails of those
+edges and over every cut sample are solved first, in one batched root
+solve over one array of rows. A cut is used only if its fiber
 certifies as deg f simple points pairwise at least match_tol apart
 (chordal); otherwise it is dropped and its two segments run as one. All
 segments of all lifts run in one lockstep run, the later segments of an
@@ -143,7 +143,8 @@ def _fibers(
 ) -> list[tuple[MarkedPoint, ...] | np.ndarray | None]:
     """The fiber over each target point, each point as its mark, then the
     fiber over each cut sample, as an array of its points or None; the
-    polynomials of all finite targets and of all cuts solved in one
+    polynomials numerator - w * denominator of all finite targets and of all
+    cuts formed in one broadcast (NewtonMap.fiber_rows) and solved in one
     roots_of_rows call.
 
     The marks over a target w (f.marks_over) are its fiber's marked points:
@@ -151,7 +152,7 @@ def _fibers(
     out of numerator - w * denominator to its local degree, so it comes back
     exactly and only the simple remainder is solved. The other points are
     unmarked. The map's marks must lie match_tol apart, so that each target
-    finds its own. Each fiber is checked on its own: each point's
+    finds its own. Each fiber is checked on its own, in order: each point's
     multiplicity in the solve must be its mark's local degree, with b finite
     and nonzero, the degrees must sum to deg f, and two points closer than
     match_tol abort rather than silently merging. A cut's fiber is kept only
@@ -161,21 +162,22 @@ def _fibers(
     """
     f.require_separated_marks()
     over = [f.marks_over(w) for w in targets]
-    finite = [(w, marks) for w, marks in zip(targets, over) if w != INF]
-    rows = [(w, [(mark.value, mark.local_degree) for mark in marks], f"the fiber over {w}")
-            for w, marks in finite]
-    rows += [(w, (), None) for w in cuts]  # a row named None is optional
+    ends = [k for k, w in enumerate(targets) if w != INF]
     solved = roots_of_rows(
-        [f.numerator - f.denominator * w for w, _, _ in rows],
-        known=[known for _, known, _ in rows],
-        names=[name for _, _, name in rows],
+        f.fiber_rows(np.array([targets[k] for k in ends] + list(cuts), dtype=complex)),
+        known=[[(mark.value, mark.local_degree) for mark in over[k]] for k in ends]
+        + [()] * len(cuts),
+        names=[f"the fiber over {targets[k]}" for k in ends] + [None] * len(cuts),
     )
-    at_ends = iter(solved[: len(finite)])
-    out = []
+    at_ends = iter(solved[: len(ends)])
+    out, solves = [], []
     for w, marks in zip(targets, over):
         solve = [(mark.value, mark.local_degree) for mark in marks] if w == INF else next(at_ends)
         known = {mark.value: mark for mark in marks}
-        fiber = tuple(known[z] if z in known else f.unmarked(z) for z, _ in solve)
+        out.append(tuple(known[z] if z in known else f.unmarked(z) for z, _ in solve))
+        solves.append(solve)
+    crowded = _crowded([[mark.value for mark in fiber] for fiber in out], f.tol.match_tol)
+    for w, fiber, solve, near in zip(targets, out, solves, crowded):
         for mark, (_, m) in zip(fiber, solve):
             if m != mark.local_degree or not 0 < abs(mark.coefficient) < math.inf:
                 raise NonPlanarIncidence(
@@ -188,33 +190,49 @@ def _fibers(
             raise NonPlanarIncidence(
                 f"fiber over {w} carries total degree {total}, expected {f.degree}"
             )
-        gap, i, j = closest_pair([mark.value for mark in fiber])
+        gap, i, j = closest_pair([mark.value for mark in fiber]) if near else (math.inf, 0, 0)
         if gap < f.tol.match_tol:
             raise NonPlanarIncidence(
                 f"fiber points {fiber[i].value} and {fiber[j].value} over {w} "
                 f"collide below match_tol; vertex merging would corrupt "
                 f"the embedding"
             )
-        out.append(fiber)
-    return out + _cut_fibers(f, solved[len(finite):])
+    return out + _cut_fibers(f, solved[len(ends):])
 
 
-def _cut_fibers(
-    f: NewtonMap, solved: list[tuple[tuple[complex, int], ...] | None]
-) -> list[np.ndarray | None]:
-    """Each solved cut fiber as an array of its deg f points, or None
-    unless they are simple and pairwise at least match_tol apart (chordal)."""
+def _crowded(fibers: list[list[complex]], tol: float) -> np.ndarray:
+    """Whether each fiber may hold two points closer than tol (chordal), by
+    one chordal_distances pass over all of them: a pair within 2 tol, or a
+    point at infinity or past sphere's overflow guard, where the pass reads
+    0 or not a number. closest_pair then decides on the crowded ones. A lone
+    fiber, which closest_pair measures faster than the pass, is crowded."""
+    if len(fibers) < 2:
+        return np.ones(len(fibers), dtype=bool)
+    width = max(len(points) for points in fibers)
+    z = np.zeros((len(fibers), width), dtype=complex)
+    held = np.zeros((len(fibers), width), dtype=bool)
+    for k, points in enumerate(fibers):
+        z[k, : len(points)] = points
+        held[k, : len(points)] = True
+    pairs = held[:, :, None] & held[:, None, :] & ~np.eye(width, dtype=bool)
+    apart = chordal_distances(z[:, :, None], z[:, None, :]) >= 2 * tol
+    return (pairs & ~apart).any(axis=(1, 2))
+
+
+def _cut_fibers(f: NewtonMap, solved: list[np.ndarray | None]) -> list[np.ndarray | None]:
+    """Each cut fiber as the array of its deg f simple points, as the solve
+    gives it, or None unless they are pairwise at least match_tol apart
+    (chordal)."""
     out: list[np.ndarray | None] = [None] * len(solved)
-    simple = [k for k, row in enumerate(solved)
-              if row is not None and len(row) == f.degree and all(m == 1 for _, m in row)]
+    simple = [k for k, row in enumerate(solved) if row is not None]
     if simple:
-        z = np.array([[x for x, _ in solved[k]] for k in simple])
+        z = np.stack([solved[k] for k in simple])
         gap = chordal_distances(z[:, :, None], z[:, None, :])
         gap[:, np.eye(f.degree, dtype=bool)] = math.inf
         # a point past sphere._BIG gives a gap of 0 or not a number: dropped
         apart = (gap >= f.tol.match_tol).all(axis=(1, 2))
-        for k, row in zip(np.array(simple)[apart].tolist(), z[apart]):
-            out[k] = row
+        for k in np.array(simple)[apart].tolist():
+            out[k] = solved[k]
     return out
 
 
@@ -408,28 +426,38 @@ def _newton_round(
     return x, values, ok
 
 
-# A level lift cuts each source every _CUT_SPACING interior samples, and not
-# within _CUT_SPACING / 2 of its last lifted sample, so no segment runs more
-# than 1.5 _CUT_SPACING rounds of the lockstep kernel, whose round costs
-# about the same at 10 lanes as at 100. Measured on the seed-7 tower maps
-# of perfbench, two pullback passes each (least of 15 runs, CPU seconds):
-# 0.267 uncut, then 0.197, 0.202, 0.205 and 0.229 at 16, 24, 32 and 48; at
-# 24 the seed-7 builds, timed and untimed, run 904 kernel rounds, not 2,586.
-_CUT_SPACING = 24
+# A level lift cuts each source into the fewest near-equal segments of at
+# most _CUT_SPACING samples, so no segment runs more than _CUT_SPACING rounds
+# of the lockstep kernel, whose round costs about the same at 10 lanes as at
+# 100, while each cut adds one row to the level's fiber solve. Measured on
+# the seven timed seed-7 tower maps of perfbench, one build each: fiber rows,
+# kernel rounds, and build time against the layout before equal segments
+# and array fiber rows (24-sample cuts: 245 rows, 312 rounds), the least of
+# 20 runs interleaved in one process, over three runs at seeds 7 and 11:
+#   spacing      8      12      16      24
+#   rows       853     578     450     313
+#   rounds      88     131     167     239
+#   time     0.920   0.902   0.896   0.922
+_CUT_SPACING = 16
+
+
+def _cut_samples(last: int) -> list[int]:
+    """The cut samples of a source whose last lifted sample is last: the
+    fewest that leave no segment longer than _CUT_SPACING, spread so that
+    segment lengths differ by at most one. A source no longer than
+    _CUT_SPACING is not cut."""
+    parts = -(-last // _CUT_SPACING)
+    return [i * last // parts for i in range(1, parts)]
 
 
 def _solve_ends_and_cuts(
     f: NewtonMap, targets: list[complex], polylines: dict[int, np.ndarray]
 ) -> tuple[list[tuple[MarkedPoint, ...]], dict[int, list]]:
-    """The fibers over targets, and by edge the cuts of each polyline, one
-    every _CUT_SPACING interior samples and none within _CUT_SPACING / 2 of
-    the last lifted sample, each as (sample index, the fiber over it): all
-    those fibers in one _fibers call. A cut whose fiber does not certify is
+    """The fibers over targets, and by edge the cuts of each polyline
+    (_cut_samples), each as (sample index, the fiber over it): all those
+    fibers in one _fibers call. A cut whose fiber does not certify is
     dropped, and its two segments run as one."""
-    cut_at = {
-        j: range(_CUT_SPACING, len(p) - 2 - _CUT_SPACING // 2, _CUT_SPACING)
-        for j, p in polylines.items()
-    }
+    cut_at = {j: _cut_samples(len(p) - 2) for j, p in polylines.items()}
     solved = _fibers(
         f, targets, [complex(polylines[j][c]) for j in polylines for c in cut_at[j]]
     )
@@ -543,57 +571,72 @@ def _lift_lanes(
                     scalar_step(lane, k)
                 values = horner(coeffs, np.concatenate((x[k],) * 4))
 
-    # chain each lane through its source's cuts: its segment lane per stage
-    members: dict[int, list[int]] = {}
-    for lane, j in enumerate(seg_edge[:n_lanes]):
-        members.setdefault(j, []).append(lane)
-    chains: dict[int, np.ndarray] = {}
+    # chain every lane through its source's cuts, cut by cut: chain[lane, i]
+    # is its segment lane after its source's i-th cut, and the cut tables
+    # hold, by source and cut, its sample, first segment lane and fiber
+    source_of = {j: k for k, j in enumerate(edges)}
+    lane_source = np.array([source_of[j] for j in seg_edge[:n_lanes]])
+    n_cuts = np.array([len(cuts.get(j, ())) for j in edges])
+    depth = int(n_cuts.max())
+    cut_sample = np.zeros((len(edges), depth), dtype=np.int64)
+    cut_lane = np.zeros((len(edges), depth), dtype=np.int64)
+    cut_fiber = np.zeros((len(edges), depth, f.degree), dtype=complex)
+    for k, j in enumerate(edges):
+        for i, (c, fiber) in enumerate(cuts.get(j, ())):
+            cut_sample[k, i], cut_lane[k, i], cut_fiber[k, i] = c, fanned[j, i], fiber
+    chain = np.empty((n_lanes, depth + 1), dtype=np.int64)
+    chain[:, 0] = np.arange(n_lanes)
+    lane_cuts = n_cuts[lane_source]
     failures: dict[int, BranchJump] = {}  # per lane, the first failure of its lift
 
-    def segment_errors(j: int, chain: np.ndarray) -> None:
-        for lane, seg in zip(members[j], chain.tolist()):
+    def segment_errors(lanes: list[int], stages: list[int]) -> None:
+        for lane, i in zip(lanes, stages):
+            seg = int(chain[lane, i])
             if seg in errors:
                 failures.setdefault(lane, errors[seg])
 
-    for j, lanes_j in members.items():
-        chain = np.array(lanes_j)
-        stages = [chain]
-        for i, (c, fiber) in enumerate(cuts.get(j, ())):
-            if errors:
-                segment_errors(j, chain)
-            ends = x[c - first[chain], chain]
-            near = chordal_distances(ends[:, None], fiber[None, :]) <= tol.match_tol
-            hits, pick = near.sum(axis=1).tolist(), near.argmax(axis=1)
-            kept = [k for k, lane in enumerate(lanes_j) if lane not in failures]
-            taken = Counter(pick[k] for k in kept if hits[k] == 1)
-            for k in kept:
-                if hits[k] != 1:
-                    failures[lanes_j[k]] = BranchJump(
-                        f"lift of source edge {j} jumps sheets at cut sample {c}: its "
-                        f"end {complex(ends[k])} lies within match_tol of {hits[k]} "
-                        f"points over {complex(sources[j][c])}"
-                    )
-                elif taken[pick[k]] > 1:
-                    failures[lanes_j[k]] = BranchJump(
-                        f"lifts of source edge {j} meet at cut sample {c}, at the "
-                        f"point {complex(fiber[pick[k]])} over {complex(sources[j][c])}"
-                    )
-            chain = fanned[j, i] + pick
-            stages.append(chain)
+    for i in range(depth):
+        live = np.flatnonzero(lane_cuts > i)
         if errors:
-            segment_errors(j, chain)
-        chains[j] = np.stack(stages, axis=1)
+            segment_errors(live.tolist(), [i] * len(live))
+        src, seg = lane_source[live], chain[live, i]
+        c = cut_sample[src, i]
+        ends = x[c - first[seg], seg]
+        near = chordal_distances(ends[:, None], cut_fiber[src, i]) <= tol.match_tol
+        hits, pick = near.sum(axis=1), near.argmax(axis=1)
+        chain[live, i + 1] = cut_lane[src, i] + pick
+        # a lane not failed yet fails on any hit count but one, and where
+        # another such lane of its source takes its point
+        kept = ~np.isin(live, list(failures))
+        single = kept & (hits == 1)
+        _, where, count = np.unique(src[single] * f.degree + pick[single],
+                                    return_inverse=True, return_counts=True)
+        met = np.zeros(len(live), dtype=bool)
+        met[single] = count[where] > 1
+        for k in np.flatnonzero((kept & (hits != 1)) | met).tolist():
+            j, at = edges[src[k]], complex(sources[edges[src[k]]][c[k]])
+            failures[int(live[k])] = BranchJump(
+                f"lift of source edge {j} jumps sheets at cut sample {c[k]}: its "
+                f"end {complex(ends[k])} lies within match_tol of {hits[k]} "
+                f"points over {at}"
+            ) if hits[k] != 1 else BranchJump(
+                f"lifts of source edge {j} meet at cut sample {c[k]}, at the "
+                f"point {complex(cut_fiber[src[k], i, pick[k]])} over {at}"
+            )
+    if errors:
+        segment_errors(list(range(n_lanes)), lane_cuts.tolist())
     if failures:
         raise failures[min(failures)]
 
     # sample t of a lift is sample t - first of the segment lane it is in
     out: list[np.ndarray] = [None] * n_lanes
-    for j, chain in chains.items():
-        cut_at = np.array([0] + [c for c, _ in cuts.get(j, ())])
+    for k, j in enumerate(edges):
+        lanes_j = np.flatnonzero(lane_source == k)
+        cut_at = np.concatenate(([0], cut_sample[k, : n_cuts[k]]))
         t = np.arange(len(sources[j]) - 1)
         stage = np.searchsorted(cut_at, t, side="right") - 1
-        lifted = x[t - cut_at[stage], chain[:, stage]]
-        for lane, samples in zip(members[j], lifted):
+        lifted = x[t - cut_at[stage], chain[lanes_j][:, stage]]
+        for lane, samples in zip(lanes_j.tolist(), lifted):
             out[lane] = samples
     return out
 

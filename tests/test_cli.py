@@ -603,10 +603,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "950e595e32337f7e5d3cd496f0d0af4bf60512cf55cb4bbad47e1ce4124a244d",
+         "4b67fcd5741cd56a1971cb3f3bdcb1d7487e2e8a68f9e9b42cad02efd8a2f765",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "6da626549314435d358cdff761e6a24a8bd6187ee154e2b30e711ec66a9ce59a",
+         "211cce777aca72996d73a3b77f1df6353d571c92d07268211ed69158f775d584",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

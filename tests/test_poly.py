@@ -246,6 +246,16 @@ class TestRootsOf:
         assert got[(1.0, 0.0)] == 1
         assert got[(-1.0, 0.0)] == 1
 
+    @pytest.mark.parametrize("w", [1e300, 1e200j, 1e160 + 1e160j])
+    def test_an_overflowing_fiber_raises_no_convergence(self, w):
+        # its Aberth run overflows; with warnings as errors it still fails
+        # with the solver's own error, not a numpy warning
+        f = make_newton_map(CUBIC_UNITY)
+        with pytest.raises(NoConvergence, match="residual not finite for the fiber over"):
+            lift_point(f, w)
+        with pytest.raises(NoConvergence, match="residual not finite for degree 3 at"):
+            roots_of(f.numerator - f.denominator * w)
+
     def test_residuals_certified(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -298,6 +308,54 @@ class TestBatchedRoots:
         # and in a batch of one degree alone
         sixes = [i for i, q in enumerate(polys) if q.degree == 6]
         assert roots_of_rows([polys[i] for i in sixes]) == [alone[i] for i in sixes]
+
+    @staticmethod
+    def one_row_starts(c):
+        """Aberth's starts for one row c, as a row alone takes them from
+        numpy scalars: the oracle of the batched _initial_points."""
+        n = len(c) - 1
+        r0 = abs(c[0] / c[-1]) ** (1.0 / n) if c[0] != 0 else 1.0
+        rmax = 1.0 + max(abs(c[i] / c[-1]) for i in range(n))
+        r = min(max(r0, 1e-3), rmax)
+        ang = 2 * np.pi * np.arange(n) / n + 0.376
+        return r * np.exp(1j * ang) * (1 + 0.01 * np.arange(n) / max(n, 1))
+
+    def test_batched_starts_are_the_one_row_formula_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5, 8):
+            c = rng.normal(size=(400, n + 1)) + 1j * rng.normal(size=(400, n + 1))
+            c *= 10.0 ** rng.uniform(-6, 6, size=c.shape)
+            c[::7, 0] = 0
+            c = c / np.max(np.abs(c), axis=1, keepdims=True)
+            oracle = np.array([self.one_row_starts(row) for row in c])
+            assert poly._initial_points(c).tobytes() == oracle.tobytes()
+            assert poly._initial_points(c[3]).tobytes() == oracle[3].tobytes()
+
+    def test_array_rows_come_out_in_roots_of_order(self):
+        # rows of one degree given as an array, named and optional, against
+        # roots_of; several hold roots whose real parts tie to 12 places
+        rng = np.random.default_rng(23)
+        polys = [Polynomial.from_roots(rng.normal(size=5) + 1j * rng.normal(size=5))
+                 for _ in range(12)]
+        polys += [Polynomial.from_roots([1 + 1j, 1 - 1j, -2, 0.5 + 3j, 0.5 - 3j]),
+                  Polynomial.from_roots([2j, -2j, 1j, -1j, 3], 2 - 1j)]
+        alone = [roots_of(q) for q in polys]
+        rows = np.array([q.coeffs for q in polys])
+        assert roots_of_rows(rows) == alone
+        optional = roots_of_rows(rows, names=[None] * len(polys))
+        for points, roots in zip(optional, alone):
+            assert points.tolist() == [z for z, _ in roots]
+
+    def test_real_parts_that_round_alike_sort_by_imaginary_part(self):
+        # real parts an ulp apart, or both zero with either sign, tie in
+        # _root_order, where the order by real part alone would split them
+        rng = np.random.default_rng(41)
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        points = [complex(up, 2), complex(1, -1), complex(down, 0.5), complex(-0.0, 1),
+                  complex(0.0, -3), 5 + 0j, -2 + 1e-3j]
+        rows = np.array([rng.permutation(points) for _ in range(20)])
+        oracle = [sorted(row.tolist(), key=lambda z: poly._root_order((z, 1))) for row in rows]
+        assert poly._in_root_order(rows).tolist() == oracle
 
     def test_a_settled_row_freezes(self, monkeypatch):
         # a row is evaluated as often in a batch as alone: once its stop
@@ -495,6 +553,14 @@ def aberth_points(qs):
     return (c,) + poly._aberth_rows(c, np.array([poly._initial_points(row) for row in c]), 400)
 
 
+def finished(qs, c, pts, corr):
+    """_finish_rows on the rows of qs: each row's roots with multiplicities,
+    in the finish's order, or the NoConvergence that fails it."""
+    q = np.array([q.coeffs for q in qs], dtype=complex)
+    roots, odd = poly._finish_rows(q, c, pts, corr, ["a row"] * len(qs))
+    return [odd.get(k, [(z, 1) for z in row]) for k, row in enumerate(roots.tolist())]
+
+
 def finish_bits(done):
     """A finished row as bytes and multiplicities, or its error's text."""
     if isinstance(done, NoConvergence):
@@ -545,7 +611,7 @@ class TestBatchedFinish:
         assert not certified[1, 0] and certified[1, 1:].all()
         assert mult[2, 0] == 4 and not certified[2, 0]
         assert not certified[3, 0] and not certified[4, 0]
-        done = poly._finish_rows(qs, c, pts, corr, ["a row"] * 5)
+        done = finished(qs, c, pts, corr)
         assert sorted((round(z.real), m) for z, m in done[0]) == [(-3, 1), (1, 2), (2, 1)]
         for k in (1, 2):  # retried: polished on q, or rerun after deflation
             assert [m for _, m in done[k]] == [1, 1, 1, 1]
@@ -599,7 +665,7 @@ class TestBatchedFinish:
         certified, mult, clustered = self.assert_verdicts_match_the_oracle(
             mixed[0], *mixed[2:]
         )
-        batch = poly._finish_rows(*mixed, ["a row"] * 17)
+        batch = finished(*mixed)
         place = list(range(6)) + list(range(11, 17))
         for k, q in enumerate(qs):
             c1 = np.array([q.coeffs], dtype=complex)
@@ -607,21 +673,17 @@ class TestBatchedFinish:
             assert alone[0][0].tobytes() == certified[place[k]].tobytes()
             assert alone[2][0].tobytes() == mult[place[k]].tobytes()
             assert alone[3][0].any() == clustered[place[k]]
-            [finished] = poly._finish_rows(
-                [q], c[k : k + 1], pts[k : k + 1], corr[k : k + 1], ["a row"]
-            )
-            assert finish_bits(finished) == finish_bits(batch[place[k]])
+            [row] = finished([q], c[k : k + 1], pts[k : k + 1], corr[k : k + 1])
+            assert finish_bits(row) == finish_bits(batch[place[k]])
             # a scalar polish of the same points gives the same roots
-            for (a, m), z in zip(finished, pts[k].tolist()):
+            for (a, m), z in zip(row, pts[k].tolist()):
                 b = scalar_polish(q, z)
                 assert m == 1 and abs(a - b) <= 4 * EPS * (1 + abs(b))
         # the double-root row, the retried rows and the failed rows come
         # out alone as in the mixed batch
         for k in range(len(special)):
-            [finished] = poly._finish_rows(
-                special[k : k + 1], sc[k : k + 1], spts[k : k + 1], scorr[k : k + 1], ["a row"]
-            )
-            assert finish_bits(finished) == finish_bits(batch[6 + k])
+            [row] = finished(special[k : k + 1], sc[k : k + 1], spts[k : k + 1], scorr[k : k + 1])
+            assert finish_bits(row) == finish_bits(batch[6 + k])
 
 
 class TestMakeNewtonMap:
@@ -702,6 +764,19 @@ class TestEvaluate:
         assert f.evaluate(0j) == INF  # double pole at 0
         img = f.evaluate(1 + 0j)
         assert type(img) is complex and abs(img - 1) < 1e-12
+
+    def test_fiber_rows_are_the_polynomial_arithmetic_bit_for_bit(self):
+        # w = 0 and an underflowing product leave trailing zeros, which
+        # Polynomial drops before it subtracts
+        rng = np.random.default_rng(29)
+        ws = list(rng.normal(size=40) * 10.0 ** rng.uniform(-8, 8, 40)
+                  + 1j * rng.normal(size=40))
+        ws += [0j, complex(-0.0, 0.0), 1e-320, 2.0, -1j]
+        for p in (CUBIC_UNITY, CUBIC_ODD, P(0.7 - 1.3j, 2 + 0.5j, -1.1 + 0.4j, 0.3 - 0.9j, 1)):
+            f = make_newton_map(p)
+            rows = f.fiber_rows(np.array(ws))
+            for w, row in zip(ws, rows):
+                assert row.tobytes() == np.array((f.numerator - f.denominator * w).coeffs).tobytes()
 
     def test_fiber_points_are_complex_numbers(self):
         # lift_point's points are complex numbers that also answer value and

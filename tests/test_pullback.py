@@ -54,7 +54,7 @@ from newtongraph.rays import (
     polyline_from_json,
     solve_preimage_near,
 )
-from newtongraph.sphere import INF, chordal_distance
+from newtongraph.sphere import INF, chordal_distance, closest_pair
 from newtongraph.tolerances import Tolerances
 
 from conftest import (
@@ -395,8 +395,20 @@ class TestSegmentedLift:
             for j, points in sources.items():
                 stops = [0] + [c for c, _ in cuts[j]] + [len(points) - 2]
                 longest = max(longest, max(b - a for a, b in zip(stops, stops[1:])))
-            assert n == longest <= self.SPACING + self.SPACING // 2
+            assert n == longest <= self.SPACING
             assert n < max(len(points) for points in sources.values()) - 2
+
+    def test_sources_are_cut_into_near_equal_segments(self):
+        for last in range(1, 201):
+            cuts = pullback._cut_samples(last)
+            stops = [0] + cuts + [last]
+            lengths = [b - a for a, b in zip(stops, stops[1:])]
+            assert max(lengths) - min(lengths) <= 1
+            assert max(lengths) <= self.SPACING
+            # the fewest segments that keep to the spacing
+            assert len(lengths) == -(-last // self.SPACING)
+            if last <= self.SPACING:
+                assert cuts == []
 
     @pytest.mark.parametrize("spoil", ["shifted", "far"])
     def test_a_segment_end_off_its_cut_fiber_raises(self, cubic_unity, monkeypatch, spoil):
@@ -454,9 +466,10 @@ class TestSegmentedLift:
         def close_pair(polys, known=None, names=None):
             out = solve(polys, known, names)
             if None in names:
-                k = names.index(None)
-                z = out[k][0][0]
-                out[k] = ((z, 1), (z + 1e-9, 1)) + out[k][2:]
+                k = names.index(None)  # an optional row: its simple roots
+                points = out[k].copy()
+                points[1] = points[0] + 1e-9
+                out[k] = points
             return out
 
         def recording_fibers(f, targets, cuts=()):
@@ -486,7 +499,7 @@ class TestSegmentedLift:
                 reference = scalar_lift(f, sources[edge], start.value, direction)
                 TestLockstepLift.assert_same_lift(lane, reference[:-1])
         [(_, _, cuts, _, _)] = levels[-1:]
-        assert [c for c, _ in cuts[0]] == [2 * self.SPACING, 3 * self.SPACING]
+        assert [c for c, _ in cuts[0]] == pullback._cut_samples(len(ray.points) - 2)[1:]
         assert np.isinf(lifted[-1])
         TestLockstepLift.assert_same_lift(
             lifted, scalar_lift(cubic_unity, ray.points, 1 + 0j, ray.angles[0])
@@ -733,6 +746,26 @@ class TestLevelFibers:
             assert len(degrees) == len(set(degrees))
         # a fiber over a root solves a remainder of lower degree
         assert any(n < f.degree for runs in solves for _, n in runs)
+
+    @pytest.mark.parametrize("map_name, graph_name", POOL)
+    def test_a_level_solve_is_each_fiber_solved_alone(self, request, map_name, graph_name):
+        # all rows of a level in one call, as pullback_level solves them,
+        # against each target and each cut in a call of its own
+        f = request.getfixturevalue(map_name)
+        for dg in request.getfixturevalue(graph_name).graphs[:-1]:
+            geo = dg.geo
+            newest = [geo.edges[j] for j in dg.edges_at_level(dg.level)]
+            targets = list(dict.fromkeys(geo.vertices[v] for e in newest for v in (e.tail, e.head)))
+            cuts = [complex(e.points[c]) for e in newest
+                    for c in pullback._cut_samples(len(e.points) - 2)]
+            together = pullback._fibers(f, targets, cuts)
+            for w, fiber in zip(targets, together):
+                [alone] = pullback._fibers(f, [w])
+                assert ([(m.value, m.local_degree) for m in fiber]
+                        == [(m.value, m.local_degree) for m in alone])
+            for c, fiber in zip(cuts, together[len(targets):]):
+                [alone] = pullback._fibers(f, [], [c])
+                assert fiber is not None and np.array_equal(fiber, alone)
 
     # towers of two passes: the second solves over the first's ends again
     TWO_LEVEL = [unity(3), unity(4), ROTATED_AND_SCALED[0], ROTATED_AND_SCALED[3]]
@@ -1030,6 +1063,17 @@ class TestLevelCollisionGuards:
     two points of one fiber, and a lift ending at a vertex over another
     image."""
 
+    @staticmethod
+    def spoiled_solve(monkeypatch, spoil):
+        """roots_of_rows with the roots of each named row passed to spoil."""
+        solve = pullback.roots_of_rows
+
+        def spoiled(polys, known=None, names=None):
+            rows = solve(polys, known, names)
+            return [spoil(row) if name is not None else row for row, name in zip(rows, names)]
+
+        monkeypatch.setattr(pullback, "roots_of_rows", spoiled)
+
     def test_fiber_points_colliding_below_match_tol_abort(self, cubic_unity, monkeypatch):
         w = 0.3 + 0.7j
         a = complex(lift_point(cubic_unity, w)[0][0])
@@ -1046,6 +1090,49 @@ class TestLevelCollisionGuards:
         )
         with pytest.raises(NonPlanarIncidence, match=message):
             lift_point(cubic_unity, w)
+
+    def test_the_closest_of_two_colliding_pairs_is_named(self, quartic_unity, monkeypatch):
+        # every fiber of the call gets two pairs below match_tol, the second
+        # closer: the first fiber in target order names its closest pair
+        f = quartic_unity
+        ws = [0.3 + 0.7j, -0.4 + 0.2j]
+        a, b = (complex(z) for z, _ in lift_point(f, ws[1])[:2])
+        pair = ((a, 1), (a + 4e-9, 1), (b, 1), (b + 1e-9, 1))
+        assert closest_pair([a, a + 4e-9, b, b + 1e-9])[1:] == (2, 3)
+        self.spoiled_solve(monkeypatch, lambda row: pair)
+        message = (
+            rf"fiber points {re.escape(str(b))} and {re.escape(str(b + 1e-9))} over "
+            rf"{re.escape(str(ws[0]))} collide below match_tol"
+        )
+        with pytest.raises(NonPlanarIncidence, match=message):
+            pullback._fibers(f, ws)
+
+    def test_only_a_crowded_fiber_aborts(self, quartic_unity, monkeypatch):
+        # one fiber of three holds two points 1.5 match_tol apart, which the
+        # batched pass flags and the scalar closest pair clears; then the
+        # third alone holds a pair at half of match_tol
+        f = quartic_unity
+        ws = [0.3 + 0.7j, -0.4 + 0.2j, 1.1 - 0.6j]
+        fibers = [[complex(z) for z, _ in lift_point(f, w)] for w in ws]
+        tol = f.tol.match_tol
+
+        def nudged(k, gap):
+            def spoil(row):
+                points = [z for z, _ in row]
+                if points[0] != fibers[k][0]:
+                    return row
+                z = points[0]
+                apart = z + gap * tol * (1 + abs(z) ** 2) / 2
+                assert chordal_distance(z, apart) == pytest.approx(gap * tol, rel=1e-6)
+                return ((z, 1), (apart, 1)) + row[2:]
+            return spoil
+
+        self.spoiled_solve(monkeypatch, nudged(1, 1.5))
+        assert [len(fiber) for fiber in pullback._fibers(f, ws)] == [4, 4, 4]
+        monkeypatch.undo()
+        self.spoiled_solve(monkeypatch, nudged(2, 0.5))
+        with pytest.raises(NonPlanarIncidence, match=rf"over {re.escape(str(ws[2]))} collide"):
+            pullback._fibers(f, ws)
 
     def test_lift_ending_at_a_vertex_over_another_image_aborts(
         self, cubic_unity, monkeypatch
