@@ -35,7 +35,7 @@ class RayCollision(NewtonGraphError):
 
 
 class NoEscape(NewtonGraphError):
-    """Ray continuation failed to reach the escape radius."""
+    """Ray continuation failed to reach the map's ray radius."""
 
 
 class BranchJump(NewtonGraphError):

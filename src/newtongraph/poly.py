@@ -325,16 +325,15 @@ def roots_of_rows(
             if q.is_zero:
                 raise ValueError("zero polynomial")
             by_degree.setdefault(q.degree, []).append(i)
-        groups = [(members, np.array([polys[i].coeffs for i in members], dtype=complex))
-                  for members in by_degree.values()]
+        groups = [(members, [polys[i].coeffs for i in members]) for members in by_degree.values()]
     out: list = [None] * len(polys)
     failed: dict[int, NoConvergence] = {}
     for members, q in groups:
         labels = ([names[i] for i in members] if names is not None
-                  else [f"degree {q.shape[1] - 1}"] * len(members))
+                  else [f"degree {len(q[0]) - 1}"] * len(members))
         divide = {k: known[i] for k, i in enumerate(members) if known[i]} if known else {}
         points, clean, other = _solve_rows(q, divide, labels)
-        values = points.tolist()
+        values = points.tolist() if points is not None else None
         for k, (i, label) in enumerate(zip(members, labels)):
             if clean[k]:
                 out[i] = tuple([(z, 1) for z in values[k]]) if label is not None else points[k]
@@ -352,76 +351,91 @@ def roots_of_rows(
     return out
 
 
+def _deflated(
+    coeffs: list[complex], known: Sequence[tuple[complex, int]]
+) -> tuple[list[tuple[complex, int]], list[complex]]:
+    """(roots, rest) of one coefficient row, lowest first: the known roots
+    with their multiplicities, divided out by synthetic division, then the
+    exactly zero low coefficients as a root at 0, and a linear rest solved
+    directly; rest is what is left, solved only if its degree is 2 or more."""
+    roots = []
+    for r, m in known:
+        for _ in range(m):
+            coeffs = _deflate(coeffs, r)
+        roots.append((complex(r), m))
+    zero_mult = 0
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        coeffs.pop(0)
+        zero_mult += 1
+    if zero_mult:
+        roots.append((0j, zero_mult))
+    if len(coeffs) == 2:  # linear: solved directly
+        roots.append((complex(-coeffs[0] / coeffs[1]), 1))
+    return roots, coeffs
+
+
 def _solve_rows(
-    q: np.ndarray, known: dict[int, Sequence[tuple[complex, int]]], labels: Sequence[str | None]
-) -> tuple[np.ndarray, np.ndarray, dict]:
+    q: np.ndarray | list[tuple[complex, ...]],
+    known: dict[int, Sequence[tuple[complex, int]]],
+    labels: Sequence[str | None],
+) -> tuple[np.ndarray | None, np.ndarray | list[bool], dict]:
     """The roots of each row of q, coefficient rows lowest first of one
-    degree d with a nonzero last column: one Aberth run and one finish
-    (_finish_rows) per degree of what is left to solve.
+    degree d with a nonzero last column, as an array or as tuples of Python
+    complex numbers: one Aberth run and one finish (_finish_rows) per degree
+    of what is left to solve.
 
     A row k in known has those roots, with exact multiplicities, divided
-    out by synthetic division; exactly zero low coefficients are divided out
-    as roots at 0, and a linear remainder is solved directly. labels name
+    out, and so have exactly zero low coefficients (_deflated). labels name
     the rows in errors. Returns (points, clean, other): a clean row is one
     solved whole, with no root known or at 0, whose finish gives d simple
     roots, which points holds in the order of _root_order; other holds, by
     row, every other row's roots with multiplicities, so sorted, or the
-    NoConvergence that fails it.
+    NoConvergence that fails it. When no row is left to solve, as when every
+    root is known or at 0, no array is made and points is None.
     """
-    rows, d = q.shape[0], q.shape[1] - 1
-    clean = q[:, 0] != 0 if d > 1 else np.zeros(rows, dtype=bool)
-    if known:
-        clean[list(known)] = False
-    whole = np.flatnonzero(clean)  # the rows solved as they are
+    rows, d = len(q), len(q[0]) - 1
+    first = q[:, 0].tolist() if isinstance(q, np.ndarray) else [c[0] for c in q]
+    clean = [d > 1 and c != 0 and k not in known for k, c in enumerate(first)]
     found: dict[int, list[tuple[complex, int]]] = {}
     rests: dict[int, list[tuple[int, list[complex]]]] = {}
-    for k in np.flatnonzero(~clean).tolist():
-        coeffs = q[k].tolist()
-        roots = []
-        for r, m in known.get(k, ()):
-            for _ in range(m):
-                coeffs = _deflate(coeffs, r)
-            roots.append((complex(r), m))
-        zero_mult = 0
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs.pop(0)
-            zero_mult += 1
-        if zero_mult:
-            roots.append((0j, zero_mult))
-        if len(coeffs) == 2:  # linear: solved directly
-            roots.append((complex(-coeffs[0] / coeffs[1]), 1))
-        found[k] = roots
-        if len(coeffs) > 2:
-            rests.setdefault(len(coeffs) - 1, []).append((k, coeffs))
-
-    groups = [(whole, q[whole])] if len(whole) else []
-    groups += [(np.array([k for k, _ in rest]), np.array([c for _, c in rest], dtype=complex))
-               for rest in rests.values()]
-    points = np.zeros((rows, d), dtype=complex)
+    for k, whole_row in enumerate(clean):
+        if not whole_row:
+            row = q[k].tolist() if isinstance(q, np.ndarray) else list(q[k])
+            found[k], coeffs = _deflated(row, known.get(k, ()))
+            if len(coeffs) > 2:
+                rests.setdefault(len(coeffs) - 1, []).append((k, coeffs))
     other: dict[int, tuple[tuple[complex, int], ...] | NoConvergence] = {}
-    for members, c in groups:
-        c = c / np.max(np.abs(c), axis=1, keepdims=True)
-        pts, corr = _aberth_rows(c, _initial_points(c), 400)
-        roots, odd = _finish_rows(q[members], c, pts, corr, [labels[k] for k in members])
-        if roots.shape[1] == d:  # the rows solved whole
-            points[members] = roots
-        else:
-            for i, k in enumerate(members.tolist()):
-                if i not in odd:
-                    found[k] += [(z, 1) for z in roots[i].tolist()]
-        for i, done in odd.items():
-            k = int(members[i])
-            clean[k] = False
-            if isinstance(done, NoConvergence):
-                other[k] = done
+    points = None
+    if any(clean) or rests:
+        q, clean = np.asarray(q, dtype=complex), np.array(clean)
+        whole = np.flatnonzero(clean)  # the rows solved as they are
+        groups = [(whole, q[whole])] if len(whole) else []
+        groups += [(np.array([k for k, _ in rest]), np.array([c for _, c in rest], dtype=complex))
+                   for rest in rests.values()]
+        points = np.zeros((rows, d), dtype=complex)
+        for members, c in groups:
+            c = c / np.max(np.abs(c), axis=1, keepdims=True)
+            pts, corr = _aberth_rows(c, _initial_points(c), 400)
+            roots, odd = _finish_rows(q[members], c, pts, corr, [labels[k] for k in members])
+            if roots.shape[1] == d:  # the rows solved whole
+                points[members] = roots
             else:
-                found.setdefault(k, []).extend(done)
+                for i, k in enumerate(members.tolist()):
+                    if i not in odd:
+                        found[k] += [(z, 1) for z in roots[i].tolist()]
+            for i, done in odd.items():
+                k = int(members[i])
+                clean[k] = False
+                if isinstance(done, NoConvergence):
+                    other[k] = done
+                else:
+                    found.setdefault(k, []).extend(done)
+        if len(whole):
+            points[clean] = _in_root_order(points[clean])
     for k, roots in found.items():
         if k not in other:
             other[k] = (tuple(sorted(roots, key=_root_order)) if sum(m for _, m in roots) == d
                         else NoConvergence(f"multiplicity bookkeeping lost roots of {labels[k]}"))
-    if len(whole):
-        points[clean] = _in_root_order(points[clean])
     return points, clean, other
 
 
@@ -847,6 +861,113 @@ class NewtonMap:
             t = radius / 2
             rho = min(rho, 2 * t / (big * (big + t)))
         return rho
+
+    # --- near infinity ------------------------------------------------------
+
+    @cached_property
+    def _far_model(self) -> tuple[complex, tuple[float, ...]]:
+        """(b, |xi - b| per root xi): the centroid of the roots, and how far
+        each root lies from it."""
+        b = sum(self.roots) / self.degree
+        return b, tuple(abs(r - b) for r in self.roots)
+
+    def far_turn(self, z: complex) -> float:
+        """A bound on how far the angle of z differs from the angle at
+        infinity of a fixed ray that has z as a sample, inf when none holds.
+
+        With u = z - b and eta_i = xi_i - b, whose sum is 0, f(z) - b = (u /
+        lam) (1 + uE / (d - 1)) / (1 + uE / d), lam = d / (d - 1) and uE =
+        sum eta_i^2 / (u (u - eta_i)), so |uE| <= eps(r) = sum |eta_i|^2 /
+        (r (r - |eta_i|)) at r = |u| > max |eta_i|. Each outward lift then
+        turns u by at most delta(r) = asin(eps / (d - 1)) + asin(eps / d)
+        and multiplies |u| by at least mu = lam (1 - eps / d) / (1 + eps /
+        (d - 1)), so the ray beyond z turns by at most T(r) = sum_n
+        delta(r mu^n), finite when mu > 1. Since eps(r mu) <= eps(r) / mu^2
+        and asin(x) / x grows with x, T(r) <= delta(r) / (1 - mu^-2), the
+        bound taken. asin(|b| / |z|) is the most by which the angles of u
+        and z differ.
+        """
+        b, _ = self._far_model
+        return self._far_bound(abs(z - b), abs(z))
+
+    def _far_bound(self, r: float, az: float) -> float:
+        """far_turn at |z - b| = r and |z| = az."""
+        d = self.degree
+        b, eta = self._far_model
+        if not (r > max(eta) and az > abs(b)):
+            return math.inf
+        eps = sum(e * e / (r * (r - e)) for e in eta)
+        mu = d / (d - 1) * (1 - eps / d) / (1 + eps / (d - 1))
+        if not mu > 1:
+            return math.inf
+        turn = math.asin(eps / (d - 1)) + math.asin(eps / d)
+        return turn / (1 - mu**-2) + math.asin(abs(b) / az)
+
+    @cached_property
+    def ray_radius(self) -> float:
+        """The radius at which the fixed rays stop: the least R, up to the
+        cap tol.escape_radius, at which two rules hold.
+
+        The pole rule: a lift of a ray's closing chord from |z| >= R ends
+        near a pole q of local degree m and local model 1/f(q + u) = beta
+        u^m at |u| <= (1 / (|beta| R))^(1/m), and a lift of that lift ends
+        near each mark c over q, f(c + v) = q + b v^k, at |v| <= (|u| /
+        |b|)^(1/k). Each end must lie within a quarter of its mark's
+        clearance, the distance to the nearest other mark, as a ray's
+        fundamental segment keeps a quarter of its root's. Where the mark's
+        local degree is 2 or more, the lift's sheet is read from the turn of
+        the local model, so its first correction kappa u, kappa the next
+        Taylor coefficient over the leading one, must also stay within 1/32
+        (a two-hundredth of a turn).
+
+        The infinity rule: far_turn at |z| = R, along the ray that turns
+        most, is at most pi / (2 n) for the map's n fixed rays, a quarter of
+        their mean gap at infinity. channel_diagram checks the gaps of the
+        rays it traces and doubles R where they are narrower.
+
+        Both are covariant under z -> a z, so R scales by |a| below the cap.
+        """
+        cap = self.tol.escape_radius
+        marks = [mark.value for mark in self.marked_points]
+
+        def reach(mark: MarkedPoint, over: complex) -> float:
+            """How near mark, over the point over, a lift must end."""
+            x, _, m, coeff = mark
+            near = min(abs(y - x) for y in marks if y != x) / 4
+            kappa = abs(self.leading_coefficient(x, m + 1, over) / coeff) if m > 1 else 0.0
+            return min(near, 1 / (32 * kappa)) if kappa else near
+
+        radius = 0.0
+        for pole in self.marked_points:
+            if pole.kind != KIND_POLE:
+                continue
+            # how near the pole a lift must end to be within reach of the
+            # pole and of every mark over it
+            near = reach(pole, INF)
+            for mark, over in self._images:
+                if mark.kind == KIND_PLAIN and chordal_distance(over, pole.value) <= self.tol.match_tol:
+                    near = min(near, abs(mark.coefficient) * reach(mark, over) ** mark.local_degree)
+            radius = max(radius, 1 / (abs(pole.coefficient) * near**pole.local_degree))
+        b, eta = self._far_model
+        rays = sum(mark.local_degree - 1 for mark in self.marked_points[: len(self.roots)])
+        budget = math.pi / (2 * rays)
+        # far_turn at |z| = R is at most _far_bound(R - |b|, R), which falls
+        # as R grows: bracket its least R within budget, then bisect, in
+        # units of |b| + max |eta| so that the search is scale-free
+        unit = abs(b) + max(eta)
+
+        def fits(t: float) -> bool:
+            return self._far_bound(unit * t - abs(b), unit * t) <= budget
+
+        lo, hi = 1.0, 2.0
+        while not fits(hi):
+            if unit * hi >= cap:
+                return cap
+            lo, hi = hi, 2 * hi
+        for _ in range(8):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+        return min(max(radius, unit * hi), cap)
 
     # --- marked-point lookups ----------------------------------------------
 

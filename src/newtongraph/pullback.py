@@ -309,8 +309,12 @@ def _read_head(
     """The mark a lift ends at, one sample after x_last over w_last, and the
     angle it leaves it at. By _head_ranking the best score must be at most
     log 2 (the distance within a factor 2 of the prediction) and the
-    runner-up's at least log 5 larger: ratios, which hold at any escape
-    radius and scale of the map. arg r, the turn by which the lift misses its
+    runner-up's at least log 5 larger: ratios, unchanged when the map is
+    scaled. They hold for a lift of a ray's closing chord because the ray
+    radius keeps its end within a quarter of the clearance of the pole, or
+    the mark over a pole, it ends at (NewtonMap.ray_radius); a fixed radius
+    below that, such as 4 for z^7 - 1, leaves the reading ambiguous over the
+    pole 0 at level 2. arg r, the turn by which the lift misses its
     sheet t, must be at most _END_TURN; the lift leaves its head at (theta -
     arg b + 2 pi t) / m, the source's head angle theta moved onto W's turn.
     edge names the source edge in the errors."""
@@ -953,7 +957,9 @@ def locate_face(geo: GeoGraph, embedded: EmbeddedGraph, q: complex) -> int | Non
     directed nearest segment when that point is interior to it, with the
     corner rule at polyline bends, and by rotation sector when the nearest
     point is a vertex. All side tests run in a chart containing the local
-    data (1/z near infinity), so counterclockwise order is preserved.
+    data (1/z near infinity), so counterclockwise order is preserved. Beyond
+    the map's ray radius a channel edge is its chord to infinity, so a point
+    out there is sided against that chord.
     """
     q = point(q)
     ei, si, dist = nearest_edge_point(geo, q)

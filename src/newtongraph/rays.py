@@ -5,11 +5,15 @@ immediate basin carries k - 1 invariant accesses to infinity. A ray is traced
 from a short straight fundamental segment in an invariant direction near the
 root, then continued by repeated inverse lifts: the preimage of each traced
 segment, taken along the branch that starts at the segment's outer endpoint,
-extends the ray outward until it escapes past the escape radius. Forward
-iteration is useless here (it contracts into the root), so tracing runs
-against the dynamics. trace_fixed_ray returns a ray as a frozen polyline,
-root first and inf last; channel_diagram joins the rays of every root into
-a GeoGraph.
+extends the ray outward until it passes the map's ray radius, where its
+chord to infinity closes it. Forward iteration is useless here (it
+contracts into the root), so tracing runs against the dynamics.
+trace_fixed_ray returns a ray as a frozen polyline, root first and inf last;
+channel_diagram joins the rays of every root into a GeoGraph. The radius,
+NewtonMap.ray_radius, is certified per map: there the rays' cyclic order at
+infinity is read off their closing chords (NewtonMap.far_turn bounds each
+chord's error, and channel_diagram checks the gaps), and the chords' lifts
+end well inside the local models of the poles and of the marks over them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     NotARoot,
     RayCollision,
 )
-from .poly import MarkedPoint, NewtonMap, horner
+from .poly import MarkedPoint, NewtonMap
 from .sphere import INF, offset, point
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -119,18 +123,31 @@ def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None
 
     Newton's method on a/b = target with the rows and target of
     f.corrector(w): f = w, or 1/f = 1/w in the map's 1/z chart, where a pole
-    of f is a regular point of 1/f.
+    of f is a regular point of 1/f. The four rows are evaluated by Horner
+    loops written out here, each the operations of horner in its order, so
+    that a step makes no call per row.
     """
     tol = f.tol
     (a, b, da, db), target = f.corrector(w)
+    a0, b0, da0, db0 = a[0], b[0], da[0], db[0]
+    a, b, da, db = a[1:], b[1:], da[1:], db[1:]
     x = x0
     for _ in range(50):
-        av, bv = horner(a, x), horner(b, x)
+        av, bv = a0, b0
+        for c in a:
+            av = av * x + c
+        for c in b:
+            bv = bv * x + c
         if bv == 0:
             x += 1e-12 * (1 + abs(x))
             continue
+        dav, dbv = da0, db0
+        for c in da:
+            dav = dav * x + c
+        for c in db:
+            dbv = dbv * x + c
         g = av / bv - target
-        gp = (horner(da, x) * bv - av * horner(db, x)) / (bv * bv)
+        gp = (dav * bv - av * dbv) / (bv * bv)
         if gp == 0:
             x += 1e-12 * (1 + abs(x))
             continue
@@ -140,8 +157,12 @@ def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None
             break
     else:
         return None
-    bv = horner(b, x)
-    res = abs(horner(a, x) / bv - target) if bv != 0 else math.inf
+    av, bv = a0, b0
+    for c in a:
+        av = av * x + c
+    for c in b:
+        bv = bv * x + c
+    res = abs(av / bv - target) if bv != 0 else math.inf
     if not residual_ok(res, target, tol):
         return None
     return x
@@ -185,13 +206,16 @@ def _thinned(seg: list[complex], center: complex, ratio: float) -> list[complex]
     return kept
 
 
-def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) -> np.ndarray:
+def trace_fixed_ray(
+    f: NewtonMap, local: BottcherLocal, direction_index: int, radius: float | None = None
+) -> np.ndarray:
     """Trace one invariant ray from the root out to infinity.
 
     Returns the ray as a frozen polyline: the root first, inf last, and in
-    between the samples up to the first one past escape_radius. Its first
-    chord leaves the root in the fixed direction, and its last chord, drawn
-    in the w = 1/z chart, gives the ray's angle at infinity.
+    between the samples up to the first one at |z| >= radius, by default
+    f.ray_radius. Its first chord leaves the root in the fixed direction,
+    and its last chord, drawn in the w = 1/z chart, gives the ray's angle at
+    infinity to within f.far_turn of its last finite sample.
 
     The ray starts with a fundamental segment spaced at sample_ratio; each
     further segment is the inverse lift of the previous one, thinned
@@ -202,6 +226,7 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
     lift continues over the thinned segment.
     """
     tol = f.tol
+    radius = f.ray_radius if radius is None else radius
     theta = local.fixed_directions[direction_index]
     xi, _, k, a = local.mark
 
@@ -220,7 +245,8 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
         for j in range(m + 1)
     ]
 
-    crit_hot = [c for c, _ in f.critical_points]
+    # the critical points a lift must not land on: all but the root itself
+    hot = [(c, 1e-12 * (1 + abs(c))) for c, _ in f.critical_points if abs(c - xi) > 1e-9]
     points: list[complex] = list(seg)
     cur = seg
     escaped = False
@@ -228,22 +254,22 @@ def trace_fixed_ray(f: NewtonMap, local: BottcherLocal, direction_index: int) ->
         new = [cur[-1]]
         for j in range(1, len(cur)):
             x = continue_inverse_branch(f, cur[j - 1], cur[j], new[-1])
-            for c in crit_hot:
-                if abs(x - c) <= 1e-12 * (1 + abs(c)) and abs(c - xi) > 1e-9:
+            for c, near in hot:
+                if abs(x - c) <= near:
                     raise RayCollision(f"ray lift landed on critical point {c}")
             new.append(x)
         cur = _thinned(new, xi, tol.sample_ratio)
         points.extend(cur[1:])
-        if abs(cur[-1]) >= tol.escape_radius:
+        if abs(cur[-1]) >= radius:
             escaped = True
             break
     if not escaped:
         raise NoEscape(
             f"ray from root {xi} direction {theta:.6f} did not reach "
-            f"radius {tol.escape_radius:g} within {MAX_RAY_LIFTS} lifts"
+            f"radius {radius:g} within {MAX_RAY_LIFTS} lifts"
         )
     # truncate at the first escaped sample, then close with infinity
-    cut = next(i for i, z in enumerate(points) if abs(z) >= tol.escape_radius)
+    cut = next(i for i, z in enumerate(points) if abs(z) >= radius)
     return frozen_polyline([xi] + points[: cut + 1] + [INF])
 
 
@@ -464,16 +490,36 @@ def channel_diagram(f: NewtonMap) -> GeoGraph:
 
     Vertices are the roots in order followed by infinity; edges are grouped by
     root and sorted by ray direction, so the construction is deterministic.
-    A map whose marks lie closer than match_tol raises NonPlanarIncidence.
+    The rays stop at f.ray_radius. There the angle each ray's closing chord
+    gives at infinity is within f.far_turn of its last sample of the true
+    one, and the rays' cyclic order at infinity is certified once every gap
+    between neighbouring angles exceeds the two bounds at its sides;
+    otherwise the rays are traced again to twice the radius, up to the cap
+    tol.escape_radius, where they are taken as they come. A map whose marks
+    lie closer than match_tol raises NonPlanarIncidence.
     """
     f.require_separated_marks()
     verts = tuple(point(r) for r in f.roots) + (INF,)
     inf_index = len(f.roots)
-    edges = []
-    for i in range(len(f.roots)):
-        loc = bottcher_local(f, i)
-        for j, theta in enumerate(loc.fixed_directions):
-            ray = trace_fixed_ray(f, loc, j)
-            at_infinity = _mod_tau(cmath.phase(offset(INF, complex(ray[-2]))))
-            edges.append(GeoEdge(i, inf_index, ray, (theta, at_infinity)))
-    return GeoGraph(verts, tuple(edges), f.tol)
+    locals_ = [bottcher_local(f, i) for i in range(len(f.roots))]
+    radius, cap = f.ray_radius, f.tol.escape_radius
+    while True:
+        edges = []
+        for i, loc in enumerate(locals_):
+            for j, theta in enumerate(loc.fixed_directions):
+                ray = trace_fixed_ray(f, loc, j, radius)
+                at_infinity = _mod_tau(cmath.phase(offset(INF, complex(ray[-2]))))
+                edges.append(GeoEdge(i, inf_index, ray, (theta, at_infinity)))
+        if radius >= cap or _order_at_infinity_certified(f, edges):
+            return GeoGraph(verts, tuple(edges), f.tol)
+        radius = min(2 * radius, cap)
+
+
+def _order_at_infinity_certified(f: NewtonMap, rays: list[GeoEdge]) -> bool:
+    """Whether each gap between neighbouring angles at infinity of the rays
+    exceeds the sum of the two rays' f.far_turn bounds."""
+    ends = sorted((e.angles[1], f.far_turn(complex(e.points[-2]))) for e in rays)
+    return all(
+        _mod_tau(b - a) > ea + eb
+        for (a, ea), (b, eb) in zip(ends, ends[1:] + ends[:1])
+    )

@@ -18,10 +18,10 @@ class Tolerances:
     # point is that point, and two points of one fiber this close abort.
     # Tower vertices are fiber points, identified by exact value.
     match_tol: float = 1e-6
-    # A fixed ray is traced until a sample reaches |z| >= escape_radius, then
-    # closed with infinity. Geometry only: a lift's end is matched by the
-    # local model at its head, whatever the radius, so the default is the
-    # validation floor, where the channel diagram carries the fewest samples.
+    # The cap of the radius at which a fixed ray is closed with infinity.
+    # Each map certifies its own radius, NewtonMap.ray_radius; where the
+    # certificate asks for more than the cap, as z^8 - 1 does of 1e3, the
+    # rays stop at the cap uncertified. The floor is the chart radius 1e3.
     escape_radius: float = 1e3
     # Basin membership disk for orbit classification (enter and stay).
     basin_tol: float = 1e-3

@@ -603,10 +603,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "4b67fcd5741cd56a1971cb3f3bdcb1d7487e2e8a68f9e9b42cad02efd8a2f765",
+         "66a28645aa69e4276845c8b5233235bd984a8edca3cac2030a6d114e41db8763",
          "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
         ("z4-z", ZMZ4,
-         "211cce777aca72996d73a3b77f1df6353d571c92d07268211ed69158f775d584",
+         "8049da1ba683278aac6fb3b9cb1849ee6d146f1daab45cc6280c748a6148af39",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

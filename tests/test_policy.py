@@ -89,15 +89,16 @@ class TestPolicyReachesEveryStage:
             compute_newton_graph(f)
 
     def test_escape_radius_comes_from_the_map(self):
-        # the rays of z^7 - 1 are traced out to the map's radius 1e12, not to
-        # the default 1e3, and the graph is as valid: the endpoint gate
-        # scales with the radius
+        # the rays of z^7 - 1 are traced out to the map's radius, which the
+        # map's cap 1e12 bounds, and the graph is as valid: the endpoint
+        # gate scales with the radius
         tol = Tolerances(escape_radius=1e12)
         f = make_newton_map(Polynomial((-1, 0, 0, 0, 0, 0, 0, 1)), tol)
+        assert f.ray_radius <= tol.escape_radius
         result = compute_newton_graph(f)
         for e in result.graphs[0].geo.edges:
             assert np.isinf(e.points[-1])
-            assert abs(e.points[-2]) >= tol.escape_radius
+            assert abs(e.points[-2]) >= f.ray_radius
         assert validate_newton_graph(result.dynamics).passed
         assert verify_face_counts(result, f).passed
 

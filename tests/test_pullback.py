@@ -49,10 +49,12 @@ from newtongraph.rays import (
     MAX_BISECTION_DEPTH,
     GeoEdge,
     GeoGraph,
+    bottcher_local,
     continue_inverse_branch,
     on_branch,
     polyline_from_json,
     solve_preimage_near,
+    trace_fixed_ray,
 )
 from newtongraph.sphere import INF, chordal_distance, closest_pair
 from newtongraph.tolerances import Tolerances
@@ -285,13 +287,13 @@ class TestLockstepLift:
                 self.assert_same_lift(lane, reference[:-1])
                 assert heads[first + k].value == reference[-1]
 
-    def test_strayed_lane_takes_scalar_continuation(self, cubic_unity, delta0_unity):
-        # the ray of root 1 with one long jump after its fifth sample, out to
-        # the first sample 12 or more from the root (whatever the sampling
-        # density): the lift from -1/2 strays there and is bisected like the
-        # scalar path
+    def test_strayed_lane_takes_scalar_continuation(self, cubic_unity):
+        # the ray of root 1, traced out to the cap, with one long jump after
+        # its fifth sample, out to the first sample 12 or more from the root
+        # (whatever the sampling density): the lift from -1/2 strays there
+        # and is bisected like the scalar path
         f = cubic_unity
-        ray = delta0_unity.edges[2].points
+        ray = trace_fixed_ray(f, bottcher_local(f, 2), 0, f.tol.escape_radius)
         jump = 5
         far = np.flatnonzero(np.abs(ray - ray[0]) >= 12)[0]
         source = np.concatenate((ray[:jump], ray[far:]))

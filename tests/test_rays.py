@@ -18,14 +18,26 @@ giving exact geometric oracles for the traced rays.
 import base64
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from newtongraph import BranchJump, NotARoot, channel_diagram, rays
-from newtongraph.poly import CHART_RADIUS
+from newtongraph import (
+    BranchJump,
+    NotARoot,
+    Polynomial,
+    channel_diagram,
+    classify_point,
+    lift_point,
+    make_newton_map,
+    rays,
+)
+from newtongraph.combinatorial import KIND_POLE
+from newtongraph.dynamics import RasterSpec, render_basins
+from newtongraph.poly import CHART_RADIUS, horner
 from newtongraph.rays import GeoEdge, bottcher_local, polyline_from_json, trace_fixed_ray
-from newtongraph.sphere import INF, chordal_distance
+from newtongraph.sphere import INF, chordal_distance, offset
 from newtongraph.tolerances import DEFAULT_TOL
 
 from conftest import graph_distance
@@ -86,7 +98,10 @@ class TestTraceFixedRay:
         assert all(abs(z.real) < 1e-9 for z in finite)
         imags = [z.imag for z in finite]
         assert all(b > a - 1e-15 for a, b in zip(imags, imags[1:]))
-        assert imags[-1] >= DEFAULT_TOL.escape_radius
+        # the ray stops at its first sample past the map's radius, which the
+        # cap bounds
+        assert imags[-2] < cubic_pm.ray_radius <= imags[-1]
+        assert cubic_pm.ray_radius <= DEFAULT_TOL.escape_radius
         assert rays._mod_tau(-cmath.phase(up[-2])) == pytest.approx(3 * math.pi / 2)
 
     def test_positive_real_ray(self, cubic_unity):
@@ -208,6 +223,186 @@ class TestSolvePreimageNear:
         assert rays.solve_preimage_near(f, 0.5, 0.9) is None
         [res] = seen
         assert residual_ok(res, 0.5, f.tol)
+
+
+def horner_solve(f, w, x0):
+    """solve_preimage_near as written with one horner call per row: the
+    oracle of its inlined Horner loops."""
+    tol = f.tol
+    (a, b, da, db), target = f.corrector(w)
+    x = x0
+    for _ in range(50):
+        av, bv = horner(a, x), horner(b, x)
+        if bv == 0:
+            x += 1e-12 * (1 + abs(x))
+            continue
+        g = av / bv - target
+        gp = (horner(da, x) * bv - av * horner(db, x)) / (bv * bv)
+        if gp == 0:
+            x += 1e-12 * (1 + abs(x))
+            continue
+        step = g / gp
+        x = x - step
+        if rays.converged(step, x, tol):
+            break
+    else:
+        return None
+    bv = horner(b, x)
+    res = abs(horner(a, x) / bv - target) if bv != 0 else math.inf
+    if not rays.residual_ok(res, target, tol):
+        return None
+    return x
+
+
+POOL = ("cubic_unity", "cubic_pm", "cubic_pm_plus", "quartic_unity", "quartic_monic")
+
+
+class TestInlinedCorrector:
+    def test_the_inlined_loops_are_the_horner_calls_bit_for_bit(self, request):
+        # targets from 1e-3 to 1e7 in modulus, a fifth beyond the chart
+        # radius; starts near a preimage, where the solve converges, or
+        # anywhere, where it may stray; repr tells every bit, -0.0 included
+        rng = random.Random(20261020)
+        beyond, found, strayed = 0, 0, 0
+        for name in POOL:
+            f = request.getfixturevalue(name)
+            for _ in range(420):
+                w = cmath.rect(10 ** rng.uniform(-3, 7), rng.uniform(-math.pi, math.pi))
+                if rng.random() < 0.5:
+                    fiber = [x.value for x, _ in lift_point(f, w) if not x.is_infinity]
+                    x0 = rng.choice(fiber) * (1 + complex(rng.gauss(0, 0.05), rng.gauss(0, 0.05)))
+                else:
+                    x0 = cmath.rect(10 ** rng.uniform(-3, 4), rng.uniform(-math.pi, math.pi))
+                x = rays.solve_preimage_near(f, w, x0)
+                assert repr(x) == repr(horner_solve(f, w, x0))
+                beyond += abs(w) > CHART_RADIUS
+                found += x is not None
+                strayed += x is None
+        assert beyond > 300 and found > 1000 and strayed > 20
+
+    def test_a_start_where_the_denominator_vanishes(self, cubic_unity):
+        # D = 3 z^2 is exactly 0 at the start 0, the double pole: the first
+        # step only nudges x off it
+        f = cubic_unity
+        (_, b, _, _), _ = f.corrector(0.5)
+        assert horner(b, 0j) == 0
+        for w in (0.5, 0.5j, -2 + 1j, 900.0):
+            x = rays.solve_preimage_near(f, w, 0j)
+            assert repr(x) == repr(horner_solve(f, w, 0j))
+
+
+def conjugated(f, a):
+    """The Newton map of p(z/a) a^d, which z -> a z conjugates to f."""
+    d = f.degree
+    return make_newton_map(Polynomial(tuple(c * a ** (d - k) for k, c in enumerate(f.p.coeffs))))
+
+
+def angle_at_infinity(ray):
+    """A ray's angle at infinity as channel_diagram reads it: the angle of
+    its closing chord in the w = 1/z chart."""
+    return rays._mod_tau(cmath.phase(offset(INF, complex(ray[-2]))))
+
+
+def clearance(f, x):
+    """The distance from a mark of f to the nearest other mark."""
+    return min(abs(mark.value - x) for mark in f.marked_points if mark.value != x)
+
+
+class TestRayRadius:
+    def test_only_the_rays_compute_the_radius(self):
+        # the radius is computed once, when a ray first asks for it: a
+        # raster, a classified point and a fiber never pay for it
+        f = make_newton_map(Polynomial((-1, 0, 0, 0, 0, 1)))
+        render_basins(f, RasterSpec(8, 8))
+        classify_point(f, 0.3 + 0.2j)
+        lift_point(f, 0.5j)
+        assert "ray_radius" not in vars(f)
+        channel_diagram(f)
+        assert vars(f)["ray_radius"] == f.ray_radius
+
+    @pytest.mark.parametrize("name", POOL)
+    def test_the_radius_scales_with_the_map(self, request, name):
+        f = request.getfixturevalue(name)
+        cap = f.tol.escape_radius
+        assert f.ray_radius < cap
+        for a in (2**-3 * cmath.exp(0.7j), 2**3 * cmath.exp(0.7j)):
+            expected = abs(a) * f.ray_radius
+            g = conjugated(f, a)
+            if expected < cap:
+                assert g.ray_radius == pytest.approx(expected, rel=1e-9, abs=0)
+            else:
+                assert g.ray_radius == cap
+
+    @pytest.mark.parametrize("name", POOL + ("shifted",))
+    def test_the_angle_at_infinity_is_within_the_bound(self, request, name):
+        # each ray stopped at the map's radius, against the same ray traced
+        # on to 1e6: the same samples up to the stop, and angles at infinity
+        # within the two bounds of far_turn; the pool's roots have centroid
+        # 0, and (z - 1.5 - i)^3 - 1 has its roots about 1.5 + i
+        if name == "shifted":
+            t = 1.5 + 1j
+            f = make_newton_map(Polynomial((-1 - t**3, 3 * t**2, -3 * t, 1)))
+            assert abs(f._far_model[0] - t) < 1e-12
+        else:
+            f = request.getfixturevalue(name)
+        for i in range(len(f.roots)):
+            loc = bottcher_local(f, i)
+            for j in range(len(loc.fixed_directions)):
+                short = trace_fixed_ray(f, loc, j)
+                far = trace_fixed_ray(f, loc, j, 1e6)
+                assert abs(short[-3]) < f.ray_radius <= abs(short[-2])
+                assert abs(far[-2]) >= 1e6
+                assert np.array_equal(far[: len(short) - 1], short[:-1])
+                bound = f.far_turn(complex(short[-2]))
+                assert bound < math.pi / 4
+                gap = rays._circular_gap(angle_at_infinity(short), angle_at_infinity(far))
+                assert gap <= bound + f.far_turn(complex(far[-2]))
+
+    @pytest.mark.parametrize("name", POOL)
+    def test_lifts_into_a_pole_end_within_a_quarter_of_its_clearance(self, request, name):
+        f = request.getfixturevalue(name)
+        graph = request.getfixturevalue(name.replace("cubic", "graph").replace("quartic", "graph_q"))
+        level = graph.graphs[1]
+        ends = 0
+        for j, e in enumerate(level.geo.edges):
+            head = level.marks[e.head]
+            if level.edge_level[j] == 1 and head.kind == KIND_POLE:
+                assert abs(complex(e.points[-2]) - head.value) <= clearance(f, head.value) / 4
+                ends += 1
+        assert ends > 0
+
+    @pytest.mark.parametrize("name", POOL)
+    def test_no_lifted_sample_lies_beyond_the_radius(self, request, name):
+        f = request.getfixturevalue(name)
+        graph = request.getfixturevalue(name.replace("cubic", "graph").replace("quartic", "graph_q"))
+        top = graph.graphs[-1]
+        lifted = [e.points for j, e in enumerate(top.geo.edges) if top.edge_level[j] > 0]
+        samples = np.concatenate(lifted)
+        assert lifted and np.abs(samples[np.isfinite(samples)]).max() <= f.ray_radius
+
+    def test_narrow_gaps_double_the_radius(self):
+        # z^3 - z with its radius set to 1: up to |z| = 2 no bound on the
+        # turn holds, and at 4 the four rays' bounds fit their gaps of pi/2,
+        # so the rays are traced again to 2 and then to 4
+        f = make_newton_map(Polynomial((0, -1, 0, 1)))
+        f.__dict__["ray_radius"] = 1.0
+        for radius, certified in ((1.0, False), (2.0, False), (4.0, True)):
+            traced = []
+            for i in range(3):
+                loc = bottcher_local(f, i)
+                for j in range(len(loc.fixed_directions)):
+                    ray = trace_fixed_ray(f, loc, j, radius)
+                    traced.append(GeoEdge(i, 3, ray, (0.0, angle_at_infinity(ray))))
+            assert rays._order_at_infinity_certified(f, traced) == certified
+        diagram = channel_diagram(f)
+        assert len(diagram.edges) == 4
+        for e in diagram.edges:
+            assert abs(e.points[-3]) < 4.0 <= abs(e.points[-2])
+            assert f.far_turn(complex(e.points[-2])) < math.pi / 4
+        default = channel_diagram(make_newton_map(f.p))
+        assert [e.tail for e in diagram.edges] == [e.tail for e in default.edges]
+        assert [e.angles for e in diagram.edges] == pytest.approx(
+            [e.angles for e in default.edges], abs=0.4)
 
 
 class TestContinueInverseBranch:
