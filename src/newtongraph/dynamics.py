@@ -6,6 +6,10 @@ that root than to any other, for STAY_ITERATES = 5 more iterates; its entry
 step is the step it entered. classify_point and render_basins both apply this
 rule to the same state, two values per orbit: the candidate root (-1 for
 none) and the step it was entered, so the stay count is the step minus that.
+Both read an orbit point through the same two bands of |z|: it can be within
+basin_tol of a root only while |z| lies in the root band (_root_band), and
+within pole_snap of a pole only while |z| lies in the pole band
+(_pole_band), so root distances and the pole test are taken there alone.
 Both end an orbit sooner on a proof that the five steps would pass:
 
 - Certified exit. Smale's gamma at a simple root zeta of p is the maximum
@@ -43,6 +47,7 @@ returns the landing level, or raises UnresolvedOrbit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -104,6 +109,11 @@ def classify_point(
     Orbits hitting a pole (exactly, or within the snap distance) are routed
     through infinity and reported unresolved with the prepole flag — infinity
     repels, so no open set converges there.
+
+    As in render_basins, a step measures the distances to the roots only
+    when |z| lies in the root band and tests the poles only when it lies in
+    the pole band; elsewhere the point is near no root and no pole, so the
+    result is the one measuring every root and pole at every step gives.
     """
     _check_max_iter(max_iter, math.inf)
     z = point(z)
@@ -115,13 +125,20 @@ def classify_point(
     if z == INF:
         return result("fixed_infinity", entry_step=0)
     basin_tol, rho = f.tol.basin_tol, f.exit_radius
+    bands, pole_bands = _root_band(f), _pole_band(f)
     cand, step = -1, 0  # candidate root (-1 for none) and the step it was entered
     for s in range(max_iter + STAY_ITERATES + 1):
-        if z == INF or _snap_pole(f, z):
-            if z != INF and trace is not None:  # snapped: routed through INF
+        if z == INF:
+            return result("unresolved", hit_prepole=True)
+        az = abs(z)
+        if _in_band(az, pole_bands) and _snap_pole(f, z):
+            if trace is not None:  # snapped: routed through INF
                 trace.append(INF)
             return result("unresolved", hit_prepole=True)
-        idx, dist = f.nearest_root(z)
+        if _in_band(az, bands):
+            idx, dist = f.nearest_root(z)
+        else:
+            idx, dist = -1, math.inf
         near = dist <= basin_tol
         if not (near and idx == cand):
             cand, step = (idx if near else -1), s
@@ -210,10 +227,17 @@ def _root_band(f: NewtonMap) -> list[tuple[float, float]]:
     of z from 0 on the sphere), so a point near r has atan|z| within
     asin(basin_tol/2) of atan|r|. Each interval takes twice that,
     asin(min(1, basin_tol)), plus _BAND_SLACK, which is the whole sphere
-    from basin_tol = 1 on and still an interval at basin_tol = 0.
+    from basin_tol = 1 on and still an interval at basin_tol = 0. Each
+    band is computed once per roots and tolerance, as classify_point asks
+    for it on every call.
     """
-    h = math.asin(min(1.0, f.tol.basin_tol)) + _BAND_SLACK
-    lats = sorted(math.atan(abs(r)) for r in f.roots)
+    return _root_band_of(f.roots, f.tol.basin_tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _root_band_of(roots: tuple[complex, ...], basin_tol: float) -> list[tuple[float, float]]:
+    h = math.asin(min(1.0, basin_tol)) + _BAND_SLACK
+    lats = sorted(math.atan(abs(r)) for r in roots)
     return [
         (math.tan(max(lo, 0.0)), math.tan(hi) if hi < math.pi / 2 else math.inf)
         for lo, hi in _merged([(lat - h, lat + h) for lat in lats])
@@ -230,11 +254,17 @@ def _pole_band(f: NewtonMap) -> list[tuple[float, float]]:
     within a few units of rounding of the exact ones, relative to |z|, |q|
     and snap, so each interval takes snap plus _BAND_SLACK (1 + |q| + snap)
     on either side of |q|; intervals that overlap merge. A pole at 0 gives
-    |z| < snap plus the slack, where the test is |z| > snap itself.
+    |z| < snap plus the slack, where the test is |z| > snap itself. Computed
+    once per poles and tolerance.
     """
+    return _pole_band_of(f.poles, f.tol.pole_snap)
+
+
+@functools.lru_cache(maxsize=64)
+def _pole_band_of(poles: tuple[tuple[complex, int], ...], pole_snap: float) -> list[tuple[float, float]]:
     intervals = []
-    for aq in sorted(abs(q) for q, _ in f.poles):
-        snap = f.tol.pole_snap * (1 + aq)
+    for aq in sorted(abs(q) for q, _ in poles):
+        snap = pole_snap * (1 + aq)
         w = snap + _BAND_SLACK * (1 + aq + snap)
         intervals.append((aq - w, aq + w))
     return _merged(intervals)
@@ -250,6 +280,14 @@ def _merged(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
         else:
             out.append((lo, hi))
     return out
+
+
+def _in_band(az: float, bands: list[tuple[float, float]]) -> bool:
+    """Whether lo <= az < hi for one of the bands."""
+    for lo, hi in bands:
+        if lo <= az < hi:
+            return True
+    return False
 
 
 def _in_bands(az: np.ndarray, bands: list[tuple[float, float]]) -> np.ndarray:

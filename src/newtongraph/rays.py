@@ -14,6 +14,14 @@ NewtonMap.ray_radius, is certified per map: there the rays' cyclic order at
 infinity is read off their closing chords (NewtonMap.far_turn bounds each
 chord's error, and channel_diagram checks the gaps), and the chords' lifts
 end well inside the local models of the poles and of the marks over them.
+
+nearest_edge_point reads a point against a graph's samples and chords. Its
+answer is the full scan's: the least chordal distance over the samples,
+infinity, the plane chords and the chords in the w = 1/z chart, the first of
+equals within a group and the earlier group on a tie between groups. It
+measures exactly only the blocks of consecutive samples whose certified lower
+bound, less _BOUND_SLACK for rounding, is at most a distance already bounded
+from above, so a block it skips holds no entry that could win or tie.
 """
 
 from __future__ import annotations
@@ -43,6 +51,18 @@ _TAU = 2 * math.pi
 MAX_RAY_LIFTS = 512
 # Halvings of a target segment before a continuation's inverse branch is lost.
 MAX_BISECTION_DEPTH = 24
+# Samples per block of a graph's distance table (_Geometry). A query at
+# |z| <= 1.5 on the z^6 - 1 top level (9,408 segments) took a median 67,
+# 62, 62, 64, 67, 71 and 245 us at 8, 12, 16, 20, 24, 32 and 64 (CPU, one
+# core, runs interleaved): small blocks pay in the bound pass, large ones in
+# the exact pass, and from 64 on the disks grow too loose to prune.
+_BLOCK = 16
+# Taken off each block's chordal lower bound: far above the rounding of the
+# bound and of the exact distances (a few units in 1e-16, as the chordal
+# metric is at most 2), far below any gap that pruning needs.
+_BOUND_SLACK = 1e-9
+# Past this, a product (1 + |q|^2)(1 + |s|^2) of a chordal distance may overflow.
+_OVERFLOW = 1e300
 
 
 def _mod_tau(x: float) -> float:
@@ -343,90 +363,213 @@ class GeoGraph:
 
 
 class _Geometry:
-    """Flattened segment arrays for vectorized distance queries.
+    """The graph's samples as a table of blocks, for nearest-point queries.
 
-    Segments with two finite endpoints live in the plane chart; segments whose
-    endpoints both admit w = 1/z (nonzero or infinite) live in the inverted
-    chart. Every polyline point also sits in a baseline endpoint array, so a
-    segment excluded from both charts still contributes through its ends.
+    Each edge is cut into blocks of at most _BLOCK consecutive samples. A
+    block holds the chords that start at its samples, so they run over its
+    samples and the first sample of the next block. Each slot of a block
+    holds three entries, the layers of the exact pass, in the order the
+    full scan takes its groups:
+
+    - layer 0, the sample, in the plane chart (valid when finite);
+    - layer 1, the chord from it in the plane chart (both ends finite);
+    - layer 2, the chord from it in the w = 1/z chart (both ends admit w:
+      nonzero, or infinite, where w = 0).
+
+    chords holds, per layer, each entry's start p0 and its step d (0 for a
+    sample, so that it is its chord of length 0), and scales |d|^2 (1 where
+    d = 0) and 0, or inf for an entry that is not valid or a slot past its
+    block's end. The first infinite sample, inf_ref, stands for infinity,
+    the full scan's group between the samples and the chords.
+
+    Each block also has a disk (c, r) in each chart that holds every entry
+    of the block: the samples, the chords drawn in that chart, and the
+    images there of the chords drawn in the other chart, which are arcs.
+    A block with a sample the chart does not admit, or with a chord whose
+    image passes through the chart's infinity, has none there: c = 0 and
+    r = inf. With q in the disk's chart, the chordal distance from q to a
+    point s of the disk is at least
+    2 max(0, |q - c| - r) / sqrt((1 + |q|^2)(1 + (|c| + r)^2)) and at most
+    2 (|q - c| + r) / sqrt((1 + |q|^2)(1 + max(0, |c| - r)^2));
+    lower_k and upper_k hold each block's factors. The chordal metric is
+    invariant under z -> 1/z, so both disks bound the same distances, and
+    the larger lower bound holds.
     """
 
     def __init__(self, graph: GeoGraph):
         lengths = np.array([len(e.points) for e in graph.edges], dtype=np.int64)
         pts = np.concatenate([e.points for e in graph.edges] or [np.zeros(0, complex)])
+        n = len(pts)
+        i = np.arange(n)
         edge = np.repeat(np.arange(len(lengths)), lengths)
         first = np.cumsum(lengths) - lengths
-        index = np.arange(len(pts)) - first[edge]
-        last_seg = lengths[edge] - 2
-        seg = np.minimum(index, last_seg)
-
+        last = (first + lengths - 1)[edge]  # the last sample of each sample's edge
         finite = np.isfinite(pts)
-        self.pts, self.pe, self.ps = pts[finite], edge[finite], seg[finite]
-        self.inf_refs = list(zip(edge[~finite].tolist(), seg[~finite].tolist()))
+        # a sample's segment: the chord it starts, or at an edge's end the last
+        seg = np.minimum(i, last - 1) - first[edge]
+        k = int(finite.argmin()) if n else 0
+        self.inf_ref = None if finite[k:].all() else (int(edge[k]), int(seg[k]))
 
-        # segment s runs from point s to point s + 1 of the same edge
-        starts = np.flatnonzero(index <= last_seg)
-        ends = starts + 1
-        plane = finite[starts] & finite[ends]
-        self.zp0, self.zp1 = pts[starts[plane]], pts[ends[plane]]
-        self.ze, self.zs = edge[starts[plane]], index[starts[plane]]
-
+        # per sample, and one more entry, at n, for padding: the sample in
+        # each chart (inf is 0 in the plane), and per layer whether the entry
+        # is valid, its step d and |d|^2
         admits_w = ~finite | (pts != 0)
+        z = np.append(np.where(finite, pts, 0j), 0j)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(finite, 1 / np.where(admits_w, pts, 1), 0j)
-        inverted = admits_w[starts] & admits_w[ends]
-        self.wp0, self.wp1 = w[starts[inverted]], w[ends[inverted]]
-        self.we, self.ws = edge[starts[inverted]], index[starts[inverted]]
+            w = np.append(np.where(finite, 1 / np.where(admits_w, pts, 1), 0j), 0j)
+        nxt = np.minimum(i + 1, last)  # the chord's end; the sample itself at an edge's end
+        chord = i < last
+        valid = np.zeros((3, n + 1), dtype=bool)
+        valid[0, :n] = finite
+        valid[1, :n] = chord & finite & finite[nxt]
+        valid[2, :n] = chord & admits_w & admits_w[nxt]
+        d = np.zeros((3, n + 1), dtype=complex)
+        d[1, :n] = z[nxt] - z[:n]
+        d[2, :n] = w[nxt] - w[:n]
+        dd = np.abs(d) ** 2
+        # a step that is not valid, or too short to square, is 0, as the full
+        # scan takes it, and its |d|^2 is 1
+        d[~valid | (dd == 0)] = 0
+        dd[dd == 0] = 1.0
+        del i, edge, last, nxt, chord  # the table, built last, sets the peak
 
-
-def _project_distances(q: complex, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """Chordal distance from q to each chord, all drawn in one chart."""
-    d = p1 - p0
-    dd = np.abs(d) ** 2
-    t = np.where(dd > 0, ((q - p0) * np.conj(d)).real / np.where(dd > 0, dd, 1), 0)
-    s = p0 + np.clip(t, 0.0, 1.0) * d
-    return 2 * np.abs(q - s) / np.sqrt((1 + abs(q) ** 2) * (1 + np.abs(s) ** 2))
-
-
-def _distance_candidates(
-    graph: GeoGraph, q: complex
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    geom = graph._geometry
-    out = []
-    if geom.pts.size:
-        if q == INF:
-            base = 2 / np.sqrt(1 + np.abs(geom.pts) ** 2)
-        else:
-            base = 2 * np.abs(q - geom.pts) / np.sqrt(
-                (1 + abs(q) ** 2) * (1 + np.abs(geom.pts) ** 2)
-            )
-        out.append((base, geom.pe, geom.ps))
-    if geom.inf_refs:
-        dinf = 0.0 if q == INF else 2 / math.sqrt(1 + abs(q) ** 2)
-        ei, si = geom.inf_refs[0]
-        out.append(
-            (np.array([dinf]), np.array([ei]), np.array([si]))
+        # blocks of _BLOCK samples of one edge each, the last of an edge shorter
+        per_edge = -(-lengths // _BLOCK)
+        block_edge = np.repeat(np.arange(len(lengths)), per_edge)
+        start = first[block_edge] + _BLOCK * (
+            np.arange(len(block_edge)) - (np.cumsum(per_edge) - per_edge)[block_edge]
         )
-    if q != INF and geom.zp0.size:
-        out.append((_project_distances(q, geom.zp0, geom.zp1), geom.ze, geom.zs))
-    qw = 0j if q == INF else (1 / q if q != 0 else None)
-    if qw is not None and geom.wp0.size:
-        out.append((_project_distances(qw, geom.wp0, geom.wp1), geom.we, geom.ws))
-    return out
+        stop = (first + lengths)[block_edge]  # one past the last sample of the block's edge
+        slot = start[:, None] + np.arange(_BLOCK)
+        slot = np.where(slot < stop[:, None], slot, n)
+        self.block_edge = block_edge.tolist()
+        self.seg = np.append(seg, 0)[slot]
+
+        # each block's disks, one per chart, each holding every entry of the
+        # block: its samples, its chords drawn in the chart, and the images
+        # of its chords drawn in the other chart. As 1/x - 1/p0 = (p0 - x) /
+        # (x p0) and |x| >= |p0| - |d| on a chord from p0, its image lies
+        # within |d| / (|p0| (|p0| - |d|)) of 1/p0 when |d| < |p0|. A sample
+        # the chart does not admit (not finite) or an image that may pass
+        # through the chart's infinity leaves the block no disk there. cover
+        # holds, by position in each block, the points its chords cover.
+        cover = np.minimum(np.arange(_BLOCK + 1)[:, None] + start, np.minimum(start + _BLOCK, stop - 1))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # per chart (plane, w), the chords of the other one (layers 2, 1)
+            start_abs, step_abs = np.abs(np.array((w, z))), np.abs(d[2:0:-1])
+            image = step_abs / (start_abs * (start_abs - step_abs))
+            image[start_abs <= step_abs] = math.inf
+            image[~valid[2:0:-1]] = 0.0
+            v = np.array((pts, np.where(admits_w, w[:n], math.nan))).take(cover, axis=1)
+            c = 0.5 * (v[:, 0] + v[:, -1])
+            reach = np.abs(v - c[:, None])
+            reach[:, :_BLOCK] += image.take(slot.T, axis=1)
+            r = reach.max(axis=1)
+            whole = np.isfinite(r)
+            self.center = np.where(whole, c, 0j)
+            self.radius = np.where(whole, r, math.inf)
+            ac = np.abs(self.center)
+            # a block with no disk has the bounds -inf and inf
+            self.lower_k = np.where(whole, 2 / np.sqrt(1 + (ac + self.radius) ** 2), 1.0)
+            self.upper_k = 2 / np.sqrt(1 + np.maximum(0, ac - self.radius) ** 2)
+            # 1 + |v|^2 at the largest sample v of each chart
+            az = np.abs(z[:n])
+            self.largest = [
+                float(1 + az.max(initial=0) ** 2),
+                float(1 + 1 / az.min(where=admits_w & finite, initial=math.inf) ** 2),
+            ]
+        del start_abs, step_abs, image, v, reach
+
+        # the exact pass's table: layer, field (p0, d), block, slot
+        self.chords = np.empty((3, 2, len(start), _BLOCK), dtype=complex)
+        self.chords[0, 0] = self.chords[1, 0] = z[slot]
+        self.chords[2, 0] = w[slot]
+        self.scales = np.empty((3, 2, len(start), _BLOCK))  # layer; |d|^2, 0 or inf
+        for layer in range(3):
+            self.chords[layer, 1] = d[layer, slot]
+            self.scales[layer, 0] = dd[layer, slot]
+            self.scales[layer, 1] = np.where(valid[layer], 0.0, math.inf)[slot]
+
+    def nearest(self, q: complex) -> tuple[int, int, float]:
+        """nearest_edge_point of the graph, for q a sphere point."""
+        dinf = None
+        if self.inf_ref is not None:
+            dinf = 0.0 if q == INF else 2 / math.sqrt(1 + abs(q) ** 2)
+        if not self.block_edge:
+            return (*self.inf_ref, dinf) if dinf is not None else (0, 0, math.inf)
+        # the charts q admits: z unless q is inf, w = 1/q unless q is 0
+        lo, hi = (1 if q == INF else 0), (1 if q == 0 else 2)
+        qw = 0j if q == INF else (1 / q if q != 0 else 0j)
+        charts = (q, qw)[lo:hi]
+        qq = [1 + abs(x) ** 2 for x in charts]
+        if any(x * big > _OVERFLOW for x, big in zip(qq, self.largest[lo:hi])):
+            # (1 + |q|^2)(1 + |s|^2) may overflow, and the exact distance with
+            # it: measure every block, as the full scan does
+            cand = np.arange(len(self.block_edge))
+        else:
+            a = np.abs(np.array(charts)[:, None] - self.center[lo:hi])
+            scale = np.array([1 / math.sqrt(x) for x in qq])[:, None]
+            upper = (a + self.radius[lo:hi]) * self.upper_k[lo:hi] * scale
+            bound = upper.min() if dinf is None else min(upper.min(), dinf)
+            lower = (a - self.radius[lo:hi]) * self.lower_k[lo:hi] * scale
+            cand = np.flatnonzero(~(lower > bound + _BOUND_SLACK).any(axis=0))
+        # the layers measured: q = 0 has no inverted chords; q = inf has no
+        # plane chords, and it takes its samples' distances as 2 / sqrt(1 + |p|^2)
+        layers = (0, 2) if q == INF else (0, 1) if q == 0 else (0, 1, 2)
+        chords = self.chords[: layers[-1] + 1].take(cand, axis=2)
+        scales = self.scales[: layers[-1] + 1].take(cand, axis=2)
+        if q == INF:
+            dist = np.stack((
+                2 / np.sqrt(1 + np.abs(chords[0, 0]) ** 2),
+                _project_distances(0j, 1.0, *chords[2], scales[2, 0]),
+            ))
+            dist += scales[layers, 1]
+        else:
+            ql = (q, q, qw)[: len(layers)]
+            dist = _project_distances(
+                np.array(ql)[:, None, None], np.array([1 + abs(x) ** 2 for x in ql])[:, None, None],
+                chords[:, 0], chords[:, 1], scales[:, 0],
+            )
+            dist += scales[:, 1]
+        # layer by layer, so that argmin's first of equals follows the layers
+        flat = dist.ravel()
+        k = int(flat.argmin())
+        v = flat[k]
+        layer, rest = divmod(k, cand.size * _BLOCK)
+        b, s = divmod(rest, _BLOCK)
+        # infinity comes after the samples and before the chords
+        if dinf is not None and (dinf < v or (dinf == v and layers[layer] > 0)):
+            return (*self.inf_ref, dinf)
+        return self.block_edge[cand[b]], int(self.seg[cand[b], s]), float(v)
+
+
+def _project_distances(q, qq, p0, d, dds) -> np.ndarray:
+    """Chordal distance from q to each chord p0 + [0, 1] d, all drawn in one
+    chart: chordal(q, s) at the chord's point s nearest q in the chart. qq is
+    1 + |q|^2 and dds |d|^2, or 1 where d = 0, which makes the chord its
+    point p0."""
+    t = (((q - p0) * np.conj(d)).real / dds).clip(0.0, 1.0)
+    s = p0 + t * d
+    return 2 * np.abs(q - s) / np.sqrt(qq * (1 + np.abs(s) ** 2))
 
 
 def nearest_edge_point(
     graph: GeoGraph, q: complex
 ) -> tuple[int, int, float]:
-    """(edge index, segment index, distance) of the closest edge point."""
-    best = (0, 0, math.inf)
-    for d, earr, sarr in _distance_candidates(graph, point(q)):
-        if not d.size:
-            continue
-        k = int(np.argmin(d))
-        if d[k] < best[2]:
-            best = (int(earr[k]), int(sarr[k]), float(d[k]))
-    return best
+    """(edge index, segment index, distance) of the closest edge point.
+
+    Bit for bit the full scan's answer: each sample, then infinity (an end
+    at infinity), then each chord in the plane chart, then each chord in
+    the w = 1/z chart; within a group the first least distance counts, and a
+    later group replaces it only when strictly nearer. Only the blocks of
+    the graph's table whose chordal lower bound, less _BOUND_SLACK, does not
+    exceed the least upper bound over the blocks (and the distance to
+    infinity) are measured, in the group formulas and in table order, so the
+    skipped ones can hold no winner and no tie. q = inf reads the blocks in
+    the w chart alone and q = 0 in the plane alone. Where (1 + |q|^2)(1 +
+    |s|^2) could overflow for a sample s, every block is measured.
+    """
+    return graph._geometry.nearest(point(q))
 
 
 # --- export -------------------------------------------------------------

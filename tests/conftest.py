@@ -329,3 +329,98 @@ def graph_q_unity(quartic_unity):
 @pytest.fixture(scope="session")
 def graph_q_monic(quartic_monic):
     return compute_newton_graph(quartic_monic)
+
+
+# --- reference full scan for nearest_edge_point ------------------------------
+
+
+def _full_scan_project(q, p0, p1):
+    d = p1 - p0
+    dd = np.abs(d) ** 2
+    t = np.where(dd > 0, ((q - p0) * np.conj(d)).real / np.where(dd > 0, dd, 1), 0)
+    s = p0 + np.clip(t, 0.0, 1.0) * d
+    return 2 * np.abs(q - s) / np.sqrt((1 + abs(q) ** 2) * (1 + np.abs(s) ** 2))
+
+
+def full_scan_nearest_edge_point(graph, q):
+    """nearest_edge_point by measuring every sample and every chord: the
+    samples, then infinity, then the chords in the plane chart, then those
+    in the w = 1/z chart, each group's first least distance replacing the
+    best so far only when strictly smaller."""
+    q = point(q)
+    lengths = np.array([len(e.points) for e in graph.edges], dtype=np.int64)
+    pts = np.concatenate([e.points for e in graph.edges] or [np.zeros(0, complex)])
+    edge = np.repeat(np.arange(len(lengths)), lengths)
+    first = np.cumsum(lengths) - lengths
+    index = np.arange(len(pts)) - first[edge]
+    last_seg = lengths[edge] - 2
+    seg = np.minimum(index, last_seg)
+    finite = np.isfinite(pts)
+    starts = np.flatnonzero(index <= last_seg)
+    ends = starts + 1
+    admits_w = ~finite | (pts != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(finite, 1 / np.where(admits_w, pts, 1), 0j)
+
+    groups = []
+    fp = pts[finite]
+    if fp.size:
+        if q == INF:
+            base = 2 / np.sqrt(1 + np.abs(fp) ** 2)
+        else:
+            base = 2 * np.abs(q - fp) / np.sqrt((1 + abs(q) ** 2) * (1 + np.abs(fp) ** 2))
+        groups.append((base, edge[finite], seg[finite]))
+    if (~finite).any():
+        dinf = 0.0 if q == INF else 2 / math.sqrt(1 + abs(q) ** 2)
+        groups.append((np.array([dinf]), edge[~finite][:1], seg[~finite][:1]))
+    plane = starts[finite[starts] & finite[ends]]
+    if q != INF and plane.size:
+        groups.append((_full_scan_project(q, pts[plane], pts[plane + 1]), edge[plane], index[plane]))
+    inverted = starts[admits_w[starts] & admits_w[ends]]
+    qw = 0j if q == INF else (1 / q if q != 0 else None)
+    if qw is not None and inverted.size:
+        groups.append((_full_scan_project(qw, w[inverted], w[inverted + 1]), edge[inverted], index[inverted]))
+    best = (0, 0, math.inf)
+    for d, earr, sarr in groups:
+        k = int(np.argmin(d))
+        if d[k] < best[2]:
+            best = (int(earr[k]), int(sarr[k]), float(d[k]))
+    return best
+
+
+def reference_classify_point(f, z, max_iter=256, keep_trace=False):
+    """classify_point measuring every root and every pole at every step: the
+    orbit loop without the root and pole bands."""
+    from newtongraph.dynamics import STAY_ITERATES, OrbitResult, _snap_pole
+
+    z = point(z)
+    trace = [z] if keep_trace else None
+
+    def result(kind, **fields):
+        return OrbitResult(kind, trace=tuple(trace) if trace else None, **fields)
+
+    if z == INF:
+        return result("fixed_infinity", entry_step=0)
+    basin_tol, rho = f.tol.basin_tol, f.exit_radius
+    cand, step = -1, 0
+    for s in range(max_iter + STAY_ITERATES + 1):
+        if z == INF or _snap_pole(f, z):
+            if z != INF and trace is not None:
+                trace.append(INF)
+            return result("unresolved", hit_prepole=True)
+        idx, dist = f.nearest_root(z)
+        near = dist <= basin_tol
+        if not (near and idx == cand):
+            cand, step = (idx if near else -1), s
+        if near and (s - step >= STAY_ITERATES or (dist < rho and step <= max_iter)):
+            return result("basin", root_index=cand, entry_step=step)
+        z = f.evaluate(z)
+        if trace is not None:
+            trace.append(z)
+    return result("unresolved")
+
+
+def conjugate_coeffs(coeffs, a):
+    """Coefficients of a^d p(z / a), lowest first: the roots scaled by a."""
+    d = len(coeffs) - 1
+    return tuple(complex(c) * a ** (d - k) for k, c in enumerate(coeffs))

@@ -64,6 +64,8 @@ from newtongraph.dynamics import (
 from newtongraph.poly import NewtonMap
 from newtongraph.sphere import INF, chordal_distance
 
+from conftest import conjugate_coeffs, reference_classify_point
+
 # 24 x 24 raster windows
 WINDOWS = [
     # zoom onto the order-4 pole of z^5 - 1 at 0: the pixels retire at steps
@@ -195,6 +197,75 @@ class TestClassifyPoint:
         # the reference stops after five confirming steps, the exit sooner
         assert len(ref.trace) == ref.entry_step + dynamics.STAY_ITERATES + 1
         assert len(res.trace) < len(ref.trace)
+
+
+class TestClassifyBands:
+    """classify_point measures root distances only where |z| lies in the
+    root band and tests the poles only where it lies in the pole band, and
+    returns today's OrbitResult, trace included, everywhere."""
+
+    MAPS = [
+        ("cubic_unity", None, None),
+        ("cubic_pm", None, None),
+        ("cubic_pm_plus", None, None),
+        ("quartic_unity", None, None),
+        ("quartic_monic", None, None),
+        ("z6-1", (-1, 0, 0, 0, 0, 0, 1), None),
+        ("z3-1@2^3", conjugate_coeffs((-1, 0, 0, 1), 8 * cmath.exp(0.7j)), None),
+        ("z3-1@2^-3", conjugate_coeffs((-1, 0, 0, 1), cmath.exp(0.7j) / 8), None),
+        # a root band that reaches infinity
+        ("z3-1@2^3/wide", conjugate_coeffs((-1, 0, 0, 1), 8 * cmath.exp(0.7j)), 0.5),
+    ]
+
+    @staticmethod
+    def orbit_starts(f, seed):
+        """At least 5,000 points: just inside and outside every band edge, on
+        the rays through the roots and the poles and at random angles, within
+        twice pole_snap of each pole, and seeded points at scales 1e-3 to
+        1e3."""
+        rng = np.random.default_rng(seed)
+        pts = []
+        edges = [x for lo, hi in dynamics._root_band(f) + dynamics._pole_band(f)
+                 for x in (lo, hi) if 0 < x < math.inf]
+        angles = [cmath.phase(c) for c in list(f.roots) + [q for q, _ in f.poles]]
+        for x in edges:
+            radii = [x * (1 + t) for t in (-1e-3, -1e-9, -1e-12, 1e-12, 1e-9, 1e-3)]
+            radii += [x, np.nextafter(x, 0), np.nextafter(x, math.inf)]
+            for r in radii:
+                pts += [cmath.rect(r, a) for a in angles]
+                pts += (r * np.exp(2j * np.pi * rng.random(6))).tolist()
+        for q, _ in f.poles:
+            snap = f.tol.pole_snap * (1 + abs(q))
+            radius = 2 * snap * np.concatenate((np.sqrt(rng.random(300)), [0.5, 1 - 1e-12, 1 + 1e-12]))
+            pts += (q + radius * np.exp(2j * np.pi * rng.random(radius.size))).tolist()
+        scales = np.repeat([1e-3, 0.1, 1.0, 3.0, 10.0, 1e3], 1 + (5000 - len(pts)) // 6)
+        pts += (scales * np.sqrt(rng.random(scales.size)) * np.exp(2j * np.pi * rng.random(scales.size))).tolist()
+        # within 0.999 to 1.001 basin_tol (chordal) of each root
+        for r in f.roots:
+            radius = (1 + abs(r) ** 2) / 2 * f.tol.basin_tol * rng.uniform(0.999, 1.001, 100)
+            pts += (r + radius * np.exp(2j * np.pi * rng.random(100))).tolist()
+        far = [1e308 * (1 + 1j), -1e308 + 1e308j, 1.5e308 + 0j]
+        return pts + far + [0j, INF] + [complex(r) for r in f.roots] + [q for q, _ in f.poles]
+
+    @pytest.mark.parametrize("name, coeffs, basin_tol", MAPS, ids=[m[0] for m in MAPS])
+    def test_matches_the_reference(self, request, name, coeffs, basin_tol):
+        if coeffs is None:
+            f = request.getfixturevalue(name)
+        else:
+            tol = Tolerances() if basin_tol is None else Tolerances(basin_tol=basin_tol)
+            f = make_newton_map(Polynomial(coeffs), tol)
+        pts = self.orbit_starts(f, len(name))
+        assert len(pts) >= 5000
+        for k, z in enumerate(pts):
+            max_iter, keep_trace = (0, k % 2 == 0) if k % 10 == 0 else (256, k % 3 == 0)
+            got = classify_point(f, z, max_iter=max_iter, keep_trace=keep_trace)
+            assert got == reference_classify_point(f, z, max_iter, keep_trace), (k, z)
+        # a modulus past the largest float raises in both
+        for z in (1.5e308 * (1 + 1j), -1.7e308 + 1e308j):
+            with pytest.raises(OverflowError):
+                reference_classify_point(f, z)
+            with pytest.raises(OverflowError):
+                classify_point(f, z)
 
 
 class TestCriticalOrbits:

@@ -29,18 +29,21 @@ from newtongraph import (
     Polynomial,
     channel_diagram,
     classify_point,
+    compute_newton_graph,
     lift_point,
     make_newton_map,
+    pullback,
     rays,
 )
 from newtongraph.combinatorial import KIND_POLE
 from newtongraph.dynamics import RasterSpec, render_basins
 from newtongraph.poly import CHART_RADIUS, horner
-from newtongraph.rays import GeoEdge, bottcher_local, polyline_from_json, trace_fixed_ray
+from newtongraph.pullback import extract_combinatorial, locate_face
+from newtongraph.rays import GeoEdge, GeoGraph, bottcher_local, polyline_from_json, trace_fixed_ray
 from newtongraph.sphere import INF, chordal_distance, offset
 from newtongraph.tolerances import DEFAULT_TOL
 
-from conftest import graph_distance
+from conftest import conjugate_coeffs, full_scan_nearest_edge_point, graph_distance
 
 TAU = 2 * math.pi
 
@@ -561,3 +564,146 @@ class TestSampleEncoding:
         for points in ([end, 1j], [1j, end]):
             with pytest.raises(ValueError, match="end sample"):
                 polyline_from_json(encoded(points))
+
+
+# --- nearest_edge_point against the full scan --------------------------------
+
+# the pool's towers, each with the fixture of its map
+POOL_GRAPHS = (
+    ("graph_unity", "cubic_unity"),
+    ("graph_pm", "cubic_pm"),
+    ("graph_pm_plus", "cubic_pm_plus"),
+    ("graph_q_unity", "quartic_unity"),
+    ("graph_q_monic", "quartic_monic"),
+)
+CONJUGATED = [
+    (f"{label}@2^{e}", conjugate_coeffs(coeffs, 2.0**e * cmath.exp(0.7j)))
+    for label, coeffs in (("z3-1", (-1, 0, 0, 1)), ("z4-z", (0, -1, 0, 0, 1)))
+    for e in (3, -3)
+]
+
+
+@pytest.fixture(scope="module")
+def located_graphs(request):
+    """(label, map, level) over every level of the pool maps and of z^3 - 1
+    and z^4 - z conjugated at a = 2^3 e^0.7i and 2^-3 e^0.7i, and the top
+    levels of z^5 - 1 and z^6 - 1."""
+    out = []
+    for graph, fmap in POOL_GRAPHS:
+        f = request.getfixturevalue(fmap)
+        out += [(f"{graph}/{g.level}", f, g) for g in request.getfixturevalue(graph).graphs]
+    for label, coeffs in CONJUGATED:
+        f = make_newton_map(Polynomial(coeffs))
+        out += [(f"{label}/{g.level}", f, g) for g in compute_newton_graph(f).graphs]
+    for d in (5, 6):
+        f = make_newton_map(Polynomial((-1,) + (0,) * (d - 1) + (1,)))
+        out.append((f"z{d}-1/top", f, compute_newton_graph(f).graphs[-1]))
+    return out
+
+
+def query_points(f, geo, seed):
+    """Seeded points at scales 1e-4 to 1e4, samples of every tenth edge moved
+    off it by 1e-12 to 1e-2, the vertices, 0, inf, 1e6 + i, and points just
+    beyond the ray radius."""
+    rng = random.Random(seed)
+    pts = [
+        cmath.rect(scale * rng.random(), rng.uniform(0, TAU))
+        for scale in (1e-4, 1e-2, 1.0, 3.0, 1e2, 1e4)
+        for _ in range(25)
+    ]
+    for e in geo.edges[::10]:
+        finite = [complex(p) for p in e.points if cmath.isfinite(p)]
+        for p in rng.sample(finite, min(3, len(finite))):
+            for eps in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+                pts.append(p + eps * (1 + abs(p)) * cmath.exp(1j * rng.uniform(0, TAU)))
+    pts += list(geo.vertices) + [0j, INF, 1e6 + 1j]
+    for factor in (1 + 1e-9, 1.01, 1.5):
+        pts += [cmath.rect(f.ray_radius * factor, rng.uniform(0, TAU)) for _ in range(5)]
+    return pts
+
+
+class TestNearestEdgePoint:
+    """nearest_edge_point measures exactly only the blocks whose certified
+    lower bound can hold the nearest point, and returns the full scan's
+    (edge, segment, distance) bit for bit, ties included."""
+
+    def test_matches_the_full_scan(self, located_graphs):
+        for label, f, g in located_graphs:
+            for k, q in enumerate(query_points(f, g.geo, label)):
+                got = rays.nearest_edge_point(g.geo, q)
+                assert got == full_scan_nearest_edge_point(g.geo, q), (label, k, q)
+
+    def test_overflow_measures_every_block(self, located_graphs):
+        # so near inf or 0 that (1 + |q|^2)(1 + |s|^2) overflows for the far
+        # samples, whose distances then read 0 in the full scan too
+        for label, f, g in located_graphs[::3]:
+            for q in (1e153 + 1e153j, -2e152 + 1e153j, 3e-154j, 1e-154 + 1e-155j):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = rays.nearest_edge_point(g.geo, q)
+                    assert got == full_scan_nearest_edge_point(g.geo, q), (label, q)
+
+    def test_locate_face_matches_the_full_scan(self, located_graphs, monkeypatch):
+        for label, f, g in located_graphs[::2]:
+            emb = extract_combinatorial(g).graph
+            pts = query_points(f, g.geo, label)
+            got = [locate_face(g.geo, emb, q) for q in pts]
+            with monkeypatch.context() as m:
+                m.setattr(pullback, "nearest_edge_point", full_scan_nearest_edge_point)
+                assert got == [locate_face(g.geo, emb, q) for q in pts], label
+
+    def test_ties_keep_the_full_scan_order(self):
+        # a point equidistant from two edges, and one on a sample shared by
+        # the end of a block and the start of the next
+        edges = (
+            GeoEdge(0, 1, [-1 + 1j, 1 + 1j], (0.0, math.pi)),
+            GeoEdge(0, 1, [-1 - 1j, 1 - 1j], (0.0, math.pi)),
+            GeoEdge(2, 3, np.linspace(2, 3, 40) + 0j, (0.0, math.pi)),
+        )
+        geo = GeoGraph((-1 + 1j, 1 + 1j, 2 + 0j, 3 + 0j), edges)
+        pts = [0j, 0.5 + 0j, 2 + 16 / 39, 2 + 16 / 39 + 1e-3j, complex(edges[2].points[32])]
+        for q in pts:
+            assert rays.nearest_edge_point(geo, q) == full_scan_nearest_edge_point(geo, q), q
+        assert rays.nearest_edge_point(geo, 0j)[:2] == (0, 0)
+        # every point of the imaginary axis, infinity too, lies sqrt 2 from
+        # 1 and from -1: the sample 0 comes before infinity
+        axis = GeoGraph((0j, INF), (GeoEdge(0, 1, [0, 1j, 2j, 5j, INF], (math.pi / 2, 1.5 * math.pi)),))
+        for q in (1 + 0j, -1 + 0j):
+            assert rays.nearest_edge_point(axis, q) == full_scan_nearest_edge_point(axis, q)
+            assert rays.nearest_edge_point(axis, q)[:2] == (0, 0)
+
+    def test_each_chart_bounds_its_own_chords(self):
+        # the plane chord of edge 0 passes 1e-3 from 0, while its inverted
+        # chord, from 10 to about -10, and its disk in the w chart lie far
+        # from 1/q: only the plane disk bounds the plane chord
+        edges = (
+            GeoEdge(0, 1, [0.1 + 0j, -0.1 + 0.002j], (0.0, math.pi)),
+            GeoEdge(2, 3, [0.05 + 0.05j, 0.06 + 0.05j], (0.0, math.pi)),
+        )
+        geo = GeoGraph((0.1 + 0j, -0.1 + 0.002j, 0.05 + 0.05j, 0.06 + 0.05j), edges)
+        for q in (0.0005j, 0.001j, -0.001j, 0.03 + 0.03j):
+            assert rays.nearest_edge_point(geo, q) == full_scan_nearest_edge_point(geo, q), q
+        assert rays.nearest_edge_point(geo, 0.0005j)[0] == 0
+
+    def test_prunes_points_away_from_the_graph(self, located_graphs, monkeypatch):
+        # on the z^6 - 1 top level, a point at least 0.05 from the graph is
+        # measured exactly on fewer than 1/8 of the segments
+        [(_, _, top)] = [x for x in located_graphs if x[0] == "z6-1/top"]
+        segments = sum(len(e.points) - 1 for e in top.geo.edges)
+        seen = []
+        project = rays._project_distances
+
+        def counted(q, qq, p0, *rest):
+            seen[-1] += p0.shape[-2] * p0.shape[-1]  # the slots of one layer
+            return project(q, qq, p0, *rest)
+
+        monkeypatch.setattr(rays, "_project_distances", counted)
+        rng = random.Random(38)
+        far = 0
+        while far < 100:
+            q = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            if full_scan_nearest_edge_point(top.geo, q)[2] < 0.05:
+                continue
+            far += 1
+            seen.append(0)
+            rays.nearest_edge_point(top.geo, q)
+            assert seen[-1] < segments / 8, (q, seen[-1], segments)
