@@ -212,8 +212,7 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     print(f"N = {result.minimal_level}")
     print(f"pole_cover_level = {result.pole_cover_level}")
-    top = result.graphs[-1]
-    print(f"vertices {len(top.geo.vertices)} edges {len(top.geo.edges)}")
+    print(f"vertices {result.embedded.n_vertices} edges {result.embedded.n_edges}")
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -268,7 +267,7 @@ def cmd_thurston(args) -> int:
     if args.json:
         payload = {
             "classes": spec.classes,
-            "matrix": [[str(x) for x in row] for row in matrix.entries],
+            "matrix": matrix.entry_text,
             "leading_eigenvalue": matrix.leading,
             "irreducible": matrix.irreducible,
             "obstruction": obstruction,
@@ -277,8 +276,8 @@ def cmd_thurston(args) -> int:
         return EXIT_OK
     print(f"classes {spec.classes}")
     print("transition matrix:")
-    for row in matrix.entries:
-        print("  [" + ", ".join(str(x) for x in row) + "]")
+    for row in matrix.entry_text:
+        print("  [" + ", ".join(row) + "]")
     print(f"leading eigenvalue {matrix.leading:.12g}")
     print(f"irreducible {'yes' if matrix.irreducible else 'no'}")
     if obstruction:

@@ -11,14 +11,19 @@ dart (oriented from its vertex toward the far end).
 On top of the bare graphs sit: a validator for the axioms of an abstract
 channel diagram, a validator for the seven abstract-Newton-graph axioms, a
 sector-model injectivity check for the extension of the graph map to the
-sphere, and an orientation-preserving equivalence search: dart 0's image
+sphere, the combinatorial pullback of a level whose level below holds every
+critical value (lift_level: each face below has deg f disjoint preimage
+disks, so the level above follows by copying, with no angle, sample or
+tolerance), and an orientation-preserving equivalence search: dart 0's image
 closed under sigma, the mate and the dart map, each dart's label (vertex kind,
-local degree, channel flag) checked on the way.
+local degree, channel flag) checked on the way (dart_closure, which also
+numbers a traced level as its combinatorial lift).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -631,6 +636,134 @@ def validate_newton_graph(dyn: GraphDynamics) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
+def lift_level(dyn: GraphDynamics, edge_level) -> GraphDynamics:
+    """The pullback level above dyn, by combinatorics alone.
+
+    dyn is level n = dyn.level, edge_level[e] is the level at which edge e
+    first appeared, and level n - 1 holds every critical value, so that
+    each face F of level n - 1 has deg f disjoint preimage disks. The faces
+    of level n, merged across its edges of level n, are the faces F. The
+    sheets over F are the faces of level n whose corners dart_map sends
+    into F, one corner over each corner of F. Each edge of level n gets one
+    copy in every sheet over its F: an end at a vertex of level n - 1
+    attaches at the sheet's corner over the corner of F it leaves, in the
+    order it has there, and an end inside F becomes one new plain vertex of
+    local degree 1 per sheet. A copy maps to its original. Copies are
+    numbered after dyn's edges, by original edge and then by sheet, and new
+    vertices after dyn's vertices as the copies first reach them, tail
+    before head, so dyn's ids are a prefix of the result's.
+
+    A level that is not such a cover raises InvalidGraph naming the level,
+    a face of level n and the gate: a face lies over more than one face of
+    level n - 1 (sheet_over_one_face), a sheet has other than one corner
+    over each corner of its face (sheet_corners), or a face of level n - 1
+    has other than deg f sheets (sheet_count), deg f being the channel
+    degree. A face of level n - 1 is named by the least face of level n in
+    it.
+    """
+    g, n = dyn.graph, dyn.level
+    sigma, vertex_of, face_of, dart_map = g.sigma, g.vertex_of, g.face_of, dyn.dart_map
+    n_darts = g.n_darts
+    new_edges = [e for e, level in enumerate(edge_level) if level == n]
+    is_new = [edge_level[d >> 1] == n for d in range(n_darts)]
+    merged = UnionFind(g.n_faces)
+    for e in new_edges:
+        merged.union(face_of[2 * e], face_of[2 * e + 1])
+    below = [0] * g.n_faces  # per face of level n, its face of level n - 1
+    for faces in merged.classes():
+        for s in faces:
+            below[s] = faces[0]
+
+    def image_face(p: int) -> int:
+        """The face of level n - 1 holding the corner after dart p."""
+        return below[face_of[sigma[p]]]
+
+    n_corners = Counter(image_face(p) for p in range(n_darts) if not is_new[p])
+    sheets: dict[int, list[int]] = {}
+    # the corners of a face are the mates of the darts of its walk
+    for s, walk in enumerate(g.faces):
+        over = image_face(dart_map[walk[0] ^ 1])
+        images = set()
+        for y in walk:
+            p = dart_map[y ^ 1]
+            if image_face(p) != over:
+                raise InvalidGraph(
+                    f"sheet_over_one_face failed at level {n}, face {s}: it lies over "
+                    f"faces {over} and {image_face(p)} of level {n - 1}")
+            images.add(p)
+        if len(images) != len(walk) or len(walk) != n_corners[over]:
+            raise InvalidGraph(
+                f"sheet_corners failed at level {n}, face {s}: its {len(walk)} corners "
+                f"lie over {len(images)} of the {n_corners[over]} corners of face "
+                f"{over} of level {n - 1}")
+        sheets.setdefault(over, []).append(s)
+    degree = dyn.channel_degree
+    for face in sorted(set(below)):
+        count = len(sheets.get(face, ()))
+        if count != degree:
+            raise InvalidGraph(
+                f"sheet_count failed at level {n}, face {face}: face {face} of level "
+                f"{n - 1} has {count} sheets, expected {degree}")
+
+    # copy (e, s) of edge e in sheet s owns darts copy[e, s] and copy[e, s] + 1
+    copy = {}
+    for e in new_edges:
+        for s in sheets[below[face_of[2 * e]]]:
+            copy[e, s] = n_darts + 2 * len(copy)
+    grown = [0] * (2 * len(copy))
+    new_sigma, new_vertex_of = list(sigma) + grown, list(vertex_of) + grown
+    new_dart_map = list(dart_map) + grown
+    vertex_map, local_degree = list(dyn.vertex_map), list(dyn.local_degree)
+    kinds = list(g.vertex_kinds)
+    # after each dart of level n - 1, the darts of level n up to the next one
+    after: dict[int, list[int]] = {}
+    for p in range(n_darts):
+        if not is_new[p]:
+            q, run = sigma[p], []
+            while is_new[q]:
+                run.append(q)
+                q = sigma[q]
+            after[p] = run
+    # each corner of a sheet takes the copies of the run of its image
+    for x in range(n_darts):
+        run = after.get(dart_map[x])
+        if run:
+            s = face_of[sigma[x]]
+            ids = [copy[q >> 1, s] + (q & 1) for q in run]
+            for a, b in zip(ids, ids[1:] + [sigma[x]]):
+                new_sigma[a] = b
+                new_vertex_of[a] = vertex_of[x]
+            new_sigma[x] = ids[0]
+    # an end inside its face of level n - 1: one new vertex per sheet, with
+    # the copies of its darts in their order there
+    old_vertices = {vertex_of[p] for p in after}
+    inside: dict[tuple[int, int], int] = {}
+    for (e, s), base in copy.items():
+        for y in (2 * e, 2 * e + 1):
+            new_dart_map[base + (y & 1)] = y
+            w = vertex_of[y]
+            if w in old_vertices:
+                continue
+            if (w, s) not in inside:
+                inside[w, s] = len(vertex_map)
+                vertex_map.append(w)
+                local_degree.append(1)
+                kinds.append(KIND_PLAIN)
+            z = sigma[y]
+            new_sigma[base + (y & 1)] = copy[z >> 1, s] + (z & 1)
+            new_vertex_of[base + (y & 1)] = inside[w, s]
+    graph = EmbeddedGraph(tuple(new_sigma), tuple(new_vertex_of), tuple(kinds))
+    return GraphDynamics(
+        graph=graph,
+        vertex_map=tuple(vertex_map),
+        edge_map=tuple(dyn.edge_map) + tuple(e for e, _ in copy),
+        dart_map=tuple(new_dart_map),
+        local_degree=tuple(local_degree),
+        channel_edges=dyn.channel_edges,
+        level=n + 1,
+    )
+
+
 @dataclass(frozen=True)
 class Isomorphism:
     """Orientation-preserving match between two graph dynamics."""
@@ -640,40 +773,49 @@ class Isomorphism:
     edge_bijection: tuple[int, ...]
 
 
+def dart_closure(first: GraphDynamics, second: GraphDynamics, anchor: int) -> list[int] | None:
+    """The match of first's darts onto second's that takes dart 0 to anchor,
+    closed under sigma, the mate d ^ 1 and dart_map together: per dart of
+    first, its image. None on the first clash, reused image or mismatch of
+    dart_labels, the anchor's included. The two graphs must have equally
+    many darts. A closure that finishes maps vertices (sigma cycles) onto
+    vertices and keeps every label and dart_map, which vertex_map and
+    edge_map follow."""
+    la, lb = first.dart_labels, second.dart_labels
+    if la[0] != lb[anchor]:
+        return None
+    sa, sb = first.graph.sigma, second.graph.sigma
+    ma, mb = first.dart_map, second.dart_map
+    n = len(sa)
+    match, used, stack = [-1] * n, [False] * n, [0]
+    match[0], used[anchor] = anchor, True
+    while stack:
+        x = stack.pop()
+        y = match[x]
+        for nxt, img in ((sa[x], sb[y]), (x ^ 1, y ^ 1), (ma[x], mb[y])):
+            if match[nxt] == -1:
+                if used[img] or la[nxt] != lb[img]:
+                    return None
+                match[nxt], used[img] = img, True
+                stack.append(nxt)
+            elif match[nxt] != img:
+                return None
+    return match
+
+
 def graphs_equivalent(first: GraphDynamics, second: GraphDynamics) -> Isomorphism | None:
     """Search for an orientation-preserving isomorphism conjugating the maps.
 
     Each dart of ``second`` labelled like dart 0 is tried, in increasing
-    order, as dart 0's image; the choice is closed under sigma, the mate d ^ 1
-    and dart_map together, and given up on the first clash, reused image or
-    label mismatch. A closure that finishes maps vertices (sigma cycles) onto
-    vertices and keeps every label and dart_map, which vertex_map and
-    edge_map follow: it is the witness, the one with the least anchor dart.
+    order, as dart 0's image, by dart_closure; the first closure that
+    finishes is the witness, the one with the least anchor dart.
     """
     ga, gb = first.graph, second.graph
     if (ga.n_darts, ga.n_vertices, first.level) != (gb.n_darts, gb.n_vertices, second.level):
         return None
-    la, lb = first.dart_labels, second.dart_labels
-
-    def closure(anchor: int) -> list[int] | None:
-        match, used, stack = [-1] * ga.n_darts, [False] * ga.n_darts, [0]
-        match[0], used[anchor] = anchor, True
-        while stack:
-            x = stack.pop()
-            y = match[x]
-            for nxt, img in ((ga.sigma[x], gb.sigma[y]), (x ^ 1, y ^ 1),
-                             (first.dart_map[x], second.dart_map[y])):
-                if match[nxt] == -1:
-                    if used[img] or la[nxt] != lb[img]:
-                        return None
-                    match[nxt], used[img] = img, True
-                    stack.append(nxt)
-                elif match[nxt] != img:
-                    return None
-        return match
-
-    for anchor in range(gb.n_darts):
-        match = closure(anchor) if lb[anchor] == la[0] else None
+    label = first.dart_labels[0]
+    for anchor in [y for y, other in enumerate(second.dart_labels) if other == label]:
+        match = dart_closure(first, second, anchor)
         if match is not None:
             vertex_bij = (gb.vertex_of[match[darts[0]]] for darts in ga.vertex_darts)
             return Isomorphism(tuple(match), tuple(vertex_bij), tuple(y >> 1 for y in match[::2]))

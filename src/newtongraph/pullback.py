@@ -30,15 +30,24 @@ pass the branch that retraces the source is skipped and the existing edge
 kept. A lift runs from the mark of a fiber point to the mark of another,
 and every vertex carries its mark from there on. The tower stops one
 pullback after the marks' branching indices add up to 2d - 2, that is
-after every critical point has become a vertex.
+after every critical point has become a vertex. Let M be the first level
+that holds every critical value. When that last pass builds level M + 2,
+it is not traced: combinatorial.lift_level builds it from level M + 1 alone,
+as every face of level M then has deg f disjoint preimage disks. Its
+geometry is traced by the same pass only when graphs[-1] is first read,
+and renumbered as the combinatorial block. Levels up to M + 1, and
+locate_face on any traced level, stay geometric.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,8 +59,10 @@ from .combinatorial import (
     GraphDynamics,
     UnionFind,
     ValidationReport,
+    dart_closure,
     embedded_graph_from_rotations,
     graph_to_json,
+    lift_level,
     validate_newton_graph,
 )
 from .dynamics import critical_orbits, require_postcritically_fixed
@@ -859,17 +870,49 @@ def extract_combinatorial(dg: DynamicGraph) -> GraphDynamics:
     )
 
 
+class Tower(Sequence):
+    """The levels of a pullback tower, level n at index n.
+
+    traced holds the levels whose geometry the build traced. A top level
+    built by combinatorics (lift_level) follows them, and its geometry is
+    traced by trace() when that index is first read.
+    """
+
+    def __init__(self, traced, trace=None):
+        self.traced = tuple(traced)
+        self._size = len(self.traced) + (trace is not None)
+        self._trace = trace
+        self._top = None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError(f"level {index} of a tower of {n}")
+        index %= n
+        if index < len(self.traced):
+            return self.traced[index]
+        if self._top is None:
+            self._top, self._trace = self._trace(), None
+        return self._top
+
+
 @dataclass(frozen=True)
 class NewtonGraphResult:
     """The pullback tower with its combinatorial extraction.
 
-    graphs[n] is the level-n graph; minimal_level is the first level whose
+    graphs[n] is the level-n graph (a Tower, whose combinatorial top level
+    is traced when first read); minimal_level is the first level whose
     predecessor contains every critical point as a vertex (the tower height);
     pole_cover_level is the first level containing every pole, or None if
     the tower never covered them.
     """
 
-    graphs: tuple[DynamicGraph, ...]
+    graphs: Tower
     minimal_level: int
     pole_cover_level: int | None
     dynamics: GraphDynamics
@@ -877,6 +920,66 @@ class NewtonGraphResult:
     @property
     def embedded(self) -> EmbeddedGraph:
         return self.dynamics.graph
+
+
+def _critical_value_level(tower: list[DynamicGraph]) -> int:
+    """M: the first level of the tower that holds the image (vertex_map) of
+    every vertex of local degree > 1 of its top. Vertex ids of a level are
+    a prefix of the next level's, so vertex u is first at the first level
+    with more than u vertices."""
+    top = tower[-1]
+    sizes = [len(dg.marks) for dg in tower]
+    return max(
+        bisect_right(sizes, top.vertex_map[v])
+        for v, mark in enumerate(top.marks) if mark.local_degree > 1
+    )
+
+
+def _traced_top(
+    f: NewtonMap,
+    below: DynamicGraph,
+    fibers: dict[complex, tuple[MarkedPoint, ...]],
+    lifted: GraphDynamics,
+) -> DynamicGraph:
+    """The geometry of a combinatorial top level: pullback_level over the
+    level below with the build's fiber cache, renumbered as lifted by the
+    closure from dart 0 to dart 0 (dart_closure). That closure must be the
+    identity on the level below and keep each dart's parity, else
+    InvalidGraph."""
+    traced = pullback_level(f, below, fibers)
+    dyn = extract_combinatorial(traced)
+    kept = 2 * len(below.geo.edges)
+    match = dart_closure(dyn, lifted, 0) if dyn.graph.n_darts == lifted.graph.n_darts else None
+    if match is None or match[:kept] != list(range(kept)) or any(y & 1 for y in match[::2]):
+        raise InvalidGraph(
+            f"the traced level {traced.level} is not its combinatorial lift through "
+            f"the closure from dart 0 to dart 0, fixing level {below.level} and the "
+            f"ends of each edge"
+        )
+    geo = traced.geo
+    vertex_of = lifted.graph.vertex_of
+    edge_to = [y >> 1 for y in match[::2]]
+    vertex_to = [0] * len(geo.vertices)
+    for x, v in enumerate(dyn.graph.vertex_of):
+        vertex_to[v] = vertex_of[match[x]]
+    vertices, marks, vertex_map = [None] * len(vertex_to), [None] * len(vertex_to), [0] * len(vertex_to)
+    for v, u in enumerate(vertex_to):
+        vertices[u], marks[u] = geo.vertices[v], traced.marks[v]
+        vertex_map[u] = vertex_to[traced.vertex_map[v]]
+    edges, edge_map, edge_level = [None] * len(edge_to), [0] * len(edge_to), [0] * len(edge_to)
+    for j, k in enumerate(edge_to):
+        e = geo.edges[j]
+        edges[k] = GeoEdge(vertex_to[e.tail], vertex_to[e.head], e.points, e.angles)
+        edge_map[k] = edge_to[traced.edge_map[j]]
+        edge_level[k] = traced.edge_level[j]
+    return DynamicGraph(
+        geo=GeoGraph(tuple(vertices), tuple(edges), geo.tol),
+        level=traced.level,
+        vertex_map=tuple(vertex_map),
+        edge_map=tuple(edge_map),
+        edge_level=tuple(edge_level),
+        marks=tuple(marks),
+    )
 
 
 def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
@@ -887,17 +990,23 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
     the partial tower when max_level is hit first. Coverage is counted over
     the vertex marks, one per vertex: every critical point is a vertex when
     the branching indices (local degree minus one) add up to 2d - 2, every
-    pole when len(f.poles) marks are poles. Every stage reads its numeric
-    policy from f.tol. The top level leaves only once certified: it must pass
-    the seven conditions of validate_newton_graph and the face counts of
-    verify_face_counts, else InvalidGraph names each failed check with its
-    witness.
+    pole when len(f.poles) marks are poles. Let M be the first level that
+    holds the image of every vertex of local degree > 1. When the last pass
+    builds level M + 2, that level comes from lift_level on level M + 1, by
+    combinatorics alone, and its geometry (graphs[-1]) is traced only when
+    first read (Tower); its new vertices are plain, so it covers no pole
+    that level M + 1 lacks. Every other level is traced by pullback_level.
+    Every stage reads its numeric policy from f.tol. The top level leaves
+    only once certified: it must pass the seven conditions of
+    validate_newton_graph and the face counts of verify_face_counts, else
+    InvalidGraph names each failed check with its witness.
     """
     require_postcritically_fixed(critical_orbits(f))
     cur = base_dynamic_graph(f)
     tower = [cur]
     fibers: dict[complex, tuple[MarkedPoint, ...]] = {}  # one solve per target
     crit_level = pole_level = None
+    lifted = None
     while True:
         if crit_level is None and sum(m.local_degree - 1 for m in cur.marks) == 2 * f.degree - 2:
             crit_level = cur.level
@@ -911,14 +1020,21 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
                 f"cap {max_level}",
                 partial=tuple(tower),
             )
+        if crit_level is not None and _critical_value_level(tower) == cur.level - 1:
+            lifted = lift_level(extract_combinatorial(cur), cur.edge_level)
+            break
         cur = pullback_level(f, cur, fibers)
         tower.append(cur)
 
+    if lifted is None:
+        graphs, dynamics = Tower(tower), extract_combinatorial(cur)
+    else:
+        graphs, dynamics = Tower(tower, partial(_traced_top, f, cur, fibers, lifted)), lifted
     result = NewtonGraphResult(
-        graphs=tuple(tower),
+        graphs=graphs,
         minimal_level=crit_level + 1,
         pole_cover_level=pole_level,
-        dynamics=extract_combinatorial(cur),
+        dynamics=dynamics,
     )
     failures = (
         validate_newton_graph(result.dynamics).failures
@@ -928,7 +1044,7 @@ def compute_newton_graph(f: NewtonMap, max_level: int = 8) -> NewtonGraphResult:
         raise InvalidGraph("; ".join(
             f"{c.name} failed" + (f" ({c.witness})" if c.witness else "")
             for c in failures
-        ) + f" at level {cur.level}")
+        ) + f" at level {dynamics.level}")
     return result
 
 
@@ -1083,12 +1199,15 @@ def verify_face_counts(result: NewtonGraphResult, f: NewtonMap) -> ValidationRep
 
 
 def newton_graph_to_json(result: NewtonGraphResult) -> dict:
-    """Plain-data export of the top level: the combinatorial block, which
-    holds every vertex kind, local degree, map and rotation, with N and the
-    pole cover level, beside the geometry the block lacks, each vertex's
-    position and each edge's ends, level and samples."""
-    top = result.graphs[-1]
-    data = geograph_to_json(top.geo, top.edge_level)
+    """Plain-data export at format 4: the combinatorial block of the top
+    level, which holds every vertex kind, local degree, map and rotation,
+    with N and the pole cover level, beside the geometry the block lacks:
+    each vertex's position and each edge's ends, level and samples, for the
+    highest level the build traced (Tower.traced). Below a combinatorial
+    top level that is level M + 1, whose vertex and edge ids are a prefix
+    of the block's; its geometry is not built here."""
+    traced = result.graphs.traced[-1]
+    data = geograph_to_json(traced.geo, traced.edge_level)
     data["N"] = result.minimal_level
     data["pole_cover_level"] = result.pole_cover_level
     data["combinatorial"] = graph_to_json(result.dynamics)

@@ -616,16 +616,18 @@ def polyline_from_json(text: str) -> np.ndarray:
 
 
 def geograph_to_json(graph: GeoGraph, edge_levels: tuple[int, ...]) -> dict:
-    """The geometry of a graph, at format 3: vertices lists each vertex's
+    """The geometry of a graph, at format 4: vertices lists each vertex's
     position by vertex id, and edge j, which owns darts 2j (its tail) and
     2j + 1 (its head), the vertices it joins, its level and its samples as
     the graph holds them (a lifted edge's thinned to sample_ratio about both
-    its ends), as one string that polyline_from_json reads back."""
+    its ends), as one string that polyline_from_json reads back. At format
+    4 the graph may be a level below the exported combinatorial block,
+    whose ids it then numbers as a prefix (newton_graph_to_json)."""
     edges = [
         {"from": e.tail, "to": e.head, "level": edge_levels[j], "samples": _samples_json(e.points)}
         for j, e in enumerate(graph.edges)
     ]
-    return {"format": 3, "vertices": [_pos_json(v) for v in graph.vertices], "edges": edges}
+    return {"format": 4, "vertices": [_pos_json(v) for v in graph.vertices], "edges": edges}
 
 
 def channel_diagram(f: NewtonMap) -> GeoGraph:

@@ -177,6 +177,7 @@ def _spectral_radius_below_one(scaled: list[list[int]], scale: int,
 @dataclass(frozen=True)
 class TransitionMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
+    entry_text: tuple[tuple[str, ...], ...]  # str of each entry, for display
     leading: float  # floating-point spectral radius, for display
     irreducible: bool
     # irreducible with leading eigenvalue at least 1, decided exactly
@@ -224,10 +225,13 @@ def transition_matrix(spec: MulticurveSpec) -> TransitionMatrix:
         values[target, j] = scaled[target][j] / scale
     leading, vector = _leading_eigenpair(values)
     irreducible = is_irreducible(values)
-    # one Fraction per distinct entry, shared by every cell that holds it
+    # one Fraction and one string per distinct entry, shared by every cell
+    # that holds it: a cell is looked up by its integer, whose hash is cheap
     fractions = {s: Fraction(s, scale) for s in set(itertools.chain(*scaled))}
+    texts = {s: str(x) for s, x in fractions.items()}
     return TransitionMatrix(
         entries=tuple(tuple(map(fractions.__getitem__, row)) for row in scaled),
+        entry_text=tuple(tuple(map(texts.__getitem__, row)) for row in scaled),
         leading=leading,
         irreducible=irreducible,
         obstruction=irreducible and not _spectral_radius_below_one(scaled, scale, vector),

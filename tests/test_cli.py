@@ -202,6 +202,26 @@ class TestGraph:
         assert code == 0
         assert "N = 2" in text
 
+    def test_graph_traces_no_combinatorial_top_level(self, tmp_path, capsys, monkeypatch):
+        # z^3 - 1: level 2 comes from lift_level, so only level 1 is traced;
+        # the counts printed are the top level's
+        calls = []
+        level = pullback.pullback_level
+
+        def counted(*args):
+            calls.append(args[1].level)
+            return level(*args)
+
+        monkeypatch.setattr(pullback, "pullback_level", counted)
+        poly = write_json(tmp_path, "u.json", UNITY)
+        out = tmp_path / "g.json"
+        code, text, _ = run(capsys, ["graph", poly, "--out", str(out)])
+        assert code == 0
+        assert calls == [0]
+        assert "vertices 20 edges 27" in text
+        data = json.loads(out.read_text())
+        assert (len(data["vertices"]), len(data["edges"])) == (8, 9)
+
     def test_not_pcf_exits_3(self, tmp_path, capsys):
         poly = write_json(tmp_path, "q.json", NOT_PCF)
         code, _, err = run(capsys, ["graph", poly])
@@ -603,10 +623,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "66a28645aa69e4276845c8b5233235bd984a8edca3cac2030a6d114e41db8763",
-         "cfb2ae88bf3c8175655807861101639b046acba9eceaeb9b356a54f838d09255"),
+         "dd1a9587919177f7a7137da20db213375bae7d282f365c05bf2b6b4e60d7d06a",
+         "23e95bc42659d10cc791bed73fbceaad10ff39002240927570be0f5c61ce0838"),
         ("z4-z", ZMZ4,
-         "8049da1ba683278aac6fb3b9cb1849ee6d146f1daab45cc6280c748a6148af39",
+         "c74c36c955e85002e7fa18bc0a39ad64863094cda0118314203a5e1896b3a5b8",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

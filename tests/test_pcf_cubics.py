@@ -135,7 +135,7 @@ def test_the_rotation_system_at_lambda_3_is_pinned(built_deeper):
     _, result = built_deeper[0]
     block = json.dumps(graph_to_json(result.dynamics), sort_keys=True)
     assert hashlib.sha256(block.encode()).hexdigest() == (
-        "ac1121b6b622b5ab6a2a72b80273cda11e3451a6a5769ad1b861c6c653a19543"
+        "24d97e6feecb6a3df7b50fed68e599c57aab466e3194a68850f28bb815c439aa"
     )
 
 

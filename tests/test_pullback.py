@@ -276,7 +276,7 @@ class TestLockstepLift:
         monkeypatch.setattr(pullback, "_lift_lanes", recording)
         monkeypatch.setattr(pullback, "_read_head", reading)
         for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
-            compute_newton_graph(f)
+            compute_newton_graph(f).graphs[-1]  # a combinatorial top is traced on demand
         monkeypatch.undo()
         assert len(levels) == 7  # one per pass; the towers are 2, 1, 1, 2, 1 high
         assert len(heads) == sum(len(lanes) for _, _, lanes, _, _ in levels)
@@ -390,7 +390,7 @@ class TestSegmentedLift:
 
         monkeypatch.setattr(pullback, "_newton_round", counted_round)
         monkeypatch.setattr(pullback, "_lift_lanes", counted_lift)
-        compute_newton_graph(f)
+        compute_newton_graph(f).graphs[-1]  # a combinatorial top is traced on demand
         assert len(levels) == 2
         for sources, cuts, n in levels:
             longest = 0
@@ -487,7 +487,7 @@ class TestSegmentedLift:
         monkeypatch.setattr(pullback, "_fibers", recording_fibers)
         monkeypatch.setattr(pullback, "_lift_lanes", recording_lift)
         for f in (cubic_unity, quartic_unity):
-            compute_newton_graph(f)
+            compute_newton_graph(f).graphs[-1]  # a combinatorial top is traced on demand
         # a branched lift from the root 1 over the cuts of its ray, into infinity
         ray = delta0_unity.edges[2]
         lifted = lift_edge(cubic_unity, ray.points, 1 + 0j, ray.angles[0])
@@ -529,6 +529,7 @@ class TestThinnedLifts:
             mp.setattr(pullback, "_thinned_lifts", recording)
             for f in (cubic_unity, cubic_pm, cubic_pm_plus, quartic_unity, quartic_monic):
                 towers.append(compute_newton_graph(f))
+                towers[-1].graphs[-1]  # a combinatorial top is traced on demand
         return lanes, towers
 
     @staticmethod
@@ -741,8 +742,8 @@ class TestLevelFibers:
         monkeypatch.setattr(pullback, "roots_of_rows", counted_solve)
         monkeypatch.setattr(poly, "_aberth_rows", counted_aberth)
         monkeypatch.setattr(pullback, "lift_point", no_lift_point)
-        result = compute_newton_graph(f)
-        assert len(solves) == result.graphs[-1].level
+        top = compute_newton_graph(f).graphs[-1]  # a combinatorial top is traced here
+        assert len(solves) == top.level
         for runs in solves:
             degrees = [n for _, n in runs]
             assert len(degrees) == len(set(degrees))
@@ -1365,7 +1366,8 @@ class TestComputeNewtonGraph:
     # imaginary axis, refined by Newton in c^2 on the landing condition of
     # the free critical orbits: four root-landing after k = 2 steps, two
     # pole-landing after k = 1 and six after k = 2. Their orbits land, but
-    # the top level splits its non-channel part, so no graph may leave.
+    # level M + 1 (2 or 3) is no cover of level M: a face of it lies over two
+    # faces of level M, so lift_level refuses it and no graph may leave.
     IMAGINARY_AXIS_C2 = [
         complex(re, im)
         for re in (0.0003115105291598439, -0.0003115105291598439)
@@ -1380,7 +1382,7 @@ class TestComputeNewtonGraph:
     @pytest.mark.parametrize("c2", IMAGINARY_AXIS_C2, ids=str)
     def test_imaginary_axis_quartics_raise(self, c2):
         f = make_newton_map(Polynomial((-1, 0, -6 * c2, 0, 1)))
-        with pytest.raises(InvalidGraph, match="complement_connected failed"):
+        with pytest.raises(InvalidGraph, match=r"sheet_over_one_face failed at level [23], face [01]: "):
             compute_newton_graph(f)
 
     def test_pipeline_matches_handbuilt_model(self, graph_pm, handbuilt_pm_level1):
@@ -1527,14 +1529,17 @@ def dart_vertices(block) -> dict[int, int]:
 
 class TestExport:
     def test_newton_graph_json_shape(self, graph_unity):
+        # the top level of z^3 - 1 is combinatorial: the geometry is level 1's,
+        # 8 of the block's 20 vertices and 9 of its 27 edges
         data = newton_graph_to_json(graph_unity)
         assert set(data) == EXPORT_KEYS
         assert data["N"] == 2
         assert data["pole_cover_level"] == 1
-        assert len(data["vertices"]) == 20
-        assert len(data["edges"]) == 27
+        assert len(data["vertices"]) == 8
+        assert len(data["edges"]) == 9
         top = graph_unity.graphs[-1]
         block = data["combinatorial"]
+        assert len(block["alpha"]) == 27
         dynamics = block["dynamics"]
         vertex_of = dart_vertices(block)
         positions = [INF if v == "inf" else complex(*v) for v in data["vertices"]]
@@ -1554,19 +1559,33 @@ class TestExport:
 
     @pytest.mark.parametrize("graph", [g for _, g in POOL])
     def test_samples_decode_bit_for_bit(self, request, graph):
+        # a format-4 round trip: the block reads back as the top level, and
+        # the geometry is the highest traced level, whose ids are a prefix of
+        # the block's and of the top level traced on demand
         result = request.getfixturevalue(graph)
         data = json.loads(json.dumps(newton_graph_to_json(result)))
-        assert data["format"] == 3
+        assert data["format"] == 4
         assert set(data) == EXPORT_KEYS
-        edges = result.graphs[-1].geo.edges
-        assert len(data["edges"]) == len(data["combinatorial"]["alpha"]) == len(edges)
+        assert graph_from_json(data["combinatorial"]) == result.dynamics
+        traced = result.graphs.traced[-1]
+        edges = traced.geo.edges
+        lifted = traced is not result.graphs[-1]
+        assert lifted == (graph in ("graph_unity", "graph_q_unity"))
+        assert traced.level == result.dynamics.level - lifted
+        assert len(data["edges"]) == len(edges)
+        assert (len(edges) < len(data["combinatorial"]["alpha"])) == lifted
+        positions = [INF if v == "inf" else complex(*v) for v in data["vertices"]]
+        assert positions == list(traced.geo.vertices)
         vertex_of = dart_vertices(data["combinatorial"])
         at_infinity = 0
+        top = result.graphs[-1].geo
         for j, (rec, e) in enumerate(zip(data["edges"], edges)):
             assert set(rec) == EDGE_KEYS
             assert (rec["from"], rec["to"]) == (vertex_of[2 * j], vertex_of[2 * j + 1])
+            assert rec["level"] == traced.edge_level[j] <= traced.level
             points = polyline_from_json(rec["samples"])
             assert points.view(np.float64).tobytes() == e.points.view(np.float64).tobytes()
+            assert points.tobytes() == top.edges[j].points.tobytes()
             assert not points.flags.writeable
             at_infinity += (points[0] == INF) + (points[-1] == INF)
         assert at_infinity > 0
