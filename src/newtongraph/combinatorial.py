@@ -27,6 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InvalidGraph
 
 KIND_INFINITY = "infinity"
@@ -459,39 +461,58 @@ def regular_extension_check(dyn: GraphDynamics) -> ValidationReport:
     a full turn when the two images coincide, and local_degree(v) full turns
     for a one-dart star.  Per target vertex and per source face, the runs of
     distinct corners must not overlap.
+
+    Both checks run as array passes over every corner, and over every target
+    corner of every run, in the order of a loop over the vertices, their
+    corners and each run's corners, and name the first witness that loop
+    meets: the first vertex whose runs miss their count, and the first run
+    corner whose (source face, target corner) an earlier run took, with that
+    run's vertex. A vertex whose count fails takes no part in the overlaps.
     """
     graph = dyn.graph
-    stars, face_of, n_darts = graph.vertex_darts, graph.face_of, graph.n_darts
-    image_pos = list(map(graph.star_position.__getitem__, dyn.dart_map))
+    stars, n_darts = graph.vertex_darts, graph.n_darts
+    sizes = np.array([len(star) for star in stars])
+    darts = np.fromiter(itertools.chain.from_iterable(stars), dtype=np.int64, count=n_darts)
+    first = np.cumsum(sizes) - sizes  # where each star starts in darts
+    vertex = np.repeat(np.arange(len(stars)), sizes)
+    # the entry of the next dart ccw: the corner from entry i is closed by it
+    nxt = np.arange(n_darts) + 1
+    nxt[first + sizes - 1] = first
+    target = np.array(dyn.vertex_map)
+    l = sizes[target][vertex]
+    starts = np.array(graph.star_position)[np.array(dyn.dart_map)[darts]]
+    counts = (starts[nxt] - starts) % l
+    counts[counts == 0] = l[counts == 0]
+    turns = np.array(dyn.local_degree) * sizes[target]
+    lone = sizes[vertex] == 1  # a one-dart star's corner runs all its turns
+    counts[lone] = turns[vertex[lone]]
+    covered = np.add.reduceat(counts, first)
     winding_witness = None
+    wrong = np.flatnonzero(covered != turns)
+    if len(wrong):
+        v = int(wrong[0])
+        winding_witness = (f"vertex {v}: corner runs cover {int(covered[v])} "
+                           f"target corners, expected {int(turns[v])}")
+    # each run corner as (source face, target corner) in one key, the target
+    # corner named by the dart it starts at
+    corner = np.flatnonzero(covered[vertex] == turns[vertex])
+    runs = counts[corner]
+    run_of = np.repeat(corner, runs)
+    step = np.arange(len(run_of)) - np.repeat(np.cumsum(runs) - runs, runs)
+    at = (starts[run_of] + step) % l[run_of]
+    face = np.array(graph.face_of)[darts[nxt]]
+    keys = face[run_of] * n_darts + darts[first[target[vertex[run_of]]] + at]
+    # the first repeated key: of the later occurrences of keys in stable
+    # sorted order, the least in loop order; its key was met once before
     overlap_witness = None
-    # a target corner is named by the dart it starts at, keyed with the source
-    # face as source_face * n_darts + dart
-    owner = {}
-    for v, star in enumerate(stars):
-        y = dyn.vertex_map[v]
-        target_star = stars[y]
-        l = len(target_star)
-        turns = dyn.local_degree[v] * l
-        starts = [image_pos[x] for x in star]
-        if len(star) == 1:
-            counts = [turns]
-        else:
-            counts = [((b - a) % l) or l for a, b in zip(starts, starts[1:] + starts[:1])]
-        if sum(counts) != turns:
-            if winding_witness is None:
-                winding_witness = (f"vertex {v}: corner runs cover {sum(counts)} "
-                                   f"target corners, expected {turns}")
-            continue
-        for start, count, x in zip(starts, counts, star[1:] + star[:1]):
-            source_face = face_of[x]
-            base = source_face * n_darts
-            for r in range(start, start + count):
-                key = base + target_star[r % l]
-                if key in owner and overlap_witness is None:
-                    overlap_witness = (f"target vertex {y}, face {source_face}: corner images "
-                                       f"of vertices {owner[key]} and {v} overlap")
-                owner[key] = v
+    order = np.argsort(keys, kind="stable")
+    repeated = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if len(repeated):
+        i = int(repeated[np.argmin(order[repeated + 1])])
+        j, taken = order[i + 1], order[i]
+        v, owner = int(vertex[run_of[j]]), int(vertex[run_of[taken]])
+        overlap_witness = (f"target vertex {int(target[v])}, face {int(face[run_of[j]])}: "
+                           f"corner images of vertices {owner} and {v} overlap")
     return ValidationReport((
         ConditionCheck("sector_winding", winding_witness is None, winding_witness),
         ConditionCheck("sector_injective", overlap_witness is None, overlap_witness),

@@ -411,6 +411,7 @@ def lift_edge(
 
 def _newton_round(
     coeffs: np.ndarray,
+    far: np.ndarray | None,
     values: np.ndarray,
     x0: np.ndarray,
     target: np.ndarray,
@@ -418,22 +419,23 @@ def _newton_round(
     tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One continuation step on every active lane: the Newton iteration of
-    solve_preimage_near from x0 toward num/den = target, with its gates and
-    those of continue_inverse_branch. values holds the four rows of coeffs
-    at x0. Returns the new points (x0 on inactive lanes), the rows there,
-    and which active lanes passed every gate."""
+    solve_preimage_near from x0 toward a/b = target, with its step and
+    gates and those of continue_inverse_branch. values holds the three rows
+    of coeffs at x0; far marks the lanes in the 1/z chart, None where there
+    are none. Returns the new points (x0 on inactive lanes), the rows
+    there, and which active lanes passed every gate."""
     n = len(x0)
     x = x0
     done = ~active
     for _ in range(50):
-        num, den = values[:n], values[n : 2 * n]
-        dnum, dden = values[2 * n : 3 * n], values[3 * n :]
-        step = (num - target * den) * den / (dnum * den - num * dden)
+        a, b, e = values[:n], values[n : 2 * n], values[2 * n :]
+        line = x * b - a if far is None else np.where(far, b - x * a, x * b - a)
+        step = (a - target * b) * b / (e * line)
         x_new = x - step
         np.copyto(x_new, x, where=done)
         done |= converged(step, x_new, tol)
         x = x_new
-        values = horner(coeffs, np.concatenate((x,) * 4))
+        values = horner(coeffs, np.concatenate((x,) * 3))
         if np.count_nonzero(done) == n:
             break
     res = np.abs(values[:n] / values[n : 2 * n] - target)
@@ -571,12 +573,13 @@ def _lift_lanes(
             if k == 1 or (far[k] != chart).any():
                 chart = far[k]
                 coeffs = f.lane_rows(chart)
-                values = horner(coeffs, np.concatenate((x[k - 1],) * 4))
+                lanes_far = chart if chart.any() else None
+                values = horner(coeffs, np.concatenate((x[k - 1],) * 3))
             active = alive[k] & ~failed if errors else alive[k]
             if k == 1:
                 active = active & ~branched
             x[k], values, ok = _newton_round(
-                coeffs, values, x[k - 1], target[k], active, tol
+                coeffs, lanes_far, values, x[k - 1], target[k], active, tol
             )
             scalar = active & ~ok
             if k == 1:
@@ -584,7 +587,7 @@ def _lift_lanes(
             if np.count_nonzero(scalar):
                 for lane in np.flatnonzero(scalar).tolist():
                     scalar_step(lane, k)
-                values = horner(coeffs, np.concatenate((x[k],) * 4))
+                values = horner(coeffs, np.concatenate((x[k],) * 3))
 
     # chain every lane through its source's cuts, cut by cut: chain[lane, i]
     # is its segment lane after its source's i-th cut, and the cut tables

@@ -2,12 +2,24 @@
 
 Each root is a superattracting fixed point of local degree k >= 2, so its
 immediate basin carries k - 1 invariant accesses to infinity. A ray is traced
-from a short straight fundamental segment in an invariant direction near the
-root, then continued by repeated inverse lifts: the preimage of each traced
+from a short fundamental segment in an invariant direction near the root,
+then continued by repeated inverse lifts: the preimage of each traced
 segment, taken along the branch that starts at the segment's outer endpoint,
 extends the ray outward until it passes the map's ray radius, where its
 chord to infinity closes it. Forward iteration is useless here (it
 contracts into the root), so tracing runs against the dynamics.
+
+The fundamental segment lies on the second-order Böttcher curve xi + S -
+(kappa / k) S^2, S = s e^(i theta), where f(xi + u) = xi + a u^k + c u^(k+1)
++ ... and kappa = c / a (NewtonMap.root_kappas): f maps the curve onto
+itself up to O(s^(k+2)), where a straight segment is off by |c| s^(k+1).
+The curve reaches at most 0.05 from the root, so that every sample beyond
+0.05 is a lift, whose image is a sample to solver accuracy; it also stays
+within a quarter of the root's clearance, and |a| r0^(k-1) <= 1/4 at its
+outer end |S| = r0. Each continuation step of a lift starts Newton's method
+from the secant prediction of the lift's last two samples, in the target
+(continue_inverse_branch).
+
 trace_fixed_ray returns a ray as a frozen polyline, root first and inf last;
 channel_diagram joins the rays of every root into a GeoGraph. The radius,
 NewtonMap.ray_radius, is certified per map: there the rays' cyclic order at
@@ -94,15 +106,18 @@ def frozen_polyline(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BottcherLocal:
-    """Local model f(xi + w) = xi + a w^k + O(w^(k+1)) at a root: the root's
-    mark (xi, its local degree k and a) and the k-1 invariant directions."""
+    """Local model f(xi + w) = xi + a w^k + c w^(k+1) + O(w^(k+2)) at a root:
+    the root's mark (xi, its local degree k and a), the k-1 invariant
+    directions, and kappa = c / a."""
 
     mark: MarkedPoint
     fixed_directions: tuple[float, ...]  # angles in [0, 2pi), sorted
+    kappa: complex
 
 
 def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
-    """Leading local coefficient and the k-1 invariant ray directions."""
+    """The root's local model: its mark, the k-1 invariant ray directions and
+    the map's kappa there."""
     if not 0 <= root_index < len(f.roots):
         raise NotARoot(f"no root with index {root_index}")
     mark = f.marked_points[root_index]  # the roots' marks come first
@@ -113,7 +128,7 @@ def bottcher_local(f: NewtonMap, root_index: int) -> BottcherLocal:
         _mod_tau((-cmath.phase(mark.coefficient) + _TAU * j) / (k - 1))
         for j in range(k - 1)
     )
-    return BottcherLocal(mark, tuple(dirs))
+    return BottcherLocal(mark, tuple(dirs), f.root_kappas[root_index])
 
 
 # --- the corrector's gates, shared by the scalar solve and the lockstep lift --
@@ -143,14 +158,16 @@ def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None
 
     Newton's method on a/b = target with the rows and target of
     f.corrector(w): f = w, or 1/f = 1/w in the map's 1/z chart, where a pole
-    of f is a regular point of 1/f. The four rows are evaluated by Horner
-    loops written out here, each the operations of horner in its order, so
-    that a step makes no call per row.
+    of f is a regular point of 1/f. Its step is (a - target b) b over e (x b
+    - a), or over e (b - x a) in the 1/z chart, from the values of the three
+    rows a, b, e at x, as in the lockstep lift (pullback._newton_round). The
+    rows are evaluated by Horner loops written out here, each the operations
+    of horner in its order, so that a step makes no call per row.
     """
     tol = f.tol
-    (a, b, da, db), target = f.corrector(w)
-    a0, b0, da0, db0 = a[0], b[0], da[0], db[0]
-    a, b, da, db = a[1:], b[1:], da[1:], db[1:]
+    (a, b, e), target, far = f.corrector(w)
+    a0, b0, e0 = a[0], b[0], e[0]
+    a, b, e = a[1:], b[1:], e[1:]
     x = x0
     for _ in range(50):
         av, bv = a0, b0
@@ -161,17 +178,14 @@ def solve_preimage_near(f: NewtonMap, w: complex, x0: complex) -> complex | None
         if bv == 0:
             x += 1e-12 * (1 + abs(x))
             continue
-        dav, dbv = da0, db0
-        for c in da:
-            dav = dav * x + c
-        for c in db:
-            dbv = dbv * x + c
-        g = av / bv - target
-        gp = (dav * bv - av * dbv) / (bv * bv)
-        if gp == 0:
+        ev = e0
+        for c in e:
+            ev = ev * x + c
+        slope = ev * (bv - x * av if far else x * bv - av)
+        if slope == 0:
             x += 1e-12 * (1 + abs(x))
             continue
-        step = g / gp
+        step = (av - target * bv) * bv / slope
         x = x - step
         if converged(step, x, tol):
             break
@@ -194,9 +208,13 @@ def continue_inverse_branch(
     w_to: complex,
     x0: complex,
     depth: int = 0,
+    start: complex | None = None,
 ) -> complex:
-    """Continue the branch of f^{-1} from x0 (a preimage of w_from) to w_to."""
-    x = solve_preimage_near(f, w_to, x0)
+    """Continue the branch of f^{-1} from x0 (a preimage of w_from) to w_to.
+
+    The first solve starts at start, a predicted preimage of w_to, by default
+    x0; on_branch and the bisection measure from x0 all the same."""
+    x = solve_preimage_near(f, w_to, x0 if start is None else start)
     if x is not None and on_branch(x, x0):
         return x
     if depth >= MAX_BISECTION_DEPTH:
@@ -234,16 +252,21 @@ def trace_fixed_ray(
     Returns the ray as a frozen polyline: the root first, inf last, and in
     between the samples up to the first one at |z| >= radius, by default
     f.ray_radius. Its first chord leaves the root in the fixed direction,
-    and its last chord, drawn in the w = 1/z chart, gives the ray's angle at
-    infinity to within f.far_turn of its last finite sample.
+    turned by about |kappa| |S| / k at its first sample, and its last
+    chord, drawn in the w = 1/z chart, gives the ray's angle at infinity to
+    within f.far_turn of its last finite sample.
 
-    The ray starts with a fundamental segment spaced at sample_ratio; each
-    further segment is the inverse lift of the previous one, thinned
-    greedily (_thinned) so that its samples lie about sample_ratio apart in
-    log-polar distance about the root. Every sample of lift n+1 maps onto a
-    sample of lift n, f(points[j of segment n+1]) = points[i(j) of segment n]
-    to solver accuracy, so forward invariance is structural, and the next
-    lift continues over the thinned segment.
+    The ray starts with a fundamental segment on the second-order Böttcher
+    curve xi + S - (kappa / k) S^2 (see the module docstring), its samples
+    at |S| from |a| r0^k to r0 spaced at sample_ratio; each further segment
+    is the inverse lift of the previous one, thinned greedily (_thinned) so
+    that its samples lie about sample_ratio apart in log-polar distance
+    about the root. Every sample of lift n+1 maps onto a sample of lift n,
+    f(points[j of segment n+1]) = points[i(j) of segment n] to solver
+    accuracy, so forward invariance is structural, and the next lift
+    continues over the thinned segment. Each step of a lift starts Newton's
+    method from the secant prediction, in the target, of the lift's last two
+    samples; the step's gates measure from the last sample.
     """
     tol = f.tol
     radius = f.ray_radius if radius is None else radius
@@ -255,15 +278,19 @@ def trace_fixed_ray(
         + [abs(q - xi) for q, _ in f.poles],
         default=1.0,
     )
-    r0 = min(0.02, 0.25 * clearance)
+    # r0 (1 + |bend| r0) = reach: the curve up to |S| = r0 stays within
+    # reach of the root
+    turn, bend = cmath.exp(1j * theta), local.kappa / k
+    reach = min(0.05, 0.25 * clearance)
+    r0 = 2 * reach / (1 + math.sqrt(1 + 4 * abs(bend) * reach))
     while abs(a) * r0 ** (k - 1) > 0.25:
         r0 *= 0.5
     inner = abs(a) * r0**k
     m = max(2, math.ceil(math.log(r0 / inner) / math.log(tol.sample_ratio)))
-    seg = [
-        xi + inner * (r0 / inner) ** (j / m) * cmath.exp(1j * theta)
-        for j in range(m + 1)
-    ]
+    seg = []
+    for j in range(m + 1):
+        s = inner * (r0 / inner) ** (j / m) * turn
+        seg.append(xi + s - bend * s * s)
 
     # the critical points a lift must not land on: all but the root itself
     hot = [(c, 1e-12 * (1 + abs(c))) for c, _ in f.critical_points if abs(c - xi) > 1e-9]
@@ -273,7 +300,11 @@ def trace_fixed_ray(
     for _ in range(MAX_RAY_LIFTS):
         new = [cur[-1]]
         for j in range(1, len(cur)):
-            x = continue_inverse_branch(f, cur[j - 1], cur[j], new[-1])
+            start = None
+            if j > 1:
+                slope = (new[-1] - new[-2]) / (cur[j - 1] - cur[j - 2])
+                start = new[-1] + slope * (cur[j] - cur[j - 1])
+            x = continue_inverse_branch(f, cur[j - 1], cur[j], new[-1], start=start)
             for c, near in hot:
                 if abs(x - c) <= near:
                     raise RayCollision(f"ray lift landed on critical point {c}")

@@ -623,10 +623,10 @@ class TestGoldenDigests:
     ZMZ4 = {"coeffs": [[0, 0], [-1, 0], [0, 0], [0, 0], [1, 0]]}
     GRAPHS = [
         ("z3-1", UNITY,
-         "dd1a9587919177f7a7137da20db213375bae7d282f365c05bf2b6b4e60d7d06a",
+         "2d27e55ea183631c08e0e53ccf6c857affd0d0d38870bfc78dadba9f1dd0be6b",
          "23e95bc42659d10cc791bed73fbceaad10ff39002240927570be0f5c61ce0838"),
         ("z4-z", ZMZ4,
-         "c74c36c955e85002e7fa18bc0a39ad64863094cda0118314203a5e1896b3a5b8",
+         "95e5fb68155438eba12f82740b422fb2eb2d039db38bbe383a13deb83a90283c",
          "3e4d6d6f31fee15532e72dcf4d2b629d11cfca667e1883cc88c59649ddb69328"),
     ]
 

@@ -5,6 +5,7 @@ Newton map of z^3 - z (see conftest), whose rotation data was derived from
 germ directions on paper, independently of the numerical pipeline.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -20,12 +21,14 @@ from newtongraph import (
     validate_newton_graph,
 )
 from newtongraph.combinatorial import (
+    ConditionCheck,
     EmbeddedGraph,
     GraphDynamics,
     KIND_INFINITY,
     KIND_PLAIN,
     KIND_POLE,
     KIND_ROOT,
+    ValidationReport,
     embedded_graph_from_rotations,
     regular_extension_check,
     validate_channel_diagram,
@@ -382,6 +385,72 @@ class TestRegularExtension:
         report = regular_extension_check(handbuilt_pm_level0.dynamics())
         assert not report.check("sector_winding").passed
         assert "vertex 0" in report.check("sector_winding").witness
+
+    @pytest.mark.parametrize("name", ["graph_unity", "graph_q_unity", "graph_q_monic"])
+    def test_the_array_passes_report_as_the_corner_loop(self, request, name):
+        # rotation systems with two darts of one star swapped, some with a
+        # local degree raised too: every report, witnesses included, is the
+        # one a loop over the vertices, their corners and each run gives
+        dyn = request.getfixturevalue(name).dynamics
+        g = dyn.graph
+        rng = random.Random(name)
+        reports = []
+        while len(reports) < 40:
+            sigma, degrees = list(g.sigma), list(dyn.local_degree)
+            v = rng.choice([v for v in range(g.n_vertices) if len(g.vertex_darts[v]) >= 3])
+            star = list(g.vertex_darts[v])
+            i, j = rng.sample(range(len(star)), 2)
+            star[i], star[j] = star[j], star[i]
+            for a, b in zip(star, star[1:] + star[:1]):
+                sigma[a] = b
+            if rng.random() < 0.3:
+                degrees[rng.randrange(g.n_vertices)] += 1
+            try:
+                graph = EmbeddedGraph(tuple(sigma), g.vertex_of, g.vertex_kinds)
+            except InvalidGraph:  # not spherical
+                continue
+            mutant = dataclasses.replace(dyn, graph=graph, local_degree=tuple(degrees))
+            report = regular_extension_check(mutant)
+            assert report == corner_loop_check(mutant)
+            reports.append(report)
+        assert regular_extension_check(dyn) == corner_loop_check(dyn)
+        assert regular_extension_check(dyn).passed
+        assert any(not r.check("sector_injective").passed for r in reports)
+
+
+def corner_loop_check(dyn):
+    """regular_extension_check as a loop over the vertices, their corners
+    and each corner's run: the oracle of its array passes."""
+    graph = dyn.graph
+    stars, face_of, n_darts = graph.vertex_darts, graph.face_of, graph.n_darts
+    winding_witness = overlap_witness = None
+    owner = {}
+    for v, star in enumerate(stars):
+        y = dyn.vertex_map[v]
+        target_star = stars[y]
+        l = len(target_star)
+        turns = dyn.local_degree[v] * l
+        starts = [graph.star_position[dyn.dart_map[x]] for x in star]
+        if len(star) == 1:
+            counts = [turns]
+        else:
+            counts = [((b - a) % l) or l for a, b in zip(starts, starts[1:] + starts[:1])]
+        if sum(counts) != turns:
+            if winding_witness is None:
+                winding_witness = (f"vertex {v}: corner runs cover {sum(counts)} "
+                                   f"target corners, expected {turns}")
+            continue
+        for start, count, x in zip(starts, counts, star[1:] + star[:1]):
+            for r in range(start, start + count):
+                key = (face_of[x], target_star[r % l])
+                if key in owner and overlap_witness is None:
+                    overlap_witness = (f"target vertex {y}, face {face_of[x]}: corner images "
+                                       f"of vertices {owner[key]} and {v} overlap")
+                owner[key] = v
+    return ValidationReport((
+        ConditionCheck("sector_winding", winding_witness is None, winding_witness),
+        ConditionCheck("sector_injective", overlap_witness is None, overlap_witness),
+    ))
 
 
 def permute_edges(parts, perm):

@@ -132,10 +132,15 @@ def test_deeper_landings_fall_into_two_classes(built_deeper):
 
 
 def test_the_rotation_system_at_lambda_3_is_pinned(built_deeper):
+    # the numbering, not only the class: at the real root 1 a level-1 edge
+    # leaves along the negative real axis, and the sign of its first chord's
+    # zero imaginary part (a rounding residue) decides whether the two
+    # lifts from the root at level 2 are taken in the order pi/2, 3pi/2 or
+    # 3pi/2, pi/2; a change to the rays' samples may renumber them
     _, result = built_deeper[0]
     block = json.dumps(graph_to_json(result.dynamics), sort_keys=True)
     assert hashlib.sha256(block.encode()).hexdigest() == (
-        "24d97e6feecb6a3df7b50fed68e599c57aab466e3194a68850f28bb815c439aa"
+        "1af877164857c20a84944f063f757bf1dce3d9389f96980bb0c7cbd3cf36d7cc"
     )
 
 

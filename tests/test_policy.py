@@ -240,6 +240,8 @@ class TestMarkDecidedOnce:
     def test_no_lift_computes_a_leading_coefficient(self):
         assert pullback_callers("leading_coefficient") == set()
         assert pullback_callers("leading_coefficient", "rays") == set()
+        assert pullback_callers("next_coefficient") == set()
+        assert pullback_callers("next_coefficient", "rays") == set()
 
 
 class TestOneEdgeLift:

@@ -327,8 +327,8 @@ class TestLockstepLift:
         continuation = pullback.continue_inverse_branch
         calls = []
 
-        def gates_fail(coeffs, values, x0, target, active, tol):
-            x, rows, ok = newton_round(coeffs, values, x0, target, active, tol)
+        def gates_fail(*args):
+            x, rows, ok = newton_round(*args)
             return x, rows, np.zeros_like(ok)
 
         def flaky(f, w0, w1, x0):

@@ -44,8 +44,11 @@ from newtongraph.sphere import INF, chordal_distance, offset
 from newtongraph.tolerances import DEFAULT_TOL
 
 from conftest import conjugate_coeffs, full_scan_nearest_edge_point, graph_distance
+from test_pcf_cubics import LAMBDA_3, LAMBDA_4, LAMBDAS
+from test_pcf_cubics import cubic as pcf_cubic
 
 TAU = 2 * math.pi
+PCF_LAMBDAS = LAMBDAS + [LAMBDA_3, LAMBDA_4]
 
 
 def _root_index(f, value):
@@ -91,6 +94,21 @@ class TestBottcherLocal:
             bottcher_local(cubic_unity, 7)
 
 
+def assert_forward_invariant(f, graph):
+    """Every interior sample of the channel diagram maps into the diagram:
+    within 1e-4 (chordal), and within 1e-7 beyond 0.05 of every root, where
+    each sample is a lift."""
+    checked = 0
+    for e in graph.edges:
+        for p in e.points[1:-1]:
+            d = graph_distance(graph, f.evaluate(p))
+            assert d < 1e-4
+            if min(abs(p - r) for r in f.roots) > 0.05:
+                assert d < 1e-7
+            checked += 1
+    assert checked > 50
+
+
 class TestTraceFixedRay:
     def test_imaginary_axis_ray(self, cubic_pm):
         loc = bottcher_local(cubic_pm, _root_index(cubic_pm, 0))
@@ -118,17 +136,15 @@ class TestTraceFixedRay:
         assert rays._mod_tau(-cmath.phase(ray[-2])) == pytest.approx(0, abs=1e-9)
 
     def test_ray_is_forward_invariant(self, cubic_pm, delta0_pm):
-        graph = delta0_pm
-        checked = 0
-        for e in graph.edges:
-            for p in e.points[1:-1]:
-                img = cubic_pm.evaluate(p)
-                d = graph_distance(graph, img)
-                assert d < 1e-4
-                if min(abs(p - r) for r in cubic_pm.roots) > 0.05:
-                    assert d < 1e-7
-                checked += 1
-        assert checked > 50
+        assert_forward_invariant(cubic_pm, delta0_pm)
+
+    @pytest.mark.parametrize("lam", PCF_LAMBDAS, ids=lambda lam: f"{lam:.4g}")
+    def test_rays_of_the_pcf_cubics_are_forward_invariant(self, lam):
+        # the rays of z^3 - z, and of every conjugate of z^d - 1 and z^d - z,
+        # are straight lines, where a starting segment has no model error;
+        # those of the pcf cubics are curved
+        f = pcf_cubic(lam)
+        assert_forward_invariant(f, channel_diagram(f))
 
     def test_lifts_are_thinned_to_the_sample_ratio(
         self, cubic_pm, quartic_monic, monkeypatch
@@ -232,19 +248,18 @@ def horner_solve(f, w, x0):
     """solve_preimage_near as written with one horner call per row: the
     oracle of its inlined Horner loops."""
     tol = f.tol
-    (a, b, da, db), target = f.corrector(w)
+    (a, b, e), target, far = f.corrector(w)
     x = x0
     for _ in range(50):
         av, bv = horner(a, x), horner(b, x)
         if bv == 0:
             x += 1e-12 * (1 + abs(x))
             continue
-        g = av / bv - target
-        gp = (horner(da, x) * bv - av * horner(db, x)) / (bv * bv)
-        if gp == 0:
+        slope = horner(e, x) * (bv - x * av if far else x * bv - av)
+        if slope == 0:
             x += 1e-12 * (1 + abs(x))
             continue
-        step = g / gp
+        step = (av - target * bv) * bv / slope
         x = x - step
         if rays.converged(step, x, tol):
             break
@@ -264,11 +279,14 @@ class TestInlinedCorrector:
     def test_the_inlined_loops_are_the_horner_calls_bit_for_bit(self, request):
         # targets from 1e-3 to 1e7 in modulus, a fifth beyond the chart
         # radius; starts near a preimage, where the solve converges, or
-        # anywhere, where it may stray; repr tells every bit, -0.0 included
+        # anywhere, where it may stray; repr tells every bit, -0.0 included.
+        # The pool's maps have sparse coefficients, so (z - 1.5 - i)^3 - 1,
+        # every coefficient of whose rows is nonzero, joins them
         rng = random.Random(20261020)
         beyond, found, strayed = 0, 0, 0
-        for name in POOL:
-            f = request.getfixturevalue(name)
+        t = 1.5 + 1j
+        dense = make_newton_map(Polynomial((-1 - t**3, 3 * t**2, -3 * t, 1)))
+        for f in [request.getfixturevalue(name) for name in POOL] + [dense]:
             for _ in range(420):
                 w = cmath.rect(10 ** rng.uniform(-3, 7), rng.uniform(-math.pi, math.pi))
                 if rng.random() < 0.5:
@@ -287,7 +305,7 @@ class TestInlinedCorrector:
         # D = 3 z^2 is exactly 0 at the start 0, the double pole: the first
         # step only nudges x off it
         f = cubic_unity
-        (_, b, _, _), _ = f.corrector(0.5)
+        (_, b, _), _, _ = f.corrector(0.5)
         assert horner(b, 0j) == 0
         for w in (0.5, 0.5j, -2 + 1j, 900.0):
             x = rays.solve_preimage_near(f, w, 0j)
@@ -322,6 +340,17 @@ class TestRayRadius:
         assert "ray_radius" not in vars(f)
         channel_diagram(f)
         assert vars(f)["ray_radius"] == f.ray_radius
+
+    def test_only_the_rays_compute_kappa(self):
+        # kappa is computed for every root at once, when a ray first asks for
+        # it: a raster, a classified point and a fiber never pay for it
+        f = make_newton_map(Polynomial((-1, 0, 0, 0, 0, 1)))
+        render_basins(f, RasterSpec(8, 8))
+        classify_point(f, 0.3 + 0.2j)
+        lift_point(f, 0.5j)
+        assert "root_kappas" not in vars(f)
+        channel_diagram(f)
+        assert len(vars(f)["root_kappas"]) == 5
 
     @pytest.mark.parametrize("name", POOL)
     def test_the_radius_scales_with_the_map(self, request, name):
@@ -361,10 +390,17 @@ class TestRayRadius:
                 gap = rays._circular_gap(angle_at_infinity(short), angle_at_infinity(far))
                 assert gap <= bound + f.far_turn(complex(far[-2]))
 
-    @pytest.mark.parametrize("name", POOL)
+    @pytest.mark.parametrize("name", POOL + ("cubic_unity_conjugate",))
     def test_lifts_into_a_pole_end_within_a_quarter_of_its_clearance(self, request, name):
-        f = request.getfixturevalue(name)
-        graph = request.getfixturevalue(name.replace("cubic", "graph").replace("quartic", "graph_q"))
+        # z^3 - 1 conjugated by 2^-2 e^(0.4i) takes its radius from its
+        # pole: there its lifts ended 1.0098 times the quarter clearance
+        # when the radius bounded them to leading order in the pole's model
+        if name == "cubic_unity_conjugate":
+            f = conjugated(request.getfixturevalue("cubic_unity"), 2**-2 * cmath.exp(0.4j))
+            graph = compute_newton_graph(f)
+        else:
+            f = request.getfixturevalue(name)
+            graph = request.getfixturevalue(name.replace("cubic", "graph").replace("quartic", "graph_q"))
         level = graph.graphs[1]
         ends = 0
         for j, e in enumerate(level.geo.edges):
